@@ -16,6 +16,7 @@
 // per-backend rates the §5.3 split adapts to.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backprojection/kernel.h"
@@ -44,10 +45,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(image), static_cast<long long>(image),
               static_cast<long long>(pulses), static_cast<long long>(block),
               "warmup", spec.warmup, "repeat", spec.repeat);
-  std::printf("\n%-28s %16s %14s\n", "kernel", "backproj/s", "speedup");
-  bench::print_rule();
-
-  double scalar_rate = 0.0;
+  // Rows print once all are measured: the speedup column is relative to
+  // asr-scalar, which runs after the baseline row.
+  std::vector<std::pair<std::string, double>> rows;
   const auto report = [&](const std::string& name,
                           std::vector<std::pair<std::string, std::string>>
                               params,
@@ -59,9 +59,7 @@ int main(int argc, char** argv) {
     rate.median = bp_per_run / seconds.median;
     rate.q1 = bp_per_run / seconds.q3;
     rate.q3 = bp_per_run / seconds.q1;
-    if (name == "asr-scalar") scalar_rate = rate.median;
-    const double speedup = scalar_rate > 0 ? rate.median / scalar_rate : 0.0;
-    std::printf("%-28s %16.3g %13.2fx\n", name.c_str(), rate.median, speedup);
+    rows.emplace_back(name, rate.median);
     json.add(name, std::move(params), "backprojections/s", rate);
   };
 
@@ -153,6 +151,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  double scalar_rate = 0.0;
+  for (const auto& [name, rate] : rows) {
+    if (name == "asr-scalar") scalar_rate = rate;
+  }
+  std::printf("\n%-28s %16s %14s\n", "kernel", "backproj/s", "speedup");
+  bench::print_rule();
+  for (const auto& [name, rate] : rows) {
+    std::printf("%-28s %16.3g %13.2fx\n", name.c_str(), rate,
+                scalar_rate > 0 ? rate / scalar_rate : 0.0);
+  }
   std::printf("\n(speedup column is relative to asr-scalar; paper §5.2.2: "
               "4.6x on 8-wide AVX, 10x on 16-wide IMCI)\n");
   return 0;

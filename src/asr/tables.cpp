@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <utility>
 
 #include "common/check.h"
 #include "signal/trig.h"
@@ -36,23 +37,58 @@ void quadratic_phase_table(double c0, double c1, double c2, Index n,
   }
 }
 
+/// Floats one array of n entries occupies: a whole number of 64-byte lines.
+std::size_t padded(Index n) {
+  constexpr std::size_t kLine = kSimdAlign / sizeof(float);
+  return (static_cast<std::size_t>(n) + kLine - 1) / kLine * kLine;
+}
+
 }  // namespace
+
+BlockTables::BlockTables(BlockTables&& other) noexcept {
+  *this = std::move(other);
+}
+
+BlockTables& BlockTables::operator=(BlockTables&& other) noexcept {
+  if (this != &other) {
+    const Index w = other.width;
+    const Index h = other.height;
+    storage_ = std::move(other.storage_);
+    bind(w, h);
+    other.storage_.clear();
+    other.bind(0, 0);
+  }
+  return *this;
+}
+
+std::size_t BlockTables::footprint_bytes(Index w, Index h) {
+  return (3 * padded(w) + 6 * padded(h)) * sizeof(float);
+}
 
 void BlockTables::resize(Index w, Index h) {
   ensure(w > 0 && h > 0, "BlockTables: block must be non-empty");
+  storage_.resize(footprint_bytes(w, h) / sizeof(float));
+  bind(w, h);
+}
+
+void BlockTables::bind(Index w, Index h) {
   width = w;
   height = h;
-  const auto lw = static_cast<std::size_t>(w);
-  const auto lh = static_cast<std::size_t>(h);
-  bin_a.resize(lw);
-  bin_b.resize(lh);
-  bin_c.resize(lh);
-  phi_re.resize(lw);
-  phi_im.resize(lw);
-  psi_re.resize(lh);
-  psi_im.resize(lh);
-  gam_re.resize(lh);
-  gam_im.resize(lh);
+  float* next = storage_.data();
+  const auto take = [&next](Index n) {
+    const std::span<float> array(next, static_cast<std::size_t>(n));
+    next += padded(n);
+    return array;
+  };
+  bin_a = take(w);
+  phi_re = take(w);
+  phi_im = take(w);
+  bin_b = take(h);
+  bin_c = take(h);
+  psi_re = take(h);
+  psi_im = take(h);
+  gam_re = take(h);
+  gam_im = take(h);
 }
 
 void build_block_tables(const Quadratic2D& q, double start_range,

@@ -18,27 +18,51 @@
 // (paper §3.5, §5.2.1).
 #pragma once
 
+#include <cstddef>
+#include <span>
+
 #include "asr/quadratic.h"
 #include "common/aligned.h"
 #include "common/types.h"
 
 namespace sarbp::asr {
 
-/// Reusable workspace for one block's tables; resize is amortized away by
-/// reuse across blocks/pulses.
+/// One (block, pulse) pair's tables. The nine arrays share one 64-byte-
+/// aligned buffer, each padded to a multiple of 16 floats so every array
+/// starts on a 64-byte boundary; the spans view that buffer. One
+/// allocation per table keeps a cached plan's thousands of tables cheap to
+/// build and to free. resize() reuses the buffer when it is large enough,
+/// so a workspace amortizes across blocks/pulses. Move-only: a move hands
+/// the buffer and its spans to the destination and leaves the source
+/// empty.
 struct BlockTables {
   Index width = 0;   ///< L: block extent along l (the inner/x loop)
   Index height = 0;  ///< M: block extent along m (the outer/y loop)
 
-  AlignedVector<float> bin_a;  ///< [L]
-  AlignedVector<float> bin_b;  ///< [M]
-  AlignedVector<float> bin_c;  ///< [M]
+  std::span<float> bin_a;  ///< [L]
+  std::span<float> bin_b;  ///< [M]
+  std::span<float> bin_c;  ///< [M]
 
-  AlignedVector<float> phi_re, phi_im;  ///< [L]
-  AlignedVector<float> psi_re, psi_im;  ///< [M]
-  AlignedVector<float> gam_re, gam_im;  ///< [M] step factor Gamma[m]
+  std::span<float> phi_re, phi_im;  ///< [L]
+  std::span<float> psi_re, psi_im;  ///< [M]
+  std::span<float> gam_re, gam_im;  ///< [M] step factor Gamma[m]
+
+  BlockTables() = default;
+  BlockTables(BlockTables&& other) noexcept;
+  BlockTables& operator=(BlockTables&& other) noexcept;
+  BlockTables(const BlockTables&) = delete;
+  BlockTables& operator=(const BlockTables&) = delete;
 
   void resize(Index w, Index h);
+
+  /// Buffer size of a w x h table set: what resize(w, h) allocates.
+  [[nodiscard]] static std::size_t footprint_bytes(Index w, Index h);
+
+ private:
+  /// Points the spans at storage_ for a w x h block.
+  void bind(Index w, Index h);
+
+  AlignedVector<float> storage_;
 };
 
 /// Fills `tables` for one (block, pulse) pair.

@@ -4,9 +4,10 @@
 // Two callers compose these the same way but own the tables differently:
 //  - kernel_asr_scalar.cpp builds each (block, pulse) table immediately
 //    before sweeping it (streaming, nothing retained);
-//  - the service's plan executor (service/plan_cache.h) replays tables
-//    prebuilt once per pulse-geometry and cached across requests, so a
-//    repeated scene pays the table construction cost only on the first hit.
+//  - the service's plan replay (service/plan_cache.h) keeps the tables in
+//    a plan cached per pulse geometry. On a cache miss each replay task
+//    builds its blocks' tables just before sweeping them and the finished
+//    plan is retained, so a repeated scene replays them without building.
 // Keeping the sweep in one place guarantees the cached-plan path computes
 // bit-identical images to the streaming scalar kernel.
 #pragma once

@@ -7,8 +7,9 @@
 //
 // Layering: exec must not depend on the service layer, so backends sweep
 // through a PlanView — a non-owning projection of service::FormationPlan
-// (blocks, per-pulse loop order, prebuilt block-major ASR tables). The
-// service builds the view when it builds the task group.
+// (blocks, per-pulse loop order, block-major ASR tables, each block's
+// built before the block is swept). The service builds the view when it
+// builds the task group.
 //
 // Identity contract: blocks cover disjoint pixel rectangles, and
 // HostScalarBackend::sweep_block runs exactly the plan executor's scalar

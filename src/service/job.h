@@ -147,8 +147,12 @@ struct JobResult {
   std::string error;
   bool plan_cache_hit = false;
   double queue_seconds = 0.0;    ///< admission -> dequeue
-  double setup_seconds = 0.0;    ///< plan lookup/build (the cacheable part)
-  double compute_seconds = 0.0;  ///< block sweeps
+  /// Plan lookup; on a miss also the plan skeleton (the pulse-scatter
+  /// front end builds its whole plan here instead).
+  double setup_seconds = 0.0;
+  /// Block sweeps; on a miss also the table builds, which run inside the
+  /// sweep tasks.
+  double compute_seconds = 0.0;
   double latency_seconds = 0.0;  ///< admission -> terminal
   /// Global completion order (0-based) across the owning service — the
   /// observable the priority tests assert on.

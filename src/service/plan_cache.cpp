@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <numbers>
 #include <utility>
 
@@ -28,14 +29,6 @@ inline std::uint64_t double_bits(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
-}
-
-/// Approximate payload of one BlockTables (the float vectors).
-std::size_t tables_bytes(const asr::BlockTables& t) {
-  return (t.bin_a.size() + t.bin_b.size() + t.bin_c.size() + t.phi_re.size() +
-          t.phi_im.size() + t.psi_re.size() + t.psi_im.size() +
-          t.gam_re.size() + t.gam_im.size()) *
-         sizeof(float);
 }
 
 }  // namespace
@@ -89,52 +82,75 @@ PlanKey make_plan_key(const geometry::ImageGrid& grid, const Region& region,
   return key;
 }
 
-std::shared_ptr<const FormationPlan> build_formation_plan(
-    const geometry::ImageGrid& grid, const Region& region, Index block_w,
-    Index block_h, const sim::PhaseHistory& history) {
-  ensure(!region.empty(), "build_formation_plan: empty region");
-  ensure(block_w > 0 && block_h > 0,
-         "build_formation_plan: ASR block must be positive");
-  ensure(history.num_pulses() > 0, "build_formation_plan: no pulses");
+std::shared_ptr<FormationPlan> make_plan_skeleton(
+    const PlanKey& key, const sim::PhaseHistory& history) {
+  const Region& region = key.region;
+  ensure(!region.empty(), "formation plan: empty region");
+  ensure(key.block_w > 0 && key.block_h > 0,
+         "formation plan: ASR block must be positive");
+  ensure(history.num_pulses() > 0, "formation plan: no pulses");
 
   auto plan = std::make_shared<FormationPlan>();
-  plan->key = make_plan_key(grid, region, block_w, block_h, history);
+  plan->key = key;
   plan->blocks = asr::plan_blocks(region.x0, region.y0, region.width,
-                                  region.height, block_w, block_h);
+                                  region.height, key.block_w, key.block_h);
 
   const Index pulses = history.num_pulses();
   plan->pulse_order.resize(static_cast<std::size_t>(pulses));
+  std::size_t x_inner_pulses = 0;
   for (Index p = 0; p < pulses; ++p) {
-    plan->pulse_order[static_cast<std::size_t>(p)] =
-        geometry::choose_loop_order(history.meta(p).position, grid.centre());
+    const geometry::LoopOrder order =
+        geometry::choose_loop_order(history.meta(p).position, key.centre);
+    plan->pulse_order[static_cast<std::size_t>(p)] = order;
+    if (order == geometry::LoopOrder::kXInner) ++x_inner_pulses;
   }
-
-  const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
+  const std::size_t y_inner_pulses =
+      static_cast<std::size_t>(pulses) - x_inner_pulses;
+  for (const auto& block : plan->blocks) {
+    plan->bytes +=
+        x_inner_pulses *
+            asr::BlockTables::footprint_bytes(block.width, block.height) +
+        y_inner_pulses *
+            asr::BlockTables::footprint_bytes(block.height, block.width);
+  }
   plan->tables.resize(plan->blocks.size() * static_cast<std::size_t>(pulses));
+  return plan;
+}
+
+void build_plan_block(FormationPlan& plan, std::size_t block,
+                      const sim::PhaseHistory& history) {
+  const geometry::ImageGrid grid(plan.key.grid_w, plan.key.grid_h,
+                                 plan.key.spacing, plan.key.centre);
+  const auto& spec = plan.blocks[block];
+  const geometry::Vec3 centre = grid.position_f(
+      static_cast<double>(spec.x0) + 0.5 * static_cast<double>(spec.width - 1),
+      static_cast<double>(spec.y0) +
+          0.5 * static_cast<double>(spec.height - 1));
+  const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
+  const Index pulses = plan.num_pulses();
+  for (Index p = 0; p < pulses; ++p) {
+    const geometry::LoopOrder order =
+        plan.pulse_order[static_cast<std::size_t>(p)];
+    const bool x_inner = order == geometry::LoopOrder::kXInner;
+    const Index len_l = x_inner ? spec.width : spec.height;
+    const Index len_m = x_inner ? spec.height : spec.width;
+    const auto& meta = history.meta(p);
+    const asr::Quadratic2D q =
+        bp::block_range_quadratic(centre, meta.position, grid.spacing(), order);
+    asr::build_block_tables_fast(
+        q, meta.start_range_m, history.bin_spacing(), two_pi_k, len_l, len_m,
+        plan.tables[block * static_cast<std::size_t>(pulses) +
+                    static_cast<std::size_t>(p)]);
+  }
+}
+
+std::shared_ptr<const FormationPlan> build_formation_plan(
+    const geometry::ImageGrid& grid, const Region& region, Index block_w,
+    Index block_h, const sim::PhaseHistory& history) {
+  auto plan = make_plan_skeleton(
+      make_plan_key(grid, region, block_w, block_h, history), history);
   for (std::size_t b = 0; b < plan->blocks.size(); ++b) {
-    const auto& block = plan->blocks[b];
-    const geometry::Vec3 centre = grid.position_f(
-        static_cast<double>(block.x0) +
-            0.5 * static_cast<double>(block.width - 1),
-        static_cast<double>(block.y0) +
-            0.5 * static_cast<double>(block.height - 1));
-    for (Index p = 0; p < pulses; ++p) {
-      const geometry::LoopOrder order =
-          plan->pulse_order[static_cast<std::size_t>(p)];
-      const bool x_inner = order == geometry::LoopOrder::kXInner;
-      const Index len_l = x_inner ? block.width : block.height;
-      const Index len_m = x_inner ? block.height : block.width;
-      const auto& meta = history.meta(p);
-      const asr::Quadratic2D q = bp::block_range_quadratic(
-          centre, meta.position, grid.spacing(), order);
-      asr::BlockTables& tables =
-          plan->tables[b * static_cast<std::size_t>(pulses) +
-                       static_cast<std::size_t>(p)];
-      asr::build_block_tables_fast(q, meta.start_range_m,
-                                   history.bin_spacing(), two_pi_k, len_l,
-                                   len_m, tables);
-      plan->bytes += tables_bytes(tables);
-    }
+    build_plan_block(*plan, b, history);
   }
   return plan;
 }
@@ -194,7 +210,7 @@ exec::GroupPtr make_plan_replay_group(
     std::function<bool()> checkpoint,
     std::function<void(exec::TaskGroup&)> on_complete,
     Index pulse_begin, Index pulse_end,
-    std::shared_ptr<exec::BackendSet> backends) {
+    std::shared_ptr<exec::BackendSet> backends, PlanCache* insert_into) {
   ensure(plan != nullptr && history != nullptr && tile != nullptr,
          "make_plan_replay_group: null plan/history/tile");
   ensure(history->num_pulses() == plan->num_pulses(),
@@ -207,6 +223,13 @@ exec::GroupPtr make_plan_replay_group(
   ensure(pulse_begin >= 0 && pulse_begin <= pulse_end &&
              pulse_end <= plan->num_pulses(),
          "make_plan_replay_group: bad pulse range");
+
+  // A miss skeleton has not been published yet: the group's tasks are its
+  // only users until the continuation below inserts it, so they may fill
+  // the table slots (disjoint per block) of the plan they were handed.
+  std::shared_ptr<FormationPlan> skeleton =
+      insert_into != nullptr ? std::const_pointer_cast<FormationPlan>(plan)
+                             : nullptr;
 
   const Index nblocks = static_cast<Index>(plan->blocks.size());
   // ~2 tasks per worker so thieves always find a remainder to take, but
@@ -224,8 +247,8 @@ exec::GroupPtr make_plan_replay_group(
     for (Index ti = 0; ti < fanout; ++ti) {
       const Index b0 = bp::split_begin(nblocks, fanout, ti);
       const Index b1 = bp::split_begin(nblocks, fanout, ti + 1);
-      tasks.push_back([plan, history, tile, checkpoint, b0, b1, pulse_begin,
-                       pulse_end](int, exec::TaskGroup& group) {
+      tasks.push_back([plan, skeleton, history, tile, checkpoint, b0, b1,
+                       pulse_begin, pulse_end](int, exec::TaskGroup& group) {
         const Index samples = history->samples_per_pulse();
         for (Index b = b0; b < b1; ++b) {
           // Same granularity as execute_plan: one cancellation poll per
@@ -234,7 +257,9 @@ exec::GroupPtr make_plan_replay_group(
             group.abort();
             return;
           }
-          const auto& block = plan->blocks[static_cast<std::size_t>(b)];
+          const auto bi = static_cast<std::size_t>(b);
+          if (skeleton) build_plan_block(*skeleton, bi, *history);
+          const auto& block = plan->blocks[bi];
           const Index bx = block.x0 - plan->key.region.x0;
           const Index by = block.y0 - plan->key.region.y0;
           for (Index p = pulse_begin; p < pulse_end; ++p) {
@@ -243,10 +268,9 @@ exec::GroupPtr make_plan_replay_group(
                 geometry::LoopOrder::kXInner;
             const Index len_l = x_inner ? block.width : block.height;
             const Index len_m = x_inner ? block.height : block.width;
-            bp::asr_sweep_block(
-                plan->tables_for(static_cast<std::size_t>(b), p),
-                history->pulse(p).data(), samples, x_inner, bx, by, len_l,
-                len_m, *tile);
+            bp::asr_sweep_block(plan->tables_for(bi, p),
+                                history->pulse(p).data(), samples, x_inner,
+                                bx, by, len_l, len_m, *tile);
           }
         }
       });
@@ -254,9 +278,9 @@ exec::GroupPtr make_plan_replay_group(
   } else {
     // Backend routing (§5.3): each backend owns a contiguous block range
     // sized by the current dynamic split, sub-divided into tasks in
-    // proportion to its share of the fan-out. Each task times its whole
-    // sweep and feeds the backend's observed-rate tracker, which steers
-    // the *next* job's partition.
+    // proportion to its share of the fan-out. Each task times its sweeps
+    // (not its table builds) and feeds the backend's observed-rate
+    // tracker, which steers the *next* job's partition.
     const std::vector<Index> bounds = backends->partition(nblocks);
     const Index pulses = pulse_end - pulse_begin;
     for (int k = 0; k < backends->size(); ++k) {
@@ -273,30 +297,44 @@ exec::GroupPtr make_plan_replay_group(
         const Index b0 = k0 + bp::split_begin(kblocks, ktasks, ti);
         const Index b1 = k0 + bp::split_begin(kblocks, ktasks, ti + 1);
         exec::TileBackend* backend = &backends->backend(k);
-        tasks.push_back([plan, history, tile, checkpoint, backends, backend,
-                         b0, b1, pulse_begin, pulse_end,
+        tasks.push_back([plan, skeleton, history, tile, checkpoint, backends,
+                         backend, b0, b1, pulse_begin, pulse_end,
                          pulses](int, exec::TaskGroup& group) {
           const exec::PlanView view = plan_view(*plan);
-          Timer timer;
+          double sweep_seconds = 0.0;
           double backprojections = 0.0;
           for (Index b = b0; b < b1; ++b) {
             if (checkpoint && !checkpoint()) {
               group.abort();
               return;
             }
-            const auto& block = plan->blocks[static_cast<std::size_t>(b)];
+            const auto bi = static_cast<std::size_t>(b);
+            if (skeleton) build_plan_block(*skeleton, bi, *history);
+            const auto& block = plan->blocks[bi];
+            Timer timer;
             backend->sweep_block(view, *history, b, pulse_begin, pulse_end,
                                  *tile);
+            sweep_seconds += timer.seconds();
             backprojections += static_cast<double>(block.width) *
                                static_cast<double>(block.height) *
                                static_cast<double>(pulses);
           }
-          backend->record(backprojections, timer.seconds());
+          backend->record(backprojections, sweep_seconds);
         });
       }
     }
   }
 
+  if (skeleton) {
+    // Insert-on-success: an aborted group leaves table slots unbuilt, so
+    // only a group that ran every task publishes its plan — before the
+    // caller's continuation resolves anything.
+    on_complete = [plan, insert_into, on_complete = std::move(on_complete)](
+                      exec::TaskGroup& group) {
+      if (!group.aborted()) insert_into->insert(plan);
+      if (on_complete) on_complete(group);
+    };
+  }
   return std::make_shared<exec::TaskGroup>(
       std::move(tasks), std::move(checkpoint), std::move(on_complete),
       "plan_replay");
@@ -314,41 +352,34 @@ PlanCache::PlanCache(std::size_t capacity, obs::Registry* metrics)
   }
 }
 
-std::shared_ptr<const FormationPlan> PlanCache::get_or_build(
-    const geometry::ImageGrid& grid, const Region& region, Index block_w,
-    Index block_h, const sim::PhaseHistory& history, bool* hit) {
-  const PlanKey key = make_plan_key(grid, region, block_w, block_h, history);
+std::shared_ptr<const FormationPlan> PlanCache::find(const PlanKey& key) {
   {
     MutexLock lock(mutex_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
       if (hits_) hits_->add();
-      if (hit != nullptr) *hit = true;
       return *it->second;
     }
   }
   if (misses_) misses_->add();
-  if (hit != nullptr) *hit = false;
-  auto plan = build_formation_plan(grid, region, block_w, block_h, history);
-  if (capacity_ > 0) {
-    MutexLock lock(mutex_);
-    if (index_.find(key) == index_.end()) {
-      insert_locked(plan);
-    }
-  }
-  return plan;
+  return nullptr;
 }
 
-void PlanCache::insert_locked(std::shared_ptr<const FormationPlan> plan) {
+void PlanCache::insert(std::shared_ptr<const FormationPlan> plan) {
+  if (capacity_ == 0) return;
+  // Declared before the lock so the evicted plans' table buffers are
+  // freed after it drops.
+  std::list<std::shared_ptr<const FormationPlan>> evicted;
+  MutexLock lock(mutex_);
+  if (index_.find(plan->key) != index_.end()) return;
   lru_.push_front(std::move(plan));
   index_[lru_.front()->key] = lru_.begin();
   bytes_ += lru_.front()->bytes;
   while (lru_.size() > capacity_) {
-    const auto& victim = lru_.back();
-    bytes_ -= victim->bytes;
-    index_.erase(victim->key);
-    lru_.pop_back();
+    evicted.splice(evicted.end(), lru_, std::prev(lru_.end()));
+    bytes_ -= evicted.back()->bytes;
+    index_.erase(evicted.back()->key);
     if (evictions_) evictions_->add();
   }
   update_gauges_locked();
@@ -375,6 +406,14 @@ void PlanCache::clear() {
   index_.clear();
   bytes_ = 0;
   update_gauges_locked();
+}
+
+PlanLookup lookup_plan(PlanCache& cache, const geometry::ImageGrid& grid,
+                       const Region& region, Index block_w, Index block_h,
+                       const sim::PhaseHistory& history) {
+  const PlanKey key = make_plan_key(grid, region, block_w, block_h, history);
+  if (auto plan = cache.find(key)) return {std::move(plan), nullptr};
+  return {make_plan_skeleton(key, history), &cache};
 }
 
 }  // namespace sarbp::service

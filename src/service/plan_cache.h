@@ -6,16 +6,25 @@
 // A FormationPlan captures everything the ASR sweep needs that depends
 // only on *geometry*, not on sample values: the block decomposition, the
 // per-pulse loop order (wavefront orientation), and the per-(block, pulse)
-// strength-reduction tables of paper Fig. 3(b) line 02. Building those
-// tables is the per-request setup cost; replaying a cached plan skips it
-// entirely, and because the executor drives the same inner sweep as the
-// scalar kernel (kernel_asr_block.h) the image is bit-identical to the
-// streaming path.
+// strength-reduction tables of paper Fig. 3(b) line 02. Replaying a cached
+// plan skips the table build entirely, and because the executor drives
+// the same inner sweep as the scalar kernel (kernel_asr_block.h) the image
+// is bit-identical to the streaming path.
+//
+// The miss path builds the tables where the paper does, inside the
+// parallel block loop: a miss hands make_plan_replay_group a skeleton
+// (make_plan_skeleton — key, blocks, pulse order, empty table slots), each
+// block-range task builds its blocks' tables (build_plan_block) just
+// before sweeping them, and the finished plan enters the cache only when
+// the whole group ran without an abort. lookup_plan is that one miss path,
+// shared by the local service and the shard ranks.
 //
 // Cache keying: (grid geometry, region, ASR block size, pulse-geometry
 // signature). The signature hashes per-pulse positions/start ranges plus
 // the sampling constants — two collections with equal trajectories hit the
-// same plan even when their sample payloads differ.
+// same plan even when their sample payloads differ. The key holds the
+// whole grid geometry, so the tables can be rebuilt from a plan's key and
+// the request's pulses alone.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +85,8 @@ struct FormationPlan {
   std::vector<geometry::LoopOrder> pulse_order;  ///< [pulses]
   /// Per-(block, pulse) tables, block-major: tables[b * pulses + p].
   std::vector<asr::BlockTables> tables;
-  std::size_t bytes = 0;  ///< approximate resident size (table payloads)
+  /// Resident size of the table buffers, fixed by the skeleton.
+  std::size_t bytes = 0;
 
   [[nodiscard]] Index num_pulses() const {
     return static_cast<Index>(pulse_order.size());
@@ -87,8 +97,21 @@ struct FormationPlan {
   }
 };
 
-/// Builds a plan from scratch — the cache-miss path, and the "cache off"
-/// baseline the throughput bench compares against.
+/// A plan without tables: the key, the blocks, the pulse order, `bytes`,
+/// and one empty table slot per (block, pulse).
+[[nodiscard]] std::shared_ptr<FormationPlan> make_plan_skeleton(
+    const PlanKey& key, const sim::PhaseHistory& history);
+
+/// Fills block `block`'s table slots for every pulse of `plan` — the one
+/// per-block table build. build_formation_plan runs it over every block;
+/// a cache-miss replay group runs it inside each task, just before the
+/// block's sweep.
+void build_plan_block(FormationPlan& plan, std::size_t block,
+                      const sim::PhaseHistory& history);
+
+/// Builds a whole plan up front: the skeleton plus build_plan_block over
+/// every block. For callers that need the tables before any replay (the
+/// pulse-scatter front end, benches, tests).
 [[nodiscard]] std::shared_ptr<const FormationPlan> build_formation_plan(
     const geometry::ImageGrid& grid, const Region& region, Index block_w,
     Index block_h, const sim::PhaseHistory& history);
@@ -99,6 +122,8 @@ struct FormationPlan {
 /// the partially-formed tile must be discarded. Returns true on completion.
 bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
                   bp::SoaTile& tile, const std::function<bool()>& checkpoint);
+
+class PlanCache;
 
 /// Decomposes one plan replay into a TaskGroup for the tile executor: the
 /// plan's blocks are split into contiguous block-range tasks that all
@@ -129,6 +154,15 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
 /// the direct scalar-sweep path — the exact PR 3 code — and a set holding
 /// only scalar backends is still byte-identical to it (disjoint block
 /// rectangles; same per-block pulse order).
+///
+/// `insert_into` (nullable) marks `plan` as a cache-miss skeleton
+/// (lookup_plan): each task builds its blocks' tables for every pulse with
+/// build_plan_block just before sweeping them, and when the last task
+/// retires without an abort the finished plan is inserted into
+/// `insert_into`, before `on_complete` runs. The group is the skeleton's
+/// only writer until then. Building stays outside the backend timer, so
+/// the §5.3 split remains a sweep rate. Null replays the plan's tables as
+/// they are — a cache hit, or a plan from build_formation_plan.
 [[nodiscard]] exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
     std::shared_ptr<const sim::PhaseHistory> history, int parallelism,
@@ -136,16 +170,16 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
     std::function<bool()> checkpoint,
     std::function<void(exec::TaskGroup&)> on_complete,
     Index pulse_begin = 0, Index pulse_end = -1,
-    std::shared_ptr<exec::BackendSet> backends = nullptr);
+    std::shared_ptr<exec::BackendSet> backends = nullptr,
+    PlanCache* insert_into = nullptr);
 
-/// Thread-safe LRU cache of formation plans.
+/// Thread-safe LRU cache of formation plans: lookup and insert.
 ///
-/// A capacity of 0 disables retention: every lookup builds (and counts a
-/// miss) — the knob the bench uses for its cache-off baseline. Lookups that
-/// miss build *outside* the lock, so concurrent workers missing on the same
-/// key may build duplicate plans; the last insert wins and the duplicates
-/// are garbage-collected by shared_ptr. That trade keeps a slow build from
-/// stalling unrelated hits.
+/// A capacity of 0 disables retention: every lookup misses and insert
+/// keeps nothing — the knob the bench uses for its cache-off baseline.
+/// Plans are inserted only once built, so concurrent misses on one key
+/// may build twice; the first insert wins and the duplicate is released
+/// with its last user. Evicted plans are released after the lock drops.
 ///
 /// Metrics (under the provided registry or the global one):
 ///   service.plan_cache.{hits,misses,evictions} counters,
@@ -157,11 +191,14 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the plan for the request's geometry, building it on a miss.
-  /// `hit` (optional) reports whether the cache satisfied the lookup.
-  std::shared_ptr<const FormationPlan> get_or_build(
-      const geometry::ImageGrid& grid, const Region& region, Index block_w,
-      Index block_h, const sim::PhaseHistory& history, bool* hit = nullptr);
+  /// The cached plan for `key`, now the most recently used, or null.
+  /// Counts the hit or the miss.
+  [[nodiscard]] std::shared_ptr<const FormationPlan> find(const PlanKey& key);
+
+  /// Retains a fully built plan as the most recently used entry, evicting
+  /// the least recently used ones beyond capacity. A key already present
+  /// keeps its plan.
+  void insert(std::shared_ptr<const FormationPlan> plan);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t bytes() const;
@@ -169,8 +206,6 @@ class PlanCache {
   void clear();
 
  private:
-  void insert_locked(std::shared_ptr<const FormationPlan> plan)
-      SARBP_REQUIRES(mutex_);
   void update_gauges_locked() SARBP_REQUIRES(mutex_);
 
   const std::size_t capacity_;
@@ -188,5 +223,24 @@ class PlanCache {
   obs::Gauge* entries_gauge_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
 };
+
+/// The plan one replay of (grid, region, block size, pulses) starts from.
+struct PlanLookup {
+  std::shared_ptr<const FormationPlan> plan;
+  /// Null on a hit. On a miss, the cache the replay group inserts the
+  /// finished skeleton into (make_plan_replay_group's `insert_into`).
+  PlanCache* insert_into = nullptr;
+
+  [[nodiscard]] bool hit() const { return insert_into == nullptr; }
+};
+
+/// The one cache-miss path of the local service and the shard ranks: the
+/// cached plan on a hit, else a fresh skeleton for the replay group to
+/// build and insert.
+[[nodiscard]] PlanLookup lookup_plan(PlanCache& cache,
+                                     const geometry::ImageGrid& grid,
+                                     const Region& region, Index block_w,
+                                     Index block_h,
+                                     const sim::PhaseHistory& history);
 
 }  // namespace sarbp::service

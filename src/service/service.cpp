@@ -296,14 +296,15 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
   }
 
   const Region region = request.effective_region();
-  bool cache_hit = false;
   double setup_seconds = 0.0;
-  std::shared_ptr<const FormationPlan> plan;
+  PlanLookup lookup;
   try {
+    // A hit is the whole setup; a miss yields a skeleton whose tables the
+    // replay tasks build, so that cost lands in compute.
     Timer setup_timer;
-    plan = plan_cache_.get_or_build(request.grid, region, request.asr_block_w,
-                                    request.asr_block_h, *request.pulses,
-                                    &cache_hit);
+    lookup = lookup_plan(plan_cache_, request.grid, region,
+                         request.asr_block_w, request.asr_block_h,
+                         *request.pulses);
     setup_seconds = setup_timer.seconds();
     if (setup_s_) setup_s_->record(setup_seconds);
   } catch (const std::exception& e) {
@@ -325,9 +326,10 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
   auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
   // Runs on whichever worker retires the job's last task: publish the
   // image (or the failure) and resolve the handle. The claiming worker has
-  // long since moved on to the next claim.
-  auto done = [this, ctx, job, tile, region, cache_hit, setup_seconds,
-               queued_for](exec::TaskGroup& group) {
+  // long since moved on to the next claim. A miss group has inserted its
+  // finished plan by then, so a repeat submitted after this resolves hits.
+  auto done = [this, ctx, job, tile, region, cache_hit = lookup.hit(),
+               setup_seconds, queued_for](exec::TaskGroup& group) {
     const double compute_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       ctx->compute_start)
@@ -364,11 +366,12 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
     job->finish_locked(outcome);
   };
 
-  return make_plan_replay_group(std::move(plan), request.pulses,
+  return make_plan_replay_group(std::move(lookup.plan), request.pulses,
                                 config_.workers, config_.tile_tasks,
                                 std::move(tile), std::move(checkpoint),
                                 std::move(done), /*pulse_begin=*/0,
-                                /*pulse_end=*/-1, backend_set_);
+                                /*pulse_end=*/-1, backend_set_,
+                                lookup.insert_into);
 }
 
 }  // namespace sarbp::service

@@ -155,9 +155,18 @@ void ShardRouter::split_job(ShardJobCtx& ctx) {
   const auto try_pulse_scatter = [&]() -> bool {
     if (pulses < 2) return false;
     Timer setup_timer;
-    ctx.plan = config_.plan_cache->get_or_build(
-        request.grid, region, request.asr_block_w, request.asr_block_h,
-        *request.pulses, &ctx.front_cache_hit);
+    ctx.plan = config_.plan_cache->find(
+        make_plan_key(request.grid, region, request.asr_block_w,
+                      request.asr_block_h, *request.pulses));
+    ctx.front_cache_hit = ctx.plan != nullptr;
+    if (!ctx.front_cache_hit) {
+      // Every shard replays a pulse range of this one plan, so its tables
+      // must all exist before the first dispatch.
+      ctx.plan = build_formation_plan(request.grid, region,
+                                      request.asr_block_w,
+                                      request.asr_block_h, *request.pulses);
+      config_.plan_cache->insert(ctx.plan);
+    }
     ctx.setup_seconds = setup_timer.seconds();
     if (setup_s_) setup_s_->record(ctx.setup_seconds);
     const Index k = std::min<Index>(shards, pulses);
@@ -296,15 +305,15 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
   Timer compute_timer;
   try {
     const auto& request = ctx.job->request();
-    std::shared_ptr<const FormationPlan> plan = ctx.plan;
-    if (plan == nullptr) {
+    PlanLookup lookup{ctx.plan, nullptr};
+    if (lookup.plan == nullptr) {
       // Single-shard and grid-split routes plan their own (sub-)region —
-      // through the shared cache, so repeated scenes still hit.
-      bool hit = false;
-      plan = config_.plan_cache->get_or_build(
-          request.grid, part.region, request.asr_block_w, request.asr_block_h,
-          *request.pulses, &hit);
-      header.cache_hit = hit ? 1 : 0;
+      // through the shared cache, so repeated scenes still hit, and on a
+      // miss through the same fused build as the local service.
+      lookup = lookup_plan(*config_.plan_cache, request.grid, part.region,
+                           request.asr_block_w, request.asr_block_h,
+                           *request.pulses);
+      header.cache_hit = lookup.hit() ? 1 : 0;
     }
 
     auto state = std::make_shared<PartState>(kPartDone);
@@ -327,9 +336,9 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
     auto tile =
         std::make_shared<bp::SoaTile>(part.region.width, part.region.height);
     auto group = make_plan_replay_group(
-        std::move(plan), request.pulses, config_.shard_workers,
+        std::move(lookup.plan), request.pulses, config_.shard_workers,
         config_.tile_tasks, tile, std::move(checkpoint), nullptr,
-        part.pulse_begin, part.pulse_end);
+        part.pulse_begin, part.pulse_end, nullptr, lookup.insert_into);
     exec.run(group);
     header.compute_seconds = compute_timer.seconds();
     {

@@ -159,8 +159,9 @@ class ShardRouter {
     JobPtr job;
     Region region;
     ShardStrategy used = ShardStrategy::kAuto;
-    /// Shared full-region plan (single-shard and pulse-scatter routes);
-    /// null for grid splits, whose workers plan their own band.
+    /// Shared full-region plan of the pulse-scatter route, whole before
+    /// dispatch; null for the single-shard and grid-split routes, whose
+    /// ranks look up (or build, in the replay) the plan of their region.
     std::shared_ptr<const FormationPlan> plan;
     std::vector<ShardPart> parts;
     double queued_for = 0.0;

@@ -361,20 +361,22 @@ ReplayStats replay_trace(const Trace& trace, ImageFormationService& service,
   }
 
   std::vector<double> latencies;
-  double setup_hit_sum = 0.0;
-  double setup_miss_sum = 0.0;
+  std::vector<double> hit_latencies;
+  std::vector<double> miss_latencies;
   for (const auto& handle : handles) {
     const JobResult& result = handle->wait();
     switch (result.state) {
       case JobState::kDone:
         ++stats.done;
         latencies.push_back(result.latency_seconds);
+        // Queue wait excluded: in a burst it follows arrival order, not
+        // the cache.
         if (result.plan_cache_hit) {
-          ++stats.plan_hits;
-          setup_hit_sum += result.setup_seconds;
+          hit_latencies.push_back(result.latency_seconds -
+                                  result.queue_seconds);
         } else {
-          ++stats.plan_misses;
-          setup_miss_sum += result.setup_seconds;
+          miss_latencies.push_back(result.latency_seconds -
+                                   result.queue_seconds);
         }
         break;
       case JobState::kFailed: ++stats.failed; break;
@@ -403,13 +405,12 @@ ReplayStats replay_trace(const Trace& trace, ImageFormationService& service,
   stats.latency_p50_s = percentile(latencies, 0.50);
   stats.latency_p90_s = percentile(latencies, 0.90);
   stats.latency_p99_s = percentile(latencies, 0.99);
-  if (stats.plan_hits > 0) {
-    stats.mean_setup_hit_s = setup_hit_sum / static_cast<double>(stats.plan_hits);
-  }
-  if (stats.plan_misses > 0) {
-    stats.mean_setup_miss_s =
-        setup_miss_sum / static_cast<double>(stats.plan_misses);
-  }
+  stats.plan_hits = hit_latencies.size();
+  stats.plan_misses = miss_latencies.size();
+  std::sort(hit_latencies.begin(), hit_latencies.end());
+  std::sort(miss_latencies.begin(), miss_latencies.end());
+  stats.hit_latency_p50_s = percentile(hit_latencies, 0.50);
+  stats.miss_latency_p50_s = percentile(miss_latencies, 0.50);
   return stats;
 }
 

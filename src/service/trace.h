@@ -107,8 +107,11 @@ struct ReplayStats {
   double latency_p50_s = 0.0;
   double latency_p90_s = 0.0;
   double latency_p99_s = 0.0;
-  double mean_setup_hit_s = 0.0;   ///< plan-cache hits: mean setup time
-  double mean_setup_miss_s = 0.0;  ///< plan-cache misses: mean setup time
+  /// Median dequeue-to-delivery latency of the completed jobs whose plan
+  /// was a cache hit, and of those that missed — the plan cache's value,
+  /// whichever layer a miss pays its table build in.
+  double hit_latency_p50_s = 0.0;
+  double miss_latency_p50_s = 0.0;
   std::size_t plan_hits = 0;
   std::size_t plan_misses = 0;
   // Streaming entries (zero when the trace has none).

@@ -266,6 +266,8 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     SubApertureCache::Partial cached;     ///< cache-hit partial
     std::shared_ptr<bp::SoaTile> partial; ///< freshly swept chunk partial
     std::shared_ptr<bp::SoaTile> fresh;   ///< anchor: whole-window sweep
+    /// The admitted job, for cancel(); session lock. Reset when the update
+    /// resolves: the handle's request holds the factory, which holds this.
     std::shared_ptr<service::JobHandle> job;
     std::atomic<std::uint64_t> ops{0};
   };
@@ -456,6 +458,10 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
                                     : group.error()));
     {
       MutexLock lock(mutex_);
+      // The handle owns the request whose factory owns `u`: drop the
+      // back-reference so the update, its chunk and partials, and this
+      // session are freed once the service lets go of the job.
+      u->job.reset();
       // order: relaxed — every sweep task finished before the completion
       // continuation runs (group barrier); this is the only reader.
       const std::uint64_t ops = u->ops.load(std::memory_order_relaxed);
@@ -534,6 +540,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
                       service::JobState state) SARBP_EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
+      u->job.reset();  // breaks the update <-> handle cycle, as above
       if (inflight_update_ != u) return;
       inflight_update_ = nullptr;
       switch (state) {

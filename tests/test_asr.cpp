@@ -3,8 +3,14 @@
 // geometries), strength-reduced table identities, and block planning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "asr/block_plan.h"
 #include "asr/error_model.h"
@@ -274,6 +280,26 @@ TEST(Tables, FastBuilderStableOverLongBlocks) {
   }
 }
 
+static_assert(!std::is_copy_constructible_v<BlockTables>);
+static_assert(std::is_nothrow_move_constructible_v<BlockTables>);
+
+/// Every array has its [L] or [M] length and starts on a 64-byte line.
+void expect_layout(const BlockTables& t, Index w, Index h) {
+  const auto lw = static_cast<std::size_t>(w);
+  const auto lh = static_cast<std::size_t>(h);
+  EXPECT_EQ(t.width, w);
+  EXPECT_EQ(t.height, h);
+  const std::pair<std::span<float>, std::size_t> arrays[] = {
+      {t.bin_a, lw},  {t.phi_re, lw}, {t.phi_im, lw},
+      {t.bin_b, lh},  {t.bin_c, lh},  {t.psi_re, lh},
+      {t.psi_im, lh}, {t.gam_re, lh}, {t.gam_im, lh}};
+  for (const auto& [array, length] : arrays) {
+    EXPECT_EQ(array.size(), length) << w << "x" << h;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(array.data()) % kSimdAlign, 0u)
+        << w << "x" << h;
+  }
+}
+
 TEST(Tables, ResizeReusesCapacity) {
   BlockTables t;
   t.resize(64, 64);
@@ -284,6 +310,45 @@ TEST(Tables, ResizeReusesCapacity) {
   EXPECT_EQ(t.height, 8);
   EXPECT_EQ(t.bin_a.size(), 16u);
   EXPECT_EQ(t.bin_b.size(), 8u);
+
+  // One buffer, each array padded to whole 64-byte lines, for full, odd
+  // (edge-block) and degenerate shapes.
+  for (const auto& [w, h] : {std::pair<Index, Index>{64, 64}, {33, 17}, {1, 1}}) {
+    BlockTables sized;
+    sized.resize(w, h);
+    expect_layout(sized, w, h);
+    t.resize(w, h);
+    expect_layout(t, w, h);
+  }
+
+  // A move hands the buffer over: the destination's spans stay valid and
+  // keep the values; the source is left empty.
+  const Quadratic2D q =
+      range_quadratic({10, -20, 0}, {15000, 3000, 8000}, 1.0, 1.0);
+  BlockTables source;
+  build_block_tables_fast(q, q.f0 - 100.0, 0.42, kTwoPi * 64.0, 33, 17,
+                          source);
+  const std::vector<float> phi(source.phi_re.begin(), source.phi_re.end());
+  const std::vector<float> gam(source.gam_im.begin(), source.gam_im.end());
+  BlockTables moved(std::move(source));
+  expect_layout(moved, 33, 17);
+  EXPECT_TRUE(std::equal(phi.begin(), phi.end(), moved.phi_re.begin()));
+  EXPECT_TRUE(std::equal(gam.begin(), gam.end(), moved.gam_im.begin()));
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested
+  EXPECT_EQ(source.width, 0);
+  EXPECT_TRUE(source.bin_a.empty());
+  EXPECT_TRUE(source.gam_im.empty());
+
+  BlockTables assigned;
+  assigned.resize(64, 64);
+  assigned = std::move(moved);
+  expect_layout(assigned, 33, 17);
+  EXPECT_TRUE(std::equal(phi.begin(), phi.end(), assigned.phi_re.begin()));
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested
+  EXPECT_TRUE(moved.phi_re.empty());
+  // The emptied source is reusable.
+  moved.resize(8, 8);
+  expect_layout(moved, 8, 8);
 }
 
 TEST(BlockPlan, CoversRegionExactlyOnce) {

@@ -2,8 +2,10 @@
 // are byte-identical to the plan executor (null-backends path), the SIMD
 // backend agrees at SNR level, the BackendSet's split moves from
 // capability priors to observed rates, partition() boundaries are sound,
-// and the service routed end-to-end through ServiceConfig::backends stays
-// byte-identical to the legacy path for scalar-only sets.
+// the service routed end-to-end through ServiceConfig::backends stays
+// byte-identical to the legacy path for scalar-only sets, and a plan-cache
+// miss (tables built inside its tasks) matches a prebuilt-plan replay byte
+// for byte.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,6 +14,7 @@
 
 #include "backprojection/kernel.h"
 #include "common/snr.h"
+#include "exec/executor.h"
 #include "exec/tile_backend.h"
 #include "service/plan_cache.h"
 #include "service/service.h"
@@ -189,10 +192,11 @@ ImageFormationRequest request_for(const PlanFixture& f) {
 
 Grid2D<CFloat> form_via_service(const PlanFixture& f,
                                 std::vector<exec::BackendSpec> backends,
-                                int workers = 2) {
+                                int workers = 2, bool steal = true) {
   obs::Registry reg;
   ServiceConfig sc;
   sc.workers = workers;
+  sc.steal = steal;
   sc.metrics = &reg;
   sc.backends = std::move(backends);
   ImageFormationService service(sc);
@@ -238,6 +242,51 @@ TEST(ServiceBackends, SimdBackendMatchesLegacyAtSnrLevel) {
   simd.kind = exec::BackendSpec::Kind::kHostSimd;
   const Grid2D<CFloat> routed = form_via_service(f, {simd});
   EXPECT_GT(snr_db(routed, legacy), 70.0);
+}
+
+TEST(ServiceBackends, MissJobsMatchPrebuiltPlanReplay) {
+  // Every job of a fresh service misses, so its tasks build each block's
+  // tables just before sweeping it. Those tables are the prebuilt plan's
+  // bytes: the scalar path equals execute_plan of build_formation_plan,
+  // and a SIMD set equals a one-worker SIMD replay of that plan, for any
+  // worker count and steal setting. 41 px leaves 9 px edge blocks, whose
+  // odd table lengths sit in padded buffer slots.
+  exec::BackendSpec simd;
+  simd.kind = exec::BackendSpec::Kind::kHostSimd;
+  for (const Index image : {48, 41}) {
+    const PlanFixture f = make_plan_fixture(image);
+    bp::SoaTile scalar(f.region.width, f.region.height);
+    ASSERT_TRUE(service::execute_plan(*f.plan, *f.pulses, scalar, nullptr));
+    const Grid2D<CFloat> expected_scalar = grid_of(scalar);
+
+    Grid2D<CFloat> expected_simd(0, 0);
+    if (bp::asr_simd_available()) {
+      obs::Registry reg;
+      exec::ExecOptions options;
+      options.workers = 1;
+      options.metrics = &reg;
+      exec::TileExecutor executor(std::move(options));
+      auto tile = std::make_shared<bp::SoaTile>(f.region.width, f.region.height);
+      executor.run(make_plan_replay_group(
+          f.plan, f.pulses, 1, 0, tile, nullptr, nullptr, 0, -1,
+          std::make_shared<exec::BackendSet>(
+              std::vector<exec::BackendSpec>{simd}, 0.5, &reg)));
+      expected_simd = grid_of(*tile);
+    }
+
+    for (const int workers : {1, 3}) {
+      for (const bool steal : {false, true}) {
+        EXPECT_TRUE(images_equal(form_via_service(f, {}, workers, steal),
+                                 expected_scalar))
+            << image << " px, " << workers << " workers, steal " << steal;
+        if (expected_simd.width() == 0) continue;
+        EXPECT_TRUE(images_equal(form_via_service(f, {simd}, workers, steal),
+                                 expected_simd))
+            << "SIMD, " << image << " px, " << workers << " workers, steal "
+            << steal;
+      }
+    }
+  }
 }
 
 TEST(ServiceBackends, MixedSetAdaptsSplitAcrossJobs) {

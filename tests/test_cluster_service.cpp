@@ -1,7 +1,8 @@
 // Sharded formation-service tests: routing parity against the single-node
-// path (byte-identical for single-shard and grid-split jobs, SNR-bounded
-// for the pulse-scatter reduction), rank-fault injection resolving jobs as
-// kFailed instead of hanging, and a multi-tenant sharded replay smoke.
+// path (byte-identical for single-shard and grid-split jobs, a grid-split
+// miss also to execute_plan, SNR-bounded for the pulse-scatter reduction),
+// rank-fault injection resolving jobs as kFailed instead of hanging, and a
+// multi-tenant sharded replay smoke.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/snr.h"
+#include "service/plan_cache.h"
 #include "service/service.h"
 #include "service/trace.h"
 #include "test_helpers.h"
@@ -94,6 +96,36 @@ TEST(ClusterService, GridSplitIsBitIdenticalToLocal) {
   const Grid2D<CFloat> image = form_once(sharded, f);
 
   EXPECT_TRUE(image == reference);
+}
+
+TEST(ClusterService, GridSplitMissMatchesExecutePlan) {
+  // Each rank misses on its band and builds the band's tables inside its
+  // replay tasks; the gathered image equals execute_plan of the prebuilt
+  // full-region plan byte for byte, whatever the rank's worker count or
+  // steal setting. 41 px puts 9 px edge blocks in the last band.
+  for (const Index image : {48, 41}) {
+    const Fixture f = make_fixture(image, 12);
+    const Region all{0, 0, image, image};
+    const auto plan =
+        build_formation_plan(f.scenario.grid, all, 16, 16, *f.pulses);
+    bp::SoaTile tile(image, image);
+    ASSERT_TRUE(execute_plan(*plan, *f.pulses, tile, nullptr));
+    Grid2D<CFloat> reference(image, image);
+    tile.accumulate_into(reference, all);
+
+    for (const int workers : {1, 3}) {
+      for (const bool steal : {false, true}) {
+        ServiceConfig sharded;
+        sharded.shards = 2;
+        sharded.shard_workers = workers;
+        sharded.steal = steal;
+        sharded.shard_small_pixels = 16;
+        sharded.shard_strategy = ShardStrategy::kGridSplit;
+        EXPECT_TRUE(form_once(sharded, f) == reference)
+            << image << " px, " << workers << " workers, steal " << steal;
+      }
+    }
+  }
 }
 
 TEST(ClusterService, PulseScatterMatchesLocalWithinReductionTolerance) {

@@ -1,8 +1,9 @@
 // Job-service tests: planned-executor parity with the streaming scalar
 // kernel, end-to-end image accuracy through the service, strict-priority
 // scheduling, admission control, cancellation (queued and running),
-// deadline expiry, plan-cache behaviour via the obs counters, drain with
-// jobs in flight, and the request-trace JSON round trip.
+// deadline expiry, plan-cache behaviour via the obs counters (including
+// that an aborted miss inserts no plan), drain with jobs in flight, and the
+// request-trace JSON round trip.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -506,6 +508,150 @@ TEST(Service, PlanCacheCapacityZeroDisablesRetention) {
     EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 0u);
     EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 2u);
   }
+}
+
+/// The image a prebuilt plan replays to: build_formation_plan +
+/// execute_plan, the reference every cache-miss job must match bytewise.
+Grid2D<CFloat> prebuilt_replay(const SmallScenario& s,
+                               const sim::PhaseHistory& pulses,
+                               const Region& region, Index block) {
+  const auto plan = build_formation_plan(s.grid, region, block, block, pulses);
+  bp::SoaTile tile(region.width, region.height);
+  EXPECT_TRUE(execute_plan(*plan, pulses, tile, nullptr));
+  Grid2D<CFloat> image(region.width, region.height);
+  tile.accumulate_into(image, Region{0, 0, region.width, region.height});
+  return image;
+}
+
+/// How the cache-miss job under test aborts.
+enum class MissAbort { kCancel, kDeadline, kThrow };
+
+/// A miss builds its plan inside the replay tasks and inserts it only when
+/// every task ran. Abort one after a block's tables are built: the cache
+/// must keep its size, and the next identical request must miss again and
+/// still deliver the prebuilt-plan image.
+void expect_aborted_miss_inserts_nothing(MissAbort how) {
+  const auto [s, pulses] = make_tiny();
+  const Region all{0, 0, s.grid.width(), s.grid.height()};
+
+  std::atomic<bool> armed{false};
+  std::atomic<int> armed_calls{0};
+  std::mutex m;
+  std::condition_variable cv;
+  bool at_checkpoint = false;
+  bool release = false;
+  std::chrono::steady_clock::time_point deadline{};  // set before arming
+
+  obs::Registry reg;
+  ServiceConfig sc;
+  sc.workers = 1;
+  sc.tile_tasks = 1;  // one task: the hook's calls come in a fixed order
+  sc.plan_cache_capacity = 4;
+  sc.metrics = &reg;
+  sc.inter_block_hook = [&] {
+    if (!armed.load()) return;
+    // Call 0 is the executor's poll before the task starts; calls 1 and 2
+    // are the task's polls before blocks 0 and 1, so call 2 lands after
+    // block 0's tables were built and swept.
+    if (armed_calls.fetch_add(1) != 2) return;
+    switch (how) {
+      case MissAbort::kCancel: {
+        std::unique_lock lock(m);
+        at_checkpoint = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+        break;
+      }
+      case MissAbort::kDeadline:
+        std::this_thread::sleep_until(deadline + 10ms);
+        break;
+      case MissAbort::kThrow:
+        throw std::runtime_error("injected task fault");
+    }
+  };
+  ImageFormationService service(sc);
+
+  // Another key already cached: the aborted miss must neither add an entry
+  // nor evict one.
+  auto corner = tiny_request(s, pulses);
+  corner.region = Region{0, 0, 16, 16};
+  auto warm = service.submit(std::move(corner));
+  ASSERT_TRUE(warm.admitted());
+  ASSERT_EQ(warm.handle->wait().state, JobState::kDone);
+  ASSERT_EQ(service.plan_cache().size(), 1u);
+  const std::size_t bytes_before = service.plan_cache().bytes();
+
+  auto req = tiny_request(s, pulses);
+  deadline = std::chrono::steady_clock::now() + 500ms;
+  if (how == MissAbort::kDeadline) req.deadline = deadline;
+  armed = true;
+  auto victim = service.submit(std::move(req));
+  ASSERT_TRUE(victim.admitted());
+  if (how == MissAbort::kCancel) {
+    {
+      std::unique_lock lock(m);
+      cv.wait(lock, [&] { return at_checkpoint; });
+    }
+    EXPECT_TRUE(victim.handle->cancel());
+    {
+      std::lock_guard lock(m);
+      release = true;
+    }
+    cv.notify_all();
+  }
+  const JobResult& aborted = victim.handle->wait();
+  switch (how) {
+    case MissAbort::kCancel:
+      EXPECT_EQ(aborted.state, JobState::kCancelled);
+      EXPECT_EQ(aborted.error, "cancelled while running");
+      break;
+    case MissAbort::kDeadline:
+      EXPECT_EQ(aborted.state, JobState::kExpired);
+      EXPECT_EQ(aborted.error, "deadline passed while running");
+      break;
+    case MissAbort::kThrow:
+      EXPECT_EQ(aborted.state, JobState::kFailed);
+      EXPECT_EQ(aborted.error, "injected task fault");
+      break;
+  }
+  EXPECT_GE(armed_calls.load(), 3);
+  EXPECT_FALSE(aborted.plan_cache_hit);
+  EXPECT_EQ(service.plan_cache().size(), 1u);
+  EXPECT_EQ(service.plan_cache().bytes(), bytes_before);
+
+  armed = false;
+  auto again = service.submit(tiny_request(s, pulses));
+  ASSERT_TRUE(again.admitted());
+  const JobResult& result = again.handle->wait();
+  ASSERT_EQ(result.state, JobState::kDone) << result.error;
+  EXPECT_FALSE(result.plan_cache_hit);
+  const Grid2D<CFloat> expected = prebuilt_replay(s, *pulses, all, 16);
+  EXPECT_TRUE(result.image == expected);
+  EXPECT_EQ(service.plan_cache().size(), 2u);
+
+  // That miss inserted a complete plan: replaying it gives the same bytes.
+  auto hit = service.submit(tiny_request(s, pulses));
+  ASSERT_TRUE(hit.admitted());
+  const JobResult& replayed = hit.handle->wait();
+  ASSERT_EQ(replayed.state, JobState::kDone) << replayed.error;
+  EXPECT_TRUE(replayed.plan_cache_hit);
+  EXPECT_TRUE(replayed.image == expected);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 3u);
+    EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 1u);
+  }
+}
+
+TEST(Service, CancelledMissInsertsNoPlan) {
+  expect_aborted_miss_inserts_nothing(MissAbort::kCancel);
+}
+
+TEST(Service, ExpiredMissInsertsNoPlan) {
+  expect_aborted_miss_inserts_nothing(MissAbort::kDeadline);
+}
+
+TEST(Service, ThrowingMissTaskInsertsNoPlan) {
+  expect_aborted_miss_inserts_nothing(MissAbort::kThrow);
 }
 
 TEST(Service, DrainWithJobsInFlightRunsBacklogToCompletion) {

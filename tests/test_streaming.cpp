@@ -2,8 +2,9 @@
 // at re-anchors, > 70 dB drift bound between them, across scalar/SIMD and
 // steal on/off), the O(delta) vs O(full) operation-count acceptance bound,
 // re-anchor cadence, sub-aperture cache hit/eviction/collision behaviour,
-// cancel and deadline expiry mid-update, the queued-cancel abandonment
-// path, and the streaming trace round trip + replay.
+// a closed session releasing its partials to the cache, cancel and
+// deadline expiry mid-update, the queued-cancel abandonment path, and the
+// streaming trace round trip + replay.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -261,6 +262,54 @@ TEST(SubApertureCache, SharedAcrossSessionsSkipsResweep) {
 
   EXPECT_EQ(reg.counter("streaming.cache.hits").value(), 6u);
   EXPECT_EQ(reg.counter("streaming.cache.inserts").value(), 6u);
+}
+
+TEST(SubApertureCache, ClosedSessionLeavesPartialsToTheCache) {
+  // An update's job handle holds its request, whose factory holds the
+  // update and the session. Unless the session drops the handle once the
+  // update resolves, that cycle keeps every update (chunk and partial
+  // tiles) and the session alive after close.
+  ScenarioConfig cfg;
+  cfg.image = 32;
+  cfg.pulses = 12;
+  const SmallScenario s = make_scenario(cfg);
+  const Region region{0, 0, cfg.image, cfg.image};
+
+  obs::Registry reg;
+  service::ServiceConfig sc;
+  sc.workers = 2;
+  sc.metrics = &reg;
+  service::ImageFormationService srv(sc);
+
+  SubApertureCacheConfig cache_config;
+  cache_config.capacity = 16;
+  cache_config.metrics = &reg;
+  SubApertureCache cache(cache_config);
+
+  StreamConfig config;
+  config.grid = s.grid;
+  config.asr_block_w = config.asr_block_h = 16;
+  config.chunk_pulses = 4;
+  config.window_chunks = 2;
+  config.reanchor_interval = 0;
+  config.cache = &cache;
+  {
+    StreamSession session = open_stream(srv, config);
+    ASSERT_TRUE(session.push(s.history));
+    ASSERT_TRUE(session.wait_for_update(3, kWait));
+    ASSERT_TRUE(session.wait_idle(kWait));
+    session.close();
+  }
+  srv.drain();  // the executor has released every finished group
+
+  // The first chunk has left the window, the last one is still in it.
+  for (const Index p0 : {Index{0}, Index{8}}) {
+    const sim::PhaseHistory chunk = slice(s.history, p0, p0 + 4);
+    const SubApertureCache::Partial partial =
+        cache.find(cache.make_key(s.grid, region, 16, 16, chunk), chunk);
+    ASSERT_NE(partial, nullptr) << "chunk at pulse " << p0;
+    EXPECT_EQ(partial.use_count(), 2) << "chunk at pulse " << p0;
+  }
 }
 
 TEST(SubApertureCache, EvictsLeastRecentlyUsed) {
