@@ -1,0 +1,92 @@
+// The one ASR block sweep (paper Fig. 3(b)): build a block's A, B, C, Phi,
+// Psi, Gamma tables for a pulse, then sweep the block. Every ASR image in
+// sarbp goes through here — the backproject_asr_{scalar,simd} kernels, the
+// service's plan replay (execute_plan, make_plan_replay_group, every
+// exec::TileBackend) and the streaming sessions — and every table comes
+// from build_asr_tables.
+//
+// sweep_asr_block sweeps one block over a sequence of pulses into a
+// SoaTile. Its inputs:
+//  - the block and the image coordinates of the tile's origin;
+//  - the pulses: one or more histories walked in order, so a streaming
+//    window of chunks is one sequence;
+//  - each pulse's loop order: fixed, or per pulse;
+//  - a table source: a plan's prebuilt tables, or tables built per pulse
+//    into per-thread scratch;
+//  - a kernel: the portable scalar sweep, or a vector ISA plus
+//    KernelVariant.
+//
+// Run batching. A run is a maximal stretch of consecutive pulses with the
+// same loop order. Under x_inner the vector rows accumulate straight into
+// the tile. Under y_inner they accumulate into an l-contiguous workspace
+// that is zeroed at the start of the run and flushed, transposed, once at
+// its end. The scalar sweep accumulates each pulse straight into the tile
+// under either order. A run continues across history boundaries, so the
+// bits depend only on the pulse sequence, the kernel and the table bytes:
+// neither the table source nor the split of the pulses into histories
+// changes the image.
+#pragma once
+
+#include <optional>
+#include <span>
+
+#include "asr/block_plan.h"
+#include "asr/tables.h"
+#include "backprojection/kernel.h"
+#include "backprojection/soa_tile.h"
+#include "common/types.h"
+#include "geometry/grid.h"
+#include "geometry/wavefront.h"
+#include "sim/phase_history.h"
+
+namespace sarbp::bp {
+
+/// The inner loop a sweep runs. kScalar (the default) is the portable
+/// scalar sweep; a vector ISA runs its rows with `variant`. kAuto resolves
+/// to the widest usable ISA; a concrete ISA must be usable here
+/// (asr_resolve_isa).
+struct AsrKernel {
+  SimdIsa isa = SimdIsa::kScalar;
+  KernelVariant variant = KernelVariant::kAuto;
+};
+
+/// Pulses [begin, end) of one history.
+struct PulseRange {
+  const sim::PhaseHistory* history = nullptr;
+  Index begin = 0;
+  Index end = 0;
+};
+
+/// A plan's prebuilt tables for one block: tables[p] and orders[p] serve
+/// pulse p of the replayed history.
+struct PlanTables {
+  const asr::BlockTables* tables = nullptr;
+  const geometry::LoopOrder* orders = nullptr;
+};
+
+/// The one table build: the range quadratic of `block` about its centre
+/// for pulse `pulse` of `history` under `order`, expanded into `out`
+/// (asr::build_block_tables_fast).
+void build_asr_tables(const geometry::ImageGrid& grid,
+                      const asr::BlockSpec& block,
+                      const sim::PhaseHistory& history, Index pulse,
+                      geometry::LoopOrder order, asr::BlockTables& out);
+
+/// Sweeps `block` over `pulses` with a plan's prebuilt tables. (tile_x0,
+/// tile_y0): image coordinates of the tile's (0, 0) pixel.
+void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
+                     Index tile_y0, const PlanTables& plan,
+                     const PulseRange& pulses, const AsrKernel& kernel,
+                     SoaTile& tile);
+
+/// Sweeps `block` over `pulses` (walked in order), building each pulse's
+/// tables with build_asr_tables. `order` fixes the loop order; nullopt
+/// chooses each pulse's wavefront order about the grid centre — the rule
+/// a formation plan records in its pulse_order.
+void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
+                     Index tile_y0, const geometry::ImageGrid& grid,
+                     std::span<const PulseRange> pulses,
+                     std::optional<geometry::LoopOrder> order,
+                     const AsrKernel& kernel, SoaTile& tile);
+
+}  // namespace sarbp::bp

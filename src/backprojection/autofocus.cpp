@@ -56,7 +56,6 @@ void apply_quadratic_phase(sim::PhaseHistory& history, double edge_phase_rad) {
                      static_cast<float>(std::sin(phase)));
     for (auto& sample : history.pulse(j)) sample *= rot;
   }
-  history.build_soa();
 }
 
 AutofocusResult autofocus_quadratic(sim::PhaseHistory& history,

@@ -94,6 +94,9 @@ void run_cube_part(const sim::PhaseHistory& history,
 Backprojector::Backprojector(const geometry::ImageGrid& grid,
                              BackprojectOptions options)
     : grid_(grid), options_(options) {
+  ensure(options_.kernel != KernelKind::kRefDouble,
+         "Backprojector: kRefDouble accumulates in double; call "
+         "backproject_ref instead");
   ensure(options_.asr_block_w > 0 && options_.asr_block_h > 0,
          "Backprojector: ASR block must be positive");
   ensure(options_.pulse_chunk > 0, "Backprojector: pulse chunk must be positive");

@@ -46,6 +46,8 @@ void run_cube_part(const sim::PhaseHistory& history,
 
 class Backprojector {
  public:
+  /// Throws PreconditionError on invalid options, kRefDouble included
+  /// (its image is double precision: call backproject_ref).
   Backprojector(const geometry::ImageGrid& grid, BackprojectOptions options);
 
   [[nodiscard]] const geometry::ImageGrid& grid() const { return grid_; }

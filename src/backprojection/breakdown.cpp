@@ -4,8 +4,8 @@
 #include <numbers>
 
 #include "asr/block_plan.h"
-#include "asr/quadratic.h"
 #include "asr/tables.h"
+#include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "backprojection/soa_tile.h"
 #include "common/timer.h"
@@ -122,23 +122,14 @@ AsrBreakdown measure_asr_breakdown(const sim::PhaseHistory& history,
   // Precompute-only pass: per-(block, pulse) table construction, nothing
   // else — the cost ASR adds in exchange for removing the math functions.
   {
-    const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
     const auto blocks = asr::plan_blocks(region.x0, region.y0, region.width,
                                          region.height, block_w, block_h);
     asr::BlockTables tables;
     Timer timer;
     for (const auto& block : blocks) {
-      const geometry::Vec3 centre = grid.position_f(
-          static_cast<double>(block.x0) +
-              0.5 * static_cast<double>(block.width - 1),
-          static_cast<double>(block.y0) +
-              0.5 * static_cast<double>(block.height - 1));
       for (Index p = pulse_begin; p < pulse_end; ++p) {
-        const auto& meta = history.meta(p);
-        const asr::Quadratic2D q = asr::range_quadratic(
-            centre, meta.position, grid.spacing(), grid.spacing());
-        asr::build_block_tables_fast(q, meta.start_range_m, history.bin_spacing(),
-                                two_pi_k, block.width, block.height, tables);
+        build_asr_tables(grid, block, history, p,
+                         geometry::LoopOrder::kXInner, tables);
       }
     }
     b.precompute_s = timer.seconds();

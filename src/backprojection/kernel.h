@@ -16,16 +16,17 @@
 //  - baseline all-float: range in single precision — reproduces the 12 dB
 //                  accuracy collapse quoted in §5.2.1 / Fig. 8.
 //  - asr_scalar:   approximate strength reduction (Fig. 3(b)), portable.
-//  - asr_simd:     ASR vectorized with AVX2/AVX-512 gathers over SoA pulse
-//                  data, recurrence stepped by the SIMD width (§4.4).
+//  - asr_simd:     ASR vectorized with AVX2/AVX-512 gathers over the
+//                  interleaved (AoS) pulse data, recurrence stepped by the
+//                  SIMD width (§4.4).
 //
-// Float kernels write into a SoaTile covering exactly `region` (tile-local
-// coordinates); the driver owns placement and reduction.
+// Both ASR kernels are block loops over the one ASR block sweep
+// (asr_sweep.h). Float kernels write into a SoaTile covering exactly
+// `region` (tile-local coordinates); the caller owns placement and
+// reduction.
 #pragma once
 
-#include "asr/tables.h"
 #include "backprojection/soa_tile.h"
-#include "common/aligned.h"
 #include "common/grid2d.h"
 #include "common/region.h"
 #include "common/types.h"
@@ -82,8 +83,8 @@ enum class SimdIsa {
 };
 const char* simd_isa_name(SimdIsa isa);
 
-/// Inner-loop implementation variant of the fused plan-replay sweep — the
-/// §4.4 ablation knobs benchmarked in bench/ablation_vectorization:
+/// Inner-loop implementation variant of the vector ASR sweep — the §4.4
+/// ablation knobs benchmarked in bench/ablation_vectorization:
 ///  - kGather: hardware gathers of the interleaved In[bin], In[bin+1]
 ///    pairs straight from the AoS pulse buffer; FMA arithmetic. Default.
 ///  - kShuffleTranspose: one 16-byte contiguous load per lane (the four
@@ -111,10 +112,10 @@ bool asr_simd_available();
 /// Lane count of the widest usable SIMD kernel (16, 8, or 1 when scalar).
 int asr_simd_width();
 
-/// Maps a requested kernel to the one that will actually run on this
-/// build: kAsrSimd degrades to kAsrScalar when no vector ISA was compiled
-/// in (kSimdWidth == 1), so drivers never dispatch the degenerate 1-lane
-/// path. Every other kind maps to itself.
+/// Maps a requested kernel to the one that will actually run here:
+/// kAsrSimd degrades to kAsrScalar when no vector ISA is usable
+/// (asr_simd_available() is false), so drivers never dispatch the
+/// degenerate 1-lane path. Every other kind maps to itself.
 [[nodiscard]] inline KernelKind resolve_kernel(KernelKind requested) {
   if (requested == KernelKind::kAsrSimd && !asr_simd_available()) {
     return KernelKind::kAsrScalar;
@@ -122,43 +123,15 @@ int asr_simd_width();
   return requested;
 }
 
-/// ASR kernel, SIMD (streaming: builds each block's tables on the fly).
-/// Falls back to the scalar kernel when `isa` resolves to kScalar.
-/// Requires history.has_soa() on the vector path.
+/// ASR kernel, SIMD: builds each (block, pulse) table on the fly and sweeps
+/// it with the `isa` rows (kAuto = the widest usable ISA). Runs the scalar
+/// sweep when `isa` resolves to kScalar.
 void backproject_asr_simd(const sim::PhaseHistory& history,
                           const geometry::ImageGrid& grid,
                           const Region& region, Index pulse_begin,
                           Index pulse_end, Index block_w, Index block_h,
                           geometry::LoopOrder order, SoaTile& out,
                           SimdIsa isa = SimdIsa::kAuto);
-
-/// Fused plan-replay sweep: one (block, pulse) pass of the ASR inner loop
-/// reading *prebuilt* tables (the BlockTables stay resident across the
-/// whole sweep) against the AoS pulse buffer — the SIMD counterpart of
-/// kernel_asr_block.h's asr_sweep_block, sharing its signature so the
-/// service's plan executor can swap between them per backend. Under
-/// x_inner the vector rows accumulate straight into the tile (no scratch
-/// round-trip); under y_inner they accumulate into the caller-owned
-/// ws_re/ws_im workspace (resized here) and flush transposed. kScalar
-/// resolution degrades to asr_sweep_block (bit-identical to the scalar
-/// plan path). `variant` selects the inner-loop implementation; kAuto =
-/// kGather.
-///
-/// zero_ws / flush_ws let a caller replaying many pulses of one block
-/// amortize the y_inner workspace over a run of consecutive same-geometry
-/// calls (same block, same orientation): pass zero_ws only on the first
-/// call of the run and flush_ws only on the last, and the intermediate
-/// calls keep accumulating into the still-resident workspace — the fused
-/// counterpart of the streaming driver's once-per-block scratch. The
-/// defaults (both true) keep the standalone one-call semantics. Both flags
-/// are ignored under x_inner and under kScalar resolution, where nothing
-/// is ever buffered.
-void asr_plan_sweep_simd(const asr::BlockTables& tables, const CFloat* in,
-                         Index samples, bool x_inner, Index bx, Index by,
-                         Index len_l, Index len_m, SoaTile& out, SimdIsa isa,
-                         KernelVariant variant, AlignedVector<float>& ws_re,
-                         AlignedVector<float>& ws_im, bool zero_ws = true,
-                         bool flush_ws = true);
 
 /// FLOPs of one backprojection (pixel, pulse) pair in the ASR inner loop —
 /// the paper's §5.2.2 count used for efficiency figures.

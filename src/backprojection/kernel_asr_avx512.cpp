@@ -5,12 +5,9 @@
 // anonymous namespace so no v4-compiled code can leak to other TUs through
 // vague linkage.
 //
-// Two row families share the arithmetic:
-//  - rows_soa: the streaming kernel's form — samples gathered from split
-//    SoA planes (pulse_re/pulse_im);
-//  - rows_aos: the fused plan-replay form — samples read straight from the
-//    AoS pulse buffer, where In[bin] and In[bin+1] are four adjacent
-//    floats; selectable gather / shuffle-transpose / no-FMA inner loops.
+// rows_aos reads samples straight from the AoS pulse buffer, where In[bin]
+// and In[bin+1] are four adjacent floats; its inner loop is a selectable
+// gather / shuffle-transpose / no-FMA variant.
 #include "asr/tables.h"
 #include "backprojection/kernel.h"
 #include "backprojection/kernel_simd_ops.h"
@@ -223,118 +220,6 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
   }
 }
 
-/// SoA adaptor: same vector body, but the streaming kernel's split planes
-/// need per-plane gathers at scale 4 instead of the AoS pair loads.
-void rows_soa_avx512(const asr::BlockTables& t, const float* soa_re,
-                     const float* soa_im, Index samples, float* acc_re,
-                     float* acc_im, Index acc_pitch, Index len_l,
-                     Index len_m) {
-  const __m512 iota =
-      _mm512_set_ps(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i max_bin = _mm512_set1_epi32(static_cast<int>(samples) - 1);
-  for (Index m = 0; m < len_m; ++m) {
-    const float bin_b = t.bin_b[static_cast<std::size_t>(m)];
-    const float bin_c = t.bin_c[static_cast<std::size_t>(m)];
-    const float psi_r = t.psi_re[static_cast<std::size_t>(m)];
-    const float psi_i = t.psi_im[static_cast<std::size_t>(m)];
-    const GammaLanes lanes =
-        make_gamma_lanes(t.gam_re[static_cast<std::size_t>(m)],
-                         t.gam_im[static_cast<std::size_t>(m)], 16);
-    __m512 g_r = _mm512_load_ps(lanes.re);
-    __m512 g_i = _mm512_load_ps(lanes.im);
-    const __m512 step_r = _mm512_set1_ps(lanes.step_re);
-    const __m512 step_i = _mm512_set1_ps(lanes.step_im);
-    const __m512 psi_rv = _mm512_set1_ps(psi_r);
-    const __m512 psi_iv = _mm512_set1_ps(psi_i);
-    const __m512 bin_bv = _mm512_set1_ps(bin_b);
-    const __m512 bin_cv = _mm512_set1_ps(bin_c);
-    float* row_re = acc_re + m * acc_pitch;
-    float* row_im = acc_im + m * acc_pitch;
-    Index l = 0;
-    for (; l + 16 <= len_l; l += 16) {
-      const __m512 lvec =
-          _mm512_add_ps(iota, _mm512_set1_ps(static_cast<float>(l)));
-      const __m512 bin_av =
-          _mm512_loadu_ps(&t.bin_a[static_cast<std::size_t>(l)]);
-      const __m512 bin =
-          _mm512_fmadd_ps(lvec, bin_cv, _mm512_add_ps(bin_av, bin_bv));
-      const __m512i ibin = _mm512_cvttps_epi32(bin);
-      const __mmask16 nonneg =
-          _mm512_cmp_ps_mask(bin, _mm512_setzero_ps(), _CMP_GE_OQ);
-      const __mmask16 inrange = _mm512_cmplt_epi32_mask(ibin, max_bin);
-      // cvttps saturates float bins beyond INT_MAX to INT_MIN; the explicit
-      // ibin >= 0 check keeps such lanes out of the gather.
-      const __mmask16 iok =
-          _mm512_cmpgt_epi32_mask(ibin, _mm512_set1_epi32(-1));
-      const __mmask16 ok = nonneg & inrange & iok;
-      const __m512 frac = _mm512_sub_ps(bin, _mm512_cvtepi32_ps(ibin));
-      const __m512i ibin1 = _mm512_add_epi32(ibin, _mm512_set1_epi32(1));
-      const __m512 zero = _mm512_setzero_ps();
-      // 4 hardware gathers: In[bin]/In[bin+1] over both SoA planes; masked
-      // lanes never touch memory and contribute exact zeros downstream.
-      const __m512 re0 = _mm512_mask_i32gather_ps(zero, ok, ibin, soa_re, 4);
-      const __m512 re1 = _mm512_mask_i32gather_ps(zero, ok, ibin1, soa_re, 4);
-      const __m512 im0 = _mm512_mask_i32gather_ps(zero, ok, ibin, soa_im, 4);
-      const __m512 im1 = _mm512_mask_i32gather_ps(zero, ok, ibin1, soa_im, 4);
-      const __m512 s_r = _mm512_fmadd_ps(frac, _mm512_sub_ps(re1, re0), re0);
-      const __m512 s_i = _mm512_fmadd_ps(frac, _mm512_sub_ps(im1, im0), im0);
-      const __m512 phi_r =
-          _mm512_loadu_ps(&t.phi_re[static_cast<std::size_t>(l)]);
-      const __m512 phi_i =
-          _mm512_loadu_ps(&t.phi_im[static_cast<std::size_t>(l)]);
-      // arg = Phi * Psi * gamma (two complex multiplies)
-      const __m512 t_r =
-          _mm512_fmsub_ps(phi_r, g_r, _mm512_mul_ps(phi_i, g_i));
-      const __m512 t_i =
-          _mm512_fmadd_ps(phi_r, g_i, _mm512_mul_ps(phi_i, g_r));
-      const __m512 a_r =
-          _mm512_fmsub_ps(t_r, psi_rv, _mm512_mul_ps(t_i, psi_iv));
-      const __m512 a_i =
-          _mm512_fmadd_ps(t_r, psi_iv, _mm512_mul_ps(t_i, psi_rv));
-      // gamma *= Gamma^16
-      const __m512 ng_r =
-          _mm512_fmsub_ps(g_r, step_r, _mm512_mul_ps(g_i, step_i));
-      g_i = _mm512_fmadd_ps(g_r, step_i, _mm512_mul_ps(g_i, step_r));
-      g_r = ng_r;
-      // Out += arg * sample
-      const __m512 c_r = _mm512_fmsub_ps(a_r, s_r, _mm512_mul_ps(a_i, s_i));
-      const __m512 c_i = _mm512_fmadd_ps(a_r, s_i, _mm512_mul_ps(a_i, s_r));
-      _mm512_storeu_ps(row_re + l,
-                       _mm512_add_ps(_mm512_loadu_ps(row_re + l), c_r));
-      _mm512_storeu_ps(row_im + l,
-                       _mm512_add_ps(_mm512_loadu_ps(row_im + l), c_i));
-    }
-    // Scalar tail continues the recurrence from lane 0 of the vector state.
-    float sg_r = _mm512_cvtss_f32(g_r);
-    float sg_i = _mm512_cvtss_f32(g_i);
-    const float gam_r = t.gam_re[static_cast<std::size_t>(m)];
-    const float gam_i = t.gam_im[static_cast<std::size_t>(m)];
-    for (; l < len_l; ++l) {
-      const float bin = t.bin_a[static_cast<std::size_t>(l)] + bin_b +
-                        static_cast<float>(l) * bin_c;
-      const float phi_r = t.phi_re[static_cast<std::size_t>(l)];
-      const float phi_i = t.phi_im[static_cast<std::size_t>(l)];
-      const float t_r = phi_r * sg_r - phi_i * sg_i;
-      const float t_i = phi_r * sg_i + phi_i * sg_r;
-      const float a_r = t_r * psi_r - t_i * psi_i;
-      const float a_i = t_r * psi_i + t_i * psi_r;
-      const float ng_r = sg_r * gam_r - sg_i * gam_i;
-      sg_i = sg_r * gam_i + sg_i * gam_r;
-      sg_r = ng_r;
-      if (bin >= 0.0f) {
-        const auto ib = static_cast<Index>(bin);
-        if (ib + 1 < samples) {
-          const float frac = bin - static_cast<float>(ib);
-          const float s_r = soa_re[ib] + frac * (soa_re[ib + 1] - soa_re[ib]);
-          const float s_i = soa_im[ib] + frac * (soa_im[ib + 1] - soa_im[ib]);
-          row_re[l] += a_r * s_r - a_i * s_i;
-          row_im[l] += a_r * s_i + a_i * s_r;
-        }
-      }
-    }
-  }
-}
-
 void rows_aos_avx512(const asr::BlockTables& t, const CFloat* in,
                      Index samples, float* acc_re, float* acc_im,
                      Index acc_pitch, Index len_l, Index len_m,
@@ -360,8 +245,7 @@ void rows_aos_avx512(const asr::BlockTables& t, const CFloat* in,
 }  // namespace
 
 const AsrIsaOps& asr_isa_ops_avx512() {
-  static const AsrIsaOps ops{16, "avx512", &rows_soa_avx512,
-                             &rows_aos_avx512};
+  static const AsrIsaOps ops{16, "avx512", &rows_aos_avx512};
   return ops;
 }
 

@@ -1,4 +1,4 @@
-// Private seam between the ASR SIMD dispatcher (kernel_asr_simd.cpp) and
+// Private seam between the ASR sweep core's dispatcher (asr_sweep.cpp) and
 // the per-ISA kernel translation units (kernel_asr_avx2.cpp with
 // -march=x86-64-v3, kernel_asr_avx512.cpp with -march=x86-64-v4). The
 // dispatcher resolves host cpuid once and calls through these tables; the
@@ -16,19 +16,14 @@
 
 namespace sarbp::bp::detail {
 
-/// One ISA's row kernels. `acc_re`/`acc_im` are planar accumulation
+/// One ISA's row kernel. `acc_re`/`acc_im` are planar accumulation
 /// buffers whose row m starts at `acc + m * acc_pitch` (pitch = len_l for
-/// a block-local scratch, = tile width for fused in-place accumulation).
+/// the y_inner run workspace, = tile width for in-place accumulation).
 struct AsrIsaOps {
   int width;         ///< f32 lanes (8 or 16)
   const char* name;  ///< "avx2" / "avx512"
-  /// Streaming-kernel rows: samples from split SoA planes (hardware
-  /// gathers over pulse_re/pulse_im).
-  void (*rows_soa)(const asr::BlockTables& t, const float* soa_re,
-                   const float* soa_im, Index samples, float* acc_re,
-                   float* acc_im, Index acc_pitch, Index len_l, Index len_m);
-  /// Plan-replay rows: samples straight from the AoS pulse buffer (the
-  /// form service plans hold), inner loop selected by `variant`.
+  /// Samples straight from the AoS pulse buffer, inner loop selected by
+  /// `variant`.
   void (*rows_aos)(const asr::BlockTables& t, const CFloat* in, Index samples,
                    float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
                    Index len_m, KernelVariant variant);

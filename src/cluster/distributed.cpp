@@ -74,7 +74,6 @@ Grid2D<CFloat> distributed_backprojection(int ranks,
                   static_cast<std::size_t>(local.samples_per_pulse()) *
                       sizeof(CFloat));
     }
-    local.build_soa();
 
     // --- MPI-level partition: image dimensions first (§4.2).
     const bp::CubeShape cube{local.num_pulses(), grid.width(), grid.height()};

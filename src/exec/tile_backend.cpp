@@ -4,16 +4,29 @@
 #include <cmath>
 #include <utility>
 
-#include "backprojection/kernel_asr_block.h"
-#include "common/aligned.h"
 #include "common/check.h"
 
 namespace sarbp::exec {
 
+void PlanView::sweep(Index block, const sim::PhaseHistory& history,
+                     Index pulse_begin, Index pulse_end,
+                     const bp::AsrKernel& kernel, bp::SoaTile& tile) const {
+  const bp::PlanTables block_tables{
+      tables + static_cast<std::size_t>(block) *
+                   static_cast<std::size_t>(num_pulses),
+      pulse_order};
+  bp::sweep_asr_block(blocks[static_cast<std::size_t>(block)], region_x0,
+                      region_y0, block_tables,
+                      bp::PulseRange{&history, pulse_begin, pulse_end},
+                      kernel, tile);
+}
+
 TileBackend::TileBackend(std::string name, double rate_prior,
-                         double rate_smoothing, obs::Registry* metrics)
+                         bp::AsrKernel kernel, double rate_smoothing,
+                         obs::Registry* metrics)
     : name_(std::move(name)),
       rate_prior_(rate_prior),
+      kernel_(kernel),
       rate_smoothing_(rate_smoothing) {
   ensure(rate_prior_ > 0, "TileBackend: rate prior must be positive");
   ensure(rate_smoothing_ > 0 && rate_smoothing_ <= 1,
@@ -57,99 +70,15 @@ void TileBackend::set_split_gauge(double fraction) {
 
 namespace {
 
-/// Pulse loop shared by the concrete backends: per-pulse loop order and
-/// block-local geometry, differing only in the per-(block, pulse) sweep.
-/// run_first/run_last bracket maximal runs of consecutive pulses with the
-/// same loop order — the SIMD backend amortizes its y_inner workspace over
-/// a run; the per-pulse backends ignore them.
-template <class SweepFn>
-void for_each_pulse(const PlanView& plan, const sim::PhaseHistory& history,
-                    Index block, Index pulse_begin, Index pulse_end,
-                    SweepFn&& sweep) {
-  const auto& spec = plan.blocks[static_cast<std::size_t>(block)];
-  const Index bx = spec.x0 - plan.region_x0;
-  const Index by = spec.y0 - plan.region_y0;
-  const Index samples = history.samples_per_pulse();
-  const auto order_at = [&](Index p) {
-    return plan.pulse_order[static_cast<std::size_t>(p)];
-  };
-  for (Index p = pulse_begin; p < pulse_end; ++p) {
-    const bool x_inner = order_at(p) == geometry::LoopOrder::kXInner;
-    const bool run_first = p == pulse_begin || order_at(p - 1) != order_at(p);
-    const bool run_last = p + 1 == pulse_end || order_at(p + 1) != order_at(p);
-    const Index len_l = x_inner ? spec.width : spec.height;
-    const Index len_m = x_inner ? spec.height : spec.width;
-    sweep(plan.tables_for(block, p), history.pulse(p).data(), samples,
-          x_inner, bx, by, len_l, len_m, run_first, run_last);
-  }
-}
-
-/// The plan executor's scalar sweep, verbatim — the byte-identity anchor.
-class HostScalarBackend final : public TileBackend {
- public:
-  HostScalarBackend(std::string name, double rate_smoothing,
-                    obs::Registry* metrics)
-      : TileBackend(std::move(name), 1.0, rate_smoothing, metrics) {}
-
-  void sweep_block(const PlanView& plan, const sim::PhaseHistory& history,
-                   Index block, Index pulse_begin, Index pulse_end,
-                   bp::SoaTile& tile) override {
-    for_each_pulse(plan, history, block, pulse_begin, pulse_end,
-                   [&](const asr::BlockTables& t, const CFloat* in,
-                       Index samples, bool x_inner, Index bx, Index by,
-                       Index len_l, Index len_m, bool /*run_first*/,
-                       bool /*run_last*/) {
-                     bp::asr_sweep_block(t, in, samples, x_inner, bx, by,
-                                         len_l, len_m, tile);
-                   });
-  }
-};
-
 /// Lane count of the resolved ISA — the capability prior for a SIMD
 /// backend relative to the scalar one.
 double simd_rate_prior(bp::SimdIsa isa) {
-  switch (bp::asr_resolve_isa(isa)) {
+  switch (isa) {
     case bp::SimdIsa::kAvx512: return 16.0;
     case bp::SimdIsa::kAvx2: return 8.0;
     default: return 1.0;
   }
 }
-
-/// Fused SIMD plan replay with runtime ISA dispatch. The y_inner workspace
-/// is thread_local (sweep_block runs concurrently on several long-lived
-/// executor workers) and stays resident across each same-orientation pulse
-/// run, so the zero + transposed flush cost is per block, not per pulse.
-class HostSimdBackend final : public TileBackend {
- public:
-  HostSimdBackend(std::string name, bp::SimdIsa isa, bp::KernelVariant variant,
-                  double rate_smoothing, obs::Registry* metrics)
-      : TileBackend(std::move(name), simd_rate_prior(isa), rate_smoothing,
-                    metrics),
-        isa_(bp::asr_resolve_isa(isa)),
-        variant_(variant) {}
-
-  void sweep_block(const PlanView& plan, const sim::PhaseHistory& history,
-                   Index block, Index pulse_begin, Index pulse_end,
-                   bp::SoaTile& tile) override {
-    static thread_local AlignedVector<float> ws_re;
-    static thread_local AlignedVector<float> ws_im;
-    for_each_pulse(plan, history, block, pulse_begin, pulse_end,
-                   [&](const asr::BlockTables& t, const CFloat* in,
-                       Index samples, bool x_inner, Index bx, Index by,
-                       Index len_l, Index len_m, bool run_first,
-                       bool run_last) {
-                     bp::asr_plan_sweep_simd(t, in, samples, x_inner, bx, by,
-                                             len_l, len_m, tile, isa_,
-                                             variant_, ws_re, ws_im,
-                                             /*zero_ws=*/run_first,
-                                             /*flush_ws=*/run_last);
-                   });
-  }
-
- private:
-  const bp::SimdIsa isa_;
-  const bp::KernelVariant variant_;
-};
 
 /// Simulated coprocessor: the arithmetic physically runs on this host
 /// (scalar sweep, so abort/checkpoint latency stays block-bounded); its
@@ -163,24 +92,11 @@ class OffloadSimBackend final : public TileBackend {
                     obs::Registry* metrics)
       : TileBackend(std::move(name),
                     device.effective_gflops() / host_model.effective_gflops(),
-                    rate_smoothing, metrics),
+                    bp::AsrKernel{}, rate_smoothing, metrics),
         device_(std::move(device)),
         host_model_(std::move(host_model)) {
     device_.validate();
     host_model_.validate();
-  }
-
-  void sweep_block(const PlanView& plan, const sim::PhaseHistory& history,
-                   Index block, Index pulse_begin, Index pulse_end,
-                   bp::SoaTile& tile) override {
-    for_each_pulse(plan, history, block, pulse_begin, pulse_end,
-                   [&](const asr::BlockTables& t, const CFloat* in,
-                       Index samples, bool x_inner, Index bx, Index by,
-                       Index len_l, Index len_m, bool /*run_first*/,
-                       bool /*run_last*/) {
-                     bp::asr_sweep_block(t, in, samples, x_inner, bx, by,
-                                         len_l, len_m, tile);
-                   });
   }
 
   [[nodiscard]] double simulated_seconds(
@@ -201,16 +117,16 @@ std::shared_ptr<TileBackend> make_backend(const BackendSpec& spec,
                                           obs::Registry* metrics) {
   switch (spec.kind) {
     case BackendSpec::Kind::kHostScalar:
-      return std::make_shared<HostScalarBackend>(
-          spec.name.empty() ? "scalar" : spec.name, rate_smoothing, metrics);
+      return std::make_shared<TileBackend>(
+          spec.name.empty() ? "scalar" : spec.name, 1.0, bp::AsrKernel{},
+          rate_smoothing, metrics);
     case BackendSpec::Kind::kHostSimd: {
-      const std::string name =
-          spec.name.empty()
-              ? std::string("simd-") +
-                    bp::simd_isa_name(bp::asr_resolve_isa(spec.isa))
-              : spec.name;
-      return std::make_shared<HostSimdBackend>(name, spec.isa, spec.variant,
-                                               rate_smoothing, metrics);
+      const bp::SimdIsa isa = bp::asr_resolve_isa(spec.isa);
+      return std::make_shared<TileBackend>(
+          spec.name.empty() ? std::string("simd-") + bp::simd_isa_name(isa)
+                            : spec.name,
+          simd_rate_prior(isa), bp::AsrKernel{isa, spec.variant},
+          rate_smoothing, metrics);
     }
     case BackendSpec::Kind::kOffloadSim: {
       const std::string name = spec.name.empty()

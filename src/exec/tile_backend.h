@@ -1,6 +1,6 @@
 // Pluggable tile compute backends (paper §5.3 applied to the serving
-// layer): every block-range task of a plan replay targets an abstract
-// TileBackend — host scalar, host SIMD (runtime ISA dispatch), or the
+// layer): every block-range task of a plan replay targets a TileBackend —
+// host scalar, host SIMD (runtime ISA dispatch), or the
 // src/offload simulated coprocessor — and the BackendSet routes blocks
 // across them with the dynamic split ratio, "adapted based on the
 // execution time ratio observed with the first few images".
@@ -11,12 +11,16 @@
 // built before the block is swept). The service builds the view when it
 // builds the task group.
 //
-// Identity contract: blocks cover disjoint pixel rectangles, and
-// HostScalarBackend::sweep_block runs exactly the plan executor's scalar
-// sweep — so any assignment of blocks to scalar backends (one or many)
-// produces output byte-identical to the PR 3 single-executor path. The
-// SIMD and offload backends change the within-pixel arithmetic (documented
-// >70 dB parity) and are opt-in per request path.
+// Every backend sweeps through the one ASR block sweep
+// (backprojection/asr_sweep.h) via PlanView::sweep; the backends differ
+// only in their rate prior, their kernel, and simulated_seconds.
+//
+// Identity contract: blocks cover disjoint pixel rectangles, and the
+// scalar and offload backends run the scalar sweep of execute_plan — so
+// any assignment of blocks to them (one or many) produces output
+// byte-identical to a serial execute_plan. The SIMD backend changes the
+// within-pixel arithmetic (documented >70 dB parity) and is opt-in per
+// request path.
 //
 // Instrumentation (per configured registry):
 //   counters   backend.<name>.sweeps
@@ -30,6 +34,7 @@
 
 #include "asr/block_plan.h"
 #include "asr/tables.h"
+#include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "backprojection/soa_tile.h"
 #include "common/thread_annotations.h"
@@ -54,21 +59,22 @@ struct PlanView {
   Index region_x0 = 0;
   Index region_y0 = 0;
 
-  [[nodiscard]] const asr::BlockTables& tables_for(Index block,
-                                                   Index pulse) const {
-    return tables[static_cast<std::size_t>(block) *
-                      static_cast<std::size_t>(num_pulses) +
-                  static_cast<std::size_t>(pulse)];
-  }
+  /// Sweeps pulses [pulse_begin, pulse_end) of block `block` into `tile`
+  /// (shaped like the plan's region) through the ASR core with `kernel`.
+  /// Thread-compatible: concurrent calls on distinct blocks write disjoint
+  /// tile rectangles.
+  void sweep(Index block, const sim::PhaseHistory& history,
+             Index pulse_begin, Index pulse_end, const bp::AsrKernel& kernel,
+             bp::SoaTile& tile) const;
 };
 
 /// One compute executor. sweep_block is called concurrently from several
-/// workers (distinct blocks, disjoint tile rectangles) and must be
-/// thread-compatible; the rate tracker is internally synchronized.
+/// workers (distinct blocks, disjoint tile rectangles); the rate tracker is
+/// internally synchronized.
 class TileBackend {
  public:
-  TileBackend(std::string name, double rate_prior, double rate_smoothing,
-              obs::Registry* metrics);
+  TileBackend(std::string name, double rate_prior, bp::AsrKernel kernel,
+              double rate_smoothing, obs::Registry* metrics);
   virtual ~TileBackend() = default;
 
   TileBackend(const TileBackend&) = delete;
@@ -76,12 +82,16 @@ class TileBackend {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
+  /// The inner loop this backend's sweeps run.
+  [[nodiscard]] const bp::AsrKernel& kernel() const { return kernel_; }
+
   /// Sweeps pulses [pulse_begin, pulse_end) of one plan block into `tile`
-  /// (shaped like the plan's region).
-  virtual void sweep_block(const PlanView& plan,
-                           const sim::PhaseHistory& history, Index block,
-                           Index pulse_begin, Index pulse_end,
-                           bp::SoaTile& tile) = 0;
+  /// (shaped like the plan's region) with this backend's kernel.
+  void sweep_block(const PlanView& plan, const sim::PhaseHistory& history,
+                   Index block, Index pulse_begin, Index pulse_end,
+                   bp::SoaTile& tile) const {
+    plan.sweep(block, history, pulse_begin, pulse_end, kernel_, tile);
+  }
 
   /// Simulated wall seconds for arithmetic that physically took
   /// `measured_seconds` on this host — identity for host backends, the
@@ -109,6 +119,7 @@ class TileBackend {
  private:
   const std::string name_;
   const double rate_prior_;
+  const bp::AsrKernel kernel_;
   const double rate_smoothing_;
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("exec.backend")};
   double rate_ SARBP_GUARDED_BY(mutex_) = 0.0;
@@ -123,7 +134,7 @@ class TileBackend {
 struct BackendSpec {
   enum class Kind {
     kHostScalar,  ///< the plan executor's scalar sweep (byte-identical)
-    kHostSimd,    ///< fused SIMD plan sweep, runtime ISA dispatch
+    kHostSimd,    ///< vector ASR sweep, runtime ISA dispatch
     kOffloadSim,  ///< simulated coprocessor (scalar sweep, rescaled time)
   };
   Kind kind = Kind::kHostScalar;

@@ -15,7 +15,7 @@ namespace sarbp::io {
 void save_phase_history(const std::string& path,
                         const sim::PhaseHistory& history);
 
-/// Reads a file written by save_phase_history (SoA planes are rebuilt).
+/// Reads a file written by save_phase_history.
 sim::PhaseHistory load_phase_history(const std::string& path);
 
 }  // namespace sarbp::io

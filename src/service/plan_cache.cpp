@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
-#include <numbers>
 #include <utility>
 
-#include "backprojection/kernel_asr_block.h"
+#include "backprojection/asr_sweep.h"
 #include "backprojection/partition.h"
 #include "common/check.h"
 #include "common/timer.h"
@@ -121,26 +120,11 @@ void build_plan_block(FormationPlan& plan, std::size_t block,
                       const sim::PhaseHistory& history) {
   const geometry::ImageGrid grid(plan.key.grid_w, plan.key.grid_h,
                                  plan.key.spacing, plan.key.centre);
-  const auto& spec = plan.blocks[block];
-  const geometry::Vec3 centre = grid.position_f(
-      static_cast<double>(spec.x0) + 0.5 * static_cast<double>(spec.width - 1),
-      static_cast<double>(spec.y0) +
-          0.5 * static_cast<double>(spec.height - 1));
-  const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
-  const Index pulses = plan.num_pulses();
-  for (Index p = 0; p < pulses; ++p) {
-    const geometry::LoopOrder order =
-        plan.pulse_order[static_cast<std::size_t>(p)];
-    const bool x_inner = order == geometry::LoopOrder::kXInner;
-    const Index len_l = x_inner ? spec.width : spec.height;
-    const Index len_m = x_inner ? spec.height : spec.width;
-    const auto& meta = history.meta(p);
-    const asr::Quadratic2D q =
-        bp::block_range_quadratic(centre, meta.position, grid.spacing(), order);
-    asr::build_block_tables_fast(
-        q, meta.start_range_m, history.bin_spacing(), two_pi_k, len_l, len_m,
-        plan.tables[block * static_cast<std::size_t>(pulses) +
-                    static_cast<std::size_t>(p)]);
+  const auto pulses = static_cast<std::size_t>(plan.num_pulses());
+  for (std::size_t p = 0; p < pulses; ++p) {
+    bp::build_asr_tables(grid, plan.blocks[block], history,
+                         static_cast<Index>(p), plan.pulse_order[p],
+                         plan.tables[block * pulses + p]);
   }
 }
 
@@ -153,36 +137,6 @@ std::shared_ptr<const FormationPlan> build_formation_plan(
     build_plan_block(*plan, b, history);
   }
   return plan;
-}
-
-bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
-                  bp::SoaTile& tile, const std::function<bool()>& checkpoint) {
-  const Index pulses = history.num_pulses();
-  ensure(pulses == plan.num_pulses(),
-         "execute_plan: history pulse count does not match the plan");
-  ensure(tile.width() == plan.key.region.width &&
-             tile.height() == plan.key.region.height,
-         "execute_plan: tile/region shape mismatch");
-  const Index samples = history.samples_per_pulse();
-
-  // Block-outer / pulse-inner, the cache-blocking order of the scalar
-  // kernel: one block's output rows stay resident while the pulses stream.
-  for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
-    if (checkpoint && !checkpoint()) return false;
-    const auto& block = plan.blocks[b];
-    const Index bx = block.x0 - plan.key.region.x0;
-    const Index by = block.y0 - plan.key.region.y0;
-    for (Index p = 0; p < pulses; ++p) {
-      const bool x_inner =
-          plan.pulse_order[static_cast<std::size_t>(p)] ==
-          geometry::LoopOrder::kXInner;
-      const Index len_l = x_inner ? block.width : block.height;
-      const Index len_m = x_inner ? block.height : block.width;
-      bp::asr_sweep_block(plan.tables_for(b, p), history.pulse(p).data(),
-                          samples, x_inner, bx, by, len_l, len_m, tile);
-    }
-  }
-  return true;
 }
 
 namespace {
@@ -202,6 +156,23 @@ exec::PlanView plan_view(const FormationPlan& plan) {
 }
 
 }  // namespace
+
+bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
+                  bp::SoaTile& tile, const std::function<bool()>& checkpoint) {
+  ensure(history.num_pulses() == plan.num_pulses(),
+         "execute_plan: history pulse count does not match the plan");
+  ensure(tile.width() == plan.key.region.width &&
+             tile.height() == plan.key.region.height,
+         "execute_plan: tile/region shape mismatch");
+  // Block-outer / pulse-inner, the cache-blocking order of the scalar
+  // kernel: one block's output rows stay resident while the pulses stream.
+  const exec::PlanView view = plan_view(plan);
+  for (Index b = 0; b < view.num_blocks; ++b) {
+    if (checkpoint && !checkpoint()) return false;
+    view.sweep(b, history, 0, view.num_pulses, bp::AsrKernel{}, tile);
+  }
+  return true;
+}
 
 exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
@@ -231,25 +202,53 @@ exec::GroupPtr make_plan_replay_group(
       insert_into != nullptr ? std::const_pointer_cast<FormationPlan>(plan)
                              : nullptr;
 
+  // Contiguous block ranges, each with its task count: the whole plan on
+  // the scalar sweep without backends; with them (§5.3), one range per
+  // backend sized by the current dynamic split and sub-divided into tasks
+  // in proportion to its share of the fan-out.
+  struct Share {
+    exec::TileBackend* backend;
+    Index b0;
+    Index b1;
+    Index tasks;
+  };
   const Index nblocks = static_cast<Index>(plan->blocks.size());
-  // ~2 tasks per worker so thieves always find a remainder to take, but
-  // never finer than one block per task.
-  Index fanout = tile_tasks > 0
-                     ? tile_tasks
-                     : std::max<Index>(2, 2 * static_cast<Index>(parallelism));
-  fanout = std::clamp<Index>(fanout, 1, nblocks);
-
-  std::vector<exec::TaskGroup::Task> tasks;
-  tasks.reserve(static_cast<std::size_t>(fanout));
-
+  const Index fanout = exec::fanout_tasks(tile_tasks, parallelism, nblocks);
+  std::vector<Share> shares;
   if (backends == nullptr) {
-    // Direct scalar-sweep path, exactly as before backends existed.
-    for (Index ti = 0; ti < fanout; ++ti) {
-      const Index b0 = bp::split_begin(nblocks, fanout, ti);
-      const Index b1 = bp::split_begin(nblocks, fanout, ti + 1);
-      tasks.push_back([plan, skeleton, history, tile, checkpoint, b0, b1,
-                       pulse_begin, pulse_end](int, exec::TaskGroup& group) {
-        const Index samples = history->samples_per_pulse();
+    shares.push_back({nullptr, 0, nblocks, fanout});
+  } else {
+    const std::vector<Index> bounds = backends->partition(nblocks);
+    for (int k = 0; k < backends->size(); ++k) {
+      const Index k0 = bounds[static_cast<std::size_t>(k)];
+      const Index k1 = bounds[static_cast<std::size_t>(k) + 1];
+      if (k0 >= k1) continue;
+      const Index ktasks = std::clamp<Index>(
+          static_cast<Index>(std::llround(static_cast<double>(fanout) *
+                                          static_cast<double>(k1 - k0) /
+                                          static_cast<double>(nblocks))),
+          1, k1 - k0);
+      shares.push_back({&backends->backend(k), k0, k1, ktasks});
+    }
+  }
+
+  // One task body. On a miss it builds each block's tables just before
+  // sweeping the block. With a backend it times the sweeps (not the table
+  // builds) and feeds the backend's observed-rate tracker, which steers the
+  // *next* job's partition.
+  std::vector<exec::TaskGroup::Task> tasks;
+  for (const Share& share : shares) {
+    for (Index ti = 0; ti < share.tasks; ++ti) {
+      const Index b0 =
+          share.b0 + bp::split_begin(share.b1 - share.b0, share.tasks, ti);
+      const Index b1 =
+          share.b0 + bp::split_begin(share.b1 - share.b0, share.tasks, ti + 1);
+      tasks.push_back([plan, skeleton, history, tile, checkpoint, backends,
+                       backend = share.backend, b0, b1, pulse_begin,
+                       pulse_end](int, exec::TaskGroup& group) {
+        const exec::PlanView view = plan_view(*plan);
+        double sweep_seconds = 0.0;
+        double backprojections = 0.0;
         for (Index b = b0; b < b1; ++b) {
           // Same granularity as execute_plan: one cancellation poll per
           // block sweep, not per task.
@@ -259,69 +258,22 @@ exec::GroupPtr make_plan_replay_group(
           }
           const auto bi = static_cast<std::size_t>(b);
           if (skeleton) build_plan_block(*skeleton, bi, *history);
+          if (backend == nullptr) {
+            view.sweep(b, *history, pulse_begin, pulse_end, bp::AsrKernel{},
+                       *tile);
+            continue;
+          }
+          const Timer timer;
+          backend->sweep_block(view, *history, b, pulse_begin, pulse_end,
+                               *tile);
+          sweep_seconds += timer.seconds();
           const auto& block = plan->blocks[bi];
-          const Index bx = block.x0 - plan->key.region.x0;
-          const Index by = block.y0 - plan->key.region.y0;
-          for (Index p = pulse_begin; p < pulse_end; ++p) {
-            const bool x_inner =
-                plan->pulse_order[static_cast<std::size_t>(p)] ==
-                geometry::LoopOrder::kXInner;
-            const Index len_l = x_inner ? block.width : block.height;
-            const Index len_m = x_inner ? block.height : block.width;
-            bp::asr_sweep_block(plan->tables_for(bi, p),
-                                history->pulse(p).data(), samples, x_inner,
-                                bx, by, len_l, len_m, *tile);
-          }
+          backprojections += static_cast<double>(block.width) *
+                             static_cast<double>(block.height) *
+                             static_cast<double>(pulse_end - pulse_begin);
         }
+        if (backend != nullptr) backend->record(backprojections, sweep_seconds);
       });
-    }
-  } else {
-    // Backend routing (§5.3): each backend owns a contiguous block range
-    // sized by the current dynamic split, sub-divided into tasks in
-    // proportion to its share of the fan-out. Each task times its sweeps
-    // (not its table builds) and feeds the backend's observed-rate
-    // tracker, which steers the *next* job's partition.
-    const std::vector<Index> bounds = backends->partition(nblocks);
-    const Index pulses = pulse_end - pulse_begin;
-    for (int k = 0; k < backends->size(); ++k) {
-      const Index k0 = bounds[static_cast<std::size_t>(k)];
-      const Index k1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (k0 >= k1) continue;
-      const Index kblocks = k1 - k0;
-      const Index ktasks = std::clamp<Index>(
-          static_cast<Index>(std::llround(static_cast<double>(fanout) *
-                                          static_cast<double>(kblocks) /
-                                          static_cast<double>(nblocks))),
-          1, kblocks);
-      for (Index ti = 0; ti < ktasks; ++ti) {
-        const Index b0 = k0 + bp::split_begin(kblocks, ktasks, ti);
-        const Index b1 = k0 + bp::split_begin(kblocks, ktasks, ti + 1);
-        exec::TileBackend* backend = &backends->backend(k);
-        tasks.push_back([plan, skeleton, history, tile, checkpoint, backends,
-                         backend, b0, b1, pulse_begin, pulse_end,
-                         pulses](int, exec::TaskGroup& group) {
-          const exec::PlanView view = plan_view(*plan);
-          double sweep_seconds = 0.0;
-          double backprojections = 0.0;
-          for (Index b = b0; b < b1; ++b) {
-            if (checkpoint && !checkpoint()) {
-              group.abort();
-              return;
-            }
-            const auto bi = static_cast<std::size_t>(b);
-            if (skeleton) build_plan_block(*skeleton, bi, *history);
-            const auto& block = plan->blocks[bi];
-            Timer timer;
-            backend->sweep_block(view, *history, b, pulse_begin, pulse_end,
-                                 *tile);
-            sweep_seconds += timer.seconds();
-            backprojections += static_cast<double>(block.width) *
-                               static_cast<double>(block.height) *
-                               static_cast<double>(pulses);
-          }
-          backend->record(backprojections, sweep_seconds);
-        });
-      }
     }
   }
 

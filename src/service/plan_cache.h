@@ -7,9 +7,10 @@
 // only on *geometry*, not on sample values: the block decomposition, the
 // per-pulse loop order (wavefront orientation), and the per-(block, pulse)
 // strength-reduction tables of paper Fig. 3(b) line 02. Replaying a cached
-// plan skips the table build entirely, and because the executor drives
-// the same inner sweep as the scalar kernel (kernel_asr_block.h) the image
-// is bit-identical to the streaming path.
+// plan skips the table build entirely. The replay sweeps through the one
+// ASR block sweep (backprojection/asr_sweep.h) with the prebuilt tables,
+// and the tables come from its one table build, so a replay is
+// bit-identical to the same kernel building its tables on the fly.
 //
 // The miss path builds the tables where the paper does, inside the
 // parallel block loop: a miss hands make_plan_replay_group a skeleton
@@ -91,10 +92,6 @@ struct FormationPlan {
   [[nodiscard]] Index num_pulses() const {
     return static_cast<Index>(pulse_order.size());
   }
-  [[nodiscard]] const asr::BlockTables& tables_for(std::size_t block,
-                                                   Index pulse) const {
-    return tables[block * pulse_order.size() + static_cast<std::size_t>(pulse)];
-  }
 };
 
 /// A plan without tables: the key, the blocks, the pulse order, `bytes`,
@@ -102,8 +99,8 @@ struct FormationPlan {
 [[nodiscard]] std::shared_ptr<FormationPlan> make_plan_skeleton(
     const PlanKey& key, const sim::PhaseHistory& history);
 
-/// Fills block `block`'s table slots for every pulse of `plan` — the one
-/// per-block table build. build_formation_plan runs it over every block;
+/// Fills block `block`'s table slots for every pulse of `plan` with
+/// bp::build_asr_tables. build_formation_plan runs it over every block;
 /// a cache-miss replay group runs it inside each task, just before the
 /// block's sweep.
 void build_plan_block(FormationPlan& plan, std::size_t block,
@@ -116,8 +113,10 @@ void build_plan_block(FormationPlan& plan, std::size_t block,
     const geometry::ImageGrid& grid, const Region& region, Index block_w,
     Index block_h, const sim::PhaseHistory& history);
 
-/// Replays a plan over `history`, accumulating into `tile` (shaped like the
-/// plan's region). `checkpoint` runs before every block sweep; returning
+/// Replays a plan over `history` with the scalar sweep, serially, into
+/// `tile` (shaped like the plan's region): the reference every replay
+/// group on scalar backends matches byte for byte. `checkpoint` runs
+/// before every block sweep; returning
 /// false aborts the replay (cooperative cancellation / deadline expiry) and
 /// the partially-formed tile must be discarded. Returns true on completion.
 bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
@@ -136,8 +135,8 @@ class PlanCache;
 /// `checkpoint` keeps execute_plan's granularity: it is polled before
 /// every block sweep (inside tasks) and again before each task starts
 /// (by the executor); the first false aborts the whole group.
-/// `tile_tasks` caps the fan-out; 0 = auto (~2 tasks per unit of
-/// `parallelism`, never more than the block count). `on_complete` runs on
+/// `tile_tasks` caps the fan-out; 0 = auto (exec::fanout_tasks over
+/// `parallelism` workers and the plan's blocks). `on_complete` runs on
 /// the worker that retires the last task — aborted groups must discard the
 /// partially-swept tile there.
 ///
@@ -150,10 +149,10 @@ class PlanCache;
 /// `backends` (nullable) routes the plan's blocks across a BackendSet by
 /// its §5.3 dynamic split: each backend gets a contiguous block range,
 /// sub-divided into tasks proportional to its share, and each task's
-/// measured sweep feeds the backend's observed-rate tracker. Null keeps
-/// the direct scalar-sweep path — the exact PR 3 code — and a set holding
-/// only scalar backends is still byte-identical to it (disjoint block
-/// rectangles; same per-block pulse order).
+/// measured sweep feeds the backend's observed-rate tracker. Null sweeps
+/// every block with the scalar kernel, untimed; a set holding only scalar
+/// backends is byte-identical to that (disjoint block rectangles; same
+/// per-block pulse order).
 ///
 /// `insert_into` (nullable) marks `plan` as a cache-miss skeleton
 /// (lookup_plan): each task builds its blocks' tables for every pulse with

@@ -65,17 +65,7 @@ PhaseHistory PhaseHistory::upsampled(Index factor) const {
                  static_cast<float>(padded[static_cast<std::size_t>(i)].imag() * scale));
     }
   }
-  out.build_soa();
   return out;
-}
-
-void PhaseHistory::build_soa() {
-  soa_re_.resize(aos_.size());
-  soa_im_.resize(aos_.size());
-  for (std::size_t i = 0; i < aos_.size(); ++i) {
-    soa_re_[i] = aos_[i].real();
-    soa_im_[i] = aos_[i].imag();
-  }
 }
 
 }  // namespace sarbp::sim

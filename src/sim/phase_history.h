@@ -2,11 +2,10 @@
 // one compressed range profile per pulse plus the per-pulse metadata
 // (recorded platform position, start range) backprojection needs.
 //
-// Two layouts are kept (paper §4.4):
-//  - AoS (interleaved re/im): natural on CPUs, where In[bin] and In[bin+1]
-//    are fetched with one 128-bit load and shuffled;
-//  - SoA (separate re[] / im[] planes): what gather-capable hardware wants,
-//    one vgather per plane.
+// Samples are kept in one interleaved (AoS) layout, so In[bin] and
+// In[bin+1] are four adjacent floats: one 128-bit load plus a shuffle on
+// CPUs, or pair gathers on gather-capable hardware (paper §4.4; the ASR
+// SIMD kernels offer both as KernelVariants).
 #pragma once
 
 #include <span>
@@ -50,18 +49,7 @@ class PhaseHistory {
     return meta_[static_cast<std::size_t>(p)];
   }
 
-  /// Rebuilds the SoA planes from the AoS data. Call once after filling;
-  /// the gather kernels read these.
-  void build_soa();
-  [[nodiscard]] bool has_soa() const { return !soa_re_.empty(); }
-  [[nodiscard]] std::span<const float> pulse_re(Index p) const {
-    return {soa_re_.data() + p * samples_, static_cast<std::size_t>(samples_)};
-  }
-  [[nodiscard]] std::span<const float> pulse_im(Index p) const {
-    return {soa_im_.data() + p * samples_, static_cast<std::size_t>(samples_)};
-  }
-
-  /// Total AoS payload in bytes (PCIe-transfer accounting).
+  /// Total sample payload in bytes (PCIe-transfer accounting).
   [[nodiscard]] std::size_t payload_bytes() const {
     return aos_.size() * sizeof(CFloat);
   }
@@ -79,8 +67,6 @@ class PhaseHistory {
   double bin_spacing_ = 1.0;
   double wavenumber_ = 0.0;
   AlignedVector<CFloat> aos_;
-  AlignedVector<float> soa_re_;
-  AlignedVector<float> soa_im_;
   std::vector<PulseMeta> meta_;
 };
 

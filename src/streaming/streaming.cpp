@@ -3,87 +3,31 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <numbers>
-#include <span>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "asr/quadratic.h"
-#include "asr/tables.h"
-#include "backprojection/kernel.h"
-#include "backprojection/kernel_asr_block.h"
+#include "backprojection/asr_sweep.h"
 #include "backprojection/partition.h"
 #include "backprojection/soa_tile.h"
 #include "common/check.h"
 #include "exec/task_group.h"
-#include "geometry/wavefront.h"
 
 namespace sarbp::streaming {
 namespace {
 
-/// Which inner sweep the session runs; resolved once at open so every
-/// update of a session uses one kernel.
-struct KernelSel {
-  bool simd = false;
-  bp::SimdIsa isa = bp::SimdIsa::kScalar;
-};
+/// The session's ASR kernel, resolved once at open so every update of a
+/// session uses one kernel: the widest usable vector ISA under use_simd,
+/// the scalar sweep otherwise.
+bp::AsrKernel stream_kernel(const StreamConfig& config) {
+  return bp::AsrKernel{config.use_simd
+                           ? bp::asr_resolve_isa(bp::SimdIsa::kAuto)
+                           : bp::SimdIsa::kScalar};
+}
 
-/// Per-task scratch: the on-the-fly BlockTables plus the SIMD y_inner
-/// workspace, reused across every (block, pulse) pair the task sweeps.
-struct SweepScratch {
-  asr::BlockTables tables;
-  AlignedVector<float> ws_re;
-  AlignedVector<float> ws_im;
-};
-
-/// Sweeps every pulse of `chunks` (in order) over one block into `tile`,
-/// building each (block, pulse) table on the fly with exactly the inputs
-/// build_formation_plan would use — so a whole-window sweep here is
-/// bit-identical to a cached-plan replay (and to reform_window) over the
-/// concatenated history. Returns the (pixel, pulse) operation count.
-std::uint64_t sweep_block(const geometry::ImageGrid& grid,
-                          const Region& region, const asr::BlockSpec& block,
-                          std::span<const sim::PhaseHistory* const> chunks,
-                          const KernelSel& sel, SweepScratch& scratch,
-                          bp::SoaTile& tile) {
-  const geometry::Vec3 centre = grid.position_f(
-      static_cast<double>(block.x0) +
-          0.5 * static_cast<double>(block.width - 1),
-      static_cast<double>(block.y0) +
-          0.5 * static_cast<double>(block.height - 1));
-  const Index bx = block.x0 - region.x0;
-  const Index by = block.y0 - region.y0;
-  std::uint64_t ops = 0;
-  for (const sim::PhaseHistory* chunk : chunks) {
-    const double two_pi_k = 2.0 * std::numbers::pi * chunk->wavenumber();
-    const Index samples = chunk->samples_per_pulse();
-    for (Index p = 0; p < chunk->num_pulses(); ++p) {
-      const auto& meta = chunk->meta(p);
-      const geometry::LoopOrder order =
-          geometry::choose_loop_order(meta.position, grid.centre());
-      const bool x_inner = order == geometry::LoopOrder::kXInner;
-      const Index len_l = x_inner ? block.width : block.height;
-      const Index len_m = x_inner ? block.height : block.width;
-      const asr::Quadratic2D q = bp::block_range_quadratic(
-          centre, meta.position, grid.spacing(), order);
-      asr::build_block_tables_fast(q, meta.start_range_m,
-                                   chunk->bin_spacing(), two_pi_k, len_l,
-                                   len_m, scratch.tables);
-      if (sel.simd) {
-        bp::asr_plan_sweep_simd(scratch.tables, chunk->pulse(p).data(),
-                                samples, x_inner, bx, by, len_l, len_m, tile,
-                                sel.isa, bp::KernelVariant::kAuto,
-                                scratch.ws_re, scratch.ws_im);
-      } else {
-        bp::asr_sweep_block(scratch.tables, chunk->pulse(p).data(), samples,
-                            x_inner, bx, by, len_l, len_m, tile);
-      }
-    }
-    ops += static_cast<std::uint64_t>(block.width) *
-           static_cast<std::uint64_t>(block.height) *
-           static_cast<std::uint64_t>(chunk->num_pulses());
-  }
-  return ops;
+/// Pulses of a whole history.
+bp::PulseRange all_pulses(const sim::PhaseHistory& history) {
+  return {&history, 0, history.num_pulses()};
 }
 
 Region effective_region(const StreamConfig& config) {
@@ -103,9 +47,8 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
         blocks_(asr::plan_blocks(region_.x0, region_.y0, region_.width,
                                  region_.height, config_.asr_block_w,
                                  config_.asr_block_h)),
+        kernel_(stream_kernel(config_)),
         live_(region_.width, region_.height) {
-    sel_.simd = config_.use_simd && bp::asr_simd_available();
-    if (sel_.simd) sel_.isa = bp::asr_resolve_isa(bp::SimdIsa::kAuto);
     if constexpr (obs::kEnabled) {
       auto& reg = service_.metrics();
       opened_ = &reg.counter("streaming.sessions.opened");
@@ -261,8 +204,8 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     bool have_key = false;
     service::PlanKey key;
     /// Anchor mode: the window chunks that survive the slide, oldest
-    /// first (the new chunk is appended after them in the sweep).
-    std::vector<std::shared_ptr<const sim::PhaseHistory>> survivors;
+    /// first, then the new chunk — one pulse sequence for the sweep.
+    std::vector<std::shared_ptr<const sim::PhaseHistory>> window;
     SubApertureCache::Partial cached;     ///< cache-hit partial
     std::shared_ptr<bp::SoaTile> partial; ///< freshly swept chunk partial
     std::shared_ptr<bp::SoaTile> fresh;   ///< anchor: whole-window sweep
@@ -346,10 +289,11 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
             new_size > static_cast<std::size_t>(config_.window_chunks)
                 ? new_size - static_cast<std::size_t>(config_.window_chunks)
                 : 0;
-        u->survivors.reserve(window_.size() - expire);
+        u->window.reserve(window_.size() - expire + 1);
         for (std::size_t i = expire; i < window_.size(); ++i) {
-          u->survivors.push_back(window_[i].history);
+          u->window.push_back(window_[i].history);
         }
+        u->window.push_back(u->chunk.history);
       }
     }
     if (config_.cache != nullptr) {
@@ -378,13 +322,8 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       tasks.emplace_back([](int, exec::TaskGroup&) {});
     } else {
       const Index nblocks = static_cast<Index>(blocks_.size());
-      // Mirror make_plan_replay_group's fan-out: ~2 tasks per worker,
-      // never finer than one block per task.
-      Index fanout =
-          cctx.tile_tasks > 0
-              ? cctx.tile_tasks
-              : std::max<Index>(2, 2 * static_cast<Index>(cctx.workers));
-      fanout = std::clamp<Index>(fanout, 1, nblocks);
+      const Index fanout =
+          exec::fanout_tasks(cctx.tile_tasks, cctx.workers, nblocks);
       for (Index ti = 0; ti < fanout; ++ti) {
         const Index b0 = bp::split_begin(nblocks, fanout, ti);
         const Index b1 = bp::split_begin(nblocks, fanout, ti + 1);
@@ -406,15 +345,17 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
   void sweep_task(Update& u, Index b0, Index b1,
                   const std::function<bool()>& checkpoint,
                   exec::TaskGroup& group) {
-    SweepScratch scratch;
-    std::uint64_t ops = 0;
-    std::vector<const sim::PhaseHistory*> window_chunks;
-    if (u.anchor) {
-      window_chunks.reserve(u.survivors.size() + 1);
-      for (const auto& h : u.survivors) window_chunks.push_back(h.get());
-      window_chunks.push_back(u.chunk.history.get());
+    // An anchor sweeps the whole window as one pulse sequence, so a
+    // loop-order run continues across chunk boundaries exactly as it does
+    // in reform_window over the concatenated window.
+    std::vector<bp::PulseRange> window;
+    Index window_pulses = 0;
+    for (const auto& h : u.window) {
+      window.push_back(all_pulses(*h));
+      window_pulses += h->num_pulses();
     }
-    const sim::PhaseHistory* new_chunk[] = {u.chunk.history.get()};
+    const bp::PulseRange chunk[] = {all_pulses(*u.chunk.history)};
+    std::uint64_t ops = 0;
     for (Index b = b0; b < b1; ++b) {
       // execute_plan's granularity: one cancellation poll per block sweep.
       if (checkpoint && !checkpoint()) {
@@ -422,13 +363,17 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
         break;
       }
       const asr::BlockSpec& block = blocks_[static_cast<std::size_t>(b)];
+      const auto area = static_cast<std::uint64_t>(block.width) *
+                        static_cast<std::uint64_t>(block.height);
       if (u.anchor) {
-        ops += sweep_block(config_.grid, region_, block, window_chunks, sel_,
-                           scratch, *u.fresh);
+        bp::sweep_asr_block(block, region_.x0, region_.y0, config_.grid,
+                            window, std::nullopt, kernel_, *u.fresh);
+        ops += area * static_cast<std::uint64_t>(window_pulses);
       }
       if (u.partial != nullptr) {
-        ops += sweep_block(config_.grid, region_, block, new_chunk, sel_,
-                           scratch, *u.partial);
+        bp::sweep_asr_block(block, region_.x0, region_.y0, config_.grid,
+                            chunk, std::nullopt, kernel_, *u.partial);
+        ops += area * static_cast<std::uint64_t>(chunk[0].end);
       }
     }
     // order: relaxed — statistics accumulator; the group's completion
@@ -566,7 +511,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
   const StreamConfig config_;
   const Region region_;
   const std::vector<asr::BlockSpec> blocks_;
-  KernelSel sel_;
+  const bp::AsrKernel kernel_;
 
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("streaming.session")};
   CondVar cv_;
@@ -670,19 +615,14 @@ Grid2D<CFloat> reform_window(const StreamConfig& config,
   const Region region = effective_region(config);
   ensure(!region.empty() && config.asr_block_w > 0 && config.asr_block_h > 0,
          "reform_window: bad geometry");
-  KernelSel sel;
-  sel.simd = config.use_simd && bp::asr_simd_available();
-  if (sel.simd) sel.isa = bp::asr_resolve_isa(bp::SimdIsa::kAuto);
+  const bp::AsrKernel kernel = stream_kernel(config);
+  const bp::PulseRange pulses[] = {all_pulses(window)};
   bp::SoaTile tile(region.width, region.height);
-  if (window.num_pulses() > 0) {
-    const auto blocks =
-        asr::plan_blocks(region.x0, region.y0, region.width, region.height,
-                         config.asr_block_w, config.asr_block_h);
-    SweepScratch scratch;
-    const sim::PhaseHistory* chunks[] = {&window};
-    for (const asr::BlockSpec& block : blocks) {
-      sweep_block(config.grid, region, block, chunks, sel, scratch, tile);
-    }
+  for (const asr::BlockSpec& block :
+       asr::plan_blocks(region.x0, region.y0, region.width, region.height,
+                        config.asr_block_w, config.asr_block_h)) {
+    bp::sweep_asr_block(block, region.x0, region.y0, config.grid, pulses,
+                        std::nullopt, kernel, tile);
   }
   Grid2D<CFloat> image(region.width, region.height);
   tile.accumulate_into(image, Region{0, 0, region.width, region.height});

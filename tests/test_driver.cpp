@@ -4,6 +4,7 @@
 // breakdown instrumentation, and the empirical gather-locality counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "backprojection/accumulator.h"
@@ -143,6 +144,38 @@ TEST_F(DriverTest, BackprojectionsCountsPixelPulsePairs) {
   EXPECT_DOUBLE_EQ(driver.backprojections(s.history),
                    static_cast<double>(s.grid.width() * s.grid.height() *
                                        s.history.num_pulses()));
+}
+
+TEST_F(DriverTest, DefaultKernelFormsConstructorFilledHistory) {
+  // A history filled through the constructor and pulse()/meta() — what
+  // StreamSession::window_history() returns — forms the same bytes as the
+  // collected original under the default kernel (kAsrSimd on vector
+  // hosts).
+  const auto& s = *scenario_;
+  const sim::PhaseHistory& original = s.history;
+  sim::PhaseHistory copy(original.num_pulses(), original.samples_per_pulse(),
+                         original.bin_spacing(), original.wavenumber());
+  for (Index p = 0; p < original.num_pulses(); ++p) {
+    const auto src = original.pulse(p);
+    std::copy(src.begin(), src.end(), copy.pulse(p).begin());
+    copy.meta(p) = original.meta(p);
+  }
+  BackprojectOptions opts;
+  opts.threads = 1;
+  const Backprojector driver(s.grid, opts);
+  const Grid2D<CFloat> expected = driver.form_image(original);
+  const Grid2D<CFloat> formed = driver.form_image(copy);
+  for (Index y = 0; y < expected.height(); ++y) {
+    for (Index x = 0; x < expected.width(); ++x) {
+      ASSERT_EQ(formed.at(x, y), expected.at(x, y)) << x << "," << y;
+    }
+  }
+}
+
+TEST_F(DriverTest, RefDoubleKernelRejectedAtConstruction) {
+  BackprojectOptions opts;
+  opts.kernel = KernelKind::kRefDouble;
+  EXPECT_THROW(Backprojector(scenario_->grid, opts), PreconditionError);
 }
 
 TEST(Accumulator, SumsStoredBatches) {

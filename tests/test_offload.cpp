@@ -253,7 +253,6 @@ TEST(OffloadRuntime, NoStagingWithoutCoprocessors) {
     history.meta(p).position = {40000.0, static_cast<double>(p), 8000.0};
     history.meta(p).start_range_m = 40750.0;
   }
-  history.build_soa();
   Grid2D<CFloat> out(64, 64);
   const OffloadReport report = runtime.form_image(history, out);
   EXPECT_DOUBLE_EQ(report.staging_wait_seconds, 0.0);

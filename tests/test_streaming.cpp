@@ -3,21 +3,29 @@
 // steal on/off), the O(delta) vs O(full) operation-count acceptance bound,
 // re-anchor cadence, sub-aperture cache hit/eviction/collision behaviour,
 // a closed session releasing its partials to the cache, cancel and
-// deadline expiry mid-update, the queued-cancel abandonment path, and the
-// streaming trace round trip + replay.
+// deadline expiry mid-update, the queued-cancel abandonment path, the
+// streaming trace round trip + replay, and the ASR core's invariant that
+// neither the table source nor the chunking of the pulses changes bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "backprojection/asr_sweep.h"
 #include "common/check.h"
 #include "common/snr.h"
+#include "exec/executor.h"
+#include "exec/tile_backend.h"
+#include "service/plan_cache.h"
 #include "service/trace.h"
 #include "streaming/streaming.h"
 #include "streaming/subaperture_cache.h"
@@ -123,6 +131,144 @@ TEST(StreamingParity, ScalarNoSteal) { run_parity(false, false); }
 TEST(StreamingParity, ScalarSteal) { run_parity(false, true); }
 TEST(StreamingParity, SimdNoSteal) { run_parity(true, false); }
 TEST(StreamingParity, SimdSteal) { run_parity(true, true); }
+
+// --- the ASR core's invariant: table source and chunking keep bits -------
+
+/// `h` with alternate 8-pulse stretches of recorded positions rotated by
+/// 90 degrees about `centre`, so the wavefront loop order switches every 8
+/// pulses.
+sim::PhaseHistory alternate_loop_orders(const sim::PhaseHistory& h,
+                                        const geometry::Vec3& centre) {
+  sim::PhaseHistory out = slice(h, 0, h.num_pulses());
+  for (Index p = 8; p < out.num_pulses(); p += 16) {
+    for (Index q = p; q < std::min(p + 8, out.num_pulses()); ++q) {
+      geometry::Vec3& pos = out.meta(q).position;
+      pos = {centre.x - (pos.y - centre.y), centre.y + (pos.x - centre.x),
+             pos.z};
+    }
+  }
+  return out;
+}
+
+Grid2D<CFloat> image_of(const bp::SoaTile& tile) {
+  Grid2D<CFloat> image(tile.width(), tile.height());
+  tile.accumulate_into(image, Region{0, 0, tile.width(), tile.height()});
+  return image;
+}
+
+/// Plan replay: execute_plan for the scalar kernel, a one-worker replay
+/// group on a `isa` backend otherwise.
+Grid2D<CFloat> replay(const std::shared_ptr<const service::FormationPlan>& plan,
+                      const std::shared_ptr<const sim::PhaseHistory>& pulses,
+                      bp::SimdIsa isa) {
+  const Region& region = plan->key.region;
+  auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
+  if (isa == bp::SimdIsa::kScalar) {
+    EXPECT_TRUE(service::execute_plan(*plan, *pulses, *tile, nullptr));
+    return image_of(*tile);
+  }
+  obs::Registry reg;
+  exec::ExecOptions options;
+  options.workers = 1;
+  options.metrics = &reg;
+  exec::TileExecutor executor(std::move(options));
+  exec::BackendSpec spec;
+  spec.kind = exec::BackendSpec::Kind::kHostSimd;
+  spec.isa = isa;
+  executor.run(service::make_plan_replay_group(
+      plan, pulses, 1, 0, tile, nullptr, nullptr, 0, -1,
+      std::make_shared<exec::BackendSet>(std::vector<exec::BackendSpec>{spec},
+                                         0.5, &reg)));
+  return image_of(*tile);
+}
+
+/// The one ASR sweep's contract (backprojection/asr_sweep.h): on a history
+/// whose loop order switches every 8 pulses, tables built per pulse over
+/// the whole history, over 6-pulse chunks (runs cross chunk boundaries),
+/// and prebuilt by a plan all give the same bytes — per kernel, and through
+/// the public paths reform_window, a re-anchored StreamSession snapshot,
+/// and the plan replay.
+TEST(AsrSweepCore, TableSourceAndChunkingKeepBits) {
+  ScenarioConfig cfg;
+  cfg.image = 48;
+  cfg.pulses = 48;
+  cfg.seed = 17;
+  const SmallScenario s = make_scenario(cfg);
+  const auto history = std::make_shared<const sim::PhaseHistory>(
+      alternate_loop_orders(s.history, s.grid.centre()));
+  constexpr Index kBlock = 16;
+  constexpr Index kChunk = 6;
+  const Region region{0, 0, cfg.image, cfg.image};
+  const auto plan = service::build_formation_plan(s.grid, region, kBlock,
+                                                  kBlock, *history);
+  Index runs = 1;
+  for (std::size_t p = 1; p < plan->pulse_order.size(); ++p) {
+    if (plan->pulse_order[p] != plan->pulse_order[p - 1]) ++runs;
+  }
+  ASSERT_GE(runs, 3);
+
+  std::vector<sim::PhaseHistory> chunks;
+  for (Index p = 0; p < cfg.pulses; p += kChunk) {
+    chunks.push_back(slice(*history, p, p + kChunk));
+  }
+  std::vector<bp::PulseRange> chunk_ranges;
+  for (const auto& c : chunks) chunk_ranges.push_back({&c, 0, kChunk});
+  const bp::PulseRange whole[] = {{history.get(), 0, cfg.pulses}};
+  const auto blocks = asr::plan_blocks(0, 0, cfg.image, cfg.image, kBlock,
+                                       kBlock);
+  const auto sweep = [&](std::span<const bp::PulseRange> pulses,
+                         bp::SimdIsa isa) {
+    bp::SoaTile tile(region.width, region.height);
+    for (const auto& block : blocks) {
+      bp::sweep_asr_block(block, 0, 0, s.grid, pulses, std::nullopt,
+                          bp::AsrKernel{isa}, tile);
+    }
+    return image_of(tile);
+  };
+  for (const bp::SimdIsa isa :
+       {bp::SimdIsa::kScalar, bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
+    if (!bp::asr_isa_available(isa)) continue;
+    SCOPED_TRACE(bp::simd_isa_name(isa));
+    const Grid2D<CFloat> expected = sweep(whole, isa);
+    expect_bit_identical(sweep(chunk_ranges, isa), expected);
+    expect_bit_identical(replay(plan, history, isa), expected);
+  }
+
+  for (const bool simd : {false, true}) {
+    if (simd && !bp::asr_simd_available()) continue;
+    SCOPED_TRACE(simd ? "stream simd" : "stream scalar");
+    obs::Registry reg;
+    service::ServiceConfig sc;
+    sc.workers = 2;
+    sc.metrics = &reg;
+    service::ImageFormationService srv(sc);
+    StreamConfig config;
+    config.grid = s.grid;
+    config.asr_block_w = config.asr_block_h = kBlock;
+    config.chunk_pulses = kChunk;
+    config.window_chunks = static_cast<Index>(chunks.size());
+    // Updates 1-7 are incremental; update 8 re-anchors the full window.
+    config.reanchor_interval = static_cast<int>(chunks.size()) - 1;
+    config.use_simd = simd;
+    StreamSession session = open_stream(srv, config);
+    for (const auto& c : chunks) ASSERT_TRUE(session.push(c));
+    ASSERT_TRUE(session.wait_for_update(chunks.size(), kWait));
+    ASSERT_TRUE(session.wait_idle(kWait));
+    const auto snap = session.latest();
+    ASSERT_NE(snap, nullptr);
+    ASSERT_TRUE(snap->reanchored);
+    ASSERT_EQ(snap->window_pulses, cfg.pulses);
+    const Grid2D<CFloat> reference =
+        reform_window(config, session.window_history());
+    expect_bit_identical(snap->image, reference);
+    expect_bit_identical(
+        replay(plan, history,
+               bp::asr_resolve_isa(simd ? bp::SimdIsa::kAuto
+                                        : bp::SimdIsa::kScalar)),
+        reference);
+    session.close();
+  }
+}
 
 // --- O(delta) vs O(full): the acceptance bound ---------------------------
 

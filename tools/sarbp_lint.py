@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Repo lint for the concurrency rules that compilers cannot check.
+"""Repo lint for the concurrency and structure rules compilers cannot check.
 
 Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
 
@@ -52,6 +52,18 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   topological order. A deliberately unleveled mutex (e.g. a
                   test-only fixture lock) carries
                   `// lint: allow(lock-level)` with a rationale.
+
+  asr-core        The ASR formation core stays single. In src/, calls to
+                  build_block_tables_fast( and block_range_quadratic( and
+                  the AsrIsaOps row entries (`->rows_aos(`) may appear
+                  only in the core TU (src/backprojection/asr_sweep.cpp)
+                  and the per-ISA kernel TUs. src/asr/ (which defines the
+                  table build) and src/beamform/beamformer.cpp (which
+                  forms a different geometry) are allowed. Every other
+                  ASR sweep goes through bp::sweep_asr_block and every
+                  other table build through bp::build_asr_tables, so the
+                  kernels, plan replay, backends and streaming cannot
+                  drift apart again.
 
 Suppression syntax (same line, or alone on the line directly above):
 
@@ -116,6 +128,20 @@ ISA_TU_ALLOWLIST = (
     "src/backprojection/kernel_asr_avx512.cpp",
 )
 
+# A call into the ASR core's internals: the table build, the block
+# quadratic, or a per-ISA row kernel through its ops table.
+ASR_CORE_RE = re.compile(
+    r"\b(?:build_block_tables_fast|block_range_quadratic)\s*\(|"
+    r"(?:\.|->)\s*rows_aos\s*\(")
+
+# The core TU, the per-ISA kernel TUs, the beamformer's own geometry, and
+# src/asr/ (ASR_CORE_DIR), where the table build is defined.
+ASR_CORE_ALLOWLIST = ISA_TU_ALLOWLIST + (
+    "src/backprojection/asr_sweep.cpp",
+    "src/beamform/beamformer.cpp",
+)
+ASR_CORE_DIR = "src/asr/"
+
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)\s*(--\s*\S.*)?")
 
 # A value-type sarbp::Mutex declaration: `Mutex name`, optionally mutable/
@@ -129,7 +155,7 @@ ACQ_EDGE_RE = re.compile(r"SARBP_ACQUIRED_(BEFORE|AFTER)\(([^)]*)\)")
 MUTEX_DECL_JOIN_CAP = 8  # max lines a single declaration may span
 
 RULES = ("order-comment", "raw-mutex", "sleep-poll", "isa-ifdef",
-         "queue-result", "lock-level")
+         "queue-result", "lock-level", "asr-core")
 
 
 @dataclass
@@ -343,6 +369,16 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     "kernel TUs; route ISA selection through "
                     "bp::asr_resolve_isa / common/cpu.h at runtime"))
 
+        if (in_src and path.as_posix() not in ASR_CORE_ALLOWLIST
+                and not path.as_posix().startswith(ASR_CORE_DIR)
+                and ASR_CORE_RE.search(code)):
+            if "asr-core" not in allowed:
+                findings.append(Finding(
+                    rel, i + 1, "asr-core",
+                    "ASR table build or row kernel outside the core TU; "
+                    "sweep through bp::sweep_asr_block and build tables "
+                    "with bp::build_asr_tables (backprojection/asr_sweep.h)"))
+
         if in_src and SLEEP_RE.search(code):
             if "sleep-poll" not in allowed:
                 findings.append(Finding(
@@ -464,6 +500,35 @@ SELFTEST_CASES = [
      ["queue-result"]),
     ("src/streaming/s.cpp", "if (!pending_.push(chunk)) return false;\n",
      []),
+    # asr-core: the table build and the row kernels are called only from
+    # the core TU (and the per-ISA TUs, src/asr/, the beamformer).
+    ("src/service/p.cpp",
+     "asr::build_block_tables_fast(q, r0, dr, k, l, m, t);\n",
+     ["asr-core"]),
+    ("src/streaming/s.cpp",
+     "const auto q = bp::block_range_quadratic(c, r, dx, order);\n",
+     ["asr-core"]),
+    ("src/exec/t.cpp", "ops->rows_aos(t, in, n, re, im, w, l, m, v);\n",
+     ["asr-core"]),
+    ("src/backprojection/asr_sweep.cpp",
+     "ops_->rows_aos(t, in, n, re, im, w, l, m, v);\n"
+     "asr::build_block_tables_fast(q, r0, dr, k, l, m, t);\n",
+     []),
+    ("src/asr/tables.cpp",
+     "void build_block_tables_fast(const Quadratic2D& q, double r0,\n",
+     []),
+    ("src/beamform/beamformer.cpp",
+     "asr::build_block_tables_fast(q, 0.0, dr, k, l, m, t);\n",
+     []),
+    ("src/service/p.cpp",
+     "// lint: allow(asr-core) -- fixture\n"
+     "asr::build_block_tables_fast(q, r0, dr, k, l, m, t);\n",
+     []),
+    ("src/service/p.cpp",
+     "// build_block_tables_fast(q, ...) is named in a comment only\n",
+     []),
+    ("tests/p.cpp", "asr::build_block_tables_fast(q, r0, dr, k, l, m, t);\n",
+     []),  # tests are out of scope
     # lock-level: every Mutex declaration in src/ names its hierarchy rank.
     ("src/e.h", "mutable Mutex mutex_;\n", ["lock-level"]),
     ("src/e.h",
