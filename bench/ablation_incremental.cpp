@@ -31,12 +31,10 @@ int main(int argc, char** argv) {
   bench::print_rule();
 
   bp::BackprojectOptions options;
-  options.threads = 1;
 
   for (int k : {1, 2, 4, 8}) {
     const Index total_pulses = static_cast<Index>(k + 1) * batch;
     auto scenario = bench::make_bench_scenario(image, total_pulses);
-    const bp::Backprojector driver(scenario.grid, options);
     const Region all{0, 0, image, image};
 
     // Full recompute of the (k+1)N-pulse image.
@@ -44,7 +42,8 @@ int main(int argc, char** argv) {
     const bench::SampleStats full_stats = bench::run_repeated(spec, [&] {
       full = Grid2D<CFloat>(image, image);
       Timer t;
-      driver.add_pulses_region(scenario.history, all, 0, total_pulses, full);
+      bp::add_pulses_region(scenario.history, scenario.grid, options, all, 0,
+                            total_pulses, full);
       return t.seconds();
     });
 
@@ -55,8 +54,8 @@ int main(int argc, char** argv) {
     warm.reserve(static_cast<std::size_t>(k));
     for (int b = 0; b < k; ++b) {
       Grid2D<CFloat> img(image, image);
-      driver.add_pulses_region(scenario.history, all, b * batch,
-                               (b + 1) * batch, img);
+      bp::add_pulses_region(scenario.history, scenario.grid, options, all,
+                            b * batch, (b + 1) * batch, img);
       warm.push_back(std::move(img));
     }
     Grid2D<CFloat> combined(image, image);
@@ -65,8 +64,8 @@ int main(int argc, char** argv) {
       for (const auto& img : warm) acc.push(Grid2D<CFloat>(img));
       Timer t;
       Grid2D<CFloat> newest(image, image);
-      driver.add_pulses_region(scenario.history, all, k * batch,
-                               (k + 1) * batch, newest);
+      bp::add_pulses_region(scenario.history, scenario.grid, options, all,
+                            k * batch, (k + 1) * batch, newest);
       acc.push(std::move(newest));
       combined = Grid2D<CFloat>(image, image);
       acc.current_into(combined);

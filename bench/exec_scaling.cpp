@@ -5,10 +5,11 @@
 //
 // steal=off is the serial baseline: the whole group runs on the worker
 // that injected it (exactly the pre-executor service behaviour, one job
-// per core). steal=on lets every idle worker converge on the job, so the
-// steal-on/steal-off ratio at each worker count is the intra-job speedup
-// the executor buys. Parity with Backprojector::add_pulses is asserted
-// bit-exactly in tests/test_exec.cpp; this bench only measures time.
+// per core). steal=on lets every idle worker, and the thread calling
+// run(), converge on the job, so the steal-on/steal-off ratio at each
+// worker count is the intra-job speedup the executor buys. Parity with
+// Backprojector::add_pulses is asserted bit-exactly in tests/test_exec.cpp;
+// this bench only measures time.
 //
 //   exec_scaling [--ix 96,160 --pulses 48 --block 32 --workers 1,2,4
 //                 --min-edge 32 --warmup 1 --repeat 3 --json out.json]

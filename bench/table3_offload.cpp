@@ -5,13 +5,14 @@
 //          Xeon + 2 Phi 35.5 (4.8x, 30%).
 // Here the coprocessors are device models anchored to the measured host
 // kernel rate (DESIGN.md §2), so the *ratios* and efficiencies are the
-// reproduction target; absolute Gbp/s reflect this container's one core.
+// reproduction target; absolute Gbp/s reflect one host thread, which runs
+// every executor's rows in turn.
 // The pure-model column shows the throughput the paper hardware implies.
 #include <cstdio>
 
 #include "backprojection/kernel.h"
 #include "bench_util.h"
-#include "offload/runtime.h"
+#include "exec/offload_runtime.h"
 
 int main(int argc, char** argv) {
   using namespace sarbp;

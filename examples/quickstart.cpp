@@ -11,8 +11,8 @@
 #include <complex>
 #include <cstdio>
 
-#include "backprojection/backprojector.h"
 #include "common/rng.h"
+#include "exec/formation_tasks.h"
 #include "geometry/grid.h"
 #include "geometry/trajectory.h"
 #include "sim/collector.h"
@@ -51,7 +51,7 @@ int main() {
       sim::collect(collector, grid, scene, poses, rng);
 
   // 4. Backproject (ASR + SIMD + OpenMP by default).
-  const bp::Backprojector backprojector(grid, {});
+  const exec::Backprojector backprojector(grid, {});
   const Grid2D<CFloat> image = backprojector.form_image(history);
 
   // 5. Render: 48 x 24 ASCII downsample of the magnitude image.

@@ -217,12 +217,12 @@ class BlockSweep {
 };
 
 /// The backproject_asr_* block loop: every block of `region`, pulses
-/// [pulse_begin, pulse_end), one fixed loop order.
+/// [pulse_begin, pulse_end), a fixed or per-pulse loop order.
 void backproject_asr(const sim::PhaseHistory& history,
                      const geometry::ImageGrid& grid, const Region& region,
                      Index pulse_begin, Index pulse_end, Index block_w,
-                     Index block_h, geometry::LoopOrder order, SoaTile& out,
-                     const AsrKernel& kernel) {
+                     Index block_h, std::optional<geometry::LoopOrder> order,
+                     SoaTile& out, const AsrKernel& kernel) {
   ensure(pulse_begin >= 0 && pulse_end <= history.num_pulses() &&
              pulse_begin <= pulse_end,
          "backproject_asr: pulse range out of bounds");
@@ -352,7 +352,8 @@ void backproject_asr_scalar(const sim::PhaseHistory& history,
                             const geometry::ImageGrid& grid,
                             const Region& region, Index pulse_begin,
                             Index pulse_end, Index block_w, Index block_h,
-                            geometry::LoopOrder order, SoaTile& out) {
+                            std::optional<geometry::LoopOrder> order,
+                            SoaTile& out) {
   backproject_asr(history, grid, region, pulse_begin, pulse_end, block_w,
                   block_h, order, out, AsrKernel{});
 }
@@ -361,8 +362,8 @@ void backproject_asr_simd(const sim::PhaseHistory& history,
                           const geometry::ImageGrid& grid,
                           const Region& region, Index pulse_begin,
                           Index pulse_end, Index block_w, Index block_h,
-                          geometry::LoopOrder order, SoaTile& out,
-                          SimdIsa isa) {
+                          std::optional<geometry::LoopOrder> order,
+                          SoaTile& out, SimdIsa isa) {
   backproject_asr(history, grid, region, pulse_begin, pulse_end, block_w,
                   block_h, order, out, AsrKernel{asr_resolve_isa(isa)});
 }

@@ -26,7 +26,7 @@ class FocusEvaluator {
                  const BackprojectOptions& bp_options, Index pulse_stride)
       : pristine_(history),
         grid_(grid),
-        backprojector_(grid, bp_options),
+        bp_options_(bp_options),
         stride_(pulse_stride) {}
 
   double entropy_at(double candidate_rad) {
@@ -35,7 +35,7 @@ class FocusEvaluator {
     Grid2D<CFloat> image(grid_.width(), grid_.height());
     const Region all{0, 0, grid_.width(), grid_.height()};
     for (Index p = 0; p < working.num_pulses(); p += stride_) {
-      backprojector_.add_pulses_region(working, all, p, p + 1, image);
+      add_pulses_region(working, grid_, bp_options_, all, p, p + 1, image);
     }
     return quality::image_entropy(image);
   }
@@ -43,7 +43,7 @@ class FocusEvaluator {
  private:
   const sim::PhaseHistory& pristine_;
   geometry::ImageGrid grid_;
-  Backprojector backprojector_;
+  BackprojectOptions bp_options_;
   Index stride_;
 };
 

@@ -23,8 +23,11 @@
 // Both ASR kernels are block loops over the one ASR block sweep
 // (asr_sweep.h). Float kernels write into a SoaTile covering exactly
 // `region` (tile-local coordinates); the caller owns placement and
-// reduction.
+// reduction. Their `order` fixes the x/y loop order; nullopt gives each
+// pulse its wavefront order about the grid centre (geometry/wavefront.h).
 #pragma once
+
+#include <optional>
 
 #include "backprojection/soa_tile.h"
 #include "common/grid2d.h"
@@ -60,7 +63,8 @@ void backproject_baseline(const sim::PhaseHistory& history,
                           const geometry::ImageGrid& grid,
                           const Region& region, Index pulse_begin,
                           Index pulse_end, bool all_float,
-                          geometry::LoopOrder order, SoaTile& out);
+                          std::optional<geometry::LoopOrder> order,
+                          SoaTile& out);
 
 /// ASR kernel, portable scalar code (Fig. 3(b)).
 /// block_w/block_h: ASR approximation block size (accuracy knob, §3.5).
@@ -68,7 +72,8 @@ void backproject_asr_scalar(const sim::PhaseHistory& history,
                             const geometry::ImageGrid& grid,
                             const Region& region, Index pulse_begin,
                             Index pulse_end, Index block_w, Index block_h,
-                            geometry::LoopOrder order, SoaTile& out);
+                            std::optional<geometry::LoopOrder> order,
+                            SoaTile& out);
 
 /// Which vector ISA the ASR SIMD kernel should run. The per-ISA kernel
 /// translation units (kernel_asr_avx2.cpp / kernel_asr_avx512.cpp) are
@@ -130,8 +135,8 @@ void backproject_asr_simd(const sim::PhaseHistory& history,
                           const geometry::ImageGrid& grid,
                           const Region& region, Index pulse_begin,
                           Index pulse_end, Index block_w, Index block_h,
-                          geometry::LoopOrder order, SoaTile& out,
-                          SimdIsa isa = SimdIsa::kAuto);
+                          std::optional<geometry::LoopOrder> order,
+                          SoaTile& out, SimdIsa isa = SimdIsa::kAuto);
 
 /// FLOPs of one backprojection (pixel, pulse) pair in the ASR inner loop —
 /// the paper's §5.2.2 count used for efficiency figures.

@@ -60,14 +60,17 @@ inline void pixel(const PulseView& pulse, const geometry::ImageGrid& grid,
 template <bool kAllFloat>
 void run(const sim::PhaseHistory& history, const geometry::ImageGrid& grid,
          const Region& region, Index pulse_begin, Index pulse_end,
-         geometry::LoopOrder order, SoaTile& out) {
+         std::optional<geometry::LoopOrder> order, SoaTile& out) {
   const double inv_dr = 1.0 / history.bin_spacing();
   const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
   for (Index p = pulse_begin; p < pulse_end; ++p) {
     const auto& meta = history.meta(p);
     const PulseView pulse{history.pulse(p).data(), history.samples_per_pulse(),
                           meta.position, meta.start_range_m};
-    if (order == geometry::LoopOrder::kXInner) {
+    const geometry::LoopOrder o =
+        order ? *order
+              : geometry::choose_loop_order(meta.position, grid.centre());
+    if (o == geometry::LoopOrder::kXInner) {
       for (Index ty = 0; ty < region.height; ++ty) {
         float* row_re = out.row_re(ty);
         float* row_im = out.row_im(ty);
@@ -94,7 +97,8 @@ void backproject_baseline(const sim::PhaseHistory& history,
                           const geometry::ImageGrid& grid,
                           const Region& region, Index pulse_begin,
                           Index pulse_end, bool all_float,
-                          geometry::LoopOrder order, SoaTile& out) {
+                          std::optional<geometry::LoopOrder> order,
+                          SoaTile& out) {
   ensure(pulse_begin >= 0 && pulse_end <= history.num_pulses() &&
              pulse_begin <= pulse_end,
          "backproject_baseline: pulse range out of bounds");

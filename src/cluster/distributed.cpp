@@ -87,11 +87,10 @@ Grid2D<CFloat> distributed_backprojection(int ranks,
     // --- Local backprojection over the assigned cuboid. Thread CPU time:
     // ranks time-share this host's cores, so wall time would count the
     // other ranks' slices too.
-    const bp::Backprojector backprojector(grid, options);
     ThreadCpuTimer timer;
     Grid2D<CFloat> scratch(grid.width(), grid.height());
-    backprojector.add_pulses_region(local, mine.region, mine.pulse_begin,
-                                    mine.pulse_end, scratch);
+    bp::add_pulses_region(local, grid, options, mine.region, mine.pulse_begin,
+                          mine.pulse_end, scratch);
     const double compute_s = timer.seconds();
     obs::registry().histogram("cluster.rank_compute_s").record(compute_s);
 

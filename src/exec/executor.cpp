@@ -45,10 +45,10 @@ TileExecutor::TileExecutor(ExecOptions options)
         &metrics_->histogram(pre + "exec.group.parallel_efficiency");
     metrics_->gauge(pre + "exec.workers").set(num_workers_);
   }
-  states_.reserve(static_cast<std::size_t>(num_workers_));
-  for (int w = 0; w < num_workers_; ++w) {
+  states_.reserve(static_cast<std::size_t>(num_workers_) + 1);
+  for (int w = 0; w <= num_workers_; ++w) {
     auto state = std::make_unique<WorkerState>(options_.deque_capacity);
-    if constexpr (obs::kEnabled) {
+    if (obs::kEnabled && w < num_workers_) {
       state->depth_gauge = &metrics_->gauge(
           options_.metric_prefix + "exec.deque.depth." + std::to_string(w));
     }
@@ -73,11 +73,26 @@ bool TileExecutor::submit(GroupPtr group) {
 }
 
 void TileExecutor::run(GroupPtr group) {
-  // Keep our own reference across the wait: the last-finishing worker
+  ensure(group != nullptr, "TileExecutor::run: null group");
+  // order: acquire — pairs with drain()'s release store.
+  ensure(!draining_.load(std::memory_order_acquire),
+         "TileExecutor::run: executor is draining");
+  // Keep our own reference across the wait: the last-finishing thread
   // releases the executor's ownership, and the group (with the condition
   // variable wait() blocks on) must not die under us.
   GroupPtr keep = group;
-  ensure(submit(std::move(group)), "TileExecutor::run: executor is draining");
+  // order: acquire — pairs with the release below, so this caller's pushes
+  // to the slot's deque follow the previous owner's last pop.
+  if (options_.steal &&
+      !caller_slot_busy_.exchange(true, std::memory_order_acquire)) {
+    WorkerState& slot = *states_.back();
+    inject(std::move(group), num_workers_);
+    while (TaskUnit* unit = slot.deque.pop()) run_unit(unit, /*stolen=*/false);
+    // order: release — see the acquire above.
+    caller_slot_busy_.store(false, std::memory_order_release);
+  } else {
+    ensure(submit(std::move(group)), "TileExecutor::run: executor is draining");
+  }
   keep->wait();
 }
 
@@ -93,17 +108,17 @@ void TileExecutor::drain() {
 }
 
 void TileExecutor::notify_idle() {
-  // Taking the lock orders the notify after any in-progress wait entry, so
-  // a worker that just decided to park cannot miss the wakeup forever (the
-  // bounded wait_for covers the remaining benign race).
-  { MutexLock lock(idle_mutex_); }
+  {
+    MutexLock lock(idle_mutex_);
+    ++idle_epoch_;
+  }
   idle_cv_.notify_all();
 }
 
-void TileExecutor::inject(GroupPtr group, int w) {
+void TileExecutor::inject(GroupPtr group, int slot) {
   TaskGroup* g = group.get();
   {
-    // injected_ is read by whichever worker retires the last task; guard
+    // injected_ is read by whichever thread retires the last task; guard
     // the hand-off instead of relying on the deque publish for ordering.
     MutexLock lock(g->mutex_);
     g->injected_ = std::chrono::steady_clock::now();
@@ -113,11 +128,11 @@ void TileExecutor::inject(GroupPtr group, int w) {
     MutexLock lock(live_mutex_);
     live_.emplace(g, std::move(group));
   }
-  WorkerState& state = *states_[static_cast<std::size_t>(w)];
+  WorkerState& state = *states_[static_cast<std::size_t>(slot)];
   for (TaskUnit& unit : g->units()) {
     if (!state.deque.push(&unit)) {
       // Deque full: degrade gracefully by running the overflow task here.
-      run_unit(&unit, w, /*stolen=*/false);
+      run_unit(&unit, /*stolen=*/false);
     }
   }
   if (state.depth_gauge) {
@@ -128,7 +143,7 @@ void TileExecutor::inject(GroupPtr group, int w) {
   notify_idle();
 }
 
-void TileExecutor::run_unit(TaskUnit* unit, int w, bool stolen) {
+void TileExecutor::run_unit(TaskUnit* unit, bool stolen) {
   TaskGroup* g = unit->group;
   if (stolen) {
     // order: relaxed — statistics counter, read only after completion.
@@ -145,7 +160,7 @@ void TileExecutor::run_unit(TaskUnit* unit, int w, bool stolen) {
     } else if (!g->aborted()) {
       const auto start = std::chrono::steady_clock::now();
       try {
-        g->tasks_[unit->index](w, *g);
+        g->tasks_[unit->index](*g);
         ran = true;
       } catch (const std::exception& e) {
         g->fail(e.what());
@@ -227,16 +242,17 @@ void TileExecutor::run_unit(TaskUnit* unit, int w, bool stolen) {
 
 bool TileExecutor::try_steal_and_run(int w) {
   // Rotate the starting victim by thief id so thieves spread out instead of
-  // all hammering worker 0.
-  for (int i = 1; i < num_workers_; ++i) {
-    const int victim = (w + i) % num_workers_;
+  // all hammering worker 0. The caller slot is a victim like any worker.
+  const int slots = static_cast<int>(states_.size());
+  for (int i = 1; i < slots; ++i) {
+    const int victim = (w + i) % slots;
     WorkerState& vs = *states_[static_cast<std::size_t>(victim)];
     if (TaskUnit* unit = vs.deque.steal()) {
       if (vs.depth_gauge) {
         vs.depth_gauge->set(
             static_cast<std::int64_t>(vs.deque.size_approx()));
       }
-      run_unit(unit, w, /*stolen=*/true);
+      run_unit(unit, /*stolen=*/true);
       return true;
     }
   }
@@ -254,10 +270,13 @@ bool TileExecutor::all_deques_empty() const {
 void TileExecutor::worker_loop(int w) {
   using namespace std::chrono_literals;
   WorkerState& state = *states_[static_cast<std::size_t>(w)];
+  // Idle epoch read at the last wakeup, before this pass's scan: work
+  // published after it has advanced the epoch, so step 5 does not park.
+  std::uint64_t seen = 0;
   while (true) {
     // 1. Drain our own deque (LIFO — stay cache-hot on the job we claimed).
     while (TaskUnit* unit = state.deque.pop()) {
-      run_unit(unit, w, /*stolen=*/false);
+      run_unit(unit, /*stolen=*/false);
     }
     if (state.depth_gauge) state.depth_gauge->set(0);
 
@@ -295,10 +314,9 @@ void TileExecutor::worker_loop(int w) {
         inbox_.closed();
     if (no_more_sources && inbox_.size() == 0 && all_deques_empty()) break;
 
-    // 5. Blocking waits: give the source a real budget, else park on the
-    // idle condition variable — inject()/drain() notify it, so new
-    // stealable work is picked up immediately and the bounded wait keeps
-    // steal retries and the exit check responsive without spinning.
+    // 5. Block: give the source a real budget, else park until the idle
+    // epoch moves past `seen` (submit/inject/drain/a peer's exit). A steal
+    // that lost its race while tasks remain rescans instead of parking.
     // order: acquire — see the source_done_ note above.
     if (options_.source && !source_done_.load(std::memory_order_acquire)) {
       bool end = false;
@@ -306,13 +324,14 @@ void TileExecutor::worker_loop(int w) {
       // order: release — see the source_done_ note above.
       if (end) source_done_.store(true, std::memory_order_release);
       if (group) inject(std::move(group), w);
-    } else if (auto group = inbox_.try_pop_for(1ms)) {
-      inject(std::move(*group), w);
-    } else {
+    } else if (!options_.steal || all_deques_empty()) {
       MutexLock lock(idle_mutex_);
-      idle_cv_.wait_for(lock, 200us);
+      while (idle_epoch_ == seen) idle_cv_.wait(lock);
+      seen = idle_epoch_;
     }
   }
+  // Peers parked on a deque this worker just emptied re-run the exit check.
+  notify_idle();
 }
 
 }  // namespace sarbp::exec

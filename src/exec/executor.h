@@ -21,13 +21,24 @@
 // last task runs its on_complete (reduction + result publication), so the
 // claimer never blocks on the job it injected.
 //
+// With `steal` on, a run() caller claims its own group: it injects it into
+// the caller slot (one extra deque workers steal from) and runs tasks from
+// it until empty, then blocks, so work starts at once. With `steal` off,
+// run() only submits and waits.
+//
+// Idle workers park on an epoch counter that submit(), inject(), drain()
+// and a worker's exit advance; a worker parks only while the epoch equals
+// the value read before its last scan, so no wakeup is lost and an idle
+// pool makes no wakeups.
+//
 // Instrumentation (per configured registry):
 //   counters   exec.tasks.run, exec.tasks.stolen, exec.tasks.skipped,
 //              exec.groups.{submitted,completed,aborted}, exec.steal.fail
 //   gauges     exec.workers, exec.deque.depth.<w>
 //   histograms exec.group.wall_s, exec.group.parallel_efficiency
 //              (busy-seconds / (wall * workers) per group — 1.0 means the
-//              whole pool was kept hot for the job's entire wall time)
+//              whole pool was kept hot for the job's entire wall time; a
+//              run() caller sweeping beside it can push it above 1)
 #pragma once
 
 #include <chrono>
@@ -90,6 +101,9 @@ class TileExecutor {
   /// Returns false once drain() has begun.
   bool submit(GroupPtr group);
 
+  /// Runs `group` to completion from a thread outside the pool. With
+  /// `steal` on the caller sweeps the tasks no worker steals, then waits;
+  /// with `steal` off, or while another run() holds the caller slot, it is
   /// submit() + group->wait().
   void run(GroupPtr group);
 
@@ -108,18 +122,22 @@ class TileExecutor {
   };
 
   void worker_loop(int w);
-  void inject(GroupPtr group, int w);
-  void run_unit(TaskUnit* unit, int w, bool stolen);
+  /// Pushes `group`'s tasks onto deque `slot`, owned by the calling thread.
+  void inject(GroupPtr group, int slot);
+  void run_unit(TaskUnit* unit, bool stolen);
   bool try_steal_and_run(int w);
   [[nodiscard]] bool all_deques_empty() const;
-  /// Wakes idle workers (new stealable work or shutdown).
+  /// Advances the idle epoch and wakes parked workers.
   void notify_idle();
 
   ExecOptions options_;
   obs::Registry* metrics_;
   int num_workers_;
 
+  /// One deque per worker, then the caller slot at index num_workers_.
   std::vector<std::unique_ptr<WorkerState>> states_;
+  /// Held by the run() caller that owns the caller slot's deque.
+  std::atomic<bool> caller_slot_busy_{false};
   /// Push-model injections, FIFO. Closed by drain().
   BoundedQueue<GroupPtr> inbox_;
   std::atomic<bool> draining_{false};
@@ -131,11 +149,10 @@ class TileExecutor {
   Mutex live_mutex_{SARBP_LOCK_LEVEL("exec.live")};
   std::unordered_map<TaskGroup*, GroupPtr> live_ SARBP_GUARDED_BY(live_mutex_);
 
-  /// Idle workers park here (bounded wait) instead of sleep-polling;
-  /// inject() and drain() notify so new stealable work or shutdown is
-  /// picked up immediately.
+  /// Idle workers park here until the epoch moves (notify_idle).
   Mutex idle_mutex_{SARBP_LOCK_LEVEL("exec.idle")};
   CondVar idle_cv_;
+  std::uint64_t idle_epoch_ SARBP_GUARDED_BY(idle_mutex_) = 0;
 
   std::vector<std::thread> threads_;
 

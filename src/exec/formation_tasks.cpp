@@ -7,6 +7,8 @@
 #include "backprojection/partition.h"
 #include "backprojection/soa_tile.h"
 #include "common/check.h"
+#include "common/timer.h"
+#include "obs/metrics.h"
 
 namespace sarbp::exec {
 
@@ -30,8 +32,7 @@ GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
   std::vector<TaskGroup::Task> tasks;
   tasks.reserve(parts->size());
   for (std::size_t i = 0; i < parts->size(); ++i) {
-    tasks.push_back([&history, &grid, &options, parts, tiles, i](int,
-                                                                 TaskGroup&) {
+    tasks.push_back([&history, &grid, &options, parts, tiles, i](TaskGroup&) {
       const bp::CubePart& part = (*parts)[i];
       bp::SoaTile& tile = (*tiles)[i];
       tile.reset(part.region.width, part.region.height);
@@ -59,6 +60,40 @@ GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
 
   return std::make_shared<TaskGroup>(std::move(tasks), std::move(checkpoint),
                                      std::move(on_complete), "backprojection");
+}
+
+Backprojector::Backprojector(const geometry::ImageGrid& grid,
+                             bp::BackprojectOptions options)
+    : grid_(grid), options_(options) {
+  options_.validate();
+  ExecOptions exec_options;
+  exec_options.workers = options_.threads;
+  exec_options.metric_prefix = "bp.";
+  pool_ = std::make_unique<TileExecutor>(std::move(exec_options));
+}
+
+void Backprojector::add_pulses(const sim::PhaseHistory& history,
+                               Grid2D<CFloat>& out) const {
+  ensure(out.width() == grid_.width() && out.height() == grid_.height(),
+         "Backprojector::add_pulses: image shape mismatch");
+  if (history.num_pulses() == 0) return;
+
+  Timer batch_timer;
+  const GroupPtr group = make_backprojection_group(
+      history, grid_, options_, pool_->workers(), out);
+  pool_->run(group);
+  if (group->aborted()) {
+    throw PreconditionError("Backprojector::add_pulses: " + group->error());
+  }
+
+  obs::registry().histogram("bp.add_pulses_s").record(batch_timer.seconds());
+}
+
+Grid2D<CFloat> Backprojector::form_image(
+    const sim::PhaseHistory& history) const {
+  Grid2D<CFloat> out(grid_.width(), grid_.height());
+  add_pulses(history, out);
+  return out;
 }
 
 }  // namespace sarbp::exec

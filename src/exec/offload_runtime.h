@@ -4,9 +4,11 @@
 // split "based on the execution time ratio observed with the first few
 // images".
 //
-// The arithmetic for every executor physically runs on this host; each
-// executor's *simulated* wall time is its measured host time rescaled by
-// the ratio of effective device rate to effective host rate (DESIGN.md §2).
+// The split is an exec::BackendSet, so each executor's rows, simulated
+// time and observed rate come from the same §5.3 tracker the service's
+// tile backends use. The arithmetic for every executor physically runs on
+// this host (DESIGN.md §2). sarbp_offload keeps the device model and the
+// transfer engine; this BackendSet client lives in sarbp_exec above it.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +17,7 @@
 
 #include "backprojection/backprojector.h"
 #include "common/grid2d.h"
+#include "exec/tile_backend.h"
 #include "geometry/grid.h"
 #include "offload/device.h"
 #include "offload/transfer.h"
@@ -58,24 +61,24 @@ class OffloadRuntime {
 
   /// Backprojects one pulse batch into `out` (real arithmetic, full image)
   /// and returns the simulated-time report. Successive calls refine the
-  /// work split from observed execution-time ratios.
+  /// work split from observed execution-time ratios. An executor whose
+  /// rows round to zero is not observed that frame; until every executor
+  /// has been observed, the split stays on the capability priors.
   OffloadReport form_image(const sim::PhaseHistory& history,
                            Grid2D<CFloat>& out);
 
-  [[nodiscard]] int executors() const {
-    return static_cast<int>(rates_.size());
-  }
-  [[nodiscard]] const std::vector<double>& current_split() const {
-    return split_;
+  [[nodiscard]] int executors() const { return backends_.size(); }
+  [[nodiscard]] std::vector<double> current_split() const {
+    return backends_.split();
   }
 
  private:
   geometry::ImageGrid grid_;
-  bp::Backprojector backprojector_;
+  bp::BackprojectOptions bp_options_;
   OffloadConfig config_;
-  std::vector<DeviceSpec> specs_;   ///< executor order: host first (if used)
-  std::vector<double> rates_;       ///< observed backprojections/s
-  std::vector<double> split_;       ///< current row fractions
+  /// One backend per executor: the host first (if used), then each
+  /// coprocessor in config order.
+  exec::BackendSet backends_;
   /// Real staging machinery (the offload_transfer/offload_wait analogue):
   /// pulse batches are copied into the device staging buffer on an I/O
   /// thread while the host executor computes.

@@ -38,10 +38,9 @@ struct ModelAccess;
 
 class TaskGroup {
  public:
-  /// `worker` is the executing pool slot (for per-worker scratch schemes);
   /// `group` is the owning group, so a task that detects cancellation
   /// mid-way can abort() the rest of the job.
-  using Task = std::function<void(int worker, TaskGroup& group)>;
+  using Task = std::function<void(TaskGroup& group)>;
 
   /// `tasks` must be non-empty. `checkpoint`/`on_complete` may be null.
   TaskGroup(std::vector<Task> tasks, std::function<bool()> checkpoint,
@@ -152,8 +151,8 @@ class TaskGroup {
   bool done_ SARBP_GUARDED_BY(mutex_) = false;
   double wall_seconds_ SARBP_GUARDED_BY(mutex_) = 0.0;
   std::string error_ SARBP_GUARDED_BY(mutex_);
-  /// Injection timestamp. Written by the injecting worker, read by the
-  /// (possibly different) worker that retires the last task; guarded so the
+  /// Injection timestamp. Written by the injecting thread, read by the
+  /// (possibly different) thread that retires the last task; guarded so the
   /// hand-off is explicit rather than riding on the deque publish.
   std::chrono::steady_clock::time_point injected_ SARBP_GUARDED_BY(mutex_){};
 };

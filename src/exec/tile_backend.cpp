@@ -84,7 +84,8 @@ double simd_rate_prior(bp::SimdIsa isa) {
 /// (scalar sweep, so abort/checkpoint latency stays block-bounded); its
 /// *simulated* time is the measured time rescaled by the device/host
 /// effective-rate ratio, which is what the split adapts to. PCIe framing
-/// costs stay with OffloadRuntime's whole-frame accounting (DESIGN.md §2).
+/// costs are frame-level: OffloadRuntime (offload_runtime.h) adds them on
+/// top of this clock (DESIGN.md §12).
 class OffloadSimBackend final : public TileBackend {
  public:
   OffloadSimBackend(std::string name, offload::DeviceSpec device,

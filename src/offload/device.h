@@ -44,9 +44,9 @@ DeviceSpec knights_corner();
 
 /// Simulated executor time for arithmetic that physically took
 /// `measured_host_seconds` on this machine: rescaled by the ratio of the
-/// host model's effective rate to the device's (DESIGN.md §2). Shared by
-/// OffloadRuntime's frame loop and the exec layer's OffloadSimBackend so
-/// both report the same clock.
+/// host model's effective rate to the device's (DESIGN.md §2). The clock
+/// of the exec layer's OffloadSimBackend, which OffloadRuntime's frames
+/// and the service's tile backends share.
 [[nodiscard]] double simulated_compute_seconds(const DeviceSpec& device,
                                                const DeviceSpec& host_model,
                                                double measured_host_seconds);

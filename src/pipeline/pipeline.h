@@ -18,10 +18,10 @@
 #include <thread>
 
 #include "backprojection/accumulator.h"
-#include "backprojection/backprojector.h"
 #include "common/grid2d.h"
 #include "common/queue.h"
 #include "common/timer.h"
+#include "exec/formation_tasks.h"
 #include "geometry/grid.h"
 #include "obs/metrics.h"
 #include "pipeline/cfar.h"
@@ -103,7 +103,7 @@ class SurveillancePipeline {
   geometry::ImageGrid grid_;
   PipelineConfig config_;
   obs::Registry* metrics_;
-  bp::Backprojector backprojector_;
+  exec::Backprojector backprojector_;
   Registrar registrar_;
 
   BoundedQueue<sim::PhaseHistory> pulse_queue_;

@@ -245,7 +245,7 @@ exec::GroupPtr make_plan_replay_group(
           share.b0 + bp::split_begin(share.b1 - share.b0, share.tasks, ti + 1);
       tasks.push_back([plan, skeleton, history, tile, checkpoint, backends,
                        backend = share.backend, b0, b1, pulse_begin,
-                       pulse_end](int, exec::TaskGroup& group) {
+                       pulse_end](exec::TaskGroup& group) {
         const exec::PlanView view = plan_view(*plan);
         double sweep_seconds = 0.0;
         double backprojections = 0.0;

@@ -319,7 +319,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     if (!u->anchor && u->cache_hit) {
       // Nothing to sweep: one trivial task keeps the group machinery (and
       // its checkpoint/abort/completion semantics) uniform.
-      tasks.emplace_back([](int, exec::TaskGroup&) {});
+      tasks.emplace_back([](exec::TaskGroup&) {});
     } else {
       const Index nblocks = static_cast<Index>(blocks_.size());
       const Index fanout =
@@ -329,7 +329,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
         const Index b1 = bp::split_begin(nblocks, fanout, ti + 1);
         auto checkpoint = cctx.checkpoint;
         tasks.emplace_back(
-            [self, u, checkpoint, b0, b1](int, exec::TaskGroup& group) {
+            [self, u, checkpoint, b0, b1](exec::TaskGroup& group) {
               self->sweep_task(*u, b0, b1, checkpoint, group);
             });
       }

@@ -340,7 +340,7 @@ TEST(ModelTaskGroup, ExactlyOneCompletionAndFirstErrorWins) {
     int completions = 0;
     exec::TaskGroup group(
         std::vector<exec::TaskGroup::Task>(
-            kThreads, [](int, exec::TaskGroup&) {}),
+            kThreads, [](exec::TaskGroup&) {}),
         /*checkpoint=*/nullptr,
         /*on_complete=*/[&](exec::TaskGroup&) { ++completions; });
 

@@ -7,6 +7,7 @@
 
 #include "backprojection/autofocus.h"
 #include "common/snr.h"
+#include "exec/formation_tasks.h"
 #include "quality/metrics.h"
 #include "test_helpers.h"
 
@@ -15,6 +16,7 @@ namespace {
 
 using sarbp::testing::ScenarioConfig;
 using sarbp::testing::SmallScenario;
+using exec::Backprojector;
 using sarbp::testing::make_scenario;
 
 /// A sharp point-target scenario with a long enough aperture that a few

@@ -16,6 +16,7 @@
 #include "cluster/shard.h"
 #include "cluster/torus_model.h"
 #include "common/snr.h"
+#include "exec/formation_tasks.h"
 #include "test_helpers.h"
 
 namespace sarbp::cluster {
@@ -444,7 +445,8 @@ TEST(Distributed, MatchesPlainBackprojector) {
   options.min_region_edge = 16;
   const Grid2D<CFloat> distributed =
       distributed_backprojection(4, s.history, s.grid, options);
-  const Grid2D<CFloat> plain = bp::Backprojector(s.grid, options).form_image(s.history);
+  const Grid2D<CFloat> plain =
+      exec::Backprojector(s.grid, options).form_image(s.history);
   EXPECT_GT(snr_db(distributed, plain), 70.0);
 }
 

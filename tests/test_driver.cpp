@@ -1,4 +1,4 @@
-// Driver-level tests: the OpenMP Backprojector against single-threaded
+// Driver-level tests: the batch Backprojector against single-threaded
 // kernel runs, every kernel option through the driver, incremental
 // (circular-buffer) accumulation vs monolithic backprojection, the Fig. 7
 // breakdown instrumentation, and the empirical gather-locality counter.
@@ -12,11 +12,13 @@
 #include "backprojection/breakdown.h"
 #include "backprojection/locality.h"
 #include "common/snr.h"
+#include "exec/formation_tasks.h"
 #include "test_helpers.h"
 
 namespace sarbp::bp {
 namespace {
 
+using exec::Backprojector;
 using sarbp::testing::ScenarioConfig;
 using sarbp::testing::SmallScenario;
 using sarbp::testing::make_scenario;

@@ -117,7 +117,7 @@ TEST(TileExecutor, RunsEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> runs(kTasks);
   std::vector<TaskGroup::Task> tasks;
   for (int i = 0; i < kTasks; ++i) {
-    tasks.push_back([&runs, i](int, TaskGroup&) {
+    tasks.push_back([&runs, i](TaskGroup&) {
       runs[i].fetch_add(1, std::memory_order_relaxed);
     });
   }
@@ -148,7 +148,7 @@ TEST(TileExecutor, CheckpointFalseAbortsAndSkipsRemainingTasks) {
   std::vector<TaskGroup::Task> tasks;
   for (int i = 0; i < kTasks; ++i) {
     tasks.push_back(
-        [&](int, TaskGroup&) { ran.fetch_add(1, std::memory_order_relaxed); });
+        [&](TaskGroup&) { ran.fetch_add(1, std::memory_order_relaxed); });
   }
   // Trip after a handful of polls — mid-group, possibly during steals.
   auto checkpoint = [&]() -> bool {
@@ -175,10 +175,10 @@ TEST(TileExecutor, CheckpointFalseAbortsAndSkipsRemainingTasks) {
 
 TEST(TileExecutor, TaskExceptionAbortsGroupAndRecordsFirstError) {
   std::vector<TaskGroup::Task> tasks;
-  tasks.push_back([](int, TaskGroup&) {});
+  tasks.push_back([](TaskGroup&) {});
   tasks.push_back(
-      [](int, TaskGroup&) { throw std::runtime_error("tile exploded"); });
-  for (int i = 0; i < 16; ++i) tasks.push_back([](int, TaskGroup&) {});
+      [](TaskGroup&) { throw std::runtime_error("tile exploded"); });
+  for (int i = 0; i < 16; ++i) tasks.push_back([](TaskGroup&) {});
   auto group = std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr);
 
   ExecOptions options;
@@ -197,7 +197,7 @@ TEST(TileExecutor, IdleWorkerStealsFromRunningJob) {
   // steals. Each task waits until both are in flight (with a timeout so a
   // regression fails instead of hanging).
   std::atomic<int> in_flight{0};
-  auto body = [&](int, TaskGroup&) {
+  auto body = [&](TaskGroup&) {
     in_flight.fetch_add(1, std::memory_order_acq_rel);
     const auto deadline = std::chrono::steady_clock::now() + 5s;
     while (in_flight.load(std::memory_order_acquire) < 2 &&
@@ -227,7 +227,7 @@ TEST(TileExecutor, StealOffRunsGroupOnClaimingWorkerOnly) {
   std::vector<TaskGroup::Task> tasks;
   for (int i = 0; i < kTasks; ++i) {
     tasks.push_back(
-        [&](int, TaskGroup&) { ran.fetch_add(1, std::memory_order_relaxed); });
+        [&](TaskGroup&) { ran.fetch_add(1, std::memory_order_relaxed); });
   }
   auto group = std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr);
 
@@ -242,6 +242,120 @@ TEST(TileExecutor, StealOffRunsGroupOnClaimingWorkerOnly) {
   EXPECT_EQ(ran.load(), kTasks);
   EXPECT_EQ(group->tasks_stolen(), 0u);
   EXPECT_EQ(registry.counter("exec.tasks.stolen").value(), 0u);
+}
+
+// The external-run contract: with steal on, the run() caller sweeps its
+// own group beside the pool, so one worker plus the caller put both tasks
+// in flight at once. Each task waits (with a timeout so a regression
+// fails instead of hanging) until both are running.
+TEST(TileExecutor, RunCallerSweepsBesideOneWorker) {
+  std::atomic<int> in_flight{0};
+  std::atomic<int> overlapped{0};
+  auto body = [&](TaskGroup&) {
+    in_flight.fetch_add(1, std::memory_order_acq_rel);
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (in_flight.load(std::memory_order_acquire) < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (std::chrono::steady_clock::now() < deadline) {
+      overlapped.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<TaskGroup::Task> tasks{body, body};
+  auto group = std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr);
+
+  obs::Registry registry;
+  ExecOptions options;
+  options.workers = 1;
+  options.steal = true;
+  options.metrics = &registry;
+  TileExecutor executor(std::move(options));
+  executor.run(group);
+
+  EXPECT_EQ(overlapped.load(), 2);
+  EXPECT_EQ(registry.counter("exec.tasks.run").value(), 2u);
+}
+
+// With steal off the caller only waits: no task runs on its thread, even
+// when the first task is held long enough for a helping caller to reach
+// the rest.
+TEST(TileExecutor, StealOffRunNeverRunsTasksOnCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  std::atomic<bool> first{true};
+  std::vector<TaskGroup::Task> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back([&](TaskGroup&) {
+      if (first.exchange(false, std::memory_order_acq_rel)) {
+        std::this_thread::sleep_for(50ms);
+      }
+      if (std::this_thread::get_id() == caller) {
+        on_caller.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  auto group = std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr);
+
+  ExecOptions options;
+  options.workers = 2;
+  options.steal = false;
+  obs::Registry registry;
+  options.metrics = &registry;
+  TileExecutor executor(std::move(options));
+  executor.run(group);
+
+  EXPECT_EQ(on_caller.load(), 0);
+  EXPECT_EQ(registry.counter("exec.tasks.run").value(), 8u);
+}
+
+// Several threads calling run() at once: one holds the caller slot, the
+// rest fall back to submit + wait, and every group still completes.
+TEST(TileExecutor, ConcurrentRunCallersAllComplete) {
+  ExecOptions options;
+  options.workers = 2;
+  obs::Registry registry;
+  options.metrics = &registry;
+  TileExecutor executor(std::move(options));
+  std::atomic<int> ran{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) {
+        std::vector<TaskGroup::Task> tasks(
+            3, [&](TaskGroup&) { ran.fetch_add(1, std::memory_order_relaxed); });
+        executor.run(
+            std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr));
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(ran.load(), 4 * 50 * 3);
+  EXPECT_EQ(registry.counter("exec.groups.completed").value(), 200u);
+}
+
+// Idle workers park on the idle epoch instead of polling: once the pool
+// has settled, it makes no steal attempts at all.
+TEST(TileExecutor, IdlePoolMakesNoStealAttempts) {
+  ExecOptions options;
+  options.workers = 4;
+  obs::Registry registry;
+  options.metrics = &registry;
+  TileExecutor executor(std::move(options));
+  std::vector<TaskGroup::Task> tasks(8, [](TaskGroup&) {});
+  executor.run(std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr));
+
+  // Let every worker finish its post-run scan and park (bounded, so a
+  // polling pool, whose count never settles, still reaches the check).
+  std::uint64_t before = registry.counter("exec.steal.fail").value();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(20ms);
+    const std::uint64_t now = registry.counter("exec.steal.fail").value();
+    if (now == before) break;
+    before = now;
+  }
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(registry.counter("exec.steal.fail").value(), before);
 }
 
 TEST(TileExecutor, PullSourceDrainsToEndOfStream) {
@@ -261,7 +375,7 @@ TEST(TileExecutor, PullSourceDrainsToEndOfStream) {
       return nullptr;
     }
     std::vector<TaskGroup::Task> tasks;
-    for (int i = 0; i < 4; ++i) tasks.push_back([](int, TaskGroup&) {});
+    for (int i = 0; i < 4; ++i) tasks.push_back([](TaskGroup&) {});
     return std::make_shared<TaskGroup>(
         std::move(tasks), nullptr,
         [&](TaskGroup&) { completed.fetch_add(1, std::memory_order_relaxed); });
@@ -278,29 +392,17 @@ TEST(TileExecutor, SubmitAfterDrainIsRejected) {
   options.workers = 1;
   TileExecutor executor(std::move(options));
   executor.drain();
-  std::vector<TaskGroup::Task> tasks{[](int, TaskGroup&) {}};
+  std::vector<TaskGroup::Task> tasks{[](TaskGroup&) {}};
   auto group = std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr);
   EXPECT_FALSE(executor.submit(group));
 }
 
 // --------------------------------------------------------------- parity ---
 
-// Uninstrumented libgomp makes OpenMP regions false-positive under TSan
-// (see tools/run_sanitized_tests.sh); the TSan run substitutes a serial
-// replication of add_pulses' partition loop for the OpenMP driver itself.
-#if defined(__SANITIZE_THREAD__)
-#define SARBP_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SARBP_TSAN 1
-#endif
-#endif
-
-// The exact computation Backprojector::add_pulses performs — same
-// partition, same per-part kernel, same tile reduction — minus the OpenMP
-// fan-out. The normal build asserts this is bit-identical to the real
-// driver, so the TSan build can use it as the reference without losing
-// coverage.
+// The computation Backprojector::add_pulses performs — same partition,
+// same per-part kernel — with the parts summed in order on one thread.
+// With parts_pulse <= 2 that equals the driver's tree reduction, which the
+// parity test below asserts.
 Grid2D<CFloat> serial_add_pulses(const sim::PhaseHistory& history,
                                  const geometry::ImageGrid& grid,
                                  const bp::BackprojectOptions& options,
@@ -367,9 +469,8 @@ TEST(ExecutorParity, BitIdenticalToAddPulsesAllKernelsStealOnOff) {
 
       Grid2D<CFloat> reference = serial_add_pulses(
           scenario.history, scenario.grid, options, shape.parallelism);
-#if !defined(SARBP_TSAN)
       {
-        const bp::Backprojector driver(scenario.grid, options);
+        const Backprojector driver(scenario.grid, options);
         Grid2D<CFloat> via_driver(scenario.grid.width(),
                                   scenario.grid.height());
         driver.add_pulses(scenario.history, via_driver);
@@ -377,7 +478,6 @@ TEST(ExecutorParity, BitIdenticalToAddPulsesAllKernelsStealOnOff) {
             << shape.label << ", kernel " << bp::kernel_name(kind)
             << ": serial replication diverged from add_pulses";
       }
-#endif
 
       for (const bool steal : {false, true}) {
         Grid2D<CFloat> image(scenario.grid.width(), scenario.grid.height());
@@ -425,6 +525,48 @@ TEST(ExecutorParity, DeterministicAcrossWorkerCounts) {
       first = std::move(image);
     } else {
       EXPECT_TRUE(images_bit_identical(first, image)) << workers << " workers";
+    }
+  }
+}
+
+// Batch formation is deterministic when the partitioner splits pulses:
+// eight pulse slices reduce in a fixed tree, so repeated calls on the
+// driver's pool return the bytes a one-worker executor forms.
+TEST(FormationGroup, PulseSplitBatchIsDeterministic) {
+  using bp::KernelKind;
+  testing::ScenarioConfig cfg;
+  cfg.image = 64;
+  cfg.pulses = 32;
+  const auto scenario = testing::make_scenario(cfg);
+  const bp::CubeShape shape{cfg.pulses, cfg.image, cfg.image};
+  const bp::PartitionChoice choice = bp::choose_partition(shape, 8, 64);
+  ASSERT_EQ(choice.parts_x, 1);
+  ASSERT_EQ(choice.parts_y, 1);
+  ASSERT_EQ(choice.parts_pulse, 8);
+
+  for (KernelKind kind : {KernelKind::kAsrScalar, KernelKind::kAsrSimd,
+                          KernelKind::kBaseline}) {
+    if (kind == KernelKind::kAsrSimd && !bp::asr_simd_available()) continue;
+    bp::BackprojectOptions options;
+    options.kernel = kind;
+    options.threads = 8;
+    options.min_region_edge = 64;
+
+    Grid2D<CFloat> reference(scenario.grid.width(), scenario.grid.height());
+    {
+      ExecOptions exec_options;
+      exec_options.workers = 1;
+      obs::Registry registry;
+      exec_options.metrics = &registry;
+      TileExecutor executor(std::move(exec_options));
+      executor.run(make_backprojection_group(scenario.history, scenario.grid,
+                                             options, 8, reference));
+    }
+    const Backprojector driver(scenario.grid, options);
+    for (int call = 0; call < 20; ++call) {
+      EXPECT_TRUE(images_bit_identical(reference,
+                                       driver.form_image(scenario.history)))
+          << bp::kernel_name(kind) << ", call " << call;
     }
   }
 }

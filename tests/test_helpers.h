@@ -3,6 +3,8 @@
 // §5 calibrates Fig. 8 against) that every kernel/integration test reuses.
 #pragma once
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "geometry/grid.h"
 #include "geometry/trajectory.h"
@@ -63,6 +65,22 @@ inline SmallScenario make_scenario(const ScenarioConfig& cfg = {}) {
 
   return SmallScenario{grid, std::move(scene), std::move(poses),
                        std::move(history)};
+}
+
+/// `h` with alternate 8-pulse stretches of recorded positions rotated by
+/// 90 degrees about `centre`, so the wavefront loop order switches every 8
+/// pulses.
+inline sim::PhaseHistory alternate_loop_orders(const sim::PhaseHistory& h,
+                                               const geometry::Vec3& centre) {
+  sim::PhaseHistory out = h;
+  for (Index p = 8; p < out.num_pulses(); p += 16) {
+    for (Index q = p; q < std::min(p + 8, out.num_pulses()); ++q) {
+      geometry::Vec3& pos = out.meta(q).position;
+      pos = {centre.x - (pos.y - centre.y), centre.y + (pos.x - centre.x),
+             pos.z};
+    }
+  }
+  return out;
 }
 
 }  // namespace sarbp::testing

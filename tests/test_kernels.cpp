@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <optional>
+#include <vector>
 
 #include "backprojection/kernel.h"
 #include "common/snr.h"
@@ -393,6 +396,71 @@ INSTANTIATE_TEST_SUITE_P(
              "k_h" + std::to_string(static_cast<int>(param_info.param.altitude_m / 1000)) +
              "k";
     });
+
+// A per-pulse loop order (nullopt) is the per-run split done inside one
+// call: one call over pulses that cross several wavefront-order switches
+// forms the bytes of one fixed-order call per run.
+TEST(KernelLoopOrder, PerPulseOrderMatchesPerRunSplit) {
+  ScenarioConfig cfg;
+  cfg.image = 96;
+  cfg.pulses = 48;
+  const SmallScenario s = make_scenario(cfg);
+  const sim::PhaseHistory history =
+      testing::alternate_loop_orders(s.history, s.grid.centre());
+  const Region all{0, 0, s.grid.width(), s.grid.height()};
+
+  struct Run {
+    Index begin;
+    Index end;
+    geometry::LoopOrder order;
+  };
+  std::vector<Run> runs;
+  for (Index p = 0; p < history.num_pulses(); ++p) {
+    const geometry::LoopOrder o =
+        geometry::choose_loop_order(history.meta(p).position, s.grid.centre());
+    if (runs.empty() || runs.back().order != o) {
+      runs.push_back({p, p + 1, o});
+    } else {
+      runs.back().end = p + 1;
+    }
+  }
+  ASSERT_GE(runs.size(), 4u);  // at least 3 switches
+
+  for (KernelKind kind :
+       {KernelKind::kBaseline, KernelKind::kBaselineAllFloat,
+        KernelKind::kAsrScalar, KernelKind::kAsrSimd}) {
+    if (kind == KernelKind::kAsrSimd && !asr_simd_available()) continue;
+    auto run = [&](Index begin, Index end,
+                   std::optional<geometry::LoopOrder> order, SoaTile& tile) {
+      switch (kind) {
+        case KernelKind::kBaseline:
+        case KernelKind::kBaselineAllFloat:
+          backproject_baseline(history, s.grid, all, begin, end,
+                               kind == KernelKind::kBaselineAllFloat, order,
+                               tile);
+          break;
+        case KernelKind::kAsrScalar:
+          backproject_asr_scalar(history, s.grid, all, begin, end, 32, 32,
+                                 order, tile);
+          break;
+        default:
+          backproject_asr_simd(history, s.grid, all, begin, end, 32, 32,
+                               order, tile);
+      }
+    };
+    SoaTile chunk(all.width, all.height);
+    run(0, history.num_pulses(), std::nullopt, chunk);
+    SoaTile split(all.width, all.height);
+    for (const Run& r : runs) run(r.begin, r.end, r.order, split);
+    for (Index y = 0; y < all.height; ++y) {
+      const auto bytes = static_cast<std::size_t>(all.width) * sizeof(float);
+      ASSERT_EQ(std::memcmp(chunk.row_re(y), split.row_re(y), bytes), 0)
+          << kernel_name(kind) << ", row " << y;
+      ASSERT_EQ(std::memcmp(chunk.row_im(y), split.row_im(y), bytes), 0)
+          << kernel_name(kind) << ", row " << y;
+    }
+  }
+}
 
 TEST(KernelName, AllNamesDistinct) {
   EXPECT_STREQ(kernel_name(KernelKind::kRefDouble), "ref-double");

@@ -8,8 +8,9 @@
 #include <vector>
 
 #include "common/snr.h"
+#include "exec/formation_tasks.h"
+#include "exec/offload_runtime.h"
 #include "offload/device.h"
-#include "offload/runtime.h"
 #include "offload/transfer.h"
 #include "test_helpers.h"
 
@@ -114,7 +115,7 @@ TEST_F(OffloadRuntimeTest, OffloadedImageMatchesPlainBackprojection) {
   Grid2D<CFloat> offloaded(s.grid.width(), s.grid.height());
   (void)runtime.form_image(s.history, offloaded);
 
-  const bp::Backprojector plain(s.grid, bp_opts);
+  const exec::Backprojector plain(s.grid, bp_opts);
   const Grid2D<CFloat> expected = plain.form_image(s.history);
   // Row-strip partitioning changes ASR block placement, so agreement is at
   // approximation (not rounding) level.

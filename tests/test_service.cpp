@@ -783,7 +783,7 @@ TEST(CustomJob, RunsFullLifecycleWithoutPulses) {
   req.grid = geometry::ImageGrid(16, 16, 0.5);
   req.custom = [&ran](const CustomJobContext& ctx) -> exec::GroupPtr {
     std::vector<exec::TaskGroup::Task> tasks;
-    tasks.emplace_back([&ran](int, exec::TaskGroup&) { ran = true; });
+    tasks.emplace_back([&ran](exec::TaskGroup&) { ran = true; });
     auto finish = ctx.finish;
     return std::make_shared<exec::TaskGroup>(
         std::move(tasks), ctx.checkpoint,

@@ -38,6 +38,7 @@ namespace {
 using namespace std::chrono_literals;
 using sarbp::testing::ScenarioConfig;
 using sarbp::testing::SmallScenario;
+using sarbp::testing::alternate_loop_orders;
 using sarbp::testing::make_scenario;
 
 constexpr auto kWait = 120s;
@@ -133,22 +134,6 @@ TEST(StreamingParity, SimdNoSteal) { run_parity(true, false); }
 TEST(StreamingParity, SimdSteal) { run_parity(true, true); }
 
 // --- the ASR core's invariant: table source and chunking keep bits -------
-
-/// `h` with alternate 8-pulse stretches of recorded positions rotated by
-/// 90 degrees about `centre`, so the wavefront loop order switches every 8
-/// pulses.
-sim::PhaseHistory alternate_loop_orders(const sim::PhaseHistory& h,
-                                        const geometry::Vec3& centre) {
-  sim::PhaseHistory out = slice(h, 0, h.num_pulses());
-  for (Index p = 8; p < out.num_pulses(); p += 16) {
-    for (Index q = p; q < std::min(p + 8, out.num_pulses()); ++q) {
-      geometry::Vec3& pos = out.meta(q).position;
-      pos = {centre.x - (pos.y - centre.y), centre.y + (pos.x - centre.x),
-             pos.z};
-    }
-  }
-  return out;
-}
 
 Grid2D<CFloat> image_of(const bp::SoaTile& tile) {
   Grid2D<CFloat> image(tile.width(), tile.height());

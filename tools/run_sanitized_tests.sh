@@ -10,9 +10,11 @@
 #               test binaries (queue, pipeline shutdown, observability),
 #               run directly with OMP_NUM_THREADS=1. libgomp is not built
 #               with TSan instrumentation, so OpenMP parallel regions
-#               produce false positives; pinning OpenMP to one thread keeps
-#               the std::thread synchronization under test fully visible
-#               to TSan without the noise.
+#               produce false positives. Image formation runs on the tile
+#               executor (std::thread, fully visible to TSan); the pin
+#               only matters for the loops that stay on OpenMP, which
+#               these binaries reach through registration, CCD and
+#               collection.
 #
 # The TSan configuration also turns on SARBP_DEADLOCK_CHECK, so every run
 # doubles as a lock-order audit: the runtime cycle detector (DESIGN.md

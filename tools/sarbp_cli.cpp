@@ -20,10 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "backprojection/backprojector.h"
 #include "backprojection/ffbp.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "exec/formation_tasks.h"
 #include "geometry/trajectory.h"
 #include "io/history_io.h"
 #include "io/image_io.h"
@@ -205,7 +205,7 @@ int cmd_image(const Cli& cli) {
     options.asr_block_w = options.asr_block_h = cli.get_long("block", 64);
     if (cli.has("baseline")) options.kernel = bp::KernelKind::kBaseline;
     if (cli.has("scalar")) options.kernel = bp::KernelKind::kAsrScalar;
-    const bp::Backprojector backprojector(grid, options);
+    const exec::Backprojector backprojector(grid, options);
     result = backprojector.form_image(history);
   }
   const double seconds = timer.seconds();

@@ -65,6 +65,16 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   kernels, plan replay, backends and streaming cannot
                   drift apart again.
 
+  omp-formation   One parallel runtime forms images: exec::TileExecutor.
+                  In src/, `#pragma omp`, `<omp.h>` and omp_* calls may
+                  appear only in the loops that stay on OpenMP
+                  (src/pipeline/registration.cpp, src/pipeline/ccd.cpp,
+                  src/sim/collector.cpp, src/backprojection/ffbp.cpp) and
+                  in the host report of src/common/cpu.cpp. An OpenMP
+                  team next to the executor would split the runtime
+                  again, and its critical-section reductions sum in
+                  thread-completion order.
+
 Suppression syntax (same line, or alone on the line directly above):
 
     // lint: allow(<rule>) -- <rationale>
@@ -142,6 +152,18 @@ ASR_CORE_ALLOWLIST = ISA_TU_ALLOWLIST + (
 )
 ASR_CORE_DIR = "src/asr/"
 
+# An OpenMP construct: a pragma, the runtime header, or a runtime call.
+OMP_RE = re.compile(r"#\s*pragma\s+omp\b|<omp\.h>|\bomp_[a-z_]+\s*\(")
+
+# The loops that stay on OpenMP, and the host capability report.
+OMP_ALLOWLIST = (
+    "src/pipeline/registration.cpp",
+    "src/pipeline/ccd.cpp",
+    "src/sim/collector.cpp",
+    "src/backprojection/ffbp.cpp",
+    "src/common/cpu.cpp",
+)
+
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)\s*(--\s*\S.*)?")
 
 # A value-type sarbp::Mutex declaration: `Mutex name`, optionally mutable/
@@ -155,7 +177,7 @@ ACQ_EDGE_RE = re.compile(r"SARBP_ACQUIRED_(BEFORE|AFTER)\(([^)]*)\)")
 MUTEX_DECL_JOIN_CAP = 8  # max lines a single declaration may span
 
 RULES = ("order-comment", "raw-mutex", "sleep-poll", "isa-ifdef",
-         "queue-result", "lock-level", "asr-core")
+         "queue-result", "lock-level", "asr-core", "omp-formation")
 
 
 @dataclass
@@ -379,6 +401,14 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     "sweep through bp::sweep_asr_block and build tables "
                     "with bp::build_asr_tables (backprojection/asr_sweep.h)"))
 
+        if (in_src and path.as_posix() not in OMP_ALLOWLIST
+                and OMP_RE.search(code)):
+            if "omp-formation" not in allowed:
+                findings.append(Finding(
+                    rel, i + 1, "omp-formation",
+                    "OpenMP outside the loops that stay on it; form images "
+                    "on exec::TileExecutor (exec/formation_tasks.h)"))
+
         if in_src and SLEEP_RE.search(code):
             if "sleep-poll" not in allowed:
                 findings.append(Finding(
@@ -529,6 +559,23 @@ SELFTEST_CASES = [
      []),
     ("tests/p.cpp", "asr::build_block_tables_fast(q, r0, dr, k, l, m, t);\n",
      []),  # tests are out of scope
+    # omp-formation: OpenMP only in the loops that stay on it.
+    ("src/backprojection/backprojector.cpp",
+     "#include <omp.h>\n#pragma omp parallel num_threads(workers)\n"
+     "const int n = omp_get_max_threads();\n",
+     ["omp-formation", "omp-formation", "omp-formation"]),
+    ("src/exec/e.cpp", "#  pragma omp critical(reduce)\n", ["omp-formation"]),
+    ("src/pipeline/ccd.cpp",
+     "#include <omp.h>\n#pragma omp parallel for schedule(static)\n",
+     []),
+    ("src/common/cpu.cpp", "info.openmp_max_threads = omp_get_max_threads();\n",
+     []),
+    ("src/exec/e.cpp",
+     "// lint: allow(omp-formation) -- fixture\n#pragma omp parallel for\n",
+     []),
+    ("src/exec/e.cpp", "// no #pragma omp here, omp_get_num_threads() either\n",
+     []),  # comments never match
+    ("tests/e.cpp", "#pragma omp parallel for\n", []),  # out of scope
     # lock-level: every Mutex declaration in src/ names its hierarchy rank.
     ("src/e.h", "mutable Mutex mutex_;\n", ["lock-level"]),
     ("src/e.h",
