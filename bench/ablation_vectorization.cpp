@@ -9,7 +9,9 @@
 //   asr-simd/<isa>           streaming SIMD kernel, one row per usable ISA
 //   plan/scalar              plan-replay scalar sweep (prebuilt tables)
 //   plan/<isa>/<variant>     fused plan-replay SIMD sweep per ISA x
-//                            {gather, shuffle, gather-nofma}
+//                            {auto, gather, shuffle, gather-nofma}; auto
+//                            (window loads, gathers as fallback) is what
+//                            the service and the asr-simd rows run
 //
 // The plan rows run through the exec::TileBackend interface — the same
 // code path the service routes jobs over — so the numbers here are the
@@ -130,6 +132,7 @@ int main(int argc, char** argv) {
                  scalar_spec);
 
   const std::vector<std::pair<bp::KernelVariant, const char*>> variants = {
+      {bp::KernelVariant::kAuto, "auto"},
       {bp::KernelVariant::kGather, "gather"},
       {bp::KernelVariant::kShuffleTranspose, "shuffle"},
       {bp::KernelVariant::kGatherNoFma, "gather-nofma"},

@@ -16,9 +16,11 @@
 //  - baseline all-float: range in single precision — reproduces the 12 dB
 //                  accuracy collapse quoted in §5.2.1 / Fig. 8.
 //  - asr_scalar:   approximate strength reduction (Fig. 3(b)), portable.
-//  - asr_simd:     ASR vectorized with AVX2/AVX-512 gathers over the
-//                  interleaved (AoS) pulse data, recurrence stepped by the
-//                  SIMD width (§4.4).
+//  - asr_simd:     ASR vectorized with AVX2/AVX-512 over the interleaved
+//                  (AoS) pulse data, recurrence stepped by the SIMD width
+//                  (§4.4); samples by window loads where the wavefront
+//                  order keeps a vector's bins together, by gathers
+//                  elsewhere (KernelVariant).
 //
 // Both ASR kernels are block loops over the one ASR block sweep
 // (asr_sweep.h). Float kernels write into a SoaTile covering exactly
@@ -89,13 +91,26 @@ enum class SimdIsa {
 const char* simd_isa_name(SimdIsa isa);
 
 /// Inner-loop implementation variant of the vector ASR sweep — the §4.4
-/// ablation knobs benchmarked in bench/ablation_vectorization:
+/// ablation knobs benchmarked in bench/ablation_vectorization. kAuto,
+/// kGather and kShuffleTranspose run the same FMA arithmetic in the same
+/// order and differ only in how they load In[bin], In[bin+1], so they
+/// agree byte for byte.
+///  - kAuto: window loads. The default: every SIMD service backend,
+///    streaming session and backproject_asr_simd call runs it. When every
+///    lane of a vector is in range and all lanes' bins lie in [lo, lo + 6]
+///    (AVX-512; AVX2: [lo, lo + 2]), lo the smaller of the first and last
+///    lanes' bins, one unaligned load of the 16 (AVX2: 8) floats at In[lo]
+///    plus four in-register permutes replace the gathers. The load runs
+///    only when lo + 8 <= samples (AVX2: lo + 4), so it stays inside the
+///    pulse. Any other vector takes kGather's gathers. The wavefront loop
+///    order (§4.3) keeps neighbouring pixels on one bin, so most vectors
+///    fit.
 ///  - kGather: hardware gathers of the interleaved In[bin], In[bin+1]
-///    pairs straight from the AoS pulse buffer; FMA arithmetic. Default.
+///    pairs straight from the AoS pulse buffer for every vector (the
+///    paper's Knights Corner load, kept as an ablation row).
 ///  - kShuffleTranspose: one 16-byte contiguous load per lane (the four
 ///    floats re0,im0,re1,im1 are adjacent in AoS) + an in-register
-///    transpose instead of gathers. Bit-identical to kGather: same
-///    arithmetic in the same order, only the load mechanism differs.
+///    transpose instead of gathers.
 ///  - kGatherNoFma: gathers with separate mul+add in place of fused
 ///    multiply-add. Different rounding, so parity with kGather is at SNR
 ///    level (>70 dB), not bitwise.

@@ -51,6 +51,44 @@ struct GatherSamples {
   }
 };
 
+/// kAuto: one 8-float window load plus four in-register permutes when the
+/// vector's bins fit the window, the gathers otherwise. A vector fits when
+/// every lane is in range and every bin lies in [lo, lo + 2], lo the
+/// smaller of the first and last lanes' bins (an unsigned compare of the
+/// offsets, whatever the bins' order): In[lo .. lo + 4) then holds every
+/// lane's re0, im0, re1, im1. `lo + 4 <= samples` keeps the load in
+/// bounds. Same values as the gathers: bit-identical to GatherSamples.
+struct WindowSamples {
+  static void load(const float* base, __m256i ibin, __m256 ok, Index samples,
+                   __m256& re0, __m256& im0, __m256& re1, __m256& im1) {
+    const __m256i lo = _mm256_min_epi32(
+        _mm256_broadcastd_epi32(_mm256_castsi256_si128(ibin)),
+        _mm256_permutevar8x32_epi32(ibin, _mm256_set1_epi32(7)));
+    const __m256i off = _mm256_sub_epi32(ibin, lo);
+    // off <= 2 as unsigned: min(off, 2) == off.
+    const __m256i span_ok =
+        _mm256_cmpeq_epi32(_mm256_min_epu32(off, _mm256_set1_epi32(2)), off);
+    const int fits =
+        _mm256_movemask_ps(_mm256_and_ps(ok, _mm256_castsi256_ps(span_ok)));
+    const Index first = _mm_cvtsi128_si32(_mm256_castsi256_si128(lo));
+    if (fits == 0xFF && first + 4 <= samples) {
+      const __m256 window =
+          _mm256_loadu_ps(base + 2 * static_cast<std::size_t>(first));
+      const __m256i one = _mm256_set1_epi32(1);
+      __m256i at = _mm256_add_epi32(off, off);  // re0 of lane i: 2 * off
+      re0 = _mm256_permutevar8x32_ps(window, at);
+      at = _mm256_add_epi32(at, one);
+      im0 = _mm256_permutevar8x32_ps(window, at);
+      at = _mm256_add_epi32(at, one);
+      re1 = _mm256_permutevar8x32_ps(window, at);
+      at = _mm256_add_epi32(at, one);
+      im1 = _mm256_permutevar8x32_ps(window, at);
+      return;
+    }
+    GatherSamples::load(base, ibin, ok, samples, re0, im0, re1, im1);
+  }
+};
+
 /// One 16-byte contiguous load per lane + an 8x4 in-register transpose.
 /// Masked lanes load a clamped in-bounds dummy and are zeroed afterwards:
 /// bit-identical to GatherSamples.
@@ -78,7 +116,9 @@ struct ShuffleSamples {
     const __m256 t2 = _mm256_unpacklo_ps(y2, y3);
     const __m256 t3 = _mm256_unpackhi_ps(y2, y3);
     const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-    const auto fix = [&](__m256 x) { return _mm256_permutevar8x32_ps(x, order); };
+    const auto fix = [&](__m256 x) {
+      return _mm256_permutevar8x32_ps(x, order);
+    };
     re0 = _mm256_and_ps(
         fix(_mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0))), ok);
     im0 = _mm256_and_ps(
@@ -207,6 +247,9 @@ void rows_aos_avx2(const asr::BlockTables& t, const CFloat* in, Index samples,
                                       acc_pitch, len_l, len_m);
       return;
     case KernelVariant::kAuto:
+      rows_impl<WindowSamples, true>(t, base, samples, acc_re, acc_im,
+                                     acc_pitch, len_l, len_m);
+      return;
     case KernelVariant::kGather:
       rows_impl<GatherSamples, true>(t, base, samples, acc_re, acc_im,
                                      acc_pitch, len_l, len_m);

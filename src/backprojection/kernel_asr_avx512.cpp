@@ -7,7 +7,7 @@
 //
 // rows_aos reads samples straight from the AoS pulse buffer, where In[bin]
 // and In[bin+1] are four adjacent floats; its inner loop is a selectable
-// gather / shuffle-transpose / no-FMA variant.
+// window / gather / shuffle-transpose / no-FMA variant.
 #include "asr/tables.h"
 #include "backprojection/kernel.h"
 #include "backprojection/kernel_simd_ops.h"
@@ -61,6 +61,45 @@ struct GatherSamples {
     im0 = _mm512_mask_i32gather_ps(zero, ok, ibin, base + 1, 8);
     re1 = _mm512_mask_i32gather_ps(zero, ok, ibin, base + 2, 8);
     im1 = _mm512_mask_i32gather_ps(zero, ok, ibin, base + 3, 8);
+  }
+};
+
+/// Sample-load policy (kAuto): one 16-float window load plus four
+/// in-register permutes when the vector's bins fit the window, the
+/// gathers otherwise. The wavefront loop order (§4.3) keeps neighbouring
+/// pixels on the same or adjacent bins, so most vectors fit. A vector
+/// fits when every lane is in range and every bin lies in [lo, lo + 6],
+/// lo the smaller of the first and last lanes' bins (one unsigned compare
+/// of the offsets, whatever the bins' order): In[lo .. lo + 8) then holds
+/// every lane's re0, im0, re1, im1. `lo + 8 <= samples` keeps the load in
+/// bounds. The lanes get the gathers' values, so the image is
+/// bit-identical to GatherSamples.
+struct WindowSamples {
+  static void load(const float* base, __m512i ibin, __mmask16 ok,
+                   Index samples, __m512& re0, __m512& im0, __m512& re1,
+                   __m512& im1) {
+    const __m512i lo = _mm512_min_epi32(
+        _mm512_broadcastd_epi32(_mm512_castsi512_si128(ibin)),
+        _mm512_permutexvar_epi32(_mm512_set1_epi32(15), ibin));
+    const __m512i off = _mm512_sub_epi32(ibin, lo);
+    const __mmask16 fits =
+        _mm512_mask_cmple_epu32_mask(ok, off, _mm512_set1_epi32(6));
+    const Index first = _mm_cvtsi128_si32(_mm512_castsi512_si128(lo));
+    if (fits == 0xFFFF && first + 8 <= samples) {
+      const __m512 window =
+          _mm512_loadu_ps(base + 2 * static_cast<std::size_t>(first));
+      const __m512i one = _mm512_set1_epi32(1);
+      __m512i at = _mm512_add_epi32(off, off);  // re0 of lane i: 2 * off
+      re0 = _mm512_permutexvar_ps(at, window);
+      at = _mm512_add_epi32(at, one);
+      im0 = _mm512_permutexvar_ps(at, window);
+      at = _mm512_add_epi32(at, one);
+      re1 = _mm512_permutexvar_ps(at, window);
+      at = _mm512_add_epi32(at, one);
+      im1 = _mm512_permutexvar_ps(at, window);
+      return;
+    }
+    GatherSamples::load(base, ibin, ok, samples, re0, im0, re1, im1);
   }
 };
 
@@ -235,6 +274,9 @@ void rows_aos_avx512(const asr::BlockTables& t, const CFloat* in,
                                       acc_pitch, len_l, len_m);
       return;
     case KernelVariant::kAuto:
+      rows_impl<WindowSamples, true>(t, base, samples, acc_re, acc_im,
+                                     acc_pitch, len_l, len_m);
+      return;
     case KernelVariant::kGather:
       rows_impl<GatherSamples, true>(t, base, samples, acc_re, acc_im,
                                      acc_pitch, len_l, len_m);

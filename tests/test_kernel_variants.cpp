@@ -3,20 +3,28 @@
 // backend sweep, so differences can only come from the inner loop.
 //
 // Parity contract (kernel.h):
-//  - kGather vs kShuffleTranspose: bit-identical (same arithmetic, same
-//    order; only the load mechanism differs).
+//  - kAuto (window loads), kGather and kShuffleTranspose: bit-identical
+//    (same arithmetic, same order; only the load mechanism differs).
 //  - scalar vs vector, FMA vs no-FMA, AVX2 vs AVX-512: different rounding
 //    and/or reduction widths, so parity is at SNR level (> 70 dB).
 //  - forcing an unavailable ISA fails with PreconditionError, never SIGILL.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <numbers>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "asr/block_plan.h"
+#include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "backprojection/soa_tile.h"
 #include "common/check.h"
 #include "common/grid2d.h"
+#include "common/rng.h"
 #include "common/snr.h"
 #include "exec/tile_backend.h"
 #include "service/plan_cache.h"
@@ -108,6 +116,61 @@ class KernelVariantTest : public ::testing::Test {
     return true;
   }
 
+  /// A history that drives every branch of kAuto's sample load: random
+  /// samples in 0.2 m bins (2.5 bins per 0.5 m pixel), recorded positions
+  /// 300 m out on a full circle about the grid centre. At that range each
+  /// pulse's look angle varies by about 10 degrees across the image, so the
+  /// bin step per pixel along either axis takes every value between about
+  /// -2.4 and 2.4. Bin 0 lies `swath_start_m` from the centre's range.
+  static sim::PhaseHistory load_path_history(Index samples,
+                                             double swath_start_m) {
+    constexpr Index kCircle = 48;
+    sim::PhaseHistory h(kCircle, samples, 0.2, 64.0);
+    const geometry::Vec3 c = scenario_->grid.centre();
+    Rng rng(7);
+    for (Index p = 0; p < kCircle; ++p) {
+      const double a = 0.1 + 2.0 * std::numbers::pi *
+                                 static_cast<double>(p) /
+                                 static_cast<double>(kCircle);
+      sim::PulseMeta& meta = h.meta(p);
+      meta.position = {c.x + 300.0 * std::cos(a), c.y + 300.0 * std::sin(a),
+                       100.0};
+      meta.start_range_m = geometry::distance(meta.position, c) +
+                           swath_start_m;
+      for (CFloat& v : h.pulse(p)) {
+        v = CFloat{static_cast<float>(rng.normal()),
+                   static_cast<float>(rng.normal())};
+      }
+    }
+    return h;
+  }
+
+  /// Sweeps every block over all of `h` through the one ASR sweep core,
+  /// tables built per pulse (nullopt: each pulse's wavefront order).
+  static bp::SoaTile sweep_history(const sim::PhaseHistory& h,
+                                   std::optional<geometry::LoopOrder> order,
+                                   const bp::AsrKernel& kernel) {
+    bp::SoaTile tile(kImage, kImage);
+    const bp::PulseRange pulses[] = {{&h, 0, h.num_pulses()}};
+    for (const auto& block :
+         asr::plan_blocks(0, 0, kImage, kImage, kBlock, kBlock)) {
+      bp::sweep_asr_block(block, 0, 0, scenario_->grid, pulses, order, kernel,
+                          tile);
+    }
+    return tile;
+  }
+
+  /// Pixels with a nonzero value: how much of the image a swath reached.
+  static Index covered_pixels(const bp::SoaTile& tile) {
+    Index n = 0;
+    for (Index y = 0; y < tile.height(); ++y) {
+      for (Index x = 0; x < tile.width(); ++x) {
+        if (tile.row_re(y)[x] != 0.0f || tile.row_im(y)[x] != 0.0f) ++n;
+      }
+    }
+    return n;
+  }
+
   static testing::SmallScenario* scenario_;
   static Region region_;
   static std::shared_ptr<const service::FormationPlan> plan_;
@@ -147,17 +210,54 @@ TEST_F(KernelVariantTest, ForcingUnavailableIsaFailsCleanly) {
 
 TEST_F(KernelVariantTest, GatherVsShuffleBitIdentical) {
   // Same arithmetic in the same order; only the sample-load mechanism
-  // differs. Checked per usable vector ISA.
+  // differs, so kShuffleTranspose and kAuto's window loads must give
+  // kGather's bytes. Checked per usable vector ISA on the scenario's plan
+  // (the routed service path) and on load_path_history swept in each
+  // pulse's wavefront order (most vectors fit the window) and in both fixed
+  // orders, so every pulse also runs its opposite order (spans too wide:
+  // gathers). Its swaths: one covering the image, and two starting 5 m
+  // beyond the centre's range, whose edges cut through the image (masked
+  // lanes: gathers) and leave its middle unreached; the second has 7
+  // samples (below the AVX-512 window, at the edge of the AVX2 one).
+  const sim::PhaseHistory full = load_path_history(400, -40.0);
+  const sim::PhaseHistory edges = load_path_history(75, 5.0);
+  const sim::PhaseHistory narrow = load_path_history(7, 5.0);
+  const std::pair<const char*, const sim::PhaseHistory*> swaths[] = {
+      {"full swath", &full}, {"swath edges", &edges}, {"7 samples", &narrow}};
+  const std::pair<const char*, std::optional<geometry::LoopOrder>> orders[] =
+      {{"wavefront", std::nullopt},
+       {"x_inner", geometry::LoopOrder::kXInner},
+       {"y_inner", geometry::LoopOrder::kYInner}};
   bool checked = false;
   for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
     if (!bp::asr_isa_available(isa)) continue;
+    SCOPED_TRACE(bp::simd_isa_name(isa));
     const bp::SoaTile gather =
         run_simd_plan(isa, bp::KernelVariant::kGather);
-    const bp::SoaTile shuffle =
-        run_simd_plan(isa, bp::KernelVariant::kShuffleTranspose);
-    EXPECT_TRUE(bit_identical(gather, shuffle))
-        << "gather vs shuffle-transpose diverged under "
-        << bp::simd_isa_name(isa);
+    EXPECT_TRUE(bit_identical(
+        gather, run_simd_plan(isa, bp::KernelVariant::kShuffleTranspose)))
+        << "plan: shuffle-transpose vs gather";
+    EXPECT_TRUE(
+        bit_identical(gather, run_simd_plan(isa, bp::KernelVariant::kAuto)))
+        << "plan: auto vs gather";
+    for (const auto& [swath, history] : swaths) {
+      for (const auto& [order_name, order] : orders) {
+        SCOPED_TRACE(std::string(swath) + ", " + order_name);
+        const bp::SoaTile g = sweep_history(
+            *history, order, {isa, bp::KernelVariant::kGather});
+        const Index covered = covered_pixels(g);
+        EXPECT_GT(covered, 0);
+        EXPECT_EQ(covered == kImage * kImage, history == &full);
+        EXPECT_TRUE(bit_identical(
+            g, sweep_history(*history, order,
+                             {isa, bp::KernelVariant::kShuffleTranspose})))
+            << "shuffle-transpose vs gather";
+        EXPECT_TRUE(bit_identical(
+            g, sweep_history(*history, order,
+                             {isa, bp::KernelVariant::kAuto})))
+            << "auto vs gather";
+      }
+    }
     checked = true;
   }
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
