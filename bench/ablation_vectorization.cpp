@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "bench_util.h"
 #include "common/timer.h"
@@ -98,18 +99,10 @@ int main(int argc, char** argv) {
            });
   }
 
-  // Plan-replay rows: prebuilt tables swept through the TileBackend
-  // interface (the service's routed path).
+  // Plan-replay rows: prebuilt tables swept with each backend's kernel
+  // (the service's routed path).
   const auto plan = service::build_formation_plan(
       scenario.grid, all, block, block, scenario.history);
-  exec::PlanView view;
-  view.blocks = plan->blocks.data();
-  view.num_blocks = static_cast<Index>(plan->blocks.size());
-  view.pulse_order = plan->pulse_order.data();
-  view.num_pulses = plan->num_pulses();
-  view.tables = plan->tables.data();
-  view.region_x0 = all.x0;
-  view.region_y0 = all.y0;
 
   const auto report_backend = [&](const std::string& name,
                                   std::vector<std::pair<std::string,
@@ -119,8 +112,11 @@ int main(int argc, char** argv) {
     report(name, std::move(params), [&] {
       bp::SoaTile tile(all.width, all.height);
       Timer timer;
-      for (Index b = 0; b < view.num_blocks; ++b) {
-        backend->sweep_block(view, scenario.history, b, 0, pulses, tile);
+      for (std::size_t b = 0; b < plan->blocks.size(); ++b) {
+        bp::sweep_asr_block(plan->blocks[b], all.x0, all.y0,
+                            plan->block_tables(b),
+                            bp::PulseRange{&scenario.history, 0, pulses},
+                            backend->kernel(), tile);
       }
       return timer.seconds();
     });

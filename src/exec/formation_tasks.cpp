@@ -1,5 +1,7 @@
 #include "exec/formation_tasks.h"
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -11,6 +13,75 @@
 #include "obs/metrics.h"
 
 namespace sarbp::exec {
+
+GroupPtr make_formation_group(FormationSpec spec) {
+  ensure(spec.items >= 0 && spec.workers >= 1 && spec.sweep,
+         "make_formation_group: needs items >= 0, workers >= 1, a sweep");
+  const Index n = spec.items;
+  const Index fanout = std::clamp<Index>(
+      spec.task_cap > 0
+          ? spec.task_cap
+          : std::max<Index>(2, 2 * static_cast<Index>(spec.workers)),
+      1, std::max<Index>(n, 1));
+  auto checkpoint = spec.checkpoint;
+  auto on_complete = std::move(spec.on_complete);
+  std::string label = std::move(spec.label);
+  // The tasks share one copy of the body; it also keeps the backends alive.
+  const auto body = std::make_shared<const FormationSpec>(std::move(spec));
+
+  // Cuts items [begin, end) into `count` contiguous tasks on `backend`.
+  std::vector<TaskGroup::Task> tasks;
+  const auto add_tasks = [&tasks, &body](TileBackend* backend, Index begin,
+                                         Index end, Index count) {
+    for (Index t = 0; t < count; ++t) {
+      const Index i0 = begin + bp::split_begin(end - begin, count, t);
+      const Index i1 = begin + bp::split_begin(end - begin, count, t + 1);
+      tasks.push_back([body, backend, i0, i1](TaskGroup& group) {
+        const bp::AsrKernel& kernel =
+            backend != nullptr ? backend->kernel() : body->kernel;
+        double seconds = 0.0;
+        double backprojections = 0.0;
+        for (Index i = i0; i < i1; ++i) {
+          if (body->checkpoint && !body->checkpoint()) {
+            group.abort();
+            return;
+          }
+          if (body->prepare) body->prepare(i);
+          if (backend == nullptr) {
+            body->sweep(i, kernel);
+            continue;
+          }
+          const Timer timer;
+          backprojections += body->sweep(i, kernel);
+          seconds += timer.seconds();
+        }
+        if (backend != nullptr) backend->record(backprojections, seconds);
+      });
+    }
+  };
+  if (body->backends == nullptr) {
+    add_tasks(nullptr, 0, n, fanout);
+  } else {
+    // §5.3: one contiguous range per backend by the current split, cut
+    // into tasks in proportion to its share of the fan-out.
+    BackendSet& backends = *body->backends;
+    const std::vector<Index> bounds = backends.partition(n);
+    for (int k = 0; k < backends.size(); ++k) {
+      const Index k0 = bounds[static_cast<std::size_t>(k)];
+      const Index k1 = bounds[static_cast<std::size_t>(k) + 1];
+      if (k0 >= k1) continue;
+      add_tasks(&backends.backend(k), k0, k1,
+                std::clamp<Index>(
+                    static_cast<Index>(std::llround(
+                        static_cast<double>(fanout) *
+                        static_cast<double>(k1 - k0) / static_cast<double>(n))),
+                    1, k1 - k0));
+    }
+  }
+  if (tasks.empty()) tasks.emplace_back([](TaskGroup&) {});  // zero items
+  return std::make_shared<TaskGroup>(std::move(tasks), std::move(checkpoint),
+                                     std::move(on_complete), std::move(label));
+}
 
 GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
                                    const geometry::ImageGrid& grid,
@@ -29,21 +100,24 @@ GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
   // One private tile per part (§4.3); index pp*XY + r, pulse-slice major.
   auto tiles = std::make_shared<std::vector<bp::SoaTile>>(parts->size());
 
-  std::vector<TaskGroup::Task> tasks;
-  tasks.reserve(parts->size());
-  for (std::size_t i = 0; i < parts->size(); ++i) {
-    tasks.push_back([&history, &grid, &options, parts, tiles, i](TaskGroup&) {
-      const bp::CubePart& part = (*parts)[i];
-      bp::SoaTile& tile = (*tiles)[i];
-      tile.reset(part.region.width, part.region.height);
-      bp::run_cube_part(history, grid, options, part, tile);
-    });
-  }
+  FormationSpec spec;
+  spec.items = static_cast<Index>(parts->size());
+  spec.sweep = [&history, &grid, &options, parts, tiles](
+                   Index i, const bp::AsrKernel&) {
+    const bp::CubePart& part = (*parts)[static_cast<std::size_t>(i)];
+    bp::SoaTile& tile = (*tiles)[static_cast<std::size_t>(i)];
+    tile.reset(part.region.width, part.region.height);
+    bp::run_cube_part(history, grid, options, part, tile);
+    return 0.0;
+  };
+  spec.workers = parallelism;
+  spec.task_cap = spec.items;  // one part per task
+  spec.checkpoint = std::move(checkpoint);
 
   const std::size_t slices = static_cast<std::size_t>(choice.parts_pulse);
   const std::size_t regions =
       static_cast<std::size_t>(choice.parts_x * choice.parts_y);
-  auto on_complete = [parts, tiles, slices, regions, &out](TaskGroup& group) {
+  spec.on_complete = [parts, tiles, slices, regions, &out](TaskGroup& group) {
     if (group.aborted()) return;
     // Deterministic stride-doubling tree over the pulse slices of each
     // region, then one accumulate into the shared image per region.
@@ -57,9 +131,8 @@ GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
       (*tiles)[r].accumulate_into(out, (*parts)[r].region);
     }
   };
-
-  return std::make_shared<TaskGroup>(std::move(tasks), std::move(checkpoint),
-                                     std::move(on_complete), "backprojection");
+  spec.label = "backprojection";
+  return make_formation_group(std::move(spec));
 }
 
 Backprojector::Backprojector(const geometry::ImageGrid& grid,

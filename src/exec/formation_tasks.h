@@ -1,41 +1,72 @@
-// Batch image formation on the tile executor (paper §4.2-§4.3): the one
-// runtime that forms a backprojection batch.
+// Image formation on the tile executor (paper §4.2-§4.3). How a formation
+// is cut into tasks is decided here, once: make_formation_group turns N
+// independent items (plan blocks, a streaming update's blocks, the
+// Backprojector's cube parts) and a sweep body into contiguous item-range
+// tasks, optionally routed across a BackendSet by its §5.3 split. The
+// service's plan replay and the streaming updates build their groups
+// through it.
 //
-// make_backprojection_group decomposes one batch into a TaskGroup: the
-// (pulse x y x x) cube is cut by the §4.2 partitioner into (region-tile x
-// pulse-chunk) parts, each task runs one part through bp::run_cube_part
-// into a private SoaTile, and the group's completion continuation reduces
-// the tiles and accumulates them into the output image.
-//
-// Determinism: the reduction combines the pulse slices of each region in a
-// fixed stride-doubling tree over slice index, so the result is
-// bit-identical regardless of which threads ran which tasks (steal on or
-// off, any worker count).
-//
-// Backprojector is the batch driver: it owns a TileExecutor of
-// `options.threads` workers and runs one such group per add_pulses call,
-// with the calling thread sweeping parts beside the workers
-// (TileExecutor::run). The service's cached-plan jobs build their groups
-// in service/plan_cache.h instead.
+// make_backprojection_group is the batch body: the §4.2 partitioner cuts
+// the (pulse x y x x) cube into (region-tile x pulse-chunk) parts, one per
+// task, each swept by bp::run_cube_part into a private SoaTile. The
+// completion continuation reduces each region's pulse slices in a fixed
+// stride-doubling tree over slice index, so the bytes never depend on
+// which threads ran which tasks. Backprojector runs one such group per
+// add_pulses call on the pool it owns, the caller sweeping beside it.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <string>
 
+#include "backprojection/asr_sweep.h"
 #include "backprojection/backprojector.h"
 #include "common/grid2d.h"
 #include "common/types.h"
 #include "exec/executor.h"
 #include "exec/task_group.h"
+#include "exec/tile_backend.h"
 #include "geometry/grid.h"
 #include "sim/phase_history.h"
 
 namespace sarbp::exec {
 
+/// One formation as independent items, and how to cut it into tasks.
+/// Items never write the same output element (disjoint block rectangles,
+/// or private tiles), so any schedule gives the same bytes.
+struct FormationSpec {
+  Index items = 0;
+  /// Untimed setup of one item (a plan miss builds the block's tables),
+  /// run on the sweeping thread just before its sweep. Nullable.
+  std::function<void(Index item)> prepare;
+  /// Sweeps one item with its share's backend kernel (`kernel` below
+  /// without backends) and returns its backprojections for the backend's
+  /// rate tracker. Bodies that run no ASR kernel ignore the kernel.
+  std::function<double(Index item, const bp::AsrKernel& kernel)> sweep;
+  /// Task count: `task_cap` when positive, else ~2 tasks per worker so
+  /// thieves always find a remainder to take; never more tasks than items.
+  int workers = 1;
+  Index task_cap = 0;
+  /// Nullable. Each backend gets a contiguous item range by the current
+  /// §5.3 split, cut into tasks in proportion to its share; a task times
+  /// its sweeps and records them once if it finishes unaborted.
+  std::shared_ptr<BackendSet> backends;
+  bp::AsrKernel kernel;
+  /// Polled by the executor before each task, then by the task before
+  /// each item's prepare; false aborts the group. Nullable.
+  std::function<bool()> checkpoint;
+  std::function<void(TaskGroup&)> on_complete;
+  std::string label;
+};
+
+/// Cuts `spec` into a TaskGroup. Zero items make one no-op task, so the
+/// checkpoint, abort and completion semantics stay uniform.
+GroupPtr make_formation_group(FormationSpec spec);
+
 /// Builds a group that accumulates every pulse of `history` into `out`
 /// (+=; callers zero for a fresh image), decomposed for `parallelism`
 /// concurrent workers. `history`, `grid`, `options`, and `out` must
-/// outlive the group. `checkpoint` (nullable) is polled before each task;
+/// outlive the group. `checkpoint` (nullable) is polled before each part;
 /// false aborts the job and leaves `out` untouched.
 GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
                                    const geometry::ImageGrid& grid,

@@ -15,7 +15,6 @@
 // and records the first error message.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -27,7 +26,6 @@
 
 #include "common/check.h"
 #include "common/thread_annotations.h"
-#include "common/types.h"
 #include "exec/steal_deque.h"
 
 namespace sarbp::exec {
@@ -158,16 +156,5 @@ class TaskGroup {
 };
 
 using GroupPtr = std::shared_ptr<TaskGroup>;
-
-/// Task count for a group over `items` independent work items (ASR
-/// blocks): `requested` when positive, else ~2 tasks per worker so thieves
-/// always find a remainder to take; never more tasks than items.
-[[nodiscard]] inline Index fanout_tasks(Index requested, int workers,
-                                        Index items) {
-  const Index want = requested > 0
-                         ? requested
-                         : std::max<Index>(2, 2 * static_cast<Index>(workers));
-  return std::clamp<Index>(want, 1, std::max<Index>(items, 1));
-}
 
 }  // namespace sarbp::exec

@@ -8,19 +8,6 @@
 
 namespace sarbp::exec {
 
-void PlanView::sweep(Index block, const sim::PhaseHistory& history,
-                     Index pulse_begin, Index pulse_end,
-                     const bp::AsrKernel& kernel, bp::SoaTile& tile) const {
-  const bp::PlanTables block_tables{
-      tables + static_cast<std::size_t>(block) *
-                   static_cast<std::size_t>(num_pulses),
-      pulse_order};
-  bp::sweep_asr_block(blocks[static_cast<std::size_t>(block)], region_x0,
-                      region_y0, block_tables,
-                      bp::PulseRange{&history, pulse_begin, pulse_end},
-                      kernel, tile);
-}
-
 TileBackend::TileBackend(std::string name, double rate_prior,
                          bp::AsrKernel kernel, double rate_smoothing,
                          obs::Registry* metrics)

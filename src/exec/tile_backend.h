@@ -5,15 +5,13 @@
 // across them with the dynamic split ratio, "adapted based on the
 // execution time ratio observed with the first few images".
 //
-// Layering: exec must not depend on the service layer, so backends sweep
-// through a PlanView — a non-owning projection of service::FormationPlan
-// (blocks, per-pulse loop order, block-major ASR tables, each block's
-// built before the block is swept). The service builds the view when it
-// builds the task group.
-//
-// Every backend sweeps through the one ASR block sweep
-// (backprojection/asr_sweep.h) via PlanView::sweep; the backends differ
-// only in their rate prior, their kernel, and simulated_seconds.
+// Layering: a backend is a kernel, a rate prior and a clock; it knows no
+// plan. exec::make_formation_group (exec/formation_tasks.h) cuts the
+// items into per-backend shares and hands each share's sweeps the
+// backend's kernel(); the service's plan-replay body sweeps its blocks
+// with that kernel through the one ASR block sweep
+// (backprojection/asr_sweep.h) and its own prebuilt tables, so exec needs
+// no service types.
 //
 // Identity contract: blocks cover disjoint pixel rectangles, and the
 // scalar and offload backends run the scalar sweep of execute_plan — so
@@ -32,45 +30,17 @@
 #include <string>
 #include <vector>
 
-#include "asr/block_plan.h"
-#include "asr/tables.h"
 #include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
-#include "backprojection/soa_tile.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
-#include "geometry/wavefront.h"
 #include "obs/metrics.h"
 #include "offload/device.h"
-#include "sim/phase_history.h"
 
 namespace sarbp::exec {
 
-/// Non-owning view of a formation plan: everything a backend needs to
-/// sweep one block. The owner (the service's plan-replay group) keeps the
-/// plan alive for the group's lifetime.
-struct PlanView {
-  const asr::BlockSpec* blocks = nullptr;  ///< [num_blocks]
-  Index num_blocks = 0;
-  const geometry::LoopOrder* pulse_order = nullptr;  ///< [num_pulses]
-  Index num_pulses = 0;
-  /// Per-(block, pulse) tables, block-major: tables[b * num_pulses + p].
-  const asr::BlockTables* tables = nullptr;
-  Index region_x0 = 0;
-  Index region_y0 = 0;
-
-  /// Sweeps pulses [pulse_begin, pulse_end) of block `block` into `tile`
-  /// (shaped like the plan's region) through the ASR core with `kernel`.
-  /// Thread-compatible: concurrent calls on distinct blocks write disjoint
-  /// tile rectangles.
-  void sweep(Index block, const sim::PhaseHistory& history,
-             Index pulse_begin, Index pulse_end, const bp::AsrKernel& kernel,
-             bp::SoaTile& tile) const;
-};
-
-/// One compute executor. sweep_block is called concurrently from several
-/// workers (distinct blocks, disjoint tile rectangles); the rate tracker is
-/// internally synchronized.
+/// One compute executor. Its tasks' sweeps run concurrently on several
+/// workers; the rate tracker is internally synchronized.
 class TileBackend {
  public:
   TileBackend(std::string name, double rate_prior, bp::AsrKernel kernel,
@@ -84,14 +54,6 @@ class TileBackend {
 
   /// The inner loop this backend's sweeps run.
   [[nodiscard]] const bp::AsrKernel& kernel() const { return kernel_; }
-
-  /// Sweeps pulses [pulse_begin, pulse_end) of one plan block into `tile`
-  /// (shaped like the plan's region) with this backend's kernel.
-  void sweep_block(const PlanView& plan, const sim::PhaseHistory& history,
-                   Index block, Index pulse_begin, Index pulse_end,
-                   bp::SoaTile& tile) const {
-    plan.sweep(block, history, pulse_begin, pulse_end, kernel_, tile);
-  }
 
   /// Simulated wall seconds for arithmetic that physically took
   /// `measured_seconds` on this host — identity for host backends, the

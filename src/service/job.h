@@ -75,9 +75,8 @@ enum class JobState {
 
 /// Hand-off the service gives a custom job's group factory at dequeue
 /// time. `checkpoint` is the service's cooperative cancel/deadline poll —
-/// the factory's tasks must call it with the same granularity as the plan
-/// replay (once per block sweep) and abort their group when it returns
-/// false. `finish` resolves the JobHandle exactly once; the factory's
+/// the factory passes it to exec::make_formation_group, which polls it once
+/// per item as the plan replay does and aborts the group on false. `finish` resolves the JobHandle exactly once; the factory's
 /// completion continuation must call it with the outcome it proposes
 /// (kDone on success, kFailed on abort — the service substitutes the
 /// checkpoint's kCancelled/kExpired verdict when one was recorded first)
@@ -86,7 +85,8 @@ enum class JobState {
 struct CustomJobContext {
   std::function<bool()> checkpoint;
   std::function<JobState(JobState, const std::string&)> finish;
-  /// Executor sizing, so factories can fan out like the plan replay does.
+  /// Executor sizing for make_formation_group's workers and task cap, so
+  /// a factory's group fans out like the plan replay's.
   int workers = 1;
   Index tile_tasks = 0;
 };

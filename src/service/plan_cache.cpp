@@ -1,14 +1,11 @@
 #include "service/plan_cache.h"
 
-#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <utility>
 
-#include "backprojection/asr_sweep.h"
-#include "backprojection/partition.h"
 #include "common/check.h"
-#include "common/timer.h"
+#include "exec/formation_tasks.h"
 
 namespace sarbp::service {
 namespace {
@@ -141,18 +138,19 @@ std::shared_ptr<const FormationPlan> build_formation_plan(
 
 namespace {
 
-/// exec-layer projection of a plan (see exec/tile_backend.h). Valid while
-/// the plan lives — the task lambdas own a shared_ptr to it.
-exec::PlanView plan_view(const FormationPlan& plan) {
-  exec::PlanView view;
-  view.blocks = plan.blocks.data();
-  view.num_blocks = static_cast<Index>(plan.blocks.size());
-  view.pulse_order = plan.pulse_order.data();
-  view.num_pulses = plan.num_pulses();
-  view.tables = plan.tables.data();
-  view.region_x0 = plan.key.region.x0;
-  view.region_y0 = plan.key.region.y0;
-  return view;
+/// Sweeps pulses [pulse_begin, pulse_end) of plan block `block` into
+/// `tile` with `kernel`; returns the backprojections it performed.
+double sweep_plan_block(const FormationPlan& plan, std::size_t block,
+                        const sim::PhaseHistory& history, Index pulse_begin,
+                        Index pulse_end, const bp::AsrKernel& kernel,
+                        bp::SoaTile& tile) {
+  const asr::BlockSpec& spec = plan.blocks[block];
+  bp::sweep_asr_block(spec, plan.key.region.x0, plan.key.region.y0,
+                      plan.block_tables(block),
+                      bp::PulseRange{&history, pulse_begin, pulse_end}, kernel,
+                      tile);
+  return static_cast<double>(spec.width) * static_cast<double>(spec.height) *
+         static_cast<double>(pulse_end - pulse_begin);
 }
 
 }  // namespace
@@ -166,10 +164,10 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
          "execute_plan: tile/region shape mismatch");
   // Block-outer / pulse-inner, the cache-blocking order of the scalar
   // kernel: one block's output rows stay resident while the pulses stream.
-  const exec::PlanView view = plan_view(plan);
-  for (Index b = 0; b < view.num_blocks; ++b) {
+  for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
     if (checkpoint && !checkpoint()) return false;
-    view.sweep(b, history, 0, view.num_pulses, bp::AsrKernel{}, tile);
+    sweep_plan_block(plan, b, history, 0, plan.num_pulses(), bp::AsrKernel{},
+                     tile);
   }
   return true;
 }
@@ -189,107 +187,43 @@ exec::GroupPtr make_plan_replay_group(
   ensure(tile->width() == plan->key.region.width &&
              tile->height() == plan->key.region.height,
          "make_plan_replay_group: tile/region shape mismatch");
-  ensure(parallelism >= 1, "make_plan_replay_group: parallelism >= 1");
   if (pulse_end < 0) pulse_end = plan->num_pulses();
   ensure(pulse_begin >= 0 && pulse_begin <= pulse_end &&
              pulse_end <= plan->num_pulses(),
          "make_plan_replay_group: bad pulse range");
 
-  // A miss skeleton has not been published yet: the group's tasks are its
-  // only users until the continuation below inserts it, so they may fill
-  // the table slots (disjoint per block) of the plan they were handed.
-  std::shared_ptr<FormationPlan> skeleton =
-      insert_into != nullptr ? std::const_pointer_cast<FormationPlan>(plan)
-                             : nullptr;
-
-  // Contiguous block ranges, each with its task count: the whole plan on
-  // the scalar sweep without backends; with them (§5.3), one range per
-  // backend sized by the current dynamic split and sub-divided into tasks
-  // in proportion to its share of the fan-out.
-  struct Share {
-    exec::TileBackend* backend;
-    Index b0;
-    Index b1;
-    Index tasks;
+  exec::FormationSpec spec;
+  spec.items = static_cast<Index>(plan->blocks.size());
+  spec.sweep = [plan, history, tile, pulse_begin, pulse_end](
+                   Index b, const bp::AsrKernel& kernel) {
+    return sweep_plan_block(*plan, static_cast<std::size_t>(b), *history,
+                            pulse_begin, pulse_end, kernel, *tile);
   };
-  const Index nblocks = static_cast<Index>(plan->blocks.size());
-  const Index fanout = exec::fanout_tasks(tile_tasks, parallelism, nblocks);
-  std::vector<Share> shares;
-  if (backends == nullptr) {
-    shares.push_back({nullptr, 0, nblocks, fanout});
-  } else {
-    const std::vector<Index> bounds = backends->partition(nblocks);
-    for (int k = 0; k < backends->size(); ++k) {
-      const Index k0 = bounds[static_cast<std::size_t>(k)];
-      const Index k1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (k0 >= k1) continue;
-      const Index ktasks = std::clamp<Index>(
-          static_cast<Index>(std::llround(static_cast<double>(fanout) *
-                                          static_cast<double>(k1 - k0) /
-                                          static_cast<double>(nblocks))),
-          1, k1 - k0);
-      shares.push_back({&backends->backend(k), k0, k1, ktasks});
-    }
-  }
-
-  // One task body. On a miss it builds each block's tables just before
-  // sweeping the block. With a backend it times the sweeps (not the table
-  // builds) and feeds the backend's observed-rate tracker, which steers the
-  // *next* job's partition.
-  std::vector<exec::TaskGroup::Task> tasks;
-  for (const Share& share : shares) {
-    for (Index ti = 0; ti < share.tasks; ++ti) {
-      const Index b0 =
-          share.b0 + bp::split_begin(share.b1 - share.b0, share.tasks, ti);
-      const Index b1 =
-          share.b0 + bp::split_begin(share.b1 - share.b0, share.tasks, ti + 1);
-      tasks.push_back([plan, skeleton, history, tile, checkpoint, backends,
-                       backend = share.backend, b0, b1, pulse_begin,
-                       pulse_end](exec::TaskGroup& group) {
-        const exec::PlanView view = plan_view(*plan);
-        double sweep_seconds = 0.0;
-        double backprojections = 0.0;
-        for (Index b = b0; b < b1; ++b) {
-          // Same granularity as execute_plan: one cancellation poll per
-          // block sweep, not per task.
-          if (checkpoint && !checkpoint()) {
-            group.abort();
-            return;
-          }
-          const auto bi = static_cast<std::size_t>(b);
-          if (skeleton) build_plan_block(*skeleton, bi, *history);
-          if (backend == nullptr) {
-            view.sweep(b, *history, pulse_begin, pulse_end, bp::AsrKernel{},
-                       *tile);
-            continue;
-          }
-          const Timer timer;
-          backend->sweep_block(view, *history, b, pulse_begin, pulse_end,
-                               *tile);
-          sweep_seconds += timer.seconds();
-          const auto& block = plan->blocks[bi];
-          backprojections += static_cast<double>(block.width) *
-                             static_cast<double>(block.height) *
-                             static_cast<double>(pulse_end - pulse_begin);
-        }
-        if (backend != nullptr) backend->record(backprojections, sweep_seconds);
-      });
-    }
-  }
-
-  if (skeleton) {
-    // Insert-on-success: an aborted group leaves table slots unbuilt, so
-    // only a group that ran every task publishes its plan — before the
-    // caller's continuation resolves anything.
-    on_complete = [plan, insert_into, on_complete = std::move(on_complete)](
-                      exec::TaskGroup& group) {
+  spec.workers = parallelism;
+  spec.task_cap = tile_tasks;
+  spec.backends = std::move(backends);
+  spec.checkpoint = std::move(checkpoint);
+  spec.on_complete = std::move(on_complete);
+  spec.label = "plan_replay";
+  if (insert_into != nullptr) {
+    // A miss skeleton has not been published yet: the group's tasks are
+    // its only users until the continuation inserts it, so each block's
+    // table slots (disjoint per block) are filled just before the block's
+    // sweep, outside the backend timer. Insert-on-success: an aborted
+    // group leaves slots unbuilt, so only a group that ran every task
+    // publishes its plan — before the caller's continuation runs.
+    auto skeleton = std::const_pointer_cast<FormationPlan>(plan);
+    spec.prepare = [skeleton, history](Index b) {
+      build_plan_block(*skeleton, static_cast<std::size_t>(b), *history);
+    };
+    spec.on_complete = [plan, insert_into,
+                        on_complete = std::move(spec.on_complete)](
+                           exec::TaskGroup& group) {
       if (!group.aborted()) insert_into->insert(plan);
       if (on_complete) on_complete(group);
     };
   }
-  return std::make_shared<exec::TaskGroup>(
-      std::move(tasks), std::move(checkpoint), std::move(on_complete),
-      "plan_replay");
+  return exec::make_formation_group(std::move(spec));
 }
 
 PlanCache::PlanCache(std::size_t capacity, obs::Registry* metrics)

@@ -39,6 +39,7 @@
 
 #include "asr/block_plan.h"
 #include "asr/tables.h"
+#include "backprojection/asr_sweep.h"
 #include "backprojection/soa_tile.h"
 #include "common/region.h"
 #include "exec/task_group.h"
@@ -92,6 +93,12 @@ struct FormationPlan {
   [[nodiscard]] Index num_pulses() const {
     return static_cast<Index>(pulse_order.size());
   }
+
+  /// Block `block`'s tables and the pulse order, as the ASR sweep reads
+  /// them (bp::sweep_asr_block with the plan's region origin).
+  [[nodiscard]] bp::PlanTables block_tables(std::size_t block) const {
+    return {tables.data() + block * pulse_order.size(), pulse_order.data()};
+  }
 };
 
 /// A plan without tables: the key, the blocks, the pulse order, `bytes`,
@@ -125,8 +132,8 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
 class PlanCache;
 
 /// Decomposes one plan replay into a TaskGroup for the tile executor: the
-/// plan's blocks are split into contiguous block-range tasks that all
-/// sweep into the shared region-sized `tile`. Blocks cover disjoint pixel
+/// plan's blocks are the items of exec::make_formation_group, all swept
+/// into the shared region-sized `tile`. Blocks cover disjoint pixel
 /// rectangles, so concurrent tasks never write the same element and the
 /// result is byte-identical to a serial execute_plan() no matter how tasks
 /// are scheduled or stolen — the accumulation order per pixel is always
@@ -135,10 +142,9 @@ class PlanCache;
 /// `checkpoint` keeps execute_plan's granularity: it is polled before
 /// every block sweep (inside tasks) and again before each task starts
 /// (by the executor); the first false aborts the whole group.
-/// `tile_tasks` caps the fan-out; 0 = auto (exec::fanout_tasks over
-/// `parallelism` workers and the plan's blocks). `on_complete` runs on
-/// the worker that retires the last task — aborted groups must discard the
-/// partially-swept tile there.
+/// `parallelism` and `tile_tasks` size the fan-out (tile_tasks 0 = auto).
+/// `on_complete` runs on the worker that retires the last task — aborted
+/// groups must discard the partially-swept tile there.
 ///
 /// `[pulse_begin, pulse_end)` restricts the replay to a pulse range of the
 /// plan (pulse_end == -1 means all pulses) — the pulse-scatter unit of the
@@ -146,22 +152,20 @@ class PlanCache;
 /// plan and the gather sums the partial tiles (shard-index order, the
 /// documented reduction-order deviation from the single-node path).
 ///
-/// `backends` (nullable) routes the plan's blocks across a BackendSet by
-/// its §5.3 dynamic split: each backend gets a contiguous block range,
-/// sub-divided into tasks proportional to its share, and each task's
-/// measured sweep feeds the backend's observed-rate tracker. Null sweeps
-/// every block with the scalar kernel, untimed; a set holding only scalar
-/// backends is byte-identical to that (disjoint block rectangles; same
-/// per-block pulse order).
+/// `backends` (nullable) routes the blocks by the set's §5.3 dynamic
+/// split, each backend sweeping its share with its kernel and feeding its
+/// observed-rate tracker. Null sweeps every block with the scalar kernel,
+/// untimed; a set holding only scalar backends is byte-identical to that
+/// (disjoint block rectangles; same per-block pulse order).
 ///
 /// `insert_into` (nullable) marks `plan` as a cache-miss skeleton
-/// (lookup_plan): each task builds its blocks' tables for every pulse with
-/// build_plan_block just before sweeping them, and when the last task
+/// (lookup_plan): each block's tables are built for every pulse with
+/// build_plan_block just before the block's sweep (outside the backend
+/// timer, so the §5.3 split remains a sweep rate), and when the last task
 /// retires without an abort the finished plan is inserted into
 /// `insert_into`, before `on_complete` runs. The group is the skeleton's
-/// only writer until then. Building stays outside the backend timer, so
-/// the §5.3 split remains a sweep rate. Null replays the plan's tables as
-/// they are — a cache hit, or a plan from build_formation_plan.
+/// only writer until then. Null replays the plan's tables as they are — a
+/// cache hit, or a plan from build_formation_plan.
 [[nodiscard]] exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
     std::shared_ptr<const sim::PhaseHistory> history, int parallelism,

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <tuple>
 
@@ -49,9 +50,23 @@ class JsonCursor {
       if (c == '\\' && pos_ < text_.size()) {
         const char esc = text_[pos_++];
         switch (esc) {
+          case 'b': c = '\b'; break;
+          case 'f': c = '\f'; break;
           case 'n': c = '\n'; break;
+          case 'r': c = '\r'; break;
           case 't': c = '\t'; break;
-          default: c = esc; break;
+          case 'u': {  // to_json writes it for control characters only
+            const std::string hex = text_.substr(pos_, 4);
+            char* end = nullptr;
+            const long code = std::strtol(hex.c_str(), &end, 16);
+            ensure(hex.size() == 4 && end == hex.c_str() + 4 && code < 0x80,
+                   "trace JSON: bad \\u escape at offset " +
+                       std::to_string(pos_));
+            pos_ += 4;
+            c = static_cast<char>(code);
+            break;
+          }
+          default: c = esc; break;  // \" \\ \/
         }
       }
       out.push_back(c);
@@ -86,6 +101,25 @@ class JsonCursor {
   const std::string& text_;
   std::size_t pos_ = 0;
 };
+
+/// Appends `text` as a JSON string: quotes and backslashes escaped,
+/// control characters as \u00XX.
+void append_json_string(std::string& out, const std::string& text) {
+  out.push_back('"');
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
+  }
+  out.push_back('"');
+}
 
 Priority parse_priority(const std::string& name) {
   if (name == "high") return Priority::kHigh;
@@ -231,7 +265,8 @@ std::string to_json(const Trace& trace) {
                   e.delay_ms, e.deadline_ms);
     out += buf;
     if (!e.tenant.empty()) {
-      out += ", \"tenant\": \"" + e.tenant + "\"";
+      out += ", \"tenant\": ";
+      append_json_string(out, e.tenant);
     }
     if (e.stream != 0) {
       // Emitted only for streaming entries, so pre-extension traces

@@ -8,10 +8,9 @@
 #include <vector>
 
 #include "backprojection/asr_sweep.h"
-#include "backprojection/partition.h"
 #include "backprojection/soa_tile.h"
 #include "common/check.h"
-#include "exec/task_group.h"
+#include "exec/formation_tasks.h"
 
 namespace sarbp::streaming {
 namespace {
@@ -204,8 +203,11 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     bool have_key = false;
     service::PlanKey key;
     /// Anchor mode: the window chunks that survive the slide, oldest
-    /// first, then the new chunk — one pulse sequence for the sweep.
+    /// first, then the new chunk, and their pulses as one sequence, so a
+    /// loop-order run continues across chunk boundaries exactly as it does
+    /// in reform_window over the concatenated window.
     std::vector<std::shared_ptr<const sim::PhaseHistory>> window;
+    std::vector<bp::PulseRange> window_pulses;
     SubApertureCache::Partial cached;     ///< cache-hit partial
     std::shared_ptr<bp::SoaTile> partial; ///< freshly swept chunk partial
     std::shared_ptr<bp::SoaTile> fresh;   ///< anchor: whole-window sweep
@@ -294,6 +296,9 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
           u->window.push_back(window_[i].history);
         }
         u->window.push_back(u->chunk.history);
+        for (const auto& h : u->window) {
+          u->window_pulses.push_back(all_pulses(*h));
+        }
       }
     }
     if (config_.cache != nullptr) {
@@ -315,70 +320,49 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     }
 
     auto self = shared_from_this();
-    std::vector<exec::TaskGroup::Task> tasks;
-    if (!u->anchor && u->cache_hit) {
-      // Nothing to sweep: one trivial task keeps the group machinery (and
-      // its checkpoint/abort/completion semantics) uniform.
-      tasks.emplace_back([](exec::TaskGroup&) {});
-    } else {
-      const Index nblocks = static_cast<Index>(blocks_.size());
-      const Index fanout =
-          exec::fanout_tasks(cctx.tile_tasks, cctx.workers, nblocks);
-      for (Index ti = 0; ti < fanout; ++ti) {
-        const Index b0 = bp::split_begin(nblocks, fanout, ti);
-        const Index b1 = bp::split_begin(nblocks, fanout, ti + 1);
-        auto checkpoint = cctx.checkpoint;
-        tasks.emplace_back(
-            [self, u, checkpoint, b0, b1](exec::TaskGroup& group) {
-              self->sweep_task(*u, b0, b1, checkpoint, group);
-            });
-      }
-    }
-    auto on_complete = [self, u, cctx](exec::TaskGroup& group) {
+    exec::FormationSpec spec;
+    // A cache hit without an anchor has nothing to sweep: zero items.
+    spec.items =
+        !u->anchor && u->cache_hit ? 0 : static_cast<Index>(blocks_.size());
+    spec.sweep = [self, u](Index b, const bp::AsrKernel& kernel) {
+      return self->sweep_update_block(*u, b, kernel);
+    };
+    spec.workers = cctx.workers;
+    spec.task_cap = cctx.tile_tasks;
+    spec.kernel = kernel_;
+    spec.checkpoint = cctx.checkpoint;
+    spec.on_complete = [self, u, cctx](exec::TaskGroup& group) {
       self->complete_update(u, cctx, group);
     };
-    return std::make_shared<exec::TaskGroup>(std::move(tasks), cctx.checkpoint,
-                                             std::move(on_complete),
-                                             "stream_update");
+    spec.label = "stream_update";
+    return exec::make_formation_group(std::move(spec));
   }
 
-  void sweep_task(Update& u, Index b0, Index b1,
-                  const std::function<bool()>& checkpoint,
-                  exec::TaskGroup& group) {
-    // An anchor sweeps the whole window as one pulse sequence, so a
-    // loop-order run continues across chunk boundaries exactly as it does
-    // in reform_window over the concatenated window.
-    std::vector<bp::PulseRange> window;
-    Index window_pulses = 0;
-    for (const auto& h : u.window) {
-      window.push_back(all_pulses(*h));
-      window_pulses += h->num_pulses();
-    }
-    const bp::PulseRange chunk[] = {all_pulses(*u.chunk.history)};
+  /// Sweeps block `b` of an update: the window into `fresh` (anchor) and
+  /// the chunk into `partial` (no cache hit).
+  double sweep_update_block(Update& u, Index b,
+                            const bp::AsrKernel& kernel) {
+    const asr::BlockSpec& block = blocks_[static_cast<std::size_t>(b)];
+    const auto area = static_cast<std::uint64_t>(block.width) *
+                      static_cast<std::uint64_t>(block.height);
     std::uint64_t ops = 0;
-    for (Index b = b0; b < b1; ++b) {
-      // execute_plan's granularity: one cancellation poll per block sweep.
-      if (checkpoint && !checkpoint()) {
-        group.abort();
-        break;
+    if (u.anchor) {
+      bp::sweep_asr_block(block, region_.x0, region_.y0, config_.grid,
+                          u.window_pulses, std::nullopt, kernel, *u.fresh);
+      for (const bp::PulseRange& r : u.window_pulses) {
+        ops += area * static_cast<std::uint64_t>(r.end);
       }
-      const asr::BlockSpec& block = blocks_[static_cast<std::size_t>(b)];
-      const auto area = static_cast<std::uint64_t>(block.width) *
-                        static_cast<std::uint64_t>(block.height);
-      if (u.anchor) {
-        bp::sweep_asr_block(block, region_.x0, region_.y0, config_.grid,
-                            window, std::nullopt, kernel_, *u.fresh);
-        ops += area * static_cast<std::uint64_t>(window_pulses);
-      }
-      if (u.partial != nullptr) {
-        bp::sweep_asr_block(block, region_.x0, region_.y0, config_.grid,
-                            chunk, std::nullopt, kernel_, *u.partial);
-        ops += area * static_cast<std::uint64_t>(chunk[0].end);
-      }
+    }
+    if (u.partial != nullptr) {
+      const bp::PulseRange chunk[] = {all_pulses(*u.chunk.history)};
+      bp::sweep_asr_block(block, region_.x0, region_.y0, config_.grid, chunk,
+                          std::nullopt, kernel, *u.partial);
+      ops += area * static_cast<std::uint64_t>(chunk[0].end);
     }
     // order: relaxed — statistics accumulator; the group's completion
     // machinery orders it before on_complete reads it.
     u.ops.fetch_add(ops, std::memory_order_relaxed);
+    return static_cast<double>(ops);
   }
 
   /// Runs on the worker that retires the update's last task.
@@ -458,20 +442,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
         if (completed_) completed_->add();
         if (latency_s_) latency_s_->record(latest_->latency_seconds);
       } else {
-        switch (final_state) {
-          case service::JobState::kCancelled:
-            stats_.updates_cancelled += 1;
-            if (cancelled_) cancelled_->add();
-            break;
-          case service::JobState::kExpired:
-            stats_.updates_expired += 1;
-            if (expired_counter_) expired_counter_->add();
-            break;
-          default:
-            stats_.updates_failed += 1;
-            if (failed_) failed_->add();
-            break;
-        }
+        count_unapplied_locked(final_state);
       }
       inflight_update_ = nullptr;
       cv_.notify_all();
@@ -488,23 +459,29 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       u->job.reset();  // breaks the update <-> handle cycle, as above
       if (inflight_update_ != u) return;
       inflight_update_ = nullptr;
-      switch (state) {
-        case service::JobState::kCancelled:
-          stats_.updates_cancelled += 1;
-          if (cancelled_) cancelled_->add();
-          break;
-        case service::JobState::kExpired:
-          stats_.updates_expired += 1;
-          if (expired_counter_) expired_counter_->add();
-          break;
-        default:
-          stats_.updates_failed += 1;
-          if (failed_) failed_->add();
-          break;
-      }
+      count_unapplied_locked(state);
       cv_.notify_all();
     }
     pump();
+  }
+
+  /// Counts an update that resolved without committing, by its final
+  /// state: cancelled, expired, or failed.
+  void count_unapplied_locked(service::JobState state) SARBP_REQUIRES(mutex_) {
+    switch (state) {
+      case service::JobState::kCancelled:
+        stats_.updates_cancelled += 1;
+        if (cancelled_) cancelled_->add();
+        break;
+      case service::JobState::kExpired:
+        stats_.updates_expired += 1;
+        if (expired_counter_) expired_counter_->add();
+        break;
+      default:
+        stats_.updates_failed += 1;
+        if (failed_) failed_->add();
+        break;
+    }
   }
 
   service::ImageFormationService& service_;

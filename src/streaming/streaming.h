@@ -67,8 +67,9 @@ struct StreamConfig {
   std::chrono::milliseconds update_deadline{0};
   service::Priority priority = service::Priority::kNormal;
   std::string tenant;
-  /// Sweeps with the vector ASR kernel (widest usable ISA, gather
-  /// variant); the scalar sweep when no vector ISA is usable.
+  /// Sweeps with the vector ASR kernel (widest usable ISA,
+  /// KernelVariant::kAuto window loads); the scalar sweep when no vector
+  /// ISA is usable.
   bool use_simd = false;
   /// Optional shared sub-aperture partial cache (may be shared across
   /// sessions on the same scene); null = no partial reuse. Must outlive

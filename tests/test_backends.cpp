@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "common/snr.h"
 #include "exec/executor.h"
@@ -47,16 +48,15 @@ PlanFixture make_plan_fixture(Index image = 48, Index pulses = 16,
   return {std::move(s), std::move(history), region, std::move(plan)};
 }
 
-exec::PlanView view_of(const PlanFixture& f) {
-  exec::PlanView view;
-  view.blocks = f.plan->blocks.data();
-  view.num_blocks = static_cast<Index>(f.plan->blocks.size());
-  view.pulse_order = f.plan->pulse_order.data();
-  view.num_pulses = f.plan->num_pulses();
-  view.tables = f.plan->tables.data();
-  view.region_x0 = f.region.x0;
-  view.region_y0 = f.region.y0;
-  return view;
+/// Sweeps every block of the fixture's plan through `backend`'s kernel.
+void sweep_plan(const PlanFixture& f, const exec::TileBackend& backend,
+                bp::SoaTile& tile) {
+  for (std::size_t b = 0; b < f.plan->blocks.size(); ++b) {
+    bp::sweep_asr_block(f.plan->blocks[b], f.region.x0, f.region.y0,
+                        f.plan->block_tables(b),
+                        bp::PulseRange{f.pulses.get(), 0, f.plan->num_pulses()},
+                        backend.kernel(), tile);
+  }
 }
 
 bool tiles_equal(const bp::SoaTile& a, const bp::SoaTile& b) {
@@ -87,11 +87,8 @@ TEST(TileBackend, ScalarSweepMatchesExecutePlanExactly) {
 
   exec::BackendSpec spec;  // kHostScalar
   const auto backend = exec::make_backend(spec, 0.5, nullptr);
-  const exec::PlanView view = view_of(f);
   bp::SoaTile routed(f.region.width, f.region.height);
-  for (Index b = 0; b < view.num_blocks; ++b) {
-    backend->sweep_block(view, *f.pulses, b, 0, view.num_pulses, routed);
-  }
+  sweep_plan(f, *backend, routed);
   EXPECT_TRUE(tiles_equal(expected, routed));
 }
 
@@ -104,11 +101,8 @@ TEST(TileBackend, SimdSweepMatchesScalarAtSnrLevel) {
   exec::BackendSpec spec;
   spec.kind = exec::BackendSpec::Kind::kHostSimd;
   const auto backend = exec::make_backend(spec, 0.5, nullptr);
-  const exec::PlanView view = view_of(f);
   bp::SoaTile simd(f.region.width, f.region.height);
-  for (Index b = 0; b < view.num_blocks; ++b) {
-    backend->sweep_block(view, *f.pulses, b, 0, view.num_pulses, simd);
-  }
+  sweep_plan(f, *backend, simd);
   EXPECT_GT(snr_db(grid_of(simd), grid_of(scalar)), 70.0);
 }
 

@@ -8,6 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "exec/formation_tasks.h"
 #include "exec/steal_deque.h"
 #include "exec/task_group.h"
+#include "exec/tile_backend.h"
 #include "test_helpers.h"
 
 namespace sarbp::exec {
@@ -595,6 +600,260 @@ TEST(FormationGroup, CheckpointAbortLeavesImageUntouched) {
   for (Index y = 0; y < image.height(); ++y) {
     for (Index x = 0; x < image.width(); ++x) {
       EXPECT_EQ(image.at(x, y), CFloat(0.0f, 0.0f));
+    }
+  }
+}
+
+
+// ---------------------------------------------- make_formation_group ---
+
+/// What a formation group's body saw, with the thread that saw it:
+/// checkpoint polls (item -1), prepares, and sweeps with their kernel.
+struct BodyEvent {
+  enum Kind { kPoll, kPrepare, kSweep } kind;
+  Index item;
+  std::thread::id thread;
+  bp::SimdIsa isa = bp::SimdIsa::kScalar;
+};
+
+/// A logging body for make_formation_group. Polls from the `fail_from`-th
+/// on (1-based; 0 = never) return false, as a cancel does. A sweep takes
+/// at least a microsecond, so its backend's clock always moves.
+class BodyLog {
+ public:
+  explicit BodyLog(std::size_t fail_from = 0) : fail_from_(fail_from) {}
+
+  FormationSpec spec(Index items, int workers, Index task_cap,
+                     std::shared_ptr<BackendSet> backends) {
+    FormationSpec spec;
+    spec.items = items;
+    spec.prepare = [this](Index i) { log({BodyEvent::kPrepare, i, {}}); };
+    spec.sweep = [this](Index i, const bp::AsrKernel& kernel) {
+      log({BodyEvent::kSweep, i, {}, kernel.isa});
+      const auto start = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - start < 1us) {
+      }
+      return 1.0;
+    };
+    spec.workers = workers;
+    spec.task_cap = task_cap;
+    spec.backends = std::move(backends);
+    spec.checkpoint = [this] {
+      log({BodyEvent::kPoll, -1, {}});
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++polls_;
+      return fail_from_ == 0 || polls_ < fail_from_;
+    };
+    spec.on_complete = [this](TaskGroup&) { completions_.fetch_add(1); };
+    return spec;
+  }
+
+  [[nodiscard]] std::vector<BodyEvent> events() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return events_;
+  }
+  [[nodiscard]] int completions() const { return completions_.load(); }
+
+  /// Each thread's events in the order it saw them.
+  [[nodiscard]] std::map<std::thread::id, std::vector<BodyEvent>> by_thread()
+      const {
+    std::map<std::thread::id, std::vector<BodyEvent>> out;
+    for (const BodyEvent& e : events()) out[e.thread].push_back(e);
+    return out;
+  }
+
+  /// Each task's items in sweep order, for a run without an abort: a task
+  /// starts where a thread polls twice in a row (the executor's poll, then
+  /// the task's poll before its first item).
+  [[nodiscard]] std::vector<std::vector<Index>> tasks() const {
+    std::vector<std::vector<Index>> out;
+    for (const auto& [thread, seq] : by_thread()) {
+      for (std::size_t k = 0; k < seq.size(); ++k) {
+        if (seq[k].kind == BodyEvent::kPoll && k + 1 < seq.size() &&
+            seq[k + 1].kind == BodyEvent::kPoll) {
+          out.emplace_back();
+        } else if (seq[k].kind == BodyEvent::kSweep) {
+          out.back().push_back(seq[k].item);
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  void log(BodyEvent event) {
+    event.thread = std::this_thread::get_id();
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_.push_back(event);
+  }
+
+  const std::size_t fail_from_;
+  mutable std::mutex mutex_;
+  std::vector<BodyEvent> events_;
+  std::size_t polls_ = 0;
+  std::atomic<int> completions_{0};
+};
+
+std::map<Index, int> count_events(const std::vector<BodyEvent>& events,
+                                  BodyEvent::Kind kind) {
+  std::map<Index, int> out;
+  for (const BodyEvent& e : events) {
+    if (e.kind == kind) ++out[e.item];
+  }
+  return out;
+}
+
+// make_formation_group's contract, over worker counts, task caps and
+// backend routing: every item runs once; prepare(i) runs on the sweeping
+// thread just before sweep(i), after one poll per item (plus the
+// executor's one per task); routed items sweep with their backend's
+// kernel; a zero-item group completes once; and a checkpoint that fails
+// at item j leaves the rest of j's task unswept and skips its record.
+TEST(FormationGroup, MakeFormationGroupContract) {
+  constexpr Index kItems = 13;
+  std::vector<BackendSpec> three(3);
+  three[1].kind = BackendSpec::Kind::kHostSimd;
+  three[2].kind = BackendSpec::Kind::kOffloadSim;
+  const auto run = [](const GroupPtr& group, int workers, bool steal) {
+    ExecOptions options;
+    options.workers = workers;
+    options.steal = steal;
+    obs::Registry registry;
+    options.metrics = &registry;
+    TileExecutor executor(std::move(options));
+    executor.run(group);
+  };
+
+  for (const int workers : {1, 2, 4}) {
+    for (const Index cap : {Index{0}, Index{1}, Index{3}, kItems + 5}) {
+      for (const bool routed : {false, true}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers, cap " +
+                     std::to_string(cap) + (routed ? ", routed" : ""));
+        // A fresh set splits by its priors, so every run below (and
+        // `owner`) routes the same item ranges to the same backends.
+        obs::Registry registry;
+        const auto backends = [&]() -> std::shared_ptr<BackendSet> {
+          return routed ? std::make_shared<BackendSet>(three, 0.5, &registry)
+                        : nullptr;
+        };
+        const std::vector<Index> bounds =
+            routed ? BackendSet(three, 0.5, &registry).partition(kItems)
+                   : std::vector<Index>{0, kItems};
+        const auto owner = [&](Index item) {
+          std::size_t k = 0;
+          while (bounds[k + 1] <= item) ++k;
+          return k;
+        };
+
+        {  // Every item once; poll, prepare and sweep on one thread.
+          BodyLog log;
+          const auto set = backends();
+          const GroupPtr group =
+              make_formation_group(log.spec(kItems, workers, cap, set));
+          run(group, workers, /*steal=*/true);
+          EXPECT_FALSE(group->aborted());
+          EXPECT_EQ(log.completions(), 1);
+          const auto events = log.events();
+          const auto swept = count_events(events, BodyEvent::kSweep);
+          const auto prepared = count_events(events, BodyEvent::kPrepare);
+          for (Index i = 0; i < kItems; ++i) {
+            EXPECT_EQ(swept.count(i) ? swept.at(i) : 0, 1) << "item " << i;
+            EXPECT_EQ(prepared.count(i) ? prepared.at(i) : 0, 1);
+          }
+          EXPECT_EQ(count_events(events, BodyEvent::kPoll)[-1],
+                    static_cast<int>(group->size()) + kItems);
+          for (const auto& [thread, seq] : log.by_thread()) {
+            for (std::size_t k = 0; k < seq.size(); ++k) {
+              if (seq[k].kind != BodyEvent::kPrepare) continue;
+              ASSERT_TRUE(k >= 1 && seq[k - 1].kind == BodyEvent::kPoll);
+              ASSERT_TRUE(k + 1 < seq.size() &&
+                          seq[k + 1].kind == BodyEvent::kSweep &&
+                          seq[k + 1].item == seq[k].item);
+              const bp::SimdIsa want =
+                  routed ? set->backend(static_cast<int>(owner(seq[k].item)))
+                               .kernel()
+                               .isa
+                         : bp::SimdIsa::kScalar;
+              EXPECT_EQ(seq[k + 1].isa, want) << "item " << seq[k].item;
+            }
+          }
+          const auto tasks = log.tasks();
+          EXPECT_EQ(tasks.size(), group->size());
+          for (const auto& task : tasks) {
+            for (std::size_t k = 1; k < task.size(); ++k) {
+              EXPECT_EQ(task[k], task[k - 1] + 1);  // contiguous, in order
+            }
+          }
+        }
+
+        {  // Zero items: one no-op task, one completion.
+          BodyLog log;
+          const GroupPtr group =
+              make_formation_group(log.spec(0, workers, cap, backends()));
+          run(group, workers, /*steal=*/true);
+          EXPECT_EQ(group->size(), 1u);
+          EXPECT_EQ(log.completions(), 1);
+          EXPECT_EQ(log.events().size(), 1u);  // the executor's poll
+        }
+
+        // Abort: with stealing off the claiming worker runs every task, so
+        // a clean run fixes the order and the poll before item j.
+        constexpr Index j = kItems / 2;
+        BodyLog clean;
+        run(make_formation_group(clean.spec(kItems, workers, cap, backends())),
+            workers, /*steal=*/false);
+        const auto clean_events = clean.events();
+        std::size_t fail_from = 0;
+        for (std::size_t k = 0, polls = 0; k < clean_events.size(); ++k) {
+          if (clean_events[k].kind == BodyEvent::kPoll) ++polls;
+          if (clean_events[k].kind == BodyEvent::kPrepare &&
+              clean_events[k].item == j) {
+            fail_from = polls;
+            break;
+          }
+        }
+        ASSERT_GT(fail_from, 0u);
+        std::vector<Index> task_of_j;
+        const auto clean_tasks = clean.tasks();
+        for (const auto& task : clean_tasks) {
+          if (task.front() <= j && j <= task.back()) task_of_j = task;
+        }
+
+        BodyLog failing(fail_from);
+        obs::Registry failing_registry;
+        const auto set = routed ? std::make_shared<BackendSet>(
+                                      three, 0.5, &failing_registry)
+                                : nullptr;
+        const GroupPtr group =
+            make_formation_group(failing.spec(kItems, workers, cap, set));
+        run(group, workers, /*steal=*/false);
+        EXPECT_TRUE(group->aborted());
+        EXPECT_EQ(failing.completions(), 1);
+        const auto swept = count_events(failing.events(), BodyEvent::kSweep);
+        for (const Index i : task_of_j) {
+          EXPECT_EQ(swept.count(i), i < j ? 1u : 0u) << "item " << i;
+        }
+        if (!routed) continue;
+        // A backend records once per task that swept all its items.
+        std::vector<std::uint64_t> records(3, 0);
+        for (const auto& task : clean_tasks) {
+          bool whole = true;
+          for (const Index i : task) whole = whole && swept.count(i) == 1;
+          if (whole) ++records[owner(task.front())];
+        }
+        for (int k = 0; k < 3; ++k) {
+          const TileBackend& backend = set->backend(k);
+          EXPECT_EQ(backend.observed_rate() > 0.0, records[k] > 0)
+              << backend.name();
+          if (obs::kEnabled) {
+            EXPECT_EQ(failing_registry
+                          .counter("backend." + backend.name() + ".sweeps")
+                          .value(),
+                      records[k])
+                << backend.name();
+          }
+        }
+      }
     }
   }
 }

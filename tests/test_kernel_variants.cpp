@@ -55,25 +55,15 @@ class KernelVariantTest : public ::testing::Test {
     scenario_ = nullptr;
   }
 
-  static exec::PlanView plan_view() {
-    exec::PlanView view;
-    view.blocks = plan_->blocks.data();
-    view.num_blocks = static_cast<Index>(plan_->blocks.size());
-    view.pulse_order = plan_->pulse_order.data();
-    view.num_pulses = plan_->num_pulses();
-    view.tables = plan_->tables.data();
-    view.region_x0 = region_.x0;
-    view.region_y0 = region_.y0;
-    return view;
-  }
-
   /// Sweeps the whole plan through one backend — the routed service path.
   static bp::SoaTile run_backend(const exec::BackendSpec& spec) {
     const auto backend = exec::make_backend(spec, 0.5, nullptr);
-    const exec::PlanView view = plan_view();
     bp::SoaTile tile(region_.width, region_.height);
-    for (Index b = 0; b < view.num_blocks; ++b) {
-      backend->sweep_block(view, scenario_->history, b, 0, kPulses, tile);
+    for (std::size_t b = 0; b < plan_->blocks.size(); ++b) {
+      bp::sweep_asr_block(plan_->blocks[b], region_.x0, region_.y0,
+                          plan_->block_tables(b),
+                          bp::PulseRange{&scenario_->history, 0, kPulses},
+                          backend->kernel(), tile);
     }
     return tile;
   }

@@ -700,8 +700,12 @@ TEST(Service, SubmitAfterDrainRejectsShuttingDown) {
 // --- traces --------------------------------------------------------------
 
 TEST(Trace, JsonRoundTrip) {
-  const Trace trace = make_repeated_scene_trace(2, 2, 48, 16, 16);
+  Trace trace = make_repeated_scene_trace(2, 2, 48, 16, 16);
   ASSERT_EQ(trace.requests.size(), 4u);
+  // Tenants that need escaping: a quote, a backslash, control characters.
+  trace.requests[1].tenant = "a\"b";
+  trace.requests[2].tenant = "a\\b";
+  trace.requests[3].tenant = "tab\there\nline\x01";
   const Trace parsed = parse_trace_json(to_json(trace));
   ASSERT_EQ(parsed.requests.size(), trace.requests.size());
   for (std::size_t i = 0; i < trace.requests.size(); ++i) {

@@ -75,6 +75,15 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   again, and its critical-section reductions sum in
                   thread-completion order.
 
+  task-graph      One function cuts formations into tasks:
+                  exec::make_formation_group. In src/, a TaskGroup is
+                  constructed (make_shared/make_unique/new) only in
+                  src/exec/formation_tasks.cpp. The plan replay, the
+                  streaming updates and the Backprojector hand it their
+                  items and sweep bodies, so the fan-out, the §5.3 backend
+                  shares and the per-item checkpoint cannot drift apart
+                  again.
+
 Suppression syntax (same line, or alone on the line directly above):
 
     // lint: allow(<rule>) -- <rationale>
@@ -164,6 +173,14 @@ OMP_ALLOWLIST = (
     "src/common/cpu.cpp",
 )
 
+# A TaskGroup construction: make_shared/make_unique or a raw new.
+TASK_GROUP_RE = re.compile(
+    r"\b(?:make_shared|make_unique)\s*<\s*(?:exec::)?TaskGroup\s*>|"
+    r"\bnew\s+(?:exec::)?TaskGroup\b")
+
+# The one home of TaskGroup construction (exec::make_formation_group).
+TASK_GRAPH_HOME = "src/exec/formation_tasks.cpp"
+
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)\s*(--\s*\S.*)?")
 
 # A value-type sarbp::Mutex declaration: `Mutex name`, optionally mutable/
@@ -177,7 +194,8 @@ ACQ_EDGE_RE = re.compile(r"SARBP_ACQUIRED_(BEFORE|AFTER)\(([^)]*)\)")
 MUTEX_DECL_JOIN_CAP = 8  # max lines a single declaration may span
 
 RULES = ("order-comment", "raw-mutex", "sleep-poll", "isa-ifdef",
-         "queue-result", "lock-level", "asr-core", "omp-formation")
+         "queue-result", "lock-level", "asr-core", "omp-formation",
+         "task-graph")
 
 
 @dataclass
@@ -409,6 +427,15 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     "OpenMP outside the loops that stay on it; form images "
                     "on exec::TileExecutor (exec/formation_tasks.h)"))
 
+        if (in_src and path.as_posix() != TASK_GRAPH_HOME
+                and TASK_GROUP_RE.search(code)):
+            if "task-graph" not in allowed:
+                findings.append(Finding(
+                    rel, i + 1, "task-graph",
+                    "TaskGroup constructed outside "
+                    "exec::make_formation_group; describe the items in an "
+                    "exec::FormationSpec (exec/formation_tasks.h)"))
+
         if in_src and SLEEP_RE.search(code):
             if "sleep-poll" not in allowed:
                 findings.append(Finding(
@@ -576,6 +603,26 @@ SELFTEST_CASES = [
     ("src/exec/e.cpp", "// no #pragma omp here, omp_get_num_threads() either\n",
      []),  # comments never match
     ("tests/e.cpp", "#pragma omp parallel for\n", []),  # out of scope
+    # task-graph: TaskGroups are built only by exec::make_formation_group.
+    ("src/service/p.cpp",
+     "return std::make_shared<exec::TaskGroup>(std::move(tasks), cp, done);\n",
+     ["task-graph"]),
+    ("src/streaming/s.cpp",
+     "auto* g = new exec::TaskGroup(std::move(tasks), nullptr, nullptr);\n",
+     ["task-graph"]),
+    ("src/exec/formation_tasks.cpp",
+     "return std::make_shared<TaskGroup>(std::move(tasks), std::move(cp),\n",
+     []),
+    ("src/service/p.cpp",
+     "// lint: allow(task-graph) -- fixture\n"
+     "auto g = std::make_shared<exec::TaskGroup>(t, nullptr, nullptr);\n",
+     []),
+    ("src/service/p.cpp",
+     "// std::make_shared<exec::TaskGroup>(...) is named in a comment only\n",
+     []),
+    ("tests/t.cpp",
+     "auto g = std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr);\n",
+     []),  # tests are out of scope
     # lock-level: every Mutex declaration in src/ names its hierarchy rank.
     ("src/e.h", "mutable Mutex mutex_;\n", ["lock-level"]),
     ("src/e.h",
