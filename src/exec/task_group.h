@@ -66,7 +66,7 @@ class TaskGroup {
   [[nodiscard]] bool aborted() const {
     // order: acquire — pairs with abort()'s release so a worker that
     // observes the flag also observes everything the aborting thread wrote
-    // before it (e.g. the RunCtx outcome the service checkpoint recorded).
+    // before it (e.g. the trip a service RunVerdict recorded in its poll).
     return aborted_.load(std::memory_order_acquire);
   }
   void abort() {

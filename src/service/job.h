@@ -2,16 +2,24 @@
 // QUEUED -> RUNNING -> {DONE, FAILED, CANCELLED, EXPIRED} lifecycle, and
 // the handle a submitter holds while the job moves through the scheduler.
 //
+// The lifecycle is three steps, and every caller uses them (the local
+// formation path, custom jobs, the shard router's dispatch, each rank's
+// part and the gather): JobHandle::dequeue, a RunVerdict polled between
+// ASR blocks, and JobHandle::resolve. Only this file and job.cpp move a
+// handle between states (the `job-resolve` lint rule).
+//
 // Thread-safety contract: state() is a lock-free read; transitions happen
 // under the handle's mutex so a terminal state and its JobResult become
-// visible atomically to wait()/result(). cancel() is safe from any thread
-// at any point in the lifecycle — a QUEUED job transitions immediately, a
-// RUNNING job is interrupted at the worker's next inter-block checkpoint
-// (see service.h), and cancelling a terminal job is a no-op.
+// visible atomically to wait()/result(), and the first terminal
+// transition wins. cancel() is safe from any thread at any point in the
+// lifecycle — a QUEUED job transitions immediately, a RUNNING job is
+// interrupted at the next RunVerdict::poll, and cancelling a terminal job
+// is a no-op. A RunVerdict may be polled from many workers at once.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -74,14 +82,14 @@ enum class JobState {
 }
 
 /// Hand-off the service gives a custom job's group factory at dequeue
-/// time. `checkpoint` is the service's cooperative cancel/deadline poll —
-/// the factory passes it to exec::make_formation_group, which polls it once
-/// per item as the plan replay does and aborts the group on false. `finish` resolves the JobHandle exactly once; the factory's
-/// completion continuation must call it with the outcome it proposes
-/// (kDone on success, kFailed on abort — the service substitutes the
-/// checkpoint's kCancelled/kExpired verdict when one was recorded first)
-/// and receives back the state the job actually resolved to, so callers
-/// can classify outcomes without racing the handle.
+/// time. `checkpoint` is the job's RunVerdict::poll — the factory passes
+/// it to exec::make_formation_group, which polls it once per item as the
+/// plan replay does and aborts the group on false. `finish` resolves the
+/// JobHandle exactly once; the factory's completion continuation must
+/// call it with the outcome it proposes (kDone on success, kFailed on
+/// abort — a tripped verdict's kCancelled/kExpired overrides it) and
+/// receives back the state the job actually resolved to, so callers can
+/// classify outcomes without racing the handle.
 struct CustomJobContext {
   std::function<bool()> checkpoint;
   std::function<JobState(JobState, const std::string&)> finish;
@@ -93,7 +101,8 @@ struct CustomJobContext {
 
 /// Builds the task group of a custom (long-running-type) job when a worker
 /// claims it. Returning null means the factory resolved the job itself
-/// (it must still call ctx.finish); throwing fails the job.
+/// (it must still call ctx.finish); throwing fails the job (kFailed with
+/// the exception's message).
 using CustomGroupFactory =
     std::function<exec::GroupPtr(const CustomJobContext& ctx)>;
 
@@ -159,7 +168,20 @@ struct JobResult {
   std::uint64_t completion_index = 0;
 };
 
+/// What JobHandle::resolve stamps into the JobResult (see there for each
+/// field's meaning); `image` is published only on kDone.
+struct JobStamps {
+  double queue_seconds = 0.0;
+  double setup_seconds = 0.0;
+  double compute_seconds = 0.0;
+  bool plan_cache_hit = false;
+  std::string error;
+  Grid2D<CFloat> image{0, 0};
+};
+
 class ImageFormationService;
+class ShardRouter;
+class RunVerdict;
 
 /// Shared handle to one submitted job. The service keeps it queued; the
 /// submitter polls or waits on it. Destroying the service resolves every
@@ -182,9 +204,8 @@ class JobHandle {
   }
 
   /// Requests cancellation. A QUEUED job transitions to kCancelled
-  /// immediately; a RUNNING job transitions at the worker's next
-  /// inter-block checkpoint. Returns false when the job was already
-  /// terminal (too late to cancel).
+  /// immediately; a RUNNING job transitions at the next RunVerdict::poll.
+  /// Returns false when the job was already terminal (too late to cancel).
   bool cancel() SARBP_EXCLUDES(mutex_) {
     // order: release — pairs with the workers' acquire poll in the
     // inter-block checkpoint; nothing precedes it that matters, but the
@@ -197,7 +218,7 @@ class JobHandle {
     if (state() == JobState::kQueued) {
       finish_locked(JobState::kCancelled);
     }
-    return true;  // running: the worker observes the flag between blocks
+    return true;  // running: the next verdict poll observes the flag
   }
 
   /// Blocks until the job reaches a terminal state; returns the result.
@@ -229,74 +250,43 @@ class JobHandle {
   }
 
  private:
-  friend class ImageFormationService;
-  friend class ShardRouter;  // claim-side + gather-side job resolution
+  friend class ImageFormationService;  // submit, dequeue, resolve
+  friend class ShardRouter;            // dispatch's dequeue, gather's resolve
+  friend class RunVerdict;             // cancel_requested
 
-  explicit JobHandle(ImageFormationRequest req) : request_(std::move(req)) {}
+  /// Stamps the admission time. The registry and the sequence must outlive
+  /// the handle's lifecycle; the service drains before it destroys them.
+  JobHandle(ImageFormationRequest req, obs::Registry* metrics,
+            std::atomic<std::uint64_t>* completion_seq);
 
   [[nodiscard]] bool cancel_requested() const {
     // order: acquire — pairs with cancel()'s release store.
     return cancel_requested_.load(std::memory_order_acquire);
   }
 
-  /// QUEUED -> RUNNING; false when a cancel/expiry already won.
-  bool start_running() SARBP_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (state() != JobState::kQueued) return false;
-    // order: release — keeps the lock-free state() contract uniform; the
-    // transition itself is serialized by mutex_.
-    state_.store(JobState::kRunning, std::memory_order_release);
-    return true;
-  }
+  /// Lifecycle step 1, run by whoever claims the job from the scheduler.
+  /// Records service.job.queue_s and moves QUEUED -> RUNNING, returning
+  /// the queue wait. A job already terminal (cancelled while queued,
+  /// dropped at drain) or past its deadline (resolved kExpired, "deadline
+  /// passed while queued") is not started: the custom_abandoned callback
+  /// runs, with no lock held, and the result is nullopt.
+  [[nodiscard]] std::optional<double> dequeue() SARBP_EXCLUDES(mutex_);
 
-  /// Transition to a terminal state, stamp bookkeeping, wake waiters, and
-  /// bump the service-level accounting shared through the registry. Safe to
-  /// call once; later calls are no-ops (first terminal transition wins).
-  void finish(JobState terminal) SARBP_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (is_terminal(state())) return;
-    finish_locked(terminal);
-  }
+  /// Lifecycle step 3: resolves the job to `outcome` and stamps the
+  /// queue/setup/compute seconds, the cache hit, the error and (kDone
+  /// only) the image — unless the job is already terminal, since the
+  /// first transition wins. Returns the state the job ended in.
+  JobState resolve(JobState outcome, JobStamps stamps) SARBP_EXCLUDES(mutex_);
 
-  /// Caller holds mutex_ and has verified the state is not yet terminal.
+  /// The one terminal transition: stamps latency and completion order,
+  /// bumps the job metrics, publishes the state and wakes waiters. Caller
+  /// holds mutex_ and has verified the state is not yet terminal.
   /// Notifies while still holding the lock: a waiter may destroy this
   /// handle the moment it observes the terminal state, so the condition
   /// variable must not be touched after the mutex is released (same
   /// discipline as the executor's group completion; see
   /// tests/model/test_model.cpp, UseAfterFree).
-  void finish_locked(JobState terminal) SARBP_REQUIRES(mutex_) {
-    result_.state = terminal;
-    result_.latency_seconds = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - submitted_)
-                                  .count();
-    if (completion_seq_ != nullptr) {
-      result_.completion_index =
-          // order: relaxed — a pure ticket counter: atomicity gives each
-          // finished job a unique, monotonically assigned index, and the
-          // index is published to readers by the release store of state_
-          // below (PR 5 audit; was acq_rel, TSan-clean relaxed).
-          completion_seq_->fetch_add(1, std::memory_order_relaxed);
-    }
-    if (metrics_ != nullptr) {
-      metrics_->counter(std::string("service.jobs.") +
-                        job_state_name(terminal))
-          .add();
-      metrics_->histogram(std::string("service.job.latency_s.") +
-                          priority_name(request_.priority))
-          .record(result_.latency_seconds);
-      if (!request_.tenant.empty()) {
-        metrics_->counter("tenant." + request_.tenant + ".jobs." +
-                          job_state_name(terminal))
-            .add();
-        metrics_->histogram("tenant." + request_.tenant + ".latency_s")
-            .record(result_.latency_seconds);
-      }
-    }
-    // order: release — publishes result_ to lock-free state() readers (see
-    // state()); waiters under the lock are woken below.
-    state_.store(terminal, std::memory_order_release);
-    cv_.notify_all();
-  }
+  void finish_locked(JobState terminal) SARBP_REQUIRES(mutex_);
 
   ImageFormationRequest request_;
   std::atomic<JobState> state_{JobState::kQueued};
@@ -304,12 +294,42 @@ class JobHandle {
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("service.job")};
   CondVar cv_;
   JobResult result_ SARBP_GUARDED_BY(mutex_);
-  // Stamped by the service at admission. The registry and sequence pointer
-  // must outlive every in-flight handle; the service guarantees that by
-  // draining before destruction.
-  std::chrono::steady_clock::time_point submitted_{};
-  obs::Registry* metrics_ = nullptr;
-  std::atomic<std::uint64_t>* completion_seq_ = nullptr;
+  const std::chrono::steady_clock::time_point submitted_;
+  obs::Registry* const metrics_;
+  std::atomic<std::uint64_t>* const completion_seq_;
+};
+
+/// Lifecycle step 2: the first-trip-wins verdict of one run — a local
+/// formation job, a custom job, or one shard part of a job.
+class RunVerdict {
+ public:
+  /// `hook` (the service's inter-block test hook; may be empty) must
+  /// outlive the verdict.
+  RunVerdict(std::shared_ptr<JobHandle> job, const std::function<void()>& hook)
+      : job_(std::move(job)), hook_(hook) {}
+
+  /// The cooperative checkpoint, polled before every ASR block from any
+  /// worker: runs the hook, then trips kCancelled ("cancelled while
+  /// running") once cancel() was called, or kExpired ("deadline passed
+  /// while running") past the deadline. False when this poll tripped.
+  [[nodiscard]] bool poll();
+
+  /// The run's outcome: the first trip if any poll tripped (and `*error`
+  /// becomes its message), else `proposed` with `*error` unchanged.
+  [[nodiscard]] JobState settle(JobState proposed, std::string* error) const;
+
+  /// settle() of a finished group's proposal: kFailed with the group's
+  /// error (`fallback` when a task recorded none) if it aborted, else
+  /// kDone.
+  [[nodiscard]] JobState settle(const exec::TaskGroup& group,
+                                const char* fallback,
+                                std::string* error) const;
+
+ private:
+  std::shared_ptr<JobHandle> job_;
+  const std::function<void()>& hook_;
+  /// kRunning until the first poll trips.
+  std::atomic<JobState> tripped_{JobState::kRunning};
 };
 
 }  // namespace sarbp::service

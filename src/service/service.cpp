@@ -29,7 +29,6 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
   if constexpr (obs::kEnabled) {
     submitted_ = &metrics_->counter("service.jobs.submitted");
     busy_gauge_ = &metrics_->gauge("service.workers.busy");
-    queue_s_ = &metrics_->histogram("service.job.queue_s");
     setup_s_ = &metrics_->histogram("service.job.setup_s");
     compute_s_ = &metrics_->histogram("service.job.compute_s");
   }
@@ -41,7 +40,6 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
     router_config.steal = config_.steal;
     router_config.tile_tasks = config_.tile_tasks;
     router_config.small_job_pixels = config_.shard_small_pixels;
-    router_config.strategy = config_.shard_strategy;
     router_config.gather_capacity = config_.max_pending;
     router_config.inter_block_hook = config_.inter_block_hook;
     router_config.shard_fault_hook = config_.shard_fault_hook;
@@ -101,10 +99,8 @@ SubmitOutcome ImageFormationService::submit(ImageFormationRequest request) {
     return reject(RejectReason::kInvalidRequest);
   }
 
-  auto job = JobPtr(new JobHandle(std::move(request)));
-  job->submitted_ = std::chrono::steady_clock::now();
-  job->metrics_ = metrics_;
-  job->completion_seq_ = &completion_seq_;
+  auto job =
+      JobPtr(new JobHandle(std::move(request), metrics_, &completion_seq_));
 
   switch (sched_->submit(job, config_.admission_grace)) {
     case AdmitResult::kAdmitted:
@@ -166,212 +162,87 @@ void ImageFormationService::route_loop() {
   }
 }
 
-namespace {
-
-/// Shared outcome of one running job, written by whichever worker's
-/// checkpoint trips first and read by the completion continuation.
-struct RunCtx {
-  Mutex mutex{SARBP_LOCK_LEVEL("service.runctx")};
-  JobState outcome SARBP_GUARDED_BY(mutex) = JobState::kDone;
-  std::string error SARBP_GUARDED_BY(mutex);
-  std::chrono::steady_clock::time_point compute_start;
-
-  void set_failure(JobState state, const char* message)
-      SARBP_EXCLUDES(mutex) {
-    MutexLock lock(mutex);
-    if (outcome == JobState::kDone) {
-      outcome = state;
-      error = message;
-    }
-  }
-};
-
-}  // namespace
-
 exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
-  const auto now = std::chrono::steady_clock::now();
-  const double queued_for =
-      std::chrono::duration<double>(now - job->submitted_).count();
-  if (queue_s_) queue_s_->record(queued_for);
-
-  // Cancelled while queued (or dropped already-terminal at drain): the
-  // handle is resolved, just drop it — after telling a custom submitter
-  // its factory will never run.
-  if (is_terminal(job->state())) {
-    if (job->request_.custom_abandoned) {
-      job->request_.custom_abandoned(job->state());
-    }
-    return nullptr;
-  }
-
-  const auto& request = job->request_;
-  if (request.deadline.has_value() && now > *request.deadline) {
-    {
-      MutexLock lock(job->mutex_);
-      if (!is_terminal(job->state())) {
-        job->result_.error = "deadline passed while queued";
-        job->result_.queue_seconds = queued_for;
-        job->finish_locked(JobState::kExpired);
-      }
-    }
-    if (request.custom_abandoned) request.custom_abandoned(job->state());
-    return nullptr;
-  }
-  if (!job->start_running()) {
-    // A cancel resolved the handle between the checks above and here.
-    if (request.custom_abandoned) request.custom_abandoned(job->state());
-    return nullptr;
-  }
+  const std::optional<double> queued_for = job->dequeue();
+  if (!queued_for) return nullptr;
   if (busy_gauge_) busy_gauge_->add(1);
-
-  // Cooperative checkpoint, polled before every ASR block sweep — now
-  // possibly from several workers at once, so the outcome write is
-  // serialized through the RunCtx (first trip wins).
-  const auto make_checkpoint = [this, job](std::shared_ptr<RunCtx> ctx) {
-    return [this, ctx, job]() -> bool {
-      if (config_.inter_block_hook) config_.inter_block_hook();
-      if (job->cancel_requested()) {
-        ctx->set_failure(JobState::kCancelled, "cancelled while running");
-        return false;
-      }
-      const auto& deadline = job->request_.deadline;
-      if (deadline.has_value() &&
-          std::chrono::steady_clock::now() > *deadline) {
-        ctx->set_failure(JobState::kExpired, "deadline passed while running");
-        return false;
-      }
-      return true;
-    };
+  // Every exit of a job this worker started: the replay's completion, a
+  // custom job's finish, and the setup guard below.
+  const auto resolve = [this, job](JobState outcome, JobStamps stamps) {
+    if (busy_gauge_) busy_gauge_->add(-1);
+    return job->resolve(outcome, std::move(stamps));
   };
-
-  if (request.custom) {
-    // Custom job: the factory builds the group, the service supplies the
-    // lifecycle — the same checkpoint the plan replay polls, and a finish
-    // that resolves the handle with the checkpoint verdict taking
-    // precedence over the factory's proposed outcome.
-    auto ctx = std::make_shared<RunCtx>();
-    ctx->compute_start = std::chrono::steady_clock::now();
-    CustomJobContext cctx;
-    cctx.checkpoint = make_checkpoint(ctx);
-    cctx.workers = config_.workers;
-    cctx.tile_tasks = config_.tile_tasks;
-    cctx.finish = [this, ctx, job, queued_for](
-                      JobState proposed,
-                      const std::string& message) -> JobState {
-      const double compute_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        ctx->compute_start)
-              .count();
-      if (compute_s_) compute_s_->record(compute_seconds);
-      JobState outcome;
-      std::string error;
-      {
-        MutexLock lock(ctx->mutex);
-        outcome = ctx->outcome;
-        error = ctx->error;
-      }
-      if (outcome == JobState::kDone) {
-        outcome = proposed;
-        error = message;
-      }
-      if (busy_gauge_) busy_gauge_->add(-1);
-      MutexLock lock(job->mutex_);
-      // Lost a race to cancel(): report the state the job actually
-      // resolved to, not the proposal.
-      if (is_terminal(job->state())) return job->state();
-      job->result_.queue_seconds = queued_for;
-      job->result_.compute_seconds = compute_seconds;
-      job->result_.error = std::move(error);
-      job->finish_locked(outcome);
-      return outcome;
-    };
-    exec::GroupPtr group;
-    try {
-      group = job->request_.custom(cctx);
-    } catch (const std::exception& e) {
-      cctx.finish(JobState::kFailed, e.what());
-      return nullptr;
-    }
-    return group;
-  }
-
-  const Region region = request.effective_region();
-  double setup_seconds = 0.0;
-  PlanLookup lookup;
+  JobStamps stamps;
+  stamps.queue_seconds = *queued_for;
   try {
+    const ImageFormationRequest& request = job->request();
+    auto verdict = std::make_shared<RunVerdict>(job, config_.inter_block_hook);
+    auto checkpoint = [verdict] { return verdict->poll(); };
+
+    if (request.custom) {
+      // Custom job: the factory builds the group, the service supplies the
+      // lifecycle — the replay's checkpoint, and a finish in which the
+      // verdict overrides the factory's proposed outcome.
+      CustomJobContext cctx;
+      cctx.checkpoint = std::move(checkpoint);
+      cctx.workers = config_.workers;
+      cctx.tile_tasks = config_.tile_tasks;
+      cctx.finish = [this, resolve, verdict, stamps, compute = Timer()](
+                        JobState proposed, const std::string& message) {
+        JobStamps run = stamps;
+        run.compute_seconds = compute.seconds();
+        if (compute_s_) compute_s_->record(run.compute_seconds);
+        run.error = message;
+        return resolve(verdict->settle(proposed, &run.error), std::move(run));
+      };
+      return request.custom(cctx);
+    }
+
     // A hit is the whole setup; a miss yields a skeleton whose tables the
     // replay tasks build, so that cost lands in compute.
+    const Region region = request.effective_region();
     Timer setup_timer;
-    lookup = lookup_plan(plan_cache_, request.grid, region,
-                         request.asr_block_w, request.asr_block_h,
-                         *request.pulses);
-    setup_seconds = setup_timer.seconds();
-    if (setup_s_) setup_s_->record(setup_seconds);
+    PlanLookup lookup =
+        lookup_plan(plan_cache_, request.grid, region, request.asr_block_w,
+                    request.asr_block_h, *request.pulses);
+    stamps.setup_seconds = setup_timer.seconds();
+    if (setup_s_) setup_s_->record(stamps.setup_seconds);
+    stamps.plan_cache_hit = lookup.hit();
+
+    const Timer compute;
+    auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
+    // Runs on whichever worker retires the job's last task: publish the
+    // image (or the failure) and resolve the handle. The claiming worker
+    // has long since moved on to the next claim. A miss group has inserted
+    // its finished plan by then, so a repeat submitted after this resolves
+    // hits.
+    auto done = [this, resolve, verdict, tile, region, stamps,
+                 compute](exec::TaskGroup& group) {
+      JobStamps run = stamps;
+      run.compute_seconds = compute.seconds();
+      if (compute_s_) compute_s_->record(run.compute_seconds);
+      const JobState outcome =
+          verdict->settle(group, "job aborted", &run.error);
+      if (outcome == JobState::kDone) {
+        run.image = Grid2D<CFloat>(region.width, region.height);
+        tile->accumulate_into(run.image,
+                              Region{0, 0, region.width, region.height});
+      }
+      resolve(outcome, std::move(run));
+    };
+    return make_plan_replay_group(std::move(lookup.plan), request.pulses,
+                                  config_.workers, config_.tile_tasks,
+                                  std::move(tile), std::move(checkpoint),
+                                  std::move(done), /*pulse_begin=*/0,
+                                  /*pulse_end=*/-1, backend_set_,
+                                  lookup.insert_into);
   } catch (const std::exception& e) {
-    if (busy_gauge_) busy_gauge_->add(-1);
-    MutexLock lock(job->mutex_);
-    if (!is_terminal(job->state())) {
-      job->result_.queue_seconds = queued_for;
-      job->result_.setup_seconds = setup_seconds;
-      job->result_.error = e.what();
-      job->finish_locked(JobState::kFailed);
-    }
+    // Nothing was handed off: the plan lookup, the tile, the group build
+    // or a custom factory threw.
+    stamps.error = e.what();
+    resolve(JobState::kFailed, std::move(stamps));
     return nullptr;
   }
-
-  auto ctx = std::make_shared<RunCtx>();
-  ctx->compute_start = std::chrono::steady_clock::now();
-  auto checkpoint = make_checkpoint(ctx);
-
-  auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
-  // Runs on whichever worker retires the job's last task: publish the
-  // image (or the failure) and resolve the handle. The claiming worker has
-  // long since moved on to the next claim. A miss group has inserted its
-  // finished plan by then, so a repeat submitted after this resolves hits.
-  auto done = [this, ctx, job, tile, region, cache_hit = lookup.hit(),
-               setup_seconds, queued_for](exec::TaskGroup& group) {
-    const double compute_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      ctx->compute_start)
-            .count();
-    if (compute_s_) compute_s_->record(compute_seconds);
-
-    JobState outcome;
-    std::string error;
-    {
-      MutexLock lock(ctx->mutex);
-      outcome = ctx->outcome;
-      error = ctx->error;
-    }
-    if (outcome == JobState::kDone && group.aborted()) {
-      // Aborted without a checkpoint verdict: a task threw.
-      outcome = JobState::kFailed;
-      error = group.error().empty() ? "job aborted" : group.error();
-    }
-    Grid2D<CFloat> image(0, 0);
-    if (outcome == JobState::kDone) {
-      image = Grid2D<CFloat>(region.width, region.height);
-      tile->accumulate_into(image, Region{0, 0, region.width, region.height});
-    }
-    if (busy_gauge_) busy_gauge_->add(-1);
-
-    MutexLock lock(job->mutex_);
-    if (is_terminal(job->state())) return;  // lost a race to cancel()
-    job->result_.queue_seconds = queued_for;
-    job->result_.setup_seconds = setup_seconds;
-    job->result_.compute_seconds = compute_seconds;
-    job->result_.plan_cache_hit = cache_hit;
-    job->result_.error = std::move(error);
-    if (outcome == JobState::kDone) job->result_.image = std::move(image);
-    job->finish_locked(outcome);
-  };
-
-  return make_plan_replay_group(std::move(lookup.plan), request.pulses,
-                                config_.workers, config_.tile_tasks,
-                                std::move(tile), std::move(checkpoint),
-                                std::move(done), /*pulse_begin=*/0,
-                                /*pulse_end=*/-1, backend_set_,
-                                lookup.insert_into);
 }
 
 }  // namespace sarbp::service

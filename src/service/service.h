@@ -101,8 +101,9 @@ struct ServiceConfig {
   /// Test/ops hook: when true the workers hold at a gate until resume(),
   /// so a batch of requests can be staged and released atomically.
   bool start_paused = false;
-  /// Test hook: invoked at every inter-block checkpoint before the
-  /// cancellation/deadline checks (on every shard, in sharded mode).
+  /// Test hook: invoked by every RunVerdict::poll — the inter-block
+  /// checkpoint — before its cancellation/deadline checks (on every shard,
+  /// in sharded mode).
   std::function<void()> inter_block_hook;
   /// Metrics sink; null selects the process-global obs::registry(). Must
   /// outlive the service and every handle it issued.
@@ -131,9 +132,10 @@ struct ServiceConfig {
   /// Tile-executor width inside each shard rank.
   int shard_workers = 1;
   /// Jobs at most this many region pixels route whole to one shard
-  /// (byte-identical to the single-node path).
+  /// (byte-identical to the single-node path). Larger jobs grid-split when
+  /// the region has >= 2 ASR block bands, else pulse-scatter when they
+  /// have >= 2 pulses (shard_router.h).
   Index shard_small_pixels = 64 * 64;
-  ShardStrategy shard_strategy = ShardStrategy::kAuto;
   /// Fault-injection seam: runs on a shard rank before each dispatch;
   /// throwing kills the rank and aborts the cluster (tests).
   std::function<void(int shard, std::uint64_t seq)> shard_fault_hook;
@@ -187,9 +189,9 @@ class ImageFormationService {
   /// fair scheduler and turns it into a task group.
   exec::GroupPtr next_group(int worker, std::chrono::microseconds budget,
                             bool* end);
-  /// Runs the claim-side of a job (queue accounting, deadline check,
-  /// RUNNING transition, plan setup) and builds its plan-replay group.
-  /// Null when the job resolved terminally without any compute.
+  /// Dequeues a claimed job, then builds its plan-replay group (or calls
+  /// its custom factory) under one guard: a throw before the hand-off
+  /// resolves the job kFailed. Null when the job resolved without compute.
   exec::GroupPtr build_job_group(const JobPtr& job);
   /// Sharded mode: claims jobs and hands them to the router until the
   /// scheduler reports end-of-stream.
@@ -211,7 +213,6 @@ class ImageFormationService {
 
   obs::Counter* submitted_ = nullptr;
   obs::Gauge* busy_gauge_ = nullptr;
-  obs::Histogram* queue_s_ = nullptr;
   obs::Histogram* setup_s_ = nullptr;
   obs::Histogram* compute_s_ = nullptr;
 

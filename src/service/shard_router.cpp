@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "backprojection/partition.h"
@@ -29,6 +30,8 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// Rank of a part outcome in the job's merge: failed > expired >
+/// cancelled > done.
 int severity(JobState s) {
   switch (s) {
     case JobState::kFailed: return 3;
@@ -37,25 +40,6 @@ int severity(JobState s) {
     default: return 0;
   }
 }
-
-/// Shared outcome of one part's replay: whichever worker's checkpoint
-/// trips first decides (same first-trip-wins discipline as the service's
-/// single-node RunCtx).
-struct PartState {
-  Mutex mutex{SARBP_LOCK_LEVEL("service.part")};
-  std::int32_t status SARBP_GUARDED_BY(mutex);
-  std::string error SARBP_GUARDED_BY(mutex);
-
-  explicit PartState(std::int32_t initial) : status(initial) {}
-
-  void trip(std::int32_t s, const char* message) SARBP_EXCLUDES(mutex) {
-    MutexLock lock(mutex);
-    if (status == 0) {
-      status = s;
-      error = message;
-    }
-  }
-};
 
 }  // namespace
 
@@ -81,7 +65,6 @@ ShardRouter::ShardRouter(ShardRouterConfig config)
     jobs_grid_split_ = &metrics_->counter("shard.jobs.grid_split");
     parts_dispatched_ = &metrics_->counter("shard.parts.dispatched");
     inflight_gauge_ = &metrics_->gauge("shard.jobs.inflight");
-    queue_s_ = &metrics_->histogram("service.job.queue_s");
     setup_s_ = &metrics_->histogram("service.job.setup_s");
     compute_s_ = &metrics_->histogram("service.job.compute_s");
     gather_s_ = &metrics_->histogram("shard.job.gather_s");
@@ -145,7 +128,6 @@ void ShardRouter::split_job(ShardJobCtx& ctx) {
                   : Region{region.x0 + c0, region.y0, c1 - c0, region.height};
       ctx.parts.push_back(ShardPart{static_cast<int>(i), band, 0, pulses});
     }
-    ctx.used = ShardStrategy::kGridSplit;
     if (jobs_grid_split_) jobs_grid_split_->add();
     return true;
   };
@@ -158,8 +140,8 @@ void ShardRouter::split_job(ShardJobCtx& ctx) {
     ctx.plan = config_.plan_cache->find(
         make_plan_key(request.grid, region, request.asr_block_w,
                       request.asr_block_h, *request.pulses));
-    ctx.front_cache_hit = ctx.plan != nullptr;
-    if (!ctx.front_cache_hit) {
+    ctx.stamps.plan_cache_hit = ctx.plan != nullptr;
+    if (!ctx.stamps.plan_cache_hit) {
       // Every shard replays a pulse range of this one plan, so its tables
       // must all exist before the first dispatch.
       ctx.plan = build_formation_plan(request.grid, region,
@@ -167,74 +149,39 @@ void ShardRouter::split_job(ShardJobCtx& ctx) {
                                       request.asr_block_h, *request.pulses);
       config_.plan_cache->insert(ctx.plan);
     }
-    ctx.setup_seconds = setup_timer.seconds();
-    if (setup_s_) setup_s_->record(ctx.setup_seconds);
+    ctx.stamps.setup_seconds = setup_timer.seconds();
+    if (setup_s_) setup_s_->record(ctx.stamps.setup_seconds);
     const Index k = std::min<Index>(shards, pulses);
     for (Index i = 0; i < k; ++i) {
       ctx.parts.push_back(ShardPart{static_cast<int>(i), region,
                                     bp::split_begin(pulses, k, i),
                                     bp::split_begin(pulses, k, i + 1)});
     }
-    ctx.used = ShardStrategy::kPulseScatter;
     if (jobs_pulse_scatter_) jobs_pulse_scatter_->add();
     return true;
   };
 
-  if (shards <= 1 || region.pixels() <= config_.small_job_pixels) {
-    single();
+  if (shards > 1 && region.pixels() > config_.small_job_pixels &&
+      (try_grid_split() || try_pulse_scatter())) {
     return;
   }
-  switch (config_.strategy) {
-    case ShardStrategy::kAuto:
-      if (!try_grid_split() && !try_pulse_scatter()) single();
-      return;
-    case ShardStrategy::kGridSplit:
-      if (!try_grid_split()) single();
-      return;
-    case ShardStrategy::kPulseScatter:
-      if (!try_pulse_scatter()) single();
-      return;
-  }
-}
-
-void ShardRouter::finish_without_compute(const JobPtr& job, JobState terminal,
-                                         const char* error, double queued_for,
-                                         double setup_seconds) {
-  MutexLock lock(job->mutex_);
-  if (is_terminal(job->state())) return;
-  job->result_.queue_seconds = queued_for;
-  job->result_.setup_seconds = setup_seconds;
-  job->result_.error = error;
-  job->finish_locked(terminal);
+  single();
 }
 
 void ShardRouter::dispatch(const JobPtr& job) {
-  const auto now = std::chrono::steady_clock::now();
-  const double queued_for =
-      std::chrono::duration<double>(now - job->submitted_).count();
-  if (queue_s_) queue_s_->record(queued_for);
-
-  // Cancelled while queued: the handle is already terminal, just drop it.
-  if (is_terminal(job->state())) return;
-
-  const auto& request = job->request();
-  if (request.deadline.has_value() && now > *request.deadline) {
-    finish_without_compute(job, JobState::kExpired,
-                           "deadline passed while queued", queued_for, 0.0);
-    return;
-  }
-  if (!job->start_running()) return;
+  const std::optional<double> queued_for = job->dequeue();
+  if (!queued_for) return;
 
   auto ctx = std::make_shared<ShardJobCtx>();
   ctx->seq = next_seq_++;
   ctx->job = job;
-  ctx->region = request.effective_region();
-  ctx->queued_for = queued_for;
+  ctx->region = job->request().effective_region();
+  ctx->stamps.queue_seconds = *queued_for;
   try {
     split_job(*ctx);
   } catch (const std::exception& e) {
-    finish_without_compute(job, JobState::kFailed, e.what(), queued_for,
-                           ctx->setup_seconds);
+    ctx->stamps.error = e.what();
+    job->resolve(JobState::kFailed, std::move(ctx->stamps));
     return;
   }
 
@@ -254,8 +201,9 @@ void ShardRouter::dispatch(const JobPtr& job) {
   if (!gather_.push(ctx)) {
     // Defensive: shutdown() closed the gather queue under us (callers stop
     // dispatching first). Resolve the handle rather than leak a waiter.
-    finish_without_compute(job, JobState::kFailed, "service shutting down",
-                           queued_for, ctx->setup_seconds);
+    JobStamps stamps = ctx->stamps;
+    stamps.error = "service shutting down";
+    job->resolve(JobState::kFailed, std::move(stamps));
     MutexLock lock(table_mutex_);
     inflight_.erase(ctx->seq);
     if (inflight_gauge_) inflight_gauge_->add(-1);
@@ -299,7 +247,6 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
   ReplyHeader header;
   header.seq = msg.seq;
   header.part = msg.part;
-  header.status = kPartDone;
   std::string error;
   Grid2D<CFloat> image(0, 0);
   Timer compute_timer;
@@ -316,41 +263,19 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
       header.cache_hit = lookup.hit() ? 1 : 0;
     }
 
-    auto state = std::make_shared<PartState>(kPartDone);
-    const JobPtr job = ctx.job;
-    auto checkpoint = [this, state, job]() -> bool {
-      if (config_.inter_block_hook) config_.inter_block_hook();
-      if (job->cancel_requested()) {
-        state->trip(kPartCancelled, "cancelled while running");
-        return false;
-      }
-      const auto& deadline = job->request().deadline;
-      if (deadline.has_value() &&
-          std::chrono::steady_clock::now() > *deadline) {
-        state->trip(kPartExpired, "deadline passed while running");
-        return false;
-      }
-      return true;
-    };
-
+    auto verdict =
+        std::make_shared<RunVerdict>(ctx.job, config_.inter_block_hook);
     auto tile =
         std::make_shared<bp::SoaTile>(part.region.width, part.region.height);
     auto group = make_plan_replay_group(
         std::move(lookup.plan), request.pulses, config_.shard_workers,
-        config_.tile_tasks, tile, std::move(checkpoint), nullptr,
-        part.pulse_begin, part.pulse_end, nullptr, lookup.insert_into);
+        config_.tile_tasks, tile, [verdict] { return verdict->poll(); },
+        nullptr, part.pulse_begin, part.pulse_end, nullptr,
+        lookup.insert_into);
     exec.run(group);
     header.compute_seconds = compute_timer.seconds();
-    {
-      MutexLock lock(state->mutex);
-      header.status = state->status;
-      error = state->error;
-    }
-    if (header.status == kPartDone && group->aborted()) {
-      header.status = kPartFailed;
-      error = group->error().empty() ? "part aborted" : group->error();
-    }
-    if (header.status == kPartDone) {
+    header.status = verdict->settle(*group, "part aborted", &error);
+    if (header.status == JobState::kDone) {
       image = Grid2D<CFloat>(part.region.width, part.region.height);
       tile->accumulate_into(image,
                             Region{0, 0, part.region.width, part.region.height});
@@ -358,21 +283,20 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
   } catch (const cluster::ClusterAborted&) {
     throw;  // the cluster is poisoned; no reply will be read
   } catch (const std::exception& e) {
-    header.status = kPartFailed;
+    header.status = JobState::kFailed;
     header.compute_seconds = compute_timer.seconds();
     error = e.what();
   }
 
+  const bool done = header.status == JobState::kDone;
   const std::size_t payload_size =
-      header.status == kPartDone
-          ? static_cast<std::size_t>(image.size()) * sizeof(CFloat)
-          : error.size();
+      done ? static_cast<std::size_t>(image.size()) * sizeof(CFloat)
+           : error.size();
   std::vector<std::byte> reply(sizeof(ReplyHeader) + payload_size);
   std::memcpy(reply.data(), &header, sizeof(header));
   if (payload_size > 0) {
-    const void* payload = header.status == kPartDone
-                              ? static_cast<const void*>(image.data())
-                              : static_cast<const void*>(error.data());
+    const void* payload = done ? static_cast<const void*>(image.data())
+                               : static_cast<const void*>(error.data());
     std::memcpy(reply.data() + sizeof(header), payload, payload_size);
   }
   return reply;
@@ -396,21 +320,67 @@ void ShardRouter::gather_loop() {
 
 void ShardRouter::finish_job(const ShardJobCtx& ctx) {
   const Region region = ctx.region;
-  Grid2D<CFloat> image(region.width, region.height);
+  JobStamps stamps = ctx.stamps;
   JobState outcome = JobState::kDone;
-  std::string error;
-  bool cache_hit = ctx.front_cache_hit;
-  double compute_max = 0.0;
+  const auto merge = [&](JobState part_outcome, std::string error) {
+    if (severity(part_outcome) > severity(outcome)) {
+      outcome = part_outcome;
+      stamps.error = std::move(error);
+    }
+  };
   // Pulse-scatter parts cover the whole region and sum; the disjoint
   // routes (single shard, grid split) copy their band verbatim, keeping
   // the assembled bytes exactly the part bytes.
   const bool sum_parts = ctx.plan != nullptr;
 
+  // Every part's reply is read, whatever became of the parts before it:
+  // a reply left in a shard's mailbox would be taken for the next job's.
   for (std::size_t i = 0; i < ctx.parts.size(); ++i) {
     const ShardPart& part = ctx.parts[i];
-    std::vector<std::byte> bytes;
     try {
-      bytes = cluster_.frontend().recv(part.shard, kTagShardReply);
+      const std::vector<std::byte> bytes =
+          cluster_.frontend().recv(part.shard, kTagShardReply);
+      ensure(bytes.size() >= sizeof(ReplyHeader), "ShardRouter: short reply");
+      ReplyHeader header;
+      std::memcpy(&header, bytes.data(), sizeof(header));
+      ensure(header.seq == ctx.seq &&
+                 header.part == static_cast<std::int32_t>(i),
+             "ShardRouter: reply out of order");
+      stamps.compute_seconds =
+          std::max(stamps.compute_seconds, header.compute_seconds);
+      stamps.plan_cache_hit = stamps.plan_cache_hit || header.cache_hit != 0;
+      const std::byte* payload = bytes.data() + sizeof(header);
+      const std::size_t payload_size = bytes.size() - sizeof(header);
+      if (header.status != JobState::kDone) {
+        merge(header.status, std::string(reinterpret_cast<const char*>(payload),
+                                         payload_size));
+        continue;
+      }
+      if (outcome != JobState::kDone) continue;  // no image to assemble
+      ensure(payload_size == static_cast<std::size_t>(part.region.pixels()) *
+                                 sizeof(CFloat),
+             "ShardRouter: tile size mismatch");
+      // Allocated at the first done part, inside this guard: a region too
+      // large to hold fails the job instead of ending the process.
+      if (stamps.image.empty()) {
+        stamps.image = Grid2D<CFloat>(region.width, region.height);
+      }
+      const auto* tile = reinterpret_cast<const CFloat*>(payload);
+      if (sum_parts) {
+        // Shard-index order — the documented reduction order of the
+        // pulse-scatter route.
+        auto flat = stamps.image.flat();
+        for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += tile[j];
+      } else {
+        const Index dx = part.region.x0 - region.x0;
+        const Index dy = part.region.y0 - region.y0;
+        for (Index y = 0; y < part.region.height; ++y) {
+          std::memcpy(stamps.image.row(dy + y).data() + dx,
+                      tile + y * part.region.width,
+                      static_cast<std::size_t>(part.region.width) *
+                          sizeof(CFloat));
+        }
+      }
     } catch (const cluster::ClusterAborted&) {
       // A rank died. Every un-replied part of this job (and of every job
       // behind it) resolves the same way, immediately — the fix for the
@@ -418,64 +388,15 @@ void ShardRouter::finish_job(const ShardJobCtx& ctx) {
       // wait().
       outcome = JobState::kFailed;
       const std::string reason = cluster_.abort_reason();
-      error = reason.empty() ? std::string("shard cluster aborted")
-                             : "shard cluster aborted: " + reason;
-      break;
-    }
-    ensure(bytes.size() >= sizeof(ReplyHeader), "ShardRouter: short reply");
-    ReplyHeader header;
-    std::memcpy(&header, bytes.data(), sizeof(header));
-    ensure(header.seq == ctx.seq &&
-               header.part == static_cast<std::int32_t>(i),
-           "ShardRouter: reply out of order");
-    compute_max = std::max(compute_max, header.compute_seconds);
-    cache_hit = cache_hit || header.cache_hit != 0;
-    const std::byte* payload = bytes.data() + sizeof(header);
-    const std::size_t payload_size = bytes.size() - sizeof(header);
-    if (header.status == kPartDone) {
-      ensure(payload_size == static_cast<std::size_t>(part.region.pixels()) *
-                                 sizeof(CFloat),
-             "ShardRouter: tile size mismatch");
-      const auto* tile = reinterpret_cast<const CFloat*>(payload);
-      if (sum_parts) {
-        // Shard-index order — the documented reduction order of the
-        // pulse-scatter route.
-        auto flat = image.flat();
-        for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += tile[j];
-      } else {
-        const Index dx = part.region.x0 - region.x0;
-        const Index dy = part.region.y0 - region.y0;
-        for (Index y = 0; y < part.region.height; ++y) {
-          std::memcpy(image.row(dy + y).data() + dx,
-                      tile + y * part.region.width,
-                      static_cast<std::size_t>(part.region.width) *
-                          sizeof(CFloat));
-        }
-      }
-    } else {
-      const JobState part_outcome = header.status == kPartFailed
-                                        ? JobState::kFailed
-                                        : header.status == kPartExpired
-                                              ? JobState::kExpired
-                                              : JobState::kCancelled;
-      if (severity(part_outcome) > severity(outcome)) {
-        outcome = part_outcome;
-        error.assign(reinterpret_cast<const char*>(payload), payload_size);
-      }
+      stamps.error = reason.empty() ? std::string("shard cluster aborted")
+                                    : "shard cluster aborted: " + reason;
+    } catch (const std::exception& e) {
+      merge(JobState::kFailed, e.what());
     }
   }
 
-  if (compute_s_) compute_s_->record(compute_max);
-  JobHandle& job = *ctx.job;
-  MutexLock lock(job.mutex_);
-  if (is_terminal(job.state())) return;  // lost a race to cancel()
-  job.result_.queue_seconds = ctx.queued_for;
-  job.result_.setup_seconds = ctx.setup_seconds;
-  job.result_.compute_seconds = compute_max;
-  job.result_.plan_cache_hit = cache_hit;
-  job.result_.error = std::move(error);
-  if (outcome == JobState::kDone) job.result_.image = std::move(image);
-  job.finish_locked(outcome);
+  if (compute_s_) compute_s_->record(stamps.compute_seconds);
+  ctx.job->resolve(outcome, std::move(stamps));
 }
 
 }  // namespace sarbp::service

@@ -9,30 +9,36 @@
 //     shard chosen by hashing the tenant (or round-robin by sequence for
 //     the empty tenant): the same plan replay as the single-node path, so
 //     the result is byte-identical to an unsharded service.
-//   - Large jobs split by strategy. kGridSplit cuts the region into
-//     ASR-block-aligned row (or column) bands, one per shard; because
-//     plan_blocks anchors at the region origin and every cut lands on a
-//     block_h (block_w) multiple, each band's plan blocks coincide with
-//     the full-region plan's blocks and the assembled image is
-//     bit-identical to the single-node result. kPulseScatter replays one
-//     shared full-region plan with a disjoint pulse range per shard; the
-//     gather sums the partial tiles in shard-index order — the one
-//     documented deviation from single-node float reduction order.
-//     kAuto prefers a grid split (>= 2 block bands) and falls back to
-//     pulse scatter, then to a single shard.
+//   - Larger jobs split by their shape. A region with >= 2 ASR block
+//     bands grid-splits into block-aligned row (or column) bands, one per
+//     shard; because plan_blocks anchors at the region origin and every
+//     cut lands on a block_h (block_w) multiple, each band's plan blocks
+//     coincide with the full-region plan's blocks and the assembled image
+//     is bit-identical to the single-node result. Otherwise a job with
+//     >= 2 pulses is pulse-scattered: every shard replays one shared
+//     full-region plan over a disjoint pulse range, and the gather sums
+//     the partial tiles in shard-index order — the one documented
+//     deviation from single-node float reduction order. Anything else
+//     goes to a single shard.
+//
+// Job lifecycle (job.h): dispatch() dequeues the job and resolves it
+// kFailed if the split throws; each rank settles its part with a
+// RunVerdict and replies the part's JobState; the gather merges the parts
+// by severity and resolves the job.
 //
 // Gather protocol: for each part the router sends DispatchMsg{seq, part}
 // to the owning shard (tag kTagShardJob; seq 0 is the shutdown sentinel)
 // and enqueues the job on the gather queue. Shards process dispatches in
 // FIFO order and reply on (shard -> front end, kTagShardReply) with a
-// ReplyHeader + payload (tile bytes on success, error string otherwise);
+// ReplyHeader + payload (tile bytes on kDone, error string otherwise);
 // per-(source, tag) mailbox FIFO plus the gather thread draining jobs in
 // dispatch order means the head reply from a shard always belongs to the
-// oldest ungathered part on that shard. Every dispatched part gets
-// exactly one reply — a worker catches per-part exceptions and replies
-// kPartFailed; an uncaught error kills the rank, aborts the cluster, and
-// every blocked gather recv unwinds with ClusterAborted, failing the
-// affected jobs instead of wedging their wait().
+// oldest ungathered part on that shard, so the gather reads every part's
+// reply even once the job has failed. Every dispatched part gets exactly
+// one reply — a worker catches per-part exceptions and replies kFailed;
+// an uncaught error kills the rank, aborts the cluster, and every blocked
+// gather recv unwinds with ClusterAborted, failing the affected jobs
+// instead of wedging their wait().
 #pragma once
 
 #include <atomic>
@@ -56,19 +62,6 @@
 
 namespace sarbp::service {
 
-/// How a large job is spread across shards. kAuto picks per job (grid
-/// split when the region has >= 2 ASR block bands, else pulse scatter).
-enum class ShardStrategy { kAuto, kPulseScatter, kGridSplit };
-
-[[nodiscard]] constexpr const char* shard_strategy_name(ShardStrategy s) {
-  switch (s) {
-    case ShardStrategy::kAuto: return "auto";
-    case ShardStrategy::kPulseScatter: return "pulse_scatter";
-    case ShardStrategy::kGridSplit: return "grid_split";
-  }
-  return "?";
-}
-
 struct ShardRouterConfig {
   /// Cluster width (>= 1). The service only builds a router for >= 2.
   int shards = 2;
@@ -78,7 +71,6 @@ struct ShardRouterConfig {
   Index tile_tasks = 0;
   /// Jobs at most this many region pixels route whole to one shard.
   Index small_job_pixels = 64 * 64;
-  ShardStrategy strategy = ShardStrategy::kAuto;
   /// Backlog bound of the gather queue (dispatched, not yet gathered).
   std::size_t gather_capacity = 64;
   /// Test hook shared with the single-node path: polled at every
@@ -105,11 +97,10 @@ class ShardRouter {
 
   [[nodiscard]] int shards() const { return config_.shards; }
 
-  /// Claim-side of one job: queue accounting, deadline check, RUNNING
-  /// transition, split, dispatch to the shards, and hand-off to the
-  /// gather thread. Jobs that resolve terminally without compute
-  /// (cancelled while queued, deadline already passed, setup failure)
-  /// are finished here. Single-threaded caller (the route loop).
+  /// Claim-side of one job: dequeue, split, dispatch to the shards, and
+  /// hand-off to the gather thread. Jobs that resolve without compute
+  /// (cancelled while queued, deadline already passed, a split that
+  /// throws) are resolved here. Single-threaded caller (the route loop).
   void dispatch(const JobPtr& job);
 
   /// Sends the shutdown sentinel to every shard, drains the gather
@@ -130,16 +121,10 @@ class ShardRouter {
     std::int32_t part = 0;
     std::int32_t pad = 0;
   };
-  enum PartStatus : std::int32_t {
-    kPartDone = 0,
-    kPartFailed = 1,
-    kPartCancelled = 2,
-    kPartExpired = 3,
-  };
   struct ReplyHeader {
     std::uint64_t seq = 0;
     std::int32_t part = 0;
-    std::int32_t status = kPartFailed;
+    JobState status = JobState::kFailed;  ///< the part's outcome
     std::int32_t cache_hit = 0;
     std::int32_t pad = 0;
     double compute_seconds = 0.0;
@@ -158,15 +143,13 @@ class ShardRouter {
     std::uint64_t seq = 0;
     JobPtr job;
     Region region;
-    ShardStrategy used = ShardStrategy::kAuto;
     /// Shared full-region plan of the pulse-scatter route, whole before
     /// dispatch; null for the single-shard and grid-split routes, whose
     /// ranks look up (or build, in the replay) the plan of their region.
     std::shared_ptr<const FormationPlan> plan;
     std::vector<ShardPart> parts;
-    double queued_for = 0.0;
-    double setup_seconds = 0.0;
-    bool front_cache_hit = false;
+    /// Queue wait, plus the pulse-scatter front end's setup and cache hit.
+    JobStamps stamps;
   };
   using CtxPtr = std::shared_ptr<ShardJobCtx>;
 
@@ -176,12 +159,9 @@ class ShardRouter {
                                                 const DispatchMsg& msg);
   void gather_loop();
   void finish_job(const ShardJobCtx& ctx);
-  void finish_without_compute(const JobPtr& job, JobState terminal,
-                              const char* error, double queued_for,
-                              double setup_seconds);
 
-  /// Splits the job into parts per the configured strategy; may build the
-  /// shared plan (throws propagate to dispatch(), which fails the job).
+  /// Splits the job into parts by its shape; may build the shared plan
+  /// (throws propagate to dispatch(), which fails the job).
   void split_job(ShardJobCtx& ctx);
   [[nodiscard]] int pick_home_shard(const JobPtr& job,
                                     std::uint64_t seq) const;
@@ -204,7 +184,6 @@ class ShardRouter {
   obs::Counter* jobs_grid_split_ = nullptr;
   obs::Counter* parts_dispatched_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
-  obs::Histogram* queue_s_ = nullptr;
   obs::Histogram* setup_s_ = nullptr;
   obs::Histogram* compute_s_ = nullptr;
   obs::Histogram* gather_s_ = nullptr;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <thread>
 #include <tuple>
 
@@ -76,17 +78,60 @@ class JsonCursor {
     return out;
   }
 
-  [[nodiscard]] double number() {
+  /// An object key and its ':'; a key already in `seen` is an error.
+  [[nodiscard]] std::string key(std::set<std::string>& seen) {
+    std::string k = string();
+    ensure(seen.insert(k).second, "trace JSON: repeated key \"" + k + "\"");
+    expect(':');
+    return k;
+  }
+
+  [[nodiscard]] double number() { return parse<double>("a number"); }
+
+  /// A number that is an integer in T's range: no fraction or exponent.
+  template <class T>
+  [[nodiscard]] T integer() { return parse<T>("an integer in range"); }
+
+  void expect_end() {
     skip_ws();
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(text_.substr(pos_), &used);
-    } catch (...) {
-      ensure(false, "trace JSON: expected a number at offset " +
-                        std::to_string(pos_));
+    ensure(pos_ == text_.size(),
+           "trace JSON: text after the document at offset " +
+               std::to_string(pos_));
+  }
+
+ private:
+  /// Reads the next JSON number in place and converts all of it to T.
+  template <class T>
+  T parse(const char* what) {
+    skip_ws();
+    const std::size_t begin = pos_;
+    const auto digits = [this] {
+      const std::size_t first = pos_;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+        ++pos_;
+      }
+      return pos_ > first;
+    };
+    const auto take = [this](char c) {
+      const bool match = pos_ < text_.size() && text_[pos_] == c;
+      if (match) ++pos_;
+      return match;
+    };
+    take('-');
+    bool ok = digits();
+    if (ok && take('.')) ok = digits();
+    if (ok && (take('e') || take('E'))) {
+      if (!take('+')) take('-');
+      ok = digits();
     }
-    pos_ += used;
+    const char* first = text_.data() + begin;
+    const char* last = text_.data() + pos_;
+    T value{};
+    const auto [end, ec] = std::from_chars(first, last, value);
+    ensure(ok && ec == std::errc() && end == last,
+           std::string("trace JSON: expected ") + what + " at offset " +
+               std::to_string(begin));
     return value;
   }
 
@@ -97,7 +142,6 @@ class JsonCursor {
     }
   }
 
- private:
   const std::string& text_;
   std::size_t pos_ = 0;
 };
@@ -131,23 +175,23 @@ Priority parse_priority(const std::string& name) {
 
 TraceEntry parse_entry(JsonCursor& cur) {
   TraceEntry entry;
+  std::set<std::string> seen;
   cur.expect('{');
   if (!cur.consume('}')) {
     do {
-      const std::string key = cur.string();
-      cur.expect(':');
+      const std::string key = cur.key(seen);
       if (key == "ix") {
-        entry.image = static_cast<Index>(cur.number());
+        entry.image = cur.integer<Index>();
       } else if (key == "pulses") {
-        entry.pulses = static_cast<Index>(cur.number());
+        entry.pulses = cur.integer<Index>();
       } else if (key == "block") {
-        entry.block = static_cast<Index>(cur.number());
+        entry.block = cur.integer<Index>();
       } else if (key == "priority") {
         entry.priority = parse_priority(cur.string());
       } else if (key == "scene") {
-        entry.scene = static_cast<std::uint64_t>(cur.number());
+        entry.scene = cur.integer<std::uint64_t>();
       } else if (key == "repeat") {
-        entry.repeat = static_cast<int>(cur.number());
+        entry.repeat = cur.integer<int>();
       } else if (key == "delay_ms") {
         entry.delay_ms = cur.number();
       } else if (key == "deadline_ms") {
@@ -155,13 +199,13 @@ TraceEntry parse_entry(JsonCursor& cur) {
       } else if (key == "tenant") {
         entry.tenant = cur.string();
       } else if (key == "stream") {
-        entry.stream = static_cast<std::uint64_t>(cur.number());
+        entry.stream = cur.integer<std::uint64_t>();
       } else if (key == "chunk") {
-        entry.chunk = static_cast<Index>(cur.number());
+        entry.chunk = cur.integer<Index>();
       } else if (key == "window") {
-        entry.window = static_cast<Index>(cur.number());
+        entry.window = cur.integer<Index>();
       } else if (key == "reanchor") {
-        entry.reanchor = static_cast<int>(cur.number());
+        entry.reanchor = cur.integer<int>();
       } else {
         ensure(false, "trace JSON: unknown request key \"" + key + "\"");
       }
@@ -221,9 +265,9 @@ Trace parse_trace_json(const std::string& json) {
   Trace trace;
   cur.expect('{');
   bool saw_schema = false;
+  std::set<std::string> seen;
   do {
-    const std::string key = cur.string();
-    cur.expect(':');
+    const std::string key = cur.key(seen);
     if (key == "schema") {
       const std::string schema = cur.string();
       ensure(schema == Trace::kSchemaName,
@@ -243,6 +287,7 @@ Trace parse_trace_json(const std::string& json) {
     }
   } while (cur.consume(','));
   cur.expect('}');
+  cur.expect_end();
   ensure(saw_schema, "trace JSON: missing \"schema\"");
   return trace;
 }

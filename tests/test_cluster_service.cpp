@@ -89,13 +89,17 @@ TEST(ClusterService, GridSplitIsBitIdenticalToLocal) {
   local.workers = 1;
   const Grid2D<CFloat> reference = form_once(local, f);
 
+  obs::Registry reg;
   ServiceConfig sharded;
   sharded.shards = 2;
   sharded.shard_small_pixels = 16;  // force the splitter for this job
-  sharded.shard_strategy = ShardStrategy::kGridSplit;
+  sharded.metrics = &reg;
   const Grid2D<CFloat> image = form_once(sharded, f);
 
   EXPECT_TRUE(image == reference);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("shard.jobs.grid_split").value(), 1u);
+  }
 }
 
 TEST(ClusterService, GridSplitMissMatchesExecutePlan) {
@@ -115,14 +119,18 @@ TEST(ClusterService, GridSplitMissMatchesExecutePlan) {
 
     for (const int workers : {1, 3}) {
       for (const bool steal : {false, true}) {
+        obs::Registry reg;
         ServiceConfig sharded;
         sharded.shards = 2;
         sharded.shard_workers = workers;
         sharded.steal = steal;
         sharded.shard_small_pixels = 16;
-        sharded.shard_strategy = ShardStrategy::kGridSplit;
+        sharded.metrics = &reg;
         EXPECT_TRUE(form_once(sharded, f) == reference)
             << image << " px, " << workers << " workers, steal " << steal;
+        if (obs::kEnabled) {
+          EXPECT_EQ(reg.counter("shard.jobs.grid_split").value(), 1u);
+        }
       }
     }
   }
@@ -132,25 +140,31 @@ TEST(ClusterService, PulseScatterMatchesLocalWithinReductionTolerance) {
   // Pulse scatter sums partial tiles in shard-index order — a different
   // float reduction order than the single-node pulse loop, so the images
   // agree to reduction precision (documented in DESIGN.md), not bytes.
+  // One 48-px block leaves one band each way, so the 2,304-px job is
+  // pulse-scattered.
   const Fixture f = make_fixture(48, 12);
 
   ServiceConfig local;
   local.workers = 1;
-  const Grid2D<CFloat> reference = form_once(local, f);
+  const Grid2D<CFloat> reference = form_once(local, f, 48);
 
+  obs::Registry reg;
   ServiceConfig sharded;
   sharded.shards = 2;
   sharded.shard_small_pixels = 16;
-  sharded.shard_strategy = ShardStrategy::kPulseScatter;
-  const Grid2D<CFloat> image = form_once(sharded, f);
+  sharded.metrics = &reg;
+  const Grid2D<CFloat> image = form_once(sharded, f, 48);
 
   EXPECT_GT(snr_db(image, reference), 70.0);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("shard.jobs.pulse_scatter").value(), 1u);
+  }
 }
 
 TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {
   // 1xN and Nx1 grids cannot be band-split into two block-aligned pieces,
-  // so kAuto must fall back (pulse scatter or single) and still produce a
-  // faithful image rather than rejecting or crashing.
+  // so the router must fall back (pulse scatter or single) and still
+  // produce a faithful image rather than rejecting or crashing.
   for (const auto& shape :
        {std::pair<Index, Index>{1, 48}, std::pair<Index, Index>{48, 1}}) {
     const Fixture f = make_fixture(48, 12);

@@ -1,7 +1,8 @@
 // Job-service tests: planned-executor parity with the streaming scalar
 // kernel, end-to-end image accuracy through the service, strict-priority
 // scheduling, admission control, cancellation (queued and running),
-// deadline expiry, plan-cache behaviour via the obs counters (including
+// deadline expiry and a setup failure (each local and sharded),
+// plan-cache behaviour via the obs counters (including
 // that an aborted miss inserts no plan), drain with jobs in flight, and the
 // request-trace JSON round trip.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -338,14 +340,40 @@ TEST(Service, InvalidRequestsRejectedWithReason) {
   }
 }
 
-TEST(Service, CancelQueuedJobResolvesImmediately) {
+// --- lifecycle, local and sharded ----------------------------------------
+
+enum class Mode { kLocal, kSharded };
+
+/// Names the mode in the test names ctest lists (".../local").
+void PrintTo(Mode mode, std::ostream* os) {
+  *os << (mode == Mode::kLocal ? "local" : "sharded");
+}
+
+/// Runs a lifecycle test on the local executor and on 2 shards whose
+/// threshold splits the 32-px tiny job into two 16-px bands, so both modes
+/// must end a job in the same state with the same error.
+class ServiceLifecycle : public ::testing::TestWithParam<Mode> {
+ protected:
+  [[nodiscard]] ServiceConfig in_mode(ServiceConfig sc) const {
+    if (GetParam() == Mode::kSharded) {
+      sc.shards = 2;
+      sc.shard_small_pixels = 16;
+    }
+    return sc;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Modes, ServiceLifecycle,
+                         ::testing::Values(Mode::kLocal, Mode::kSharded));
+
+TEST_P(ServiceLifecycle, CancelQueuedJobResolvesImmediately) {
   const auto [s, pulses] = make_tiny();
   obs::Registry reg;
   ServiceConfig sc;
   sc.workers = 1;
   sc.start_paused = true;
   sc.metrics = &reg;
-  ImageFormationService service(sc);
+  ImageFormationService service(in_mode(sc));
 
   auto outcome = service.submit(tiny_request(s, pulses));
   ASSERT_TRUE(outcome.admitted());
@@ -362,7 +390,7 @@ TEST(Service, CancelQueuedJobResolvesImmediately) {
   }
 }
 
-TEST(Service, CancelRunningJobStopsAtBlockCheckpoint) {
+TEST_P(ServiceLifecycle, CancelRunningJobStopsAtBlockCheckpoint) {
   const auto [s, pulses] = make_tiny();
 
   std::mutex m;
@@ -382,7 +410,7 @@ TEST(Service, CancelRunningJobStopsAtBlockCheckpoint) {
     }
     cv.wait(lock, [&] { return release; });
   };
-  ImageFormationService service(sc);
+  ImageFormationService service(in_mode(sc));
 
   auto outcome = service.submit(tiny_request(s, pulses));
   ASSERT_TRUE(outcome.admitted());
@@ -404,14 +432,14 @@ TEST(Service, CancelRunningJobStopsAtBlockCheckpoint) {
   service.drain();
 }
 
-TEST(Service, DeadlineExpiryWhileQueued) {
+TEST_P(ServiceLifecycle, DeadlineExpiryWhileQueued) {
   const auto [s, pulses] = make_tiny();
   obs::Registry reg;
   ServiceConfig sc;
   sc.workers = 1;
   sc.start_paused = true;
   sc.metrics = &reg;
-  ImageFormationService service(sc);
+  ImageFormationService service(in_mode(sc));
 
   auto req = tiny_request(s, pulses);
   req.deadline = std::chrono::steady_clock::now() - 1ms;  // already missed
@@ -427,7 +455,7 @@ TEST(Service, DeadlineExpiryWhileQueued) {
   }
 }
 
-TEST(Service, DeadlineExpiryWhileRunning) {
+TEST_P(ServiceLifecycle, DeadlineExpiryWhileRunning) {
   const auto [s, pulses] = make_tiny();
 
   const auto deadline = std::chrono::steady_clock::now() + 200ms;
@@ -440,7 +468,7 @@ TEST(Service, DeadlineExpiryWhileRunning) {
   sc.inter_block_hook = [deadline] {
     std::this_thread::sleep_until(deadline + 10ms);
   };
-  ImageFormationService service(sc);
+  ImageFormationService service(in_mode(sc));
 
   auto req = tiny_request(s, pulses);
   req.deadline = deadline;
@@ -450,6 +478,34 @@ TEST(Service, DeadlineExpiryWhileRunning) {
   const JobResult& result = outcome.handle->wait();
   EXPECT_EQ(result.state, JobState::kExpired);
   EXPECT_EQ(result.error, "deadline passed while running");
+}
+
+TEST_P(ServiceLifecycle, OversizedRegionFailsAndServiceKeepsServing) {
+  // A 2^31 x 2^31 grid at 0.5 m, one ASR block and one 64-sample pulse
+  // passes submit, but its region tile exceeds std::vector::max_size(), so
+  // setup throws std::length_error before touching memory. The job fails
+  // with that error, and the same service then forms a normal image.
+  const Index edge = Index{1} << 31;
+  ImageFormationRequest huge;
+  huge.grid = geometry::ImageGrid(edge, edge, 0.5);
+  huge.pulses = std::make_shared<const sim::PhaseHistory>(1, 64, 0.5, 1.0);
+  huge.asr_block_w = huge.asr_block_h = edge;
+  ServiceConfig sc;
+  sc.workers = 1;
+  ImageFormationService service(in_mode(sc));
+
+  auto failed = service.submit(std::move(huge));
+  ASSERT_TRUE(failed.admitted());
+  ASSERT_TRUE(failed.handle->wait_for(30s));
+  EXPECT_EQ(failed.handle->result().state, JobState::kFailed);
+  EXPECT_FALSE(failed.handle->result().error.empty());
+
+  const auto [s, pulses] = make_tiny();
+  auto formed = service.submit(tiny_request(s, pulses));
+  ASSERT_TRUE(formed.admitted());
+  const JobResult& result = formed.handle->wait();
+  EXPECT_EQ(result.state, JobState::kDone) << result.error;
+  EXPECT_EQ(result.image.width(), s.grid.width());
 }
 
 TEST(Service, PlanCacheHitOnRepeatedGeometry) {
@@ -754,6 +810,25 @@ TEST(Trace, ParseRejectsBadInput) {
                                 "\"requests\": [{\"frobnicate\": 3}]}"),
                PreconditionError);
   EXPECT_THROW(parse_trace_json("not json at all"), PreconditionError);
+
+  // Each case is a one-request trace whose request is `fields`.
+  const auto trace_with = [](const std::string& fields) {
+    return "{\"schema\": \"sarbp.trace.v1\", \"requests\": [{" + fields +
+           "}]}";
+  };
+  ASSERT_EQ(parse_trace_json(trace_with("\"ix\": 96")).requests.size(), 1u);
+  EXPECT_THROW(parse_trace_json(trace_with("\"ix\": 96") + " garbage"),
+               PreconditionError);
+  EXPECT_THROW(parse_trace_json(trace_with("\"ix\": 96, \"ix\": 64")),
+               PreconditionError);
+  // Integer fields take integers within their type's range only.
+  for (const char* bad :
+       {"\"ix\": 96.7", "\"ix\": +96", "\"pulses\": 1e2", "\"scene\": -1",
+        "\"scene\": 18446744073709551616", "\"repeat\": 1e12",
+        "\"stream\": 1.5", "\"stream\": 1, \"chunk\": 2.5",
+        "\"stream\": 1, \"window\": 3e0"}) {
+    EXPECT_THROW(parse_trace_json(trace_with(bad)), PreconditionError) << bad;
+  }
 }
 
 TEST(Trace, ReplayRepeatedScenesHitsPlanCache) {

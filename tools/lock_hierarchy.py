@@ -37,9 +37,7 @@ LEVELS: list[str] = [
     "service.gate",         # service/service.h drain gate
     "service.fair",         # service/fair_queue.h FairScheduler
     "service.shard_table",  # service/shard_router.h in-flight job table
-    "service.runctx",       # service/service.cpp per-run RunCtx
     "service.job",          # service/job.h JobHandle lifecycle
-    "service.part",         # service/shard_router.cpp per-part state
     "service.plan_cache",   # service/plan_cache.h PlanCache LRU
     "exec.live",            # exec/executor.h live-group set
     "exec.group",           # exec/task_group.h TaskGroup completion

@@ -84,6 +84,17 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   shares and the per-item checkpoint cannot drift apart
                   again.
 
+  job-resolve     One file decides how a request ends:
+                  src/service/job.{h,cpp}. In src/, JobHandle's state
+                  transitions — finish_locked( and the QUEUED -> RUNNING
+                  step (a start_running( call, or a .store( of a JobState)
+                  — appear only there. The local formation path, custom
+                  jobs, the shard router's dispatch, each rank's part and
+                  the gather go through JobHandle::dequeue, RunVerdict and
+                  JobHandle::resolve, so the stamps, the first-trip-wins
+                  verdict and the terminal transition cannot drift apart
+                  again.
+
 Suppression syntax (same line, or alone on the line directly above):
 
     // lint: allow(<rule>) -- <rationale>
@@ -181,6 +192,15 @@ TASK_GROUP_RE = re.compile(
 # The one home of TaskGroup construction (exec::make_formation_group).
 TASK_GRAPH_HOME = "src/exec/formation_tasks.cpp"
 
+# A JobHandle state transition: the terminal finish_locked, or the
+# QUEUED -> RUNNING step (start_running, or a JobState stored directly).
+JOB_TRANSITION_RE = re.compile(
+    r"\b(?:finish_locked|start_running)\s*\(|"
+    r"\.store\s*\(\s*(?:service::)?JobState::")
+
+# The one home of the job lifecycle (dequeue, RunVerdict, resolve).
+JOB_RESOLVE_HOMES = ("src/service/job.h", "src/service/job.cpp")
+
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)\s*(--\s*\S.*)?")
 
 # A value-type sarbp::Mutex declaration: `Mutex name`, optionally mutable/
@@ -195,7 +215,7 @@ MUTEX_DECL_JOIN_CAP = 8  # max lines a single declaration may span
 
 RULES = ("order-comment", "raw-mutex", "sleep-poll", "isa-ifdef",
          "queue-result", "lock-level", "asr-core", "omp-formation",
-         "task-graph")
+         "task-graph", "job-resolve")
 
 
 @dataclass
@@ -436,6 +456,15 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     "exec::make_formation_group; describe the items in an "
                     "exec::FormationSpec (exec/formation_tasks.h)"))
 
+        if (in_src and path.as_posix() not in JOB_RESOLVE_HOMES
+                and JOB_TRANSITION_RE.search(code)):
+            if "job-resolve" not in allowed:
+                findings.append(Finding(
+                    rel, i + 1, "job-resolve",
+                    "JobHandle state transition outside service/job.{h,cpp}; "
+                    "go through JobHandle::dequeue, RunVerdict and "
+                    "JobHandle::resolve"))
+
         if in_src and SLEEP_RE.search(code):
             if "sleep-poll" not in allowed:
                 findings.append(Finding(
@@ -622,6 +651,27 @@ SELFTEST_CASES = [
      []),
     ("tests/t.cpp",
      "auto g = std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr);\n",
+     []),  # tests are out of scope
+    # job-resolve: only service/job.{h,cpp} moves a JobHandle between states.
+    ("src/service/shard_router.cpp", "job.finish_locked(outcome);\n",
+     ["job-resolve"]),
+    ("src/service/service.cpp", "if (!job->start_running()) return nullptr;\n",
+     ["job-resolve"]),
+    ("src/streaming/s.cpp", "state_.store(service::JobState::kRunning);\n",
+     ["job-resolve"]),
+    ("src/service/job.cpp",
+     "finish_locked(JobState::kExpired);\n"
+     "state_.store(JobState::kRunning);\n",
+     []),
+    ("src/service/job.h", "finish_locked(JobState::kCancelled);\n", []),
+    ("src/service/shard_router.cpp",
+     "// lint: allow(job-resolve) -- fixture\n"
+     "job->finish_locked(JobState::kFailed);\n",
+     []),
+    ("src/service/service.cpp",
+     "// finish_locked(...) is named in a comment only\n",
+     []),
+    ("tests/t.cpp", "job->finish_locked(JobState::kDone);\n",
      []),  # tests are out of scope
     # lock-level: every Mutex declaration in src/ names its hierarchy rank.
     ("src/e.h", "mutable Mutex mutex_;\n", ["lock-level"]),
