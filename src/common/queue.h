@@ -88,6 +88,7 @@ class BoundedQueue {
     if (items_.size() >= capacity_ && !closed_) {
       if (blocked_push_) blocked_push_->add();
       while (items_.size() >= capacity_ && !closed_) {
+        // timeout: the caller's try_push_for budget.
         if (not_full_.wait_until(lock, deadline) == std::cv_status::timeout &&
             items_.size() >= capacity_ && !closed_) {
           return false;  // deadline passed, still full
@@ -145,6 +146,7 @@ class BoundedQueue {
     if (items_.empty() && !closed_) {
       if (blocked_pop_) blocked_pop_->add();
       while (items_.empty() && !closed_) {
+        // timeout: the caller's try_pop_for budget.
         if (not_empty_.wait_until(lock, deadline) == std::cv_status::timeout &&
             items_.empty() && !closed_) {
           return std::nullopt;  // deadline passed, still empty

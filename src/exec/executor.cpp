@@ -43,6 +43,8 @@ TileExecutor::TileExecutor(ExecOptions options)
     group_wall_s_ = &metrics_->histogram(pre + "exec.group.wall_s");
     group_efficiency_ =
         &metrics_->histogram(pre + "exec.group.parallel_efficiency");
+    group_first_steal_s_ =
+        &metrics_->histogram(pre + "exec.group.first_steal_s");
     metrics_->gauge(pre + "exec.workers").set(num_workers_);
   }
   states_.reserve(static_cast<std::size_t>(num_workers_) + 1);
@@ -68,7 +70,7 @@ bool TileExecutor::submit(GroupPtr group) {
   // sees the flag also sees the inbox close that follows it.
   if (draining_.load(std::memory_order_acquire)) return false;
   const bool accepted = inbox_.push(std::move(group));
-  if (accepted) notify_idle();
+  if (accepted) wake();
   return accepted;
 }
 
@@ -101,13 +103,13 @@ void TileExecutor::drain() {
   // observe the closed inbox, so no group is silently dropped.
   draining_.store(true, std::memory_order_release);
   inbox_.close();
-  notify_idle();
+  wake();
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
 }
 
-void TileExecutor::notify_idle() {
+void TileExecutor::wake() {
   {
     MutexLock lock(idle_mutex_);
     ++idle_epoch_;
@@ -140,14 +142,21 @@ void TileExecutor::inject(GroupPtr group, int slot) {
         static_cast<std::int64_t>(state.deque.size_approx()));
   }
   // New stealable tasks: wake parked peers.
-  notify_idle();
+  wake();
 }
 
 void TileExecutor::run_unit(TaskUnit* unit, bool stolen) {
   TaskGroup* g = unit->group;
   if (stolen) {
-    // order: relaxed — statistics counter, read only after completion.
-    g->stolen_.fetch_add(1, std::memory_order_relaxed);
+    // order: relaxed — statistics counter; the first increment alone
+    // records the join time.
+    if (g->stolen_.fetch_add(1, std::memory_order_relaxed) == 0 &&
+        group_first_steal_s_) {
+      const auto now = std::chrono::steady_clock::now();
+      MutexLock lock(g->mutex_);
+      group_first_steal_s_->record(
+          std::chrono::duration<double>(now - g->injected_).count());
+    }
     if (tasks_stolen_) tasks_stolen_->add();
   }
   bool ran = false;
@@ -268,7 +277,6 @@ bool TileExecutor::all_deques_empty() const {
 }
 
 void TileExecutor::worker_loop(int w) {
-  using namespace std::chrono_literals;
   WorkerState& state = *states_[static_cast<std::size_t>(w)];
   // Idle epoch read at the last wakeup, before this pass's scan: work
   // published after it has advanced the epoch, so step 5 does not park.
@@ -293,7 +301,7 @@ void TileExecutor::worker_loop(int w) {
     // reporting it (drain sees a consistent backlog).
     if (options_.source && !source_done_.load(std::memory_order_acquire)) {
       bool end = false;
-      GroupPtr group = options_.source(w, 0us, &end);
+      GroupPtr group = options_.source(&end);
       // order: release — see the source_done_ note above.
       if (end) source_done_.store(true, std::memory_order_release);
       if (group) {
@@ -314,24 +322,17 @@ void TileExecutor::worker_loop(int w) {
         inbox_.closed();
     if (no_more_sources && inbox_.size() == 0 && all_deques_empty()) break;
 
-    // 5. Block: give the source a real budget, else park until the idle
-    // epoch moves past `seen` (submit/inject/drain/a peer's exit). A steal
-    // that lost its race while tasks remain rescans instead of parking.
-    // order: acquire — see the source_done_ note above.
-    if (options_.source && !source_done_.load(std::memory_order_acquire)) {
-      bool end = false;
-      GroupPtr group = options_.source(w, 1000us, &end);
-      // order: release — see the source_done_ note above.
-      if (end) source_done_.store(true, std::memory_order_release);
-      if (group) inject(std::move(group), w);
-    } else if (!options_.steal || all_deques_empty()) {
+    // 5. Park until the idle epoch moves past `seen` (submit/inject/wake/
+    // drain/a peer's exit). A steal that lost its race while tasks remain
+    // rescans instead of parking.
+    if (!options_.steal || all_deques_empty()) {
       MutexLock lock(idle_mutex_);
       while (idle_epoch_ == seen) idle_cv_.wait(lock);
       seen = idle_epoch_;
     }
   }
   // Peers parked on a deque this worker just emptied re-run the exit check.
-  notify_idle();
+  wake();
 }
 
 }  // namespace sarbp::exec

@@ -26,10 +26,11 @@
 // it until empty, then blocks, so work starts at once. With `steal` off,
 // run() only submits and waits.
 //
-// Idle workers park on an epoch counter that submit(), inject(), drain()
-// and a worker's exit advance; a worker parks only while the epoch equals
-// the value read before its last scan, so no wakeup is lost and an idle
-// pool makes no wakeups.
+// Every idle worker, with or without a source, parks on one epoch counter
+// that submit(), inject(), wake(), drain() and a worker's exit advance; a
+// worker parks only while the epoch equals the value read before its last
+// scan, so no wakeup is lost and an idle pool makes no wakeups. The source
+// never blocks: its owner calls wake() when it has a group to hand out.
 //
 // Instrumentation (per configured registry):
 //   counters   exec.tasks.run, exec.tasks.stolen, exec.tasks.skipped,
@@ -38,10 +39,11 @@
 //   histograms exec.group.wall_s, exec.group.parallel_efficiency
 //              (busy-seconds / (wall * workers) per group — 1.0 means the
 //              whole pool was kept hot for the job's entire wall time; a
-//              run() caller sweeping beside it can push it above 1)
+//              run() caller sweeping beside it can push it above 1),
+//              exec.group.first_steal_s (injection to the start of the
+//              group's first stolen task; unstolen groups record nothing)
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -74,15 +76,14 @@ struct ExecOptions {
   /// collapse into one series in a shared registry.
   std::string metric_prefix;
   /// Pull-model job source for pool owners (the job service). Called by an
-  /// idle worker; may block up to ~`budget` waiting for work. Returns the
-  /// next group to inject (null when none is ready) and sets *end once no
-  /// more groups will ever arrive (admission closed and backlog drained) —
-  /// after which workers finish the remaining tasks and exit. A null
-  /// return with *end unset just means "poll again". The callback runs
+  /// idle worker whose deque is empty; never blocks. Returns the next group
+  /// to inject (null when none is ready) and sets *end once no more groups
+  /// will ever arrive (admission closed and backlog drained) — after which
+  /// workers finish the remaining tasks and exit. After a null return with
+  /// *end unset the worker parks until the owner calls wake(), which it
+  /// must do whenever the source may have become ready. The callback runs
   /// concurrently on several workers and must be thread-safe.
-  std::function<GroupPtr(int worker, std::chrono::microseconds budget,
-                         bool* end)>
-      source;
+  std::function<GroupPtr(bool* end)> source;
 };
 
 class TileExecutor {
@@ -114,6 +115,11 @@ class TileExecutor {
   /// *end) before calling drain, or drain never returns.
   void drain();
 
+  /// Advances the idle epoch and wakes every parked worker, so each rescans
+  /// the inbox, the source and the deques. A source's owner calls it after
+  /// making a group ready.
+  void wake();
+
  private:
   struct WorkerState {
     explicit WorkerState(std::size_t deque_capacity) : deque(deque_capacity) {}
@@ -127,8 +133,6 @@ class TileExecutor {
   void run_unit(TaskUnit* unit, bool stolen);
   bool try_steal_and_run(int w);
   [[nodiscard]] bool all_deques_empty() const;
-  /// Advances the idle epoch and wakes parked workers.
-  void notify_idle();
 
   ExecOptions options_;
   obs::Registry* metrics_;
@@ -149,7 +153,7 @@ class TileExecutor {
   Mutex live_mutex_{SARBP_LOCK_LEVEL("exec.live")};
   std::unordered_map<TaskGroup*, GroupPtr> live_ SARBP_GUARDED_BY(live_mutex_);
 
-  /// Idle workers park here until the epoch moves (notify_idle).
+  /// Idle workers park here until the epoch moves (wake).
   Mutex idle_mutex_{SARBP_LOCK_LEVEL("exec.idle")};
   CondVar idle_cv_;
   std::uint64_t idle_epoch_ SARBP_GUARDED_BY(idle_mutex_) = 0;
@@ -165,6 +169,7 @@ class TileExecutor {
   obs::Counter* steal_fail_ = nullptr;
   obs::Histogram* group_wall_s_ = nullptr;
   obs::Histogram* group_efficiency_ = nullptr;
+  obs::Histogram* group_first_steal_s_ = nullptr;
 };
 
 }  // namespace sarbp::exec

@@ -99,6 +99,7 @@ class TaskGroup {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     MutexLock lock(mutex_);
     while (!done_) {
+      // timeout: the caller's wait_for budget.
       if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
         return done_;
       }

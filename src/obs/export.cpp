@@ -2,10 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/check.h"
+#include "common/json_reader.h"
 
 namespace sarbp::obs {
 namespace {
@@ -54,92 +54,6 @@ void append_section(std::string& out, const char* key, const Map& map,
   }
   out += first ? "}" : "\n  }";
 }
-
-// ---------------------------------------------------------------- parsing
-//
-// Minimal recursive-descent parser for the subset to_json emits (objects,
-// strings, numbers). Kept private: this is a round-trip validator, not a
-// general JSON library.
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    ensure(pos_ < text_.size() && text_[pos_] == c,
-           std::string("metrics JSON: expected '") + c + "' at offset " +
-               std::to_string(pos_));
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        ensure(pos_ < text_.size(), "metrics JSON: dangling escape");
-        c = text_[pos_++];
-        if (c == 'u') {
-          ensure(pos_ + 4 <= text_.size(), "metrics JSON: bad \\u escape");
-          c = static_cast<char>(
-              std::strtol(text_.substr(pos_, 4).c_str(), nullptr, 16));
-          pos_ += 4;
-        }
-      }
-      out += c;
-    }
-    ensure(pos_ < text_.size(), "metrics JSON: unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    ensure(end != begin, "metrics JSON: expected a number at offset " +
-                             std::to_string(pos_));
-    pos_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
-  /// Parses {"k": v, ...} handing each (key, this) to the callback.
-  template <class OnEntry>
-  void parse_object(OnEntry&& on_entry) {
-    expect('{');
-    if (consume('}')) return;
-    do {
-      const std::string key = parse_string();
-      expect(':');
-      on_entry(key);
-    } while (consume(','));
-    expect('}');
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -194,23 +108,23 @@ std::string export_json(const Registry& reg) { return to_json(reg.snapshot()); }
 
 MetricsSnapshot parse_snapshot_json(const std::string& json) {
   MetricsSnapshot snap;
-  Parser p(json);
+  JsonCursor cur(json, "metrics JSON");
   bool saw_schema = false;
-  p.parse_object([&](const std::string& section) {
+  cur.object([&](const std::string& section) {
     if (section == "schema") {
-      const std::string schema = p.parse_string();
+      const std::string schema = cur.string();
       ensure(schema == MetricsSnapshot::kSchemaName,
              "metrics JSON: unsupported schema '" + schema + "'");
       saw_schema = true;
     } else if (section == "counters") {
-      p.parse_object([&](const std::string& name) {
-        snap.counters[name] = static_cast<std::uint64_t>(p.parse_number());
+      cur.object([&](const std::string& name) {
+        snap.counters[name] = cur.integer<std::uint64_t>();
       });
     } else if (section == "gauges") {
-      p.parse_object([&](const std::string& name) {
+      cur.object([&](const std::string& name) {
         MetricsSnapshot::GaugeStats g;
-        p.parse_object([&](const std::string& field) {
-          const auto v = static_cast<std::int64_t>(p.parse_number());
+        cur.object([&](const std::string& field) {
+          const auto v = cur.integer<std::int64_t>();
           if (field == "value") {
             g.value = v;
           } else if (field == "max") {
@@ -222,13 +136,15 @@ MetricsSnapshot parse_snapshot_json(const std::string& json) {
         snap.gauges[name] = g;
       });
     } else if (section == "histograms") {
-      p.parse_object([&](const std::string& name) {
+      cur.object([&](const std::string& name) {
         HistogramStats h;
-        p.parse_object([&](const std::string& field) {
-          const double v = p.parse_number();
+        cur.object([&](const std::string& field) {
           if (field == "count") {
-            h.count = static_cast<std::uint64_t>(v);
-          } else if (field == "sum") {
+            h.count = cur.integer<std::uint64_t>();
+            return;
+          }
+          const double v = cur.number();
+          if (field == "sum") {
             h.sum = v;
           } else if (field == "min") {
             h.min = v;
@@ -251,6 +167,7 @@ MetricsSnapshot parse_snapshot_json(const std::string& json) {
       ensure(false, "metrics JSON: unknown section '" + section + "'");
     }
   });
+  cur.expect_end();
   ensure(saw_schema, "metrics JSON: missing \"schema\" field");
   return snap;
 }

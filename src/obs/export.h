@@ -25,8 +25,11 @@ namespace sarbp::obs {
 /// Convenience: snapshot + serialize.
 [[nodiscard]] std::string export_json(const Registry& reg);
 
-/// Parses a "sarbp.metrics.v1" document produced by to_json. Throws
-/// PreconditionError on malformed input or a schema mismatch.
+/// Parses a "sarbp.metrics.v1" document produced by to_json with the
+/// strict reader of common/json_reader.h: counters, gauges and histogram
+/// counts must be integers in range, and repeated keys or text after the
+/// document are errors. Throws PreconditionError on malformed input or a
+/// schema mismatch.
 [[nodiscard]] MetricsSnapshot parse_snapshot_json(const std::string& json);
 
 /// Writes export_json(reg) to `path`; throws PreconditionError on I/O error.

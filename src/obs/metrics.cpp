@@ -28,7 +28,8 @@ void Histogram::record(double value) noexcept {
     (void)value;
     return;
   }
-  if (std::isnan(value)) return;
+  // NaN and +inf are dropped: sum and max must stay JSON numbers.
+  if (std::isnan(value) || (std::isinf(value) && value > 0.0)) return;
   if (value < 0.0) value = 0.0;
   // order: relaxed — per-bucket event count; exporters accept slight skew
   // between buckets and count_ (eventually-consistent summaries).

@@ -114,9 +114,10 @@ struct HistogramStats {
 };
 
 /// Lock-free geometric-bucket histogram for non-negative samples (latency
-/// in seconds, rates, byte counts). Buckets double from kMinValue; the
-/// percentile estimate interpolates within the chosen bucket and clamps to
-/// the exact observed [min, max].
+/// in seconds, rates, byte counts). record() drops NaN and +inf and clamps
+/// negatives to 0. Buckets double from kMinValue; the percentile estimate
+/// interpolates within the chosen bucket and clamps to the exact observed
+/// [min, max].
 class Histogram {
  public:
   static constexpr int kBuckets = 64;

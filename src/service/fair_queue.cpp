@@ -67,6 +67,7 @@ AdmitResult FairScheduler::submit(const JobPtr& job,
         std::chrono::steady_clock::now() >= deadline) {
       return AdmitResult::kQueueFull;
     }
+    // timeout: the service's admission_grace.
     space_cv_.wait_until(lock, deadline);
   }
   if (closed_) return AdmitResult::kClosed;
@@ -97,26 +98,29 @@ AdmitResult FairScheduler::submit(const JobPtr& job,
   return AdmitResult::kAdmitted;
 }
 
-FairScheduler::JobPtr FairScheduler::claim(std::chrono::microseconds budget,
-                                           bool* end) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
+FairScheduler::JobPtr FairScheduler::claim(bool wait, bool* end) {
   MutexLock lock(mutex_);
   for (;;) {
-    if (JobPtr job = pop_best_locked()) {
+    if (JobPtr job = paused_ ? nullptr : pop_best_locked()) {
       update_gauge_locked();
       space_cv_.notify_one();
       return job;
     }
-    if (closed_) {
-      if (end != nullptr) *end = true;
+    if (closed_ && pending_ == 0) {
+      *end = true;
       return nullptr;
     }
-    if (budget.count() <= 0 ||
-        std::chrono::steady_clock::now() >= deadline) {
-      return nullptr;
-    }
-    claim_cv_.wait_until(lock, deadline);
+    if (!wait) return nullptr;
+    claim_cv_.wait(lock);
   }
+}
+
+void FairScheduler::set_paused(bool paused) {
+  {
+    MutexLock lock(mutex_);
+    paused_ = paused;
+  }
+  claim_cv_.notify_all();
 }
 
 FairScheduler::JobPtr FairScheduler::pop_best_locked() {

@@ -72,10 +72,16 @@ class FairScheduler {
   /// after close().
   AdmitResult submit(const JobPtr& job, std::chrono::milliseconds grace);
 
-  /// Claims the next job by (priority, weighted-fair, FIFO) order,
-  /// blocking up to `budget`. Null with *end set once closed and drained;
-  /// null with *end untouched means "poll again".
-  JobPtr claim(std::chrono::microseconds budget, bool* end);
+  /// Claims the next job by (priority, weighted-fair, FIFO) order. Null
+  /// with *end set once closed and drained. Otherwise a non-waiting claim
+  /// (the executor's source) returns null when nothing is claimable, and a
+  /// waiting one (the shard route thread) blocks until a job is claimable
+  /// or close() runs.
+  JobPtr claim(bool wait, bool* end);
+
+  /// While paused, claim() hands out nothing (the service's start_paused
+  /// gate); admission is unaffected. Unpausing wakes waiting claims.
+  void set_paused(bool paused);
 
   /// Stops admission. Queued jobs stay claimable (the drain guarantee).
   void close();
@@ -107,13 +113,14 @@ class FairScheduler {
   obs::Registry* metrics_;
 
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("service.fair")};
-  CondVar claim_cv_;   ///< signalled on admit and close
+  CondVar claim_cv_;   ///< waiting claims; signalled on admit, unpause, close
   CondVar space_cv_;   ///< signalled on claim (pending space freed)
   std::array<ClassState, kNumPriorities> classes_ SARBP_GUARDED_BY(mutex_);
   /// Queued-job count per tenant, across classes (the quota basis).
   std::map<std::string, std::size_t> tenant_queued_ SARBP_GUARDED_BY(mutex_);
   std::size_t pending_ SARBP_GUARDED_BY(mutex_) = 0;
   bool closed_ SARBP_GUARDED_BY(mutex_) = false;
+  bool paused_ SARBP_GUARDED_BY(mutex_) = false;
 
   obs::Gauge* pending_gauge_ = nullptr;
 };

@@ -235,6 +235,7 @@ class JobHandle {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     MutexLock lock(mutex_);
     while (!is_terminal(state())) {
+      // timeout: the caller's wait_for budget.
       if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
         return is_terminal(state());
       }

@@ -13,8 +13,7 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
     : config_(std::move(config)),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : &obs::registry()),
-      plan_cache_(config_.plan_cache_capacity, metrics_),
-      gate_open_(!config_.start_paused) {
+      plan_cache_(config_.plan_cache_capacity, metrics_) {
   ensure(config_.workers > 0, "ImageFormationService: workers must be positive");
   ensure(config_.max_pending > 0,
          "ImageFormationService: max_pending must be positive");
@@ -25,6 +24,7 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
   sched_config.tenants = config_.tenant_policies;
   sched_config.metrics = metrics_;
   sched_ = std::make_unique<FairScheduler>(std::move(sched_config));
+  sched_->set_paused(config_.start_paused);
 
   if constexpr (obs::kEnabled) {
     submitted_ = &metrics_->counter("service.jobs.submitted");
@@ -56,10 +56,7 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
     exec_options.workers = config_.workers;
     exec_options.steal = config_.steal;
     exec_options.metrics = metrics_;
-    exec_options.source = [this](int worker, std::chrono::microseconds budget,
-                                 bool* end) {
-      return next_group(worker, budget, end);
-    };
+    exec_options.source = [this](bool* end) { return next_group(end); };
     exec_ = std::make_unique<exec::TileExecutor>(std::move(exec_options));
   }
 }
@@ -105,6 +102,7 @@ SubmitOutcome ImageFormationService::submit(ImageFormationRequest request) {
   switch (sched_->submit(job, config_.admission_grace)) {
     case AdmitResult::kAdmitted:
       if (submitted_) submitted_->add();
+      if (exec_) exec_->wake();  // parked workers claim it
       return {std::move(job), RejectReason::kNone};
     case AdmitResult::kQueueFull:
       return reject(RejectReason::kQueueFull);
@@ -117,11 +115,8 @@ SubmitOutcome ImageFormationService::submit(ImageFormationRequest request) {
 }
 
 void ImageFormationService::resume() {
-  {
-    MutexLock lock(gate_mutex_);
-    gate_open_ = true;
-  }
-  gate_cv_.notify_all();
+  sched_->set_paused(false);
+  if (exec_) exec_->wake();  // workers that found the gate shut rescan
 }
 
 void ImageFormationService::drain() {
@@ -134,31 +129,27 @@ void ImageFormationService::drain() {
   if (router_) router_->shutdown();
 }
 
-void ImageFormationService::wait_gate() {
-  MutexLock lock(gate_mutex_);
-  while (!gate_open_) gate_cv_.wait(lock);
-}
-
-exec::GroupPtr ImageFormationService::next_group(
-    int /*worker*/, std::chrono::microseconds budget, bool* end) {
-  wait_gate();
-  JobPtr job = sched_->claim(budget, end);
-  if (job == nullptr) return nullptr;
-  return build_job_group(job);
+exec::GroupPtr ImageFormationService::next_group(bool* end) {
+  // Claims past jobs that resolve without compute (expired or cancelled
+  // while queued, a failed setup, a factory that resolved its own job): no
+  // wake() follows for the jobs queued behind them, so returning null here
+  // would strand those.
+  while (JobPtr job = sched_->claim(/*wait=*/false, end)) {
+    if (exec::GroupPtr group = build_job_group(job)) return group;
+  }
+  return nullptr;
 }
 
 void ImageFormationService::route_loop() {
   for (;;) {
-    wait_gate();
     bool end = false;
-    JobPtr job = sched_->claim(std::chrono::milliseconds(50), &end);
-    if (job != nullptr) {
-      router_->dispatch(job);
-      continue;
-    }
-    // The drain guarantee: end is only reported once the backlog is empty,
-    // so every admitted job has been dispatched by the time we exit.
-    if (end) return;
+    // Blocks until a job is claimable (admitted, gate open) or the
+    // scheduler closes. The drain guarantee: null only once closed with
+    // the backlog empty, so every admitted job has been dispatched by the
+    // time we exit.
+    JobPtr job = sched_->claim(/*wait=*/true, &end);
+    if (job == nullptr) return;
+    router_->dispatch(job);
   }
 }
 

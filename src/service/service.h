@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "exec/executor.h"
 #include "exec/tile_backend.h"
 #include "obs/metrics.h"
@@ -185,10 +184,10 @@ class ImageFormationService {
   /// Counts the rejection in service.rejected.<name> and wraps it.
   SubmitOutcome reject(RejectReason reason);
 
-  /// The local executor's pull-model source: claims the next job from the
-  /// fair scheduler and turns it into a task group.
-  exec::GroupPtr next_group(int worker, std::chrono::microseconds budget,
-                            bool* end);
+  /// The local executor's pull-model source: claims jobs from the fair
+  /// scheduler, without blocking, until one yields a task group. Null once
+  /// nothing is claimable (an empty backlog or the start_paused gate).
+  exec::GroupPtr next_group(bool* end);
   /// Dequeues a claimed job, then builds its plan-replay group (or calls
   /// its custom factory) under one guard: a throw before the hand-off
   /// resolves the job kFailed. Null when the job resolved without compute.
@@ -196,7 +195,6 @@ class ImageFormationService {
   /// Sharded mode: claims jobs and hands them to the router until the
   /// scheduler reports end-of-stream.
   void route_loop();
-  void wait_gate();
 
   ServiceConfig config_;
   obs::Registry* metrics_;
@@ -206,10 +204,6 @@ class ImageFormationService {
 
   std::atomic<bool> draining_{false};
   std::atomic<std::uint64_t> completion_seq_{0};
-
-  Mutex gate_mutex_{SARBP_LOCK_LEVEL("service.gate")};
-  CondVar gate_cv_;
-  bool gate_open_ SARBP_GUARDED_BY(gate_mutex_);
 
   obs::Counter* submitted_ = nullptr;
   obs::Gauge* busy_gauge_ = nullptr;

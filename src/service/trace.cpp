@@ -1,16 +1,13 @@
 #include "service/trace.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <set>
 #include <thread>
 #include <tuple>
 
 #include "common/check.h"
+#include "common/json_reader.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "geometry/grid.h"
@@ -20,131 +17,6 @@
 
 namespace sarbp::service {
 namespace {
-
-// --- minimal JSON subset reader (objects, arrays, strings, numbers) ------
-
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    ensure(pos_ < text_.size() && text_[pos_] == c,
-           std::string("trace JSON: expected '") + c + "' at offset " +
-               std::to_string(pos_));
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {  // to_json writes it for control characters only
-            const std::string hex = text_.substr(pos_, 4);
-            char* end = nullptr;
-            const long code = std::strtol(hex.c_str(), &end, 16);
-            ensure(hex.size() == 4 && end == hex.c_str() + 4 && code < 0x80,
-                   "trace JSON: bad \\u escape at offset " +
-                       std::to_string(pos_));
-            pos_ += 4;
-            c = static_cast<char>(code);
-            break;
-          }
-          default: c = esc; break;  // \" \\ \/
-        }
-      }
-      out.push_back(c);
-    }
-    ensure(pos_ < text_.size(), "trace JSON: unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  /// An object key and its ':'; a key already in `seen` is an error.
-  [[nodiscard]] std::string key(std::set<std::string>& seen) {
-    std::string k = string();
-    ensure(seen.insert(k).second, "trace JSON: repeated key \"" + k + "\"");
-    expect(':');
-    return k;
-  }
-
-  [[nodiscard]] double number() { return parse<double>("a number"); }
-
-  /// A number that is an integer in T's range: no fraction or exponent.
-  template <class T>
-  [[nodiscard]] T integer() { return parse<T>("an integer in range"); }
-
-  void expect_end() {
-    skip_ws();
-    ensure(pos_ == text_.size(),
-           "trace JSON: text after the document at offset " +
-               std::to_string(pos_));
-  }
-
- private:
-  /// Reads the next JSON number in place and converts all of it to T.
-  template <class T>
-  T parse(const char* what) {
-    skip_ws();
-    const std::size_t begin = pos_;
-    const auto digits = [this] {
-      const std::size_t first = pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-        ++pos_;
-      }
-      return pos_ > first;
-    };
-    const auto take = [this](char c) {
-      const bool match = pos_ < text_.size() && text_[pos_] == c;
-      if (match) ++pos_;
-      return match;
-    };
-    take('-');
-    bool ok = digits();
-    if (ok && take('.')) ok = digits();
-    if (ok && (take('e') || take('E'))) {
-      if (!take('+')) take('-');
-      ok = digits();
-    }
-    const char* first = text_.data() + begin;
-    const char* last = text_.data() + pos_;
-    T value{};
-    const auto [end, ec] = std::from_chars(first, last, value);
-    ensure(ok && ec == std::errc() && end == last,
-           std::string("trace JSON: expected ") + what + " at offset " +
-               std::to_string(begin));
-    return value;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 /// Appends `text` as a JSON string: quotes and backslashes escaped,
 /// control characters as \u00XX.
@@ -175,43 +47,37 @@ Priority parse_priority(const std::string& name) {
 
 TraceEntry parse_entry(JsonCursor& cur) {
   TraceEntry entry;
-  std::set<std::string> seen;
-  cur.expect('{');
-  if (!cur.consume('}')) {
-    do {
-      const std::string key = cur.key(seen);
-      if (key == "ix") {
-        entry.image = cur.integer<Index>();
-      } else if (key == "pulses") {
-        entry.pulses = cur.integer<Index>();
-      } else if (key == "block") {
-        entry.block = cur.integer<Index>();
-      } else if (key == "priority") {
-        entry.priority = parse_priority(cur.string());
-      } else if (key == "scene") {
-        entry.scene = cur.integer<std::uint64_t>();
-      } else if (key == "repeat") {
-        entry.repeat = cur.integer<int>();
-      } else if (key == "delay_ms") {
-        entry.delay_ms = cur.number();
-      } else if (key == "deadline_ms") {
-        entry.deadline_ms = cur.number();
-      } else if (key == "tenant") {
-        entry.tenant = cur.string();
-      } else if (key == "stream") {
-        entry.stream = cur.integer<std::uint64_t>();
-      } else if (key == "chunk") {
-        entry.chunk = cur.integer<Index>();
-      } else if (key == "window") {
-        entry.window = cur.integer<Index>();
-      } else if (key == "reanchor") {
-        entry.reanchor = cur.integer<int>();
-      } else {
-        ensure(false, "trace JSON: unknown request key \"" + key + "\"");
-      }
-    } while (cur.consume(','));
-    cur.expect('}');
-  }
+  cur.object([&](const std::string& key) {
+    if (key == "ix") {
+      entry.image = cur.integer<Index>();
+    } else if (key == "pulses") {
+      entry.pulses = cur.integer<Index>();
+    } else if (key == "block") {
+      entry.block = cur.integer<Index>();
+    } else if (key == "priority") {
+      entry.priority = parse_priority(cur.string());
+    } else if (key == "scene") {
+      entry.scene = cur.integer<std::uint64_t>();
+    } else if (key == "repeat") {
+      entry.repeat = cur.integer<int>();
+    } else if (key == "delay_ms") {
+      entry.delay_ms = cur.number();
+    } else if (key == "deadline_ms") {
+      entry.deadline_ms = cur.number();
+    } else if (key == "tenant") {
+      entry.tenant = cur.string();
+    } else if (key == "stream") {
+      entry.stream = cur.integer<std::uint64_t>();
+    } else if (key == "chunk") {
+      entry.chunk = cur.integer<Index>();
+    } else if (key == "window") {
+      entry.window = cur.integer<Index>();
+    } else if (key == "reanchor") {
+      entry.reanchor = cur.integer<int>();
+    } else {
+      ensure(false, "trace JSON: unknown request key \"" + key + "\"");
+    }
+  });
   ensure(entry.image > 0 && entry.pulses > 0 && entry.block > 0 &&
              entry.repeat > 0,
          "trace JSON: request fields must be positive");
@@ -261,13 +127,10 @@ double percentile(std::vector<double>& sorted, double q) {
 }  // namespace
 
 Trace parse_trace_json(const std::string& json) {
-  JsonCursor cur(json);
+  JsonCursor cur(json, "trace JSON");
   Trace trace;
-  cur.expect('{');
   bool saw_schema = false;
-  std::set<std::string> seen;
-  do {
-    const std::string key = cur.key(seen);
+  cur.object([&](const std::string& key) {
     if (key == "schema") {
       const std::string schema = cur.string();
       ensure(schema == Trace::kSchemaName,
@@ -285,8 +148,7 @@ Trace parse_trace_json(const std::string& json) {
     } else {
       ensure(false, "trace JSON: unknown top-level key \"" + key + "\"");
     }
-  } while (cur.consume(','));
-  cur.expect('}');
+  });
   cur.expect_end();
   ensure(saw_schema, "trace JSON: missing \"schema\"");
   return trace;

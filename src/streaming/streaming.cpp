@@ -133,6 +133,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     MutexLock lock(mutex_);
     while (inflight_update_ != nullptr || !pending_.empty()) {
+      // timeout: the caller's wait_idle budget.
       if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
         return inflight_update_ == nullptr && pending_.empty();
       }
@@ -145,6 +146,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     MutexLock lock(mutex_);
     while (seq_ < seq) {
+      // timeout: the caller's wait_for_update budget.
       if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
         return seq_ >= seq;
       }

@@ -9,11 +9,12 @@
 // every execution, so a violation pinpoints the schedule (hash) that broke.
 //
 // The suite also checks the checker: intentionally buggy variants — an
-// owner pop without the last-item CAS, the pre-PR 3 notify-after-unlock
-// completion path, the pre-PR 9 classify-after-publish streaming tail, and
-// the pre-PR 6 abort-blind mailbox wait — MUST produce a violation (or a
-// detected deadlock) in some explored schedule, while the shipped fixed
-// variants must stay clean across the same exploration.
+// owner pop without the last-item CAS, a notify-after-unlock completion
+// path, a classify-after-publish streaming tail, an abort-blind mailbox
+// wait, and an idle worker that samples the wake epoch after its scan —
+// MUST produce a violation (or a detected deadlock) in some explored
+// schedule, while the shipped fixed variants must stay clean across the
+// same exploration.
 #include "model_sync.h"
 
 #include <array>
@@ -617,6 +618,146 @@ TEST(ModelMailbox, AbortAwareTakeDrainsThenUnwinds) {
   EXPECT_EQ(drain_violations, 0)
       << "messages delivered before the abort must still drain, and the "
          "unsatisfiable wait must unwind as aborted";
+}
+
+// ---------------------------------------------------------------------------
+// 8. The executor's admit-vs-park handshake, distilled from worker_loop and
+// ImageFormationService::submit: a worker samples the idle epoch, scans the
+// scheduler backlog under the scheduler's mutex, then parks while the epoch
+// still equals its sample; the admitter publishes a job under the scheduler
+// mutex, then advances the epoch and notifies (TileExecutor::wake). The
+// sample must precede the scan: the buggy variant samples after it, so an
+// admission landing between the scan and the sample moves the epoch to the
+// value the worker then parks on, and the worker sleeps forever beside a
+// queued job — a deadlock to the scheduler. The scan is the service's
+// source, which must also claim past a dead job (expired or cancelled while
+// queued): one that reports "nothing ready" after claiming it parks beside
+// the live job queued behind it, whose wakeup was already spent.
+
+constexpr int kNoJob = -1;
+constexpr int kDeadJob = 0;  ///< resolves at claim without a task group
+
+template <bool kSampleBeforeScan, bool kClaimPastDeadJobs>
+struct ModelIdlePark {
+  ModelMutex sched_mu;       // FairScheduler::mutex_
+  std::vector<int> backlog;  // guarded by sched_mu
+  ModelMutex idle_mu;        // TileExecutor::idle_mutex_
+  ModelCondVar idle_cv;
+  int epoch = 0;             // guarded by idle_mu
+
+  void admit(int job) {
+    sched_mu.lock();
+    backlog.push_back(job);
+    sched_mu.unlock();
+    idle_mu.lock();
+    ++epoch;
+    idle_mu.unlock();
+    idle_cv.notify_all();  // faithful to wake(): notify outside the lock
+  }
+
+  int sample_epoch() {
+    ModelMutexLock lock(idle_mu);
+    return epoch;
+  }
+
+  /// FairScheduler::claim without waiting.
+  int try_claim() {
+    ModelMutexLock lock(sched_mu);
+    if (backlog.empty()) return kNoJob;
+    const int job = backlog.front();
+    backlog.erase(backlog.begin());
+    return job;
+  }
+
+  /// The source (next_group): the first live job claimed, or kNoJob.
+  int source() {
+    for (;;) {
+      const int job = try_claim();
+      if (job != kDeadJob) return job;
+      // BUG: the live jobs behind the dead one stay queued, unannounced.
+      if constexpr (!kClaimPastDeadJobs) return kNoJob;
+    }
+  }
+
+  /// One idle worker: scan, else park until the epoch moves, and rescan.
+  int claim_or_park() {
+    for (;;) {
+      int seen = 0;
+      if constexpr (kSampleBeforeScan) seen = sample_epoch();
+      if (const int job = source(); job != kNoJob) return job;
+      // BUG: a job admitted between the scan and this sample is missed,
+      // and so is the wakeup that announced it.
+      if constexpr (!kSampleBeforeScan) seen = sample_epoch();
+      idle_mu.lock();
+      while (epoch == seen) idle_cv.wait(idle_mu);
+      idle_mu.unlock();
+    }
+  }
+};
+
+/// The admitter submits `jobs` one by one; the worker must claim job 7,
+/// the last one.
+template <bool kSampleBeforeScan, bool kClaimPastDeadJobs>
+std::pair<Exploration, int> explore_idle_park(const std::vector<int>& jobs) {
+  int unclaimed = 0;
+  auto round = [&](const std::vector<int>& forced, std::uint64_t seed) {
+    ModelIdlePark<kSampleBeforeScan, kClaimPastDeadJobs> pool;
+    int claimed = kNoJob;
+    VirtualScheduler sched(forced, seed);
+    const Result result = sched.run({
+        [&] { claimed = pool.claim_or_park(); },
+        [&] {
+          for (const int job : jobs) pool.admit(job);
+        },
+    });
+    if (!result.deadlock && !result.truncated && claimed != 7) ++unclaimed;
+    return result;
+  };
+  const Exploration out = explore(round, /*dfs_depth=*/10, /*random_runs=*/300);
+  return {out, unclaimed};
+}
+
+TEST(ModelIdlePark, SampleAfterScanParksBesideAQueuedJob) {
+  const auto [out, unclaimed] =
+      explore_idle_park</*kSampleBeforeScan=*/false,
+                        /*kClaimPastDeadJobs=*/true>({7});
+  EXPECT_GT(out.deadlocks, 0)
+      << "sampling the epoch after the scan should let the worker park "
+         "forever with the job queued in some schedule ("
+      << out.executions << " explored)";
+  EXPECT_LT(out.deadlocks, out.executions) << "and claim it in others";
+  EXPECT_EQ(unclaimed, 0);
+  EXPECT_EQ(out.violations, 0);
+}
+
+TEST(ModelIdlePark, StopAtDeadJobParksBesideALiveJob) {
+  const auto [out, unclaimed] =
+      explore_idle_park</*kSampleBeforeScan=*/true,
+                        /*kClaimPastDeadJobs=*/false>({kDeadJob, 7});
+  EXPECT_GT(out.deadlocks, 0)
+      << "a source that reports nothing ready after claiming the dead job "
+         "should park the worker beside the live one in some schedule ("
+      << out.executions << " explored)";
+  EXPECT_LT(out.deadlocks, out.executions) << "and claim it in others";
+  EXPECT_EQ(unclaimed, 0);
+  EXPECT_EQ(out.violations, 0);
+}
+
+TEST(ModelIdlePark, SampleBeforeScanAlwaysClaims) {
+  for (const std::vector<int>& jobs :
+       {std::vector<int>{7}, std::vector<int>{kDeadJob, 7}}) {
+    SCOPED_TRACE(jobs.size() == 1 ? "one live job" : "a dead job, then live");
+    const auto [out, unclaimed] =
+        explore_idle_park</*kSampleBeforeScan=*/true,
+                          /*kClaimPastDeadJobs=*/true>(jobs);
+    EXPECT_EQ(out.deadlocks, 0)
+        << "an admission after the sample moves the epoch, and the source "
+           "claims past the dead job, so the worker never parks beside a "
+           "queued job";
+    EXPECT_EQ(out.truncated, 0);
+    EXPECT_EQ(out.violations, 0);
+    EXPECT_EQ(unclaimed, 0) << "every schedule claims the live job";
+  }
 }
 
 TEST(ModelScheduler, FixedSeedIsDeterministic) {

@@ -342,25 +342,34 @@ TEST(TileExecutor, ConcurrentRunCallersAllComplete) {
 // Idle workers park on the idle epoch instead of polling: once the pool
 // has settled, it makes no steal attempts at all.
 TEST(TileExecutor, IdlePoolMakesNoStealAttempts) {
-  ExecOptions options;
-  options.workers = 4;
-  obs::Registry registry;
-  options.metrics = &registry;
-  TileExecutor executor(std::move(options));
-  std::vector<TaskGroup::Task> tasks(8, [](TaskGroup&) {});
-  executor.run(std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr));
+  // Without a source, and with one that has nothing to hand out until the
+  // test closes it: an idle pool parks either way.
+  for (const bool with_source : {false, true}) {
+    SCOPED_TRACE(with_source ? "empty source" : "no source");
+    std::atomic<bool> closed{false};
+    ExecOptions options;
+    options.workers = 4;
+    obs::Registry registry;
+    options.metrics = &registry;
+    if (with_source) {
+      options.source = [&closed](bool* end) -> GroupPtr {
+        *end = closed.load();
+        return nullptr;
+      };
+    }
+    TileExecutor executor(std::move(options));
+    std::vector<TaskGroup::Task> tasks(8, [](TaskGroup&) {});
+    executor.run(
+        std::make_shared<TaskGroup>(std::move(tasks), nullptr, nullptr));
 
-  // Let every worker finish its post-run scan and park (bounded, so a
-  // polling pool, whose count never settles, still reaches the check).
-  std::uint64_t before = registry.counter("exec.steal.fail").value();
-  for (int i = 0; i < 100; ++i) {
-    std::this_thread::sleep_for(20ms);
-    const std::uint64_t now = registry.counter("exec.steal.fail").value();
-    if (now == before) break;
-    before = now;
+    // Let every worker finish its post-run scan and park.
+    const std::uint64_t before =
+        testing::settled_value(registry.counter("exec.steal.fail"));
+    std::this_thread::sleep_for(100ms);
+    EXPECT_EQ(registry.counter("exec.steal.fail").value(), before);
+    closed.store(true);
+    executor.drain();
   }
-  std::this_thread::sleep_for(100ms);
-  EXPECT_EQ(registry.counter("exec.steal.fail").value(), before);
 }
 
 TEST(TileExecutor, PullSourceDrainsToEndOfStream) {
@@ -372,7 +381,7 @@ TEST(TileExecutor, PullSourceDrainsToEndOfStream) {
   options.workers = 2;
   obs::Registry registry;
   options.metrics = &registry;
-  options.source = [&](int, std::chrono::microseconds, bool* end) -> GroupPtr {
+  options.source = [&](bool* end) -> GroupPtr {
     const int n = handed.fetch_add(1, std::memory_order_acq_rel);
     if (n >= kGroups) {
       handed.store(kGroups, std::memory_order_release);

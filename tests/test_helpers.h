@@ -4,10 +4,14 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <thread>
 
 #include "common/rng.h"
 #include "geometry/grid.h"
 #include "geometry/trajectory.h"
+#include "obs/metrics.h"
 #include "sim/collector.h"
 #include "sim/scene.h"
 
@@ -81,6 +85,21 @@ inline sim::PhaseHistory alternate_loop_orders(const sim::PhaseHistory& h,
     }
   }
   return out;
+}
+
+/// Lets a pool finish its post-run scans and park: polls `counter` every
+/// 20 ms until it stops moving and returns that value. Bounded (2 s), so a
+/// polling pool, whose count never settles, still reaches the caller's
+/// check.
+inline std::uint64_t settled_value(const obs::Counter& counter) {
+  std::uint64_t before = counter.value();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t now = counter.value();
+    if (now == before) break;
+    before = now;
+  }
+  return before;
 }
 
 }  // namespace sarbp::testing

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -89,6 +92,8 @@ TEST(HistogramTest, IgnoresNanClampsNegatives) {
   Histogram h;
   h.record(std::nan(""));
   EXPECT_EQ(h.count(), 0u);
+  h.record(std::numeric_limits<double>::infinity());  // dropped like NaN
+  EXPECT_EQ(h.count(), 0u);
   h.record(-1.0);  // clamped to 0
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.min(), 0.0);
@@ -168,6 +173,10 @@ TEST(JsonExport, SchemaRoundTrips) {
   reg.counter("queue.pipeline.image.pushed").add(7);
   reg.gauge("queue.pipeline.image.depth").set(2);
   reg.gauge("queue.pipeline.image.depth").set(1);
+  // 2^53 + 1 is the first integer a double cannot hold.
+  constexpr std::uint64_t kBeyondDouble = (std::uint64_t{1} << 53) + 1;
+  reg.counter("service.jobs.submitted").add(kBeyondDouble);
+  reg.gauge("service.pending").set(static_cast<std::int64_t>(kBeyondDouble));
   Histogram& h = reg.histogram("pipeline.stage.backprojection");
   for (const double v : {0.125, 0.25, 0.5, 0.0625}) h.record(v);
   reg.histogram("pipeline.frame.latency_s").record(0.75);
@@ -194,6 +203,10 @@ TEST(JsonExport, EscapesAwkwardNames) {
   const MetricsSnapshot before = reg.snapshot();
   const MetricsSnapshot after = parse_snapshot_json(to_json(before));
   EXPECT_EQ(before, after);
+  // A hand-written short escape decodes to its character, not its letter.
+  const MetricsSnapshot written = parse_snapshot_json(
+      "{\"schema\": \"sarbp.metrics.v1\", \"counters\": {\"a\\nb\": 1}}");
+  EXPECT_EQ(written.counters.count("a\nb"), 1u);
 }
 
 TEST(JsonExport, RejectsMalformedDocuments) {
@@ -204,6 +217,17 @@ TEST(JsonExport, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parse_snapshot_json("{\"schema\": \"sarbp.metrics.v1\","
                                          " \"counters\": {\"x\": }}"),
                PreconditionError);
+  EXPECT_THROW((void)parse_snapshot_json(export_json(Registry{}) + "{}"),
+               PreconditionError)
+      << "text after the document";
+  const std::string head = "{\"schema\": \"sarbp.metrics.v1\", ";
+  EXPECT_THROW(
+      (void)parse_snapshot_json(head + "\"counters\": {\"\\uZZZZ\": 1}}"),
+      PreconditionError);
+  EXPECT_THROW(
+      (void)parse_snapshot_json(head + "\"counters\": {\"x\": 1, \"x\": 2}}"),
+      PreconditionError)
+      << "a repeated key";
 }
 
 TEST(JsonExport, WriteJsonFileRoundTrips) {

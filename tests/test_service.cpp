@@ -381,8 +381,16 @@ TEST_P(ServiceLifecycle, CancelQueuedJobResolvesImmediately) {
   EXPECT_TRUE(outcome.handle->cancel());
   EXPECT_EQ(outcome.handle->state(), JobState::kCancelled);
   EXPECT_FALSE(outcome.handle->cancel());  // already terminal
+  // A live job queued behind the cancelled one must still run, with no
+  // further submit or drain to wake the pool.
+  auto live = service.submit(tiny_request(s, pulses));
+  ASSERT_TRUE(live.admitted());
+  std::this_thread::sleep_for(20ms);  // the pool parks; resume's wake is last
 
   service.resume();
+  ASSERT_TRUE(live.handle->wait_for(30s))
+      << "stranded behind the cancelled job";
+  EXPECT_EQ(live.handle->result().state, JobState::kDone);
   service.drain();
   EXPECT_EQ(outcome.handle->result().state, JobState::kCancelled);
   if (obs::kEnabled) {
@@ -445,11 +453,19 @@ TEST_P(ServiceLifecycle, DeadlineExpiryWhileQueued) {
   req.deadline = std::chrono::steady_clock::now() - 1ms;  // already missed
   auto outcome = service.submit(std::move(req));
   ASSERT_TRUE(outcome.admitted());
+  // A live job queued behind the expired one must still run, with no
+  // further submit or drain to wake the pool.
+  auto live = service.submit(tiny_request(s, pulses));
+  ASSERT_TRUE(live.admitted());
+  std::this_thread::sleep_for(20ms);  // the pool parks; resume's wake is last
 
   service.resume();
   const JobResult& result = outcome.handle->wait();
   EXPECT_EQ(result.state, JobState::kExpired);
   EXPECT_EQ(result.error, "deadline passed while queued");
+  ASSERT_TRUE(live.handle->wait_for(30s))
+      << "stranded behind the expired job";
+  EXPECT_EQ(live.handle->result().state, JobState::kDone);
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("service.jobs.expired").value(), 1u);
   }
@@ -734,6 +750,26 @@ TEST(Service, DrainWithJobsInFlightRunsBacklogToCompletion) {
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("service.jobs.done").value(), 8u);
   }
+}
+
+TEST(Service, IdleWorkersParkWithoutPolling) {
+  if (!obs::kEnabled) GTEST_SKIP() << "reads the exec.steal.fail counter";
+  const auto [s, pulses] = make_tiny();
+  obs::Registry reg;
+  ServiceConfig sc;
+  sc.workers = 3;
+  sc.metrics = &reg;
+  ImageFormationService service(sc);
+  auto outcome = service.submit(tiny_request(s, pulses));
+  ASSERT_TRUE(outcome.admitted());
+  ASSERT_EQ(outcome.handle->wait().state, JobState::kDone);
+
+  // Idle workers park on the executor's epoch, as a pool without a source
+  // does: once settled, they make no steal attempts.
+  const std::uint64_t before =
+      testing::settled_value(reg.counter("exec.steal.fail"));
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(reg.counter("exec.steal.fail").value(), before);
 }
 
 TEST(Service, SubmitAfterDrainRejectsShuttingDown) {

@@ -34,7 +34,6 @@ import sys
 LEVELS: list[str] = [
     "streaming.session",    # streaming/streaming.cpp StreamSession::Impl
     "streaming.cache",      # streaming/subaperture_cache.h SubApertureCache
-    "service.gate",         # service/service.h drain gate
     "service.fair",         # service/fair_queue.h FairScheduler
     "service.shard_table",  # service/shard_router.h in-flight job table
     "service.job",          # service/job.h JobHandle lifecycle
@@ -65,6 +64,8 @@ EDGES: list[tuple[str, str, str]] = [
      "documented session -> handle order (StreamSession close/cancel paths)"),
     ("streaming.session", "obs.registry",
      "transitive: FairScheduler tenant counters resolve while the session lock is held"),
+    ("streaming.session", "exec.idle",
+     "StreamSession pump_locked() submits under the session lock; submit() wakes the executor's pool"),
     ("service.fair", "obs.registry",
      "FairScheduler::submit tenant counters are by-name lookups under the scheduler lock"),
     ("service.job", "obs.registry",

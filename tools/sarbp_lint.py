@@ -95,6 +95,16 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   verdict and the terminal transition cannot drift apart
                   again.
 
+  timed-wait      Every `.wait_until(` or `.wait_for(` call in src/ must
+                  carry a `// timeout:` note on the same line or within
+                  the three lines above its statement, naming the
+                  caller-supplied deadline the wait serves. Idle workers
+                  park on the executor's idle epoch with no timeout, so a
+                  fixed poll budget in an idle path cannot come back
+                  unannotated.
+                  src/common/thread_annotations.h, which defines the
+                  wrappers, is exempt.
+
 Suppression syntax (same line, or alone on the line directly above):
 
     // lint: allow(<rule>) -- <rationale>
@@ -123,6 +133,11 @@ MEMORY_ORDER_RE = re.compile(r"\bstd::memory_order_[a-z_]+\b")
 ORDER_COMMENT_RE = re.compile(r"//\s*order:")
 ORDER_LOOKBACK = 3   # lines above the statement that may hold the comment
 ORDER_WALK_CAP = 12  # max continuation/comment lines walked upward
+
+# A timed condition-variable (or wrapper) wait, and the note that must
+# name the deadline it serves.
+TIMED_WAIT_RE = re.compile(r"\.\s*wait_(?:until|for)\s*\(")
+TIMEOUT_COMMENT_RE = re.compile(r"//\s*timeout:")
 
 RAW_MUTEX_RE = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|shared_mutex|"
@@ -215,7 +230,7 @@ MUTEX_DECL_JOIN_CAP = 8  # max lines a single declaration may span
 
 RULES = ("order-comment", "raw-mutex", "sleep-poll", "isa-ifdef",
          "queue-result", "lock-level", "asr-core", "omp-formation",
-         "task-graph", "job-resolve")
+         "task-graph", "job-resolve", "timed-wait")
 
 
 @dataclass
@@ -241,8 +256,9 @@ def code_part(line: str) -> str:
     return stripped if cut < 0 else stripped[:cut]
 
 
-def order_comment_near(lines: list[str], idx: int) -> bool:
-    """True when a `// order:` comment covers the statement holding line idx.
+def comment_near(lines: list[str], idx: int, note: re.Pattern) -> bool:
+    """True when a `note` comment (`// order:`, `// timeout:`) covers the
+    statement holding line idx.
 
     Statements span lines and are frequently preceded by (or interleaved
     with) multi-line comments, so the search walks upward from `idx`
@@ -264,7 +280,7 @@ def order_comment_near(lines: list[str], idx: int) -> bool:
         else:
             break
     return any(
-        ORDER_COMMENT_RE.search(lines[j])
+        note.search(lines[j])
         for j in range(max(0, start - ORDER_LOOKBACK), idx + 1)
     )
 
@@ -406,7 +422,8 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                 findings.append(f)
 
         if in_src and MEMORY_ORDER_RE.search(code):
-            if not order_comment_near(lines, i) and "order-comment" not in allowed:
+            if (not comment_near(lines, i, ORDER_COMMENT_RE)
+                    and "order-comment" not in allowed):
                 findings.append(Finding(
                     rel, i + 1, "order-comment",
                     "explicit memory_order without a `// order:` "
@@ -464,6 +481,15 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     "JobHandle state transition outside service/job.{h,cpp}; "
                     "go through JobHandle::dequeue, RunVerdict and "
                     "JobHandle::resolve"))
+
+        if (in_src and not is_annotation_header
+                and TIMED_WAIT_RE.search(code)
+                and not comment_near(lines, i, TIMEOUT_COMMENT_RE)):
+            if "timed-wait" not in allowed:
+                findings.append(Finding(
+                    rel, i + 1, "timed-wait",
+                    "timed wait without a `// timeout:` note naming the "
+                    "caller's deadline it serves; idle waits park untimed"))
 
         if in_src and SLEEP_RE.search(code):
             if "sleep-poll" not in allowed:
@@ -706,6 +732,29 @@ SELFTEST_CASES = [
      'Mutex a_ SARBP_ACQUIRED_AFTER(b_){SARBP_LOCK_LEVEL("service.fair")};\n'
      'Mutex b_{SARBP_LOCK_LEVEL("obs.registry")};\n',
      ["lock-level"]),  # ACQUIRED_AFTER pointing at an inner level
+    # timed-wait: a timed wait names the caller's deadline it serves.
+    ("src/service/f.cpp", "claim_cv_.wait_until(lock, deadline);\n",
+     ["timed-wait"]),
+    ("src/exec/t.h",
+     "if (cv_.wait_for(lock, 1ms) == std::cv_status::timeout) {\n",
+     ["timed-wait"]),
+    ("src/exec/t.h",
+     "// timeout: the caller's wait_for budget\n"
+     "if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {\n",
+     []),
+    ("src/exec/t.h",
+     "// timeout: too far above\nfoo();\nbar();\nbaz();\n"
+     "cv_.wait_until(lock, deadline);\n",
+     ["timed-wait"]),
+    ("src/service/f.cpp",
+     "cv_.wait_for(lock, 1ms);  // lint: allow(timed-wait) -- fixture\n",
+     []),
+    ("src/common/thread_annotations.h",
+     "return cv_.wait_until(lock.native(), deadline);\n",
+     []),
+    ("src/service/f.cpp", "// claim_cv_.wait_until(lock, d) in a comment\n",
+     []),
+    ("tests/t.cpp", "cv.wait_for(lock, 1ms);\n", []),  # out of scope
 ]
 
 
