@@ -5,12 +5,13 @@
 //     sin/cos time is argument reduction;
 //   - ASR removes sqrt/sin/cos from the inner loop with small precompute
 //     overhead, for 2.2x (Xeon) / 3.9x (Xeon Phi) kernel speedups.
+// Both ASR kernels split into table precompute (the production table
+// build, vectorized one table per lane) and the sweep, timed in one pass.
 #include <cstdio>
 
 #include "backprojection/breakdown.h"
 #include "backprojection/kernel.h"
 #include "bench_util.h"
-#include "common/timer.h"
 
 int main(int argc, char** argv) {
   using namespace sarbp;
@@ -61,17 +62,21 @@ int main(int argc, char** argv) {
   std::printf("  %-28s %8.3f s  %5.1f %%\n", "strength-reduced inner loop",
               asr.inner_s, 100.0 * asr.inner_s / asr.total_s);
 
-  // SIMD ASR for the full after-picture.
+  // SIMD ASR for the full after-picture, with the same split.
   double simd_s = 0.0;
   if (bp::asr_simd_available()) {
-    bp::SoaTile tile(image, image);
-    Timer timer;
-    bp::backproject_asr_simd(scenario.history, scenario.grid, all, 0, pulses,
-                             block, block, geometry::LoopOrder::kXInner, tile);
-    simd_s = timer.seconds();
-    std::printf("\nASR SIMD kernel (%d-wide): %.3f s  (%.1f Mbp/s)\n",
+    const bp::AsrBreakdown simd = bp::measure_asr_breakdown(
+        scenario.history, scenario.grid, all, 0, pulses, block, block,
+        bp::SimdIsa::kAuto);
+    simd_s = simd.total_s;
+    std::printf("\nASR SIMD kernel (%d-wide): %.3f s total  (%.1f Mbp/s)\n",
                 bp::asr_simd_width(), simd_s,
                 backprojections / simd_s / 1e6);
+    bench::print_rule();
+    std::printf("  %-28s %8.3f s  %5.1f %%\n", "table precompute (A..Gamma)",
+                simd.precompute_s, 100.0 * simd.precompute_s / simd_s);
+    std::printf("  %-28s %8.3f s  %5.1f %%\n", "strength-reduced inner loop",
+                simd.inner_s, 100.0 * simd.inner_s / simd_s);
   }
 
   std::printf("\nspeedups from ASR:\n");

@@ -16,23 +16,63 @@ std::complex<double> unit_phase(double phase) {
   return {std::cos(reduced), std::sin(reduced)};
 }
 
-/// Fills re/im arrays with exp(i*(c0 + c1*j + c2*j^2)), j = 0..n-1, via the
-/// two-level recurrence U *= V; V *= W with W = exp(2i*c2). Three exact
-/// exponentials total; |U| is renormalized every 64 steps to pin the
-/// magnitude drift far below float resolution.
-void quadratic_phase_table(double c0, double c1, double c2, Index n,
-                           float* out_re, float* out_im) {
-  std::complex<double> u = unit_phase(c0);
-  std::complex<double> v = unit_phase(c1 + c2);  // phase(1) - phase(0)
-  const std::complex<double> w = unit_phase(2.0 * c2);
+/// Seeds of exp(i*(c0 + c1*j + c2*j^2)). W = exp(2i*c2) is exactly 1 when
+/// c2 is zero (Gamma's linear phase), so no sincos is spent on it.
+PhaseSeeds phase_seeds(double c0, double c1, double c2) {
+  PhaseSeeds s;
+  const std::complex<double> u = unit_phase(c0);
+  const std::complex<double> v = unit_phase(c1 + c2);  // phase(1) - phase(0)
+  s.u_re = u.real();
+  s.u_im = u.imag();
+  s.v_re = v.real();
+  s.v_im = v.imag();
+  if (c2 != 0.0) {
+    const std::complex<double> w = unit_phase(2.0 * c2);
+    s.w_re = w.real();
+    s.w_im = w.imag();
+  }
+  return s;
+}
+
+/// a *= b with the rounding pinned (expand_table_seeds).
+inline void complex_step(double& a_re, double& a_im, double b_re,
+                         double b_im) {
+  const double re = std::fma(a_re, b_re, -(a_im * b_im));
+  a_im = std::fma(a_re, b_im, a_im * b_re);
+  a_re = re;
+}
+
+inline void renormalize(double& re, double& im) {
+  const double norm = std::sqrt(std::fma(re, re, im * im));
+  re /= norm;
+  im /= norm;
+}
+
+void ramp_table(const RampSeeds& s, Index n, float* out) {
+  double value = s.value;
+  double step = s.step;
   for (Index j = 0; j < n; ++j) {
-    out_re[j] = static_cast<float>(u.real());
-    out_im[j] = static_cast<float>(u.imag());
-    u *= v;
-    v *= w;
-    if ((j & 63) == 63) {
-      u /= std::abs(u);
-      v /= std::abs(v);
+    out[j] = static_cast<float>(value);
+    value += step;
+    step += s.curve;
+  }
+}
+
+void phase_table(const PhaseSeeds& s, Index n, float* out_re,
+                 float* out_im) {
+  double u_re = s.u_re;
+  double u_im = s.u_im;
+  double v_re = s.v_re;
+  double v_im = s.v_im;
+  for (Index j = 0;; ++j) {
+    out_re[j] = static_cast<float>(u_re);
+    out_im[j] = static_cast<float>(u_im);
+    if (j + 1 == n) return;
+    complex_step(u_re, u_im, v_re, v_im);
+    complex_step(v_re, v_im, s.w_re, s.w_im);
+    if ((j & kRenormMask) == kRenormMask) {
+      renormalize(u_re, u_im);
+      renormalize(v_re, v_im);
     }
   }
 }
@@ -130,58 +170,53 @@ void build_block_tables(const Quadratic2D& q, double start_range,
   }
 }
 
-void build_block_tables_fast(const Quadratic2D& q, double start_range,
-                             double bin_spacing, double two_pi_k, Index width,
-                             Index height, BlockTables& tables) {
-  tables.resize(width, height);
+TableSeeds table_seeds(const Quadratic2D& q, double start_range,
+                       double bin_spacing, double two_pi_k, Index width,
+                       Index height) {
+  TableSeeds s;
+  s.width = width;
+  s.height = height;
   const double inv_dr = 1.0 / bin_spacing;
   const double l0 = -0.5 * static_cast<double>(width - 1);
   const double m0 = -0.5 * static_cast<double>(height - 1);
 
   // --- l axis: range_l(j) = f0 + ax*(j+l0) + bx*(j+l0)^2, j = 0..width-1.
+  // bin_a is the second-order additive recurrence of the §3.2
+  // pre-computation.
   const double l_const = q.f0 + q.ax * l0 + q.bx * l0 * l0;
   const double l_lin = q.ax + 2.0 * q.bx * l0;
-  {
-    // bin_a: second-order additive recurrence (the §3.2 pre-computation).
-    double value = (l_const - start_range) * inv_dr;
-    double delta = (l_lin + q.bx) * inv_dr;  // value(1) - value(0)
-    const double delta2 = 2.0 * q.bx * inv_dr;
-    for (Index l = 0; l < width; ++l) {
-      tables.bin_a[static_cast<std::size_t>(l)] = static_cast<float>(value);
-      value += delta;
-      delta += delta2;
-    }
-    quadratic_phase_table(two_pi_k * l_const, two_pi_k * l_lin,
-                          two_pi_k * q.bx, width, tables.phi_re.data(),
-                          tables.phi_im.data());
-  }
+  s.bin_a = {(l_const - start_range) * inv_dr, (l_lin + q.bx) * inv_dr,
+             2.0 * q.bx * inv_dr};
+  s.phi = phase_seeds(two_pi_k * l_const, two_pi_k * l_lin, two_pi_k * q.bx);
 
   // --- m axis: range_m(j) = a'*(j+m0) + by*(j+m0)^2 with the cross term's
   // l-offset folded in (a' = ay + cxy*l0), plus the linear Gamma phase.
   const double a_eff = q.ay + q.cxy * l0;
   const double m_const = a_eff * m0 + q.by * m0 * m0;
   const double m_lin = a_eff + 2.0 * q.by * m0;
-  {
-    double value = m_const * inv_dr;
-    double delta = (m_lin + q.by) * inv_dr;
-    const double delta2 = 2.0 * q.by * inv_dr;
-    double cross = q.cxy * m0 * inv_dr;
-    const double cross_step = q.cxy * inv_dr;
-    for (Index m = 0; m < height; ++m) {
-      tables.bin_b[static_cast<std::size_t>(m)] = static_cast<float>(value);
-      tables.bin_c[static_cast<std::size_t>(m)] = static_cast<float>(cross);
-      value += delta;
-      delta += delta2;
-      cross += cross_step;
-    }
-    quadratic_phase_table(two_pi_k * m_const, two_pi_k * m_lin,
-                          two_pi_k * q.by, height, tables.psi_re.data(),
-                          tables.psi_im.data());
-    quadratic_phase_table(two_pi_k * q.cxy * m0, two_pi_k * q.cxy, 0.0,
-                          height, tables.gam_re.data(),
-                          tables.gam_im.data());
-  }
+  s.bin_b = {m_const * inv_dr, (m_lin + q.by) * inv_dr, 2.0 * q.by * inv_dr};
+  s.bin_c = {q.cxy * m0 * inv_dr, q.cxy * inv_dr, 0.0};
+  s.psi = phase_seeds(two_pi_k * m_const, two_pi_k * m_lin, two_pi_k * q.by);
+  s.gam = phase_seeds(two_pi_k * q.cxy * m0, two_pi_k * q.cxy, 0.0);
+  return s;
+}
+
+void expand_table_seeds(const TableSeeds& s, BlockTables& tables) {
+  tables.resize(s.width, s.height);
+  ramp_table(s.bin_a, s.width, tables.bin_a.data());
+  phase_table(s.phi, s.width, tables.phi_re.data(), tables.phi_im.data());
+  ramp_table(s.bin_b, s.height, tables.bin_b.data());
+  ramp_table(s.bin_c, s.height, tables.bin_c.data());
+  phase_table(s.psi, s.height, tables.psi_re.data(), tables.psi_im.data());
+  phase_table(s.gam, s.height, tables.gam_re.data(), tables.gam_im.data());
+}
+
+void build_block_tables_fast(const Quadratic2D& q, double start_range,
+                             double bin_spacing, double two_pi_k, Index width,
+                             Index height, BlockTables& tables) {
+  expand_table_seeds(
+      table_seeds(q, start_range, bin_spacing, two_pi_k, width, height),
+      tables);
 }
 
 }  // namespace sarbp::asr
-

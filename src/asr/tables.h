@@ -74,14 +74,67 @@ void build_block_tables(const Quadratic2D& q, double start_range,
                         double bin_spacing, double two_pi_k, Index width,
                         Index height, BlockTables& tables);
 
+/// Seeds of one additive table X (bin_a, bin_b, bin_c):
+///   X[0] = value,  X[j+1] = X[j] + D[j],  D[0] = step,  D[j+1] = D[j] + curve.
+struct RampSeeds {
+  double value = 0.0;
+  double step = 0.0;
+  double curve = 0.0;
+};
+
+/// Seeds of one phase table U = exp(i*(c0 + c1*j + c2*j^2)) (Phi, Psi,
+/// Gamma), a two-level complex recurrence:
+///   U[0] = u,  U[j+1] = U[j]*V[j],  V[0] = v,  V[j+1] = V[j]*w,
+/// with u = exp(i*c0), v = exp(i*(c1 + c2)), w = exp(2i*c2).
+struct PhaseSeeds {
+  double u_re = 1.0, u_im = 0.0;
+  double v_re = 1.0, v_im = 0.0;
+  double w_re = 1.0, w_im = 0.0;
+};
+
+/// Every input of one table's recurrences: the extents and the seeds of
+/// its nine arrays. The seeds are the per-table scalar part of the build
+/// (the range quadratic's constants and the reduced-phase sincos); the
+/// recurrences that expand them are the part a vector build runs one table
+/// per lane.
+struct TableSeeds {
+  Index width = 0;   ///< L
+  Index height = 0;  ///< M
+  RampSeeds bin_a, bin_b, bin_c;
+  PhaseSeeds phi, psi, gam;
+};
+
+/// A phase table renormalizes U and V after entry j when
+/// (j & kRenormMask) == kRenormMask and a later entry follows.
+inline constexpr Index kRenormMask = 63;
+
+/// The seeds of build_block_tables_fast (arguments as build_block_tables).
+[[nodiscard]] TableSeeds table_seeds(const Quadratic2D& q,
+                                     double start_range, double bin_spacing,
+                                     double two_pi_k, Index width,
+                                     Index height);
+
+/// Expands `seeds` into `tables` (resized to seeds.width x seeds.height):
+/// the scalar recurrences. Their rounding is pinned so that a vector build
+/// can repeat them lane for lane, byte for byte:
+///  - a ramp entry is float(X[j]); X and D advance with one double add each;
+///  - a phase entry is (float(Re U[j]), float(Im U[j])); each complex step
+///    a*b is re = fma(a.re, b.re, -(a.im*b.im)), im = fma(a.re, b.im,
+///    a.im*b.re), U first, then V;
+///  - the renormalization divides re and im by sqrt(fma(re, re, im*im)),
+///    U first, then V;
+///  - nothing is stepped or renormalized after a table's last entry.
+void expand_table_seeds(const TableSeeds& seeds, BlockTables& tables);
+
 /// Fast table construction (paper §4.4: "it is important to also vectorize
 /// the pre-computation step"): the phases of Phi/Psi/Gamma are quadratic
 /// (or linear) in the index, so each table follows a two-level complex
-/// recurrence — U[l+1] = U[l]*V[l], V[l+1] = V[l]*W — seeded by three exact
-/// complex exponentials per axis. All per-entry sin/cos calls disappear;
-/// the double-precision recurrence (with periodic renormalization) holds
-/// the error at the float-storage floor for any practical block size.
-/// Produces tables interchangeable with build_block_tables.
+/// recurrence — U[l+1] = U[l]*V[l], V[l+1] = V[l]*W — seeded by at most
+/// three exact complex exponentials per axis (Gamma's W is exactly 1). All
+/// per-entry sin/cos calls disappear; the double-precision recurrence
+/// (renormalized every 64 steps) holds the error at the float-storage floor
+/// for any practical block size. table_seeds + expand_table_seeds; produces
+/// tables interchangeable with build_block_tables.
 void build_block_tables_fast(const Quadratic2D& q, double start_range,
                              double bin_spacing, double two_pi_k, Index width,
                              Index height, BlockTables& tables);

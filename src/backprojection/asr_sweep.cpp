@@ -9,6 +9,7 @@
 // -march exceeds the host.
 #include "backprojection/asr_sweep.h"
 
+#include <algorithm>
 #include <numbers>
 
 #include "asr/quadratic.h"
@@ -126,9 +127,10 @@ void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
 }
 
 /// Per-thread sweep scratch, reused across every block a thread sweeps:
-/// the tables of the on-the-fly source and the y_inner run workspace.
+/// one lane group of tables for the on-the-fly source and the y_inner run
+/// workspace.
 struct SweepScratch {
-  asr::BlockTables tables;
+  asr::BlockTables tables[detail::kMaxTableLanes];
   AlignedVector<float> ws_re;
   AlignedVector<float> ws_im;
 };
@@ -293,23 +295,45 @@ int asr_simd_width() { return host_caps().simd_width_floats; }
 
 void build_asr_tables(const geometry::ImageGrid& grid,
                       const asr::BlockSpec& block,
-                      const sim::PhaseHistory& history, Index pulse,
-                      geometry::LoopOrder order, asr::BlockTables& out) {
+                      std::span<const TableSlot> slots, SimdIsa isa) {
+  const detail::AsrIsaOps* ops = ops_for(asr_resolve_isa(isa));
   const geometry::Vec3 centre = grid.position_f(
       static_cast<double>(block.x0) +
           0.5 * static_cast<double>(block.width - 1),
       static_cast<double>(block.y0) +
           0.5 * static_cast<double>(block.height - 1));
-  // Table extents under the chosen order: l is the inner image axis.
-  const bool x_inner = order == geometry::LoopOrder::kXInner;
-  const Index len_l = x_inner ? block.width : block.height;
-  const Index len_m = x_inner ? block.height : block.width;
-  const auto& meta = history.meta(pulse);
-  const asr::Quadratic2D q =
-      block_range_quadratic(centre, meta.position, grid.spacing(), order);
-  asr::build_block_tables_fast(q, meta.start_range_m, history.bin_spacing(),
-                               2.0 * std::numbers::pi * history.wavenumber(),
-                               len_l, len_m, out);
+  const auto seeds_of = [&](const TableSlot& slot) {
+    // Table extents under the slot's order: l is the inner image axis.
+    const bool x_inner = slot.order == geometry::LoopOrder::kXInner;
+    const sim::PhaseHistory& history = *slot.history;
+    const auto& meta = history.meta(slot.pulse);
+    return asr::table_seeds(
+        block_range_quadratic(centre, meta.position, grid.spacing(),
+                              slot.order),
+        meta.start_range_m, history.bin_spacing(),
+        2.0 * std::numbers::pi * history.wavenumber(),
+        x_inner ? block.width : block.height,
+        x_inner ? block.height : block.width);
+  };
+  if (ops == nullptr) {
+    for (const TableSlot& slot : slots) {
+      asr::expand_table_seeds(seeds_of(slot), *slot.out);
+    }
+    return;
+  }
+  const auto lanes = static_cast<std::size_t>(ops->table_lanes);
+  asr::TableSeeds seeds[detail::kMaxTableLanes];
+  asr::BlockTables* out[detail::kMaxTableLanes];
+  for (std::size_t first = 0; first < slots.size(); first += lanes) {
+    const std::size_t count = std::min(lanes, slots.size() - first);
+    for (std::size_t i = 0; i < count; ++i) {
+      const TableSlot& slot = slots[first + i];
+      seeds[i] = seeds_of(slot);
+      out[i] = slot.out;
+      out[i]->resize(seeds[i].width, seeds[i].height);
+    }
+    ops->build_tables(seeds, out, static_cast<int>(count));
+  }
 }
 
 void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
@@ -333,6 +357,19 @@ void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
                      const AsrKernel& kernel, SoaTile& tile) {
   SweepScratch& scratch = thread_scratch();
   BlockSweep sweep(block, tile_x0, tile_y0, kernel, tile, scratch);
+  // Up to kMaxTableLanes pulses at a time: one AVX-512 lane group, two
+  // AVX2 ones.
+  TableSlot group[detail::kMaxTableLanes];
+  std::size_t count = 0;
+  const auto build_and_sweep = [&] {
+    build_asr_tables(grid, block, std::span(group, count));
+    for (const TableSlot& slot : std::span(group, count)) {
+      const sim::PhaseHistory& history = *slot.history;
+      sweep.pulse(*slot.out, history.pulse(slot.pulse).data(),
+                  history.samples_per_pulse(), slot.order);
+    }
+    count = 0;
+  };
   for (const PulseRange& range : pulses) {
     const sim::PhaseHistory& history = *range.history;
     for (Index p = range.begin; p < range.end; ++p) {
@@ -340,11 +377,11 @@ void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
           order ? *order
                 : geometry::choose_loop_order(history.meta(p).position,
                                               grid.centre());
-      build_asr_tables(grid, block, history, p, o, scratch.tables);
-      sweep.pulse(scratch.tables, history.pulse(p).data(),
-                  history.samples_per_pulse(), o);
+      group[count] = {&history, p, o, &scratch.tables[count]};
+      if (++count == std::size(group)) build_and_sweep();
     }
   }
+  build_and_sweep();
   sweep.close_run();
 }
 

@@ -11,8 +11,8 @@
 //  - the pulses: one or more histories walked in order, so a streaming
 //    window of chunks is one sequence;
 //  - each pulse's loop order: fixed, or per pulse;
-//  - a table source: a plan's prebuilt tables, or tables built per pulse
-//    into per-thread scratch;
+//  - a table source: a plan's prebuilt tables, or tables built a few
+//    pulses at a time into per-thread scratch;
 //  - a kernel: the portable scalar sweep, or a vector ISA plus
 //    KernelVariant.
 //
@@ -64,13 +64,28 @@ struct PlanTables {
   const geometry::LoopOrder* orders = nullptr;
 };
 
-/// The one table build: the range quadratic of `block` about its centre
-/// for pulse `pulse` of `history` under `order`, expanded into `out`
-/// (asr::build_block_tables_fast).
+/// One table of a build: pulse `pulse` of `*history` under `order`, into
+/// `*out`.
+struct TableSlot {
+  const sim::PhaseHistory* history = nullptr;
+  Index pulse = 0;
+  geometry::LoopOrder order = geometry::LoopOrder::kXInner;
+  asr::BlockTables* out = nullptr;
+};
+
+/// The one table build (paper Fig. 3(b) line 02, vectorized as §4.4 asks):
+/// for every slot, the range quadratic of `block` about its centre for the
+/// slot's pulse under its order, expanded into *slot.out. The seeds
+/// (asr::table_seeds) are scalar; the expansion runs `isa`'s f64 lanes,
+/// one table per lane, in lane groups of consecutive slots (kAuto: the
+/// widest usable ISA; kScalar: asr::expand_table_seeds one table at a
+/// time). Every ISA writes the scalar build's bytes, so the build's ISA
+/// never depends on the sweep kernel's. Slots may mix loop orders and
+/// histories.
 void build_asr_tables(const geometry::ImageGrid& grid,
                       const asr::BlockSpec& block,
-                      const sim::PhaseHistory& history, Index pulse,
-                      geometry::LoopOrder order, asr::BlockTables& out);
+                      std::span<const TableSlot> slots,
+                      SimdIsa isa = SimdIsa::kAuto);
 
 /// Sweeps `block` over `pulses` with a plan's prebuilt tables. (tile_x0,
 /// tile_y0): image coordinates of the tile's (0, 0) pixel.
@@ -79,10 +94,12 @@ void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
                      const PulseRange& pulses, const AsrKernel& kernel,
                      SoaTile& tile);
 
-/// Sweeps `block` over `pulses` (walked in order), building each pulse's
-/// tables with build_asr_tables. `order` fixes the loop order; nullopt
-/// chooses each pulse's wavefront order about the grid centre — the rule
-/// a formation plan records in its pulse_order.
+/// Sweeps `block` over `pulses` (walked in order), building the tables
+/// with build_asr_tables into per-thread scratch: the next 8 pulses
+/// (across history boundaries; one AVX-512 lane group, two AVX2 ones) are
+/// built, then swept in order. `order` fixes the loop order; nullopt
+/// chooses each pulse's wavefront order about the grid centre — the rule a
+/// formation plan records in its pulse_order.
 void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
                      Index tile_y0, const geometry::ImageGrid& grid,
                      std::span<const PulseRange> pulses,

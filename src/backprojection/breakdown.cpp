@@ -1,13 +1,16 @@
 #include "backprojection/breakdown.h"
 
+#include <chrono>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "asr/block_plan.h"
 #include "asr/tables.h"
 #include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "backprojection/soa_tile.h"
+#include "common/check.h"
 #include "common/timer.h"
 #include "signal/trig.h"
 
@@ -117,32 +120,41 @@ AsrBreakdown measure_asr_breakdown(const sim::PhaseHistory& history,
                                    const geometry::ImageGrid& grid,
                                    const Region& region, Index pulse_begin,
                                    Index pulse_end, Index block_w,
-                                   Index block_h) {
+                                   Index block_h, SimdIsa isa) {
+  ensure(pulse_begin >= 0 && pulse_begin <= pulse_end &&
+             pulse_end <= history.num_pulses(),
+         "measure_asr_breakdown: pulse range out of bounds");
+  using Clock = std::chrono::steady_clock;
+  const AsrKernel kernel{asr_resolve_isa(isa)};
+  // Tables and orders are indexed by pulse, as a plan's are (PlanTables).
+  const auto pulses = static_cast<std::size_t>(pulse_end);
+  std::vector<asr::BlockTables> tables(pulses);
+  const std::vector<geometry::LoopOrder> orders(pulses,
+                                                geometry::LoopOrder::kXInner);
+  std::vector<TableSlot> slots;
+  for (Index p = pulse_begin; p < pulse_end; ++p) {
+    slots.push_back({&history, p, geometry::LoopOrder::kXInner,
+                     &tables[static_cast<std::size_t>(p)]});
+  }
+  SoaTile tile(region.width, region.height);
+  Clock::duration build{};
+  const Clock::time_point start = Clock::now();
+  for (const auto& block : asr::plan_blocks(region.x0, region.y0,
+                                            region.width, region.height,
+                                            block_w, block_h)) {
+    const Clock::time_point build_start = Clock::now();
+    build_asr_tables(grid, block, slots);
+    build += Clock::now() - build_start;
+    sweep_asr_block(block, region.x0, region.y0,
+                    PlanTables{tables.data(), orders.data()},
+                    PulseRange{&history, pulse_begin, pulse_end}, kernel,
+                    tile);
+  }
+  const Clock::duration total = Clock::now() - start;
   AsrBreakdown b;
-  // Precompute-only pass: per-(block, pulse) table construction, nothing
-  // else — the cost ASR adds in exchange for removing the math functions.
-  {
-    const auto blocks = asr::plan_blocks(region.x0, region.y0, region.width,
-                                         region.height, block_w, block_h);
-    asr::BlockTables tables;
-    Timer timer;
-    for (const auto& block : blocks) {
-      for (Index p = pulse_begin; p < pulse_end; ++p) {
-        build_asr_tables(grid, block, history, p,
-                         geometry::LoopOrder::kXInner, tables);
-      }
-    }
-    b.precompute_s = timer.seconds();
-  }
-  {
-    SoaTile tile(region.width, region.height);
-    Timer timer;
-    backproject_asr_scalar(history, grid, region, pulse_begin, pulse_end,
-                           block_w, block_h, geometry::LoopOrder::kXInner,
-                           tile);
-    b.total_s = timer.seconds();
-  }
-  b.inner_s = b.total_s > b.precompute_s ? b.total_s - b.precompute_s : 0.0;
+  b.precompute_s = std::chrono::duration<double>(build).count();
+  b.total_s = std::chrono::duration<double>(total).count();
+  b.inner_s = b.total_s - b.precompute_s;
   return b;
 }
 

@@ -9,6 +9,7 @@
 // fig7_asr_breakdown bench.
 #pragma once
 
+#include "backprojection/kernel.h"
 #include "common/region.h"
 #include "common/types.h"
 #include "geometry/grid.h"
@@ -41,11 +42,17 @@ struct AsrBreakdown {
   double total_s = 0.0;       ///< full ASR kernel wall time
 };
 
-/// Precompute-vs-inner-loop split of the scalar ASR kernel.
+/// Precompute-vs-inner-loop split of the ASR kernel whose sweep runs `isa`
+/// (kScalar: the portable sweep). One timed pass of the kernel's block
+/// loop: per block, the production table build (bp::build_asr_tables, the
+/// widest usable ISA) for every pulse, then the sweep over those tables.
+/// The builds are timed inside the total's interval on the same clock, so
+/// precompute_s <= total_s and inner_s = total_s - precompute_s >= 0.
 AsrBreakdown measure_asr_breakdown(const sim::PhaseHistory& history,
                                    const geometry::ImageGrid& grid,
                                    const Region& region, Index pulse_begin,
                                    Index pulse_end, Index block_w,
-                                   Index block_h);
+                                   Index block_h,
+                                   SimdIsa isa = SimdIsa::kScalar);
 
 }  // namespace sarbp::bp

@@ -1,4 +1,5 @@
-// AVX2 ASR row kernels (paper §4.4, the Xeon-style 8-lane path). This TU
+// AVX2 ASR row kernels and table build (paper §4.4, the Xeon-style 8-lane
+// path; the build expands 4 tables at once, one per f64 lane). This TU
 // is compiled with -march=x86-64-v3 regardless of the build's baseline
 // -march — on an AVX-512 build host it still emits genuine 8-lane AVX2
 // code, which is what lets the parity tests force AVX2-on-an-AVX-512-host
@@ -14,6 +15,8 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <span>
+#include <type_traits>
 
 namespace sarbp::bp::detail {
 namespace {
@@ -131,12 +134,15 @@ struct ShuffleSamples {
 };
 
 /// Shared row sweep over prebuilt tables reading AoS samples; kFma selects
-/// fused vs split multiply-add throughout the vector body.
+/// fused vs split multiply-add throughout the vector body. A row's last
+/// partial vector is one more step under a lane mask: masked lanes load no
+/// table entry, no sample and no accumulator element, and store nothing.
 template <class SampleLoad, bool kFma>
 void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
                float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
                Index len_m) {
   const __m256 iota = _mm256_set_ps(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m256i lane_index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i max_bin = _mm256_set1_epi32(static_cast<int>(samples) - 1);
   for (Index m = 0; m < len_m; ++m) {
     const float bin_b = t.bin_b[static_cast<std::size_t>(m)];
@@ -156,12 +162,19 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
     const __m256 bin_cv = _mm256_set1_ps(bin_c);
     float* row_re = acc_re + m * acc_pitch;
     float* row_im = acc_im + m * acc_pitch;
-    Index l = 0;
-    for (; l + 8 <= len_l; l += 8) {
+    // Pixels [l, l + 8) of the row; in the masked step `live` keeps the
+    // lanes below len_l.
+    const auto step = [&](Index l, auto masked, __m256i live) {
+      const auto load = [&](const float* p) {
+        if constexpr (decltype(masked)::value) {
+          return _mm256_maskload_ps(p, live);
+        } else {
+          return _mm256_loadu_ps(p);
+        }
+      };
       const __m256 lvec =
           _mm256_add_ps(iota, _mm256_set1_ps(static_cast<float>(l)));
-      const __m256 bin_av =
-          _mm256_loadu_ps(&t.bin_a[static_cast<std::size_t>(l)]);
+      const __m256 bin_av = load(&t.bin_a[static_cast<std::size_t>(l)]);
       const __m256 bin =
           madd<kFma>(lvec, bin_cv, _mm256_add_ps(bin_av, bin_bv));
       const __m256i ibin = _mm256_cvttps_epi32(bin);
@@ -172,7 +185,10 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
       // Guard against cvttps saturation (INT_MIN) for out-of-range bins.
       const __m256 iok = _mm256_castsi256_ps(
           _mm256_cmpgt_epi32(ibin, _mm256_set1_epi32(-1)));
-      const __m256 ok = _mm256_and_ps(_mm256_and_ps(nonneg, inrange), iok);
+      __m256 ok = _mm256_and_ps(_mm256_and_ps(nonneg, inrange), iok);
+      if constexpr (decltype(masked)::value) {
+        ok = _mm256_and_ps(ok, _mm256_castsi256_ps(live));
+      }
       const __m256 frac = _mm256_sub_ps(bin, _mm256_cvtepi32_ps(ibin));
       __m256 re0;
       __m256 im0;
@@ -181,10 +197,8 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
       SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
       const __m256 s_r = madd<kFma>(frac, _mm256_sub_ps(re1, re0), re0);
       const __m256 s_i = madd<kFma>(frac, _mm256_sub_ps(im1, im0), im0);
-      const __m256 phi_r =
-          _mm256_loadu_ps(&t.phi_re[static_cast<std::size_t>(l)]);
-      const __m256 phi_i =
-          _mm256_loadu_ps(&t.phi_im[static_cast<std::size_t>(l)]);
+      const __m256 phi_r = load(&t.phi_re[static_cast<std::size_t>(l)]);
+      const __m256 phi_i = load(&t.phi_im[static_cast<std::size_t>(l)]);
       const __m256 t_r = msub<kFma>(phi_r, g_r, _mm256_mul_ps(phi_i, g_i));
       const __m256 t_i = madd<kFma>(phi_r, g_i, _mm256_mul_ps(phi_i, g_r));
       const __m256 a_r = msub<kFma>(t_r, psi_rv, _mm256_mul_ps(t_i, psi_iv));
@@ -194,41 +208,23 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
       g_r = ng_r;
       const __m256 c_r = msub<kFma>(a_r, s_r, _mm256_mul_ps(a_i, s_i));
       const __m256 c_i = madd<kFma>(a_r, s_i, _mm256_mul_ps(a_i, s_r));
-      _mm256_storeu_ps(row_re + l,
-                       _mm256_add_ps(_mm256_loadu_ps(row_re + l), c_r));
-      _mm256_storeu_ps(row_im + l,
-                       _mm256_add_ps(_mm256_loadu_ps(row_im + l), c_i));
-    }
-    float sg_r = _mm256_cvtss_f32(g_r);
-    float sg_i = _mm256_cvtss_f32(g_i);
-    const float gam_r = t.gam_re[static_cast<std::size_t>(m)];
-    const float gam_i = t.gam_im[static_cast<std::size_t>(m)];
-    for (; l < len_l; ++l) {
-      const float bin = t.bin_a[static_cast<std::size_t>(l)] + bin_b +
-                        static_cast<float>(l) * bin_c;
-      const float phi_r = t.phi_re[static_cast<std::size_t>(l)];
-      const float phi_i = t.phi_im[static_cast<std::size_t>(l)];
-      const float t_r = phi_r * sg_r - phi_i * sg_i;
-      const float t_i = phi_r * sg_i + phi_i * sg_r;
-      const float a_r = t_r * psi_r - t_i * psi_i;
-      const float a_i = t_r * psi_i + t_i * psi_r;
-      const float ng_r = sg_r * gam_r - sg_i * gam_i;
-      sg_i = sg_r * gam_i + sg_i * gam_r;
-      sg_r = ng_r;
-      if (bin >= 0.0f) {
-        const auto ib = static_cast<Index>(bin);
-        if (ib + 1 < samples) {
-          const float frac = bin - static_cast<float>(ib);
-          const float r0 = base[2 * ib];
-          const float i0 = base[2 * ib + 1];
-          const float r1 = base[2 * ib + 2];
-          const float i1 = base[2 * ib + 3];
-          const float s_r = r0 + frac * (r1 - r0);
-          const float s_i = i0 + frac * (i1 - i0);
-          row_re[l] += a_r * s_r - a_i * s_i;
-          row_im[l] += a_r * s_i + a_i * s_r;
-        }
+      const __m256 out_r = _mm256_add_ps(load(row_re + l), c_r);
+      const __m256 out_i = _mm256_add_ps(load(row_im + l), c_i);
+      if constexpr (decltype(masked)::value) {
+        _mm256_maskstore_ps(row_re + l, live, out_r);
+        _mm256_maskstore_ps(row_im + l, live, out_i);
+      } else {
+        _mm256_storeu_ps(row_re + l, out_r);
+        _mm256_storeu_ps(row_im + l, out_i);
       }
+    };
+    const __m256i all = _mm256_set1_epi32(-1);
+    Index l = 0;
+    for (; l + 8 <= len_l; l += 8) step(l, std::false_type{}, all);
+    if (l < len_l) {
+      step(l, std::true_type{},
+           _mm256_cmpgt_epi32(
+               _mm256_set1_epi32(static_cast<int>(len_l - l)), lane_index));
     }
   }
 }
@@ -257,10 +253,143 @@ void rows_aos_avx2(const asr::BlockTables& t, const CFloat* in, Index samples,
   }
 }
 
+// --- Table build: one table per f64 lane (paper §4.4's vectorized
+// pre-computation). Each lane runs asr::expand_table_seeds's recurrences
+// with the same operations in the same order, so its bytes equal the
+// scalar build's; the lanes' tables may differ in length.
+
+constexpr int kTableLanes = 4;
+
+using Seeds = asr::TableSeeds;
+using Tables = asr::BlockTables;
+/// An array's length in every lane: &Seeds::width (L) or &Seeds::height.
+using Extent = Index Seeds::*;
+using Array = std::span<float> Tables::*;
+
+/// One lane group: seeds[i] expands into *out[i], i < count.
+struct TableLanes {
+  const Seeds* seeds;
+  Tables* const* out;
+  int count;
+
+  /// Lane i's seeds[i].*field.*part; idle lanes repeat lane 0.
+  template <class Part>
+  [[nodiscard]] __m256d load(Part Seeds::*field, double Part::*part) const {
+    alignas(32) double v[kTableLanes];
+    for (int i = 0; i < kTableLanes; ++i) {
+      v[i] = seeds[i < count ? i : 0].*field.*part;
+    }
+    return _mm256_load_pd(v);
+  }
+
+  [[nodiscard]] Index longest(Extent extent) const {
+    Index n = 0;
+    for (int i = 0; i < count; ++i) {
+      if (seeds[i].*extent > n) n = seeds[i].*extent;
+    }
+    return n;
+  }
+};
+
+/// Stores entries [j, j + 4) of `array` in every lane: rows[k] holds entry
+/// j + k of lanes 0..3 and becomes lane k's 4 entries (a 4x4 transpose);
+/// a lane writes only its entries below its extent.
+void store_lanes(__m128 (&rows)[4], const TableLanes& lanes, Extent extent,
+                 Array array, Index j) {
+  _MM_TRANSPOSE4_PS(rows[0], rows[1], rows[2], rows[3]);
+  const __m128i lane_index = _mm_setr_epi32(0, 1, 2, 3);
+  for (int i = 0; i < lanes.count; ++i) {
+    const Index left = lanes.seeds[i].*extent - j;
+    if (left <= 0) continue;
+    const __m128i live = _mm_cmpgt_epi32(
+        _mm_set1_epi32(static_cast<int>(left >= 4 ? 4 : left)), lane_index);
+    _mm_maskstore_ps((lanes.out[i]->*array).data() + j, live, rows[i]);
+  }
+}
+
+/// One ramp array (asr::RampSeeds) in every lane.
+void ramp_lanes(const TableLanes& lanes, asr::RampSeeds Seeds::*field,
+                Extent extent, Array array) {
+  __m256d value = lanes.load(field, &asr::RampSeeds::value);
+  __m256d step = lanes.load(field, &asr::RampSeeds::step);
+  const __m256d curve = lanes.load(field, &asr::RampSeeds::curve);
+  const Index n = lanes.longest(extent);
+  for (Index j = 0; j < n; j += 4) {
+    __m128 rows[4];
+    for (__m128& row : rows) {
+      row = _mm256_cvtpd_ps(value);
+      value = _mm256_add_pd(value, step);
+      step = _mm256_add_pd(step, curve);
+    }
+    store_lanes(rows, lanes, extent, array, j);
+  }
+}
+
+/// a *= b as asr::expand_table_seeds pins it.
+inline void complex_step(__m256d& a_re, __m256d& a_im, __m256d b_re,
+                         __m256d b_im) {
+  const __m256d re = _mm256_fmsub_pd(a_re, b_re, _mm256_mul_pd(a_im, b_im));
+  a_im = _mm256_fmadd_pd(a_re, b_im, _mm256_mul_pd(a_im, b_re));
+  a_re = re;
+}
+
+inline void renormalize(__m256d& re, __m256d& im) {
+  const __m256d norm =
+      _mm256_sqrt_pd(_mm256_fmadd_pd(re, re, _mm256_mul_pd(im, im)));
+  re = _mm256_div_pd(re, norm);
+  im = _mm256_div_pd(im, norm);
+}
+
+/// One phase array pair (asr::PhaseSeeds) in every lane. A lane steps past
+/// its own last entry only while a longer lane still needs entries; those
+/// steps feed no stored entry.
+void phase_lanes(const TableLanes& lanes, asr::PhaseSeeds Seeds::*field,
+                 Extent extent, Array array_re, Array array_im) {
+  __m256d u_re = lanes.load(field, &asr::PhaseSeeds::u_re);
+  __m256d u_im = lanes.load(field, &asr::PhaseSeeds::u_im);
+  __m256d v_re = lanes.load(field, &asr::PhaseSeeds::v_re);
+  __m256d v_im = lanes.load(field, &asr::PhaseSeeds::v_im);
+  const __m256d w_re = lanes.load(field, &asr::PhaseSeeds::w_re);
+  const __m256d w_im = lanes.load(field, &asr::PhaseSeeds::w_im);
+  const Index n = lanes.longest(extent);
+  for (Index j = 0; j < n; j += 4) {
+    __m128 rows_re[4];
+    __m128 rows_im[4];
+    for (int k = 0; k < 4; ++k) {
+      rows_re[k] = _mm256_cvtpd_ps(u_re);
+      rows_im[k] = _mm256_cvtpd_ps(u_im);
+      const Index e = j + k;
+      if (e + 1 >= n) continue;
+      complex_step(u_re, u_im, v_re, v_im);
+      complex_step(v_re, v_im, w_re, w_im);
+      if ((e & asr::kRenormMask) == asr::kRenormMask) {
+        renormalize(u_re, u_im);
+        renormalize(v_re, v_im);
+      }
+    }
+    store_lanes(rows_re, lanes, extent, array_re, j);
+    store_lanes(rows_im, lanes, extent, array_im, j);
+  }
+}
+
+void build_tables_avx2(const Seeds* seeds, Tables* const* out, int count) {
+  const TableLanes lanes{seeds, out, count};
+  ramp_lanes(lanes, &Seeds::bin_a, &Seeds::width, &Tables::bin_a);
+  phase_lanes(lanes, &Seeds::phi, &Seeds::width, &Tables::phi_re,
+              &Tables::phi_im);
+  ramp_lanes(lanes, &Seeds::bin_b, &Seeds::height, &Tables::bin_b);
+  ramp_lanes(lanes, &Seeds::bin_c, &Seeds::height, &Tables::bin_c);
+  phase_lanes(lanes, &Seeds::psi, &Seeds::height, &Tables::psi_re,
+              &Tables::psi_im);
+  phase_lanes(lanes, &Seeds::gam, &Seeds::height, &Tables::gam_re,
+              &Tables::gam_im);
+}
+
 }  // namespace
 
 const AsrIsaOps& asr_isa_ops_avx2() {
-  static const AsrIsaOps ops{8, "avx2", &rows_aos_avx2};
+  static const AsrIsaOps ops{8, kTableLanes, "avx2", &rows_aos_avx2,
+                              &build_tables_avx2};
   return ops;
 }
 

@@ -1,4 +1,5 @@
-// AVX-512 ASR row kernels (paper §4.4, the Phi-style 16-lane path).
+// AVX-512 ASR row kernels and table build (paper §4.4, the Phi-style
+// 16-lane path).
 // This TU is compiled with -march=x86-64-v4 regardless of the build's
 // baseline -march and is only ever entered through the dispatcher after a
 // runtime cpuid check (kernel_simd_ops.h). Everything lives in an
@@ -7,7 +8,8 @@
 //
 // rows_aos reads samples straight from the AoS pulse buffer, where In[bin]
 // and In[bin+1] are four adjacent floats; its inner loop is a selectable
-// window / gather / shuffle-transpose / no-FMA variant.
+// window / gather / shuffle-transpose / no-FMA variant. build_tables
+// expands 8 tables at once, one per f64 lane.
 #include "asr/tables.h"
 #include "backprojection/kernel.h"
 #include "backprojection/kernel_simd_ops.h"
@@ -16,6 +18,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <span>
 
 // GCC's -Wmaybe-uninitialized fires inside the AVX-512 intrinsic headers
 // when _mm512_cvttps_epi32 is inlined here: the intrinsics deliberately
@@ -152,7 +155,9 @@ struct ShuffleSamples {
 
 /// The shared row sweep. SampleLoad supplies the interpolation operands;
 /// kFma selects fused vs split multiply-add everywhere in the vector body
-/// (bin recurrence, interpolation, complex products).
+/// (bin recurrence, interpolation, complex products). A row's last partial
+/// vector is one more step under a lane mask: masked lanes load no table
+/// entry, no sample and no accumulator element, and store nothing.
 template <class SampleLoad, bool kFma>
 void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
                float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
@@ -178,12 +183,12 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
     const __m512 bin_cv = _mm512_set1_ps(bin_c);
     float* row_re = acc_re + m * acc_pitch;
     float* row_im = acc_im + m * acc_pitch;
-    Index l = 0;
-    for (; l + 16 <= len_l; l += 16) {
+    // Pixels [l, l + 16) of the row, `live` masking those past len_l.
+    const auto step = [&](Index l, __mmask16 live) {
       const __m512 lvec =
           _mm512_add_ps(iota, _mm512_set1_ps(static_cast<float>(l)));
-      const __m512 bin_av =
-          _mm512_loadu_ps(&t.bin_a[static_cast<std::size_t>(l)]);
+      const __m512 bin_av = _mm512_maskz_loadu_ps(
+          live, &t.bin_a[static_cast<std::size_t>(l)]);
       const __m512 bin =
           madd<kFma>(lvec, bin_cv, _mm512_add_ps(bin_av, bin_bv));
       const __m512i ibin = _mm512_cvttps_epi32(bin);
@@ -194,7 +199,7 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
       // ibin >= 0 check keeps such lanes out of the sample loads.
       const __mmask16 iok =
           _mm512_cmpgt_epi32_mask(ibin, _mm512_set1_epi32(-1));
-      const __mmask16 ok = nonneg & inrange & iok;
+      const __mmask16 ok = live & nonneg & inrange & iok;
       const __m512 frac = _mm512_sub_ps(bin, _mm512_cvtepi32_ps(ibin));
       __m512 re0;
       __m512 im0;
@@ -203,10 +208,10 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
       SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
       const __m512 s_r = madd<kFma>(frac, _mm512_sub_ps(re1, re0), re0);
       const __m512 s_i = madd<kFma>(frac, _mm512_sub_ps(im1, im0), im0);
-      const __m512 phi_r =
-          _mm512_loadu_ps(&t.phi_re[static_cast<std::size_t>(l)]);
-      const __m512 phi_i =
-          _mm512_loadu_ps(&t.phi_im[static_cast<std::size_t>(l)]);
+      const __m512 phi_r = _mm512_maskz_loadu_ps(
+          live, &t.phi_re[static_cast<std::size_t>(l)]);
+      const __m512 phi_i = _mm512_maskz_loadu_ps(
+          live, &t.phi_im[static_cast<std::size_t>(l)]);
       // arg = Phi * Psi * gamma (two complex multiplies)
       const __m512 t_r = msub<kFma>(phi_r, g_r, _mm512_mul_ps(phi_i, g_i));
       const __m512 t_i = madd<kFma>(phi_r, g_i, _mm512_mul_ps(phi_i, g_r));
@@ -219,42 +224,17 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
       // Out += arg * sample
       const __m512 c_r = msub<kFma>(a_r, s_r, _mm512_mul_ps(a_i, s_i));
       const __m512 c_i = madd<kFma>(a_r, s_i, _mm512_mul_ps(a_i, s_r));
-      _mm512_storeu_ps(row_re + l,
-                       _mm512_add_ps(_mm512_loadu_ps(row_re + l), c_r));
-      _mm512_storeu_ps(row_im + l,
-                       _mm512_add_ps(_mm512_loadu_ps(row_im + l), c_i));
-    }
-    // Scalar tail continues the recurrence from lane 0 of the vector state.
-    float sg_r = _mm512_cvtss_f32(g_r);
-    float sg_i = _mm512_cvtss_f32(g_i);
-    const float gam_r = t.gam_re[static_cast<std::size_t>(m)];
-    const float gam_i = t.gam_im[static_cast<std::size_t>(m)];
-    for (; l < len_l; ++l) {
-      const float bin = t.bin_a[static_cast<std::size_t>(l)] + bin_b +
-                        static_cast<float>(l) * bin_c;
-      const float phi_r = t.phi_re[static_cast<std::size_t>(l)];
-      const float phi_i = t.phi_im[static_cast<std::size_t>(l)];
-      const float t_r = phi_r * sg_r - phi_i * sg_i;
-      const float t_i = phi_r * sg_i + phi_i * sg_r;
-      const float a_r = t_r * psi_r - t_i * psi_i;
-      const float a_i = t_r * psi_i + t_i * psi_r;
-      const float ng_r = sg_r * gam_r - sg_i * gam_i;
-      sg_i = sg_r * gam_i + sg_i * gam_r;
-      sg_r = ng_r;
-      if (bin >= 0.0f) {
-        const auto ib = static_cast<Index>(bin);
-        if (ib + 1 < samples) {
-          const float frac = bin - static_cast<float>(ib);
-          const float r0 = base[2 * ib];
-          const float i0 = base[2 * ib + 1];
-          const float r1 = base[2 * ib + 2];
-          const float i1 = base[2 * ib + 3];
-          const float s_r = r0 + frac * (r1 - r0);
-          const float s_i = i0 + frac * (i1 - i0);
-          row_re[l] += a_r * s_r - a_i * s_i;
-          row_im[l] += a_r * s_i + a_i * s_r;
-        }
-      }
+      _mm512_mask_storeu_ps(
+          row_re + l, live,
+          _mm512_add_ps(_mm512_maskz_loadu_ps(live, row_re + l), c_r));
+      _mm512_mask_storeu_ps(
+          row_im + l, live,
+          _mm512_add_ps(_mm512_maskz_loadu_ps(live, row_im + l), c_i));
+    };
+    Index l = 0;
+    for (; l + 16 <= len_l; l += 16) step(l, 0xFFFF);
+    if (l < len_l) {
+      step(l, static_cast<__mmask16>((1U << (len_l - l)) - 1U));
     }
   }
 }
@@ -284,10 +264,165 @@ void rows_aos_avx512(const asr::BlockTables& t, const CFloat* in,
   }
 }
 
+// --- Table build: one table per f64 lane (paper §4.4's vectorized
+// pre-computation). Each lane runs asr::expand_table_seeds's recurrences
+// with the same operations in the same order, so its bytes equal the
+// scalar build's; the lanes' tables may differ in length.
+
+constexpr int kTableLanes = 8;
+
+using Seeds = asr::TableSeeds;
+using Tables = asr::BlockTables;
+/// An array's length in every lane: &Seeds::width (L) or &Seeds::height.
+using Extent = Index Seeds::*;
+using Array = std::span<float> Tables::*;
+
+/// One lane group: seeds[i] expands into *out[i], i < count.
+struct TableLanes {
+  const Seeds* seeds;
+  Tables* const* out;
+  int count;
+
+  /// Lane i's seeds[i].*field.*part; idle lanes repeat lane 0.
+  template <class Part>
+  [[nodiscard]] __m512d load(Part Seeds::*field, double Part::*part) const {
+    alignas(64) double v[kTableLanes];
+    for (int i = 0; i < kTableLanes; ++i) {
+      v[i] = seeds[i < count ? i : 0].*field.*part;
+    }
+    return _mm512_load_pd(v);
+  }
+
+  [[nodiscard]] Index longest(Extent extent) const {
+    Index n = 0;
+    for (int i = 0; i < count; ++i) {
+      if (seeds[i].*extent > n) n = seeds[i].*extent;
+    }
+    return n;
+  }
+};
+
+/// Stores entries [j, j + 8) of `array` in every lane: rows[k] holds entry
+/// j + k of lanes 0..7 and becomes lane k's 8 entries (an 8x8 transpose);
+/// a lane writes only its entries below its extent.
+void store_lanes(__m256 (&rows)[8], const TableLanes& lanes, Extent extent,
+                 Array array, Index j) {
+  const __m256 t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(rows[0], rows[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(rows[2], rows[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(rows[2], rows[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(rows[4], rows[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(rows[4], rows[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(rows[6], rows[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(rows[6], rows[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  rows[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  rows[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  rows[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  rows[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  rows[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  rows[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  rows[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  rows[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+  for (int i = 0; i < lanes.count; ++i) {
+    const Index left = lanes.seeds[i].*extent - j;
+    if (left <= 0) continue;
+    const auto live =
+        static_cast<__mmask8>(left >= 8 ? 0xFF : (1U << left) - 1U);
+    _mm256_mask_storeu_ps((lanes.out[i]->*array).data() + j, live, rows[i]);
+  }
+}
+
+/// One ramp array (asr::RampSeeds) in every lane.
+void ramp_lanes(const TableLanes& lanes, asr::RampSeeds Seeds::*field,
+                Extent extent, Array array) {
+  __m512d value = lanes.load(field, &asr::RampSeeds::value);
+  __m512d step = lanes.load(field, &asr::RampSeeds::step);
+  const __m512d curve = lanes.load(field, &asr::RampSeeds::curve);
+  const Index n = lanes.longest(extent);
+  for (Index j = 0; j < n; j += 8) {
+    __m256 rows[8];
+    for (__m256& row : rows) {
+      row = _mm512_cvtpd_ps(value);
+      value = _mm512_add_pd(value, step);
+      step = _mm512_add_pd(step, curve);
+    }
+    store_lanes(rows, lanes, extent, array, j);
+  }
+}
+
+/// a *= b as asr::expand_table_seeds pins it.
+inline void complex_step(__m512d& a_re, __m512d& a_im, __m512d b_re,
+                         __m512d b_im) {
+  const __m512d re = _mm512_fmsub_pd(a_re, b_re, _mm512_mul_pd(a_im, b_im));
+  a_im = _mm512_fmadd_pd(a_re, b_im, _mm512_mul_pd(a_im, b_re));
+  a_re = re;
+}
+
+inline void renormalize(__m512d& re, __m512d& im) {
+  const __m512d norm =
+      _mm512_sqrt_pd(_mm512_fmadd_pd(re, re, _mm512_mul_pd(im, im)));
+  re = _mm512_div_pd(re, norm);
+  im = _mm512_div_pd(im, norm);
+}
+
+/// One phase array pair (asr::PhaseSeeds) in every lane. A lane steps past
+/// its own last entry only while a longer lane still needs entries; those
+/// steps feed no stored entry.
+void phase_lanes(const TableLanes& lanes, asr::PhaseSeeds Seeds::*field,
+                 Extent extent, Array array_re, Array array_im) {
+  __m512d u_re = lanes.load(field, &asr::PhaseSeeds::u_re);
+  __m512d u_im = lanes.load(field, &asr::PhaseSeeds::u_im);
+  __m512d v_re = lanes.load(field, &asr::PhaseSeeds::v_re);
+  __m512d v_im = lanes.load(field, &asr::PhaseSeeds::v_im);
+  const __m512d w_re = lanes.load(field, &asr::PhaseSeeds::w_re);
+  const __m512d w_im = lanes.load(field, &asr::PhaseSeeds::w_im);
+  const Index n = lanes.longest(extent);
+  for (Index j = 0; j < n; j += 8) {
+    __m256 rows_re[8];
+    __m256 rows_im[8];
+    for (int k = 0; k < 8; ++k) {
+      rows_re[k] = _mm512_cvtpd_ps(u_re);
+      rows_im[k] = _mm512_cvtpd_ps(u_im);
+      const Index e = j + k;
+      if (e + 1 >= n) continue;
+      complex_step(u_re, u_im, v_re, v_im);
+      complex_step(v_re, v_im, w_re, w_im);
+      if ((e & asr::kRenormMask) == asr::kRenormMask) {
+        renormalize(u_re, u_im);
+        renormalize(v_re, v_im);
+      }
+    }
+    store_lanes(rows_re, lanes, extent, array_re, j);
+    store_lanes(rows_im, lanes, extent, array_im, j);
+  }
+}
+
+void build_tables_avx512(const Seeds* seeds, Tables* const* out, int count) {
+  const TableLanes lanes{seeds, out, count};
+  ramp_lanes(lanes, &Seeds::bin_a, &Seeds::width, &Tables::bin_a);
+  phase_lanes(lanes, &Seeds::phi, &Seeds::width, &Tables::phi_re,
+              &Tables::phi_im);
+  ramp_lanes(lanes, &Seeds::bin_b, &Seeds::height, &Tables::bin_b);
+  ramp_lanes(lanes, &Seeds::bin_c, &Seeds::height, &Tables::bin_c);
+  phase_lanes(lanes, &Seeds::psi, &Seeds::height, &Tables::psi_re,
+              &Tables::psi_im);
+  phase_lanes(lanes, &Seeds::gam, &Seeds::height, &Tables::gam_re,
+              &Tables::gam_im);
+}
+
 }  // namespace
 
 const AsrIsaOps& asr_isa_ops_avx512() {
-  static const AsrIsaOps ops{16, "avx512", &rows_aos_avx512};
+  static const AsrIsaOps ops{16, kTableLanes, "avx512", &rows_aos_avx512,
+                              &build_tables_avx512};
   return ops;
 }
 

@@ -16,17 +16,28 @@
 
 namespace sarbp::bp::detail {
 
-/// One ISA's row kernel. `acc_re`/`acc_im` are planar accumulation
-/// buffers whose row m starts at `acc + m * acc_pitch` (pitch = len_l for
-/// the y_inner run workspace, = tile width for in-place accumulation).
+/// Most tables one vector table build expands at once (AVX-512: 8 f64
+/// lanes).
+inline constexpr int kMaxTableLanes = 8;
+
+/// One ISA's row kernel and table build. `acc_re`/`acc_im` are planar
+/// accumulation buffers whose row m starts at `acc + m * acc_pitch`
+/// (pitch = len_l for the y_inner run workspace, = tile width for in-place
+/// accumulation).
 struct AsrIsaOps {
   int width;         ///< f32 lanes (8 or 16)
+  int table_lanes;   ///< f64 lanes, tables per build_tables call (4 or 8)
   const char* name;  ///< "avx2" / "avx512"
   /// Samples straight from the AoS pulse buffer, inner loop selected by
-  /// `variant`.
+  /// `variant`. A row's last partial vector is one masked step.
   void (*rows_aos)(const asr::BlockTables& t, const CFloat* in, Index samples,
                    float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
                    Index len_m, KernelVariant variant);
+  /// Expands seeds[i] into *out[i] for i < count <= table_lanes, one table
+  /// per f64 lane, byte-identical to asr::expand_table_seeds. Each out[i]
+  /// is already resized to seeds[i]'s extents, which may differ per lane.
+  void (*build_tables)(const asr::TableSeeds* seeds,
+                       asr::BlockTables* const* out, int count);
 };
 
 #if SARBP_HAVE_KERNEL_AVX2

@@ -118,11 +118,12 @@ void build_plan_block(FormationPlan& plan, std::size_t block,
   const geometry::ImageGrid grid(plan.key.grid_w, plan.key.grid_h,
                                  plan.key.spacing, plan.key.centre);
   const auto pulses = static_cast<std::size_t>(plan.num_pulses());
+  std::vector<bp::TableSlot> slots(pulses);
   for (std::size_t p = 0; p < pulses; ++p) {
-    bp::build_asr_tables(grid, plan.blocks[block], history,
-                         static_cast<Index>(p), plan.pulse_order[p],
-                         plan.tables[block * pulses + p]);
+    slots[p] = {&history, static_cast<Index>(p), plan.pulse_order[p],
+                &plan.tables[block * pulses + p]};
   }
+  bp::build_asr_tables(grid, plan.blocks[block], slots);
 }
 
 std::shared_ptr<const FormationPlan> build_formation_plan(

@@ -106,8 +106,9 @@ struct FormationPlan {
 [[nodiscard]] std::shared_ptr<FormationPlan> make_plan_skeleton(
     const PlanKey& key, const sim::PhaseHistory& history);
 
-/// Fills block `block`'s table slots for every pulse of `plan` with
-/// bp::build_asr_tables. build_formation_plan runs it over every block;
+/// Fills block `block`'s table slots for every pulse of `plan` with one
+/// bp::build_asr_tables call (its pulses in lane groups, in pulse order).
+/// build_formation_plan runs it over every block;
 /// a cache-miss replay group runs it inside each task, just before the
 /// block's sweep.
 void build_plan_block(FormationPlan& plan, std::size_t block,

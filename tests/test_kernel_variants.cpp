@@ -8,12 +8,15 @@
 //  - scalar vs vector, FMA vs no-FMA, AVX2 vs AVX-512: different rounding
 //    and/or reduction widths, so parity is at SNR level (> 70 dB).
 //  - forcing an unavailable ISA fails with PreconditionError, never SIGILL.
+//  - the vector table build (one table per f64 lane) writes the scalar
+//    build's bytes on every ISA.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <numbers>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,7 +139,7 @@ class KernelVariantTest : public ::testing::Test {
   }
 
   /// Sweeps every block over all of `h` through the one ASR sweep core,
-  /// tables built per pulse (nullopt: each pulse's wavefront order).
+  /// tables built on the fly (nullopt: each pulse's wavefront order).
   static bp::SoaTile sweep_history(const sim::PhaseHistory& h,
                                    std::optional<geometry::LoopOrder> order,
                                    const bp::AsrKernel& kernel) {
@@ -146,6 +149,32 @@ class KernelVariantTest : public ::testing::Test {
          asr::plan_blocks(0, 0, kImage, kImage, kBlock, kBlock)) {
       bp::sweep_asr_block(block, 0, 0, scenario_->grid, pulses, order, kernel,
                           tile);
+    }
+    return tile;
+  }
+
+  /// The row lengths whose last vector is partial on either ISA (16 and 8
+  /// lanes): one-pixel rows, rows shorter than a vector, and rows one
+  /// vector plus a tail long. OffloadRuntime's row bands cut blocks of
+  /// any height, 37 and 46 rows among them.
+  static constexpr Index kRowLengths[] = {1, 5, 15, 17, 37, 46};
+
+  /// The scenario's pulses swept under `order` over a region centred in
+  /// the image whose rows are `len` pixels long: blocks of len x 8 under
+  /// x_inner, 8 x len under y_inner.
+  static bp::SoaTile sweep_rows(Index len, geometry::LoopOrder order,
+                                const bp::AsrKernel& kernel) {
+    const bool x_inner = order == geometry::LoopOrder::kXInner;
+    const Index w = x_inner ? len : 48;
+    const Index h = x_inner ? 48 : len;
+    const Index x0 = (kImage - w) / 2;
+    const Index y0 = (kImage - h) / 2;
+    bp::SoaTile tile(w, h);
+    const bp::PulseRange pulses[] = {{&scenario_->history, 0, kPulses}};
+    for (const auto& block : asr::plan_blocks(x0, y0, w, h, x_inner ? len : 8,
+                                              x_inner ? 8 : len)) {
+      bp::sweep_asr_block(block, x0, y0, scenario_->grid, pulses, order,
+                          kernel, tile);
     }
     return tile;
   }
@@ -248,6 +277,24 @@ TEST_F(KernelVariantTest, GatherVsShuffleBitIdentical) {
             << "auto vs gather";
       }
     }
+    // Rows whose last vector is a masked step.
+    for (const Index len : kRowLengths) {
+      for (const auto order :
+           {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+        SCOPED_TRACE("row length " + std::to_string(len) +
+                     (order == geometry::LoopOrder::kXInner ? ", x_inner"
+                                                            : ", y_inner"));
+        const bp::SoaTile g =
+            sweep_rows(len, order, {isa, bp::KernelVariant::kGather});
+        EXPECT_TRUE(bit_identical(
+            g, sweep_rows(len, order,
+                          {isa, bp::KernelVariant::kShuffleTranspose})))
+            << "shuffle-transpose vs gather";
+        EXPECT_TRUE(bit_identical(
+            g, sweep_rows(len, order, {isa, bp::KernelVariant::kAuto})))
+            << "auto vs gather";
+      }
+    }
     checked = true;
   }
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
@@ -267,6 +314,19 @@ TEST_F(KernelVariantTest, VectorIsasMatchScalarAtSnrLevel) {
       EXPECT_GT(snr_db(vec, scalar), 70.0)
           << bp::simd_isa_name(isa) << "/"
           << bp::kernel_variant_name(variant);
+      // Rows whose last vector is a masked step.
+      for (const Index len : kRowLengths) {
+        for (const auto order :
+             {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+          EXPECT_GT(snr_db(to_grid(sweep_rows(len, order, {isa, variant})),
+                           to_grid(sweep_rows(len, order, bp::AsrKernel{}))),
+                    70.0)
+              << bp::simd_isa_name(isa) << "/"
+              << bp::kernel_variant_name(variant) << ", row length " << len
+              << (order == geometry::LoopOrder::kXInner ? ", x_inner"
+                                                        : ", y_inner");
+        }
+      }
       checked = true;
     }
   }
@@ -319,6 +379,76 @@ TEST_F(KernelVariantTest, StreamingKernelHonoursForcedIsa) {
                              geometry::LoopOrder::kXInner, simd, isa);
     EXPECT_GT(snr_db(to_grid(simd), to_grid(scalar)), 70.0)
         << bp::simd_isa_name(isa);
+    checked = true;
+  }
+  if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
+}
+
+/// Every array of two table sets, byte for byte.
+bool same_table_bytes(const asr::BlockTables& a, const asr::BlockTables& b) {
+  if (a.width != b.width || a.height != b.height) return false;
+  const std::pair<std::span<float>, std::span<float>> arrays[] = {
+      {a.bin_a, b.bin_a},   {a.phi_re, b.phi_re}, {a.phi_im, b.phi_im},
+      {a.bin_b, b.bin_b},   {a.bin_c, b.bin_c},   {a.psi_re, b.psi_re},
+      {a.psi_im, b.psi_im}, {a.gam_re, b.gam_re}, {a.gam_im, b.gam_im}};
+  for (const auto& [x, y] : arrays) {
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(), x.size_bytes()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(KernelVariantTest, TableBuildLaneGroupsMatchScalarBytes) {
+  // The vector table build runs asr::expand_table_seeds's recurrences one
+  // table per f64 lane (AVX2: 4, AVX-512: 8) with the rounding pinned, so
+  // each ISA writes the scalar build's bytes. Inputs: square, non-square
+  // and 1x1 blocks; a 512 x 3 block, whose 512-entry tables renormalize at
+  // entries 63, 127, ...; lane groups mixing both loop orders (on a
+  // non-square block the lanes' tables differ in length) and two
+  // histories; slot counts 1, W - 1, W + 1 and 2W + 3 for both widths. The
+  // vector build writes into tables reused across shapes.
+  const sim::PhaseHistory circle = load_path_history(75, -10.0);
+  const asr::BlockSpec blocks[] = {{0, 0, 64, 64},  {5, 40, 33, 17},
+                                   {60, 3, 17, 33}, {95, 95, 1, 1},
+                                   {0, 0, 512, 3}};
+  const std::size_t counts[] = {1, 3, 5, 7, 9, 11, 19};
+  const auto slots_for = [&](std::size_t count,
+                             std::vector<asr::BlockTables>& out) {
+    std::vector<bp::TableSlot> slots(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const bool from_circle = i % 4 == 3;
+      const sim::PhaseHistory& h = from_circle ? circle : scenario_->history;
+      slots[i] = {&h, static_cast<Index>(i) % h.num_pulses(),
+                  i % 3 == 1 ? geometry::LoopOrder::kYInner
+                             : geometry::LoopOrder::kXInner,
+                  &out[i]};
+    }
+    return slots;
+  };
+  bool checked = false;
+  for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
+    if (!bp::asr_isa_available(isa)) continue;
+    SCOPED_TRACE(bp::simd_isa_name(isa));
+    std::vector<asr::BlockTables> vector_tables(19);
+    for (const auto& block : blocks) {
+      for (const std::size_t count : counts) {
+        SCOPED_TRACE(std::to_string(block.width) + "x" +
+                     std::to_string(block.height) + ", " +
+                     std::to_string(count) + " tables");
+        std::vector<asr::BlockTables> scalar_tables(count);
+        bp::build_asr_tables(scenario_->grid, block,
+                             slots_for(count, scalar_tables),
+                             bp::SimdIsa::kScalar);
+        bp::build_asr_tables(scenario_->grid, block,
+                             slots_for(count, vector_tables), isa);
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_TRUE(same_table_bytes(vector_tables[i], scalar_tables[i]))
+              << "table " << i;
+        }
+      }
+    }
     checked = true;
   }
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";

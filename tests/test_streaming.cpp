@@ -73,7 +73,8 @@ void expect_bit_identical(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
 
 /// After every update: a re-anchored snapshot must equal reform_window()
 /// bit for bit; an incremental one must track it within the drift bound.
-void run_parity(bool simd, bool steal) {
+/// `chunk` pulses per update.
+void run_parity(bool simd, bool steal, Index chunk = 6) {
   ScenarioConfig cfg;
   cfg.image = 48;
   cfg.pulses = 48;
@@ -90,7 +91,7 @@ void run_parity(bool simd, bool steal) {
   StreamConfig config;
   config.grid = s.grid;
   config.asr_block_w = config.asr_block_h = 16;
-  config.chunk_pulses = 6;
+  config.chunk_pulses = chunk;
   config.window_chunks = 4;
   config.reanchor_interval = 3;  // anchors land on updates 4 and 8
   config.use_simd = simd;
@@ -132,6 +133,10 @@ TEST(StreamingParity, ScalarNoSteal) { run_parity(false, false); }
 TEST(StreamingParity, ScalarSteal) { run_parity(false, true); }
 TEST(StreamingParity, SimdNoSteal) { run_parity(true, false); }
 TEST(StreamingParity, SimdSteal) { run_parity(true, true); }
+// 5-pulse chunks: the table build's lane groups (4 or 8 tables) cross
+// chunk boundaries and end in a partial group.
+TEST(StreamingParity, ScalarFivePulseChunks) { run_parity(false, false, 5); }
+TEST(StreamingParity, SimdFivePulseChunks) { run_parity(true, false, 5); }
 
 // --- the ASR core's invariant: table source and chunking keep bits -------
 
@@ -168,7 +173,7 @@ Grid2D<CFloat> replay(const std::shared_ptr<const service::FormationPlan>& plan,
 }
 
 /// The one ASR sweep's contract (backprojection/asr_sweep.h): on a history
-/// whose loop order switches every 8 pulses, tables built per pulse over
+/// whose loop order switches every 8 pulses, tables built on the fly over
 /// the whole history, over 6-pulse chunks (runs cross chunk boundaries),
 /// and prebuilt by a plan all give the same bytes — per kernel, and through
 /// the public paths reform_window, a re-anchored StreamSession snapshot,

@@ -54,8 +54,10 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   `// lint: allow(lock-level)` with a rationale.
 
   asr-core        The ASR formation core stays single. In src/, calls to
-                  build_block_tables_fast( and block_range_quadratic( and
-                  the AsrIsaOps row entries (`->rows_aos(`) may appear
+                  build_block_tables_fast(, table_seeds(,
+                  expand_table_seeds( and block_range_quadratic( and the
+                  AsrIsaOps entries (`->rows_aos(`, the row kernels, and
+                  `->build_tables(`, the lane-per-table build) may appear
                   only in the core TU (src/backprojection/asr_sweep.cpp)
                   and the per-ISA kernel TUs. src/asr/ (which defines the
                   table build) and src/beamform/beamformer.cpp (which
@@ -63,7 +65,8 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   ASR sweep goes through bp::sweep_asr_block and every
                   other table build through bp::build_asr_tables, so the
                   kernels, plan replay, backends and streaming cannot
-                  drift apart again.
+                  drift apart again, nor build their tables on different
+                  lanes.
 
   omp-formation   One parallel runtime forms images: exec::TileExecutor.
                   In src/, `#pragma omp`, `<omp.h>` and omp_* calls may
@@ -173,11 +176,13 @@ ISA_TU_ALLOWLIST = (
     "src/backprojection/kernel_asr_avx512.cpp",
 )
 
-# A call into the ASR core's internals: the table build, the block
-# quadratic, or a per-ISA row kernel through its ops table.
+# A call into the ASR core's internals: the table build (whole, or its
+# seeds and their expansion), the block quadratic, or a per-ISA row kernel
+# or table build through its ops table.
 ASR_CORE_RE = re.compile(
-    r"\b(?:build_block_tables_fast|block_range_quadratic)\s*\(|"
-    r"(?:\.|->)\s*rows_aos\s*\(")
+    r"\b(?:build_block_tables_fast|table_seeds|expand_table_seeds|"
+    r"block_range_quadratic)\s*\(|"
+    r"(?:\.|->)\s*(?:rows_aos|build_tables)\s*\(")
 
 # The core TU, the per-ISA kernel TUs, the beamformer's own geometry, and
 # src/asr/ (ASR_CORE_DIR), where the table build is defined.
@@ -641,6 +646,23 @@ SELFTEST_CASES = [
      []),
     ("tests/p.cpp", "asr::build_block_tables_fast(q, r0, dr, k, l, m, t);\n",
      []),  # tests are out of scope
+    # asr-core: the lane-per-table build and the seed expansion.
+    ("src/service/p.cpp", "ops->build_tables(seeds, out, count);\n",
+     ["asr-core"]),
+    ("src/streaming/s.cpp",
+     "const auto seeds = asr::table_seeds(q, r0, dr, k, l, m);\n"
+     "asr::expand_table_seeds(seeds, t);\n",
+     ["asr-core", "asr-core"]),
+    ("src/backprojection/asr_sweep.cpp",
+     "ops->build_tables(seeds, out, static_cast<int>(count));\n"
+     "asr::expand_table_seeds(seeds_of(slot), *slot.out);\n",
+     []),
+    ("src/backprojection/kernel_asr_avx512.cpp",
+     "ops.build_tables(seeds, out, count);\n", []),
+    ("src/asr/tables.cpp",
+     "expand_table_seeds(table_seeds(q, r0, dr, k, w, h), tables);\n", []),
+    ("src/service/p.cpp",
+     "const auto seeds = make_table_seeds(q);  // not the core's\n", []),
     # omp-formation: OpenMP only in the loops that stay on it.
     ("src/backprojection/backprojector.cpp",
      "#include <omp.h>\n#pragma omp parallel num_threads(workers)\n"
