@@ -18,6 +18,7 @@
 
 #include "backprojection/backprojector.h"
 #include "common/cpu.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "geometry/grid.h"
 #include "geometry/trajectory.h"
@@ -197,33 +198,45 @@ class JsonReporter {
   void write() {
     if (spec_.json_path.empty() || written_) return;
     written_ = true;
+    std::string out = "{\n  \"schema\": \"sarbp.bench.v1\",\n  \"bench\": ";
+    append_json_string(out, bench_name_);
+    out += ",\n  \"host\": ";
+    append_json_string(out, cpu_summary());
+    out += ",\n  \"warmup\": " + std::to_string(spec_.warmup);
+    out += ",\n  \"repeat\": " + std::to_string(spec_.repeat);
+    out += ",\n  \"results\": [";
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      const Row& row = rows_[i];
+      out += i == 0 ? "\n    {\"name\": " : ",\n    {\"name\": ";
+      append_json_string(out, row.name);
+      out += ", \"params\": {";
+      for (std::size_t j = 0; j < row.params.size(); ++j) {
+        if (j > 0) out += ", ";
+        append_json_string(out, row.params[j].first);
+        out += ": ";
+        append_json_string(out, row.params[j].second);
+      }
+      out += "}, \"unit\": ";
+      append_json_string(out, row.unit);
+      for (const auto& [key, v] :
+           {std::pair<const char*, double>{"median", row.stats.median},
+            {"q1", row.stats.q1},
+            {"q3", row.stats.q3},
+            {"iqr", row.stats.iqr()}}) {
+        out += ", \"";
+        out += key;
+        out += "\": ";
+        append_json_number(out, v);
+      }
+      out += "}";
+    }
+    out += "\n  ]\n}\n";
     std::FILE* f = std::fopen(spec_.json_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "json: cannot open %s\n", spec_.json_path.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"schema\": \"sarbp.bench.v1\",\n");
-    std::fprintf(f, "  \"bench\": \"%s\",\n", escape(bench_name_).c_str());
-    std::fprintf(f, "  \"host\": \"%s\",\n", escape(cpu_summary()).c_str());
-    std::fprintf(f, "  \"warmup\": %d,\n  \"repeat\": %d,\n", spec_.warmup,
-                 spec_.repeat);
-    std::fprintf(f, "  \"results\": [");
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& row = rows_[i];
-      std::fprintf(f, "%s\n    {\"name\": \"%s\", \"params\": {",
-                   i == 0 ? "" : ",", escape(row.name).c_str());
-      for (std::size_t j = 0; j < row.params.size(); ++j) {
-        std::fprintf(f, "%s\"%s\": \"%s\"", j == 0 ? "" : ", ",
-                     escape(row.params[j].first).c_str(),
-                     escape(row.params[j].second).c_str());
-      }
-      std::fprintf(f,
-                   "}, \"unit\": \"%s\", \"median\": %.9g, \"q1\": %.9g, "
-                   "\"q3\": %.9g, \"iqr\": %.9g}",
-                   escape(row.unit).c_str(), row.stats.median, row.stats.q1,
-                   row.stats.q3, row.stats.iqr());
-    }
-    std::fprintf(f, "\n  ]\n}\n");
+    std::fputs(out.c_str(), f);
     std::fclose(f);
     std::printf("json: wrote %zu result(s) to %s\n", rows_.size(),
                 spec_.json_path.c_str());
@@ -237,20 +250,6 @@ class JsonReporter {
     SampleStats stats;
   };
 
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      if (c == '\n') {
-        out += "\\n";
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
   std::string bench_name_;
   RepeatSpec spec_;
   std::vector<Row> rows_;
@@ -258,14 +257,17 @@ class JsonReporter {
 };
 
 inline void print_header(const char* title) {
-  std::printf("\n================================================================\n");
+  std::printf(
+      "\n================================================================\n");
   std::printf("%s\n", title);
   std::printf("host: %s\n", cpu_summary().c_str());
-  std::printf("================================================================\n");
+  std::printf(
+      "================================================================\n");
 }
 
 inline void print_rule() {
-  std::printf("----------------------------------------------------------------\n");
+  std::printf(
+      "----------------------------------------------------------------\n");
 }
 
 }  // namespace sarbp::bench

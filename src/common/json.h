@@ -1,8 +1,11 @@
-// Strict reader for the JSON subset the repo writes (objects, arrays,
-// strings, numbers): request traces (service/trace.h) and metrics
-// snapshots (obs/export.h) both parse with it. Malformed input throws
-// PreconditionError whose message starts with the document kind the
-// cursor was built with ("trace JSON: expected ':' at offset 12").
+// The repo's one JSON codec, for the subset it writes (objects, arrays,
+// strings, numbers). Writers: append_json_string and append_json_number,
+// used by request traces (service/trace.h), metrics snapshots
+// (obs/export.h) and bench records (bench/bench_util.h). Reader: the
+// strict JsonCursor, which traces and metrics snapshots parse with.
+// Malformed input throws PreconditionError whose message starts with the
+// document kind the cursor was built with ("trace JSON: expected ':' at
+// offset 12").
 #pragma once
 
 #include <algorithm>
@@ -18,6 +21,36 @@
 #include "common/check.h"
 
 namespace sarbp {
+
+/// Appends `text` as a JSON string: quotes and backslashes escaped, every
+/// other control character as \u00XX.
+inline void append_json_string(std::string& out, std::string_view text) {
+  constexpr std::string_view kHex = "0123456789abcdef";
+  out.push_back('"');
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (byte < 0x20) {
+      out += "\\u00";
+      out.push_back(kHex[byte >> 4]);
+      out.push_back(kHex[byte & 0xFu]);
+    } else {
+      out.push_back(c);
+    }
+  }
+  out.push_back('"');
+}
+
+/// Appends `v` in the printf %.17g form, which reads back as the same
+/// double.
+inline void append_json_number(std::string& out, double v) {
+  char buf[32];  // %.17g needs at most 24
+  const auto result =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, result.ptr);
+}
 
 class JsonCursor {
  public:

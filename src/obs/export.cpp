@@ -1,40 +1,16 @@
 #include "obs/export.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
-#include "common/json_reader.h"
+#include "common/json.h"
 
 namespace sarbp::obs {
 namespace {
 
 // ---------------------------------------------------------------- writing
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  // %.17g round-trips IEEE doubles exactly.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
 
 template <class Map, class Writer>
 void append_section(std::string& out, const char* key, const Map& map,
@@ -48,7 +24,7 @@ void append_section(std::string& out, const char* key, const Map& map,
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ": ";
     write_value(out, value);
   }
@@ -66,26 +42,18 @@ std::string to_json(const MetricsSnapshot& snapshot) {
   out += "\",\n";
   append_section(out, "counters", snapshot.counters,
                  [](std::string& o, std::uint64_t v) {
-                   char buf[24];
-                   std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-                   o += buf;
+                   o += std::to_string(v);
                  });
   out += ",\n";
   append_section(out, "gauges", snapshot.gauges,
                  [](std::string& o, const MetricsSnapshot::GaugeStats& g) {
-                   char buf[64];
-                   std::snprintf(buf, sizeof buf,
-                                 "{\"value\": %" PRId64 ", \"max\": %" PRId64 "}",
-                                 g.value, g.max);
-                   o += buf;
+                   o += "{\"value\": " + std::to_string(g.value);
+                   o += ", \"max\": " + std::to_string(g.max) + "}";
                  });
   out += ",\n";
   append_section(out, "histograms", snapshot.histograms,
                  [](std::string& o, const HistogramStats& h) {
-                   char buf[24];
-                   std::snprintf(buf, sizeof buf, "%" PRIu64, h.count);
-                   o += "{\"count\": ";
-                   o += buf;
+                   o += "{\"count\": " + std::to_string(h.count);
                    for (const auto& [key, v] :
                         {std::pair<const char*, double>{"sum", h.sum},
                          {"min", h.min},
@@ -96,7 +64,7 @@ std::string to_json(const MetricsSnapshot& snapshot) {
                      o += ", \"";
                      o += key;
                      o += "\": ";
-                     append_double(o, v);
+                     append_json_number(o, v);
                    }
                    o += '}';
                  });

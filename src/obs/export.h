@@ -26,7 +26,7 @@ namespace sarbp::obs {
 [[nodiscard]] std::string export_json(const Registry& reg);
 
 /// Parses a "sarbp.metrics.v1" document produced by to_json with the
-/// strict reader of common/json_reader.h: counters, gauges and histogram
+/// strict reader of common/json.h: counters, gauges and histogram
 /// counts must be integers in range, and repeated keys or text after the
 /// document are errors. Throws PreconditionError on malformed input or a
 /// schema mismatch.

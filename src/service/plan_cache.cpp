@@ -1,82 +1,11 @@
 #include "service/plan_cache.h"
 
-#include <cstring>
-#include <iterator>
 #include <utility>
 
 #include "common/check.h"
 #include "exec/formation_tasks.h"
 
 namespace sarbp::service {
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t word) {
-  // Byte-wise FNV-1a over the 8-byte word.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xFFu;
-    h *= kFnvPrime;
-  }
-}
-
-inline std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
-
-std::uint64_t pulse_geometry_signature(const sim::PhaseHistory& history) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(history.num_pulses()));
-  fnv_mix(h, static_cast<std::uint64_t>(history.samples_per_pulse()));
-  fnv_mix(h, double_bits(history.bin_spacing()));
-  fnv_mix(h, double_bits(history.wavenumber()));
-  for (Index p = 0; p < history.num_pulses(); ++p) {
-    const auto& meta = history.meta(p);
-    fnv_mix(h, double_bits(meta.position.x));
-    fnv_mix(h, double_bits(meta.position.y));
-    fnv_mix(h, double_bits(meta.position.z));
-    fnv_mix(h, double_bits(meta.start_range_m));
-  }
-  return h;
-}
-
-std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(k.grid_w));
-  fnv_mix(h, static_cast<std::uint64_t>(k.grid_h));
-  fnv_mix(h, double_bits(k.spacing));
-  fnv_mix(h, double_bits(k.centre.x));
-  fnv_mix(h, double_bits(k.centre.y));
-  fnv_mix(h, double_bits(k.centre.z));
-  fnv_mix(h, static_cast<std::uint64_t>(k.region.x0));
-  fnv_mix(h, static_cast<std::uint64_t>(k.region.y0));
-  fnv_mix(h, static_cast<std::uint64_t>(k.region.width));
-  fnv_mix(h, static_cast<std::uint64_t>(k.region.height));
-  fnv_mix(h, static_cast<std::uint64_t>(k.block_w));
-  fnv_mix(h, static_cast<std::uint64_t>(k.block_h));
-  fnv_mix(h, k.pulse_signature);
-  return static_cast<std::size_t>(h);
-}
-
-PlanKey make_plan_key(const geometry::ImageGrid& grid, const Region& region,
-                      Index block_w, Index block_h,
-                      const sim::PhaseHistory& history) {
-  PlanKey key;
-  key.grid_w = grid.width();
-  key.grid_h = grid.height();
-  key.spacing = grid.spacing();
-  key.centre = grid.centre();
-  key.region = region;
-  key.block_w = block_w;
-  key.block_h = block_h;
-  key.pulse_signature = pulse_geometry_signature(history);
-  return key;
-}
 
 std::shared_ptr<FormationPlan> make_plan_skeleton(
     const PlanKey& key, const sim::PhaseHistory& history) {
@@ -225,74 +154,6 @@ exec::GroupPtr make_plan_replay_group(
     };
   }
   return exec::make_formation_group(std::move(spec));
-}
-
-PlanCache::PlanCache(std::size_t capacity, obs::Registry* metrics)
-    : capacity_(capacity) {
-  if constexpr (obs::kEnabled) {
-    auto& reg = metrics != nullptr ? *metrics : obs::registry();
-    hits_ = &reg.counter("service.plan_cache.hits");
-    misses_ = &reg.counter("service.plan_cache.misses");
-    evictions_ = &reg.counter("service.plan_cache.evictions");
-    entries_gauge_ = &reg.gauge("service.plan_cache.entries");
-    bytes_gauge_ = &reg.gauge("service.plan_cache.bytes");
-  }
-}
-
-std::shared_ptr<const FormationPlan> PlanCache::find(const PlanKey& key) {
-  {
-    MutexLock lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      if (hits_) hits_->add();
-      return *it->second;
-    }
-  }
-  if (misses_) misses_->add();
-  return nullptr;
-}
-
-void PlanCache::insert(std::shared_ptr<const FormationPlan> plan) {
-  if (capacity_ == 0) return;
-  // Declared before the lock so the evicted plans' table buffers are
-  // freed after it drops.
-  std::list<std::shared_ptr<const FormationPlan>> evicted;
-  MutexLock lock(mutex_);
-  if (index_.find(plan->key) != index_.end()) return;
-  lru_.push_front(std::move(plan));
-  index_[lru_.front()->key] = lru_.begin();
-  bytes_ += lru_.front()->bytes;
-  while (lru_.size() > capacity_) {
-    evicted.splice(evicted.end(), lru_, std::prev(lru_.end()));
-    bytes_ -= evicted.back()->bytes;
-    index_.erase(evicted.back()->key);
-    if (evictions_) evictions_->add();
-  }
-  update_gauges_locked();
-}
-
-void PlanCache::update_gauges_locked() {
-  if (entries_gauge_) entries_gauge_->set(static_cast<std::int64_t>(lru_.size()));
-  if (bytes_gauge_) bytes_gauge_->set(static_cast<std::int64_t>(bytes_));
-}
-
-std::size_t PlanCache::size() const {
-  MutexLock lock(mutex_);
-  return lru_.size();
-}
-
-std::size_t PlanCache::bytes() const {
-  MutexLock lock(mutex_);
-  return bytes_;
-}
-
-void PlanCache::clear() {
-  MutexLock lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  update_gauges_locked();
 }
 
 PlanLookup lookup_plan(PlanCache& cache, const geometry::ImageGrid& grid,

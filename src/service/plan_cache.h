@@ -20,22 +20,19 @@
 // the whole group ran without an abort. lookup_plan is that one miss path,
 // shared by the local service and the shard ranks.
 //
-// Cache keying: (grid geometry, region, ASR block size, pulse-geometry
-// signature). The signature hashes per-pulse positions/start ranges plus
-// the sampling constants — two collections with equal trajectories hit the
-// same plan even when their sample payloads differ. The key holds the
-// whole grid geometry, so the tables can be rebuilt from a plan's key and
-// the request's pulses alone.
+// Cache keying: the shared reuse cache's PlanKey (service/reuse_cache.h)
+// — grid geometry, region, ASR block size, pulse-geometry signature. The
+// signature hashes per-pulse positions/start ranges plus the sampling
+// constants — two collections with equal trajectories hit the same plan
+// even when their sample payloads differ. The key holds the whole grid
+// geometry, so the tables can be rebuilt from a plan's key and the
+// request's pulses alone.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
-
-#include "common/thread_annotations.h"
 
 #include "asr/block_plan.h"
 #include "asr/tables.h"
@@ -48,37 +45,10 @@
 #include "geometry/grid.h"
 #include "geometry/wavefront.h"
 #include "obs/metrics.h"
+#include "service/reuse_cache.h"
 #include "sim/phase_history.h"
 
 namespace sarbp::service {
-
-/// FNV-1a over the per-pulse geometry (positions, start ranges) and the
-/// sampling constants (count, samples per pulse, bin spacing, wavenumber)
-/// — every input of the ASR tables except the sample values.
-[[nodiscard]] std::uint64_t pulse_geometry_signature(
-    const sim::PhaseHistory& history);
-
-struct PlanKey {
-  Index grid_w = 0;
-  Index grid_h = 0;
-  double spacing = 0.0;
-  geometry::Vec3 centre;
-  Region region;
-  Index block_w = 0;
-  Index block_h = 0;
-  std::uint64_t pulse_signature = 0;
-
-  friend bool operator==(const PlanKey&, const PlanKey&) = default;
-};
-
-struct PlanKeyHash {
-  std::size_t operator()(const PlanKey& k) const noexcept;
-};
-
-[[nodiscard]] PlanKey make_plan_key(const geometry::ImageGrid& grid,
-                                    const Region& region, Index block_w,
-                                    Index block_h,
-                                    const sim::PhaseHistory& history);
 
 /// Precomputed setup for one (grid, region, block size, pulse geometry).
 struct FormationPlan {
@@ -177,55 +147,21 @@ class PlanCache;
     std::shared_ptr<exec::BackendSet> backends = nullptr,
     PlanCache* insert_into = nullptr);
 
-/// Thread-safe LRU cache of formation plans: lookup and insert.
-///
-/// A capacity of 0 disables retention: every lookup misses and insert
-/// keeps nothing — the knob the bench uses for its cache-off baseline.
-/// Plans are inserted only once built, so concurrent misses on one key
-/// may build twice; the first insert wins and the duplicate is released
-/// with its last user. Evicted plans are released after the lock drops.
-///
-/// Metrics (under the provided registry or the global one):
-///   service.plan_cache.{hits,misses,evictions} counters,
-///   service.plan_cache.{entries,bytes} gauges.
-class PlanCache {
+/// The service's plan cache: the shared reuse cache over formation plans,
+/// each filed under its own key and table bytes, with the
+/// service.plan_cache.* metrics. A capacity of 0 is the bench's cache-off
+/// baseline. Plans are inserted only once built, so concurrent misses on
+/// one key may build twice; the first insert wins.
+class PlanCache : public ReuseCache<FormationPlan> {
  public:
-  explicit PlanCache(std::size_t capacity, obs::Registry* metrics = nullptr);
+  explicit PlanCache(std::size_t capacity, obs::Registry* metrics = nullptr)
+      : ReuseCache(capacity, "service.plan_cache", metrics) {}
 
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
-
-  /// The cached plan for `key`, now the most recently used, or null.
-  /// Counts the hit or the miss.
-  [[nodiscard]] std::shared_ptr<const FormationPlan> find(const PlanKey& key);
-
-  /// Retains a fully built plan as the most recently used entry, evicting
-  /// the least recently used ones beyond capacity. A key already present
-  /// keeps its plan.
-  void insert(std::shared_ptr<const FormationPlan> plan);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t bytes() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void clear();
-
- private:
-  void update_gauges_locked() SARBP_REQUIRES(mutex_);
-
-  const std::size_t capacity_;
-  mutable Mutex mutex_{SARBP_LOCK_LEVEL("service.plan_cache")};
-  /// Front = most recently used.
-  std::list<std::shared_ptr<const FormationPlan>> lru_
-      SARBP_GUARDED_BY(mutex_);
-  std::unordered_map<PlanKey, decltype(lru_)::iterator, PlanKeyHash> index_
-      SARBP_GUARDED_BY(mutex_);
-  std::size_t bytes_ SARBP_GUARDED_BY(mutex_) = 0;
-
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Counter* evictions_ = nullptr;
-  obs::Gauge* entries_gauge_ = nullptr;
-  obs::Gauge* bytes_gauge_ = nullptr;
+  void insert(Value plan) {
+    const PlanKey key = plan->key;
+    const std::size_t bytes = plan->bytes;
+    ReuseCache::insert(key, std::move(plan), bytes);
+  }
 };
 
 /// The plan one replay of (grid, region, block size, pulses) starts from.

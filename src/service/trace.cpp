@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <thread>
 #include <tuple>
 
 #include "common/check.h"
-#include "common/json_reader.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "geometry/grid.h"
@@ -17,25 +16,6 @@
 
 namespace sarbp::service {
 namespace {
-
-/// Appends `text` as a JSON string: quotes and backslashes escaped,
-/// control characters as \u00XX.
-void append_json_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
 
 Priority parse_priority(const std::string& name) {
   if (name == "high") return Priority::kHigh;
@@ -160,17 +140,18 @@ std::string to_json(const Trace& trace) {
   out += "\",\n  \"requests\": [";
   for (std::size_t i = 0; i < trace.requests.size(); ++i) {
     const auto& e = trace.requests[i];
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"ix\": %lld, \"pulses\": %lld, \"block\": %lld, "
-                  "\"priority\": \"%s\", \"scene\": %llu, \"repeat\": %d, "
-                  "\"delay_ms\": %g, \"deadline_ms\": %g",
-                  i == 0 ? "" : ",", static_cast<long long>(e.image),
-                  static_cast<long long>(e.pulses),
-                  static_cast<long long>(e.block), priority_name(e.priority),
-                  static_cast<unsigned long long>(e.scene), e.repeat,
-                  e.delay_ms, e.deadline_ms);
-    out += buf;
+    out += i == 0 ? "\n    {" : ",\n    {";
+    out += "\"ix\": " + std::to_string(e.image);
+    out += ", \"pulses\": " + std::to_string(e.pulses);
+    out += ", \"block\": " + std::to_string(e.block);
+    out += ", \"priority\": \"";
+    out += priority_name(e.priority);
+    out += "\", \"scene\": " + std::to_string(e.scene);
+    out += ", \"repeat\": " + std::to_string(e.repeat);
+    out += ", \"delay_ms\": ";
+    append_json_number(out, e.delay_ms);
+    out += ", \"deadline_ms\": ";
+    append_json_number(out, e.deadline_ms);
     if (!e.tenant.empty()) {
       out += ", \"tenant\": ";
       append_json_string(out, e.tenant);
@@ -178,14 +159,10 @@ std::string to_json(const Trace& trace) {
     if (e.stream != 0) {
       // Emitted only for streaming entries, so pre-extension traces
       // round-trip byte-identically.
-      char stream_buf[160];
-      std::snprintf(stream_buf, sizeof(stream_buf),
-                    ", \"stream\": %llu, \"chunk\": %lld, \"window\": %lld, "
-                    "\"reanchor\": %d",
-                    static_cast<unsigned long long>(e.stream),
-                    static_cast<long long>(e.chunk),
-                    static_cast<long long>(e.window), e.reanchor);
-      out += stream_buf;
+      out += ", \"stream\": " + std::to_string(e.stream);
+      out += ", \"chunk\": " + std::to_string(e.chunk);
+      out += ", \"window\": " + std::to_string(e.window);
+      out += ", \"reanchor\": " + std::to_string(e.reanchor);
     }
     out += "}";
   }
@@ -195,7 +172,8 @@ std::string to_json(const Trace& trace) {
 
 Trace make_repeated_scene_trace(int scenes, int repeats, Index image,
                                 Index pulses, Index block) {
-  ensure(scenes > 0 && repeats > 0, "make_repeated_scene_trace: counts must be positive");
+  ensure(scenes > 0 && repeats > 0,
+         "make_repeated_scene_trace: counts must be positive");
   Trace trace;
   static constexpr Priority kCycle[] = {Priority::kHigh, Priority::kNormal,
                                         Priority::kLow};

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "backprojection/asr_sweep.h"
+#include "backprojection/kernel.h"
 #include "backprojection/soa_tile.h"
 #include "common/check.h"
 #include "exec/formation_tasks.h"
@@ -374,7 +375,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     const bool ok = !group.aborted();
     if (ok && config_.cache != nullptr && u->have_key && !u->cache_hit &&
         u->partial != nullptr) {
-      config_.cache->insert(u->key, *u->chunk.history, u->partial);
+      config_.cache->insert(u->key, u->chunk.history, u->partial);
     }
     // Resolve the handle first, with no locks held (lock order: session ->
     // handle). The service substitutes the checkpoint's verdict — the
@@ -594,15 +595,12 @@ Grid2D<CFloat> reform_window(const StreamConfig& config,
   const Region region = effective_region(config);
   ensure(!region.empty() && config.asr_block_w > 0 && config.asr_block_h > 0,
          "reform_window: bad geometry");
-  const bp::AsrKernel kernel = stream_kernel(config);
-  const bp::PulseRange pulses[] = {all_pulses(window)};
   bp::SoaTile tile(region.width, region.height);
-  for (const asr::BlockSpec& block :
-       asr::plan_blocks(region.x0, region.y0, region.width, region.height,
-                        config.asr_block_w, config.asr_block_h)) {
-    bp::sweep_asr_block(block, region.x0, region.y0, config.grid, pulses,
-                        std::nullopt, kernel, tile);
-  }
+  bp::backproject_asr_simd(window, config.grid, region, 0,
+                           window.num_pulses(), config.asr_block_w,
+                           config.asr_block_h, std::nullopt, tile,
+                           config.use_simd ? bp::SimdIsa::kAuto
+                                           : bp::SimdIsa::kScalar);
   Grid2D<CFloat> image(region.width, region.height);
   tile.accumulate_into(image, Region{0, 0, region.width, region.height});
   return image;

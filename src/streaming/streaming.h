@@ -164,7 +164,8 @@ class StreamSession {
 
 /// Reference semantics of the streaming contract: a serial block-outer /
 /// pulse-inner reform of `window` under `config`'s geometry and kernel
-/// selection — the same arithmetic order a re-anchor performs. Immediately
+/// selection (bp::backproject_asr_simd) — the same arithmetic order a
+/// re-anchor performs. Immediately
 /// after a re-anchor, latest()->image equals this bit-for-bit over
 /// window_history(); between re-anchors it matches within the documented
 /// drift bound (DESIGN.md §13).

@@ -1,5 +1,6 @@
 #include "streaming/subaperture_cache.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -8,62 +9,43 @@
 namespace sarbp::streaming {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
-inline void fnv_mix(std::uint64_t& h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xFFu;
-    h *= kFnvPrime;
+/// True when `a` and `b` agree bit for bit on everything the sweep reads:
+/// the sampling constants, each pulse's position and start range, and the
+/// samples.
+bool same_sweep_input(const sim::PhaseHistory& a, const sim::PhaseHistory& b) {
+  if (a.num_pulses() != b.num_pulses() ||
+      a.samples_per_pulse() != b.samples_per_pulse() ||
+      !same_bits(a.bin_spacing(), b.bin_spacing()) ||
+      !same_bits(a.wavenumber(), b.wavenumber())) {
+    return false;
   }
-}
-
-inline std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-std::size_t tile_bytes(const bp::SoaTile& tile) {
-  return static_cast<std::size_t>(tile.width()) *
-         static_cast<std::size_t>(tile.height()) * 2 * sizeof(float);
+  for (Index p = 0; p < a.num_pulses(); ++p) {
+    const sim::PulseMeta& ma = a.meta(p);
+    const sim::PulseMeta& mb = b.meta(p);
+    if (!same_bits(ma.position.x, mb.position.x) ||
+        !same_bits(ma.position.y, mb.position.y) ||
+        !same_bits(ma.position.z, mb.position.z) ||
+        !same_bits(ma.start_range_m, mb.start_range_m)) {
+      return false;
+    }
+  }
+  const std::size_t n = a.payload_bytes();
+  return n == 0 || std::memcmp(a.pulse(0).data(), b.pulse(0).data(), n) == 0;
 }
 
 }  // namespace
 
 SubApertureCache::SubApertureCache(SubApertureCacheConfig config)
-    : config_(std::move(config)) {
+    : signature_fn_(std::move(config.signature_fn)),
+      cache_(config.capacity, "streaming.cache", config.metrics) {
   if constexpr (obs::kEnabled) {
-    auto& reg =
-        config_.metrics != nullptr ? *config_.metrics : obs::registry();
-    hits_ = &reg.counter("streaming.cache.hits");
-    misses_ = &reg.counter("streaming.cache.misses");
-    evictions_ = &reg.counter("streaming.cache.evictions");
+    auto& reg = config.metrics != nullptr ? *config.metrics : obs::registry();
     collisions_ = &reg.counter("streaming.cache.collisions");
-    inserts_ = &reg.counter("streaming.cache.inserts");
-    entries_gauge_ = &reg.gauge("streaming.cache.entries");
-    bytes_gauge_ = &reg.gauge("streaming.cache.bytes");
   }
-}
-
-std::uint64_t SubApertureCache::fingerprint(const sim::PhaseHistory& chunk) {
-  // Deliberately *not* the key's signature function: the fields are mixed
-  // in a different order from a different seed, so a forced or accidental
-  // signature collision still trips the mismatch check below.
-  std::uint64_t h = kFnvOffset ^ 0x5AB5AB5AB5AB5AB5ULL;
-  fnv_mix(h, static_cast<std::uint64_t>(chunk.samples_per_pulse()));
-  fnv_mix(h, static_cast<std::uint64_t>(chunk.num_pulses()));
-  const auto& first = chunk.meta(0);
-  const auto& last = chunk.meta(chunk.num_pulses() - 1);
-  fnv_mix(h, double_bits(first.position.x));
-  fnv_mix(h, double_bits(first.position.y));
-  fnv_mix(h, double_bits(first.position.z));
-  fnv_mix(h, double_bits(first.start_range_m));
-  fnv_mix(h, double_bits(last.position.x));
-  fnv_mix(h, double_bits(last.position.y));
-  fnv_mix(h, double_bits(last.position.z));
-  fnv_mix(h, double_bits(last.start_range_m));
-  return h;
 }
 
 service::PlanKey SubApertureCache::make_key(
@@ -72,74 +54,31 @@ service::PlanKey SubApertureCache::make_key(
   ensure(chunk.num_pulses() > 0, "SubApertureCache::make_key: empty chunk");
   service::PlanKey key =
       service::make_plan_key(grid, region, block_w, block_h, chunk);
-  if (config_.signature_fn) key.pulse_signature = config_.signature_fn(chunk);
+  if (signature_fn_) key.pulse_signature = signature_fn_(chunk);
   return key;
 }
 
 SubApertureCache::Partial SubApertureCache::find(
     const service::PlanKey& key, const sim::PhaseHistory& chunk) {
-  MutexLock lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    if (misses_) misses_->add();
-    return nullptr;
-  }
-  if (it->second->fingerprint != fingerprint(chunk)) {
+  const auto entry = cache_.find(key, [&](const Entry& stored) {
+    if (same_sweep_input(*stored.chunk, chunk)) return true;
     if (collisions_) collisions_->add();
-    if (misses_) misses_->add();
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  if (hits_) hits_->add();
-  return it->second->partial;
+    return false;
+  });
+  return entry != nullptr ? entry->partial : nullptr;
 }
 
 void SubApertureCache::insert(const service::PlanKey& key,
-                              const sim::PhaseHistory& chunk,
+                              std::shared_ptr<const sim::PhaseHistory> chunk,
                               Partial partial) {
-  ensure(partial != nullptr, "SubApertureCache::insert: null partial");
-  if (config_.capacity == 0) return;
-  MutexLock lock(mutex_);
-  if (index_.find(key) != index_.end()) return;  // first insert wins
-  Entry entry;
-  entry.key = key;
-  entry.fingerprint = fingerprint(chunk);
-  entry.bytes = tile_bytes(*partial);
-  entry.partial = std::move(partial);
-  bytes_ += entry.bytes;
-  lru_.push_front(std::move(entry));
-  index_[key] = lru_.begin();
-  if (inserts_) inserts_->add();
-  while (lru_.size() > config_.capacity) {
-    const Entry& victim = lru_.back();
-    bytes_ -= victim.bytes;
-    index_.erase(victim.key);
-    lru_.pop_back();
-    if (evictions_) evictions_->add();
-  }
-  if (entries_gauge_) {
-    entries_gauge_->set(static_cast<std::int64_t>(lru_.size()));
-  }
-  if (bytes_gauge_) bytes_gauge_->set(static_cast<std::int64_t>(bytes_));
-}
-
-std::size_t SubApertureCache::size() const {
-  MutexLock lock(mutex_);
-  return lru_.size();
-}
-
-std::size_t SubApertureCache::bytes() const {
-  MutexLock lock(mutex_);
-  return bytes_;
-}
-
-void SubApertureCache::clear() {
-  MutexLock lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  if (entries_gauge_) entries_gauge_->set(0);
-  if (bytes_gauge_) bytes_gauge_->set(0);
+  ensure(chunk != nullptr && partial != nullptr,
+         "SubApertureCache::insert: null chunk or partial");
+  const auto pixels = static_cast<std::size_t>(partial->width()) *
+                      static_cast<std::size_t>(partial->height());
+  const std::size_t bytes = pixels * 2 * sizeof(float) + chunk->payload_bytes();
+  auto entry = std::make_shared<const Entry>(
+      Entry{std::move(chunk), std::move(partial)});
+  cache_.insert(key, std::move(entry), bytes);
 }
 
 }  // namespace sarbp::streaming

@@ -1,37 +1,35 @@
 // Sub-aperture partial-image cache: fixed-size pulse chunks backprojected
-// once into partial images, keyed like formation plans on (scene geometry,
-// chunk pulse-geometry signature) and shared across overlapping windows
-// and concurrent streaming sessions over the same scene (DESIGN.md §13).
+// once into partial images and shared across overlapping windows and
+// concurrent streaming sessions over the same scene (DESIGN.md §13). A
+// window slide that re-admits a chunk another session already swept pays
+// O(1), not O(chunk). It is a client of the one reuse cache
+// (service/reuse_cache.h), as the service's plan cache is.
 //
-// The cache generalizes the service's plan cache from "reusable setup"
-// (BlockTables) to "reusable compute" (the chunk's swept tile): a window
-// slide that re-admits a chunk another session already swept pays O(1),
-// not O(chunk). Keys reuse service::PlanKey — the grid geometry (including
-// the scene centre), region, ASR block size, and the FNV-1a pulse-geometry
-// signature — so two sessions only share partials when their sweeps would
-// be bit-identical.
+// Keys are service::PlanKeys: the grid geometry (scene centre included),
+// the region, the ASR block size and the chunk's pulse-geometry signature.
+// The key leaves out the samples and hashes the geometry into 64 bits, so
+// each entry keeps the chunk it was swept from, and a lookup hits only
+// when the request's chunk matches it byte for byte on everything the
+// sweep reads: the sampling constants, each pulse's position and start
+// range, and the samples. A key match that fails the comparison is a
+// collision, counted and served as a miss, never a wrong image.
 //
-// Signature collisions: the 64-bit signature is a hash, so two distinct
-// chunks can collide. Every entry therefore carries an independent
-// verification fingerprint (pulse count + first/last pulse geometry bits);
-// a lookup whose key matches but whose fingerprint does not is counted as
-// a collision and served as a miss — never a wrong image.
+// The sweep kernel is not part of the match. Sessions with different
+// kernels (scalar and SIMD) that share one cache add each other's
+// partials, which differ from their own sweeps in float rounding only:
+// their images stay inside the >70 dB drift contract, not bit-identical.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
-
-#include "common/thread_annotations.h"
 
 #include "backprojection/soa_tile.h"
 #include "common/region.h"
 #include "common/types.h"
 #include "geometry/grid.h"
 #include "obs/metrics.h"
-#include "service/plan_cache.h"
+#include "service/reuse_cache.h"
 #include "sim/phase_history.h"
 
 namespace sarbp::streaming {
@@ -52,15 +50,13 @@ struct SubApertureCacheConfig {
 ///
 /// Metrics (under the configured registry):
 ///   streaming.cache.{hits,misses,evictions,collisions,inserts} counters,
-///   streaming.cache.{entries,bytes} gauges.
+///   streaming.cache.{entries,bytes} gauges; an entry's bytes are its
+///   partial's tile plus its chunk's samples.
 class SubApertureCache {
  public:
   using Partial = std::shared_ptr<const bp::SoaTile>;
 
   explicit SubApertureCache(SubApertureCacheConfig config = {});
-
-  SubApertureCache(const SubApertureCache&) = delete;
-  SubApertureCache& operator=(const SubApertureCache&) = delete;
 
   /// Key of `chunk`'s partial under the session's scene geometry.
   [[nodiscard]] service::PlanKey make_key(const geometry::ImageGrid& grid,
@@ -68,52 +64,28 @@ class SubApertureCache {
                                           Index block_h,
                                           const sim::PhaseHistory& chunk) const;
 
-  /// Lookup. Null on miss; a key hit whose verification fingerprint does
-  /// not match `chunk` is a signature collision — counted, and reported as
-  /// a miss.
+  /// The partial swept from `chunk`, or null. A key hit whose stored chunk
+  /// differs from `chunk` is a collision: counted, and reported as a miss.
   [[nodiscard]] Partial find(const service::PlanKey& key,
                              const sim::PhaseHistory& chunk);
 
-  /// Publishes a chunk's swept partial. First insert wins when concurrent
-  /// sessions race to compute the same chunk; eviction is LRU.
-  void insert(const service::PlanKey& key, const sim::PhaseHistory& chunk,
-              Partial partial);
+  /// Publishes the partial swept from `chunk`, keeping the chunk for the
+  /// comparison in find(). First insert wins when concurrent sessions race
+  /// to compute the same chunk; eviction is LRU.
+  void insert(const service::PlanKey& key,
+              std::shared_ptr<const sim::PhaseHistory> chunk, Partial partial);
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t bytes() const;
-  [[nodiscard]] std::size_t capacity() const { return config_.capacity; }
-  void clear();
+  [[nodiscard]] std::size_t size() const { return cache_.size(); }
 
  private:
   struct Entry {
-    service::PlanKey key;
-    std::uint64_t fingerprint = 0;
+    std::shared_ptr<const sim::PhaseHistory> chunk;
     Partial partial;
-    std::size_t bytes = 0;
   };
 
-  /// Collision check independent of the key's signature hash: pulse count
-  /// plus the raw bit patterns of the first/last pulse geometry.
-  [[nodiscard]] static std::uint64_t fingerprint(
-      const sim::PhaseHistory& chunk);
-
-  const SubApertureCacheConfig config_;
-
-  mutable Mutex mutex_{SARBP_LOCK_LEVEL("streaming.cache")};
-  /// Front = most recently used.
-  std::list<Entry> lru_ SARBP_GUARDED_BY(mutex_);
-  std::unordered_map<service::PlanKey, std::list<Entry>::iterator,
-                     service::PlanKeyHash>
-      index_ SARBP_GUARDED_BY(mutex_);
-  std::size_t bytes_ SARBP_GUARDED_BY(mutex_) = 0;
-
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Counter* evictions_ = nullptr;
+  const std::function<std::uint64_t(const sim::PhaseHistory&)> signature_fn_;
+  service::ReuseCache<Entry> cache_;
   obs::Counter* collisions_ = nullptr;
-  obs::Counter* inserts_ = nullptr;
-  obs::Gauge* entries_gauge_ = nullptr;
-  obs::Gauge* bytes_gauge_ = nullptr;
 };
 
 }  // namespace sarbp::streaming

@@ -798,6 +798,9 @@ TEST(Trace, JsonRoundTrip) {
   trace.requests[1].tenant = "a\"b";
   trace.requests[2].tenant = "a\\b";
   trace.requests[3].tenant = "tab\there\nline\x01";
+  // Timings that a 6-significant-digit writer rounds.
+  trace.requests[0].delay_ms = 0.1234567;
+  trace.requests[0].deadline_ms = 1234.5678;
   const Trace parsed = parse_trace_json(to_json(trace));
   ASSERT_EQ(parsed.requests.size(), trace.requests.size());
   for (std::size_t i = 0; i < trace.requests.size(); ++i) {
@@ -807,6 +810,8 @@ TEST(Trace, JsonRoundTrip) {
     EXPECT_EQ(parsed.requests[i].priority, trace.requests[i].priority);
     EXPECT_EQ(parsed.requests[i].scene, trace.requests[i].scene);
     EXPECT_EQ(parsed.requests[i].tenant, trace.requests[i].tenant);
+    EXPECT_EQ(parsed.requests[i].delay_ms, trace.requests[i].delay_ms);
+    EXPECT_EQ(parsed.requests[i].deadline_ms, trace.requests[i].deadline_ms);
   }
 }
 

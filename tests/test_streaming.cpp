@@ -398,6 +398,36 @@ TEST(SubApertureCache, SharedAcrossSessionsSkipsResweep) {
 
   EXPECT_EQ(reg.counter("streaming.cache.hits").value(), 6u);
   EXPECT_EQ(reg.counter("streaming.cache.inserts").value(), 6u);
+
+  // A repeat pass over a changed scene: the same trajectory with other
+  // echoes. Its first chunk has the key of a's first chunk, so the lookup
+  // compares the stored chunk, finds other samples, and sweeps. One chunk,
+  // so the image is one partial and must equal the reform bit for bit.
+  sim::PhaseHistory changed = s.history;
+  for (Index p = 0; p < changed.num_pulses(); ++p) {
+    for (CFloat& v : changed.pulse(p)) v *= CFloat(0.0f, 2.0f);
+  }
+  StreamSession c = open_stream(srv, config);
+  ASSERT_TRUE(c.push(slice(changed, 0, config.chunk_pulses)));
+  ASSERT_TRUE(c.wait_for_update(1, kWait));
+  ASSERT_TRUE(c.wait_idle(kWait));
+  EXPECT_EQ(c.stats().cache_hits, 0u);
+  EXPECT_EQ(reg.counter("streaming.cache.collisions").value(), 1u);
+  expect_bit_identical(c.latest()->image,
+                       reform_window(config, c.window_history()));
+
+  // The kernel is not part of the match: a SIMD session takes the scalar
+  // session's partials and stays inside the drift bound of its own reform.
+  StreamConfig simd_config = config;
+  simd_config.use_simd = true;
+  StreamSession d = open_stream(srv, simd_config);
+  ASSERT_TRUE(d.push(s.history));
+  ASSERT_TRUE(d.wait_for_update(6, kWait));
+  ASSERT_TRUE(d.wait_idle(kWait));
+  EXPECT_EQ(d.stats().cache_hits, 6u);
+  EXPECT_GT(snr_db(d.latest()->image,
+                   reform_window(simd_config, d.window_history())),
+            70.0);
 }
 
 TEST(SubApertureCache, ClosedSessionLeavesPartialsToTheCache) {
@@ -453,8 +483,10 @@ TEST(SubApertureCache, EvictsLeastRecentlyUsed) {
   cfg.image = 24;
   cfg.pulses = 8;
   const SmallScenario s = make_scenario(cfg);
-  const sim::PhaseHistory c1 = slice(s.history, 0, 4);
-  const sim::PhaseHistory c2 = slice(s.history, 4, 8);
+  const auto c1 = std::make_shared<const sim::PhaseHistory>(
+      slice(s.history, 0, 4));
+  const auto c2 = std::make_shared<const sim::PhaseHistory>(
+      slice(s.history, 4, 8));
   const Region region{0, 0, cfg.image, cfg.image};
 
   obs::Registry reg;
@@ -463,15 +495,15 @@ TEST(SubApertureCache, EvictsLeastRecentlyUsed) {
   config.metrics = &reg;
   SubApertureCache cache(config);
 
-  const auto k1 = cache.make_key(s.grid, region, 16, 16, c1);
-  const auto k2 = cache.make_key(s.grid, region, 16, 16, c2);
+  const auto k1 = cache.make_key(s.grid, region, 16, 16, *c1);
+  const auto k2 = cache.make_key(s.grid, region, 16, 16, *c2);
   cache.insert(k1, c1, std::make_shared<bp::SoaTile>(cfg.image, cfg.image));
-  EXPECT_NE(cache.find(k1, c1), nullptr);
+  EXPECT_NE(cache.find(k1, *c1), nullptr);
 
   cache.insert(k2, c2, std::make_shared<bp::SoaTile>(cfg.image, cfg.image));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(k1, c1), nullptr);  // evicted
-  EXPECT_NE(cache.find(k2, c2), nullptr);
+  EXPECT_EQ(cache.find(k1, *c1), nullptr);  // evicted
+  EXPECT_NE(cache.find(k2, *c2), nullptr);
   EXPECT_EQ(reg.counter("streaming.cache.evictions").value(), 1u);
 }
 
@@ -480,8 +512,10 @@ TEST(SubApertureCache, SignatureCollisionServedAsMiss) {
   cfg.image = 24;
   cfg.pulses = 8;
   const SmallScenario s = make_scenario(cfg);
-  const sim::PhaseHistory c1 = slice(s.history, 0, 4);
-  const sim::PhaseHistory c2 = slice(s.history, 4, 8);
+  const auto c1 = std::make_shared<const sim::PhaseHistory>(
+      slice(s.history, 0, 4));
+  const auto c2 = std::make_shared<const sim::PhaseHistory>(
+      slice(s.history, 4, 8));
   const Region region{0, 0, cfg.image, cfg.image};
 
   obs::Registry reg;
@@ -493,14 +527,24 @@ TEST(SubApertureCache, SignatureCollisionServedAsMiss) {
   };
   SubApertureCache cache(config);
 
-  const auto k1 = cache.make_key(s.grid, region, 16, 16, c1);
-  const auto k2 = cache.make_key(s.grid, region, 16, 16, c2);
+  const auto k1 = cache.make_key(s.grid, region, 16, 16, *c1);
+  const auto k2 = cache.make_key(s.grid, region, 16, 16, *c2);
   EXPECT_EQ(k1.pulse_signature, k2.pulse_signature);
 
   cache.insert(k1, c1, std::make_shared<bp::SoaTile>(cfg.image, cfg.image));
-  EXPECT_EQ(cache.find(k2, c2), nullptr);  // fingerprint mismatch
+  EXPECT_EQ(cache.find(k2, *c2), nullptr);  // other pulses
   EXPECT_EQ(reg.counter("streaming.cache.collisions").value(), 1u);
-  EXPECT_NE(cache.find(k1, c1), nullptr);  // the real owner still hits
+  EXPECT_NE(cache.find(k1, *c1), nullptr);  // the real owner still hits
+
+  // c1's pulse geometry with one sample changed shares c1's key without
+  // the hook; only the stored chunk's samples tell them apart.
+  sim::PhaseHistory c3 = *c1;
+  c3.pulse(0)[0] += CFloat(1.0f, 0.0f);
+  EXPECT_EQ(service::make_plan_key(s.grid, region, 16, 16, c3),
+            service::make_plan_key(s.grid, region, 16, 16, *c1));
+  EXPECT_EQ(cache.find(cache.make_key(s.grid, region, 16, 16, c3), c3),
+            nullptr);
+  EXPECT_EQ(reg.counter("streaming.cache.collisions").value(), 2u);
 }
 
 // --- cancellation and deadlines mid-update -------------------------------

@@ -33,11 +33,11 @@ import sys
 # Outermost -> innermost. Comments give the owning declaration.
 LEVELS: list[str] = [
     "streaming.session",    # streaming/streaming.cpp StreamSession::Impl
-    "streaming.cache",      # streaming/subaperture_cache.h SubApertureCache
     "service.fair",         # service/fair_queue.h FairScheduler
     "service.shard_table",  # service/shard_router.h in-flight job table
     "service.job",          # service/job.h JobHandle lifecycle
-    "service.plan_cache",   # service/plan_cache.h PlanCache LRU
+    "service.reuse_cache",  # service/reuse_cache.h ReuseCache LRU (plans,
+                            # sub-aperture partials)
     "exec.live",            # exec/executor.h live-group set
     "exec.group",           # exec/task_group.h TaskGroup completion
     "exec.idle",            # exec/executor.h idle wait

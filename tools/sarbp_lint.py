@@ -108,6 +108,13 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   src/common/thread_annotations.h, which defines the
                   wrappers, is exempt.
 
+  reuse-cache     One LRU in src/: service::ReuseCache. In src/,
+                  `std::list<` and `.splice(` may appear only in
+                  src/service/reuse_cache.h. The plan cache and the
+                  sub-aperture partial cache are its clients, so their
+                  eviction, byte count, metrics and hit rule cannot drift
+                  apart again.
+
 Suppression syntax (same line, or alone on the line directly above):
 
     // lint: allow(<rule>) -- <rationale>
@@ -221,6 +228,12 @@ JOB_TRANSITION_RE = re.compile(
 # The one home of the job lifecycle (dequeue, RunVerdict, resolve).
 JOB_RESOLVE_HOMES = ("src/service/job.h", "src/service/job.cpp")
 
+# An LRU's building blocks: a linked list, or moving its nodes.
+REUSE_CACHE_RE = re.compile(r"\bstd::list\s*<|(?:\.|->)\s*splice\s*\(")
+
+# The one home of an LRU in src/ (service::ReuseCache).
+REUSE_CACHE_HOME = "src/service/reuse_cache.h"
+
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)\s*(--\s*\S.*)?")
 
 # A value-type sarbp::Mutex declaration: `Mutex name`, optionally mutable/
@@ -235,7 +248,7 @@ MUTEX_DECL_JOIN_CAP = 8  # max lines a single declaration may span
 
 RULES = ("order-comment", "raw-mutex", "sleep-poll", "isa-ifdef",
          "queue-result", "lock-level", "asr-core", "omp-formation",
-         "task-graph", "job-resolve", "timed-wait")
+         "task-graph", "job-resolve", "timed-wait", "reuse-cache")
 
 
 @dataclass
@@ -495,6 +508,14 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     rel, i + 1, "timed-wait",
                     "timed wait without a `// timeout:` note naming the "
                     "caller's deadline it serves; idle waits park untimed"))
+
+        if (in_src and path.as_posix() != REUSE_CACHE_HOME
+                and REUSE_CACHE_RE.search(code)):
+            if "reuse-cache" not in allowed:
+                findings.append(Finding(
+                    rel, i + 1, "reuse-cache",
+                    "LRU building block outside service/reuse_cache.h; "
+                    "keep reused values in a service::ReuseCache"))
 
         if in_src and SLEEP_RE.search(code):
             if "sleep-poll" not in allowed:
@@ -777,6 +798,24 @@ SELFTEST_CASES = [
     ("src/service/f.cpp", "// claim_cv_.wait_until(lock, d) in a comment\n",
      []),
     ("tests/t.cpp", "cv.wait_for(lock, 1ms);\n", []),  # out of scope
+    # reuse-cache: one LRU in src/, service::ReuseCache.
+    ("src/streaming/subaperture_cache.h", "std::list<Entry> lru_;\n",
+     ["reuse-cache"]),
+    ("src/service/plan_cache.cpp",
+     "lru_.splice(lru_.begin(), lru_, it->second);\n"
+     "evicted->splice(evicted->end(), lru_, last);\n",
+     ["reuse-cache", "reuse-cache"]),
+    ("src/service/reuse_cache.h",
+     "std::list<Entry> lru_ SARBP_GUARDED_BY(mutex_);\n"
+     "lru_.splice(lru_.begin(), lru_, it->second);\n",
+     []),
+    ("src/service/p.cpp",
+     "// lint: allow(reuse-cache) -- fixture\nstd::list<int> order;\n",
+     []),
+    ("src/service/p.cpp", "// a std::list<T> and .splice( in a comment\n",
+     []),
+    ("src/service/p.cpp", "const auto parts = splice_parts(a, b);\n", []),
+    ("tests/t.cpp", "std::list<int> order;\n", []),  # out of scope
 ]
 
 
