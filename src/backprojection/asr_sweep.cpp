@@ -80,11 +80,14 @@ asr::Quadratic2D block_range_quadratic(const geometry::Vec3& centre,
 ///       Out[l, m] += arg * interp(in, bin)
 ///
 /// `out_re`/`out_im` point at the block's (0, 0) pixel; l steps by
-/// `l_stride` and m by `m_stride` floats.
+/// `l_stride` and m by `m_stride` floats. A bin interpolates when it lies
+/// in [0, samples - 1), checked in float before the conversion to Index,
+/// so no bin beyond Index's range (nor a NaN) is ever converted.
 void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
                        Index samples, float* out_re, float* out_im,
                        Index l_stride, Index m_stride, Index len_l,
                        Index len_m) {
+  const auto last_bin = static_cast<float>(samples - 1);
   for (Index m = 0; m < len_m; ++m) {
     const float bin_b = tables.bin_b[static_cast<std::size_t>(m)];
     const float bin_c = tables.bin_c[static_cast<std::size_t>(m)];
@@ -110,17 +113,15 @@ void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
       const float ng_r = g_r * gam_r - g_i * gam_i;
       g_i = g_r * gam_i + g_i * gam_r;
       g_r = ng_r;
-      if (bin >= 0.0f) {
+      if (bin >= 0.0f && bin < last_bin) {
         const auto ibin = static_cast<Index>(bin);
-        if (ibin + 1 < samples) {
-          const float frac = bin - static_cast<float>(ibin);
-          const CFloat v0 = in[ibin];
-          const CFloat v1 = in[ibin + 1];
-          const float s_r = v0.real() + frac * (v1.real() - v0.real());
-          const float s_i = v0.imag() + frac * (v1.imag() - v0.imag());
-          row_re[l * l_stride] += a_r * s_r - a_i * s_i;
-          row_im[l * l_stride] += a_r * s_i + a_i * s_r;
-        }
+        const float frac = bin - static_cast<float>(ibin);
+        const CFloat v0 = in[ibin];
+        const CFloat v1 = in[ibin + 1];
+        const float s_r = v0.real() + frac * (v1.real() - v0.real());
+        const float s_i = v0.imag() + frac * (v1.imag() - v0.imag());
+        row_re[l * l_stride] += a_r * s_r - a_i * s_i;
+        row_im[l * l_stride] += a_r * s_i + a_i * s_r;
       }
     }
   }

@@ -31,7 +31,9 @@ double run_pass(const sim::PhaseHistory& history,
                 Index pulse_begin, Index pulse_end) {
   const double inv_dr = 1.0 / history.bin_spacing();
   const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
-  const Index samples = history.samples_per_pulse();
+  // The kernels' bin guard: bins in [0, samples - 1), checked before the
+  // conversion to Index.
+  const auto last_bin = static_cast<float>(history.samples_per_pulse() - 1);
   // The sink defeats dead-code elimination without polluting the loop with
   // volatile reads.
   double sink = 0.0;
@@ -58,15 +60,13 @@ double run_pass(const sim::PhaseHistory& history,
         const auto bin = static_cast<float>((r - meta.start_range_m) * inv_dr);
         float s_r = 0.0f;
         float s_i = 0.0f;
-        if (bin >= 0.0f) {
+        if (bin >= 0.0f && bin < last_bin) {
           const auto ibin = static_cast<Index>(bin);
-          if (ibin + 1 < samples) {
-            const float frac = bin - static_cast<float>(ibin);
-            const CFloat v0 = in[ibin];
-            const CFloat v1 = in[ibin + 1];
-            s_r = v0.real() + frac * (v1.real() - v0.real());
-            s_i = v0.imag() + frac * (v1.imag() - v0.imag());
-          }
+          const float frac = bin - static_cast<float>(ibin);
+          const CFloat v0 = in[ibin];
+          const CFloat v1 = in[ibin + 1];
+          s_r = v0.real() + frac * (v1.real() - v0.real());
+          s_i = v0.imag() + frac * (v1.imag() - v0.imag());
         }
         if constexpr (P == Pass::kInterp) {
           sink += s_r + s_i;

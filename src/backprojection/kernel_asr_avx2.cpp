@@ -14,6 +14,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <type_traits>
@@ -133,6 +134,44 @@ struct ShuffleSamples {
   }
 };
 
+/// Gamma seeds of one 8-row group (paper §4.4): lane k of row j's seed is
+/// Gamma[m + j]^k, and row j steps by Gamma[m + j]^8. seed_re/seed_im hold
+/// power k of the group's rows at [8 * k, 8 * k + 8), so row j's seed is
+/// the stride-8 column j, which one gather hands it.
+struct GammaSeeds {
+  alignas(32) float seed_re[8 * 8];
+  alignas(32) float seed_im[8 * 8];
+  alignas(32) float step_re[8];
+  alignas(32) float step_im[8];
+
+  /// Seeds rows [m, m + 8) of `t`: 8 steps from 1, one row per lane. Lanes
+  /// past len_m step by 0 and feed no row. Every step is re = fmsub(a.re,
+  /// b.re, a.im * b.im), im = fmadd(a.re, b.im, a.im * b.re), in every
+  /// variant: the images' bytes depend on this rounding
+  /// (KernelVariantTest.GammaSeedsKeepTheirRounding).
+  GammaSeeds(const asr::BlockTables& t, Index m, Index len_m) {
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(std::min<Index>(len_m - m, 8))),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256 b_re =
+        _mm256_maskload_ps(&t.gam_re[static_cast<std::size_t>(m)], live);
+    const __m256 b_im =
+        _mm256_maskload_ps(&t.gam_im[static_cast<std::size_t>(m)], live);
+    __m256 a_re = _mm256_set1_ps(1.0f);
+    __m256 a_im = _mm256_setzero_ps();
+    for (int k = 0; k < 8; ++k) {
+      _mm256_store_ps(seed_re + 8 * k, a_re);
+      _mm256_store_ps(seed_im + 8 * k, a_im);
+      const __m256 re =
+          _mm256_fmsub_ps(a_re, b_re, _mm256_mul_ps(a_im, b_im));
+      a_im = _mm256_fmadd_ps(a_re, b_im, _mm256_mul_ps(a_im, b_re));
+      a_re = re;
+    }
+    _mm256_store_ps(step_re, a_re);
+    _mm256_store_ps(step_im, a_im);
+  }
+};
+
 /// Shared row sweep over prebuilt tables reading AoS samples; kFma selects
 /// fused vs split multiply-add throughout the vector body. A row's last
 /// partial vector is one more step under a lane mask: masked lanes load no
@@ -143,88 +182,91 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
                Index len_m) {
   const __m256 iota = _mm256_set_ps(7, 6, 5, 4, 3, 2, 1, 0);
   const __m256i lane_index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i column = _mm256_setr_epi32(0, 8, 16, 24, 32, 40, 48, 56);
   const __m256i max_bin = _mm256_set1_epi32(static_cast<int>(samples) - 1);
-  for (Index m = 0; m < len_m; ++m) {
-    const float bin_b = t.bin_b[static_cast<std::size_t>(m)];
-    const float bin_c = t.bin_c[static_cast<std::size_t>(m)];
-    const float psi_r = t.psi_re[static_cast<std::size_t>(m)];
-    const float psi_i = t.psi_im[static_cast<std::size_t>(m)];
-    const GammaLanes lanes =
-        make_gamma_lanes(t.gam_re[static_cast<std::size_t>(m)],
-                         t.gam_im[static_cast<std::size_t>(m)], 8);
-    __m256 g_r = _mm256_load_ps(lanes.re);
-    __m256 g_i = _mm256_load_ps(lanes.im);
-    const __m256 step_r = _mm256_set1_ps(lanes.step_re);
-    const __m256 step_i = _mm256_set1_ps(lanes.step_im);
-    const __m256 psi_rv = _mm256_set1_ps(psi_r);
-    const __m256 psi_iv = _mm256_set1_ps(psi_i);
-    const __m256 bin_bv = _mm256_set1_ps(bin_b);
-    const __m256 bin_cv = _mm256_set1_ps(bin_c);
-    float* row_re = acc_re + m * acc_pitch;
-    float* row_im = acc_im + m * acc_pitch;
-    // Pixels [l, l + 8) of the row; in the masked step `live` keeps the
-    // lanes below len_l.
-    const auto step = [&](Index l, auto masked, __m256i live) {
-      const auto load = [&](const float* p) {
+  for (Index group = 0; group < len_m; group += 8) {
+    const GammaSeeds seeds(t, group, len_m);
+    const Index rows = std::min<Index>(len_m - group, 8);
+    for (Index j = 0; j < rows; ++j) {
+      const Index m = group + j;
+      const float bin_b = t.bin_b[static_cast<std::size_t>(m)];
+      const float bin_c = t.bin_c[static_cast<std::size_t>(m)];
+      const float psi_r = t.psi_re[static_cast<std::size_t>(m)];
+      const float psi_i = t.psi_im[static_cast<std::size_t>(m)];
+      __m256 g_r = _mm256_i32gather_ps(seeds.seed_re + j, column, 4);
+      __m256 g_i = _mm256_i32gather_ps(seeds.seed_im + j, column, 4);
+      const __m256 step_r = _mm256_set1_ps(seeds.step_re[j]);
+      const __m256 step_i = _mm256_set1_ps(seeds.step_im[j]);
+      const __m256 psi_rv = _mm256_set1_ps(psi_r);
+      const __m256 psi_iv = _mm256_set1_ps(psi_i);
+      const __m256 bin_bv = _mm256_set1_ps(bin_b);
+      const __m256 bin_cv = _mm256_set1_ps(bin_c);
+      float* row_re = acc_re + m * acc_pitch;
+      float* row_im = acc_im + m * acc_pitch;
+      // Pixels [l, l + 8) of the row; in the masked step `live` keeps the
+      // lanes below len_l.
+      const auto step = [&](Index l, auto masked, __m256i live) {
+        const auto load = [&](const float* p) {
+          if constexpr (decltype(masked)::value) {
+            return _mm256_maskload_ps(p, live);
+          } else {
+            return _mm256_loadu_ps(p);
+          }
+        };
+        const __m256 lvec =
+            _mm256_add_ps(iota, _mm256_set1_ps(static_cast<float>(l)));
+        const __m256 bin_av = load(&t.bin_a[static_cast<std::size_t>(l)]);
+        const __m256 bin =
+            madd<kFma>(lvec, bin_cv, _mm256_add_ps(bin_av, bin_bv));
+        const __m256i ibin = _mm256_cvttps_epi32(bin);
+        const __m256 nonneg =
+            _mm256_cmp_ps(bin, _mm256_setzero_ps(), _CMP_GE_OQ);
+        const __m256 inrange =
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(max_bin, ibin));
+        // Guard against cvttps saturation (INT_MIN) for out-of-range bins.
+        const __m256 iok = _mm256_castsi256_ps(
+            _mm256_cmpgt_epi32(ibin, _mm256_set1_epi32(-1)));
+        __m256 ok = _mm256_and_ps(_mm256_and_ps(nonneg, inrange), iok);
         if constexpr (decltype(masked)::value) {
-          return _mm256_maskload_ps(p, live);
+          ok = _mm256_and_ps(ok, _mm256_castsi256_ps(live));
+        }
+        const __m256 frac = _mm256_sub_ps(bin, _mm256_cvtepi32_ps(ibin));
+        __m256 re0;
+        __m256 im0;
+        __m256 re1;
+        __m256 im1;
+        SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
+        const __m256 s_r = madd<kFma>(frac, _mm256_sub_ps(re1, re0), re0);
+        const __m256 s_i = madd<kFma>(frac, _mm256_sub_ps(im1, im0), im0);
+        const __m256 phi_r = load(&t.phi_re[static_cast<std::size_t>(l)]);
+        const __m256 phi_i = load(&t.phi_im[static_cast<std::size_t>(l)]);
+        const __m256 t_r = msub<kFma>(phi_r, g_r, _mm256_mul_ps(phi_i, g_i));
+        const __m256 t_i = madd<kFma>(phi_r, g_i, _mm256_mul_ps(phi_i, g_r));
+        const __m256 a_r = msub<kFma>(t_r, psi_rv, _mm256_mul_ps(t_i, psi_iv));
+        const __m256 a_i = madd<kFma>(t_r, psi_iv, _mm256_mul_ps(t_i, psi_rv));
+        const __m256 ng_r = msub<kFma>(g_r, step_r, _mm256_mul_ps(g_i, step_i));
+        g_i = madd<kFma>(g_r, step_i, _mm256_mul_ps(g_i, step_r));
+        g_r = ng_r;
+        const __m256 c_r = msub<kFma>(a_r, s_r, _mm256_mul_ps(a_i, s_i));
+        const __m256 c_i = madd<kFma>(a_r, s_i, _mm256_mul_ps(a_i, s_r));
+        const __m256 out_r = _mm256_add_ps(load(row_re + l), c_r);
+        const __m256 out_i = _mm256_add_ps(load(row_im + l), c_i);
+        if constexpr (decltype(masked)::value) {
+          _mm256_maskstore_ps(row_re + l, live, out_r);
+          _mm256_maskstore_ps(row_im + l, live, out_i);
         } else {
-          return _mm256_loadu_ps(p);
+          _mm256_storeu_ps(row_re + l, out_r);
+          _mm256_storeu_ps(row_im + l, out_i);
         }
       };
-      const __m256 lvec =
-          _mm256_add_ps(iota, _mm256_set1_ps(static_cast<float>(l)));
-      const __m256 bin_av = load(&t.bin_a[static_cast<std::size_t>(l)]);
-      const __m256 bin =
-          madd<kFma>(lvec, bin_cv, _mm256_add_ps(bin_av, bin_bv));
-      const __m256i ibin = _mm256_cvttps_epi32(bin);
-      const __m256 nonneg =
-          _mm256_cmp_ps(bin, _mm256_setzero_ps(), _CMP_GE_OQ);
-      const __m256 inrange =
-          _mm256_castsi256_ps(_mm256_cmpgt_epi32(max_bin, ibin));
-      // Guard against cvttps saturation (INT_MIN) for out-of-range bins.
-      const __m256 iok = _mm256_castsi256_ps(
-          _mm256_cmpgt_epi32(ibin, _mm256_set1_epi32(-1)));
-      __m256 ok = _mm256_and_ps(_mm256_and_ps(nonneg, inrange), iok);
-      if constexpr (decltype(masked)::value) {
-        ok = _mm256_and_ps(ok, _mm256_castsi256_ps(live));
+      const __m256i all = _mm256_set1_epi32(-1);
+      Index l = 0;
+      for (; l + 8 <= len_l; l += 8) step(l, std::false_type{}, all);
+      if (l < len_l) {
+        step(l, std::true_type{},
+             _mm256_cmpgt_epi32(
+                 _mm256_set1_epi32(static_cast<int>(len_l - l)), lane_index));
       }
-      const __m256 frac = _mm256_sub_ps(bin, _mm256_cvtepi32_ps(ibin));
-      __m256 re0;
-      __m256 im0;
-      __m256 re1;
-      __m256 im1;
-      SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
-      const __m256 s_r = madd<kFma>(frac, _mm256_sub_ps(re1, re0), re0);
-      const __m256 s_i = madd<kFma>(frac, _mm256_sub_ps(im1, im0), im0);
-      const __m256 phi_r = load(&t.phi_re[static_cast<std::size_t>(l)]);
-      const __m256 phi_i = load(&t.phi_im[static_cast<std::size_t>(l)]);
-      const __m256 t_r = msub<kFma>(phi_r, g_r, _mm256_mul_ps(phi_i, g_i));
-      const __m256 t_i = madd<kFma>(phi_r, g_i, _mm256_mul_ps(phi_i, g_r));
-      const __m256 a_r = msub<kFma>(t_r, psi_rv, _mm256_mul_ps(t_i, psi_iv));
-      const __m256 a_i = madd<kFma>(t_r, psi_iv, _mm256_mul_ps(t_i, psi_rv));
-      const __m256 ng_r = msub<kFma>(g_r, step_r, _mm256_mul_ps(g_i, step_i));
-      g_i = madd<kFma>(g_r, step_i, _mm256_mul_ps(g_i, step_r));
-      g_r = ng_r;
-      const __m256 c_r = msub<kFma>(a_r, s_r, _mm256_mul_ps(a_i, s_i));
-      const __m256 c_i = madd<kFma>(a_r, s_i, _mm256_mul_ps(a_i, s_r));
-      const __m256 out_r = _mm256_add_ps(load(row_re + l), c_r);
-      const __m256 out_i = _mm256_add_ps(load(row_im + l), c_i);
-      if constexpr (decltype(masked)::value) {
-        _mm256_maskstore_ps(row_re + l, live, out_r);
-        _mm256_maskstore_ps(row_im + l, live, out_i);
-      } else {
-        _mm256_storeu_ps(row_re + l, out_r);
-        _mm256_storeu_ps(row_im + l, out_i);
-      }
-    };
-    const __m256i all = _mm256_set1_epi32(-1);
-    Index l = 0;
-    for (; l + 8 <= len_l; l += 8) step(l, std::false_type{}, all);
-    if (l < len_l) {
-      step(l, std::true_type{},
-           _mm256_cmpgt_epi32(
-               _mm256_set1_epi32(static_cast<int>(len_l - l)), lane_index));
     }
   }
 }

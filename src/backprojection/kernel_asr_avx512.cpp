@@ -17,6 +17,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -153,6 +154,44 @@ struct ShuffleSamples {
   }
 };
 
+/// Gamma seeds of one 16-row group (paper §4.4): lane k of row j's seed
+/// is Gamma[m + j]^k, and row j steps by Gamma[m + j]^16. seed_re/seed_im
+/// hold power k of the group's rows at [16 * k, 16 * k + 16), so row j's
+/// seed is the stride-16 column j, which one gather hands it.
+struct GammaSeeds {
+  alignas(64) float seed_re[16 * 16];
+  alignas(64) float seed_im[16 * 16];
+  alignas(64) float step_re[16];
+  alignas(64) float step_im[16];
+
+  /// Seeds rows [m, m + 16) of `t`: 16 steps from 1, one row per lane.
+  /// Lanes past len_m step by 0 and feed no row. Every step is
+  /// re = fmsub(a.re, b.re, a.im * b.im), im = fmadd(a.re, b.im,
+  /// a.im * b.re), in every variant: the images' bytes depend on this
+  /// rounding (KernelVariantTest.GammaSeedsKeepTheirRounding).
+  GammaSeeds(const asr::BlockTables& t, Index m, Index len_m) {
+    const Index rows = len_m - m;
+    const auto live =
+        static_cast<__mmask16>(rows >= 16 ? 0xFFFF : (1U << rows) - 1U);
+    const __m512 b_re =
+        _mm512_maskz_loadu_ps(live, &t.gam_re[static_cast<std::size_t>(m)]);
+    const __m512 b_im =
+        _mm512_maskz_loadu_ps(live, &t.gam_im[static_cast<std::size_t>(m)]);
+    __m512 a_re = _mm512_set1_ps(1.0f);
+    __m512 a_im = _mm512_setzero_ps();
+    for (int k = 0; k < 16; ++k) {
+      _mm512_store_ps(seed_re + 16 * k, a_re);
+      _mm512_store_ps(seed_im + 16 * k, a_im);
+      const __m512 re =
+          _mm512_fmsub_ps(a_re, b_re, _mm512_mul_ps(a_im, b_im));
+      a_im = _mm512_fmadd_ps(a_re, b_im, _mm512_mul_ps(a_im, b_re));
+      a_re = re;
+    }
+    _mm512_store_ps(step_re, a_re);
+    _mm512_store_ps(step_im, a_im);
+  }
+};
+
 /// The shared row sweep. SampleLoad supplies the interpolation operands;
 /// kFma selects fused vs split multiply-add everywhere in the vector body
 /// (bin recurrence, interpolation, complex products). A row's last partial
@@ -165,76 +204,81 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
   const __m512 iota =
       _mm512_set_ps(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
   const __m512i max_bin = _mm512_set1_epi32(static_cast<int>(samples) - 1);
-  for (Index m = 0; m < len_m; ++m) {
-    const float bin_b = t.bin_b[static_cast<std::size_t>(m)];
-    const float bin_c = t.bin_c[static_cast<std::size_t>(m)];
-    const float psi_r = t.psi_re[static_cast<std::size_t>(m)];
-    const float psi_i = t.psi_im[static_cast<std::size_t>(m)];
-    const GammaLanes lanes =
-        make_gamma_lanes(t.gam_re[static_cast<std::size_t>(m)],
-                         t.gam_im[static_cast<std::size_t>(m)], 16);
-    __m512 g_r = _mm512_load_ps(lanes.re);
-    __m512 g_i = _mm512_load_ps(lanes.im);
-    const __m512 step_r = _mm512_set1_ps(lanes.step_re);
-    const __m512 step_i = _mm512_set1_ps(lanes.step_im);
-    const __m512 psi_rv = _mm512_set1_ps(psi_r);
-    const __m512 psi_iv = _mm512_set1_ps(psi_i);
-    const __m512 bin_bv = _mm512_set1_ps(bin_b);
-    const __m512 bin_cv = _mm512_set1_ps(bin_c);
-    float* row_re = acc_re + m * acc_pitch;
-    float* row_im = acc_im + m * acc_pitch;
-    // Pixels [l, l + 16) of the row, `live` masking those past len_l.
-    const auto step = [&](Index l, __mmask16 live) {
-      const __m512 lvec =
-          _mm512_add_ps(iota, _mm512_set1_ps(static_cast<float>(l)));
-      const __m512 bin_av = _mm512_maskz_loadu_ps(
-          live, &t.bin_a[static_cast<std::size_t>(l)]);
-      const __m512 bin =
-          madd<kFma>(lvec, bin_cv, _mm512_add_ps(bin_av, bin_bv));
-      const __m512i ibin = _mm512_cvttps_epi32(bin);
-      const __mmask16 nonneg =
-          _mm512_cmp_ps_mask(bin, _mm512_setzero_ps(), _CMP_GE_OQ);
-      const __mmask16 inrange = _mm512_cmplt_epi32_mask(ibin, max_bin);
-      // cvttps saturates float bins beyond INT_MAX to INT_MIN; the explicit
-      // ibin >= 0 check keeps such lanes out of the sample loads.
-      const __mmask16 iok =
-          _mm512_cmpgt_epi32_mask(ibin, _mm512_set1_epi32(-1));
-      const __mmask16 ok = live & nonneg & inrange & iok;
-      const __m512 frac = _mm512_sub_ps(bin, _mm512_cvtepi32_ps(ibin));
-      __m512 re0;
-      __m512 im0;
-      __m512 re1;
-      __m512 im1;
-      SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
-      const __m512 s_r = madd<kFma>(frac, _mm512_sub_ps(re1, re0), re0);
-      const __m512 s_i = madd<kFma>(frac, _mm512_sub_ps(im1, im0), im0);
-      const __m512 phi_r = _mm512_maskz_loadu_ps(
-          live, &t.phi_re[static_cast<std::size_t>(l)]);
-      const __m512 phi_i = _mm512_maskz_loadu_ps(
-          live, &t.phi_im[static_cast<std::size_t>(l)]);
-      // arg = Phi * Psi * gamma (two complex multiplies)
-      const __m512 t_r = msub<kFma>(phi_r, g_r, _mm512_mul_ps(phi_i, g_i));
-      const __m512 t_i = madd<kFma>(phi_r, g_i, _mm512_mul_ps(phi_i, g_r));
-      const __m512 a_r = msub<kFma>(t_r, psi_rv, _mm512_mul_ps(t_i, psi_iv));
-      const __m512 a_i = madd<kFma>(t_r, psi_iv, _mm512_mul_ps(t_i, psi_rv));
-      // gamma *= Gamma^16
-      const __m512 ng_r = msub<kFma>(g_r, step_r, _mm512_mul_ps(g_i, step_i));
-      g_i = madd<kFma>(g_r, step_i, _mm512_mul_ps(g_i, step_r));
-      g_r = ng_r;
-      // Out += arg * sample
-      const __m512 c_r = msub<kFma>(a_r, s_r, _mm512_mul_ps(a_i, s_i));
-      const __m512 c_i = madd<kFma>(a_r, s_i, _mm512_mul_ps(a_i, s_r));
-      _mm512_mask_storeu_ps(
-          row_re + l, live,
-          _mm512_add_ps(_mm512_maskz_loadu_ps(live, row_re + l), c_r));
-      _mm512_mask_storeu_ps(
-          row_im + l, live,
-          _mm512_add_ps(_mm512_maskz_loadu_ps(live, row_im + l), c_i));
-    };
-    Index l = 0;
-    for (; l + 16 <= len_l; l += 16) step(l, 0xFFFF);
-    if (l < len_l) {
-      step(l, static_cast<__mmask16>((1U << (len_l - l)) - 1U));
+  const __m512i column = _mm512_set_epi32(240, 224, 208, 192, 176, 160, 144,
+                                          128, 112, 96, 80, 64, 48, 32, 16,
+                                          0);
+  for (Index group = 0; group < len_m; group += 16) {
+    const GammaSeeds seeds(t, group, len_m);
+    const Index rows = std::min<Index>(len_m - group, 16);
+    for (Index j = 0; j < rows; ++j) {
+      const Index m = group + j;
+      const float bin_b = t.bin_b[static_cast<std::size_t>(m)];
+      const float bin_c = t.bin_c[static_cast<std::size_t>(m)];
+      const float psi_r = t.psi_re[static_cast<std::size_t>(m)];
+      const float psi_i = t.psi_im[static_cast<std::size_t>(m)];
+      __m512 g_r = _mm512_i32gather_ps(column, seeds.seed_re + j, 4);
+      __m512 g_i = _mm512_i32gather_ps(column, seeds.seed_im + j, 4);
+      const __m512 step_r = _mm512_set1_ps(seeds.step_re[j]);
+      const __m512 step_i = _mm512_set1_ps(seeds.step_im[j]);
+      const __m512 psi_rv = _mm512_set1_ps(psi_r);
+      const __m512 psi_iv = _mm512_set1_ps(psi_i);
+      const __m512 bin_bv = _mm512_set1_ps(bin_b);
+      const __m512 bin_cv = _mm512_set1_ps(bin_c);
+      float* row_re = acc_re + m * acc_pitch;
+      float* row_im = acc_im + m * acc_pitch;
+      // Pixels [l, l + 16) of the row, `live` masking those past len_l.
+      const auto step = [&](Index l, __mmask16 live) {
+        const __m512 lvec =
+            _mm512_add_ps(iota, _mm512_set1_ps(static_cast<float>(l)));
+        const __m512 bin_av = _mm512_maskz_loadu_ps(
+            live, &t.bin_a[static_cast<std::size_t>(l)]);
+        const __m512 bin =
+            madd<kFma>(lvec, bin_cv, _mm512_add_ps(bin_av, bin_bv));
+        const __m512i ibin = _mm512_cvttps_epi32(bin);
+        const __mmask16 nonneg =
+            _mm512_cmp_ps_mask(bin, _mm512_setzero_ps(), _CMP_GE_OQ);
+        const __mmask16 inrange = _mm512_cmplt_epi32_mask(ibin, max_bin);
+        // cvttps saturates float bins beyond INT_MAX to INT_MIN; the explicit
+        // ibin >= 0 check keeps such lanes out of the sample loads.
+        const __mmask16 iok =
+            _mm512_cmpgt_epi32_mask(ibin, _mm512_set1_epi32(-1));
+        const __mmask16 ok = live & nonneg & inrange & iok;
+        const __m512 frac = _mm512_sub_ps(bin, _mm512_cvtepi32_ps(ibin));
+        __m512 re0;
+        __m512 im0;
+        __m512 re1;
+        __m512 im1;
+        SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
+        const __m512 s_r = madd<kFma>(frac, _mm512_sub_ps(re1, re0), re0);
+        const __m512 s_i = madd<kFma>(frac, _mm512_sub_ps(im1, im0), im0);
+        const __m512 phi_r = _mm512_maskz_loadu_ps(
+            live, &t.phi_re[static_cast<std::size_t>(l)]);
+        const __m512 phi_i = _mm512_maskz_loadu_ps(
+            live, &t.phi_im[static_cast<std::size_t>(l)]);
+        // arg = Phi * Psi * gamma (two complex multiplies)
+        const __m512 t_r = msub<kFma>(phi_r, g_r, _mm512_mul_ps(phi_i, g_i));
+        const __m512 t_i = madd<kFma>(phi_r, g_i, _mm512_mul_ps(phi_i, g_r));
+        const __m512 a_r = msub<kFma>(t_r, psi_rv, _mm512_mul_ps(t_i, psi_iv));
+        const __m512 a_i = madd<kFma>(t_r, psi_iv, _mm512_mul_ps(t_i, psi_rv));
+        // gamma *= Gamma^16
+        const __m512 ng_r = msub<kFma>(g_r, step_r, _mm512_mul_ps(g_i, step_i));
+        g_i = madd<kFma>(g_r, step_i, _mm512_mul_ps(g_i, step_r));
+        g_r = ng_r;
+        // Out += arg * sample
+        const __m512 c_r = msub<kFma>(a_r, s_r, _mm512_mul_ps(a_i, s_i));
+        const __m512 c_i = madd<kFma>(a_r, s_i, _mm512_mul_ps(a_i, s_r));
+        _mm512_mask_storeu_ps(
+            row_re + l, live,
+            _mm512_add_ps(_mm512_maskz_loadu_ps(live, row_re + l), c_r));
+        _mm512_mask_storeu_ps(
+            row_im + l, live,
+            _mm512_add_ps(_mm512_maskz_loadu_ps(live, row_im + l), c_i));
+      };
+      Index l = 0;
+      for (; l + 16 <= len_l; l += 16) step(l, 0xFFFF);
+      if (l < len_l) {
+        step(l, static_cast<__mmask16>((1U << (len_l - l)) - 1U));
+      }
     }
   }
 }

@@ -14,7 +14,7 @@ namespace {
 
 struct PulseView {
   const CFloat* in;
-  Index samples;
+  float last_bin;  ///< samples - 1: bins in [0, last_bin) interpolate
   geometry::Vec3 position;
   double start_range;
 };
@@ -45,9 +45,9 @@ inline void pixel(const PulseView& pulse, const geometry::ImageGrid& grid,
     // baseline (MKL VML EP equivalence, 55 dB in Fig. 8).
     sc = signal::sincos_baseline_ep(two_pi_k * r);
   }
-  if (!(bin >= 0.0f)) return;
+  // Checked before the conversion, so no bin beyond Index's range is cast.
+  if (!(bin >= 0.0f && bin < pulse.last_bin)) return;
   const auto ibin = static_cast<Index>(bin);
-  if (ibin + 1 >= pulse.samples) return;
   const float frac = bin - static_cast<float>(ibin);
   const CFloat v0 = pulse.in[ibin];
   const CFloat v1 = pulse.in[ibin + 1];
@@ -65,8 +65,10 @@ void run(const sim::PhaseHistory& history, const geometry::ImageGrid& grid,
   const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
   for (Index p = pulse_begin; p < pulse_end; ++p) {
     const auto& meta = history.meta(p);
-    const PulseView pulse{history.pulse(p).data(), history.samples_per_pulse(),
-                          meta.position, meta.start_range_m};
+    const PulseView pulse{
+        history.pulse(p).data(),
+        static_cast<float>(history.samples_per_pulse() - 1), meta.position,
+        meta.start_range_m};
     const geometry::LoopOrder o =
         order ? *order
               : geometry::choose_loop_order(meta.position, grid.centre());

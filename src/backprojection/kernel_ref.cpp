@@ -38,9 +38,10 @@ void backproject_ref(const sim::PhaseHistory& history,
         const geometry::Vec3 pos = grid.position(x, y);
         const double r = geometry::distance(pos, meta.position);
         const double bin = (r - meta.start_range_m) * inv_dr;
-        if (!(bin >= 0.0)) continue;
+        // Checked before the conversion, so no bin beyond Index's range is
+        // cast.
+        if (!(bin >= 0.0 && bin < static_cast<double>(samples - 1))) continue;
         const auto ibin = static_cast<Index>(bin);
-        if (ibin + 1 >= samples) continue;
         const double frac = bin - static_cast<double>(ibin);
         const CFloat v0 = in[static_cast<std::size_t>(ibin)];
         const CFloat v1 = in[static_cast<std::size_t>(ibin) + 1];

@@ -7,7 +7,8 @@
 //
 // Everything here must stay ISA-neutral: this header is included by TUs
 // compiled at three different -march levels, so no intrinsics and no
-// vector types — function-pointer tables and plain scalar helpers only.
+// vector types — function-pointer tables and constants only (DESIGN.md
+// §12, "Per-ISA TUs and ODR").
 #pragma once
 
 #include "asr/tables.h"
@@ -46,36 +47,5 @@ const AsrIsaOps& asr_isa_ops_avx2();
 #if SARBP_HAVE_KERNEL_AVX512
 const AsrIsaOps& asr_isa_ops_avx512();
 #endif
-
-/// Per-row vector state for the W-step gamma recurrence (§4.4): lane i
-/// carries Gamma^i and the whole vector advances by Gamma^W per chunk.
-struct GammaLanes {
-  alignas(64) float re[16];
-  alignas(64) float im[16];
-  float step_re;
-  float step_im;
-};
-
-// `static`, not `inline`: each per-ISA TU must keep its *own* copy
-// compiled at its own -march. A vague-linkage inline would be emitted once
-// and COMDAT-merged across TUs, and if the linker kept the -march=x86-64-v4
-// copy (GCC can auto-vectorize this loop with AVX-512) the AVX2 dispatch
-// path would execute AVX-512 instructions.
-[[maybe_unused]] static GammaLanes make_gamma_lanes(float gam_r, float gam_i,
-                                                    int width) {
-  GammaLanes lanes{};
-  float gr = 1.0f;
-  float gi = 0.0f;
-  for (int lane = 0; lane < width; ++lane) {
-    lanes.re[lane] = gr;
-    lanes.im[lane] = gi;
-    const float ngr = gr * gam_r - gi * gam_i;
-    gi = gr * gam_i + gi * gam_r;
-    gr = ngr;
-  }
-  lanes.step_re = gr;  // Gamma^W
-  lanes.step_im = gi;
-  return lanes;
-}
 
 }  // namespace sarbp::bp::detail

@@ -10,8 +10,12 @@
 //  - forcing an unavailable ISA fails with PreconditionError, never SIGILL.
 //  - the vector table build (one table per f64 lane) writes the scalar
 //    build's bytes on every ISA.
+//  - the rows' gamma seeds, in every ISA and variant, match a reference
+//    written here byte for byte; so do the later gamma steps of the fused
+//    variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -379,6 +383,114 @@ TEST_F(KernelVariantTest, StreamingKernelHonoursForcedIsa) {
                              geometry::LoopOrder::kXInner, simd, isa);
     EXPECT_GT(snr_db(to_grid(simd), to_grid(scalar)), 70.0)
         << bp::simd_isa_name(isa);
+    checked = true;
+  }
+  if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
+}
+
+/// a * b rounded to float. The volatile store keeps the compiler from
+/// fusing the product into a later add (GCC contracts float arithmetic by
+/// default), so the reference rounds as written in every build.
+float product(float a, float b) {
+  volatile float p = a * b;
+  return p;
+}
+
+/// a * b in the row kernels' pinned form: re = fmsub(a.re, b.re,
+/// a.im * b.im), im = fmadd(a.re, b.im, a.im * b.re).
+CFloat pinned_step(CFloat a, CFloat b) {
+  return {std::fma(a.real(), b.real(), -product(a.imag(), b.imag())),
+          std::fma(a.real(), b.imag(), product(a.imag(), b.real()))};
+}
+
+TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
+  // Tables under which every output pixel is the kernel's gamma: bin 0.5 on
+  // samples of 1 + 0i (an interpolated 1), Phi = Psi = 1, and a random unit
+  // Gamma[m]. In row m, lane k of the first vector is k pinned steps from 1
+  // in every variant, and each later vector is one pinned step by Gamma^W,
+  // the W-th of those steps. The reference is written here, so a seed off
+  // by one ulp fails, which the 70 dB scalar comparison and the
+  // gather/shuffle comparison cannot see. kGatherNoFma is checked on its
+  // first vectors only: its later steps are its own mul and add
+  // intrinsics, which GCC's default contraction may fuse (it does at -O2
+  // and -O3), so their rounding is the compiler's, not the kernel's.
+  sim::PhaseHistory ones(1, 16, 1.0, 1.0);
+  for (CFloat& v : ones.pulse(0)) v = CFloat{1.0f, 0.0f};
+  const Index lens_m[] = {1, 7, 8, 9, 15, 16, 17, 33, 64};
+  const Index lens_l[] = {1, 5, 16, 17, 64};
+  Rng rng(2012);
+  bool checked = false;
+  for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
+    if (!bp::asr_isa_available(isa)) continue;
+    const Index width = isa == bp::SimdIsa::kAvx512 ? 16 : 8;
+    for (const bp::KernelVariant variant :
+         {bp::KernelVariant::kAuto, bp::KernelVariant::kGather,
+          bp::KernelVariant::kShuffleTranspose,
+          bp::KernelVariant::kGatherNoFma}) {
+      const bool seeds_only = variant == bp::KernelVariant::kGatherNoFma;
+      for (const auto order :
+           {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+        const bool x_inner = order == geometry::LoopOrder::kXInner;
+        for (const Index len_m : lens_m) {
+          for (const Index len_l : lens_l) {
+            SCOPED_TRACE(std::string(bp::simd_isa_name(isa)) + "/" +
+                         bp::kernel_variant_name(variant) +
+                         (x_inner ? ", x_inner, " : ", y_inner, ") +
+                         std::to_string(len_l) + " x " +
+                         std::to_string(len_m));
+            asr::BlockTables tables;
+            tables.resize(len_l, len_m);
+            for (Index l = 0; l < len_l; ++l) {
+              const auto i = static_cast<std::size_t>(l);
+              tables.bin_a[i] = 0.5f;
+              tables.phi_re[i] = 1.0f;
+              tables.phi_im[i] = 0.0f;
+            }
+            for (Index m = 0; m < len_m; ++m) {
+              const auto i = static_cast<std::size_t>(m);
+              const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
+              tables.bin_b[i] = 0.0f;
+              tables.bin_c[i] = 0.0f;
+              tables.psi_re[i] = 1.0f;
+              tables.psi_im[i] = 0.0f;
+              tables.gam_re[i] = static_cast<float>(std::cos(angle));
+              tables.gam_im[i] = static_cast<float>(std::sin(angle));
+            }
+            const asr::BlockSpec block{0, 0, x_inner ? len_l : len_m,
+                                       x_inner ? len_m : len_l};
+            bp::SoaTile tile(block.width, block.height);
+            bp::sweep_asr_block(block, 0, 0, bp::PlanTables{&tables, &order},
+                                bp::PulseRange{&ones, 0, 1}, {isa, variant},
+                                tile);
+            for (Index m = 0; m < len_m; ++m) {
+              const auto i = static_cast<std::size_t>(m);
+              const CFloat gamma{tables.gam_re[i], tables.gam_im[i]};
+              std::vector<CFloat> seed{CFloat{1.0f, 0.0f}};
+              for (Index k = 0; k < width; ++k) {
+                seed.push_back(pinned_step(seed.back(), gamma));
+              }
+              const CFloat step = seed.back();
+              const Index pixels =
+                  seeds_only ? std::min(len_l, width) : len_l;
+              for (Index l = 0; l < pixels; ++l) {
+                CFloat want = seed[static_cast<std::size_t>(l % width)];
+                for (Index v = 0; v < l / width; ++v) {
+                  want = pinned_step(want, step);
+                }
+                const Index x = x_inner ? l : m;
+                const Index y = x_inner ? m : l;
+                const float got[] = {tile.row_re(y)[x], tile.row_im(y)[x]};
+                const float expected[] = {want.real(), want.imag()};
+                ASSERT_EQ(std::memcmp(got, expected, sizeof(got)), 0)
+                    << "pixel l = " << l << ", m = " << m << ": got ("
+                    << got[0] << ", " << got[1] << "), want (" << expected[0]
+                    << ", " << expected[1] << ")";
+              }
+            }
+          }
+        }
+      }
+    }
     checked = true;
   }
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";

@@ -5,6 +5,7 @@
 // point-target focusing integration test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -460,6 +461,81 @@ TEST(KernelLoopOrder, PerPulseOrderMatchesPerRunSplit) {
           << kernel_name(kind) << ", row " << y;
     }
   }
+}
+
+// A pulse whose swath starts at -1e30 m puts every bin near 1e30, beyond
+// Index's range. It must add nothing: each kernel's image over the four
+// pulses is its image over the other three, byte for byte. The scalar
+// sweeps used to convert such a bin to Index before checking it
+// (undefined; on x86 the conversion yields INT64_MIN, which passed the
+// upper check and read In[0]).
+TEST(KernelBinGuard, PulseBeyondIndexRangeAddsNothing) {
+  ScenarioConfig cfg;
+  cfg.image = 64;
+  cfg.pulses = 4;
+  cfg.fidelity = sim::CollectionFidelity::kRandom;
+  const SmallScenario s = make_scenario(cfg);
+  const sim::PhaseHistory& clean = s.history;
+  sim::PhaseHistory hostile = clean;
+  hostile.meta(1).start_range_m = -1e30;
+  sim::PhaseHistory without(3, clean.samples_per_pulse(), clean.bin_spacing(),
+                            clean.wavenumber());
+  const Index kept[] = {0, 2, 3};
+  for (Index i = 0; i < 3; ++i) {
+    const auto src = clean.pulse(kept[i]);
+    std::copy(src.begin(), src.end(), without.pulse(i).begin());
+    without.meta(i) = clean.meta(kept[i]);
+  }
+  const Region all{0, 0, s.grid.width(), s.grid.height()};
+  const auto bytes = static_cast<std::size_t>(all.width) * sizeof(float);
+  for (const auto order :
+       {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+    for (KernelKind kind :
+         {KernelKind::kBaseline, KernelKind::kBaselineAllFloat,
+          KernelKind::kAsrScalar, KernelKind::kAsrSimd}) {
+      const auto run = [&](const sim::PhaseHistory& h) {
+        SoaTile tile(all.width, all.height);
+        switch (kind) {
+          case KernelKind::kBaseline:
+          case KernelKind::kBaselineAllFloat:
+            backproject_baseline(h, s.grid, all, 0, h.num_pulses(),
+                                 kind == KernelKind::kBaselineAllFloat, order,
+                                 tile);
+            break;
+          case KernelKind::kAsrScalar:
+            backproject_asr_scalar(h, s.grid, all, 0, h.num_pulses(), 32, 32,
+                                   order, tile);
+            break;
+          default:
+            backproject_asr_simd(h, s.grid, all, 0, h.num_pulses(), 32, 32,
+                                 order, tile);
+        }
+        return tile;
+      };
+      const SoaTile got = run(hostile);
+      const SoaTile want = run(without);
+      Index rows_differing = 0;
+      for (Index y = 0; y < all.height; ++y) {
+        if (std::memcmp(got.row_re(y), want.row_re(y), bytes) != 0 ||
+            std::memcmp(got.row_im(y), want.row_im(y), bytes) != 0) {
+          ++rows_differing;
+        }
+      }
+      EXPECT_EQ(rows_differing, 0)
+          << kernel_name(kind)
+          << (order == geometry::LoopOrder::kXInner ? ", x_inner"
+                                                    : ", y_inner");
+    }
+  }
+  Grid2D<CDouble> got(all.width, all.height);
+  backproject_ref(hostile, s.grid, all, 0, 4, got);
+  Grid2D<CDouble> want(all.width, all.height);
+  backproject_ref(without, s.grid, all, 0, 3, want);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(CDouble) * static_cast<std::size_t>(
+                                              all.width * all.height)),
+            0)
+      << kernel_name(KernelKind::kRefDouble);
 }
 
 TEST(KernelName, AllNamesDistinct) {
