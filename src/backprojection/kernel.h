@@ -112,10 +112,10 @@ const char* simd_isa_name(SimdIsa isa);
 ///    floats re0,im0,re1,im1 are adjacent in AoS) + an in-register
 ///    transpose instead of gathers.
 ///  - kGatherNoFma: gathers with separate mul+add in place of fused
-///    multiply-add. Different rounding, so parity with kGather is at SNR
-///    level (>70 dB), not bitwise. The compiler's default FP contraction
-///    may still fuse some of those pairs, and the rows' gamma seeds are
-///    fused in every variant (DESIGN.md §12, "Gamma seeds").
+///    multiply-add, none fused by the compiler (the kernel TUs build with
+///    -ffp-contract=off). Different rounding, so parity with kGather is at
+///    SNR level (>70 dB), not bitwise. The rows' gamma seeds are fused in
+///    every variant (DESIGN.md §12, "Gamma seeds").
 enum class KernelVariant { kAuto, kGather, kShuffleTranspose, kGatherNoFma };
 const char* kernel_variant_name(KernelVariant variant);
 

@@ -1,56 +1,124 @@
-// AVX-512 ASR row kernels and table build (paper §4.4, the Phi-style
-// 16-lane path).
+// AVX-512 ASR row kernel and table build (paper §4.4, the Phi-style
+// 16-lane path; the build expands 8 tables at once, one per f64 lane): the
+// traits and sample loads that instantiate kernel_asr_rows.h at this width.
 // This TU is compiled with -march=x86-64-v4 regardless of the build's
 // baseline -march and is only ever entered through the dispatcher after a
 // runtime cpuid check (kernel_simd_ops.h). Everything lives in an
 // anonymous namespace so no v4-compiled code can leak to other TUs through
 // vague linkage.
 //
-// rows_aos reads samples straight from the AoS pulse buffer, where In[bin]
-// and In[bin+1] are four adjacent floats; its inner loop is a selectable
-// window / gather / shuffle-transpose / no-FMA variant. build_tables
-// expands 8 tables at once, one per f64 lane.
-#include "asr/tables.h"
-#include "backprojection/kernel.h"
+// The row kernel reads samples straight from the AoS pulse buffer, where
+// In[bin] and In[bin+1] are four adjacent floats; its inner loop is a
+// selectable window / gather / shuffle-transpose / no-FMA variant.
+#include "backprojection/kernel_asr_rows.h"
 #include "backprojection/kernel_simd_ops.h"
 #include "common/types.h"
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstddef>
-#include <span>
 
-// GCC's -Wmaybe-uninitialized fires inside the AVX-512 intrinsic headers
-// when _mm512_cvttps_epi32 is inlined here: the intrinsics deliberately
-// start from _mm512_undefined_epi32 (GCC bug 105593). Suppress just that
-// diagnostic for this translation unit so -Werror builds stay clean.
+// GCC's -Wmaybe-uninitialized and -Wuninitialized fire inside the AVX-512
+// intrinsic headers when _mm512_cvttps_epi32 or _mm512_max_epi32 is inlined
+// here: the intrinsics deliberately start from _mm512_undefined_epi32 (GCC
+// bug 105593). Which of the two fires depends on the inlining. Suppress
+// just those diagnostics for this translation unit so -Werror builds stay
+// clean.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
 namespace sarbp::bp::detail {
 namespace {
 
-/// Fused vs split multiply-add: the only difference between the default
-/// and the kGatherNoFma rounding-ablation variant.
-template <bool kFma>
-inline __m512 madd(__m512 a, __m512 b, __m512 c) {
-  if constexpr (kFma) {
-    return _mm512_fmadd_ps(a, b, c);
-  } else {
-    return _mm512_add_ps(_mm512_mul_ps(a, b), c);
-  }
-}
+/// kernel_asr_rows.h's V at 16 f32 / 8 f64 lanes.
+struct Avx512 {
+  using F = __m512;
+  using I = __m512i;
+  using M = __mmask16;
+  using D = __m512d;
+  using H = __m256;
+  static constexpr int kWidth = 16;
+  static constexpr int kTableLanes = 8;
 
-template <bool kFma>
-inline __m512 msub(__m512 a, __m512 b, __m512 c) {
-  if constexpr (kFma) {
-    return _mm512_fmsub_ps(a, b, c);
-  } else {
-    return _mm512_sub_ps(_mm512_mul_ps(a, b), c);
+  static F set1(float v) { return _mm512_set1_ps(v); }
+  static F iota() {
+    return _mm512_set_ps(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1,
+                         0);
   }
-}
+  static F add(F a, F b) { return _mm512_add_ps(a, b); }
+  static F sub(F a, F b) { return _mm512_sub_ps(a, b); }
+  static F mul(F a, F b) { return _mm512_mul_ps(a, b); }
+  static F fmadd(F a, F b, F c) { return _mm512_fmadd_ps(a, b, c); }
+  static F fmsub(F a, F b, F c) { return _mm512_fmsub_ps(a, b, c); }
+  static M first_lanes(Index n) { return static_cast<M>((1U << n) - 1U); }
+  static F load(const float* p) { return _mm512_loadu_ps(p); }
+  static F load(const float* p, M live) {
+    return _mm512_maskz_loadu_ps(live, p);
+  }
+  static void store(float* p, F v) { _mm512_storeu_ps(p, v); }
+  static void store(float* p, F v, M live) {
+    _mm512_mask_storeu_ps(p, live, v);
+  }
+  static I truncate(F v) { return _mm512_cvttps_epi32(v); }
+  static F to_float(I v) { return _mm512_cvtepi32_ps(v); }
+  static M bin_ok(F bin, I ibin, Index samples) {
+    // cvttps saturates float bins beyond INT_MAX to INT_MIN; the explicit
+    // ibin >= 0 check keeps such lanes out of the sample loads.
+    return static_cast<M>(
+        _mm512_cmp_ps_mask(bin, _mm512_setzero_ps(), _CMP_GE_OQ) &
+        _mm512_cmplt_epi32_mask(
+            ibin, _mm512_set1_epi32(static_cast<int>(samples) - 1)) &
+        _mm512_cmpgt_epi32_mask(ibin, _mm512_set1_epi32(-1)));
+  }
+  static M both(M a, M b) { return static_cast<M>(a & b); }
+  static F seed_column(const float* p) {
+    return _mm512_i32gather_ps(
+        _mm512_set_epi32(240, 224, 208, 192, 176, 160, 144, 128, 112, 96, 80,
+                         64, 48, 32, 16, 0),
+        p, 4);
+  }
+
+  static D load(const double* p) { return _mm512_loadu_pd(p); }
+  static D add(D a, D b) { return _mm512_add_pd(a, b); }
+  static D mul(D a, D b) { return _mm512_mul_pd(a, b); }
+  static D fmadd(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
+  static D fmsub(D a, D b, D c) { return _mm512_fmsub_pd(a, b, c); }
+  static D div(D a, D b) { return _mm512_div_pd(a, b); }
+  static D sqrt(D a) { return _mm512_sqrt_pd(a); }
+  static H to_half(D v) { return _mm512_cvtpd_ps(v); }
+  static void transpose(H (&rows)[8]) {
+    const H t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
+    const H t1 = _mm256_unpackhi_ps(rows[0], rows[1]);
+    const H t2 = _mm256_unpacklo_ps(rows[2], rows[3]);
+    const H t3 = _mm256_unpackhi_ps(rows[2], rows[3]);
+    const H t4 = _mm256_unpacklo_ps(rows[4], rows[5]);
+    const H t5 = _mm256_unpackhi_ps(rows[4], rows[5]);
+    const H t6 = _mm256_unpacklo_ps(rows[6], rows[7]);
+    const H t7 = _mm256_unpackhi_ps(rows[6], rows[7]);
+    const H s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const H s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const H s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const H s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const H s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const H s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const H s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const H s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    rows[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+    rows[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+    rows[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+    rows[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+    rows[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+    rows[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+    rows[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+    rows[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+  }
+  static void store_first(float* p, H v, Index n) {
+    const auto live = static_cast<__mmask8>(n >= 8 ? 0xFF : (1U << n) - 1U);
+    _mm256_mask_storeu_ps(p, live, v);
+  }
+};
 
 /// Sample-load policy: 4 hardware gathers over the AoS buffer. Scale 8
 /// strides two floats per index, so base+0/+1/+2/+3 pick re0/im0/re1/im1
@@ -154,319 +222,13 @@ struct ShuffleSamples {
   }
 };
 
-/// Gamma seeds of one 16-row group (paper §4.4): lane k of row j's seed
-/// is Gamma[m + j]^k, and row j steps by Gamma[m + j]^16. seed_re/seed_im
-/// hold power k of the group's rows at [16 * k, 16 * k + 16), so row j's
-/// seed is the stride-16 column j, which one gather hands it.
-struct GammaSeeds {
-  alignas(64) float seed_re[16 * 16];
-  alignas(64) float seed_im[16 * 16];
-  alignas(64) float step_re[16];
-  alignas(64) float step_im[16];
-
-  /// Seeds rows [m, m + 16) of `t`: 16 steps from 1, one row per lane.
-  /// Lanes past len_m step by 0 and feed no row. Every step is
-  /// re = fmsub(a.re, b.re, a.im * b.im), im = fmadd(a.re, b.im,
-  /// a.im * b.re), in every variant: the images' bytes depend on this
-  /// rounding (KernelVariantTest.GammaSeedsKeepTheirRounding).
-  GammaSeeds(const asr::BlockTables& t, Index m, Index len_m) {
-    const Index rows = len_m - m;
-    const auto live =
-        static_cast<__mmask16>(rows >= 16 ? 0xFFFF : (1U << rows) - 1U);
-    const __m512 b_re =
-        _mm512_maskz_loadu_ps(live, &t.gam_re[static_cast<std::size_t>(m)]);
-    const __m512 b_im =
-        _mm512_maskz_loadu_ps(live, &t.gam_im[static_cast<std::size_t>(m)]);
-    __m512 a_re = _mm512_set1_ps(1.0f);
-    __m512 a_im = _mm512_setzero_ps();
-    for (int k = 0; k < 16; ++k) {
-      _mm512_store_ps(seed_re + 16 * k, a_re);
-      _mm512_store_ps(seed_im + 16 * k, a_im);
-      const __m512 re =
-          _mm512_fmsub_ps(a_re, b_re, _mm512_mul_ps(a_im, b_im));
-      a_im = _mm512_fmadd_ps(a_re, b_im, _mm512_mul_ps(a_im, b_re));
-      a_re = re;
-    }
-    _mm512_store_ps(step_re, a_re);
-    _mm512_store_ps(step_im, a_im);
-  }
-};
-
-/// The shared row sweep. SampleLoad supplies the interpolation operands;
-/// kFma selects fused vs split multiply-add everywhere in the vector body
-/// (bin recurrence, interpolation, complex products). A row's last partial
-/// vector is one more step under a lane mask: masked lanes load no table
-/// entry, no sample and no accumulator element, and store nothing.
-template <class SampleLoad, bool kFma>
-void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
-               float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
-               Index len_m) {
-  const __m512 iota =
-      _mm512_set_ps(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i max_bin = _mm512_set1_epi32(static_cast<int>(samples) - 1);
-  const __m512i column = _mm512_set_epi32(240, 224, 208, 192, 176, 160, 144,
-                                          128, 112, 96, 80, 64, 48, 32, 16,
-                                          0);
-  for (Index group = 0; group < len_m; group += 16) {
-    const GammaSeeds seeds(t, group, len_m);
-    const Index rows = std::min<Index>(len_m - group, 16);
-    for (Index j = 0; j < rows; ++j) {
-      const Index m = group + j;
-      const float bin_b = t.bin_b[static_cast<std::size_t>(m)];
-      const float bin_c = t.bin_c[static_cast<std::size_t>(m)];
-      const float psi_r = t.psi_re[static_cast<std::size_t>(m)];
-      const float psi_i = t.psi_im[static_cast<std::size_t>(m)];
-      __m512 g_r = _mm512_i32gather_ps(column, seeds.seed_re + j, 4);
-      __m512 g_i = _mm512_i32gather_ps(column, seeds.seed_im + j, 4);
-      const __m512 step_r = _mm512_set1_ps(seeds.step_re[j]);
-      const __m512 step_i = _mm512_set1_ps(seeds.step_im[j]);
-      const __m512 psi_rv = _mm512_set1_ps(psi_r);
-      const __m512 psi_iv = _mm512_set1_ps(psi_i);
-      const __m512 bin_bv = _mm512_set1_ps(bin_b);
-      const __m512 bin_cv = _mm512_set1_ps(bin_c);
-      float* row_re = acc_re + m * acc_pitch;
-      float* row_im = acc_im + m * acc_pitch;
-      // Pixels [l, l + 16) of the row, `live` masking those past len_l.
-      const auto step = [&](Index l, __mmask16 live) {
-        const __m512 lvec =
-            _mm512_add_ps(iota, _mm512_set1_ps(static_cast<float>(l)));
-        const __m512 bin_av = _mm512_maskz_loadu_ps(
-            live, &t.bin_a[static_cast<std::size_t>(l)]);
-        const __m512 bin =
-            madd<kFma>(lvec, bin_cv, _mm512_add_ps(bin_av, bin_bv));
-        const __m512i ibin = _mm512_cvttps_epi32(bin);
-        const __mmask16 nonneg =
-            _mm512_cmp_ps_mask(bin, _mm512_setzero_ps(), _CMP_GE_OQ);
-        const __mmask16 inrange = _mm512_cmplt_epi32_mask(ibin, max_bin);
-        // cvttps saturates float bins beyond INT_MAX to INT_MIN; the explicit
-        // ibin >= 0 check keeps such lanes out of the sample loads.
-        const __mmask16 iok =
-            _mm512_cmpgt_epi32_mask(ibin, _mm512_set1_epi32(-1));
-        const __mmask16 ok = live & nonneg & inrange & iok;
-        const __m512 frac = _mm512_sub_ps(bin, _mm512_cvtepi32_ps(ibin));
-        __m512 re0;
-        __m512 im0;
-        __m512 re1;
-        __m512 im1;
-        SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
-        const __m512 s_r = madd<kFma>(frac, _mm512_sub_ps(re1, re0), re0);
-        const __m512 s_i = madd<kFma>(frac, _mm512_sub_ps(im1, im0), im0);
-        const __m512 phi_r = _mm512_maskz_loadu_ps(
-            live, &t.phi_re[static_cast<std::size_t>(l)]);
-        const __m512 phi_i = _mm512_maskz_loadu_ps(
-            live, &t.phi_im[static_cast<std::size_t>(l)]);
-        // arg = Phi * Psi * gamma (two complex multiplies)
-        const __m512 t_r = msub<kFma>(phi_r, g_r, _mm512_mul_ps(phi_i, g_i));
-        const __m512 t_i = madd<kFma>(phi_r, g_i, _mm512_mul_ps(phi_i, g_r));
-        const __m512 a_r = msub<kFma>(t_r, psi_rv, _mm512_mul_ps(t_i, psi_iv));
-        const __m512 a_i = madd<kFma>(t_r, psi_iv, _mm512_mul_ps(t_i, psi_rv));
-        // gamma *= Gamma^16
-        const __m512 ng_r = msub<kFma>(g_r, step_r, _mm512_mul_ps(g_i, step_i));
-        g_i = madd<kFma>(g_r, step_i, _mm512_mul_ps(g_i, step_r));
-        g_r = ng_r;
-        // Out += arg * sample
-        const __m512 c_r = msub<kFma>(a_r, s_r, _mm512_mul_ps(a_i, s_i));
-        const __m512 c_i = madd<kFma>(a_r, s_i, _mm512_mul_ps(a_i, s_r));
-        _mm512_mask_storeu_ps(
-            row_re + l, live,
-            _mm512_add_ps(_mm512_maskz_loadu_ps(live, row_re + l), c_r));
-        _mm512_mask_storeu_ps(
-            row_im + l, live,
-            _mm512_add_ps(_mm512_maskz_loadu_ps(live, row_im + l), c_i));
-      };
-      Index l = 0;
-      for (; l + 16 <= len_l; l += 16) step(l, 0xFFFF);
-      if (l < len_l) {
-        step(l, static_cast<__mmask16>((1U << (len_l - l)) - 1U));
-      }
-    }
-  }
-}
-
-void rows_aos_avx512(const asr::BlockTables& t, const CFloat* in,
-                     Index samples, float* acc_re, float* acc_im,
-                     Index acc_pitch, Index len_l, Index len_m,
-                     KernelVariant variant) {
-  const auto* base = reinterpret_cast<const float*>(in);
-  switch (variant) {
-    case KernelVariant::kShuffleTranspose:
-      rows_impl<ShuffleSamples, true>(t, base, samples, acc_re, acc_im,
-                                      acc_pitch, len_l, len_m);
-      return;
-    case KernelVariant::kGatherNoFma:
-      rows_impl<GatherSamples, false>(t, base, samples, acc_re, acc_im,
-                                      acc_pitch, len_l, len_m);
-      return;
-    case KernelVariant::kAuto:
-      rows_impl<WindowSamples, true>(t, base, samples, acc_re, acc_im,
-                                     acc_pitch, len_l, len_m);
-      return;
-    case KernelVariant::kGather:
-      rows_impl<GatherSamples, true>(t, base, samples, acc_re, acc_im,
-                                     acc_pitch, len_l, len_m);
-      return;
-  }
-}
-
-// --- Table build: one table per f64 lane (paper §4.4's vectorized
-// pre-computation). Each lane runs asr::expand_table_seeds's recurrences
-// with the same operations in the same order, so its bytes equal the
-// scalar build's; the lanes' tables may differ in length.
-
-constexpr int kTableLanes = 8;
-
-using Seeds = asr::TableSeeds;
-using Tables = asr::BlockTables;
-/// An array's length in every lane: &Seeds::width (L) or &Seeds::height.
-using Extent = Index Seeds::*;
-using Array = std::span<float> Tables::*;
-
-/// One lane group: seeds[i] expands into *out[i], i < count.
-struct TableLanes {
-  const Seeds* seeds;
-  Tables* const* out;
-  int count;
-
-  /// Lane i's seeds[i].*field.*part; idle lanes repeat lane 0.
-  template <class Part>
-  [[nodiscard]] __m512d load(Part Seeds::*field, double Part::*part) const {
-    alignas(64) double v[kTableLanes];
-    for (int i = 0; i < kTableLanes; ++i) {
-      v[i] = seeds[i < count ? i : 0].*field.*part;
-    }
-    return _mm512_load_pd(v);
-  }
-
-  [[nodiscard]] Index longest(Extent extent) const {
-    Index n = 0;
-    for (int i = 0; i < count; ++i) {
-      if (seeds[i].*extent > n) n = seeds[i].*extent;
-    }
-    return n;
-  }
-};
-
-/// Stores entries [j, j + 8) of `array` in every lane: rows[k] holds entry
-/// j + k of lanes 0..7 and becomes lane k's 8 entries (an 8x8 transpose);
-/// a lane writes only its entries below its extent.
-void store_lanes(__m256 (&rows)[8], const TableLanes& lanes, Extent extent,
-                 Array array, Index j) {
-  const __m256 t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
-  const __m256 t1 = _mm256_unpackhi_ps(rows[0], rows[1]);
-  const __m256 t2 = _mm256_unpacklo_ps(rows[2], rows[3]);
-  const __m256 t3 = _mm256_unpackhi_ps(rows[2], rows[3]);
-  const __m256 t4 = _mm256_unpacklo_ps(rows[4], rows[5]);
-  const __m256 t5 = _mm256_unpackhi_ps(rows[4], rows[5]);
-  const __m256 t6 = _mm256_unpacklo_ps(rows[6], rows[7]);
-  const __m256 t7 = _mm256_unpackhi_ps(rows[6], rows[7]);
-  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-  rows[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
-  rows[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
-  rows[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
-  rows[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
-  rows[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
-  rows[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
-  rows[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
-  rows[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
-  for (int i = 0; i < lanes.count; ++i) {
-    const Index left = lanes.seeds[i].*extent - j;
-    if (left <= 0) continue;
-    const auto live =
-        static_cast<__mmask8>(left >= 8 ? 0xFF : (1U << left) - 1U);
-    _mm256_mask_storeu_ps((lanes.out[i]->*array).data() + j, live, rows[i]);
-  }
-}
-
-/// One ramp array (asr::RampSeeds) in every lane.
-void ramp_lanes(const TableLanes& lanes, asr::RampSeeds Seeds::*field,
-                Extent extent, Array array) {
-  __m512d value = lanes.load(field, &asr::RampSeeds::value);
-  __m512d step = lanes.load(field, &asr::RampSeeds::step);
-  const __m512d curve = lanes.load(field, &asr::RampSeeds::curve);
-  const Index n = lanes.longest(extent);
-  for (Index j = 0; j < n; j += 8) {
-    __m256 rows[8];
-    for (__m256& row : rows) {
-      row = _mm512_cvtpd_ps(value);
-      value = _mm512_add_pd(value, step);
-      step = _mm512_add_pd(step, curve);
-    }
-    store_lanes(rows, lanes, extent, array, j);
-  }
-}
-
-/// a *= b as asr::expand_table_seeds pins it.
-inline void complex_step(__m512d& a_re, __m512d& a_im, __m512d b_re,
-                         __m512d b_im) {
-  const __m512d re = _mm512_fmsub_pd(a_re, b_re, _mm512_mul_pd(a_im, b_im));
-  a_im = _mm512_fmadd_pd(a_re, b_im, _mm512_mul_pd(a_im, b_re));
-  a_re = re;
-}
-
-inline void renormalize(__m512d& re, __m512d& im) {
-  const __m512d norm =
-      _mm512_sqrt_pd(_mm512_fmadd_pd(re, re, _mm512_mul_pd(im, im)));
-  re = _mm512_div_pd(re, norm);
-  im = _mm512_div_pd(im, norm);
-}
-
-/// One phase array pair (asr::PhaseSeeds) in every lane. A lane steps past
-/// its own last entry only while a longer lane still needs entries; those
-/// steps feed no stored entry.
-void phase_lanes(const TableLanes& lanes, asr::PhaseSeeds Seeds::*field,
-                 Extent extent, Array array_re, Array array_im) {
-  __m512d u_re = lanes.load(field, &asr::PhaseSeeds::u_re);
-  __m512d u_im = lanes.load(field, &asr::PhaseSeeds::u_im);
-  __m512d v_re = lanes.load(field, &asr::PhaseSeeds::v_re);
-  __m512d v_im = lanes.load(field, &asr::PhaseSeeds::v_im);
-  const __m512d w_re = lanes.load(field, &asr::PhaseSeeds::w_re);
-  const __m512d w_im = lanes.load(field, &asr::PhaseSeeds::w_im);
-  const Index n = lanes.longest(extent);
-  for (Index j = 0; j < n; j += 8) {
-    __m256 rows_re[8];
-    __m256 rows_im[8];
-    for (int k = 0; k < 8; ++k) {
-      rows_re[k] = _mm512_cvtpd_ps(u_re);
-      rows_im[k] = _mm512_cvtpd_ps(u_im);
-      const Index e = j + k;
-      if (e + 1 >= n) continue;
-      complex_step(u_re, u_im, v_re, v_im);
-      complex_step(v_re, v_im, w_re, w_im);
-      if ((e & asr::kRenormMask) == asr::kRenormMask) {
-        renormalize(u_re, u_im);
-        renormalize(v_re, v_im);
-      }
-    }
-    store_lanes(rows_re, lanes, extent, array_re, j);
-    store_lanes(rows_im, lanes, extent, array_im, j);
-  }
-}
-
-void build_tables_avx512(const Seeds* seeds, Tables* const* out, int count) {
-  const TableLanes lanes{seeds, out, count};
-  ramp_lanes(lanes, &Seeds::bin_a, &Seeds::width, &Tables::bin_a);
-  phase_lanes(lanes, &Seeds::phi, &Seeds::width, &Tables::phi_re,
-              &Tables::phi_im);
-  ramp_lanes(lanes, &Seeds::bin_b, &Seeds::height, &Tables::bin_b);
-  ramp_lanes(lanes, &Seeds::bin_c, &Seeds::height, &Tables::bin_c);
-  phase_lanes(lanes, &Seeds::psi, &Seeds::height, &Tables::psi_re,
-              &Tables::psi_im);
-  phase_lanes(lanes, &Seeds::gam, &Seeds::height, &Tables::gam_re,
-              &Tables::gam_im);
-}
-
 }  // namespace
 
 const AsrIsaOps& asr_isa_ops_avx512() {
-  static const AsrIsaOps ops{16, kTableLanes, "avx512", &rows_aos_avx512,
-                              &build_tables_avx512};
+  static constexpr AsrIsaOps ops{
+      Avx512::kTableLanes,
+      &rows_aos<Avx512, WindowSamples, GatherSamples, ShuffleSamples>,
+      &build_tables<Avx512>};
   return ops;
 }
 

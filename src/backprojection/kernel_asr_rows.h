@@ -1,0 +1,345 @@
+// The ASR row kernel and the lane-per-table build of both vector ISAs
+// (paper §4.4), written once as templates over a vector-traits type V. The
+// paper runs one vectorized inner loop at two widths; kernel_asr_avx2.cpp
+// (8 f32 / 4 f64 lanes) and kernel_asr_avx512.cpp (16 / 8) each supply a V,
+// their three sample loads and their AsrIsaOps table, and instantiate what
+// is here.
+//
+// A V, declared in its TU's anonymous namespace, provides:
+//  - F, I, M: the f32 vector, its i32 lanes and its lane mask; kWidth lanes;
+//  - set1, iota, add, sub, mul, fmadd, fmsub on F;
+//  - first_lanes(n): the mask of lanes [0, n), 1 <= n <= kWidth;
+//  - load(p), load(p, live), store(p, v), store(p, v, live): unaligned f32
+//    loads and stores, masked lanes untouched (a masked load reads 0);
+//  - truncate, to_float, and bin_ok(bin, ibin, samples): the lanes whose
+//    bin is in [0, samples - 1), checked as a float and as an integer;
+//    both(a, b): the lanes live in both masks;
+//  - seed_column(p): p[0], p[kWidth], ..., one seed column of GammaSeeds;
+//  - D, kTableLanes: the f64 vector and its lanes; load(const double*),
+//    add, mul, fmadd, fmsub, div, sqrt on D; H, the f32 vector to_half(D)
+//    converts to;
+//  - transpose(H (&rows)[kTableLanes]) and store_first(p, v, n), which
+//    stores lanes [0, min(n, kTableLanes)) of v, n >= 1.
+//
+// Every V has internal linkage, so every instantiation does too: no code
+// compiled for one -march can be COMDAT-merged into the other TU (DESIGN.md
+// §12, "Per-ISA TUs and ODR"). So this header holds templates only, and no
+// intrinsic or vector type (the `isa-intrinsics` lint rule);
+// tools/check_isa_linkage.py checks the objects' symbols.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <span>
+#include <type_traits>
+
+#include "asr/tables.h"
+#include "backprojection/kernel.h"
+#include "common/types.h"
+
+namespace sarbp::bp::detail {
+
+/// Fused or split multiply-add: the only difference between the fused
+/// variants and kGatherNoFma.
+template <class V, bool kFma, class F>
+F madd(F a, F b, F c) {
+  if constexpr (kFma) {
+    return V::fmadd(a, b, c);
+  } else {
+    return V::add(V::mul(a, b), c);
+  }
+}
+
+template <class V, bool kFma, class F>
+F msub(F a, F b, F c) {
+  if constexpr (kFma) {
+    return V::fmsub(a, b, c);
+  } else {
+    return V::sub(V::mul(a, b), c);
+  }
+}
+
+/// Gamma seeds of one W-row group (paper §4.4), W = V::kWidth: lane k of
+/// row j's seed is Gamma[m + j]^k, and row j steps by Gamma[m + j]^W.
+/// seed_re/seed_im hold power k of the group's rows at [W * k, W * k + W),
+/// so row j's seed is the stride-W column j, which one gather hands it.
+template <class V>
+struct GammaSeeds {
+  static constexpr int W = V::kWidth;
+  alignas(sizeof(typename V::F)) float seed_re[W * W];
+  alignas(sizeof(typename V::F)) float seed_im[W * W];
+  alignas(sizeof(typename V::F)) float step_re[W];
+  alignas(sizeof(typename V::F)) float step_im[W];
+
+  /// Seeds rows [m, m + W) of `t`: W steps from 1, one row per lane. Lanes
+  /// past len_m step by 0 and feed no row. Every step is re = fmsub(a.re,
+  /// b.re, a.im * b.im), im = fmadd(a.re, b.im, a.im * b.re), in every
+  /// variant: the images' bytes depend on this rounding
+  /// (KernelVariantTest.GammaSeedsKeepTheirRounding).
+  GammaSeeds(const asr::BlockTables& t, Index m, Index len_m) {
+    using F = typename V::F;
+    const auto live = V::first_lanes(std::min<Index>(len_m - m, W));
+    const F b_re = V::load(&t.gam_re[static_cast<std::size_t>(m)], live);
+    const F b_im = V::load(&t.gam_im[static_cast<std::size_t>(m)], live);
+    F a_re = V::set1(1.0f);
+    F a_im = V::set1(0.0f);
+    for (int k = 0; k < W; ++k) {
+      V::store(seed_re + W * k, a_re);
+      V::store(seed_im + W * k, a_im);
+      const F re = V::fmsub(a_re, b_re, V::mul(a_im, b_im));
+      a_im = V::fmadd(a_re, b_im, V::mul(a_im, b_re));
+      a_re = re;
+    }
+    V::store(step_re, a_re);
+    V::store(step_im, a_im);
+  }
+};
+
+/// The row sweep over prebuilt tables reading AoS samples. SampleLoad
+/// supplies the interpolation operands; kFma selects fused vs split
+/// multiply-add throughout the vector body (bin recurrence, interpolation,
+/// complex products). Full vectors run unmasked; a row's last partial
+/// vector is one more step under a lane mask: masked lanes load no table
+/// entry, no sample and no accumulator element, and store nothing.
+template <class V, class SampleLoad, bool kFma>
+void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
+               float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
+               Index len_m) {
+  using F = typename V::F;
+  using M = typename V::M;
+  constexpr int W = V::kWidth;
+  for (Index group = 0; group < len_m; group += W) {
+    const GammaSeeds<V> seeds(t, group, len_m);
+    const Index rows = std::min<Index>(len_m - group, W);
+    for (Index j = 0; j < rows; ++j) {
+      const Index m = group + j;
+      const auto i_m = static_cast<std::size_t>(m);
+      F g_r = V::seed_column(seeds.seed_re + j);
+      F g_i = V::seed_column(seeds.seed_im + j);
+      const F step_r = V::set1(seeds.step_re[j]);
+      const F step_i = V::set1(seeds.step_im[j]);
+      const F psi_r = V::set1(t.psi_re[i_m]);
+      const F psi_i = V::set1(t.psi_im[i_m]);
+      const F bin_b = V::set1(t.bin_b[i_m]);
+      const F bin_c = V::set1(t.bin_c[i_m]);
+      float* row_re = acc_re + m * acc_pitch;
+      float* row_im = acc_im + m * acc_pitch;
+      // Pixels [l, l + W) of the row; a `masked` step keeps the lanes of
+      // `live`, the ones below len_l.
+      const auto step = [&](Index l, auto masked, M live) {
+        const auto load = [&](const float* p) {
+          if constexpr (decltype(masked)::value) {
+            return V::load(p, live);
+          } else {
+            return V::load(p);
+          }
+        };
+        const auto i_l = static_cast<std::size_t>(l);
+        const F lvec = V::add(V::iota(), V::set1(static_cast<float>(l)));
+        const F bin =
+            madd<V, kFma>(lvec, bin_c, V::add(load(&t.bin_a[i_l]), bin_b));
+        const auto ibin = V::truncate(bin);
+        M ok = V::bin_ok(bin, ibin, samples);
+        if constexpr (decltype(masked)::value) ok = V::both(ok, live);
+        const F frac = V::sub(bin, V::to_float(ibin));
+        F re0;
+        F im0;
+        F re1;
+        F im1;
+        SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
+        const F s_r = madd<V, kFma>(frac, V::sub(re1, re0), re0);
+        const F s_i = madd<V, kFma>(frac, V::sub(im1, im0), im0);
+        const F phi_r = load(&t.phi_re[i_l]);
+        const F phi_i = load(&t.phi_im[i_l]);
+        // arg = Phi * Psi * gamma (two complex multiplies)
+        const F t_r = msub<V, kFma>(phi_r, g_r, V::mul(phi_i, g_i));
+        const F t_i = madd<V, kFma>(phi_r, g_i, V::mul(phi_i, g_r));
+        const F a_r = msub<V, kFma>(t_r, psi_r, V::mul(t_i, psi_i));
+        const F a_i = madd<V, kFma>(t_r, psi_i, V::mul(t_i, psi_r));
+        // gamma *= Gamma^W
+        const F ng_r = msub<V, kFma>(g_r, step_r, V::mul(g_i, step_i));
+        g_i = madd<V, kFma>(g_r, step_i, V::mul(g_i, step_r));
+        g_r = ng_r;
+        // Out += arg * sample
+        const F c_r = msub<V, kFma>(a_r, s_r, V::mul(a_i, s_i));
+        const F c_i = madd<V, kFma>(a_r, s_i, V::mul(a_i, s_r));
+        const F out_r = V::add(load(row_re + l), c_r);
+        const F out_i = V::add(load(row_im + l), c_i);
+        if constexpr (decltype(masked)::value) {
+          V::store(row_re + l, out_r, live);
+          V::store(row_im + l, out_i, live);
+        } else {
+          V::store(row_re + l, out_r);
+          V::store(row_im + l, out_i);
+        }
+      };
+      Index l = 0;
+      for (; l + W <= len_l; l += W) step(l, std::false_type{}, M{});
+      if (l < len_l) step(l, std::true_type{}, V::first_lanes(len_l - l));
+    }
+  }
+}
+
+/// AsrIsaOps::rows_aos: each KernelVariant's sample load over the one row
+/// sweep.
+template <class V, class Window, class Gather, class Shuffle>
+void rows_aos(const asr::BlockTables& t, const CFloat* in, Index samples,
+              float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
+              Index len_m, KernelVariant variant) {
+  const auto* base = reinterpret_cast<const float*>(in);
+  switch (variant) {
+    case KernelVariant::kShuffleTranspose:
+      rows_impl<V, Shuffle, true>(t, base, samples, acc_re, acc_im,
+                                  acc_pitch, len_l, len_m);
+      return;
+    case KernelVariant::kGatherNoFma:
+      rows_impl<V, Gather, false>(t, base, samples, acc_re, acc_im,
+                                  acc_pitch, len_l, len_m);
+      return;
+    case KernelVariant::kAuto:
+      rows_impl<V, Window, true>(t, base, samples, acc_re, acc_im, acc_pitch,
+                                 len_l, len_m);
+      return;
+    case KernelVariant::kGather:
+      rows_impl<V, Gather, true>(t, base, samples, acc_re, acc_im, acc_pitch,
+                                 len_l, len_m);
+      return;
+  }
+}
+
+// --- Table build: one table per f64 lane (paper §4.4's vectorized
+// pre-computation). Each lane runs asr::expand_table_seeds's recurrences
+// with the same operations in the same order, so its bytes equal the
+// scalar build's; the lanes' tables may differ in length.
+
+using Seeds = asr::TableSeeds;
+using Tables = asr::BlockTables;
+/// An array's length in every lane: &Seeds::width (L) or &Seeds::height.
+using Extent = Index Seeds::*;
+using Array = std::span<float> Tables::*;
+
+/// One lane group: seeds[i] expands into *out[i], i < count.
+template <class V>
+struct TableLanes {
+  const Seeds* seeds;
+  Tables* const* out;
+  int count;
+
+  /// Lane i's seeds[i].*field.*part; idle lanes repeat lane 0.
+  template <class Part>
+  [[nodiscard]] typename V::D load(Part Seeds::*field,
+                                   double Part::*part) const {
+    double v[V::kTableLanes];
+    for (int i = 0; i < V::kTableLanes; ++i) {
+      v[i] = seeds[i < count ? i : 0].*field.*part;
+    }
+    return V::load(v);
+  }
+
+  [[nodiscard]] Index longest(Extent extent) const {
+    Index n = 0;
+    for (int i = 0; i < count; ++i) {
+      if (seeds[i].*extent > n) n = seeds[i].*extent;
+    }
+    return n;
+  }
+};
+
+/// Stores entries [j, j + N) of `array` in every lane, N = V::kTableLanes:
+/// rows[k] holds entry j + k of every lane and becomes lane k's N entries
+/// (an N x N transpose); a lane writes only its entries below its extent.
+template <class V>
+void store_lanes(typename V::H (&rows)[V::kTableLanes],
+                 const TableLanes<V>& lanes, Extent extent, Array array,
+                 Index j) {
+  V::transpose(rows);
+  for (int i = 0; i < lanes.count; ++i) {
+    const Index left = lanes.seeds[i].*extent - j;
+    if (left <= 0) continue;
+    V::store_first((lanes.out[i]->*array).data() + j, rows[i], left);
+  }
+}
+
+/// One ramp array (asr::RampSeeds) in every lane.
+template <class V>
+void ramp_lanes(const TableLanes<V>& lanes, asr::RampSeeds Seeds::*field,
+                Extent extent, Array array) {
+  auto value = lanes.load(field, &asr::RampSeeds::value);
+  auto step = lanes.load(field, &asr::RampSeeds::step);
+  const auto curve = lanes.load(field, &asr::RampSeeds::curve);
+  const Index n = lanes.longest(extent);
+  for (Index j = 0; j < n; j += V::kTableLanes) {
+    typename V::H rows[V::kTableLanes];
+    for (auto& row : rows) {
+      row = V::to_half(value);
+      value = V::add(value, step);
+      step = V::add(step, curve);
+    }
+    store_lanes<V>(rows, lanes, extent, array, j);
+  }
+}
+
+/// a *= b as asr::expand_table_seeds pins it.
+template <class V, class D>
+void complex_step(D& a_re, D& a_im, D b_re, D b_im) {
+  const D re = V::fmsub(a_re, b_re, V::mul(a_im, b_im));
+  a_im = V::fmadd(a_re, b_im, V::mul(a_im, b_re));
+  a_re = re;
+}
+
+template <class V, class D>
+void renormalize(D& re, D& im) {
+  const D norm = V::sqrt(V::fmadd(re, re, V::mul(im, im)));
+  re = V::div(re, norm);
+  im = V::div(im, norm);
+}
+
+/// One phase array pair (asr::PhaseSeeds) in every lane. A lane steps past
+/// its own last entry only while a longer lane still needs entries; those
+/// steps feed no stored entry.
+template <class V>
+void phase_lanes(const TableLanes<V>& lanes, asr::PhaseSeeds Seeds::*field,
+                 Extent extent, Array array_re, Array array_im) {
+  auto u_re = lanes.load(field, &asr::PhaseSeeds::u_re);
+  auto u_im = lanes.load(field, &asr::PhaseSeeds::u_im);
+  auto v_re = lanes.load(field, &asr::PhaseSeeds::v_re);
+  auto v_im = lanes.load(field, &asr::PhaseSeeds::v_im);
+  const auto w_re = lanes.load(field, &asr::PhaseSeeds::w_re);
+  const auto w_im = lanes.load(field, &asr::PhaseSeeds::w_im);
+  const Index n = lanes.longest(extent);
+  for (Index j = 0; j < n; j += V::kTableLanes) {
+    typename V::H rows_re[V::kTableLanes];
+    typename V::H rows_im[V::kTableLanes];
+    for (int k = 0; k < V::kTableLanes; ++k) {
+      rows_re[k] = V::to_half(u_re);
+      rows_im[k] = V::to_half(u_im);
+      const Index e = j + k;
+      if (e + 1 >= n) continue;
+      complex_step<V>(u_re, u_im, v_re, v_im);
+      complex_step<V>(v_re, v_im, w_re, w_im);
+      if ((e & asr::kRenormMask) == asr::kRenormMask) {
+        renormalize<V>(u_re, u_im);
+        renormalize<V>(v_re, v_im);
+      }
+    }
+    store_lanes<V>(rows_re, lanes, extent, array_re, j);
+    store_lanes<V>(rows_im, lanes, extent, array_im, j);
+  }
+}
+
+/// AsrIsaOps::build_tables: count <= V::kTableLanes tables, one per lane.
+template <class V>
+void build_tables(const Seeds* seeds, Tables* const* out, int count) {
+  const TableLanes<V> lanes{seeds, out, count};
+  ramp_lanes(lanes, &Seeds::bin_a, &Seeds::width, &Tables::bin_a);
+  phase_lanes(lanes, &Seeds::phi, &Seeds::width, &Tables::phi_re,
+              &Tables::phi_im);
+  ramp_lanes(lanes, &Seeds::bin_b, &Seeds::height, &Tables::bin_b);
+  ramp_lanes(lanes, &Seeds::bin_c, &Seeds::height, &Tables::bin_c);
+  phase_lanes(lanes, &Seeds::psi, &Seeds::height, &Tables::psi_re,
+              &Tables::psi_im);
+  phase_lanes(lanes, &Seeds::gam, &Seeds::height, &Tables::gam_re,
+              &Tables::gam_im);
+}
+
+}  // namespace sarbp::bp::detail

@@ -8,7 +8,7 @@
 // Everything here must stay ISA-neutral: this header is included by TUs
 // compiled at three different -march levels, so no intrinsics and no
 // vector types — function-pointer tables and constants only (DESIGN.md
-// §12, "Per-ISA TUs and ODR").
+// §12, "Per-ISA TUs and ODR"; the `isa-intrinsics` lint rule).
 #pragma once
 
 #include "asr/tables.h"
@@ -26,9 +26,7 @@ inline constexpr int kMaxTableLanes = 8;
 /// (pitch = len_l for the y_inner run workspace, = tile width for in-place
 /// accumulation).
 struct AsrIsaOps {
-  int width;         ///< f32 lanes (8 or 16)
-  int table_lanes;   ///< f64 lanes, tables per build_tables call (4 or 8)
-  const char* name;  ///< "avx2" / "avx512"
+  int table_lanes;  ///< f64 lanes, tables per build_tables call (4 or 8)
   /// Samples straight from the AoS pulse buffer, inner loop selected by
   /// `variant`. A row's last partial vector is one masked step.
   void (*rows_aos)(const asr::BlockTables& t, const CFloat* in, Index samples,

@@ -39,6 +39,9 @@ std::shared_ptr<FormationPlan> make_plan_skeleton(
             asr::BlockTables::footprint_bytes(block.height, block.width);
   }
   plan->tables.resize(plan->blocks.size() * static_cast<std::size_t>(pulses));
+  // Allocated last: placed before the blocks and slots, this vector slowed
+  // the plan build (EXPERIMENTS.md, "One row kernel for both ISAs").
+  plan->geometry = pulse_geometry(history);
   return plan;
 }
 
@@ -160,7 +163,7 @@ PlanLookup lookup_plan(PlanCache& cache, const geometry::ImageGrid& grid,
                        const Region& region, Index block_w, Index block_h,
                        const sim::PhaseHistory& history) {
   const PlanKey key = make_plan_key(grid, region, block_w, block_h, history);
-  if (auto plan = cache.find(key)) return {std::move(plan), nullptr};
+  if (auto plan = cache.find(key, history)) return {std::move(plan), nullptr};
   return {make_plan_skeleton(key, history), &cache};
 }
 

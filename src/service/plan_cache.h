@@ -26,7 +26,9 @@
 // constants — two collections with equal trajectories hit the same plan
 // even when their sample payloads differ. The key holds the whole grid
 // geometry, so the tables can be rebuilt from a plan's key and the
-// request's pulses alone.
+// request's pulses alone. A 64-bit signature can collide, so each plan
+// keeps the pulse geometry its tables came from, and a hit needs the
+// request's to match it bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -53,6 +55,8 @@ namespace sarbp::service {
 /// Precomputed setup for one (grid, region, block size, pulse geometry).
 struct FormationPlan {
   PlanKey key;
+  /// The pulse geometry the tables are built from; a cache hit matches it.
+  PulseGeometry geometry;
   std::vector<asr::BlockSpec> blocks;
   std::vector<geometry::LoopOrder> pulse_order;  ///< [pulses]
   /// Per-(block, pulse) tables, block-major: tables[b * pulses + p].
@@ -71,8 +75,8 @@ struct FormationPlan {
   }
 };
 
-/// A plan without tables: the key, the blocks, the pulse order, `bytes`,
-/// and one empty table slot per (block, pulse).
+/// A plan without tables: the key, `history`'s pulse geometry, the blocks,
+/// the pulse order, `bytes`, and one empty table slot per (block, pulse).
 [[nodiscard]] std::shared_ptr<FormationPlan> make_plan_skeleton(
     const PlanKey& key, const sim::PhaseHistory& history);
 
@@ -156,6 +160,16 @@ class PlanCache : public ReuseCache<FormationPlan> {
  public:
   explicit PlanCache(std::size_t capacity, obs::Registry* metrics = nullptr)
       : ReuseCache(capacity, "service.plan_cache", metrics) {}
+
+  /// The plan under `key` built from `history`'s pulse geometry, or null.
+  /// A plan under the key built from other geometry (a signature
+  /// collision) counts in service.plan_cache.collisions and is a miss.
+  [[nodiscard]] Value find(const PlanKey& key,
+                           const sim::PhaseHistory& history) {
+    return ReuseCache::find(key, [&](const FormationPlan& plan) {
+      return same_pulse_geometry(plan.geometry, history);
+    });
+  }
 
   void insert(Value plan) {
     const PlanKey key = plan->key;

@@ -20,22 +20,47 @@ inline std::uint64_t double_bits(double v) {
   return std::bit_cast<std::uint64_t>(v);
 }
 
+/// Calls visit(word) for each word of pulse_geometry(history), in order.
+template <class Visit>
+void visit_pulse_geometry(const sim::PhaseHistory& history, Visit&& visit) {
+  visit(static_cast<std::uint64_t>(history.num_pulses()));
+  visit(static_cast<std::uint64_t>(history.samples_per_pulse()));
+  visit(double_bits(history.bin_spacing()));
+  visit(double_bits(history.wavenumber()));
+  for (Index p = 0; p < history.num_pulses(); ++p) {
+    const auto& meta = history.meta(p);
+    visit(double_bits(meta.position.x));
+    visit(double_bits(meta.position.y));
+    visit(double_bits(meta.position.z));
+    visit(double_bits(meta.start_range_m));
+  }
+}
+
 }  // namespace
+
+PulseGeometry pulse_geometry(const sim::PhaseHistory& history) {
+  PulseGeometry words;
+  words.reserve(4 + 4 * static_cast<std::size_t>(history.num_pulses()));
+  visit_pulse_geometry(history,
+                       [&](std::uint64_t word) { words.push_back(word); });
+  return words;
+}
 
 std::uint64_t pulse_geometry_signature(const sim::PhaseHistory& history) {
   std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(history.num_pulses()));
-  fnv_mix(h, static_cast<std::uint64_t>(history.samples_per_pulse()));
-  fnv_mix(h, double_bits(history.bin_spacing()));
-  fnv_mix(h, double_bits(history.wavenumber()));
-  for (Index p = 0; p < history.num_pulses(); ++p) {
-    const auto& meta = history.meta(p);
-    fnv_mix(h, double_bits(meta.position.x));
-    fnv_mix(h, double_bits(meta.position.y));
-    fnv_mix(h, double_bits(meta.position.z));
-    fnv_mix(h, double_bits(meta.start_range_m));
-  }
+  visit_pulse_geometry(history, [&](std::uint64_t word) { fnv_mix(h, word); });
   return h;
+}
+
+bool same_pulse_geometry(const PulseGeometry& geometry,
+                         const sim::PhaseHistory& history) {
+  std::size_t i = 0;
+  bool same = true;
+  visit_pulse_geometry(history, [&](std::uint64_t word) {
+    same = same && i < geometry.size() && geometry[i] == word;
+    ++i;
+  });
+  return same && i == geometry.size();
 }
 
 std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {

@@ -7,9 +7,11 @@
 // (service/plan_cache.h), and a streaming session reuses a chunk's swept
 // partial image (streaming/subaperture_cache.h). Both are clients of
 // ReuseCache, which owns the list, the index, the byte count, eviction and
-// the metrics. A client that must verify more than the key, as the partial
-// cache verifies the chunk's samples, passes an `accept` predicate to
-// find(). The `reuse-cache` lint rule keeps any other LRU out of src/.
+// the metrics. The key hashes the pulse geometry into 64 bits, so a client
+// verifies what the key stands for with an `accept` predicate to find():
+// the plan cache compares the pulse geometry, the partial cache the
+// geometry and the samples. The `reuse-cache` lint rule keeps any other LRU
+// out of src/.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/region.h"
 #include "common/thread_annotations.h"
@@ -31,11 +34,21 @@
 
 namespace sarbp::service {
 
-/// FNV-1a over the per-pulse geometry (positions, start ranges) and the
-/// sampling constants (count, samples per pulse, bin spacing, wavenumber)
-/// — every input of the ASR tables except the sample values.
+/// A history's pulse geometry as 64-bit words: the sampling constants
+/// (count, samples per pulse, bin spacing, wavenumber), then each pulse's
+/// position and start range, a double as its bits. Every input of the ASR
+/// tables except the sample values.
+using PulseGeometry = std::vector<std::uint64_t>;
+
+[[nodiscard]] PulseGeometry pulse_geometry(const sim::PhaseHistory& history);
+
+/// FNV-1a over pulse_geometry(history)'s words.
 [[nodiscard]] std::uint64_t pulse_geometry_signature(
     const sim::PhaseHistory& history);
+
+/// True when `history`'s pulse geometry is `geometry`, bit for bit.
+[[nodiscard]] bool same_pulse_geometry(const PulseGeometry& geometry,
+                                       const sim::PhaseHistory& history);
 
 struct PlanKey {
   Index grid_w = 0;
@@ -68,8 +81,8 @@ struct PlanKeyHash {
 /// never stalls another lookup.
 ///
 /// Metrics, named `metric_prefix` + suffix in `metrics` (null selects the
-/// process-global registry): .{hits,misses,inserts,evictions} counters and
-/// .{entries,bytes} gauges.
+/// process-global registry): .{hits,misses,collisions,inserts,evictions}
+/// counters and .{entries,bytes} gauges.
 template <class V>
 class ReuseCache {
  public:
@@ -83,6 +96,7 @@ class ReuseCache {
       const std::string prefix(metric_prefix);
       hits_ = &reg.counter(prefix + ".hits");
       misses_ = &reg.counter(prefix + ".misses");
+      collisions_ = &reg.counter(prefix + ".collisions");
       inserts_ = &reg.counter(prefix + ".inserts");
       evictions_ = &reg.counter(prefix + ".evictions");
       entries_gauge_ = &reg.gauge(prefix + ".entries");
@@ -94,27 +108,27 @@ class ReuseCache {
   ReuseCache& operator=(const ReuseCache&) = delete;
 
   /// The value under `key`, now the most recently used, or null; counts
-  /// the hit or the miss. `accept(const V&)` may refuse the stored value:
-  /// the entry keeps its place and the lookup counts as a miss. It runs
-  /// under the cache lock, so the entry it judged is the one promoted,
+  /// the hit or the miss. `accept(const V&)` checks the stored value
+  /// against the request. A refusal is a key collision: it counts in
+  /// .collisions and as a miss, and the entry keeps its place. `accept`
+  /// runs under the cache lock, so the entry it judged is the one promoted,
   /// and must not take a lock.
   template <class Accept>
   [[nodiscard]] Value find(const PlanKey& key, Accept&& accept) {
     {
       MutexLock lock(mutex_);
       const auto it = index_.find(key);
-      if (it != index_.end() && accept(*it->second->value)) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        if (hits_) hits_->add();
-        return it->second->value;
+      if (it != index_.end()) {
+        if (accept(*it->second->value)) {
+          lru_.splice(lru_.begin(), lru_, it->second);
+          if (hits_) hits_->add();
+          return it->second->value;
+        }
+        if (collisions_) collisions_->add();
       }
     }
     if (misses_) misses_->add();
     return nullptr;
-  }
-
-  [[nodiscard]] Value find(const PlanKey& key) {
-    return find(key, [](const V&) { return true; });
   }
 
   /// Files `value`, `bytes` resident, under `key` as the most recently
@@ -169,6 +183,7 @@ class ReuseCache {
 
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
+  obs::Counter* collisions_ = nullptr;
   obs::Counter* inserts_ = nullptr;
   obs::Counter* evictions_ = nullptr;
   obs::Gauge* entries_gauge_ = nullptr;

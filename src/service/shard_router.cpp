@@ -139,7 +139,8 @@ void ShardRouter::split_job(ShardJobCtx& ctx) {
     Timer setup_timer;
     ctx.plan = config_.plan_cache->find(
         make_plan_key(request.grid, region, request.asr_block_w,
-                      request.asr_block_h, *request.pulses));
+                      request.asr_block_h, *request.pulses),
+        *request.pulses);
     ctx.stamps.plan_cache_hit = ctx.plan != nullptr;
     if (!ctx.stamps.plan_cache_hit) {
       // Every shard replays a pulse range of this one plan, so its tables

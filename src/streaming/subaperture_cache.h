@@ -85,7 +85,6 @@ class SubApertureCache {
 
   const std::function<std::uint64_t(const sim::PhaseHistory&)> signature_fn_;
   service::ReuseCache<Entry> cache_;
-  obs::Counter* collisions_ = nullptr;
 };
 
 }  // namespace sarbp::streaming

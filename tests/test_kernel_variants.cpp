@@ -11,11 +11,10 @@
 //  - the vector table build (one table per f64 lane) writes the scalar
 //    build's bytes on every ISA.
 //  - the rows' gamma seeds, in every ISA and variant, match a reference
-//    written here byte for byte; so do the later gamma steps of the fused
-//    variants.
+//    written here byte for byte; so do the later gamma steps, fused in the
+//    fused variants and mul then sub/add in kGatherNoFma.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -403,17 +402,23 @@ CFloat pinned_step(CFloat a, CFloat b) {
           std::fma(a.real(), b.imag(), product(a.imag(), b.real()))};
 }
 
+/// a * b as kGatherNoFma steps it: each product rounded, then the sub or
+/// add.
+CFloat unfused_step(CFloat a, CFloat b) {
+  return {product(a.real(), b.real()) - product(a.imag(), b.imag()),
+          product(a.real(), b.imag()) + product(a.imag(), b.real())};
+}
+
 TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
   // Tables under which every output pixel is the kernel's gamma: bin 0.5 on
   // samples of 1 + 0i (an interpolated 1), Phi = Psi = 1, and a random unit
   // Gamma[m]. In row m, lane k of the first vector is k pinned steps from 1
-  // in every variant, and each later vector is one pinned step by Gamma^W,
-  // the W-th of those steps. The reference is written here, so a seed off
-  // by one ulp fails, which the 70 dB scalar comparison and the
-  // gather/shuffle comparison cannot see. kGatherNoFma is checked on its
-  // first vectors only: its later steps are its own mul and add
-  // intrinsics, which GCC's default contraction may fuse (it does at -O2
-  // and -O3), so their rounding is the compiler's, not the kernel's.
+  // in every variant, and each later vector is one step by Gamma^W, the
+  // W-th of those steps: pinned in the fused variants, mul then sub/add in
+  // kGatherNoFma (its TU is compiled with -ffp-contract=off). The
+  // reference is written here, so a seed or a step off by one ulp fails,
+  // which the 70 dB scalar comparison and the gather/shuffle comparison
+  // cannot see.
   sim::PhaseHistory ones(1, 16, 1.0, 1.0);
   for (CFloat& v : ones.pulse(0)) v = CFloat{1.0f, 0.0f};
   const Index lens_m[] = {1, 7, 8, 9, 15, 16, 17, 33, 64};
@@ -427,7 +432,9 @@ TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
          {bp::KernelVariant::kAuto, bp::KernelVariant::kGather,
           bp::KernelVariant::kShuffleTranspose,
           bp::KernelVariant::kGatherNoFma}) {
-      const bool seeds_only = variant == bp::KernelVariant::kGatherNoFma;
+      const auto later_step = variant == bp::KernelVariant::kGatherNoFma
+                                  ? unfused_step
+                                  : pinned_step;
       for (const auto order :
            {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
         const bool x_inner = order == geometry::LoopOrder::kXInner;
@@ -470,12 +477,10 @@ TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
                 seed.push_back(pinned_step(seed.back(), gamma));
               }
               const CFloat step = seed.back();
-              const Index pixels =
-                  seeds_only ? std::min(len_l, width) : len_l;
-              for (Index l = 0; l < pixels; ++l) {
+              for (Index l = 0; l < len_l; ++l) {
                 CFloat want = seed[static_cast<std::size_t>(l % width)];
                 for (Index v = 0; v < l / width; ++v) {
-                  want = pinned_step(want, step);
+                  want = later_step(want, step);
                 }
                 const Index x = x_inner ? l : m;
                 const Index y = x_inner ? m : l;

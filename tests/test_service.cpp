@@ -582,6 +582,33 @@ TEST(Service, PlanCacheCapacityZeroDisablesRetention) {
   }
 }
 
+TEST(PlanCache, SignatureCollisionIsAMiss) {
+  // A plan filed under history b's key but built from history a's pulse
+  // geometry: what a 64-bit signature collision between a and b files. A
+  // lookup for b must not replay a's tables.
+  const auto [s, pulses] = make_tiny();
+  const sim::PhaseHistory& a = *pulses;
+  sim::PhaseHistory b = a;
+  b.meta(3).start_range_m += 0.25;
+  const Region region{0, 0, s.grid.width(), s.grid.height()};
+  obs::Registry reg;
+  PlanCache cache(4, &reg);
+  auto forged = std::const_pointer_cast<FormationPlan>(
+      build_formation_plan(s.grid, region, 16, 16, a));
+  forged->key.pulse_signature = pulse_geometry_signature(b);
+  cache.insert(forged);
+
+  const PlanLookup lookup = lookup_plan(cache, s.grid, region, 16, 16, b);
+  EXPECT_FALSE(lookup.hit());
+  EXPECT_NE(lookup.plan, forged);
+  EXPECT_TRUE(same_pulse_geometry(lookup.plan->geometry, b));
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("service.plan_cache.collisions").value(), 1u);
+    EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 0u);
+    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 1u);
+  }
+}
+
 /// The image a prebuilt plan replays to: build_formation_plan +
 /// execute_plan, the reference every cache-miss job must match bytewise.
 Grid2D<CFloat> prebuilt_replay(const SmallScenario& s,

@@ -32,6 +32,17 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   telling you what the build's baseline was) carries
                   explicit suppressions.
 
+  isa-intrinsics  Vector intrinsics stay in the per-ISA kernel TUs. In src/,
+                  an intrinsics header (`<immintrin.h>` and the other
+                  `<*intrin.h>`), `_mm*_` / `_MM_` calls and the
+                  `__m128`/`__m256`/`__m512` and `__mmask*` types may
+                  appear only in the isa-ifdef rule's two TUs. The shared
+                  row kernel and table build
+                  (src/backprojection/kernel_asr_rows.h) and the dispatch
+                  seam (kernel_simd_ops.h) are included at other -march
+                  levels, so they must stay ISA-neutral: each TU supplies
+                  its intrinsics through a traits type.
+
   queue-result    In src/service, src/cluster, and src/streaming,
                   BoundedQueue push/pop family results and Communicator
                   recv-family results must not be discarded — neither as a
@@ -59,9 +70,11 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   AsrIsaOps entries (`->rows_aos(`, the row kernels, and
                   `->build_tables(`, the lane-per-table build) may appear
                   only in the core TU (src/backprojection/asr_sweep.cpp)
-                  and the per-ISA kernel TUs. src/asr/ (which defines the
-                  table build) and src/beamform/beamformer.cpp (which
-                  forms a different geometry) are allowed. Every other
+                  and the per-ISA kernel TUs, which instantiate the one row
+                  kernel and table build of
+                  src/backprojection/kernel_asr_rows.h. src/asr/ (which
+                  defines the table build) and src/beamform/beamformer.cpp
+                  (which forms a different geometry) are allowed. Every other
                   ASR sweep goes through bp::sweep_asr_block and every
                   other table build through bp::build_asr_tables, so the
                   kernels, plan replay, backends and streaming cannot
@@ -183,6 +196,13 @@ ISA_TU_ALLOWLIST = (
     "src/backprojection/kernel_asr_avx512.cpp",
 )
 
+# A vector intrinsic: an intrinsics header, an _mm*_ / _MM_ call, or an
+# intrinsic vector or mask type.
+ISA_INTRINSIC_RE = re.compile(
+    r"#\s*include\s*<\w*intrin\.h>|"
+    r"\b_mm(?:256|512)?_\w+\s*\(|\b_MM_\w+\s*\(|"
+    r"\b__m(?:128|256|512)[a-z]*\b|\b__mmask\d+\b")
+
 # A call into the ASR core's internals: the table build (whole, or its
 # seeds and their expansion), the block quadratic, or a per-ISA row kernel
 # or table build through its ops table.
@@ -247,7 +267,7 @@ ACQ_EDGE_RE = re.compile(r"SARBP_ACQUIRED_(BEFORE|AFTER)\(([^)]*)\)")
 MUTEX_DECL_JOIN_CAP = 8  # max lines a single declaration may span
 
 RULES = ("order-comment", "raw-mutex", "sleep-poll", "isa-ifdef",
-         "queue-result", "lock-level", "asr-core", "omp-formation",
+         "isa-intrinsics", "queue-result", "lock-level", "asr-core", "omp-formation",
          "task-graph", "job-resolve", "timed-wait", "reuse-cache")
 
 
@@ -464,6 +484,15 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     "kernel TUs; route ISA selection through "
                     "bp::asr_resolve_isa / common/cpu.h at runtime"))
 
+        if (in_src and path.as_posix() not in ISA_TU_ALLOWLIST
+                and ISA_INTRINSIC_RE.search(code)):
+            if "isa-intrinsics" not in allowed:
+                findings.append(Finding(
+                    rel, i + 1, "isa-intrinsics",
+                    "vector intrinsic outside the per-ISA kernel TUs; give "
+                    "the TU's traits type the operation "
+                    "(backprojection/kernel_asr_rows.h)"))
+
         if (in_src and path.as_posix() not in ASR_CORE_ALLOWLIST
                 and not path.as_posix().startswith(ASR_CORE_DIR)
                 and ASR_CORE_RE.search(code)):
@@ -615,6 +644,32 @@ SELFTEST_CASES = [
      "#ifdef __AVX2__  // lint: allow(isa-ifdef) -- baseline reporting\n",
      []),
     ("tests/d.cpp", "#ifdef __AVX2__\n", []),  # tests are out of scope
+    # isa-intrinsics: intrinsics and vector types only in the per-ISA TUs.
+    ("src/backprojection/kernel_asr_rows.h",
+     "#include <immintrin.h>\n"
+     "const __m512 zero = _mm512_setzero_ps();\n"
+     "__mmask16 live = 0xFFFF;\n",
+     ["isa-intrinsics", "isa-intrinsics", "isa-intrinsics"]),
+    ("src/backprojection/kernel_simd_ops.h",
+     "_MM_TRANSPOSE4_PS(a, b, c, d);\n#include <x86intrin.h>\n",
+     ["isa-intrinsics", "isa-intrinsics"]),
+    ("src/backprojection/kernel_asr_avx2.cpp",
+     "#include <immintrin.h>\n"
+     "const __m256 zero = _mm256_setzero_ps();\n"
+     "_mm_maskstore_ps(p, live, v);\n",
+     []),
+    ("src/backprojection/kernel_asr_avx512.cpp",
+     "const __mmask16 fits = _mm512_cmple_epu32_mask(a, b);\n", []),
+    ("src/backprojection/kernel_asr_rows.h",
+     "// lint: allow(isa-intrinsics) -- fixture\n"
+     "const __m256 zero = _mm256_setzero_ps();\n",
+     []),
+    ("src/backprojection/kernel_asr_rows.h",
+     "// no intrinsic or vector type (__m512, _mm512_add_ps) here\n"
+     "static F add(F a, F b) { return V::add(a, b); }\n",
+     []),  # comments never match
+    ("tests/k.cpp", "const __m256 x = _mm256_setzero_ps();\n",
+     []),  # tests are out of scope
     ("src/service/s.cpp", "queue_.push(std::move(x));\n", ["queue-result"]),
     ("src/service/s.cpp", "(void)queue_.try_pop();\n", ["queue-result"]),
     ("src/service/s.cpp", "if (!queue_.push(x)) return;\n", []),
