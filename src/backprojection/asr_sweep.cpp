@@ -10,6 +10,7 @@
 #include "backprojection/asr_sweep.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numbers>
 
 #include "asr/quadratic.h"
@@ -83,6 +84,12 @@ asr::Quadratic2D block_range_quadratic(const geometry::Vec3& centre,
 /// `l_stride` and m by `m_stride` floats. A bin interpolates when it lies
 /// in [0, samples - 1), checked in float before the conversion to Index,
 /// so no bin beyond Index's range (nor a NaN) is ever converted.
+///
+/// Each fused step is an explicit std::fma and every other product is
+/// rounded where written, so no -ffp-contract or -march setting changes the
+/// bytes and rows_across (kernel_asr_rows.h) reproduces them lane by lane.
+/// The forms are those GCC's contraction chose when the loop was written
+/// with plain products, so its images kept their bytes.
 void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
                        Index samples, float* out_re, float* out_im,
                        Index l_stride, Index m_stride, Index len_l,
@@ -100,28 +107,29 @@ void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
     float g_r = 1.0f;
     float g_i = 0.0f;
     for (Index l = 0; l < len_l; ++l) {
-      const float bin = tables.bin_a[static_cast<std::size_t>(l)] + bin_b +
-                        static_cast<float>(l) * bin_c;
+      const float bin =
+          std::fma(static_cast<float>(l), bin_c,
+                   tables.bin_a[static_cast<std::size_t>(l)] + bin_b);
       // arg = Phi[l] * Psi[m] * gamma
       const float phi_r = tables.phi_re[static_cast<std::size_t>(l)];
       const float phi_i = tables.phi_im[static_cast<std::size_t>(l)];
-      const float t_r = phi_r * g_r - phi_i * g_i;
-      const float t_i = phi_r * g_i + phi_i * g_r;
-      const float a_r = t_r * psi_r - t_i * psi_i;
-      const float a_i = t_r * psi_i + t_i * psi_r;
+      const float t_r = std::fma(-phi_i, g_i, phi_r * g_r);
+      const float t_i = std::fma(phi_i, g_r, phi_r * g_i);
+      const float a_r = std::fma(-t_i, psi_i, t_r * psi_r);
+      const float a_i = std::fma(t_i, psi_r, t_r * psi_i);
       // gamma *= Gamma[m]
-      const float ng_r = g_r * gam_r - g_i * gam_i;
-      g_i = g_r * gam_i + g_i * gam_r;
+      const float ng_r = std::fma(g_r, gam_r, -(g_i * gam_i));
+      g_i = std::fma(g_r, gam_i, g_i * gam_r);
       g_r = ng_r;
       if (bin >= 0.0f && bin < last_bin) {
         const auto ibin = static_cast<Index>(bin);
         const float frac = bin - static_cast<float>(ibin);
         const CFloat v0 = in[ibin];
         const CFloat v1 = in[ibin + 1];
-        const float s_r = v0.real() + frac * (v1.real() - v0.real());
-        const float s_i = v0.imag() + frac * (v1.imag() - v0.imag());
-        row_re[l * l_stride] += a_r * s_r - a_i * s_i;
-        row_im[l * l_stride] += a_r * s_i + a_i * s_r;
+        const float s_r = std::fma(v1.real() - v0.real(), frac, v0.real());
+        const float s_i = std::fma(v1.imag() - v0.imag(), frac, v0.imag());
+        row_re[l * l_stride] += std::fma(a_r, s_r, -(a_i * s_i));
+        row_im[l * l_stride] += std::fma(a_r, s_i, a_i * s_r);
       }
     }
   }
@@ -165,11 +173,19 @@ class BlockSweep {
     const Index len_m = x_inner ? block_.height : block_.width;
     float* out_re = tile_.row_re(by_) + bx_;
     float* out_im = tile_.row_im(by_) + bx_;
-    if (ops_ == nullptr) {
+    const Index pitch = tile_.width();
+    const bool across = variant_ == KernelVariant::kAcrossRows;
+    if (ops_ == nullptr || (across && x_inner)) {
       // Scalar: l walks x (stride 1) or y (stride tile width).
-      const Index pitch = tile_.width();
       sweep_rows_scalar(tables, in, samples, out_re, out_im,
                         x_inner ? 1 : pitch, x_inner ? pitch : 1, len_l,
+                        len_m);
+      return;
+    }
+    if (across) {
+      // y_inner: row m is tile column bx_ + m, so the lanes' W rows are W
+      // contiguous pixels of each tile row.
+      ops_->rows_across(tables, in, samples, out_re, out_im, pitch, len_l,
                         len_m);
       return;
     }
@@ -177,8 +193,8 @@ class BlockSweep {
       // Rows are contiguous in the tile: accumulate in place with the tile
       // width as the row pitch.
       close_run();
-      ops_->rows_aos(tables, in, samples, out_re, out_im, tile_.width(),
-                     len_l, len_m, variant_);
+      ops_->rows_aos(tables, in, samples, out_re, out_im, pitch, len_l,
+                     len_m, variant_);
       return;
     }
     if (!run_open_) {
@@ -258,6 +274,7 @@ const char* kernel_variant_name(KernelVariant variant) {
     case KernelVariant::kGather: return "gather";
     case KernelVariant::kShuffleTranspose: return "shuffle";
     case KernelVariant::kGatherNoFma: return "gather-nofma";
+    case KernelVariant::kAcrossRows: return "across-rows";
   }
   return "?";
 }

@@ -116,7 +116,20 @@ const char* simd_isa_name(SimdIsa isa);
 ///    -ffp-contract=off). Different rounding, so parity with kGather is at
 ///    SNR level (>70 dB), not bitwise. The rows' gamma seeds are fused in
 ///    every variant (DESIGN.md §12, "Gamma seeds").
-enum class KernelVariant { kAuto, kGather, kShuffleTranspose, kGatherNoFma };
+///  - kAcrossRows: the portable scalar sweep's bytes, one row per lane. W
+///    consecutive rows run in W lanes while l steps serially, each lane
+///    keeping the scalar sweep's per-pixel gamma and its pinned rounding
+///    (DESIGN.md §12, "Across rows"), so it equals AsrKernel{} byte for
+///    byte. y_inner pulses only: there a row is a tile column, and W rows
+///    are W contiguous pixels. x_inner pulses run the portable loop. The
+///    shard ranks and the service's no-backend replay sweep with it.
+enum class KernelVariant {
+  kAuto,
+  kGather,
+  kShuffleTranspose,
+  kGatherNoFma,
+  kAcrossRows,
+};
 const char* kernel_variant_name(KernelVariant variant);
 
 /// True when `isa` can run here: its kernel TU is linked in AND host cpuid

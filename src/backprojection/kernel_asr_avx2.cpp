@@ -1,4 +1,4 @@
-// AVX2 ASR row kernel and table build (paper §4.4, the Xeon-style 8-lane
+// AVX2 ASR row kernels and table build (paper §4.4, the Xeon-style 8-lane
 // path; the build expands 4 tables at once, one per f64 lane): the traits
 // and sample loads that instantiate kernel_asr_rows.h at this width. This
 // TU is compiled with -march=x86-64-v3 regardless of the build's baseline
@@ -37,6 +37,7 @@ struct Avx2 {
   static F mul(F a, F b) { return _mm256_mul_ps(a, b); }
   static F fmadd(F a, F b, F c) { return _mm256_fmadd_ps(a, b, c); }
   static F fmsub(F a, F b, F c) { return _mm256_fmsub_ps(a, b, c); }
+  static F fnmadd(F a, F b, F c) { return _mm256_fnmadd_ps(a, b, c); }
   static M first_lanes(Index n) {
     return _mm256_castsi256_ps(
         _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
@@ -187,7 +188,7 @@ const AsrIsaOps& asr_isa_ops_avx2() {
   static constexpr AsrIsaOps ops{
       Avx2::kTableLanes,
       &rows_aos<Avx2, WindowSamples, GatherSamples, ShuffleSamples>,
-      &build_tables<Avx2>};
+      &rows_across<Avx2, GatherSamples>, &build_tables<Avx2>};
   return ops;
 }
 

@@ -1,13 +1,14 @@
-// The ASR row kernel and the lane-per-table build of both vector ISAs
+// The ASR row kernels and the lane-per-table build of both vector ISAs
 // (paper §4.4), written once as templates over a vector-traits type V. The
 // paper runs one vectorized inner loop at two widths; kernel_asr_avx2.cpp
 // (8 f32 / 4 f64 lanes) and kernel_asr_avx512.cpp (16 / 8) each supply a V,
-// their three sample loads and their AsrIsaOps table, and instantiate what
-// is here.
+// their sample loads and their AsrIsaOps table, and instantiate what is
+// here: the along-rows sweep (rows_impl, lanes along l), the across-rows
+// sweep (rows_across, one row per lane) and the table build.
 //
 // A V, declared in its TU's anonymous namespace, provides:
 //  - F, I, M: the f32 vector, its i32 lanes and its lane mask; kWidth lanes;
-//  - set1, iota, add, sub, mul, fmadd, fmsub on F;
+//  - set1, iota, add, sub, mul, fmadd, fmsub, fnmadd (c - a * b) on F;
 //  - first_lanes(n): the mask of lanes [0, n), 1 <= n <= kWidth;
 //  - load(p), load(p, live), store(p, v), store(p, v, live): unaligned f32
 //    loads and stores, masked lanes untouched (a masked load reads 0);
@@ -196,6 +197,7 @@ void rows_aos(const asr::BlockTables& t, const CFloat* in, Index samples,
       rows_impl<V, Gather, false>(t, base, samples, acc_re, acc_im,
                                   acc_pitch, len_l, len_m);
       return;
+    case KernelVariant::kAcrossRows:  // BlockSweep runs rows_across instead
     case KernelVariant::kAuto:
       rows_impl<V, Window, true>(t, base, samples, acc_re, acc_im, acc_pitch,
                                  len_l, len_m);
@@ -204,6 +206,76 @@ void rows_aos(const asr::BlockTables& t, const CFloat* in, Index samples,
       rows_impl<V, Gather, true>(t, base, samples, acc_re, acc_im, acc_pitch,
                                  len_l, len_m);
       return;
+  }
+}
+
+/// AsrIsaOps::rows_across (KernelVariant::kAcrossRows): the portable sweep
+/// (asr_sweep.cpp, sweep_rows_scalar) W rows at a time, one row per lane,
+/// W = V::kWidth. Each lane starts at gamma = 1 + 0i and steps l serially
+/// by its row's Gamma, running the portable sweep's operations in its
+/// pinned forms, so every lane computes its row's pixels with the scalar
+/// sweep's roundings. Row m's pixel l is out[l * pitch + m]: a group's W
+/// rows are W contiguous floats. A lane adds into its pixel only where it
+/// is live (below len_m) and its bin interpolates, through a masked load
+/// and store, so a pixel the portable sweep leaves alone keeps its bits.
+/// bin_ok is the portable `0 <= bin < samples - 1` for any pulse of at most
+/// 2^24 samples, the bound the scalar kernels' guard states.
+template <class V, class SampleLoad>
+void rows_across(const asr::BlockTables& t, const CFloat* in, Index samples,
+                 float* out_re, float* out_im, Index pitch, Index len_l,
+                 Index len_m) {
+  using F = typename V::F;
+  using M = typename V::M;
+  constexpr int W = V::kWidth;
+  const auto* base = reinterpret_cast<const float*>(in);
+  for (Index m = 0; m < len_m; m += W) {
+    const M live = V::first_lanes(std::min<Index>(len_m - m, W));
+    const auto i_m = static_cast<std::size_t>(m);
+    const F bin_b = V::load(&t.bin_b[i_m], live);
+    const F bin_c = V::load(&t.bin_c[i_m], live);
+    const F psi_r = V::load(&t.psi_re[i_m], live);
+    const F psi_i = V::load(&t.psi_im[i_m], live);
+    const F gam_r = V::load(&t.gam_re[i_m], live);
+    const F gam_i = V::load(&t.gam_im[i_m], live);
+    F g_r = V::set1(1.0f);
+    F g_i = V::set1(0.0f);
+    for (Index l = 0; l < len_l; ++l) {
+      const auto i_l = static_cast<std::size_t>(l);
+      const F bin = V::fmadd(V::set1(static_cast<float>(l)), bin_c,
+                             V::add(V::set1(t.bin_a[i_l]), bin_b));
+      // arg = Phi[l] * Psi[m] * gamma
+      const F phi_r = V::set1(t.phi_re[i_l]);
+      const F phi_i = V::set1(t.phi_im[i_l]);
+      const F t_r = V::fnmadd(phi_i, g_i, V::mul(phi_r, g_r));
+      const F t_i = V::fmadd(phi_i, g_r, V::mul(phi_r, g_i));
+      const F a_r = V::fnmadd(t_i, psi_i, V::mul(t_r, psi_r));
+      const F a_i = V::fmadd(t_i, psi_r, V::mul(t_r, psi_i));
+      // gamma *= Gamma[m]
+      const F ng_r = V::fmsub(g_r, gam_r, V::mul(g_i, gam_i));
+      g_i = V::fmadd(g_r, gam_i, V::mul(g_i, gam_r));
+      g_r = ng_r;
+      const auto ibin = V::truncate(bin);
+      const M ok = V::both(V::bin_ok(bin, ibin, samples), live);
+      const F frac = V::sub(bin, V::to_float(ibin));
+      F re0;
+      F im0;
+      F re1;
+      F im1;
+      SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
+      const F s_r = V::fmadd(V::sub(re1, re0), frac, re0);
+      const F s_i = V::fmadd(V::sub(im1, im0), frac, im0);
+      // Out += arg * sample
+      float* px_re = out_re + l * pitch + m;
+      float* px_im = out_im + l * pitch + m;
+      V::store(px_re,
+               V::add(V::load(px_re, ok),
+                      V::fmsub(a_r, s_r, V::mul(a_i, s_i))),
+               ok);
+      V::store(px_im,
+               V::add(V::load(px_im, ok),
+                      V::fmadd(a_r, s_i, V::mul(a_i, s_r))),
+               ok);
+    }
   }
 }
 

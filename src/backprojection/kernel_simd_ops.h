@@ -21,7 +21,7 @@ namespace sarbp::bp::detail {
 /// lanes).
 inline constexpr int kMaxTableLanes = 8;
 
-/// One ISA's row kernel and table build. `acc_re`/`acc_im` are planar
+/// One ISA's row kernels and table build. `acc_re`/`acc_im` are planar
 /// accumulation buffers whose row m starts at `acc + m * acc_pitch`
 /// (pitch = len_l for the y_inner run workspace, = tile width for in-place
 /// accumulation).
@@ -32,6 +32,12 @@ struct AsrIsaOps {
   void (*rows_aos)(const asr::BlockTables& t, const CFloat* in, Index samples,
                    float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
                    Index len_m, KernelVariant variant);
+  /// KernelVariant::kAcrossRows: the portable sweep's bytes, one row per
+  /// lane. Row m's pixel l is out[l * pitch + m], so W rows are W
+  /// contiguous floats (y_inner in the tile; pitch = tile width).
+  void (*rows_across)(const asr::BlockTables& t, const CFloat* in,
+                      Index samples, float* out_re, float* out_im,
+                      Index pitch, Index len_l, Index len_m);
   /// Expands seeds[i] into *out[i] for i < count <= table_lanes, one table
   /// per f64 lane, byte-identical to asr::expand_table_seeds. Each out[i]
   /// is already resized to seeds[i]'s extents, which may differ per lane.

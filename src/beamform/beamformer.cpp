@@ -32,6 +32,7 @@ Grid2D<CDouble> beamform_ref(const Transducer& transducer,
   Grid2D<CDouble> out(region.width, region.depth);
   const double spm = transducer.samples_per_metre();
   const double k = transducer.wavenumber();
+  const auto last_bin = static_cast<double>(data.samples() - 1);
   for (int e = 0; e < transducer.elements; ++e) {
     const auto channel = data.channel(e);
     const double xe = transducer.element_x(e);
@@ -41,8 +42,8 @@ Grid2D<CDouble> beamform_ref(const Transducer& transducer,
         const double x = region.pixel_x(ix);
         const double path = z + std::hypot(x - xe, z);
         const double bin = path * spm;
+        if (!(bin >= 0.0 && bin < last_bin)) continue;
         const auto b = static_cast<Index>(bin);
-        if (bin < 0.0 || b + 1 >= data.samples()) continue;
         const double frac = bin - static_cast<double>(b);
         const CFloat v0 = channel[static_cast<std::size_t>(b)];
         const CFloat v1 = channel[static_cast<std::size_t>(b) + 1];
@@ -63,6 +64,7 @@ Grid2D<CFloat> beamform_baseline(const Transducer& transducer,
   Grid2D<CFloat> out(region.width, region.depth);
   const double spm = transducer.samples_per_metre();
   const double two_pi_k = kTwoPi * transducer.wavenumber();
+  const auto last_bin = static_cast<float>(data.samples() - 1);
   for (int e = 0; e < transducer.elements; ++e) {
     const auto channel = data.channel(e);
     const double xe = transducer.element_x(e);
@@ -73,8 +75,8 @@ Grid2D<CFloat> beamform_baseline(const Transducer& transducer,
         const double dx = x - xe;
         const double path = z + std::sqrt(dx * dx + z * z);
         const auto bin = static_cast<float>(path * spm);
+        if (!(bin >= 0.0f && bin < last_bin)) continue;
         const auto b = static_cast<Index>(bin);
-        if (!(bin >= 0.0f) || b + 1 >= data.samples()) continue;
         const float frac = bin - static_cast<float>(b);
         const CFloat v0 = channel[static_cast<std::size_t>(b)];
         const CFloat v1 = channel[static_cast<std::size_t>(b) + 1];
@@ -97,7 +99,7 @@ Grid2D<CFloat> beamform_asr(const Transducer& transducer,
   Grid2D<CFloat> out(region.width, region.depth);
   const double dr = 1.0 / transducer.samples_per_metre();
   const double two_pi_k = kTwoPi * transducer.wavenumber();
-  const Index samples = data.samples();
+  const auto last_bin = static_cast<float>(data.samples() - 1);
 
   const auto blocks =
       asr::plan_blocks(0, 0, region.width, region.depth, block_x, block_z);
@@ -145,17 +147,15 @@ Grid2D<CFloat> beamform_asr(const Transducer& transducer,
           const float ng_r = g_r * gam_r - g_i * gam_i;
           g_i = g_r * gam_i + g_i * gam_r;
           g_r = ng_r;
-          if (bin >= 0.0f) {
+          if (bin >= 0.0f && bin < last_bin) {
             const auto b = static_cast<Index>(bin);
-            if (b + 1 < samples) {
-              const float frac = bin - static_cast<float>(b);
-              const CFloat v0 = in[b];
-              const CFloat v1 = in[b + 1];
-              const float s_r = v0.real() + frac * (v1.real() - v0.real());
-              const float s_i = v0.imag() + frac * (v1.imag() - v0.imag());
-              auto& pixel = row[static_cast<std::size_t>(spec.x0 + l)];
-              pixel += CFloat(a_r * s_r - a_i * s_i, a_r * s_i + a_i * s_r);
-            }
+            const float frac = bin - static_cast<float>(b);
+            const CFloat v0 = in[b];
+            const CFloat v1 = in[b + 1];
+            const float s_r = v0.real() + frac * (v1.real() - v0.real());
+            const float s_i = v0.imag() + frac * (v1.imag() - v0.imag());
+            auto& pixel = row[static_cast<std::size_t>(spec.x0 + l)];
+            pixel += CFloat(a_r * s_r - a_i * s_i, a_r * s_i + a_i * s_r);
           }
         }
       }

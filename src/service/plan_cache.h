@@ -129,9 +129,11 @@ class PlanCache;
 ///
 /// `backends` (nullable) routes the blocks by the set's §5.3 dynamic
 /// split, each backend sweeping its share with its kernel and feeding its
-/// observed-rate tracker. Null sweeps every block with the scalar kernel,
-/// untimed; a set holding only scalar backends is byte-identical to that
-/// (disjoint block rectangles; same per-block pulse order).
+/// observed-rate tracker. Null sweeps every block untimed with
+/// AsrKernel{kAuto, kAcrossRows}: the scalar sweep's bytes, one row per
+/// vector lane. A set holding only scalar backends is byte-identical to
+/// that, and so is execute_plan (disjoint block rectangles; same per-block
+/// pulse order).
 ///
 /// `insert_into` (nullable) marks `plan` as a cache-miss skeleton
 /// (lookup_plan): each block's tables are built for every pulse with

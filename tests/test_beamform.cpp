@@ -8,6 +8,7 @@
 
 #include "beamform/beamformer.h"
 #include "beamform/simulator.h"
+#include "common/rng.h"
 #include "common/snr.h"
 #include "common/timer.h"
 
@@ -147,6 +148,37 @@ TEST(Beamform, MismatchedChannelCountThrows) {
   ScanRegion region;
   ChannelData wrong(8, 128);
   EXPECT_THROW((void)beamform_baseline(t, region, wrong), PreconditionError);
+}
+
+// A scan region 1e20 m deep puts every bin near 2.6e24, far past the
+// 1,024-sample record and beyond Index's range: every beamformer must add
+// nothing. They used to convert the bin to Index before checking it fully
+// (undefined; on x86 the conversion yields INT64_MIN, which passed the
+// upper check and read sample 0).
+TEST(Beamform, BinsBeyondTheRecordAddNothing) {
+  Transducer t;
+  t.elements = 8;
+  ScanRegion region;
+  region.width = 16;
+  region.depth = 16;
+  region.z_start_m = 1e20;
+  ChannelData data(t.elements, 1024);
+  Rng rng(11);
+  for (int e = 0; e < t.elements; ++e) {
+    for (CFloat& v : data.channel(e)) {
+      v = CFloat{static_cast<float>(rng.normal()),
+                 static_cast<float>(rng.normal())};
+    }
+  }
+  const auto all_zero = [](const auto& image) {
+    for (const auto& v : image.flat()) {
+      if (v.real() != 0 || v.imag() != 0) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(all_zero(beamform_ref(t, region, data))) << "ref";
+  EXPECT_TRUE(all_zero(beamform_baseline(t, region, data))) << "baseline";
+  EXPECT_TRUE(all_zero(beamform_asr(t, region, data))) << "asr";
 }
 
 TEST(Beamform, RandomPhantomIsDeterministic) {

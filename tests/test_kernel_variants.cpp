@@ -10,17 +10,20 @@
 //  - forcing an unavailable ISA fails with PreconditionError, never SIGILL.
 //  - the vector table build (one table per f64 lane) writes the scalar
 //    build's bytes on every ISA.
-//  - the rows' gamma seeds, in every ISA and variant, match a reference
-//    written here byte for byte; so do the later gamma steps, fused in the
-//    fused variants and mul then sub/add in kGatherNoFma.
+//  - the rows' gamma seeds, in every ISA and along-rows variant, match a
+//    reference written here byte for byte; so do the later gamma steps,
+//    fused in the fused variants and mul then sub/add in kGatherNoFma.
+//  - kAcrossRows: the portable scalar sweep's bytes on every ISA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -418,7 +421,9 @@ TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
   // kGatherNoFma (its TU is compiled with -ffp-contract=off). The
   // reference is written here, so a seed or a step off by one ulp fails,
   // which the 70 dB scalar comparison and the gather/shuffle comparison
-  // cannot see.
+  // cannot see. kAcrossRows is left out: it seeds no lanes, each lane
+  // stepping its row's gamma serially as the scalar sweep does
+  // (AcrossRowsMatchesScalarBytes).
   sim::PhaseHistory ones(1, 16, 1.0, 1.0);
   for (CFloat& v : ones.pulse(0)) v = CFloat{1.0f, 0.0f};
   const Index lens_m[] = {1, 7, 8, 9, 15, 16, 17, 33, 64};
@@ -497,6 +502,106 @@ TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
       }
     }
     checked = true;
+  }
+  if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
+}
+
+TEST_F(KernelVariantTest, AcrossRowsMatchesScalarBytes) {
+  // kAcrossRows runs the scalar sweep's operations in their pinned forms,
+  // one row per lane (y_inner; x_inner pulses take the portable loop), so
+  // on every ISA it must give AsrKernel{}'s bytes. Tables built on the fly:
+  // the scenario under fixed x_inner, fixed y_inner and each pulse's
+  // wavefront order; a copy whose order alternates every 8 pulses; and
+  // load_path_history's full circle (strong cross terms, so Gamma and the
+  // bin's l * C term round) and swath edges (lanes out of range, pixels
+  // never reached). A plan's tables: replayed from pulse 0 and from
+  // mid-plan, as a pulse-scatter part replays. Every tile starts at -0, so
+  // a lane that adds +0 where the scalar sweep adds nothing shows. The
+  // blocks include thin ones, partial edge blocks and rows W - 1, W and
+  // W + 1 wide.
+  const sim::PhaseHistory alternating = testing::alternate_loop_orders(
+      scenario_->history, scenario_->grid.centre());
+  const sim::PhaseHistory circle = load_path_history(400, -40.0);
+  const sim::PhaseHistory edges = load_path_history(75, 5.0);
+  const auto y_inner = geometry::LoopOrder::kYInner;
+  const std::tuple<const char*, const sim::PhaseHistory*,
+                   std::optional<geometry::LoopOrder>>
+      fly_cases[] = {
+          {"x_inner", &scenario_->history, geometry::LoopOrder::kXInner},
+          {"y_inner", &scenario_->history, y_inner},
+          {"wavefront", &scenario_->history, std::nullopt},
+          {"alternating", &alternating, std::nullopt},
+          {"full circle, y_inner", &circle, y_inner},
+          {"swath edges, y_inner", &edges, y_inner},
+          {"swath edges, wavefront", &edges, std::nullopt}};
+  const std::pair<const char*, const sim::PhaseHistory*> plan_cases[] = {
+      {"scenario", &scenario_->history}, {"alternating", &alternating}};
+  const auto negative_zeros = [] {
+    bp::SoaTile tile(kImage, kImage);
+    for (Index y = 0; y < kImage; ++y) {
+      std::fill_n(tile.row_re(y), kImage, -0.0f);
+      std::fill_n(tile.row_im(y), kImage, -0.0f);
+    }
+    return tile;
+  };
+  const auto sweep_fly = [&](const sim::PhaseHistory& h, Index bw, Index bh,
+                             std::optional<geometry::LoopOrder> order,
+                             const bp::AsrKernel& kernel) {
+    bp::SoaTile tile = negative_zeros();
+    const bp::PulseRange pulses[] = {{&h, 0, h.num_pulses()}};
+    for (const auto& block : asr::plan_blocks(0, 0, kImage, kImage, bw, bh)) {
+      bp::sweep_asr_block(block, 0, 0, scenario_->grid, pulses, order, kernel,
+                          tile);
+    }
+    return tile;
+  };
+  const auto sweep_plan = [&](const service::FormationPlan& plan,
+                              const sim::PhaseHistory& h, Index begin,
+                              const bp::AsrKernel& kernel) {
+    bp::SoaTile tile = negative_zeros();
+    for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+      bp::sweep_asr_block(plan.blocks[b], 0, 0, plan.block_tables(b),
+                          bp::PulseRange{&h, begin, h.num_pulses()}, kernel,
+                          tile);
+    }
+    return tile;
+  };
+  bool checked = false;
+  for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
+    if (!bp::asr_isa_available(isa)) continue;
+    const Index width = isa == bp::SimdIsa::kAvx512 ? 16 : 8;
+    const bp::AsrKernel across{isa, bp::KernelVariant::kAcrossRows};
+    const std::pair<Index, Index> shapes[] = {
+        {17, 17}, {33, 17},        {17, 33},    {5, 40},
+        {40, 5},  {1, 9},          {9, 1},      {64, 64},
+        {96, 96}, {width - 1, 24}, {width, 24}, {width + 1, 24}};
+    for (const auto& [bw, bh] : shapes) {
+      SCOPED_TRACE(std::string(bp::simd_isa_name(isa)) + ", " +
+                   std::to_string(bw) + "x" + std::to_string(bh));
+      for (const auto& [name, h, order] : fly_cases) {
+        EXPECT_TRUE(bit_identical(sweep_fly(*h, bw, bh, order, across),
+                                  sweep_fly(*h, bw, bh, order, {})))
+            << "on the fly, " << name;
+      }
+      for (const auto& [name, h] : plan_cases) {
+        const auto plan = service::build_formation_plan(
+            scenario_->grid, region_, bw, bh, *h);
+        for (const Index begin : {Index{0}, kPulses / 2 + 1}) {
+          EXPECT_TRUE(bit_identical(sweep_plan(*plan, *h, begin, across),
+                                    sweep_plan(*plan, *h, begin, {})))
+              << "plan, " << name << ", from pulse " << begin;
+        }
+      }
+    }
+    checked = true;
+  }
+  // Both orders occur, so both the lanes and the portable loop ran.
+  const auto plan = service::build_formation_plan(
+      scenario_->grid, region_, kBlock, kBlock, alternating);
+  for (const auto order : {geometry::LoopOrder::kXInner, y_inner}) {
+    EXPECT_NE(std::count(plan->pulse_order.begin(), plan->pulse_order.end(),
+                         order),
+              0);
   }
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
 }

@@ -12,6 +12,8 @@
 #include <optional>
 #include <vector>
 
+#include "asr/block_plan.h"
+#include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "common/snr.h"
 #include "test_helpers.h"
@@ -490,10 +492,25 @@ TEST(KernelBinGuard, PulseBeyondIndexRangeAddsNothing) {
   const auto bytes = static_cast<std::size_t>(all.width) * sizeof(float);
   for (const auto order :
        {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+    const auto expect_adds_nothing = [&](const char* name, const auto& run) {
+      const SoaTile got = run(hostile);
+      const SoaTile want = run(without);
+      Index rows_differing = 0;
+      for (Index y = 0; y < all.height; ++y) {
+        if (std::memcmp(got.row_re(y), want.row_re(y), bytes) != 0 ||
+            std::memcmp(got.row_im(y), want.row_im(y), bytes) != 0) {
+          ++rows_differing;
+        }
+      }
+      EXPECT_EQ(rows_differing, 0)
+          << name
+          << (order == geometry::LoopOrder::kXInner ? ", x_inner"
+                                                    : ", y_inner");
+    };
     for (KernelKind kind :
          {KernelKind::kBaseline, KernelKind::kBaselineAllFloat,
           KernelKind::kAsrScalar, KernelKind::kAsrSimd}) {
-      const auto run = [&](const sim::PhaseHistory& h) {
+      expect_adds_nothing(kernel_name(kind), [&](const sim::PhaseHistory& h) {
         SoaTile tile(all.width, all.height);
         switch (kind) {
           case KernelKind::kBaseline:
@@ -511,21 +528,20 @@ TEST(KernelBinGuard, PulseBeyondIndexRangeAddsNothing) {
                                  order, tile);
         }
         return tile;
-      };
-      const SoaTile got = run(hostile);
-      const SoaTile want = run(without);
-      Index rows_differing = 0;
-      for (Index y = 0; y < all.height; ++y) {
-        if (std::memcmp(got.row_re(y), want.row_re(y), bytes) != 0 ||
-            std::memcmp(got.row_im(y), want.row_im(y), bytes) != 0) {
-          ++rows_differing;
-        }
-      }
-      EXPECT_EQ(rows_differing, 0)
-          << kernel_name(kind)
-          << (order == geometry::LoopOrder::kXInner ? ", x_inner"
-                                                    : ", y_inner");
+      });
     }
+    // The shard ranks' kernel: the scalar sweep's bytes, across rows.
+    expect_adds_nothing("across-rows", [&](const sim::PhaseHistory& h) {
+      SoaTile tile(all.width, all.height);
+      const PulseRange pulses[] = {{&h, 0, h.num_pulses()}};
+      for (const auto& block :
+           asr::plan_blocks(0, 0, all.width, all.height, 32, 32)) {
+        sweep_asr_block(block, 0, 0, s.grid, pulses, order,
+                        AsrKernel{SimdIsa::kAuto, KernelVariant::kAcrossRows},
+                        tile);
+      }
+      return tile;
+    });
   }
   Grid2D<CDouble> got(all.width, all.height);
   backproject_ref(hostile, s.grid, all, 0, 4, got);

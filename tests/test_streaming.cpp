@@ -17,6 +17,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -147,13 +148,13 @@ Grid2D<CFloat> image_of(const bp::SoaTile& tile) {
 }
 
 /// Plan replay: execute_plan for the scalar kernel, a one-worker replay
-/// group on a `isa` backend otherwise.
+/// group on a `kernel` backend otherwise.
 Grid2D<CFloat> replay(const std::shared_ptr<const service::FormationPlan>& plan,
                       const std::shared_ptr<const sim::PhaseHistory>& pulses,
-                      bp::SimdIsa isa) {
+                      const bp::AsrKernel& kernel) {
   const Region& region = plan->key.region;
   auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
-  if (isa == bp::SimdIsa::kScalar) {
+  if (kernel.isa == bp::SimdIsa::kScalar) {
     EXPECT_TRUE(service::execute_plan(*plan, *pulses, *tile, nullptr));
     return image_of(*tile);
   }
@@ -164,7 +165,8 @@ Grid2D<CFloat> replay(const std::shared_ptr<const service::FormationPlan>& plan,
   exec::TileExecutor executor(std::move(options));
   exec::BackendSpec spec;
   spec.kind = exec::BackendSpec::Kind::kHostSimd;
-  spec.isa = isa;
+  spec.isa = kernel.isa;
+  spec.variant = kernel.variant;
   executor.run(service::make_plan_replay_group(
       plan, pulses, 1, 0, tile, nullptr, nullptr, 0, -1,
       std::make_shared<exec::BackendSet>(std::vector<exec::BackendSpec>{spec},
@@ -207,21 +209,26 @@ TEST(AsrSweepCore, TableSourceAndChunkingKeepBits) {
   const auto blocks = asr::plan_blocks(0, 0, cfg.image, cfg.image, kBlock,
                                        kBlock);
   const auto sweep = [&](std::span<const bp::PulseRange> pulses,
-                         bp::SimdIsa isa) {
+                         const bp::AsrKernel& kernel) {
     bp::SoaTile tile(region.width, region.height);
     for (const auto& block : blocks) {
-      bp::sweep_asr_block(block, 0, 0, s.grid, pulses, std::nullopt,
-                          bp::AsrKernel{isa}, tile);
+      bp::sweep_asr_block(block, 0, 0, s.grid, pulses, std::nullopt, kernel,
+                          tile);
     }
     return image_of(tile);
   };
-  for (const bp::SimdIsa isa :
-       {bp::SimdIsa::kScalar, bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
-    if (!bp::asr_isa_available(isa)) continue;
-    SCOPED_TRACE(bp::simd_isa_name(isa));
-    const Grid2D<CFloat> expected = sweep(whole, isa);
-    expect_bit_identical(sweep(chunk_ranges, isa), expected);
-    expect_bit_identical(replay(plan, history, isa), expected);
+  constexpr auto kAcross = bp::KernelVariant::kAcrossRows;
+  for (const bp::AsrKernel kernel :
+       {bp::AsrKernel{}, bp::AsrKernel{bp::SimdIsa::kAvx2},
+        bp::AsrKernel{bp::SimdIsa::kAvx512},
+        bp::AsrKernel{bp::SimdIsa::kAvx2, kAcross},
+        bp::AsrKernel{bp::SimdIsa::kAvx512, kAcross}}) {
+    if (!bp::asr_isa_available(kernel.isa)) continue;
+    SCOPED_TRACE(std::string(bp::simd_isa_name(kernel.isa)) + "/" +
+                 bp::kernel_variant_name(kernel.variant));
+    const Grid2D<CFloat> expected = sweep(whole, kernel);
+    expect_bit_identical(sweep(chunk_ranges, kernel), expected);
+    expect_bit_identical(replay(plan, history, kernel), expected);
   }
 
   for (const bool simd : {false, true}) {
@@ -253,8 +260,8 @@ TEST(AsrSweepCore, TableSourceAndChunkingKeepBits) {
     expect_bit_identical(snap->image, reference);
     expect_bit_identical(
         replay(plan, history,
-               bp::asr_resolve_isa(simd ? bp::SimdIsa::kAuto
-                                        : bp::SimdIsa::kScalar)),
+               bp::AsrKernel{bp::asr_resolve_isa(
+                   simd ? bp::SimdIsa::kAuto : bp::SimdIsa::kScalar)}),
         reference);
     session.close();
   }
