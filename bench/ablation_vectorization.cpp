@@ -11,9 +11,9 @@
 //   plan/<isa>/<variant>     fused plan-replay SIMD sweep per ISA x
 //                            {auto, gather, shuffle, gather-nofma}; auto
 //                            (window loads, gathers as fallback) is what
-//                            the service and the asr-simd rows run
-//   plan/<isa>/across-rows   plan/scalar's bytes, one row per lane: the
-//                            shard ranks' and the no-backend replay's sweep
+//                            the service, the shard ranks and the asr-simd
+//                            rows run; all but gather-nofma give
+//                            plan/scalar's bytes
 //
 // The plan rows run through the exec::TileBackend interface — the same
 // code path the service routes jobs over — so the numbers here are the
@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
       {bp::KernelVariant::kGather, "gather"},
       {bp::KernelVariant::kShuffleTranspose, "shuffle"},
       {bp::KernelVariant::kGatherNoFma, "gather-nofma"},
-      {bp::KernelVariant::kAcrossRows, "across-rows"},
   };
   for (const bp::SimdIsa isa : isas) {
     if (!bp::asr_isa_available(isa)) continue;

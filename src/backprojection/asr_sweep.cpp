@@ -72,64 +72,79 @@ asr::Quadratic2D block_range_quadratic(const geometry::Vec3& centre,
   return asr::range_quadratic(centre_swapped, radar_swapped, spacing, spacing);
 }
 
-/// One (block, pulse) pass of the scalar inner loop:
+/// One (block, pulse) pass of the portable row sweep: the vector rows'
+/// operations (kernel_asr_rows.h, rows_impl) one pixel at a time, C =
+/// detail::kGammaChains.
 ///
-///   for each m: gamma = 1
+///   for each m: chain[k] = Gamma[m]^k, k < C
 ///     for each l:
 ///       bin = A[l] + B[m] + l*C[m]
-///       arg = Phi[l] * Psi[m] * gamma;  gamma *= Gamma[m]
+///       arg = Phi[l] * Psi[m] * chain[l mod C];  chain[l mod C] *= Gamma[m]^C
 ///       Out[l, m] += arg * interp(in, bin)
 ///
-/// `out_re`/`out_im` point at the block's (0, 0) pixel; l steps by
-/// `l_stride` and m by `m_stride` floats. A bin interpolates when it lies
-/// in [0, samples - 1), checked in float before the conversion to Index,
-/// so no bin beyond Index's range (nor a NaN) is ever converted.
+/// Row m of the accumulator starts at `acc + m * acc_pitch`, l contiguous,
+/// as in AsrIsaOps::rows_aos. A bin interpolates when it lies in [0,
+/// samples - 1), checked in float before the conversion to Index, so no bin
+/// beyond Index's range (nor a NaN) is ever converted; any other pixel
+/// keeps its bits.
 ///
-/// Each fused step is an explicit std::fma and every other product is
-/// rounded where written, so no -ffp-contract or -march setting changes the
-/// bytes and rows_across (kernel_asr_rows.h) reproduces them lane by lane.
-/// The forms are those GCC's contraction chose when the loop was written
-/// with plain products, so its images kept their bytes.
+/// Each fused step is an explicit std::fma in the vector rows' form and
+/// every other product is rounded where written, so no -ffp-contract or
+/// -march setting changes the bytes, and every vector ISA gives them
+/// (KernelVariantTest.VectorIsasMatchScalarBytes).
 void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
-                       Index samples, float* out_re, float* out_im,
-                       Index l_stride, Index m_stride, Index len_l,
-                       Index len_m) {
+                       Index samples, float* acc_re, float* acc_im,
+                       Index acc_pitch, Index len_l, Index len_m) {
+  constexpr std::size_t kChains = detail::kGammaChains;
   const auto last_bin = static_cast<float>(samples - 1);
   for (Index m = 0; m < len_m; ++m) {
-    const float bin_b = tables.bin_b[static_cast<std::size_t>(m)];
-    const float bin_c = tables.bin_c[static_cast<std::size_t>(m)];
-    const float psi_r = tables.psi_re[static_cast<std::size_t>(m)];
-    const float psi_i = tables.psi_im[static_cast<std::size_t>(m)];
-    const float gam_r = tables.gam_re[static_cast<std::size_t>(m)];
-    const float gam_i = tables.gam_im[static_cast<std::size_t>(m)];
-    float* row_re = out_re + m * m_stride;
-    float* row_im = out_im + m * m_stride;
-    float g_r = 1.0f;
-    float g_i = 0.0f;
+    const auto i_m = static_cast<std::size_t>(m);
+    const float bin_b = tables.bin_b[i_m];
+    const float bin_c = tables.bin_c[i_m];
+    const float psi_r = tables.psi_re[i_m];
+    const float psi_i = tables.psi_im[i_m];
+    const float gam_r = tables.gam_re[i_m];
+    const float gam_i = tables.gam_im[i_m];
+    // Chain k starts at Gamma^k; the loop ends with the step, Gamma^C.
+    float g_r[kChains];
+    float g_i[kChains];
+    float step_r = 1.0f;
+    float step_i = 0.0f;
+    for (std::size_t k = 0; k < kChains; ++k) {
+      g_r[k] = step_r;
+      g_i[k] = step_i;
+      const float re = std::fma(step_r, gam_r, -(step_i * gam_i));
+      step_i = std::fma(step_r, gam_i, step_i * gam_r);
+      step_r = re;
+    }
+    float* row_re = acc_re + m * acc_pitch;
+    float* row_im = acc_im + m * acc_pitch;
     for (Index l = 0; l < len_l; ++l) {
+      const auto i_l = static_cast<std::size_t>(l);
       const float bin =
-          std::fma(static_cast<float>(l), bin_c,
-                   tables.bin_a[static_cast<std::size_t>(l)] + bin_b);
+          std::fma(static_cast<float>(l), bin_c, tables.bin_a[i_l] + bin_b);
       // arg = Phi[l] * Psi[m] * gamma
-      const float phi_r = tables.phi_re[static_cast<std::size_t>(l)];
-      const float phi_i = tables.phi_im[static_cast<std::size_t>(l)];
-      const float t_r = std::fma(-phi_i, g_i, phi_r * g_r);
-      const float t_i = std::fma(phi_i, g_r, phi_r * g_i);
-      const float a_r = std::fma(-t_i, psi_i, t_r * psi_r);
-      const float a_i = std::fma(t_i, psi_r, t_r * psi_i);
-      // gamma *= Gamma[m]
-      const float ng_r = std::fma(g_r, gam_r, -(g_i * gam_i));
-      g_i = std::fma(g_r, gam_i, g_i * gam_r);
-      g_r = ng_r;
+      float& gr = g_r[i_l % kChains];
+      float& gi = g_i[i_l % kChains];
+      const float phi_r = tables.phi_re[i_l];
+      const float phi_i = tables.phi_im[i_l];
+      const float t_r = std::fma(phi_r, gr, -(phi_i * gi));
+      const float t_i = std::fma(phi_r, gi, phi_i * gr);
+      const float a_r = std::fma(t_r, psi_r, -(t_i * psi_i));
+      const float a_i = std::fma(t_r, psi_i, t_i * psi_r);
+      // gamma *= Gamma^C
+      const float ng_r = std::fma(gr, step_r, -(gi * step_i));
+      gi = std::fma(gr, step_i, gi * step_r);
+      gr = ng_r;
       if (bin >= 0.0f && bin < last_bin) {
         const auto ibin = static_cast<Index>(bin);
         const float frac = bin - static_cast<float>(ibin);
         const CFloat v0 = in[ibin];
         const CFloat v1 = in[ibin + 1];
-        const float s_r = std::fma(v1.real() - v0.real(), frac, v0.real());
-        const float s_i = std::fma(v1.imag() - v0.imag(), frac, v0.imag());
-        row_re[l * l_stride] += std::fma(a_r, s_r, -(a_i * s_i));
-        row_im[l * l_stride] += std::fma(a_r, s_i, a_i * s_r);
+        const float s_r = std::fma(frac, v1.real() - v0.real(), v0.real());
+        const float s_i = std::fma(frac, v1.imag() - v0.imag(), v0.imag());
+        row_re[l] += std::fma(a_r, s_r, -(a_i * s_i));
+        row_im[l] += std::fma(a_r, s_i, a_i * s_r);
       }
     }
   }
@@ -171,30 +186,12 @@ class BlockSweep {
     const bool x_inner = order == geometry::LoopOrder::kXInner;
     const Index len_l = x_inner ? block_.width : block_.height;
     const Index len_m = x_inner ? block_.height : block_.width;
-    float* out_re = tile_.row_re(by_) + bx_;
-    float* out_im = tile_.row_im(by_) + bx_;
-    const Index pitch = tile_.width();
-    const bool across = variant_ == KernelVariant::kAcrossRows;
-    if (ops_ == nullptr || (across && x_inner)) {
-      // Scalar: l walks x (stride 1) or y (stride tile width).
-      sweep_rows_scalar(tables, in, samples, out_re, out_im,
-                        x_inner ? 1 : pitch, x_inner ? pitch : 1, len_l,
-                        len_m);
-      return;
-    }
-    if (across) {
-      // y_inner: row m is tile column bx_ + m, so the lanes' W rows are W
-      // contiguous pixels of each tile row.
-      ops_->rows_across(tables, in, samples, out_re, out_im, pitch, len_l,
-                        len_m);
-      return;
-    }
     if (x_inner) {
       // Rows are contiguous in the tile: accumulate in place with the tile
       // width as the row pitch.
       close_run();
-      ops_->rows_aos(tables, in, samples, out_re, out_im, pitch, len_l,
-                     len_m, variant_);
+      rows(tables, in, samples, tile_.row_re(by_) + bx_,
+           tile_.row_im(by_) + bx_, tile_.width(), len_l, len_m);
       return;
     }
     if (!run_open_) {
@@ -203,8 +200,8 @@ class BlockSweep {
       scratch_.ws_im.assign(n, 0.0f);
       run_open_ = true;
     }
-    ops_->rows_aos(tables, in, samples, scratch_.ws_re.data(),
-                   scratch_.ws_im.data(), len_l, len_l, len_m, variant_);
+    rows(tables, in, samples, scratch_.ws_re.data(), scratch_.ws_im.data(),
+         len_l, len_l, len_m);
   }
 
   /// Ends the open y_inner run: flushes the workspace transposed into the
@@ -225,6 +222,19 @@ class BlockSweep {
   }
 
  private:
+  /// The resolved kernel's rows: the portable sweep or the ISA's.
+  void rows(const asr::BlockTables& tables, const CFloat* in, Index samples,
+            float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
+            Index len_m) const {
+    if (ops_ == nullptr) {
+      sweep_rows_scalar(tables, in, samples, acc_re, acc_im, acc_pitch, len_l,
+                        len_m);
+    } else {
+      ops_->rows_aos(tables, in, samples, acc_re, acc_im, acc_pitch, len_l,
+                     len_m, variant_);
+    }
+  }
+
   const asr::BlockSpec& block_;
   const Index bx_;
   const Index by_;
@@ -274,7 +284,6 @@ const char* kernel_variant_name(KernelVariant variant) {
     case KernelVariant::kGather: return "gather";
     case KernelVariant::kShuffleTranspose: return "shuffle";
     case KernelVariant::kGatherNoFma: return "gather-nofma";
-    case KernelVariant::kAcrossRows: return "across-rows";
   }
   return "?";
 }

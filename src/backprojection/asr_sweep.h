@@ -14,18 +14,16 @@
 //  - a table source: a plan's prebuilt tables, or tables built a few
 //    pulses at a time into per-thread scratch;
 //  - a kernel: the portable scalar sweep, or a vector ISA plus
-//    KernelVariant (kAcrossRows: the scalar sweep's bytes, one row per
-//    lane).
+//    KernelVariant. Every kernel but kGatherNoFma gives the same bytes.
 //
-// Run batching. A run is a maximal stretch of consecutive pulses with the
-// same loop order. Under x_inner the vector rows accumulate straight into
-// the tile. Under y_inner they accumulate into an l-contiguous workspace
-// that is zeroed at the start of the run and flushed, transposed, once at
-// its end. The scalar sweep and kAcrossRows accumulate each pulse
-// straight into the tile under either order. A run continues across
-// history boundaries, so the bits depend only on the pulse sequence, the
-// kernel and the table bytes: neither the table source nor the split of
-// the pulses into histories changes the image.
+// Run batching, the same for every kernel. A run is a maximal stretch of
+// consecutive pulses with the same loop order. Under x_inner the rows
+// accumulate straight into the tile. Under y_inner they accumulate into an
+// l-contiguous workspace that is zeroed at the start of the run and
+// flushed, transposed, once at its end. A run continues across history
+// boundaries, so the bits depend only on the pulse sequence, the kernel and
+// the table bytes: neither the table source nor the split of the pulses
+// into histories changes the image.
 #pragma once
 
 #include <optional>

@@ -17,10 +17,11 @@
 //                  accuracy collapse quoted in §5.2.1 / Fig. 8.
 //  - asr_scalar:   approximate strength reduction (Fig. 3(b)), portable.
 //  - asr_simd:     ASR vectorized with AVX2/AVX-512 over the interleaved
-//                  (AoS) pulse data, recurrence stepped by the SIMD width
-//                  (§4.4); samples by window loads where the wavefront
-//                  order keeps a vector's bins together, by gathers
-//                  elsewhere (KernelVariant).
+//                  (AoS) pulse data, 16 gamma chains per row stepped by
+//                  Gamma^16 (§4.4); samples by window loads where the
+//                  wavefront order keeps a vector's bins together, by
+//                  gathers elsewhere (KernelVariant). Its fused variants
+//                  give asr_scalar's bytes on every ISA.
 //
 // Both ASR kernels are block loops over the one ASR block sweep
 // (asr_sweep.h). Float kernels write into a SoaTile covering exactly
@@ -94,17 +95,19 @@ const char* simd_isa_name(SimdIsa isa);
 /// ablation knobs benchmarked in bench/ablation_vectorization. kAuto,
 /// kGather and kShuffleTranspose run the same FMA arithmetic in the same
 /// order and differ only in how they load In[bin], In[bin+1], so they
-/// agree byte for byte.
+/// agree byte for byte, on every ISA and with the portable sweep
+/// (AsrKernel{}): every ISA runs 16 gamma chains per row in one set of
+/// pinned forms (DESIGN.md §12, "Gamma seeds").
 ///  - kAuto: window loads. The default: every SIMD service backend,
-///    streaming session and backproject_asr_simd call runs it. When every
-///    lane of a vector is in range and all lanes' bins lie in [lo, lo + 6]
-///    (AVX-512; AVX2: [lo, lo + 2]), lo the smaller of the first and last
-///    lanes' bins, one unaligned load of the 16 (AVX2: 8) floats at In[lo]
-///    plus four in-register permutes replace the gathers. The load runs
-///    only when lo + 8 <= samples (AVX2: lo + 4), so it stays inside the
-///    pulse. Any other vector takes kGather's gathers. The wavefront loop
-///    order (§4.3) keeps neighbouring pixels on one bin, so most vectors
-///    fit.
+///    streaming session, shard rank and backproject_asr_simd call runs it.
+///    When every lane of a vector is in range and all lanes' bins lie in
+///    [lo, lo + 6] (AVX-512; AVX2: [lo, lo + 2]), lo the smaller of the
+///    first and last lanes' bins, one unaligned load of the 16 (AVX2: 8)
+///    floats at In[lo] plus four in-register permutes replace the gathers.
+///    The load runs only when lo + 8 <= samples (AVX2: lo + 4), so it stays
+///    inside the pulse. Any other vector takes kGather's gathers. The
+///    wavefront loop order (§4.3) keeps neighbouring pixels on one bin, so
+///    most vectors fit.
 ///  - kGather: hardware gathers of the interleaved In[bin], In[bin+1]
 ///    pairs straight from the AoS pulse buffer for every vector (the
 ///    paper's Knights Corner load, kept as an ablation row).
@@ -116,19 +119,11 @@ const char* simd_isa_name(SimdIsa isa);
 ///    -ffp-contract=off). Different rounding, so parity with kGather is at
 ///    SNR level (>70 dB), not bitwise. The rows' gamma seeds are fused in
 ///    every variant (DESIGN.md §12, "Gamma seeds").
-///  - kAcrossRows: the portable scalar sweep's bytes, one row per lane. W
-///    consecutive rows run in W lanes while l steps serially, each lane
-///    keeping the scalar sweep's per-pixel gamma and its pinned rounding
-///    (DESIGN.md §12, "Across rows"), so it equals AsrKernel{} byte for
-///    byte. y_inner pulses only: there a row is a tile column, and W rows
-///    are W contiguous pixels. x_inner pulses run the portable loop. The
-///    shard ranks and the service's no-backend replay sweep with it.
 enum class KernelVariant {
   kAuto,
   kGather,
   kShuffleTranspose,
   kGatherNoFma,
-  kAcrossRows,
 };
 const char* kernel_variant_name(KernelVariant variant);
 

@@ -35,9 +35,11 @@ struct Avx2 {
   static F add(F a, F b) { return _mm256_add_ps(a, b); }
   static F sub(F a, F b) { return _mm256_sub_ps(a, b); }
   static F mul(F a, F b) { return _mm256_mul_ps(a, b); }
+  static F add(F a, F b, M ok) {
+    return _mm256_blendv_ps(a, _mm256_add_ps(a, b), ok);
+  }
   static F fmadd(F a, F b, F c) { return _mm256_fmadd_ps(a, b, c); }
   static F fmsub(F a, F b, F c) { return _mm256_fmsub_ps(a, b, c); }
-  static F fnmadd(F a, F b, F c) { return _mm256_fnmadd_ps(a, b, c); }
   static M first_lanes(Index n) {
     return _mm256_castsi256_ps(
         _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
@@ -188,7 +190,7 @@ const AsrIsaOps& asr_isa_ops_avx2() {
   static constexpr AsrIsaOps ops{
       Avx2::kTableLanes,
       &rows_aos<Avx2, WindowSamples, GatherSamples, ShuffleSamples>,
-      &rows_across<Avx2, GatherSamples>, &build_tables<Avx2>};
+      &build_tables<Avx2>};
   return ops;
 }
 

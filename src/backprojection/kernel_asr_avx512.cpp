@@ -8,9 +8,8 @@
 // vague linkage.
 //
 // The row kernels read samples straight from the AoS pulse buffer, where
-// In[bin] and In[bin+1] are four adjacent floats; the along-rows inner loop
-// is a selectable window / gather / shuffle-transpose / no-FMA variant, the
-// across-rows one gathers (re, im) pairs.
+// In[bin] and In[bin+1] are four adjacent floats; the inner loop is a
+// selectable window / gather / shuffle-transpose / no-FMA variant.
 #include "backprojection/kernel_asr_rows.h"
 #include "backprojection/kernel_simd_ops.h"
 #include "common/types.h"
@@ -51,9 +50,9 @@ struct Avx512 {
   static F add(F a, F b) { return _mm512_add_ps(a, b); }
   static F sub(F a, F b) { return _mm512_sub_ps(a, b); }
   static F mul(F a, F b) { return _mm512_mul_ps(a, b); }
+  static F add(F a, F b, M ok) { return _mm512_mask_add_ps(a, ok, a, b); }
   static F fmadd(F a, F b, F c) { return _mm512_fmadd_ps(a, b, c); }
   static F fmsub(F a, F b, F c) { return _mm512_fmsub_ps(a, b, c); }
-  static F fnmadd(F a, F b, F c) { return _mm512_fnmadd_ps(a, b, c); }
   static M first_lanes(Index n) { return static_cast<M>((1U << n) - 1U); }
   static F load(const float* p) { return _mm512_loadu_ps(p); }
   static F load(const float* p, M live) {
@@ -177,38 +176,6 @@ struct WindowSamples {
   }
 };
 
-/// Sample-load policy (kAcrossRows): each lane's (re, im) pair as one
-/// 64-bit element, two 8-lane gathers at In[bin] and two at In[bin + 1],
-/// split into the four components by permutex2var. Half the element loads
-/// of GatherSamples' four 16-lane gathers, and the same values: masked
-/// lanes never touch memory and come back as exact zeros.
-struct PairGatherSamples {
-  static void load(const float* base, __m512i ibin, __mmask16 ok,
-                   Index /*samples*/, __m512& re0, __m512& im0, __m512& re1,
-                   __m512& im1) {
-    const __m256i lo = _mm512_castsi512_si256(ibin);
-    const __m256i hi = _mm512_extracti64x4_epi64(ibin, 1);
-    const auto ok_lo = static_cast<__mmask8>(ok);
-    const auto ok_hi = static_cast<__mmask8>(ok >> 8);
-    const __m512d zero = _mm512_setzero_pd();
-    // Float k of the 32 in (a, b): re at even k, im at odd k.
-    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
-                                           20, 22, 24, 26, 28, 30);
-    const __m512i odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
-    const auto pairs = [&](const float* at, __m512& re, __m512& im) {
-      // Lanes 0-7 and 8-15 as (re, im) float pairs.
-      const __m512 a = _mm512_castpd_ps(
-          _mm512_mask_i32gather_pd(zero, ok_lo, lo, at, 8));
-      const __m512 b = _mm512_castpd_ps(
-          _mm512_mask_i32gather_pd(zero, ok_hi, hi, at, 8));
-      re = _mm512_permutex2var_ps(a, even, b);
-      im = _mm512_permutex2var_ps(a, odd, b);
-    };
-    pairs(base, re0, im0);
-    pairs(base + 2, re1, im1);
-  }
-};
-
 /// Sample-load policy: one 16-byte contiguous load per lane — the four
 /// floats re0,im0,re1,im1 are adjacent in AoS — then a 16x4 in-register
 /// transpose. Masked lanes load a clamped in-bounds dummy and are zeroed
@@ -262,7 +229,7 @@ const AsrIsaOps& asr_isa_ops_avx512() {
   static constexpr AsrIsaOps ops{
       Avx512::kTableLanes,
       &rows_aos<Avx512, WindowSamples, GatherSamples, ShuffleSamples>,
-      &rows_across<Avx512, PairGatherSamples>, &build_tables<Avx512>};
+      &build_tables<Avx512>};
   return ops;
 }
 

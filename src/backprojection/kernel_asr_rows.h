@@ -3,12 +3,15 @@
 // paper runs one vectorized inner loop at two widths; kernel_asr_avx2.cpp
 // (8 f32 / 4 f64 lanes) and kernel_asr_avx512.cpp (16 / 8) each supply a V,
 // their sample loads and their AsrIsaOps table, and instantiate what is
-// here: the along-rows sweep (rows_impl, lanes along l), the across-rows
-// sweep (rows_across, one row per lane) and the table build.
+// here: the row sweep (rows_impl, lanes along l) and the table build. The
+// row sweep runs kGammaChains gamma chains per row at either width, so
+// both ISAs give the portable sweep's bytes (asr_sweep.cpp).
 //
 // A V, declared in its TU's anonymous namespace, provides:
-//  - F, I, M: the f32 vector, its i32 lanes and its lane mask; kWidth lanes;
-//  - set1, iota, add, sub, mul, fmadd, fmsub, fnmadd (c - a * b) on F;
+//  - F, I, M: the f32 vector, its i32 lanes and its lane mask; kWidth lanes,
+//    a divisor of kGammaChains;
+//  - set1, iota, add, sub, mul, fmadd, fmsub on F, and add(a, b, ok): a + b
+//    in the lanes of `ok`, a elsewhere;
 //  - first_lanes(n): the mask of lanes [0, n), 1 <= n <= kWidth;
 //  - load(p), load(p, live), store(p, v), store(p, v, live): unaligned f32
 //    loads and stores, masked lanes untouched (a masked load reads 0);
@@ -33,9 +36,11 @@
 #include <cstddef>
 #include <span>
 #include <type_traits>
+#include <utility>
 
 #include "asr/tables.h"
 #include "backprojection/kernel.h"
+#include "backprojection/kernel_simd_ops.h"
 #include "common/types.h"
 
 namespace sarbp::bp::detail {
@@ -60,19 +65,30 @@ F msub(F a, F b, F c) {
   }
 }
 
-/// Gamma seeds of one W-row group (paper §4.4), W = V::kWidth: lane k of
-/// row j's seed is Gamma[m + j]^k, and row j steps by Gamma[m + j]^W.
-/// seed_re/seed_im hold power k of the group's rows at [W * k, W * k + W),
-/// so row j's seed is the stride-W column j, which one gather hands it.
+/// f(std::integral_constant<int, h>{}) for h = 0, ..., N - 1, in order, so
+/// an array indexed by h keeps constant indices.
+template <int N, class Fn>
+void unrolled(Fn&& f) {
+  [&]<int... H>(std::integer_sequence<int, H...>) {
+    (f(std::integral_constant<int, H>{}), ...);
+  }(std::make_integer_sequence<int, N>{});
+}
+
+/// Gamma seeds of one W-row group (paper §4.4), W = V::kWidth: chain k of
+/// row j starts at Gamma[m + j]^k and steps by Gamma[m + j]^C, C =
+/// kGammaChains. seed_re/seed_im hold power k of the group's rows at
+/// [W * k, W * k + W), so row j's chains [W * h, W * h + W) are the
+/// stride-W column at W * W * h + j, which one gather hands it.
 template <class V>
 struct GammaSeeds {
   static constexpr int W = V::kWidth;
-  alignas(sizeof(typename V::F)) float seed_re[W * W];
-  alignas(sizeof(typename V::F)) float seed_im[W * W];
+  static constexpr int C = kGammaChains;
+  alignas(sizeof(typename V::F)) float seed_re[C * W];
+  alignas(sizeof(typename V::F)) float seed_im[C * W];
   alignas(sizeof(typename V::F)) float step_re[W];
   alignas(sizeof(typename V::F)) float step_im[W];
 
-  /// Seeds rows [m, m + W) of `t`: W steps from 1, one row per lane. Lanes
+  /// Seeds rows [m, m + W) of `t`: C steps from 1, one row per lane. Lanes
   /// past len_m step by 0 and feed no row. Every step is re = fmsub(a.re,
   /// b.re, a.im * b.im), im = fmadd(a.re, b.im, a.im * b.re), in every
   /// variant: the images' bytes depend on this rounding
@@ -84,7 +100,7 @@ struct GammaSeeds {
     const F b_im = V::load(&t.gam_im[static_cast<std::size_t>(m)], live);
     F a_re = V::set1(1.0f);
     F a_im = V::set1(0.0f);
-    for (int k = 0; k < W; ++k) {
+    for (int k = 0; k < C; ++k) {
       V::store(seed_re + W * k, a_re);
       V::store(seed_im + W * k, a_im);
       const F re = V::fmsub(a_re, b_re, V::mul(a_im, b_im));
@@ -99,9 +115,12 @@ struct GammaSeeds {
 /// The row sweep over prebuilt tables reading AoS samples. SampleLoad
 /// supplies the interpolation operands; kFma selects fused vs split
 /// multiply-add throughout the vector body (bin recurrence, interpolation,
-/// complex products). Full vectors run unmasked; a row's last partial
-/// vector is one more step under a lane mask: masked lanes load no table
-/// entry, no sample and no accumulator element, and store nothing.
+/// complex products). A row runs in steps of kGammaChains pixels, each
+/// kGammaChains / W vectors ("halves") wide, half h on its own gamma
+/// vector. Full vectors run unmasked; the row's tail steps the halves in
+/// order, its last partial vector under a lane mask: masked lanes load no
+/// table entry, no sample and no accumulator element, and store nothing. A
+/// lane whose bin fails bin_ok adds nothing, so its pixel keeps its bits.
 template <class V, class SampleLoad, bool kFma>
 void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
                float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
@@ -109,14 +128,20 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
   using F = typename V::F;
   using M = typename V::M;
   constexpr int W = V::kWidth;
+  constexpr int kHalves = kGammaChains / W;
+  static_assert(kHalves * W == kGammaChains);
   for (Index group = 0; group < len_m; group += W) {
     const GammaSeeds<V> seeds(t, group, len_m);
     const Index rows = std::min<Index>(len_m - group, W);
     for (Index j = 0; j < rows; ++j) {
       const Index m = group + j;
       const auto i_m = static_cast<std::size_t>(m);
-      F g_r = V::seed_column(seeds.seed_re + j);
-      F g_i = V::seed_column(seeds.seed_im + j);
+      F g_r[kHalves];
+      F g_i[kHalves];
+      unrolled<kHalves>([&](auto h) {
+        g_r[h] = V::seed_column(seeds.seed_re + W * W * h + j);
+        g_i[h] = V::seed_column(seeds.seed_im + W * W * h + j);
+      });
       const F step_r = V::set1(seeds.step_re[j]);
       const F step_i = V::set1(seeds.step_im[j]);
       const F psi_r = V::set1(t.psi_re[i_m]);
@@ -125,9 +150,9 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
       const F bin_c = V::set1(t.bin_c[i_m]);
       float* row_re = acc_re + m * acc_pitch;
       float* row_im = acc_im + m * acc_pitch;
-      // Pixels [l, l + W) of the row; a `masked` step keeps the lanes of
-      // `live`, the ones below len_l.
-      const auto step = [&](Index l, auto masked, M live) {
+      // Pixels [l, l + W) of the row on half h's chains; a `masked` step
+      // keeps the lanes of `live`, the ones below len_l.
+      const auto step = [&](Index l, auto h, auto masked, M live) {
         const auto load = [&](const float* p) {
           if constexpr (decltype(masked)::value) {
             return V::load(p, live);
@@ -153,19 +178,19 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
         const F phi_r = load(&t.phi_re[i_l]);
         const F phi_i = load(&t.phi_im[i_l]);
         // arg = Phi * Psi * gamma (two complex multiplies)
-        const F t_r = msub<V, kFma>(phi_r, g_r, V::mul(phi_i, g_i));
-        const F t_i = madd<V, kFma>(phi_r, g_i, V::mul(phi_i, g_r));
+        const F t_r = msub<V, kFma>(phi_r, g_r[h], V::mul(phi_i, g_i[h]));
+        const F t_i = madd<V, kFma>(phi_r, g_i[h], V::mul(phi_i, g_r[h]));
         const F a_r = msub<V, kFma>(t_r, psi_r, V::mul(t_i, psi_i));
         const F a_i = madd<V, kFma>(t_r, psi_i, V::mul(t_i, psi_r));
-        // gamma *= Gamma^W
-        const F ng_r = msub<V, kFma>(g_r, step_r, V::mul(g_i, step_i));
-        g_i = madd<V, kFma>(g_r, step_i, V::mul(g_i, step_r));
-        g_r = ng_r;
-        // Out += arg * sample
+        // gamma *= Gamma^kGammaChains
+        const F ng_r = msub<V, kFma>(g_r[h], step_r, V::mul(g_i[h], step_i));
+        g_i[h] = madd<V, kFma>(g_r[h], step_i, V::mul(g_i[h], step_r));
+        g_r[h] = ng_r;
+        // Out += arg * sample, in the lanes whose bin interpolates
         const F c_r = msub<V, kFma>(a_r, s_r, V::mul(a_i, s_i));
         const F c_i = madd<V, kFma>(a_r, s_i, V::mul(a_i, s_r));
-        const F out_r = V::add(load(row_re + l), c_r);
-        const F out_i = V::add(load(row_im + l), c_i);
+        const F out_r = V::add(load(row_re + l), c_r, ok);
+        const F out_i = V::add(load(row_im + l), c_i, ok);
         if constexpr (decltype(masked)::value) {
           V::store(row_re + l, out_r, live);
           V::store(row_im + l, out_i, live);
@@ -175,8 +200,23 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
         }
       };
       Index l = 0;
-      for (; l + W <= len_l; l += W) step(l, std::false_type{}, M{});
-      if (l < len_l) step(l, std::true_type{}, V::first_lanes(len_l - l));
+      for (; l + kGammaChains <= len_l; l += kGammaChains) {
+        unrolled<kHalves>(
+            [&](auto h) { step(l + W * h, h, std::false_type{}, M{}); });
+      }
+      // The tail, under kGammaChains pixels: the halves in order while
+      // pixels remain. Only the last of them is partial: one masked step.
+      unrolled<kHalves>([&](auto h) {
+        const Index at = l + W * h;
+        if (at >= len_l) return;
+        if constexpr (decltype(h)::value + 1 < kHalves) {
+          if (at + W <= len_l) {
+            step(at, h, std::false_type{}, M{});
+            return;
+          }
+        }
+        step(at, h, std::true_type{}, V::first_lanes(len_l - at));
+      });
     }
   }
 }
@@ -197,7 +237,6 @@ void rows_aos(const asr::BlockTables& t, const CFloat* in, Index samples,
       rows_impl<V, Gather, false>(t, base, samples, acc_re, acc_im,
                                   acc_pitch, len_l, len_m);
       return;
-    case KernelVariant::kAcrossRows:  // BlockSweep runs rows_across instead
     case KernelVariant::kAuto:
       rows_impl<V, Window, true>(t, base, samples, acc_re, acc_im, acc_pitch,
                                  len_l, len_m);
@@ -206,76 +245,6 @@ void rows_aos(const asr::BlockTables& t, const CFloat* in, Index samples,
       rows_impl<V, Gather, true>(t, base, samples, acc_re, acc_im, acc_pitch,
                                  len_l, len_m);
       return;
-  }
-}
-
-/// AsrIsaOps::rows_across (KernelVariant::kAcrossRows): the portable sweep
-/// (asr_sweep.cpp, sweep_rows_scalar) W rows at a time, one row per lane,
-/// W = V::kWidth. Each lane starts at gamma = 1 + 0i and steps l serially
-/// by its row's Gamma, running the portable sweep's operations in its
-/// pinned forms, so every lane computes its row's pixels with the scalar
-/// sweep's roundings. Row m's pixel l is out[l * pitch + m]: a group's W
-/// rows are W contiguous floats. A lane adds into its pixel only where it
-/// is live (below len_m) and its bin interpolates, through a masked load
-/// and store, so a pixel the portable sweep leaves alone keeps its bits.
-/// bin_ok is the portable `0 <= bin < samples - 1` for any pulse of at most
-/// 2^24 samples, the bound the scalar kernels' guard states.
-template <class V, class SampleLoad>
-void rows_across(const asr::BlockTables& t, const CFloat* in, Index samples,
-                 float* out_re, float* out_im, Index pitch, Index len_l,
-                 Index len_m) {
-  using F = typename V::F;
-  using M = typename V::M;
-  constexpr int W = V::kWidth;
-  const auto* base = reinterpret_cast<const float*>(in);
-  for (Index m = 0; m < len_m; m += W) {
-    const M live = V::first_lanes(std::min<Index>(len_m - m, W));
-    const auto i_m = static_cast<std::size_t>(m);
-    const F bin_b = V::load(&t.bin_b[i_m], live);
-    const F bin_c = V::load(&t.bin_c[i_m], live);
-    const F psi_r = V::load(&t.psi_re[i_m], live);
-    const F psi_i = V::load(&t.psi_im[i_m], live);
-    const F gam_r = V::load(&t.gam_re[i_m], live);
-    const F gam_i = V::load(&t.gam_im[i_m], live);
-    F g_r = V::set1(1.0f);
-    F g_i = V::set1(0.0f);
-    for (Index l = 0; l < len_l; ++l) {
-      const auto i_l = static_cast<std::size_t>(l);
-      const F bin = V::fmadd(V::set1(static_cast<float>(l)), bin_c,
-                             V::add(V::set1(t.bin_a[i_l]), bin_b));
-      // arg = Phi[l] * Psi[m] * gamma
-      const F phi_r = V::set1(t.phi_re[i_l]);
-      const F phi_i = V::set1(t.phi_im[i_l]);
-      const F t_r = V::fnmadd(phi_i, g_i, V::mul(phi_r, g_r));
-      const F t_i = V::fmadd(phi_i, g_r, V::mul(phi_r, g_i));
-      const F a_r = V::fnmadd(t_i, psi_i, V::mul(t_r, psi_r));
-      const F a_i = V::fmadd(t_i, psi_r, V::mul(t_r, psi_i));
-      // gamma *= Gamma[m]
-      const F ng_r = V::fmsub(g_r, gam_r, V::mul(g_i, gam_i));
-      g_i = V::fmadd(g_r, gam_i, V::mul(g_i, gam_r));
-      g_r = ng_r;
-      const auto ibin = V::truncate(bin);
-      const M ok = V::both(V::bin_ok(bin, ibin, samples), live);
-      const F frac = V::sub(bin, V::to_float(ibin));
-      F re0;
-      F im0;
-      F re1;
-      F im1;
-      SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
-      const F s_r = V::fmadd(V::sub(re1, re0), frac, re0);
-      const F s_i = V::fmadd(V::sub(im1, im0), frac, im0);
-      // Out += arg * sample
-      float* px_re = out_re + l * pitch + m;
-      float* px_im = out_im + l * pitch + m;
-      V::store(px_re,
-               V::add(V::load(px_re, ok),
-                      V::fmsub(a_r, s_r, V::mul(a_i, s_i))),
-               ok);
-      V::store(px_im,
-               V::add(V::load(px_im, ok),
-                      V::fmadd(a_r, s_i, V::mul(a_i, s_r))),
-               ok);
-    }
   }
 }
 

@@ -21,6 +21,14 @@ namespace sarbp::bp::detail {
 /// lanes).
 inline constexpr int kMaxTableLanes = 8;
 
+/// Gamma chains per row in every ASR row kernel, whatever its lane count:
+/// pixel l of a row takes chain l mod kGammaChains, which starts at
+/// Gamma^k and steps by Gamma^kGammaChains (paper §4.4 at AVX-512's
+/// width). AVX-512 runs the chains in one vector, AVX2 in two 8-lane
+/// halves and the portable sweep one pixel at a time, so all three give
+/// one image's bytes (DESIGN.md §12, "Gamma seeds").
+inline constexpr int kGammaChains = 16;
+
 /// One ISA's row kernels and table build. `acc_re`/`acc_im` are planar
 /// accumulation buffers whose row m starts at `acc + m * acc_pitch`
 /// (pitch = len_l for the y_inner run workspace, = tile width for in-place
@@ -32,12 +40,6 @@ struct AsrIsaOps {
   void (*rows_aos)(const asr::BlockTables& t, const CFloat* in, Index samples,
                    float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
                    Index len_m, KernelVariant variant);
-  /// KernelVariant::kAcrossRows: the portable sweep's bytes, one row per
-  /// lane. Row m's pixel l is out[l * pitch + m], so W rows are W
-  /// contiguous floats (y_inner in the tile; pitch = tile width).
-  void (*rows_across)(const asr::BlockTables& t, const CFloat* in,
-                      Index samples, float* out_re, float* out_im,
-                      Index pitch, Index len_l, Index len_m);
   /// Expands seeds[i] into *out[i] for i < count <= table_lanes, one table
   /// per f64 lane, byte-identical to asr::expand_table_seeds. Each out[i]
   /// is already resized to seeds[i]'s extents, which may differ per lane.

@@ -13,12 +13,12 @@
 // (backprojection/asr_sweep.h) and its own prebuilt tables, so exec needs
 // no service types.
 //
-// Identity contract: blocks cover disjoint pixel rectangles, and the
-// scalar and offload backends run the scalar sweep of execute_plan — so
-// any assignment of blocks to them (one or many) produces output
-// byte-identical to a serial execute_plan. The SIMD backend changes the
-// within-pixel arithmetic (documented >70 dB parity) and is opt-in per
-// request path.
+// Identity contract: blocks cover disjoint pixel rectangles, and every
+// backend's kernel gives the bytes of execute_plan's scalar sweep (one ASR
+// byte lineage, DESIGN.md §12) — so any assignment of blocks to backends
+// produces output byte-identical to a serial execute_plan. The one
+// exception is a SIMD backend forced to KernelVariant::kGatherNoFma, whose
+// split multiply-adds round differently (>70 dB parity).
 //
 // Instrumentation (per configured registry):
 //   counters   backend.<name>.sweeps

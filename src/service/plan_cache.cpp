@@ -135,8 +135,8 @@ exec::GroupPtr make_plan_replay_group(
   spec.workers = parallelism;
   spec.task_cap = tile_tasks;
   spec.backends = std::move(backends);
-  // Without backends: execute_plan's bytes, swept across rows.
-  spec.kernel = {bp::SimdIsa::kAuto, bp::KernelVariant::kAcrossRows};
+  // Without backends: the widest vector rows, execute_plan's bytes.
+  spec.kernel = bp::AsrKernel{bp::SimdIsa::kAuto};
   spec.checkpoint = std::move(checkpoint);
   spec.on_complete = std::move(on_complete);
   spec.label = "plan_replay";

@@ -97,8 +97,8 @@ void build_plan_block(FormationPlan& plan, std::size_t block,
 
 /// Replays a plan over `history` with the scalar sweep, serially, into
 /// `tile` (shaped like the plan's region): the reference every replay
-/// group on scalar backends matches byte for byte. `checkpoint` runs
-/// before every block sweep; returning
+/// group matches byte for byte, on any backend but a kGatherNoFma one and
+/// without backends. `checkpoint` runs before every block sweep; returning
 /// false aborts the replay (cooperative cancellation / deadline expiry) and
 /// the partially-formed tile must be discarded. Returns true on completion.
 bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
@@ -130,10 +130,10 @@ class PlanCache;
 /// `backends` (nullable) routes the blocks by the set's §5.3 dynamic
 /// split, each backend sweeping its share with its kernel and feeding its
 /// observed-rate tracker. Null sweeps every block untimed with
-/// AsrKernel{kAuto, kAcrossRows}: the scalar sweep's bytes, one row per
-/// vector lane. A set holding only scalar backends is byte-identical to
-/// that, and so is execute_plan (disjoint block rectangles; same per-block
-/// pulse order).
+/// AsrKernel{kAuto}, the widest vector rows. Every backend but a
+/// kGatherNoFma one is byte-identical to that, and so is execute_plan
+/// (disjoint block rectangles; same per-block pulse order; one ASR byte
+/// lineage across kernels).
 ///
 /// `insert_into` (nullable) marks `plan` as a cache-miss skeleton
 /// (lookup_plan): each block's tables are built for every pulse with

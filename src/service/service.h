@@ -111,10 +111,9 @@ struct ServiceConfig {
   // --- tile compute backends (local mode) --------------------------------
   /// Backends the plan-replay tasks target, with blocks routed by the §5.3
   /// dynamic split from observed per-backend rates (exec/tile_backend.h).
-  /// Empty keeps the direct path: the scalar sweep's bytes, swept across
-  /// rows (AsrKernel{kAuto, kAcrossRows}) — byte-identical to the
-  /// pre-backend executor and to execute_plan, as is a list holding only
-  /// kHostScalar entries.
+  /// Empty keeps the direct path, the widest vector rows
+  /// (AsrKernel{kAuto}): byte-identical to execute_plan, as is a list of
+  /// kHostScalar and kHostSimd entries without kGatherNoFma.
   /// Ignored in sharded mode (shards >= 2), where the ranks replay plans
   /// themselves.
   std::vector<exec::BackendSpec> backends;

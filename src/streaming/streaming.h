@@ -69,7 +69,8 @@ struct StreamConfig {
   std::string tenant;
   /// Sweeps with the vector ASR kernel (widest usable ISA,
   /// KernelVariant::kAuto window loads); the scalar sweep when no vector
-  /// ISA is usable.
+  /// ISA is usable. Either gives the same bytes, so this changes only
+  /// speed.
   bool use_simd = false;
   /// Optional shared sub-aperture partial cache (may be shared across
   /// sessions on the same scene); null = no partial reuse. Must outlive

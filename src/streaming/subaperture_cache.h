@@ -16,8 +16,8 @@
 //
 // The sweep kernel is not part of the match. Sessions with different
 // kernels (scalar and SIMD) that share one cache add each other's
-// partials, which differ from their own sweeps in float rounding only:
-// their images stay inside the >70 dB drift contract, not bit-identical.
+// partials, which are their own sweeps' bytes: every ASR kernel gives the
+// same bytes (DESIGN.md §12, "One byte lineage").
 #pragma once
 
 #include <cstdint>

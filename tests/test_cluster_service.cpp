@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/snr.h"
+#include "exec/tile_backend.h"
 #include "service/plan_cache.h"
 #include "service/service.h"
 #include "service/trace.h"
@@ -82,12 +83,18 @@ TEST(ClusterService, GridSplitIsBitIdenticalToLocal) {
   // Band cuts land on ASR block boundaries anchored at the region origin,
   // so each shard computes exactly the blocks the full plan would, and the
   // gather copies disjoint sub-rectangles: no floating-point reduction at
-  // all, hence exact equality.
+  // all, hence exact equality. Every ASR kernel gives the same bytes, so
+  // this holds against the backend-less local service and against one on a
+  // SIMD backend (the local path perfbench's `survey` times) alike.
   const Fixture f = make_fixture(48, 12);
 
   ServiceConfig local;
   local.workers = 1;
   const Grid2D<CFloat> reference = form_once(local, f);
+  ServiceConfig simd_local = local;
+  simd_local.backends.resize(1);
+  simd_local.backends[0].kind = exec::BackendSpec::Kind::kHostSimd;
+  const Grid2D<CFloat> simd_reference = form_once(simd_local, f);
 
   obs::Registry reg;
   ServiceConfig sharded;
@@ -97,6 +104,7 @@ TEST(ClusterService, GridSplitIsBitIdenticalToLocal) {
   const Grid2D<CFloat> image = form_once(sharded, f);
 
   EXPECT_TRUE(image == reference);
+  EXPECT_TRUE(image == simd_reference);
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("shard.jobs.grid_split").value(), 1u);
   }

@@ -3,17 +3,18 @@
 // backend sweep, so differences can only come from the inner loop.
 //
 // Parity contract (kernel.h):
-//  - kAuto (window loads), kGather and kShuffleTranspose: bit-identical
-//    (same arithmetic, same order; only the load mechanism differs).
-//  - scalar vs vector, FMA vs no-FMA, AVX2 vs AVX-512: different rounding
-//    and/or reduction widths, so parity is at SNR level (> 70 dB).
+//  - kAuto (window loads), kGather and kShuffleTranspose on every ISA, and
+//    the portable scalar sweep: bit-identical (16 gamma chains per row, the
+//    same pinned arithmetic in the same order; only the load mechanism and
+//    the lane count differ).
+//  - kGatherNoFma: different rounding, so parity is at SNR level (> 70 dB).
 //  - forcing an unavailable ISA fails with PreconditionError, never SIGILL.
 //  - the vector table build (one table per f64 lane) writes the scalar
 //    build's bytes on every ISA.
-//  - the rows' gamma seeds, in every ISA and along-rows variant, match a
-//    reference written here byte for byte; so do the later gamma steps,
-//    fused in the fused variants and mul then sub/add in kGatherNoFma.
-//  - kAcrossRows: the portable scalar sweep's bytes on every ISA.
+//  - the rows' gamma seeds, in every ISA and variant and in the scalar
+//    sweep, match a reference written here byte for byte; so do the later
+//    gamma steps, fused in the fused variants and the scalar sweep, mul then
+//    sub/add in kGatherNoFma.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -307,34 +308,29 @@ TEST_F(KernelVariantTest, GatherVsShuffleBitIdentical) {
 }
 
 TEST_F(KernelVariantTest, VectorIsasMatchScalarAtSnrLevel) {
-  // Vector reduction order differs from scalar (lane-parallel recurrence,
-  // Gamma^W stepping), so parity is at SNR level, not bitwise.
+  // kGatherNoFma splits every fused multiply-add, so it rounds differently
+  // from the scalar sweep: parity is at SNR level, not bitwise. The fused
+  // variants give the scalar bytes (VectorIsasMatchScalarBytes).
   const Grid2D<CFloat> scalar = to_grid(run_scalar_plan());
+  constexpr auto kNoFma = bp::KernelVariant::kGatherNoFma;
   bool checked = false;
   for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
     if (!bp::asr_isa_available(isa)) continue;
-    for (const bp::KernelVariant variant :
-         {bp::KernelVariant::kGather, bp::KernelVariant::kShuffleTranspose,
-          bp::KernelVariant::kGatherNoFma}) {
-      const Grid2D<CFloat> vec = to_grid(run_simd_plan(isa, variant));
-      EXPECT_GT(snr_db(vec, scalar), 70.0)
-          << bp::simd_isa_name(isa) << "/"
-          << bp::kernel_variant_name(variant);
-      // Rows whose last vector is a masked step.
-      for (const Index len : kRowLengths) {
-        for (const auto order :
-             {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
-          EXPECT_GT(snr_db(to_grid(sweep_rows(len, order, {isa, variant})),
-                           to_grid(sweep_rows(len, order, bp::AsrKernel{}))),
-                    70.0)
-              << bp::simd_isa_name(isa) << "/"
-              << bp::kernel_variant_name(variant) << ", row length " << len
-              << (order == geometry::LoopOrder::kXInner ? ", x_inner"
-                                                        : ", y_inner");
-        }
+    const Grid2D<CFloat> vec = to_grid(run_simd_plan(isa, kNoFma));
+    EXPECT_GT(snr_db(vec, scalar), 70.0) << bp::simd_isa_name(isa);
+    // Rows whose last vector is a masked step.
+    for (const Index len : kRowLengths) {
+      for (const auto order :
+           {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+        EXPECT_GT(snr_db(to_grid(sweep_rows(len, order, {isa, kNoFma})),
+                         to_grid(sweep_rows(len, order, bp::AsrKernel{}))),
+                  70.0)
+            << bp::simd_isa_name(isa) << ", row length " << len
+            << (order == geometry::LoopOrder::kXInner ? ", x_inner"
+                                                      : ", y_inner");
       }
-      checked = true;
     }
+    checked = true;
   }
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
 }
@@ -357,21 +353,22 @@ TEST_F(KernelVariantTest, NoFmaMatchesGatherAtSnrLevel) {
 
 TEST_F(KernelVariantTest, ForcedAvx2OnWiderHostMatchesAuto) {
   // The narrow-TU-on-wide-host case: an AVX-512 machine forced down to the
-  // 8-lane AVX2 kernel still produces an equivalent image. The reduction
-  // widths differ (8 vs 16 lanes), so parity is SNR-level.
+  // 8-lane AVX2 kernel runs the same 16 gamma chains per row in two halves,
+  // so it gives the 16-lane kernel's bytes.
   if (bp::asr_resolve_isa(bp::SimdIsa::kAuto) != bp::SimdIsa::kAvx512) {
     GTEST_SKIP() << "host is not AVX-512";
   }
-  const Grid2D<CFloat> wide =
-      to_grid(run_simd_plan(bp::SimdIsa::kAvx512, bp::KernelVariant::kGather));
-  const Grid2D<CFloat> narrow =
-      to_grid(run_simd_plan(bp::SimdIsa::kAvx2, bp::KernelVariant::kGather));
-  EXPECT_GT(snr_db(narrow, wide), 70.0);
+  for (const bp::KernelVariant variant :
+       {bp::KernelVariant::kAuto, bp::KernelVariant::kGather}) {
+    EXPECT_TRUE(bit_identical(run_simd_plan(bp::SimdIsa::kAvx2, variant),
+                              run_simd_plan(bp::SimdIsa::kAvx512, variant)))
+        << bp::kernel_variant_name(variant);
+  }
 }
 
 TEST_F(KernelVariantTest, StreamingKernelHonoursForcedIsa) {
   // The streaming (non-plan) entry point takes the same ISA override; a
-  // forced narrow ISA must agree with the scalar streaming kernel.
+  // forced narrow ISA must give the scalar streaming kernel's bytes.
   bp::SoaTile scalar(kImage, kImage);
   bp::backproject_asr_scalar(scenario_->history, scenario_->grid, region_, 0,
                              kPulses, kBlock, kBlock,
@@ -383,8 +380,7 @@ TEST_F(KernelVariantTest, StreamingKernelHonoursForcedIsa) {
     bp::backproject_asr_simd(scenario_->history, scenario_->grid, region_, 0,
                              kPulses, kBlock, kBlock,
                              geometry::LoopOrder::kXInner, simd, isa);
-    EXPECT_GT(snr_db(to_grid(simd), to_grid(scalar)), 70.0)
-        << bp::simd_isa_name(isa);
+    EXPECT_TRUE(bit_identical(simd, scalar)) << bp::simd_isa_name(isa);
     checked = true;
   }
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
@@ -415,110 +411,114 @@ CFloat unfused_step(CFloat a, CFloat b) {
 TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
   // Tables under which every output pixel is the kernel's gamma: bin 0.5 on
   // samples of 1 + 0i (an interpolated 1), Phi = Psi = 1, and a random unit
-  // Gamma[m]. In row m, lane k of the first vector is k pinned steps from 1
-  // in every variant, and each later vector is one step by Gamma^W, the
-  // W-th of those steps: pinned in the fused variants, mul then sub/add in
-  // kGatherNoFma (its TU is compiled with -ffp-contract=off). The
-  // reference is written here, so a seed or a step off by one ulp fails,
-  // which the 70 dB scalar comparison and the gather/shuffle comparison
-  // cannot see. kAcrossRows is left out: it seeds no lanes, each lane
-  // stepping its row's gamma serially as the scalar sweep does
-  // (AcrossRowsMatchesScalarBytes).
+  // Gamma[m]. Every kernel runs 16 gamma chains per row, whatever its lane
+  // count: in row m, pixel l takes chain l mod 16, which starts k pinned
+  // steps from 1 in every kernel and steps by Gamma^16, the 16th of those
+  // steps, after each pixel it serves: pinned in the fused variants and the
+  // scalar sweep, mul then sub/add in kGatherNoFma (its TU is compiled with
+  // -ffp-contract=off). The reference is written here, so a seed or a step
+  // off by one ulp fails, which the gather/shuffle comparison cannot see.
+  // Row lengths 8, 9, 24 and 25 end in AVX2's first or second half.
+  constexpr Index kChains = 16;
   sim::PhaseHistory ones(1, 16, 1.0, 1.0);
   for (CFloat& v : ones.pulse(0)) v = CFloat{1.0f, 0.0f};
   const Index lens_m[] = {1, 7, 8, 9, 15, 16, 17, 33, 64};
-  const Index lens_l[] = {1, 5, 16, 17, 64};
-  Rng rng(2012);
-  bool checked = false;
+  const Index lens_l[] = {1, 5, 8, 9, 16, 17, 24, 25, 64};
+  std::vector<bp::AsrKernel> kernels = {bp::AsrKernel{}};
   for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
     if (!bp::asr_isa_available(isa)) continue;
-    const Index width = isa == bp::SimdIsa::kAvx512 ? 16 : 8;
     for (const bp::KernelVariant variant :
          {bp::KernelVariant::kAuto, bp::KernelVariant::kGather,
           bp::KernelVariant::kShuffleTranspose,
           bp::KernelVariant::kGatherNoFma}) {
-      const auto later_step = variant == bp::KernelVariant::kGatherNoFma
-                                  ? unfused_step
-                                  : pinned_step;
-      for (const auto order :
-           {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
-        const bool x_inner = order == geometry::LoopOrder::kXInner;
-        for (const Index len_m : lens_m) {
-          for (const Index len_l : lens_l) {
-            SCOPED_TRACE(std::string(bp::simd_isa_name(isa)) + "/" +
-                         bp::kernel_variant_name(variant) +
-                         (x_inner ? ", x_inner, " : ", y_inner, ") +
-                         std::to_string(len_l) + " x " +
-                         std::to_string(len_m));
-            asr::BlockTables tables;
-            tables.resize(len_l, len_m);
+      kernels.push_back({isa, variant});
+    }
+  }
+  Rng rng(2012);
+  for (const bp::AsrKernel& kernel : kernels) {
+    const bool scalar = kernel.isa == bp::SimdIsa::kScalar;
+    const std::string name =
+        scalar ? std::string("scalar")
+               : std::string(bp::simd_isa_name(kernel.isa)) + "/" +
+                     bp::kernel_variant_name(kernel.variant);
+    const auto later_step =
+        !scalar && kernel.variant == bp::KernelVariant::kGatherNoFma
+            ? unfused_step
+            : pinned_step;
+    for (const auto order :
+         {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+      const bool x_inner = order == geometry::LoopOrder::kXInner;
+      for (const Index len_m : lens_m) {
+        for (const Index len_l : lens_l) {
+          SCOPED_TRACE(name + (x_inner ? ", x_inner, " : ", y_inner, ") +
+                       std::to_string(len_l) + " x " + std::to_string(len_m));
+          asr::BlockTables tables;
+          tables.resize(len_l, len_m);
+          for (Index l = 0; l < len_l; ++l) {
+            const auto i = static_cast<std::size_t>(l);
+            tables.bin_a[i] = 0.5f;
+            tables.phi_re[i] = 1.0f;
+            tables.phi_im[i] = 0.0f;
+          }
+          for (Index m = 0; m < len_m; ++m) {
+            const auto i = static_cast<std::size_t>(m);
+            const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
+            tables.bin_b[i] = 0.0f;
+            tables.bin_c[i] = 0.0f;
+            tables.psi_re[i] = 1.0f;
+            tables.psi_im[i] = 0.0f;
+            tables.gam_re[i] = static_cast<float>(std::cos(angle));
+            tables.gam_im[i] = static_cast<float>(std::sin(angle));
+          }
+          const asr::BlockSpec block{0, 0, x_inner ? len_l : len_m,
+                                     x_inner ? len_m : len_l};
+          bp::SoaTile tile(block.width, block.height);
+          bp::sweep_asr_block(block, 0, 0, bp::PlanTables{&tables, &order},
+                              bp::PulseRange{&ones, 0, 1}, kernel, tile);
+          for (Index m = 0; m < len_m; ++m) {
+            const auto i = static_cast<std::size_t>(m);
+            const CFloat gamma{tables.gam_re[i], tables.gam_im[i]};
+            std::vector<CFloat> seed{CFloat{1.0f, 0.0f}};
+            for (Index k = 0; k < kChains; ++k) {
+              seed.push_back(pinned_step(seed.back(), gamma));
+            }
+            const CFloat step = seed.back();
             for (Index l = 0; l < len_l; ++l) {
-              const auto i = static_cast<std::size_t>(l);
-              tables.bin_a[i] = 0.5f;
-              tables.phi_re[i] = 1.0f;
-              tables.phi_im[i] = 0.0f;
-            }
-            for (Index m = 0; m < len_m; ++m) {
-              const auto i = static_cast<std::size_t>(m);
-              const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
-              tables.bin_b[i] = 0.0f;
-              tables.bin_c[i] = 0.0f;
-              tables.psi_re[i] = 1.0f;
-              tables.psi_im[i] = 0.0f;
-              tables.gam_re[i] = static_cast<float>(std::cos(angle));
-              tables.gam_im[i] = static_cast<float>(std::sin(angle));
-            }
-            const asr::BlockSpec block{0, 0, x_inner ? len_l : len_m,
-                                       x_inner ? len_m : len_l};
-            bp::SoaTile tile(block.width, block.height);
-            bp::sweep_asr_block(block, 0, 0, bp::PlanTables{&tables, &order},
-                                bp::PulseRange{&ones, 0, 1}, {isa, variant},
-                                tile);
-            for (Index m = 0; m < len_m; ++m) {
-              const auto i = static_cast<std::size_t>(m);
-              const CFloat gamma{tables.gam_re[i], tables.gam_im[i]};
-              std::vector<CFloat> seed{CFloat{1.0f, 0.0f}};
-              for (Index k = 0; k < width; ++k) {
-                seed.push_back(pinned_step(seed.back(), gamma));
+              CFloat want = seed[static_cast<std::size_t>(l % kChains)];
+              for (Index v = 0; v < l / kChains; ++v) {
+                want = later_step(want, step);
               }
-              const CFloat step = seed.back();
-              for (Index l = 0; l < len_l; ++l) {
-                CFloat want = seed[static_cast<std::size_t>(l % width)];
-                for (Index v = 0; v < l / width; ++v) {
-                  want = later_step(want, step);
-                }
-                const Index x = x_inner ? l : m;
-                const Index y = x_inner ? m : l;
-                const float got[] = {tile.row_re(y)[x], tile.row_im(y)[x]};
-                const float expected[] = {want.real(), want.imag()};
-                ASSERT_EQ(std::memcmp(got, expected, sizeof(got)), 0)
-                    << "pixel l = " << l << ", m = " << m << ": got ("
-                    << got[0] << ", " << got[1] << "), want (" << expected[0]
-                    << ", " << expected[1] << ")";
-              }
+              const Index x = x_inner ? l : m;
+              const Index y = x_inner ? m : l;
+              const float got[] = {tile.row_re(y)[x], tile.row_im(y)[x]};
+              const float expected[] = {want.real(), want.imag()};
+              ASSERT_EQ(std::memcmp(got, expected, sizeof(got)), 0)
+                  << "pixel l = " << l << ", m = " << m << ": got (" << got[0]
+                  << ", " << got[1] << "), want (" << expected[0] << ", "
+                  << expected[1] << ")";
             }
           }
         }
       }
     }
-    checked = true;
   }
-  if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
 }
 
-TEST_F(KernelVariantTest, AcrossRowsMatchesScalarBytes) {
-  // kAcrossRows runs the scalar sweep's operations in their pinned forms,
-  // one row per lane (y_inner; x_inner pulses take the portable loop), so
-  // on every ISA it must give AsrKernel{}'s bytes. Tables built on the fly:
-  // the scenario under fixed x_inner, fixed y_inner and each pulse's
-  // wavefront order; a copy whose order alternates every 8 pulses; and
-  // load_path_history's full circle (strong cross terms, so Gamma and the
-  // bin's l * C term round) and swath edges (lanes out of range, pixels
-  // never reached). A plan's tables: replayed from pulse 0 and from
-  // mid-plan, as a pulse-scatter part replays. Every tile starts at -0, so
-  // a lane that adds +0 where the scalar sweep adds nothing shows. The
-  // blocks include thin ones, partial edge blocks and rows W - 1, W and
-  // W + 1 wide.
+TEST_F(KernelVariantTest, VectorIsasMatchScalarBytes) {
+  // Every ISA runs the scalar sweep's 16 gamma chains per row in its pinned
+  // forms, accumulates y_inner runs through the same workspace, and adds
+  // nothing where a bin fails the range check, so kAuto, kGather and
+  // kShuffleTranspose must give AsrKernel{}'s bytes on every ISA. Tables
+  // built on the fly: the scenario under fixed x_inner, fixed y_inner and
+  // each pulse's wavefront order; a copy whose order alternates every 8
+  // pulses; and load_path_history's full circle (strong cross terms, so
+  // Gamma and the bin's l * C term round) and swath edges (lanes out of
+  // range, pixels never reached). A plan's tables: replayed from pulse 0
+  // and from mid-plan, as a pulse-scatter part replays. Every tile starts
+  // at -0, so a lane that adds +0 where the scalar sweep adds nothing
+  // shows. The blocks include thin ones, partial edge blocks and rows W -
+  // 1, W and W + 1 wide for both lane counts; the row lengths reach the
+  // tails of both AVX2 halves.
   const sim::PhaseHistory alternating = testing::alternate_loop_orders(
       scenario_->history, scenario_->grid.centre());
   const sim::PhaseHistory circle = load_path_history(400, -40.0);
@@ -536,6 +536,26 @@ TEST_F(KernelVariantTest, AcrossRowsMatchesScalarBytes) {
           {"swath edges, wavefront", &edges, std::nullopt}};
   const std::pair<const char*, const sim::PhaseHistory*> plan_cases[] = {
       {"scenario", &scenario_->history}, {"alternating", &alternating}};
+  std::vector<bp::AsrKernel> kernels;
+  for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
+    if (!bp::asr_isa_available(isa)) continue;
+    for (const bp::KernelVariant variant :
+         {bp::KernelVariant::kAuto, bp::KernelVariant::kGather,
+          bp::KernelVariant::kShuffleTranspose}) {
+      kernels.push_back({isa, variant});
+    }
+  }
+  if (kernels.empty()) GTEST_SKIP() << "no vector ISA usable on this host";
+  // Each kernel's image against the scalar one, computed once per case.
+  const auto expect_scalar_bytes = [&](const auto& sweep,
+                                       const std::string& name) {
+    const bp::SoaTile scalar = sweep(bp::AsrKernel{});
+    for (const bp::AsrKernel& kernel : kernels) {
+      EXPECT_TRUE(bit_identical(sweep(kernel), scalar))
+          << name << ", " << bp::simd_isa_name(kernel.isa) << "/"
+          << bp::kernel_variant_name(kernel.variant);
+    }
+  };
   const auto negative_zeros = [] {
     bp::SoaTile tile(kImage, kImage);
     for (Index y = 0; y < kImage; ++y) {
@@ -544,58 +564,59 @@ TEST_F(KernelVariantTest, AcrossRowsMatchesScalarBytes) {
     }
     return tile;
   };
-  const auto sweep_fly = [&](const sim::PhaseHistory& h, Index bw, Index bh,
-                             std::optional<geometry::LoopOrder> order,
-                             const bp::AsrKernel& kernel) {
-    bp::SoaTile tile = negative_zeros();
-    const bp::PulseRange pulses[] = {{&h, 0, h.num_pulses()}};
-    for (const auto& block : asr::plan_blocks(0, 0, kImage, kImage, bw, bh)) {
-      bp::sweep_asr_block(block, 0, 0, scenario_->grid, pulses, order, kernel,
-                          tile);
+  const std::pair<Index, Index> shapes[] = {
+      {17, 17}, {33, 17}, {17, 33}, {5, 40},  {40, 5},
+      {1, 9},   {9, 1},   {64, 64}, {96, 96}, {7, 24},
+      {8, 24},  {9, 24},  {15, 24}, {16, 24}, {17, 24}};
+  for (const auto& [bw, bh] : shapes) {
+    const std::string shape = std::to_string(bw) + "x" + std::to_string(bh);
+    for (const auto& [name, h, order] : fly_cases) {
+      expect_scalar_bytes(
+          [&](const bp::AsrKernel& kernel) {
+            bp::SoaTile tile = negative_zeros();
+            const bp::PulseRange pulses[] = {{h, 0, h->num_pulses()}};
+            for (const auto& block :
+                 asr::plan_blocks(0, 0, kImage, kImage, bw, bh)) {
+              bp::sweep_asr_block(block, 0, 0, scenario_->grid, pulses, order,
+                                  kernel, tile);
+            }
+            return tile;
+          },
+          shape + ", on the fly, " + name);
     }
-    return tile;
-  };
-  const auto sweep_plan = [&](const service::FormationPlan& plan,
-                              const sim::PhaseHistory& h, Index begin,
-                              const bp::AsrKernel& kernel) {
-    bp::SoaTile tile = negative_zeros();
-    for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
-      bp::sweep_asr_block(plan.blocks[b], 0, 0, plan.block_tables(b),
-                          bp::PulseRange{&h, begin, h.num_pulses()}, kernel,
-                          tile);
-    }
-    return tile;
-  };
-  bool checked = false;
-  for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
-    if (!bp::asr_isa_available(isa)) continue;
-    const Index width = isa == bp::SimdIsa::kAvx512 ? 16 : 8;
-    const bp::AsrKernel across{isa, bp::KernelVariant::kAcrossRows};
-    const std::pair<Index, Index> shapes[] = {
-        {17, 17}, {33, 17},        {17, 33},    {5, 40},
-        {40, 5},  {1, 9},          {9, 1},      {64, 64},
-        {96, 96}, {width - 1, 24}, {width, 24}, {width + 1, 24}};
-    for (const auto& [bw, bh] : shapes) {
-      SCOPED_TRACE(std::string(bp::simd_isa_name(isa)) + ", " +
-                   std::to_string(bw) + "x" + std::to_string(bh));
-      for (const auto& [name, h, order] : fly_cases) {
-        EXPECT_TRUE(bit_identical(sweep_fly(*h, bw, bh, order, across),
-                                  sweep_fly(*h, bw, bh, order, {})))
-            << "on the fly, " << name;
-      }
-      for (const auto& [name, h] : plan_cases) {
-        const auto plan = service::build_formation_plan(
-            scenario_->grid, region_, bw, bh, *h);
-        for (const Index begin : {Index{0}, kPulses / 2 + 1}) {
-          EXPECT_TRUE(bit_identical(sweep_plan(*plan, *h, begin, across),
-                                    sweep_plan(*plan, *h, begin, {})))
-              << "plan, " << name << ", from pulse " << begin;
-        }
+    for (const auto& [name, h] : plan_cases) {
+      const auto plan = service::build_formation_plan(scenario_->grid,
+                                                      region_, bw, bh, *h);
+      for (const Index begin : {Index{0}, kPulses / 2 + 1}) {
+        expect_scalar_bytes(
+            [&](const bp::AsrKernel& kernel) {
+              bp::SoaTile tile = negative_zeros();
+              for (std::size_t b = 0; b < plan->blocks.size(); ++b) {
+                bp::sweep_asr_block(plan->blocks[b], 0, 0,
+                                    plan->block_tables(b),
+                                    bp::PulseRange{h, begin, h->num_pulses()},
+                                    kernel, tile);
+              }
+              return tile;
+            },
+            shape + ", plan, " + name + ", from pulse " +
+                std::to_string(begin));
       }
     }
-    checked = true;
   }
-  // Both orders occur, so both the lanes and the portable loop ran.
+  // Rows whose last vector is a masked step on either lane count.
+  for (const Index len : {7, 8, 9, 15, 16, 17, 24, 25, 31, 33}) {
+    for (const auto order : {geometry::LoopOrder::kXInner, y_inner}) {
+      expect_scalar_bytes(
+          [&](const bp::AsrKernel& kernel) {
+            return sweep_rows(len, order, kernel);
+          },
+          "row length " + std::to_string(len) +
+              (order == y_inner ? ", y_inner" : ", x_inner"));
+    }
+  }
+  // Both orders occur, so both the workspace runs and the in-place rows
+  // ran.
   const auto plan = service::build_formation_plan(
       scenario_->grid, region_, kBlock, kBlock, alternating);
   for (const auto order : {geometry::LoopOrder::kXInner, y_inner}) {
@@ -603,7 +624,6 @@ TEST_F(KernelVariantTest, AcrossRowsMatchesScalarBytes) {
                          order),
               0);
   }
-  if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
 }
 
 /// Every array of two table sets, byte for byte.

@@ -9,7 +9,9 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "asr/block_plan.h"
@@ -466,11 +468,13 @@ TEST(KernelLoopOrder, PerPulseOrderMatchesPerRunSplit) {
 }
 
 // A pulse whose swath starts at -1e30 m puts every bin near 1e30, beyond
-// Index's range. It must add nothing: each kernel's image over the four
-// pulses is its image over the other three, byte for byte. The scalar
+// Index's range; one whose swath starts at +inf, -inf or NaN puts every bin
+// at -inf, +inf or NaN. It must add nothing: each kernel's image over the
+// four pulses is its image over the other three, byte for byte. The scalar
 // sweeps used to convert such a bin to Index before checking it
 // (undefined; on x86 the conversion yields INT64_MIN, which passed the
-// upper check and read In[0]).
+// upper check and read In[0]). The vector rows used to add a failed lane's
+// product, which a non-finite bin makes NaN, to every pixel.
 TEST(KernelBinGuard, PulseBeyondIndexRangeAddsNothing) {
   ScenarioConfig cfg;
   cfg.image = 64;
@@ -478,8 +482,6 @@ TEST(KernelBinGuard, PulseBeyondIndexRangeAddsNothing) {
   cfg.fidelity = sim::CollectionFidelity::kRandom;
   const SmallScenario s = make_scenario(cfg);
   const sim::PhaseHistory& clean = s.history;
-  sim::PhaseHistory hostile = clean;
-  hostile.meta(1).start_range_m = -1e30;
   sim::PhaseHistory without(3, clean.samples_per_pulse(), clean.bin_spacing(),
                             clean.wavenumber());
   const Index kept[] = {0, 2, 3};
@@ -490,68 +492,89 @@ TEST(KernelBinGuard, PulseBeyondIndexRangeAddsNothing) {
   }
   const Region all{0, 0, s.grid.width(), s.grid.height()};
   const auto bytes = static_cast<std::size_t>(all.width) * sizeof(float);
-  for (const auto order :
-       {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
-    const auto expect_adds_nothing = [&](const char* name, const auto& run) {
-      const SoaTile got = run(hostile);
-      const SoaTile want = run(without);
-      Index rows_differing = 0;
-      for (Index y = 0; y < all.height; ++y) {
-        if (std::memcmp(got.row_re(y), want.row_re(y), bytes) != 0 ||
-            std::memcmp(got.row_im(y), want.row_im(y), bytes) != 0) {
-          ++rows_differing;
-        }
-      }
-      EXPECT_EQ(rows_differing, 0)
-          << name
-          << (order == geometry::LoopOrder::kXInner ? ", x_inner"
-                                                    : ", y_inner");
-    };
-    for (KernelKind kind :
-         {KernelKind::kBaseline, KernelKind::kBaselineAllFloat,
-          KernelKind::kAsrScalar, KernelKind::kAsrSimd}) {
-      expect_adds_nothing(kernel_name(kind), [&](const sim::PhaseHistory& h) {
-        SoaTile tile(all.width, all.height);
-        switch (kind) {
-          case KernelKind::kBaseline:
-          case KernelKind::kBaselineAllFloat:
-            backproject_baseline(h, s.grid, all, 0, h.num_pulses(),
-                                 kind == KernelKind::kBaselineAllFloat, order,
-                                 tile);
-            break;
-          case KernelKind::kAsrScalar:
-            backproject_asr_scalar(h, s.grid, all, 0, h.num_pulses(), 32, 32,
-                                   order, tile);
-            break;
-          default:
-            backproject_asr_simd(h, s.grid, all, 0, h.num_pulses(), 32, 32,
-                                 order, tile);
-        }
-        return tile;
-      });
+  // Every vector ISA and variant, beside the kernel kinds.
+  std::vector<AsrKernel> simd_kernels;
+  for (const SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    if (!asr_isa_available(isa)) continue;
+    for (const KernelVariant variant :
+         {KernelVariant::kAuto, KernelVariant::kGather,
+          KernelVariant::kShuffleTranspose, KernelVariant::kGatherNoFma}) {
+      simd_kernels.push_back({isa, variant});
     }
-    // The shard ranks' kernel: the scalar sweep's bytes, across rows.
-    expect_adds_nothing("across-rows", [&](const sim::PhaseHistory& h) {
-      SoaTile tile(all.width, all.height);
-      const PulseRange pulses[] = {{&h, 0, h.num_pulses()}};
-      for (const auto& block :
-           asr::plan_blocks(0, 0, all.width, all.height, 32, 32)) {
-        sweep_asr_block(block, 0, 0, s.grid, pulses, order,
-                        AsrKernel{SimdIsa::kAuto, KernelVariant::kAcrossRows},
-                        tile);
-      }
-      return tile;
-    });
   }
-  Grid2D<CDouble> got(all.width, all.height);
-  backproject_ref(hostile, s.grid, all, 0, 4, got);
-  Grid2D<CDouble> want(all.width, all.height);
-  backproject_ref(without, s.grid, all, 0, 3, want);
-  EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                        sizeof(CDouble) * static_cast<std::size_t>(
-                                              all.width * all.height)),
-            0)
-      << kernel_name(KernelKind::kRefDouble);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double start :
+       {-1e30, kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("start_range_m = " + std::to_string(start));
+    sim::PhaseHistory hostile = clean;
+    hostile.meta(1).start_range_m = start;
+    for (const auto order :
+         {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+      const auto expect_adds_nothing = [&](const std::string& name,
+                                           const auto& run) {
+        const SoaTile got = run(hostile);
+        const SoaTile want = run(without);
+        Index rows_differing = 0;
+        for (Index y = 0; y < all.height; ++y) {
+          if (std::memcmp(got.row_re(y), want.row_re(y), bytes) != 0 ||
+              std::memcmp(got.row_im(y), want.row_im(y), bytes) != 0) {
+            ++rows_differing;
+          }
+        }
+        EXPECT_EQ(rows_differing, 0)
+            << name
+            << (order == geometry::LoopOrder::kXInner ? ", x_inner"
+                                                      : ", y_inner");
+      };
+      for (KernelKind kind :
+           {KernelKind::kBaseline, KernelKind::kBaselineAllFloat,
+            KernelKind::kAsrScalar, KernelKind::kAsrSimd}) {
+        expect_adds_nothing(kernel_name(kind), [&](const sim::PhaseHistory& h) {
+          SoaTile tile(all.width, all.height);
+          switch (kind) {
+            case KernelKind::kBaseline:
+            case KernelKind::kBaselineAllFloat:
+              backproject_baseline(h, s.grid, all, 0, h.num_pulses(),
+                                   kind == KernelKind::kBaselineAllFloat,
+                                   order, tile);
+              break;
+            case KernelKind::kAsrScalar:
+              backproject_asr_scalar(h, s.grid, all, 0, h.num_pulses(), 32, 32,
+                                     order, tile);
+              break;
+            default:
+              backproject_asr_simd(h, s.grid, all, 0, h.num_pulses(), 32, 32,
+                                   order, tile);
+          }
+          return tile;
+        });
+      }
+      for (const AsrKernel& kernel : simd_kernels) {
+        expect_adds_nothing(
+            std::string(simd_isa_name(kernel.isa)) + "/" +
+                kernel_variant_name(kernel.variant),
+            [&](const sim::PhaseHistory& h) {
+              SoaTile tile(all.width, all.height);
+              const PulseRange pulses[] = {{&h, 0, h.num_pulses()}};
+              for (const auto& block :
+                   asr::plan_blocks(0, 0, all.width, all.height, 32, 32)) {
+                sweep_asr_block(block, 0, 0, s.grid, pulses, order, kernel,
+                                tile);
+              }
+              return tile;
+            });
+      }
+    }
+    Grid2D<CDouble> got(all.width, all.height);
+    backproject_ref(hostile, s.grid, all, 0, 4, got);
+    Grid2D<CDouble> want(all.width, all.height);
+    backproject_ref(without, s.grid, all, 0, 3, want);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(CDouble) * static_cast<std::size_t>(
+                                                all.width * all.height)),
+              0)
+        << kernel_name(KernelKind::kRefDouble);
+  }
 }
 
 TEST(KernelName, AllNamesDistinct) {

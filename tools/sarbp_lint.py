@@ -67,8 +67,7 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
   asr-core        The ASR formation core stays single. In src/, calls to
                   build_block_tables_fast(, table_seeds(,
                   expand_table_seeds( and block_range_quadratic( and the
-                  AsrIsaOps entries (`->rows_aos(`, the along-rows
-                  kernels, `->rows_across(`, the across-rows kernel, and
+                  AsrIsaOps entries (`->rows_aos(`, the row kernels, and
                   `->build_tables(`, the lane-per-table build) may appear
                   only in the core TU (src/backprojection/asr_sweep.cpp)
                   and the per-ISA kernel TUs, which instantiate the one row
@@ -210,7 +209,7 @@ ISA_INTRINSIC_RE = re.compile(
 ASR_CORE_RE = re.compile(
     r"\b(?:build_block_tables_fast|table_seeds|expand_table_seeds|"
     r"block_range_quadratic)\s*\(|"
-    r"(?:\.|->)\s*(?:rows_aos|rows_across|build_tables)\s*\(")
+    r"(?:\.|->)\s*(?:rows_aos|build_tables)\s*\(")
 
 # The core TU, the per-ISA kernel TUs, the beamformer's own geometry, and
 # src/asr/ (ASR_CORE_DIR), where the table build is defined.
@@ -708,11 +707,6 @@ SELFTEST_CASES = [
      "ops_->rows_aos(t, in, n, re, im, w, l, m, v);\n"
      "asr::build_block_tables_fast(q, r0, dr, k, l, m, t);\n",
      []),
-    # asr-core: the across-rows kernel, the shard ranks' sweep.
-    ("src/service/p.cpp", "ops->rows_across(t, in, n, re, im, w, l, m);\n",
-     ["asr-core"]),
-    ("src/backprojection/asr_sweep.cpp",
-     "ops_->rows_across(t, in, n, re, im, pitch, l, m);\n", []),
     ("src/asr/tables.cpp",
      "void build_block_tables_fast(const Quadratic2D& q, double r0,\n",
      []),
