@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <complex>
-#include <utility>
+#include <cstdint>
 
 #include "common/check.h"
 #include "signal/trig.h"
@@ -85,36 +85,17 @@ std::size_t padded(Index n) {
 
 }  // namespace
 
-BlockTables::BlockTables(BlockTables&& other) noexcept {
-  *this = std::move(other);
-}
-
-BlockTables& BlockTables::operator=(BlockTables&& other) noexcept {
-  if (this != &other) {
-    const Index w = other.width;
-    const Index h = other.height;
-    storage_ = std::move(other.storage_);
-    bind(w, h);
-    other.storage_.clear();
-    other.bind(0, 0);
+BlockTables::BlockTables(float* storage, Index w, Index h)
+    : width(w), height(h) {
+  // Thrown directly: ensure() would build its message on every call, and a
+  // plan constructs a view per table.
+  if (w <= 0 || h <= 0) {
+    throw PreconditionError("BlockTables: block must be non-empty");
   }
-  return *this;
-}
-
-std::size_t BlockTables::footprint_bytes(Index w, Index h) {
-  return (3 * padded(w) + 6 * padded(h)) * sizeof(float);
-}
-
-void BlockTables::resize(Index w, Index h) {
-  ensure(w > 0 && h > 0, "BlockTables: block must be non-empty");
-  storage_.resize(footprint_bytes(w, h) / sizeof(float));
-  bind(w, h);
-}
-
-void BlockTables::bind(Index w, Index h) {
-  width = w;
-  height = h;
-  float* next = storage_.data();
+  if (reinterpret_cast<std::uintptr_t>(storage) % kSimdAlign != 0) {
+    throw PreconditionError("BlockTables: storage must be 64-byte aligned");
+  }
+  float* next = storage;
   const auto take = [&next](Index n) {
     const std::span<float> array(next, static_cast<std::size_t>(n));
     next += padded(n);
@@ -131,10 +112,17 @@ void BlockTables::bind(Index w, Index h) {
   gam_im = take(h);
 }
 
+std::size_t BlockTables::footprint_floats(Index w, Index h) {
+  return 3 * padded(w) + 6 * padded(h);
+}
+
 void build_block_tables(const Quadratic2D& q, double start_range,
                         double bin_spacing, double two_pi_k, Index width,
                         Index height, BlockTables& tables) {
-  tables.resize(width, height);
+  if (tables.width != width || tables.height != height) {
+    throw PreconditionError(
+        "build_block_tables: tables must view width x height");
+  }
   const double inv_dr = 1.0 / bin_spacing;
   // Centred offset of index 0 along each axis (expansion is about the
   // block centre; paper footnote 4).
@@ -202,7 +190,10 @@ TableSeeds table_seeds(const Quadratic2D& q, double start_range,
 }
 
 void expand_table_seeds(const TableSeeds& s, BlockTables& tables) {
-  tables.resize(s.width, s.height);
+  if (tables.width != s.width || tables.height != s.height) {
+    throw PreconditionError(
+        "expand_table_seeds: tables must view the seeds' extents");
+  }
   ramp_table(s.bin_a, s.width, tables.bin_a.data());
   phase_table(s.phi, s.width, tables.phi_re.data(), tables.phi_im.data());
   ramp_table(s.bin_b, s.height, tables.bin_b.data());

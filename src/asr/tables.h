@@ -16,25 +16,29 @@
 // the huge 2*pi*k*f0 constant phase — and *stored in float*, which is what
 // lets the inner loop run entirely in single precision at full accuracy
 // (paper §3.5, §5.2.1).
+//
+// A BlockTables owns nothing: it views floats that its owner lays out. A
+// formation plan keeps every (block, pulse) table and its view in one page
+// arena (service/plan_cache.h); the on-the-fly sweep keeps one lane group
+// of tables in per-thread scratch (backprojection/asr_sweep.cpp); other
+// callers keep one buffer of footprint_floats per table.
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 #include "asr/quadratic.h"
-#include "common/aligned.h"
 #include "common/types.h"
 
 namespace sarbp::asr {
 
-/// One (block, pulse) pair's tables. The nine arrays share one 64-byte-
-/// aligned buffer, each padded to a multiple of 16 floats so every array
-/// starts on a 64-byte boundary; the spans view that buffer. One
-/// allocation per table keeps a cached plan's thousands of tables cheap to
-/// build and to free. resize() reuses the buffer when it is large enough,
-/// so a workspace amortizes across blocks/pulses. Move-only: a move hands
-/// the buffer and its spans to the destination and leaves the source
-/// empty.
+/// One (block, pulse) pair's tables: a view of nine arrays in storage its
+/// owner keeps (a formation plan's arena, a sweep's scratch buffer), each
+/// array padded to a multiple of 16 floats so that every array starts on a
+/// 64-byte boundary. Only an array's first L or M entries are live: the
+/// builds write only those, and every kernel reads only those (a row's
+/// tail is a masked load), so the padding may hold anything. Copying a
+/// view copies no table.
 struct BlockTables {
   Index width = 0;   ///< L: block extent along l (the inner/x loop)
   Index height = 0;  ///< M: block extent along m (the outer/y loop)
@@ -48,24 +52,15 @@ struct BlockTables {
   std::span<float> gam_re, gam_im;  ///< [M] step factor Gamma[m]
 
   BlockTables() = default;
-  BlockTables(BlockTables&& other) noexcept;
-  BlockTables& operator=(BlockTables&& other) noexcept;
-  BlockTables(const BlockTables&) = delete;
-  BlockTables& operator=(const BlockTables&) = delete;
+  /// Views the w x h tables at `storage`: footprint_floats(w, h) floats,
+  /// 64-byte aligned.
+  BlockTables(float* storage, Index w, Index h);
 
-  void resize(Index w, Index h);
-
-  /// Buffer size of a w x h table set: what resize(w, h) allocates.
-  [[nodiscard]] static std::size_t footprint_bytes(Index w, Index h);
-
- private:
-  /// Points the spans at storage_ for a w x h block.
-  void bind(Index w, Index h);
-
-  AlignedVector<float> storage_;
+  /// Floats a w x h table set occupies, padding included.
+  [[nodiscard]] static std::size_t footprint_floats(Index w, Index h);
 };
 
-/// Fills `tables` for one (block, pulse) pair.
+/// Fills `tables`, a width x height view, for one (block, pulse) pair.
 ///   q:            range quadratic about the block centre (centred indices)
 ///   start_range:  r0 — slant range of range bin 0 for this pulse
 ///   bin_spacing:  dr
@@ -114,8 +109,8 @@ inline constexpr Index kRenormMask = 63;
                                      double two_pi_k, Index width,
                                      Index height);
 
-/// Expands `seeds` into `tables` (resized to seeds.width x seeds.height):
-/// the scalar recurrences. Their rounding is pinned so that a vector build
+/// Expands `seeds` into `tables`, a seeds.width x seeds.height view: the
+/// scalar recurrences. Their rounding is pinned so that a vector build
 /// can repeat them lane for lane, byte for byte:
 ///  - a ramp entry is float(X[j]); X and D advance with one double add each;
 ///  - a phase entry is (float(Re U[j]), float(Im U[j])); each complex step

@@ -151,9 +151,10 @@ void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
 }
 
 /// Per-thread sweep scratch, reused across every block a thread sweeps:
-/// one lane group of tables for the on-the-fly source and the y_inner run
-/// workspace.
+/// one lane group of tables for the on-the-fly source, viewing one float
+/// buffer, and the y_inner run workspace.
 struct SweepScratch {
+  AlignedVector<float> table_storage;
   asr::BlockTables tables[detail::kMaxTableLanes];
   AlignedVector<float> ws_re;
   AlignedVector<float> ws_im;
@@ -334,13 +335,18 @@ void build_asr_tables(const geometry::ImageGrid& grid,
     const bool x_inner = slot.order == geometry::LoopOrder::kXInner;
     const sim::PhaseHistory& history = *slot.history;
     const auto& meta = history.meta(slot.pulse);
-    return asr::table_seeds(
+    const asr::TableSeeds seeds = asr::table_seeds(
         block_range_quadratic(centre, meta.position, grid.spacing(),
                               slot.order),
         meta.start_range_m, history.bin_spacing(),
         2.0 * std::numbers::pi * history.wavenumber(),
         x_inner ? block.width : block.height,
         x_inner ? block.height : block.width);
+    if (slot.out->width != seeds.width || slot.out->height != seeds.height) {
+      throw PreconditionError(
+          "build_asr_tables: a slot's tables must view its extents");
+    }
+    return seeds;
   };
   if (ops == nullptr) {
     for (const TableSlot& slot : slots) {
@@ -357,7 +363,6 @@ void build_asr_tables(const geometry::ImageGrid& grid,
       const TableSlot& slot = slots[first + i];
       seeds[i] = seeds_of(slot);
       out[i] = slot.out;
-      out[i]->resize(seeds[i].width, seeds[i].height);
     }
     ops->build_tables(seeds, out, static_cast<int>(count));
   }
@@ -385,7 +390,13 @@ void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
   SweepScratch& scratch = thread_scratch();
   BlockSweep sweep(block, tile_x0, tile_y0, kernel, tile, scratch);
   // Up to kMaxTableLanes pulses at a time: one AVX-512 lane group, two
-  // AVX2 ones.
+  // AVX2 ones. Slot i's tables sit at i * stride, room for either order.
+  const std::size_t stride =
+      std::max(asr::BlockTables::footprint_floats(block.width, block.height),
+               asr::BlockTables::footprint_floats(block.height, block.width));
+  if (scratch.table_storage.size() < stride * detail::kMaxTableLanes) {
+    scratch.table_storage.resize(stride * detail::kMaxTableLanes);
+  }
   TableSlot group[detail::kMaxTableLanes];
   std::size_t count = 0;
   const auto build_and_sweep = [&] {
@@ -404,6 +415,11 @@ void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
           order ? *order
                 : geometry::choose_loop_order(history.meta(p).position,
                                               grid.centre());
+      const bool x_inner = o == geometry::LoopOrder::kXInner;
+      scratch.tables[count] = asr::BlockTables(
+          scratch.table_storage.data() + count * stride,
+          x_inner ? block.width : block.height,
+          x_inner ? block.height : block.width);
       group[count] = {&history, p, o, &scratch.tables[count]};
       if (++count == std::size(group)) build_and_sweep();
     }

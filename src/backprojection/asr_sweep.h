@@ -64,7 +64,8 @@ struct PlanTables {
 };
 
 /// One table of a build: pulse `pulse` of `*history` under `order`, into
-/// `*out`.
+/// the tables `*out` views. Their extents are the block's under `order`:
+/// width x height for x_inner, height x width for y_inner.
 struct TableSlot {
   const sim::PhaseHistory* history = nullptr;
   Index pulse = 0;
@@ -94,7 +95,8 @@ void sweep_asr_block(const asr::BlockSpec& block, Index tile_x0,
                      SoaTile& tile);
 
 /// Sweeps `block` over `pulses` (walked in order), building the tables
-/// with build_asr_tables into per-thread scratch: the next 8 pulses
+/// with build_asr_tables into per-thread scratch (one float buffer, grown
+/// to the largest block the thread has swept): the next 8 pulses
 /// (across history boundaries; one AVX-512 lane group, two AVX2 ones) are
 /// built, then swept in order. `order` fixes the loop order; nullopt
 /// chooses each pulse's wavefront order about the grid centre — the rule a

@@ -10,6 +10,7 @@
 #include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "backprojection/soa_tile.h"
+#include "common/aligned.h"
 #include "common/check.h"
 #include "common/timer.h"
 #include "signal/trig.h"
@@ -127,7 +128,13 @@ AsrBreakdown measure_asr_breakdown(const sim::PhaseHistory& history,
   using Clock = std::chrono::steady_clock;
   const AsrKernel kernel{asr_resolve_isa(isa)};
   // Tables and orders are indexed by pulse, as a plan's are (PlanTables).
+  // Pulse p's tables sit at (p - pulse_begin) * stride of one buffer, room
+  // for a full block's; each block views its own extents there.
   const auto pulses = static_cast<std::size_t>(pulse_end);
+  const std::size_t stride =
+      asr::BlockTables::footprint_floats(block_w, block_h);
+  AlignedVector<float> storage(
+      stride * static_cast<std::size_t>(pulse_end - pulse_begin));
   std::vector<asr::BlockTables> tables(pulses);
   const std::vector<geometry::LoopOrder> orders(pulses,
                                                 geometry::LoopOrder::kXInner);
@@ -143,6 +150,11 @@ AsrBreakdown measure_asr_breakdown(const sim::PhaseHistory& history,
                                             region.width, region.height,
                                             block_w, block_h)) {
     const Clock::time_point build_start = Clock::now();
+    for (Index p = pulse_begin; p < pulse_end; ++p) {
+      tables[static_cast<std::size_t>(p)] = asr::BlockTables(
+          storage.data() + static_cast<std::size_t>(p - pulse_begin) * stride,
+          block.width, block.height);
+    }
     build_asr_tables(grid, block, slots);
     build += Clock::now() - build_start;
     sweep_asr_block(block, region.x0, region.y0,

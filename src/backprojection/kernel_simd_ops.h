@@ -42,7 +42,8 @@ struct AsrIsaOps {
                    Index len_m, KernelVariant variant);
   /// Expands seeds[i] into *out[i] for i < count <= table_lanes, one table
   /// per f64 lane, byte-identical to asr::expand_table_seeds. Each out[i]
-  /// is already resized to seeds[i]'s extents, which may differ per lane.
+  /// already views seeds[i]'s extents, which may differ per lane; only the
+  /// live entries are written.
   void (*build_tables)(const asr::TableSeeds* seeds,
                        asr::BlockTables* const* out, int count);
 };

@@ -6,6 +6,7 @@
 #include "asr/block_plan.h"
 #include "asr/quadratic.h"
 #include "asr/tables.h"
+#include "common/aligned.h"
 #include "common/check.h"
 #include "signal/trig.h"
 
@@ -103,9 +104,12 @@ Grid2D<CFloat> beamform_asr(const Transducer& transducer,
 
   const auto blocks =
       asr::plan_blocks(0, 0, region.width, region.depth, block_x, block_z);
-  asr::BlockTables tables;
+  // One block's tables at a time, in a buffer sized for a full block.
+  AlignedVector<float> storage(
+      asr::BlockTables::footprint_floats(block_x, block_z));
 
   for (const auto& spec : blocks) {
+    asr::BlockTables tables(storage.data(), spec.width, spec.height);
     // Block centre in physical coordinates; l walks x, m walks z.
     const double x_c = region.pixel_x(spec.x0) +
                        0.5 * static_cast<double>(spec.width - 1) * region.pixel_m;

@@ -1,14 +1,70 @@
 #include "service/plan_cache.h"
 
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_annotations.h"
 #include "exec/formation_tasks.h"
 
 namespace sarbp::service {
 
-std::shared_ptr<FormationPlan> make_plan_skeleton(
-    const PlanKey& key, const sim::PhaseHistory& history) {
+namespace {
+
+/// Plan arenas mapped in the process, live and spare.
+std::atomic<std::size_t> g_mapped_plan_bytes{0};
+
+/// The one spare plan arena: the last released plan's mapping, waiting for
+/// the next skeleton of its size. A newer release replaces it, and the
+/// replaced mapping is unmapped outside the lock. A plan can drop its last
+/// reference under another lock, so this lock is a leaf: nothing is
+/// acquired under it.
+class SpareArena {
+ public:
+  void put(PageMapping arena) {
+    {
+      MutexLock lock(mutex_);
+      std::swap(spare_, arena);
+    }
+    // order: relaxed — a statistic; nothing is published through it.
+    g_mapped_plan_bytes.fetch_sub(arena.size(), std::memory_order_relaxed);
+  }
+
+  /// The spare when it is `size` bytes long, else an empty mapping.
+  [[nodiscard]] PageMapping take(std::size_t size) {
+    MutexLock lock(mutex_);
+    if (spare_.size() != size) return {};
+    return std::move(spare_);
+  }
+
+ private:
+  Mutex mutex_{SARBP_LOCK_LEVEL("service.plan_spare")};
+  PageMapping spare_ SARBP_GUARDED_BY(mutex_);
+};
+
+SpareArena& spare_arena() {
+  // Never destroyed, so a plan released during static destruction still
+  // finds it.
+  static auto* const spare = new SpareArena;
+  return *spare;
+}
+
+std::size_t round_up(std::size_t bytes, std::size_t unit) {
+  return (bytes + unit - 1) / unit * unit;
+}
+
+/// make_plan_skeleton, with `make_room` (may be empty) run between the
+/// arena's two sources: the spare is taken first if it fits, so that a
+/// victim `make_room` releases waits in the spare for the next miss; a
+/// skeleton that found no spare takes the victim's, else maps a fresh
+/// arena.
+std::shared_ptr<FormationPlan> skeleton(const PlanKey& key,
+                                        const sim::PhaseHistory& history,
+                                        const std::function<void()>& make_room,
+                                        bool* recycled) {
   const Region& region = key.region;
   ensure(!region.empty(), "formation plan: empty region");
   ensure(key.block_w > 0 && key.block_h > 0,
@@ -17,6 +73,7 @@ std::shared_ptr<FormationPlan> make_plan_skeleton(
 
   auto plan = std::make_shared<FormationPlan>();
   plan->key = key;
+  plan->geometry = pulse_geometry(history);
   plan->blocks = asr::plan_blocks(region.x0, region.y0, region.width,
                                   region.height, key.block_w, key.block_h);
 
@@ -31,18 +88,56 @@ std::shared_ptr<FormationPlan> make_plan_skeleton(
   }
   const std::size_t y_inner_pulses =
       static_cast<std::size_t>(pulses) - x_inner_pulses;
+  std::size_t table_floats = 0;
   for (const auto& block : plan->blocks) {
-    plan->bytes +=
+    table_floats +=
         x_inner_pulses *
-            asr::BlockTables::footprint_bytes(block.width, block.height) +
+            asr::BlockTables::footprint_floats(block.width, block.height) +
         y_inner_pulses *
-            asr::BlockTables::footprint_bytes(block.height, block.width);
+            asr::BlockTables::footprint_floats(block.height, block.width);
   }
-  plan->tables.resize(plan->blocks.size() * static_cast<std::size_t>(pulses));
-  // Allocated last: placed before the blocks and slots, this vector slowed
-  // the plan build (EXPERIMENTS.md, "One row kernel for both ISAs").
-  plan->geometry = pulse_geometry(history);
+  plan->bytes = table_floats * sizeof(float);
+
+  // The arena: the views, then every table, block-major in pulse order.
+  const std::size_t views =
+      plan->blocks.size() * static_cast<std::size_t>(pulses);
+  const std::size_t views_bytes =
+      round_up(views * sizeof(asr::BlockTables), kSimdAlign);
+  const std::size_t size =
+      PageMapping::rounded_size(views_bytes + plan->bytes);
+  plan->arena = spare_arena().take(size);
+  if (make_room) make_room();
+  if (plan->arena.size() == 0) plan->arena = spare_arena().take(size);
+  if (recycled != nullptr) *recycled = plan->arena.size() != 0;
+  if (plan->arena.size() == 0) {
+    plan->arena = PageMapping(size);
+    // order: relaxed — a statistic; nothing is published through it.
+    g_mapped_plan_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+  auto* view = reinterpret_cast<asr::BlockTables*>(plan->arena.data());
+  plan->tables = {view, views};
+  auto* storage = reinterpret_cast<float*>(plan->arena.data() + views_bytes);
+  for (const auto& block : plan->blocks) {
+    for (const geometry::LoopOrder order : plan->pulse_order) {
+      const bool x_inner = order == geometry::LoopOrder::kXInner;
+      const Index w = x_inner ? block.width : block.height;
+      const Index h = x_inner ? block.height : block.width;
+      std::construct_at(view++, storage, w, h);
+      storage += asr::BlockTables::footprint_floats(w, h);
+    }
+  }
   return plan;
+}
+
+}  // namespace
+
+FormationPlan::~FormationPlan() {
+  if (arena.size() != 0) spare_arena().put(std::move(arena));
+}
+
+std::shared_ptr<FormationPlan> make_plan_skeleton(
+    const PlanKey& key, const sim::PhaseHistory& history, bool* recycled) {
+  return skeleton(key, history, nullptr, recycled);
 }
 
 void build_plan_block(FormationPlan& plan, std::size_t block,
@@ -143,9 +238,9 @@ exec::GroupPtr make_plan_replay_group(
   if (insert_into != nullptr) {
     // A miss skeleton has not been published yet: the group's tasks are
     // its only users until the continuation inserts it, so each block's
-    // table slots (disjoint per block) are filled just before the block's
+    // tables (disjoint per block) are built just before the block's
     // sweep, outside the backend timer. Insert-on-success: an aborted
-    // group leaves slots unbuilt, so only a group that ran every task
+    // group leaves tables unbuilt, so only a group that ran every task
     // publishes its plan — before the caller's continuation runs.
     auto skeleton = std::const_pointer_cast<FormationPlan>(plan);
     spec.prepare = [skeleton, history](Index b) {
@@ -161,12 +256,40 @@ exec::GroupPtr make_plan_replay_group(
   return exec::make_formation_group(std::move(spec));
 }
 
+PlanCache::PlanCache(std::size_t capacity, obs::Registry* metrics)
+    : ReuseCache(capacity, "service.plan_cache", metrics) {
+  if constexpr (obs::kEnabled) {
+    auto& reg = metrics != nullptr ? *metrics : obs::registry();
+    recycled_ = &reg.counter("service.plan_cache.recycled");
+    mapped_bytes_ = &reg.gauge("service.plan_cache.mapped_bytes");
+  }
+}
+
 PlanLookup lookup_plan(PlanCache& cache, const geometry::ImageGrid& grid,
                        const Region& region, Index block_w, Index block_h,
                        const sim::PhaseHistory& history) {
   const PlanKey key = make_plan_key(grid, region, block_w, block_h, history);
   if (auto plan = cache.find(key, history)) return {std::move(plan), nullptr};
-  return {make_plan_skeleton(key, history), &cache};
+  // This miss takes a slot until its plan is inserted or released; the
+  // other misses still building hold theirs, so making room counts them.
+  // order: relaxed — a slot count; the cache lock orders the evictions.
+  const std::size_t others =
+      cache.building_->fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<void> slot(nullptr, [building = cache.building_](void*) {
+    // order: relaxed — as above.
+    building->fetch_sub(1, std::memory_order_relaxed);
+  });
+  bool recycled = false;
+  auto plan = skeleton(
+      key, history, [&cache, others] { cache.make_room(others); }, &recycled);
+  plan->building = std::move(slot);
+  if (recycled && cache.recycled_ != nullptr) cache.recycled_->add();
+  if (cache.mapped_bytes_ != nullptr) {
+    // order: relaxed — a statistic; nothing is published through it.
+    cache.mapped_bytes_->set(static_cast<std::int64_t>(
+        g_mapped_plan_bytes.load(std::memory_order_relaxed)));
+  }
+  return {std::move(plan), &cache};
 }
 
 }  // namespace sarbp::service

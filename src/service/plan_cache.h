@@ -14,11 +14,24 @@
 //
 // The miss path builds the tables where the paper does, inside the
 // parallel block loop: a miss hands make_plan_replay_group a skeleton
-// (make_plan_skeleton — key, blocks, pulse order, empty table slots), each
+// (make_plan_skeleton — key, blocks, pulse order, table views), each
 // block-range task builds its blocks' tables (build_plan_block) just
 // before sweeping them, and the finished plan enters the cache only when
 // the whole group ran without an abort. lookup_plan is that one miss path,
 // shared by the local service and the shard ranks.
+//
+// Memory: a plan is one allocation, an anonymous page mapping (its arena)
+// holding its table views and then every table, block-major and in pulse
+// order, so a block's replay streams its tables in sequence. A released
+// plan's arena waits in one process-wide spare slot for the next skeleton
+// of its size. A miss takes the spare if it fits, then makes room in the
+// cache, evicting least recently used plans until one slot is free beside
+// the misses still building, and a skeleton that found no spare takes the
+// arena its victim released: misses build into already-resident pages.
+// Live plans are thus bounded by the cache capacity, the misses in flight
+// beyond it, the plans that running replays still hold, and the one
+// spare. A miss that aborts inserts nothing and leaves its victims
+// evicted.
 //
 // Cache keying: the shared reuse cache's PlanKey (service/reuse_cache.h)
 // — grid geometry, region, ASR block size, pulse-geometry signature. The
@@ -31,15 +44,18 @@
 // request's to match it bit for bit.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "asr/block_plan.h"
 #include "asr/tables.h"
 #include "backprojection/asr_sweep.h"
 #include "backprojection/soa_tile.h"
+#include "common/page_mapping.h"
 #include "common/region.h"
 #include "exec/task_group.h"
 #include "exec/tile_backend.h"
@@ -52,17 +68,32 @@
 
 namespace sarbp::service {
 
-/// Precomputed setup for one (grid, region, block size, pulse geometry).
+/// Precomputed setup for one (grid, region, block size, pulse geometry),
+/// laid out by make_plan_skeleton or lookup_plan's miss; its arena goes to
+/// the spare slot when the last user releases it.
 struct FormationPlan {
   PlanKey key;
   /// The pulse geometry the tables are built from; a cache hit matches it.
   PulseGeometry geometry;
   std::vector<asr::BlockSpec> blocks;
   std::vector<geometry::LoopOrder> pulse_order;  ///< [pulses]
-  /// Per-(block, pulse) tables, block-major: tables[b * pulses + p].
-  std::vector<asr::BlockTables> tables;
-  /// Resident size of the table buffers, fixed by the skeleton.
+  /// Per-(block, pulse) table views, block-major: tables[b * pulses + p].
+  /// The views and the tables they view live in `arena`.
+  std::span<asr::BlockTables> tables;
+  /// Size of the tables, padding included, fixed by the skeleton: what the
+  /// plan cache counts. The arena adds the views and page rounding.
   std::size_t bytes = 0;
+  /// The plan's one allocation.
+  PageMapping arena;
+  /// On a miss skeleton (lookup_plan), its slot in the plan cache until the
+  /// plan is inserted or released: making room counts misses still
+  /// building.
+  mutable std::shared_ptr<void> building;
+
+  FormationPlan() = default;
+  FormationPlan(const FormationPlan&) = delete;
+  FormationPlan& operator=(const FormationPlan&) = delete;
+  ~FormationPlan();
 
   [[nodiscard]] Index num_pulses() const {
     return static_cast<Index>(pulse_order.size());
@@ -76,11 +107,15 @@ struct FormationPlan {
 };
 
 /// A plan without tables: the key, `history`'s pulse geometry, the blocks,
-/// the pulse order, `bytes`, and one empty table slot per (block, pulse).
+/// the pulse order, `bytes`, and the arena with one table view per (block,
+/// pulse). The arena is the spare slot's when that is the size needed
+/// (`*recycled` then reads true), else a fresh mapping; the tables' entries
+/// are unspecified until built.
 [[nodiscard]] std::shared_ptr<FormationPlan> make_plan_skeleton(
-    const PlanKey& key, const sim::PhaseHistory& history);
+    const PlanKey& key, const sim::PhaseHistory& history,
+    bool* recycled = nullptr);
 
-/// Fills block `block`'s table slots for every pulse of `plan` with one
+/// Builds block `block`'s tables for every pulse of `plan` with one
 /// bp::build_asr_tables call (its pulses in lane groups, in pulse order).
 /// build_formation_plan runs it over every block;
 /// a cache-miss replay group runs it inside each task, just before the
@@ -153,15 +188,27 @@ class PlanCache;
     std::shared_ptr<exec::BackendSet> backends = nullptr,
     PlanCache* insert_into = nullptr);
 
+/// The plan one replay of (grid, region, block size, pulses) starts from.
+struct PlanLookup {
+  std::shared_ptr<const FormationPlan> plan;
+  /// Null on a hit. On a miss, the cache the replay group inserts the
+  /// finished skeleton into (make_plan_replay_group's `insert_into`).
+  PlanCache* insert_into = nullptr;
+
+  [[nodiscard]] bool hit() const { return insert_into == nullptr; }
+};
+
 /// The service's plan cache: the shared reuse cache over formation plans,
 /// each filed under its own key and table bytes, with the
-/// service.plan_cache.* metrics. A capacity of 0 is the bench's cache-off
-/// baseline. Plans are inserted only once built, so concurrent misses on
-/// one key may build twice; the first insert wins.
+/// service.plan_cache.* metrics, plus two of the miss path (lookup_plan):
+/// the .recycled counter (skeletons built into the spare arena) and the
+/// .mapped_bytes gauge (the process's plan arenas, live and spare, as of
+/// the last miss). A capacity of 0 is the bench's cache-off baseline.
+/// Plans are inserted only once built, so concurrent misses on one key may
+/// build twice; the first insert wins.
 class PlanCache : public ReuseCache<FormationPlan> {
  public:
-  explicit PlanCache(std::size_t capacity, obs::Registry* metrics = nullptr)
-      : ReuseCache(capacity, "service.plan_cache", metrics) {}
+  explicit PlanCache(std::size_t capacity, obs::Registry* metrics = nullptr);
 
   /// The plan under `key` built from `history`'s pulse geometry, or null.
   /// A plan under the key built from other geometry (a signature
@@ -174,25 +221,32 @@ class PlanCache : public ReuseCache<FormationPlan> {
   }
 
   void insert(Value plan) {
+    plan->building.reset();
     const PlanKey key = plan->key;
     const std::size_t bytes = plan->bytes;
     ReuseCache::insert(key, std::move(plan), bytes);
   }
-};
 
-/// The plan one replay of (grid, region, block size, pulses) starts from.
-struct PlanLookup {
-  std::shared_ptr<const FormationPlan> plan;
-  /// Null on a hit. On a miss, the cache the replay group inserts the
-  /// finished skeleton into (make_plan_replay_group's `insert_into`).
-  PlanCache* insert_into = nullptr;
+ private:
+  friend PlanLookup lookup_plan(PlanCache& cache,
+                                const geometry::ImageGrid& grid,
+                                const Region& region, Index block_w,
+                                Index block_h,
+                                const sim::PhaseHistory& history);
 
-  [[nodiscard]] bool hit() const { return insert_into == nullptr; }
+  /// Miss skeletons handed out and neither inserted nor released.
+  std::shared_ptr<std::atomic<std::size_t>> building_ =
+      std::make_shared<std::atomic<std::size_t>>(0);
+  obs::Counter* recycled_ = nullptr;
+  obs::Gauge* mapped_bytes_ = nullptr;
 };
 
 /// The one cache-miss path of the local service and the shard ranks: the
-/// cached plan on a hit, else a fresh skeleton for the replay group to
-/// build and insert.
+/// cached plan on a hit; else a skeleton for the replay group to build and
+/// insert, whose arena is the spare if it fits, else the one its victim
+/// releases when the cache makes room (ReuseCache::make_room, counting
+/// the misses still building) and no replay still holds the victim, else
+/// a fresh mapping.
 [[nodiscard]] PlanLookup lookup_plan(PlanCache& cache,
                                      const geometry::ImageGrid& grid,
                                      const Region& region, Index block_w,

@@ -82,12 +82,14 @@ SubmitOutcome ImageFormationService::submit(ImageFormationRequest request) {
   }
   const Region region = request.effective_region();
   // Custom jobs bring their own compute, so pulses are optional (they are
-  // only the fair scheduler's cost basis); formation jobs need them. The
-  // geometry checks apply to both. Custom jobs cannot ride the sharded
+  // only the fair scheduler's cost basis); formation jobs need them, every
+  // sample finite (a NaN or Inf sample would deliver non-finite pixels).
+  // The geometry checks apply to both. Custom jobs cannot ride the sharded
   // path — an opaque factory has no rank-side replay.
   const bool needs_pulses = !request.custom;
   if ((needs_pulses && (request.pulses == nullptr ||
-                        request.pulses->num_pulses() <= 0)) ||
+                        request.pulses->num_pulses() <= 0 ||
+                        !request.pulses->samples_finite())) ||
       (request.pulses != nullptr && request.pulses->num_pulses() <= 0) ||
       (request.custom && sharded()) || region.empty() ||
       request.asr_block_w <= 0 || request.asr_block_h <= 0 || region.x0 < 0 ||

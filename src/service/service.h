@@ -52,7 +52,8 @@ enum class RejectReason {
   kNone,
   kQueueFull,      ///< pending set at max_pending for longer than the grace
   kShuttingDown,   ///< drain()/destructor already started
-  kInvalidRequest, ///< no pulses, empty grid, or a bad block size
+  kInvalidRequest, ///< no pulses, a non-finite sample, empty grid, or a
+                   ///< bad block size
   kQuotaExceeded,  ///< the tenant's queued-job quota is exhausted
 };
 inline constexpr int kNumRejectReasons = 5;

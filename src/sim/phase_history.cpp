@@ -1,6 +1,8 @@
 #include "sim/phase_history.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "signal/fft.h"
@@ -19,6 +21,20 @@ PhaseHistory::PhaseHistory(Index num_pulses, Index samples_per_pulse,
   aos_.assign(static_cast<std::size_t>(num_pulses * samples_per_pulse),
               CFloat{});
   meta_.resize(static_cast<std::size_t>(num_pulses));
+}
+
+bool PhaseHistory::samples_finite() const {
+  // A float is finite unless its exponent bits are all ones. The largest
+  // exponent field over every component decides, and an integer max runs
+  // as vector code.
+  constexpr std::uint32_t kExponent = 0x7f800000u;
+  std::uint32_t widest = 0;
+  for (const CFloat& v : aos_) {
+    const auto re = std::bit_cast<std::uint32_t>(v.real());
+    const auto im = std::bit_cast<std::uint32_t>(v.imag());
+    widest = std::max({widest, re & kExponent, im & kExponent});
+  }
+  return widest != kExponent;
 }
 
 PhaseHistory PhaseHistory::upsampled(Index factor) const {

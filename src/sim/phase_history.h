@@ -49,6 +49,9 @@ class PhaseHistory {
     return meta_[static_cast<std::size_t>(p)];
   }
 
+  /// True when no sample is NaN or infinite: one pass over the payload.
+  [[nodiscard]] bool samples_finite() const;
+
   /// Total sample payload in bytes (PCIe-transfer accounting).
   [[nodiscard]] std::size_t payload_bytes() const {
     return aos_.size() * sizeof(CFloat);

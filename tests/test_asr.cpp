@@ -16,11 +16,16 @@
 #include "asr/error_model.h"
 #include "asr/quadratic.h"
 #include "asr/tables.h"
+#include "common/aligned.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "signal/trig.h"
+#include "test_helpers.h"
 
 namespace sarbp::asr {
 namespace {
+
+using sarbp::testing::OwnedTables;
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
@@ -169,7 +174,8 @@ TEST(Tables, BinTableMatchesQuadraticDirectly) {
   const double r0 = q.f0 - 400.0;
   const double dr = 0.42;
   const Index L = 32, M = 24;
-  BlockTables t;
+  OwnedTables owned(L, M);
+  BlockTables& t = owned.view;
   build_block_tables(q, r0, dr, 0.001, L, M, t);
   const double l0 = -0.5 * static_cast<double>(L - 1);
   const double m0 = -0.5 * static_cast<double>(M - 1);
@@ -190,7 +196,8 @@ TEST(Tables, TrigTablesReconstructPhase) {
   const Quadratic2D q = range_quadratic(centre, radar, 1.0, 1.0);
   const double two_pi_k = kTwoPi * 64.0;
   const Index L = 16, M = 16;
-  BlockTables t;
+  OwnedTables owned(L, M);
+  BlockTables& t = owned.view;
   build_block_tables(q, q.f0 - 100.0, 0.5, two_pi_k, L, M, t);
   const double l0 = -0.5 * static_cast<double>(L - 1);
   const double m0 = -0.5 * static_cast<double>(M - 1);
@@ -232,8 +239,10 @@ TEST(Tables, FastBuilderMatchesReference) {
     const double two_pi_k = kTwoPi * 64.05;
     const Index L = 16 + 29 * trial;  // odd sizes, up to 161
     const Index M = 8 + 37 * trial;
-    BlockTables ref;
-    BlockTables fast;
+    OwnedTables owned_ref(L, M);
+    OwnedTables owned_fast(L, M);
+    BlockTables& ref = owned_ref.view;
+    BlockTables& fast = owned_fast.view;
     build_block_tables(q, r0, 0.416, two_pi_k, L, M, ref);
     build_block_tables_fast(q, r0, 0.416, two_pi_k, L, M, fast);
     for (Index l = 0; l < L; ++l) {
@@ -259,8 +268,10 @@ TEST(Tables, FastBuilderStableOverLongBlocks) {
   const geometry::Vec3 radar{40000, 0, 8000};
   const geometry::Vec3 centre{0, 0, 0};
   const Quadratic2D q = range_quadratic(centre, radar, 0.5, 0.5);
-  BlockTables ref;
-  BlockTables fast;
+  OwnedTables owned_ref(512, 512);
+  OwnedTables owned_fast(512, 512);
+  BlockTables& ref = owned_ref.view;
+  BlockTables& fast = owned_fast.view;
   build_block_tables(q, q.f0 - 200.0, 0.416, kTwoPi * 64.05, 512, 512, ref);
   build_block_tables_fast(q, q.f0 - 200.0, 0.416, kTwoPi * 64.05, 512, 512,
                           fast);
@@ -280,8 +291,7 @@ TEST(Tables, FastBuilderStableOverLongBlocks) {
   }
 }
 
-static_assert(!std::is_copy_constructible_v<BlockTables>);
-static_assert(std::is_nothrow_move_constructible_v<BlockTables>);
+static_assert(std::is_trivially_copyable_v<BlockTables>);
 
 /// Every array has its [L] or [M] length and starts on a 64-byte line.
 void expect_layout(const BlockTables& t, Index w, Index h) {
@@ -300,55 +310,53 @@ void expect_layout(const BlockTables& t, Index w, Index h) {
   }
 }
 
-TEST(Tables, ResizeReusesCapacity) {
-  BlockTables t;
-  t.resize(64, 64);
-  EXPECT_EQ(t.bin_a.size(), 64u);
-  EXPECT_EQ(t.psi_re.size(), 64u);
-  t.resize(16, 8);
-  EXPECT_EQ(t.width, 16);
-  EXPECT_EQ(t.height, 8);
-  EXPECT_EQ(t.bin_a.size(), 16u);
-  EXPECT_EQ(t.bin_b.size(), 8u);
-
-  // One buffer, each array padded to whole 64-byte lines, for full, odd
-  // (edge-block) and degenerate shapes.
-  for (const auto& [w, h] : {std::pair<Index, Index>{64, 64}, {33, 17}, {1, 1}}) {
-    BlockTables sized;
-    sized.resize(w, h);
-    expect_layout(sized, w, h);
-    t.resize(w, h);
-    expect_layout(t, w, h);
+TEST(Tables, ViewsPadEveryArrayToWholeLines) {
+  // Views of full, odd (edge-block) and degenerate shapes laid end to end
+  // in one buffer, footprint_floats apart, as a plan's arena lays them:
+  // each array is padded to whole 64-byte lines, and no view reaches into
+  // the next.
+  const std::pair<Index, Index> shapes[] = {{64, 64}, {33, 17}, {1, 1},
+                                            {17, 33}};
+  std::size_t total = 0;
+  for (const auto& [w, h] : shapes) {
+    EXPECT_EQ(BlockTables::footprint_floats(w, h) % 16, 0u);
+    total += BlockTables::footprint_floats(w, h);
   }
+  AlignedVector<float> storage(total);
+  std::vector<BlockTables> views;
+  float* next = storage.data();
+  for (const auto& [w, h] : shapes) {
+    views.emplace_back(next, w, h);
+    expect_layout(views.back(), w, h);
+    next += BlockTables::footprint_floats(w, h);
+  }
+  for (std::size_t i = 0; i + 1 < views.size(); ++i) {
+    EXPECT_LE(views[i].gam_im.data() + views[i].gam_im.size(),
+              views[i + 1].bin_a.data());
+  }
+  EXPECT_LE(views.back().gam_im.data() + views.back().gam_im.size(),
+            storage.data() + storage.size());
 
-  // A move hands the buffer over: the destination's spans stay valid and
-  // keep the values; the source is left empty.
+  // A copy views the same floats; a build through it is seen by both.
   const Quadratic2D q =
       range_quadratic({10, -20, 0}, {15000, 3000, 8000}, 1.0, 1.0);
-  BlockTables source;
+  const BlockTables copy = views[1];
   build_block_tables_fast(q, q.f0 - 100.0, 0.42, kTwoPi * 64.0, 33, 17,
-                          source);
-  const std::vector<float> phi(source.phi_re.begin(), source.phi_re.end());
-  const std::vector<float> gam(source.gam_im.begin(), source.gam_im.end());
-  BlockTables moved(std::move(source));
-  expect_layout(moved, 33, 17);
-  EXPECT_TRUE(std::equal(phi.begin(), phi.end(), moved.phi_re.begin()));
-  EXPECT_TRUE(std::equal(gam.begin(), gam.end(), moved.gam_im.begin()));
-  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested
-  EXPECT_EQ(source.width, 0);
-  EXPECT_TRUE(source.bin_a.empty());
-  EXPECT_TRUE(source.gam_im.empty());
+                          views[1]);
+  OwnedTables owned(33, 17);
+  build_block_tables_fast(q, q.f0 - 100.0, 0.42, kTwoPi * 64.0, 33, 17,
+                          owned.view);
+  EXPECT_EQ(copy.phi_re.data(), views[1].phi_re.data());
+  EXPECT_TRUE(std::equal(copy.phi_re.begin(), copy.phi_re.end(),
+                         owned.view.phi_re.begin()));
+  EXPECT_TRUE(std::equal(copy.gam_im.begin(), copy.gam_im.end(),
+                         owned.view.gam_im.begin()));
 
-  BlockTables assigned;
-  assigned.resize(64, 64);
-  assigned = std::move(moved);
-  expect_layout(assigned, 33, 17);
-  EXPECT_TRUE(std::equal(phi.begin(), phi.end(), assigned.phi_re.begin()));
-  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested
-  EXPECT_TRUE(moved.phi_re.empty());
-  // The emptied source is reusable.
-  moved.resize(8, 8);
-  expect_layout(moved, 8, 8);
+  // A build into a view of other extents is refused.
+  EXPECT_THROW(build_block_tables_fast(q, q.f0 - 100.0, 0.42, kTwoPi * 64.0,
+                                       17, 33, views[1]),
+               PreconditionError);
+  EXPECT_THROW(BlockTables(storage.data() + 1, 8, 8), PreconditionError);
 }
 
 TEST(BlockPlan, CoversRegionExactlyOnce) {

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <thread>
 
+#include "asr/tables.h"
+#include "common/aligned.h"
 #include "common/rng.h"
 #include "geometry/grid.h"
 #include "geometry/trajectory.h"
@@ -86,6 +88,18 @@ inline sim::PhaseHistory alternate_loop_orders(const sim::PhaseHistory& h,
   }
   return out;
 }
+
+/// A w x h table set over a buffer of its own.
+struct OwnedTables {
+  AlignedVector<float> storage;
+  asr::BlockTables view;
+
+  OwnedTables(Index w, Index h)
+      : storage(asr::BlockTables::footprint_floats(w, h)),
+        view(storage.data(), w, h) {}
+  OwnedTables(const OwnedTables&) = delete;
+  OwnedTables& operator=(const OwnedTables&) = delete;
+};
 
 /// Lets a pool finish its post-run scans and park: polls `counter` every
 /// 20 ms until it stops moving and returns that value. Bounded (2 s), so a

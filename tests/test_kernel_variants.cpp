@@ -32,6 +32,7 @@
 #include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "backprojection/soa_tile.h"
+#include "common/aligned.h"
 #include "common/check.h"
 #include "common/grid2d.h"
 #include "common/rng.h"
@@ -184,6 +185,54 @@ class KernelVariantTest : public ::testing::Test {
                           kernel, tile);
     }
     return tile;
+  }
+
+  /// One case's tables, built once as a plan holds them: every block of a
+  /// bw x bh tiling of `region` for every pulse of `h` under `order`
+  /// (nullopt: each pulse's wavefront order), block b's for pulse p at
+  /// tables[b * pulses + p], all viewing one buffer.
+  struct CaseTables {
+    std::vector<asr::BlockSpec> blocks;
+    std::vector<geometry::LoopOrder> orders;  ///< [pulses]
+    AlignedVector<float> storage;
+    std::vector<asr::BlockTables> tables;
+  };
+
+  static CaseTables build_case_tables(const sim::PhaseHistory& h,
+                                      std::optional<geometry::LoopOrder> order,
+                                      const Region& region, Index bw,
+                                      Index bh) {
+    CaseTables c;
+    c.blocks = asr::plan_blocks(region.x0, region.y0, region.width,
+                                region.height, bw, bh);
+    const auto pulses = static_cast<std::size_t>(h.num_pulses());
+    for (Index p = 0; p < h.num_pulses(); ++p) {
+      c.orders.push_back(order ? *order
+                               : geometry::choose_loop_order(
+                                     h.meta(p).position,
+                                     scenario_->grid.centre()));
+    }
+    const std::size_t stride =
+        std::max(asr::BlockTables::footprint_floats(bw, bh),
+                 asr::BlockTables::footprint_floats(bh, bw));
+    c.storage.resize(stride * c.blocks.size() * pulses);
+    for (std::size_t b = 0; b < c.blocks.size(); ++b) {
+      const asr::BlockSpec& block = c.blocks[b];
+      std::vector<bp::TableSlot> slots;
+      for (std::size_t p = 0; p < pulses; ++p) {
+        const bool x_inner = c.orders[p] == geometry::LoopOrder::kXInner;
+        c.tables.emplace_back(
+            c.storage.data() + c.tables.size() * stride,
+            x_inner ? block.width : block.height,
+            x_inner ? block.height : block.width);
+      }
+      for (std::size_t p = 0; p < pulses; ++p) {
+        slots.push_back({&h, static_cast<Index>(p), c.orders[p],
+                         &c.tables[b * pulses + p]});
+      }
+      bp::build_asr_tables(scenario_->grid, block, slots);
+    }
+    return c;
   }
 
   /// Pixels with a nonzero value: how much of the image a swath reached.
@@ -452,8 +501,8 @@ TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
         for (const Index len_l : lens_l) {
           SCOPED_TRACE(name + (x_inner ? ", x_inner, " : ", y_inner, ") +
                        std::to_string(len_l) + " x " + std::to_string(len_m));
-          asr::BlockTables tables;
-          tables.resize(len_l, len_m);
+          testing::OwnedTables owned(len_l, len_m);
+          asr::BlockTables& tables = owned.view;
           for (Index l = 0; l < len_l; ++l) {
             const auto i = static_cast<std::size_t>(l);
             tables.bin_a[i] = 0.5f;
@@ -508,17 +557,20 @@ TEST_F(KernelVariantTest, VectorIsasMatchScalarBytes) {
   // Every ISA runs the scalar sweep's 16 gamma chains per row in its pinned
   // forms, accumulates y_inner runs through the same workspace, and adds
   // nothing where a bin fails the range check, so kAuto, kGather and
-  // kShuffleTranspose must give AsrKernel{}'s bytes on every ISA. Tables
-  // built on the fly: the scenario under fixed x_inner, fixed y_inner and
-  // each pulse's wavefront order; a copy whose order alternates every 8
-  // pulses; and load_path_history's full circle (strong cross terms, so
-  // Gamma and the bin's l * C term round) and swath edges (lanes out of
-  // range, pixels never reached). A plan's tables: replayed from pulse 0
-  // and from mid-plan, as a pulse-scatter part replays. Every tile starts
-  // at -0, so a lane that adds +0 where the scalar sweep adds nothing
-  // shows. The blocks include thin ones, partial edge blocks and rows W -
-  // 1, W and W + 1 wide for both lane counts; the row lengths reach the
-  // tails of both AVX2 halves.
+  // kShuffleTranspose must give AsrKernel{}'s bytes on every ISA. On-the-fly
+  // cases: the scenario under fixed x_inner, fixed y_inner and each pulse's
+  // wavefront order; a copy whose order alternates every 8 pulses; and
+  // load_path_history's full circle (strong cross terms, so Gamma and the
+  // bin's l * C term round) and swath edges (lanes out of range, pixels
+  // never reached). Each case's reference is the scalar sweep building its
+  // own tables; the vector kernels replay the case's tables, built once
+  // (both table sources give the same bytes:
+  // AsrSweepCore.TableSourceAndChunkingKeepBits). A plan's tables: replayed
+  // from pulse 0 and from mid-plan, as a pulse-scatter part replays. Every
+  // tile starts at -0, so a lane that adds +0 where the scalar sweep adds
+  // nothing shows. The blocks include thin ones, partial edge blocks and
+  // rows W - 1, W and W + 1 wide for both lane counts; the row lengths
+  // reach the tails of both AVX2 halves.
   const sim::PhaseHistory alternating = testing::alternate_loop_orders(
       scenario_->history, scenario_->grid.centre());
   const sim::PhaseHistory circle = load_path_history(400, -40.0);
@@ -546,23 +598,51 @@ TEST_F(KernelVariantTest, VectorIsasMatchScalarBytes) {
     }
   }
   if (kernels.empty()) GTEST_SKIP() << "no vector ISA usable on this host";
-  // Each kernel's image against the scalar one, computed once per case.
-  const auto expect_scalar_bytes = [&](const auto& sweep,
-                                       const std::string& name) {
-    const bp::SoaTile scalar = sweep(bp::AsrKernel{});
-    for (const bp::AsrKernel& kernel : kernels) {
-      EXPECT_TRUE(bit_identical(sweep(kernel), scalar))
-          << name << ", " << bp::simd_isa_name(kernel.isa) << "/"
-          << bp::kernel_variant_name(kernel.variant);
-    }
-  };
-  const auto negative_zeros = [] {
-    bp::SoaTile tile(kImage, kImage);
-    for (Index y = 0; y < kImage; ++y) {
-      std::fill_n(tile.row_re(y), kImage, -0.0f);
-      std::fill_n(tile.row_im(y), kImage, -0.0f);
+  const auto negative_zeros = [](const Region& r) {
+    bp::SoaTile tile(r.width, r.height);
+    for (Index y = 0; y < r.height; ++y) {
+      std::fill_n(tile.row_re(y), r.width, -0.0f);
+      std::fill_n(tile.row_im(y), r.width, -0.0f);
     }
     return tile;
+  };
+  const auto kernel_name = [](const bp::AsrKernel& kernel) {
+    return std::string(bp::simd_isa_name(kernel.isa)) + "/" +
+           bp::kernel_variant_name(kernel.variant);
+  };
+  // Sweeps the case's tables over `pulses` of every block with `kernel`.
+  const auto replay = [&](const CaseTables& c, const Region& r,
+                          const bp::PulseRange& pulses,
+                          const bp::AsrKernel& kernel) {
+    bp::SoaTile tile = negative_zeros(r);
+    const std::size_t per_block = c.orders.size();
+    for (std::size_t b = 0; b < c.blocks.size(); ++b) {
+      bp::sweep_asr_block(
+          c.blocks[b], r.x0, r.y0,
+          bp::PlanTables{c.tables.data() + b * per_block, c.orders.data()},
+          pulses, kernel, tile);
+    }
+    return tile;
+  };
+  // An on-the-fly case: the scalar sweep building its own tables is the
+  // reference; the case's tables, built once, replay with every vector
+  // kernel.
+  const auto expect_fly_case = [&](const sim::PhaseHistory& h,
+                                   std::optional<geometry::LoopOrder> order,
+                                   const Region& r, Index bw, Index bh,
+                                   const std::string& name) {
+    bp::SoaTile scalar = negative_zeros(r);
+    const bp::PulseRange pulses[] = {{&h, 0, h.num_pulses()}};
+    for (const auto& block :
+         asr::plan_blocks(r.x0, r.y0, r.width, r.height, bw, bh)) {
+      bp::sweep_asr_block(block, r.x0, r.y0, scenario_->grid, pulses, order,
+                          bp::AsrKernel{}, scalar);
+    }
+    const CaseTables c = build_case_tables(h, order, r, bw, bh);
+    for (const bp::AsrKernel& kernel : kernels) {
+      EXPECT_TRUE(bit_identical(replay(c, r, pulses[0], kernel), scalar))
+          << name << ", " << kernel_name(kernel);
+    }
   };
   const std::pair<Index, Index> shapes[] = {
       {17, 17}, {33, 17}, {17, 33}, {5, 40},  {40, 5},
@@ -571,48 +651,42 @@ TEST_F(KernelVariantTest, VectorIsasMatchScalarBytes) {
   for (const auto& [bw, bh] : shapes) {
     const std::string shape = std::to_string(bw) + "x" + std::to_string(bh);
     for (const auto& [name, h, order] : fly_cases) {
-      expect_scalar_bytes(
-          [&](const bp::AsrKernel& kernel) {
-            bp::SoaTile tile = negative_zeros();
-            const bp::PulseRange pulses[] = {{h, 0, h->num_pulses()}};
-            for (const auto& block :
-                 asr::plan_blocks(0, 0, kImage, kImage, bw, bh)) {
-              bp::sweep_asr_block(block, 0, 0, scenario_->grid, pulses, order,
-                                  kernel, tile);
-            }
-            return tile;
-          },
-          shape + ", on the fly, " + name);
+      expect_fly_case(*h, order, region_, bw, bh,
+                      shape + ", on the fly, " + name);
     }
+    // A plan's tables, replayed by the scalar sweep and by every kernel.
     for (const auto& [name, h] : plan_cases) {
       const auto plan = service::build_formation_plan(scenario_->grid,
                                                       region_, bw, bh, *h);
+      const CaseTables c{plan->blocks, plan->pulse_order, {},
+                         {plan->tables.begin(), plan->tables.end()}};
       for (const Index begin : {Index{0}, kPulses / 2 + 1}) {
-        expect_scalar_bytes(
-            [&](const bp::AsrKernel& kernel) {
-              bp::SoaTile tile = negative_zeros();
-              for (std::size_t b = 0; b < plan->blocks.size(); ++b) {
-                bp::sweep_asr_block(plan->blocks[b], 0, 0,
-                                    plan->block_tables(b),
-                                    bp::PulseRange{h, begin, h->num_pulses()},
-                                    kernel, tile);
-              }
-              return tile;
-            },
-            shape + ", plan, " + name + ", from pulse " +
-                std::to_string(begin));
+        const bp::PulseRange pulses{h, begin, h->num_pulses()};
+        const bp::SoaTile scalar =
+            replay(c, region_, pulses, bp::AsrKernel{});
+        for (const bp::AsrKernel& kernel : kernels) {
+          EXPECT_TRUE(bit_identical(replay(c, region_, pulses, kernel),
+                                    scalar))
+              << shape << ", plan, " << name << ", from pulse " << begin
+              << ", " << kernel_name(kernel);
+        }
       }
     }
   }
-  // Rows whose last vector is a masked step on either lane count.
+  // Rows whose last vector is a masked step on either lane count: the
+  // scenario's pulses over a region centred in the image whose rows are
+  // `len` pixels long, blocks of len x 8 under x_inner, 8 x len under
+  // y_inner.
   for (const Index len : {7, 8, 9, 15, 16, 17, 24, 25, 31, 33}) {
     for (const auto order : {geometry::LoopOrder::kXInner, y_inner}) {
-      expect_scalar_bytes(
-          [&](const bp::AsrKernel& kernel) {
-            return sweep_rows(len, order, kernel);
-          },
-          "row length " + std::to_string(len) +
-              (order == y_inner ? ", y_inner" : ", x_inner"));
+      const bool x_inner = order == geometry::LoopOrder::kXInner;
+      const Index w = x_inner ? len : 48;
+      const Index h = x_inner ? 48 : len;
+      expect_fly_case(scenario_->history, order,
+                      Region{(kImage - w) / 2, (kImage - h) / 2, w, h},
+                      x_inner ? len : 8, x_inner ? 8 : len,
+                      "row length " + std::to_string(len) +
+                          (x_inner ? ", x_inner" : ", y_inner"));
     }
   }
   // Both orders occur, so both the workspace runs and the in-place rows
@@ -650,21 +724,33 @@ TEST_F(KernelVariantTest, TableBuildLaneGroupsMatchScalarBytes) {
   // entries 63, 127, ...; lane groups mixing both loop orders (on a
   // non-square block the lanes' tables differ in length) and two
   // histories; slot counts 1, W - 1, W + 1 and 2W + 3 for both widths. The
-  // vector build writes into tables reused across shapes.
+  // vector build writes into one buffer reused across shapes, so stale
+  // entries of earlier shapes sit in its padding.
   const sim::PhaseHistory circle = load_path_history(75, -10.0);
   const asr::BlockSpec blocks[] = {{0, 0, 64, 64},  {5, 40, 33, 17},
                                    {60, 3, 17, 33}, {95, 95, 1, 1},
                                    {0, 0, 512, 3}};
   const std::size_t counts[] = {1, 3, 5, 7, 9, 11, 19};
-  const auto slots_for = [&](std::size_t count,
+  // Slot i's tables view `storage` at i * stride, room for either order.
+  const auto slots_for = [&](const asr::BlockSpec& block, std::size_t count,
+                             AlignedVector<float>& storage,
                              std::vector<asr::BlockTables>& out) {
+    const std::size_t stride = std::max(
+        asr::BlockTables::footprint_floats(block.width, block.height),
+        asr::BlockTables::footprint_floats(block.height, block.width));
+    if (storage.size() < stride * count) storage.resize(stride * count);
+    out.resize(count);
     std::vector<bp::TableSlot> slots(count);
     for (std::size_t i = 0; i < count; ++i) {
       const bool from_circle = i % 4 == 3;
       const sim::PhaseHistory& h = from_circle ? circle : scenario_->history;
+      const bool x_inner = i % 3 != 1;
+      out[i] = asr::BlockTables(storage.data() + i * stride,
+                                x_inner ? block.width : block.height,
+                                x_inner ? block.height : block.width);
       slots[i] = {&h, static_cast<Index>(i) % h.num_pulses(),
-                  i % 3 == 1 ? geometry::LoopOrder::kYInner
-                             : geometry::LoopOrder::kXInner,
+                  x_inner ? geometry::LoopOrder::kXInner
+                          : geometry::LoopOrder::kYInner,
                   &out[i]};
     }
     return slots;
@@ -673,18 +759,22 @@ TEST_F(KernelVariantTest, TableBuildLaneGroupsMatchScalarBytes) {
   for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
     if (!bp::asr_isa_available(isa)) continue;
     SCOPED_TRACE(bp::simd_isa_name(isa));
-    std::vector<asr::BlockTables> vector_tables(19);
+    AlignedVector<float> vector_storage;
+    std::vector<asr::BlockTables> vector_tables;
     for (const auto& block : blocks) {
       for (const std::size_t count : counts) {
         SCOPED_TRACE(std::to_string(block.width) + "x" +
                      std::to_string(block.height) + ", " +
                      std::to_string(count) + " tables");
-        std::vector<asr::BlockTables> scalar_tables(count);
-        bp::build_asr_tables(scenario_->grid, block,
-                             slots_for(count, scalar_tables),
-                             bp::SimdIsa::kScalar);
-        bp::build_asr_tables(scenario_->grid, block,
-                             slots_for(count, vector_tables), isa);
+        AlignedVector<float> scalar_storage;
+        std::vector<asr::BlockTables> scalar_tables;
+        bp::build_asr_tables(
+            scenario_->grid, block,
+            slots_for(block, count, scalar_storage, scalar_tables),
+            bp::SimdIsa::kScalar);
+        bp::build_asr_tables(
+            scenario_->grid, block,
+            slots_for(block, count, vector_storage, vector_tables), isa);
         for (std::size_t i = 0; i < count; ++i) {
           EXPECT_TRUE(same_table_bytes(vector_tables[i], scalar_tables[i]))
               << "table " << i;

@@ -7,21 +7,29 @@
 // request-trace JSON round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
+#include "exec/executor.h"
 #include "exec/task_group.h"
 #include "common/check.h"
 #include "common/snr.h"
@@ -117,7 +125,388 @@ TEST(FormationPlan, SignatureSeparatesDistinctGeometries) {
   EXPECT_EQ(pulse_geometry_signature(*ha), pulse_geometry_signature(*ha));
 }
 
+// --- plan arenas ----------------------------------------------------------
+
+/// A tile's floats as bits, each row's re then im: equal vectors are equal
+/// bytes (-0 differs from +0).
+std::vector<std::uint32_t> tile_bits(const bp::SoaTile& tile) {
+  std::vector<std::uint32_t> bits;
+  for (Index y = 0; y < tile.height(); ++y) {
+    for (const float* row : {tile.row_re(y), tile.row_im(y)}) {
+      for (Index x = 0; x < tile.width(); ++x) {
+        bits.push_back(std::bit_cast<std::uint32_t>(row[x]));
+      }
+    }
+  }
+  return bits;
+}
+
+/// The nine arrays of a table set, live entries only.
+std::vector<std::span<const float>> live_arrays(const asr::BlockTables& t) {
+  return {t.bin_a,  t.phi_re, t.phi_im, t.bin_b, t.bin_c,
+          t.psi_re, t.psi_im, t.gam_re, t.gam_im};
+}
+
+/// FNV-1a over every table's live entries, in table order.
+std::uint64_t table_hash(const FormationPlan& plan) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const asr::BlockTables& t : plan.tables) {
+    for (const auto array : live_arrays(t)) {
+      for (const float v : array) {
+        h = (h ^ std::bit_cast<std::uint32_t>(v)) * 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+/// Every table's live entries against the scalar build
+/// (asr::expand_table_seeds, one table at a time, into a buffer of its
+/// own), byte for byte.
+void expect_scalar_table_bytes(const FormationPlan& plan,
+                               const geometry::ImageGrid& grid,
+                               const sim::PhaseHistory& h) {
+  const auto pulses = static_cast<std::size_t>(plan.num_pulses());
+  for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+    for (std::size_t p = 0; p < pulses; ++p) {
+      const asr::BlockTables& t = plan.tables[b * pulses + p];
+      testing::OwnedTables ref(t.width, t.height);
+      const bp::TableSlot slot{&h, static_cast<Index>(p), plan.pulse_order[p],
+                               &ref.view};
+      bp::build_asr_tables(grid, plan.blocks[b], {&slot, 1},
+                           bp::SimdIsa::kScalar);
+      const auto got = live_arrays(t);
+      const auto want = live_arrays(ref.view);
+      for (std::size_t a = 0; a < got.size(); ++a) {
+        ASSERT_EQ(got[a].size(), want[a].size());
+        ASSERT_EQ(std::memcmp(got[a].data(), want[a].data(),
+                              got[a].size_bytes()),
+                  0)
+            << "block " << b << ", pulse " << p << ", array " << a;
+      }
+    }
+  }
+}
+
+/// The plan swept as a replay group without backends sweeps it, with the
+/// widest vector rows.
+bp::SoaTile vector_replay(const FormationPlan& plan,
+                          const sim::PhaseHistory& h) {
+  const Region& region = plan.key.region;
+  bp::SoaTile tile(region.width, region.height);
+  for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+    bp::sweep_asr_block(plan.blocks[b], region.x0, region.y0,
+                        plan.block_tables(b),
+                        bp::PulseRange{&h, 0, h.num_pulses()},
+                        bp::AsrKernel{bp::SimdIsa::kAuto}, tile);
+  }
+  return tile;
+}
+
+void build_all_blocks(FormationPlan& plan, const sim::PhaseHistory& h) {
+  for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+    build_plan_block(plan, b, h);
+  }
+}
+
+TEST(FormationPlan, ArenaTablesMatchTheScalarBuildFreshOrRecycled) {
+  // Plans over regions whose edge blocks are 7, 17 and 33 pixels wide, on
+  // pulses whose loop order alternates every 8 pulses, built into a fresh
+  // arena and into a recycled one first filled with NaN. Every table's live
+  // entries match the scalar build, and both the vector replay and
+  // execute_plan give execute_plan's image on the fresh plan, byte for
+  // byte: no kernel reads a table's padding (a row's tail is a masked load)
+  // and no build writes it (store_first writes live entries only), so the
+  // stale NaN there changes nothing.
+  ScenarioConfig cfg;
+  cfg.image = 96;
+  cfg.pulses = 24;
+  const SmallScenario s = make_scenario(cfg);
+  const sim::PhaseHistory h =
+      testing::alternate_loop_orders(s.history, s.grid.centre());
+  struct Case {
+    Region region;
+    Index block_w;
+    Index block_h;
+  };
+  const Case cases[] = {{{0, 0, 39, 49}, 32, 32},     // edges 7 x 17
+                        {{10, 20, 81, 57}, 48, 40},   // edges 33 x 17
+                        {{0, 0, 90, 71}, 57, 32}};    // edges 33 x 7
+  for (const auto& [region, bw, bh] : cases) {
+    SCOPED_TRACE(std::to_string(region.width) + "x" +
+                 std::to_string(region.height) + " in " + std::to_string(bw) +
+                 "x" + std::to_string(bh) + " blocks");
+    const PlanKey key = make_plan_key(s.grid, region, bw, bh, h);
+    // Of two skeletons alive together, the second cannot take the spare.
+    auto first = make_plan_skeleton(key, h);
+    bool recycled = true;
+    auto fresh = make_plan_skeleton(key, h, &recycled);
+    EXPECT_FALSE(recycled);
+    for (const auto order :
+         {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+      EXPECT_NE(std::count(fresh->pulse_order.begin(),
+                           fresh->pulse_order.end(), order),
+                0);
+    }
+    build_all_blocks(*fresh, h);
+    expect_scalar_table_bytes(*fresh, s.grid, h);
+    bp::SoaTile reference(region.width, region.height);
+    ASSERT_TRUE(execute_plan(*fresh, h, reference, nullptr));
+    const std::vector<std::uint32_t> expected = tile_bits(reference);
+    EXPECT_EQ(tile_bits(vector_replay(*fresh, h)), expected);
+
+    // Every float of the arena NaN, views included, then released: the
+    // arena waits in the spare slot for the next skeleton of its size.
+    const std::byte* arena = fresh->arena.data();
+    std::memset(fresh->arena.data(), 0xFF, fresh->arena.size());
+    first.reset();
+    fresh.reset();
+    auto reused = make_plan_skeleton(key, h, &recycled);
+    EXPECT_TRUE(recycled);
+    EXPECT_EQ(reused->arena.data(), arena);
+    build_all_blocks(*reused, h);
+    // The edge tables' padding still holds the NaN.
+    const asr::BlockTables& edge = reused->tables.back();
+    ASSERT_NE(edge.width % 16, 0);
+    EXPECT_TRUE(std::isnan(edge.bin_a.data()[edge.width]));
+    expect_scalar_table_bytes(*reused, s.grid, h);
+    bp::SoaTile again(region.width, region.height);
+    ASSERT_TRUE(execute_plan(*reused, h, again, nullptr));
+    EXPECT_EQ(tile_bits(again), expected);
+    EXPECT_EQ(tile_bits(vector_replay(*reused, h)), expected);
+  }
+}
+
+/// `base` with pulse 0's start range moved by `shift` metres: another pulse
+/// geometry with the same blocks and loop orders, so a plan of the same
+/// byte size.
+std::shared_ptr<const sim::PhaseHistory> shifted(const sim::PhaseHistory& base,
+                                                 double shift) {
+  auto h = std::make_shared<sim::PhaseHistory>(base);
+  h->meta(0).start_range_m += shift;
+  return h;
+}
+
+/// One miss through lookup_plan, built and inserted as a replay group that
+/// ran every task does.
+std::shared_ptr<const FormationPlan> miss_and_insert(
+    PlanCache& cache, const SmallScenario& s, const Region& region,
+    const sim::PhaseHistory& h) {
+  const PlanLookup lookup = lookup_plan(cache, s.grid, region, 8, 8, h);
+  EXPECT_FALSE(lookup.hit());
+  build_all_blocks(*std::const_pointer_cast<FormationPlan>(lookup.plan), h);
+  lookup.insert_into->insert(lookup.plan);
+  return lookup.plan;
+}
+
+TEST(PlanCache, MissesBuildIntoTheirVictimsArenas) {
+  // A 2-plan cache through lookup_plan, every miss a new pulse geometry:
+  // each miss evicts the least recently used plan before it builds, and
+  // from the third miss on builds into that victim's arena. No more than
+  // two plans are ever alive, and the plan arenas mapped in the process
+  // are exactly the two live plans'.
+  const auto [s, pulses] = make_tiny();
+  // A region no other test plans, so no earlier test left a spare of this
+  // size.
+  const Region region{3, 5, 27, 21};
+  obs::Registry reg;
+  PlanCache cache(2, &reg);
+  std::vector<std::shared_ptr<const sim::PhaseHistory>> histories;
+  std::vector<std::weak_ptr<const FormationPlan>> plans;
+  std::vector<const std::byte*> arenas;
+  const auto live = [&plans] {
+    return std::count_if(plans.begin(), plans.end(),
+                         [](const auto& w) { return !w.expired(); });
+  };
+  const auto miss = [&] {
+    histories.push_back(
+        shifted(*pulses, 0.25 * static_cast<double>(histories.size() + 1)));
+    const auto plan = miss_and_insert(cache, s, region, *histories.back());
+    arenas.push_back(plan->arena.data());
+    plans.push_back(plan);
+    return plan;
+  };
+  const auto recycled = [&reg] {
+    return reg.counter("service.plan_cache.recycled").value();
+  };
+  for (std::size_t i = 0; i < 6; ++i) {
+    SCOPED_TRACE("miss " + std::to_string(i));
+    const auto plan = miss();
+    EXPECT_LE(live(), 2);
+    if (i >= 2) {
+      EXPECT_EQ(arenas[i], arenas[i - 2]);
+      if (obs::kEnabled) {
+        EXPECT_EQ(reg.gauge("service.plan_cache.mapped_bytes").value(),
+                  static_cast<std::int64_t>(2 * plan->arena.size()));
+      }
+    }
+    if (obs::kEnabled) {
+      EXPECT_EQ(recycled(), i < 2 ? 0u : i - 1);
+    }
+  }
+  EXPECT_EQ(live(), 2);
+  EXPECT_EQ(cache.size(), 2u);
+
+  // A plan a running replay holds (here the test) keeps its tables while
+  // misses evict it, and its arena is handed out only once it is released:
+  // the miss that evicts it maps a fresh arena.
+  std::shared_ptr<const FormationPlan> pinned = plans.back().lock();
+  ASSERT_NE(pinned, nullptr);
+  const std::uint64_t pinned_hash = table_hash(*pinned);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NE(miss()->arena.data(), pinned->arena.data());
+    EXPECT_LE(live(), 3);
+  }
+  if (obs::kEnabled) {
+    EXPECT_EQ(recycled(), 6u);
+  }
+  EXPECT_EQ(table_hash(*pinned), pinned_hash);
+  EXPECT_EQ(cache.find(pinned->key, *histories[5]), nullptr);
+  const std::byte* pinned_arena = pinned->arena.data();
+  pinned.reset();
+  EXPECT_EQ(live(), 2);
+  const auto h = shifted(*pulses, 10.0);
+  bool reused = false;
+  const auto next = make_plan_skeleton(
+      make_plan_key(s.grid, region, 8, 8, *h), *h, &reused);
+  EXPECT_TRUE(reused);
+  EXPECT_EQ(next->arena.data(), pinned_arena);
+}
+
+TEST(PlanCache, ConcurrentMissesEachTakeAnArena) {
+  // A job split in three parts misses a 2-plan cache three times at once,
+  // as the shard ranks do. After the first job the cache holds two of its
+  // plans and the spare the third, so the next job's misses can all build
+  // into those arenas: the first takes the spare and then evicts a plan
+  // into it; the second, counting the first as a slot taken, evicts the
+  // other one.
+  const auto [s, pulses] = make_tiny();
+  const Region region{1, 2, 29, 23};
+  obs::Registry reg;
+  PlanCache cache(2, &reg);
+  double shift = 0.0;
+  const auto lookups = [&] {
+    std::vector<std::pair<PlanLookup, std::shared_ptr<const sim::PhaseHistory>>>
+        out;
+    for (int part = 0; part < 3; ++part) {
+      auto h = shifted(*pulses, shift += 0.25);
+      out.emplace_back(lookup_plan(cache, s.grid, region, 8, 8, *h), h);
+      EXPECT_FALSE(out.back().first.hit());
+    }
+    return out;
+  };
+  const auto build_and_insert = [&](const auto& misses) {
+    for (const auto& [lookup, h] : misses) {
+      build_all_blocks(*std::const_pointer_cast<FormationPlan>(lookup.plan),
+                       *h);
+      lookup.insert_into->insert(lookup.plan);
+    }
+  };
+  std::set<const std::byte*> first_arenas;
+  {
+    const auto misses = lookups();
+    for (const auto& miss : misses) {
+      first_arenas.insert(miss.first.plan->arena.data());
+    }
+    build_and_insert(misses);
+  }
+  ASSERT_EQ(first_arenas.size(), 3u);
+  EXPECT_EQ(cache.size(), 2u);
+  const std::uint64_t recycled_before =
+      reg.counter("service.plan_cache.recycled").value();
+  const auto misses = lookups();
+  std::set<const std::byte*> second_arenas;
+  for (const auto& miss : misses) {
+    second_arenas.insert(miss.first.plan->arena.data());
+  }
+  EXPECT_EQ(second_arenas, first_arenas);
+  EXPECT_EQ(cache.size(), 0u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("service.plan_cache.recycled").value() -
+                  recycled_before,
+              3u);
+  }
+  build_and_insert(misses);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(PlanCache, AbortedMissLeavesItsVictimEvicted) {
+  // With a full cache a miss evicts before it builds; when its replay group
+  // aborts it inserts nothing, so the cache is one plan short and the
+  // victim misses.
+  const auto [s, pulses] = make_tiny();
+  const Region all{0, 0, s.grid.width(), s.grid.height()};
+  PlanCache cache(2);
+  const auto victim = shifted(*pulses, 0.25);
+  const auto kept = shifted(*pulses, 0.5);
+  const PlanKey victim_key = miss_and_insert(cache, s, all, *victim)->key;
+  const PlanKey kept_key = miss_and_insert(cache, s, all, *kept)->key;
+  ASSERT_EQ(cache.size(), 2u);
+
+  const PlanLookup lookup = lookup_plan(cache, s.grid, all, 8, 8, *pulses);
+  ASSERT_FALSE(lookup.hit());
+  EXPECT_EQ(cache.size(), 1u);
+  exec::ExecOptions options;
+  options.workers = 1;
+  exec::TileExecutor executor(std::move(options));
+  auto group = make_plan_replay_group(
+      lookup.plan, pulses, 1, 0, std::make_shared<bp::SoaTile>(32, 32),
+      [] { return false; }, nullptr, 0, -1, nullptr, lookup.insert_into);
+  executor.run(group);
+  EXPECT_TRUE(group->aborted());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.find(victim_key, *victim), nullptr);
+  EXPECT_NE(cache.find(kept_key, *kept), nullptr);
+  EXPECT_EQ(cache.find(lookup.plan->key, *pulses), nullptr);
+}
+
 // --- service lifecycle ---------------------------------------------------
+
+TEST(Service, RejectsNonFiniteSamples) {
+  // One NaN or infinite sample would turn pixels non-finite and the job
+  // would still end DONE, so submit turns the request away. The same
+  // pulses with finite samples form an image with every pixel finite.
+  ScenarioConfig cfg;
+  cfg.image = 48;
+  cfg.pulses = 8;
+  const SmallScenario s = make_scenario(cfg);
+  obs::Registry reg;
+  ServiceConfig sc;
+  sc.workers = 1;
+  sc.metrics = &reg;
+  ImageFormationService service(sc);
+  const auto request = [&](const sim::PhaseHistory& h) {
+    ImageFormationRequest req;
+    req.grid = s.grid;
+    req.pulses = std::make_shared<const sim::PhaseHistory>(h);
+    req.asr_block_w = req.asr_block_h = 16;
+    return req;
+  };
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const float v : bad) {
+    sim::PhaseHistory h = s.history;
+    h.pulse(1)[17] = CFloat{v, 0.5f};
+    const SubmitOutcome outcome = service.submit(request(h));
+    EXPECT_FALSE(outcome.admitted()) << v;
+    EXPECT_EQ(outcome.reject, RejectReason::kInvalidRequest) << v;
+  }
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("service.rejected.invalid_request").value(), 3u);
+  }
+  auto clean = service.submit(request(s.history));
+  ASSERT_TRUE(clean.admitted());
+  const JobResult& result = clean.handle->wait();
+  ASSERT_EQ(result.state, JobState::kDone) << result.error;
+  for (Index y = 0; y < result.image.height(); ++y) {
+    for (Index x = 0; x < result.image.width(); ++x) {
+      ASSERT_TRUE(std::isfinite(result.image.at(x, y).real()) &&
+                  std::isfinite(result.image.at(x, y).imag()))
+          << x << "," << y;
+    }
+  }
+}
 
 TEST(Service, FormsImageMatchingReference) {
   ScenarioConfig cfg;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <numbers>
 
 #include "common/rng.h"
@@ -78,6 +79,31 @@ TEST(PhaseHistory, ShapeAndMetadata) {
   ph.meta(2).start_range_m = 123.0;
   EXPECT_DOUBLE_EQ(ph.meta(2).start_range_m, 123.0);
   EXPECT_EQ(ph.payload_bytes(), 4u * 100u * sizeof(CFloat));
+}
+
+TEST(PhaseHistory, SamplesFiniteFindsEveryNonFiniteComponent) {
+  PhaseHistory ph(3, 37, 0.5, 64.0);
+  EXPECT_TRUE(ph.samples_finite());
+  // The extremes of the finite range stay finite.
+  ph.pulse(0)[0] = CFloat{std::numeric_limits<float>::max(),
+                          -std::numeric_limits<float>::max()};
+  ph.pulse(0)[1] = CFloat{std::numeric_limits<float>::denorm_min(), -0.0f};
+  EXPECT_TRUE(ph.samples_finite());
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       -std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const float v : bad) {
+    for (const bool imag : {false, true}) {
+      for (const Index at : {Index{0}, Index{36}}) {
+        PhaseHistory h = ph;
+        CFloat& sample = h.pulse(2)[static_cast<std::size_t>(at)];
+        sample = imag ? CFloat{-1.0f, v} : CFloat{v, -1.0f};
+        EXPECT_FALSE(h.samples_finite())
+            << v << (imag ? " imaginary" : " real") << " at " << at;
+      }
+    }
+  }
 }
 
 class CollectorTest : public ::testing::Test {

@@ -48,8 +48,11 @@ LEVELS: list[str] = [
     "cluster.shard_error",  # cluster/shard.h first-error slot
     "common.queue",         # common/queue.h BoundedQueue
     "signal.chebyshev",     # signal/chebyshev.cpp plan table
-    "obs.registry",         # obs/metrics.h Registry (innermost: metric
-                            # lookups happen under module locks everywhere)
+    "obs.registry",         # obs/metrics.h Registry (metric lookups
+                            # happen under module locks everywhere)
+    "service.plan_spare",   # service/plan_cache.cpp spare plan arena (a
+                            # leaf: a plan may drop its last reference
+                            # under any lock, and nothing nests inside)
 ]
 
 # Known acquires-after edges (from is held while to is blocking-acquired),

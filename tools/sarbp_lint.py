@@ -825,7 +825,7 @@ SELFTEST_CASES = [
     ("src/e.h",
      'Mutex a_ SARBP_ACQUIRED_BEFORE(b_){SARBP_LOCK_LEVEL("obs.registry")};\n'
      'Mutex b_{SARBP_LOCK_LEVEL("service.job")};\n',
-     ["lock-level"]),  # obs.registry is innermost: the edge is backward
+     ["lock-level"]),  # obs.registry is inner to service.job: backward
     ("src/e.h",
      'Mutex a_ SARBP_ACQUIRED_AFTER(b_){SARBP_LOCK_LEVEL("service.fair")};\n'
      'Mutex b_{SARBP_LOCK_LEVEL("obs.registry")};\n',
