@@ -68,9 +68,9 @@ int main(int argc, char** argv) {
       scenes, repeats, image, pulses, block);
 
   bench::print_rule();
-  std::printf("%7s %6s %9s %9s %9s %9s %10s %10s %6s %6s\n", "workers",
+  std::printf("%7s %6s %9s %9s %9s %9s %10s %10s %6s %6s %6s\n", "workers",
               "cache", "jobs/s", "p50 s", "p90 s", "p99 s", "p50-hit",
-              "p50-miss", "hits", "miss");
+              "p50-miss", "hits", "kept", "unkept");
   bench::print_rule();
 
   double hit_p50 = 0.0;
@@ -113,12 +113,13 @@ int main(int argc, char** argv) {
       }
       const service::ReplayStats& stats = *best;
 
-      std::printf("%7d %6s %9.2f %9.4f %9.4f %9.4f %10.5f %10.5f %6zu %6zu\n",
-                  workers, cache_on ? "on" : "off",
-                  stats.throughput_jobs_per_s, stats.latency_p50_s,
-                  stats.latency_p90_s, stats.latency_p99_s,
-                  stats.hit_latency_p50_s, stats.miss_latency_p50_s,
-                  stats.plan_hits, stats.plan_misses);
+      std::printf(
+          "%7d %6s %9.2f %9.4f %9.4f %9.4f %10.5f %10.5f %6zu %6zu %6zu\n",
+          workers, cache_on ? "on" : "off", stats.throughput_jobs_per_s,
+          stats.latency_p50_s, stats.latency_p90_s, stats.latency_p99_s,
+          stats.hit_latency_p50_s, stats.miss_latency_p50_s, stats.plan_hits,
+          stats.plan_misses - stats.plan_unkept_misses,
+          stats.plan_unkept_misses);
       if (stats.failed + stats.cancelled + stats.expired + stats.rejected > 0) {
         std::printf("  !! %zu failed, %zu cancelled, %zu expired, "
                     "%zu rejected\n",

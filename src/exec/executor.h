@@ -58,6 +58,10 @@
 
 namespace sarbp::exec {
 
+/// ExecOptions::deque_capacity's default: the most tasks one injection
+/// pushes without running any inline (make_plan_replay_group's cap).
+inline constexpr std::size_t kDequeCapacity = 1024;
+
 struct ExecOptions {
   /// Pool width; 0 = std::thread::hardware_concurrency().
   int workers = 0;
@@ -66,7 +70,7 @@ struct ExecOptions {
   bool steal = true;
   /// Per-worker deque capacity (rounded up to a power of two). A full
   /// deque degrades gracefully: injection runs the overflow task inline.
-  std::size_t deque_capacity = 1024;
+  std::size_t deque_capacity = kDequeCapacity;
   /// Metrics sink; null selects the process-global obs::registry(). Must
   /// outlive the executor.
   obs::Registry* metrics = nullptr;

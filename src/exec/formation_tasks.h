@@ -4,7 +4,10 @@
 // Backprojector's cube parts) and a sweep body into contiguous item-range
 // tasks, optionally routed across a BackendSet by its §5.3 split. The
 // service's plan replay and the streaming updates build their groups
-// through it.
+// through it: a plan replay asks for one task per block (at most
+// kDequeCapacity, so an injection runs none inline), so that idle workers
+// steal single blocks and a job ends without a one-task tail; a streaming
+// update keeps the ~2 tasks per worker default.
 //
 // make_backprojection_group is the batch body: the §4.2 partitioner cuts
 // the (pulse x y x x) cube into (region-tile x pulse-chunk) parts, one per
@@ -43,8 +46,9 @@ struct FormationSpec {
   /// without backends) and returns its backprojections for the backend's
   /// rate tracker. Bodies that run no ASR kernel ignore the kernel.
   std::function<double(Index item, const bp::AsrKernel& kernel)> sweep;
-  /// Task count: `task_cap` when positive, else ~2 tasks per worker so
-  /// thieves always find a remainder to take; never more tasks than items.
+  /// Task count: `task_cap` when positive (a plan replay passes its block
+  /// count), else ~2 tasks per worker so thieves always find a remainder
+  /// to take; never more tasks than items.
   int workers = 1;
   Index task_cap = 0;
   /// Nullable. Each backend gets a contiguous item range by the current

@@ -43,6 +43,7 @@ JobState JobHandle::resolve(JobState outcome, JobStamps stamps) {
   result_.setup_seconds = stamps.setup_seconds;
   result_.compute_seconds = stamps.compute_seconds;
   result_.plan_cache_hit = stamps.plan_cache_hit;
+  result_.plan_unkept = stamps.plan_unkept;
   result_.error = std::move(stamps.error);
   if (outcome == JobState::kDone) result_.image = std::move(stamps.image);
   finish_locked(outcome);

@@ -155,8 +155,11 @@ struct JobResult {
   Grid2D<CFloat> image{0, 0};
   std::string error;
   bool plan_cache_hit = false;
+  /// The plan lookup was an unkept miss: no plan was built, and the sweep
+  /// built its tables on the fly (service/plan_cache.h).
+  bool plan_unkept = false;
   double queue_seconds = 0.0;    ///< admission -> dequeue
-  /// Plan lookup; on a miss also the plan skeleton (the pulse-scatter
+  /// Plan lookup; on a kept miss also the plan skeleton (the pulse-scatter
   /// front end builds its whole plan here instead).
   double setup_seconds = 0.0;
   /// Block sweeps; on a miss also the table builds, which run inside the
@@ -175,6 +178,7 @@ struct JobStamps {
   double setup_seconds = 0.0;
   double compute_seconds = 0.0;
   bool plan_cache_hit = false;
+  bool plan_unkept = false;
   std::string error;
   Grid2D<CFloat> image{0, 0};
 };

@@ -1,5 +1,6 @@
 #include "service/plan_cache.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -56,6 +57,32 @@ std::size_t round_up(std::size_t bytes, std::size_t unit) {
   return (bytes + unit - 1) / unit * unit;
 }
 
+/// The grid a plan's key describes.
+geometry::ImageGrid plan_grid(const PlanKey& key) {
+  return {key.grid_w, key.grid_h, key.spacing, key.centre};
+}
+
+/// A table-less plan: the key, the blocks and the pulse order.
+std::shared_ptr<FormationPlan> plan_layout(const PlanKey& key,
+                                           const sim::PhaseHistory& history) {
+  const Region& region = key.region;
+  ensure(!region.empty(), "formation plan: empty region");
+  ensure(key.block_w > 0 && key.block_h > 0,
+         "formation plan: ASR block must be positive");
+  ensure(history.num_pulses() > 0, "formation plan: no pulses");
+
+  auto plan = std::make_shared<FormationPlan>();
+  plan->key = key;
+  plan->blocks = asr::plan_blocks(region.x0, region.y0, region.width,
+                                  region.height, key.block_w, key.block_h);
+  plan->pulse_order.resize(static_cast<std::size_t>(history.num_pulses()));
+  for (std::size_t p = 0; p < plan->pulse_order.size(); ++p) {
+    plan->pulse_order[p] = geometry::choose_loop_order(
+        history.meta(static_cast<Index>(p)).position, key.centre);
+  }
+  return plan;
+}
+
 /// make_plan_skeleton, with `make_room` (may be empty) run between the
 /// arena's two sources: the spare is taken first if it fits, so that a
 /// victim `make_room` releases waits in the spare for the next miss; a
@@ -65,29 +92,13 @@ std::shared_ptr<FormationPlan> skeleton(const PlanKey& key,
                                         const sim::PhaseHistory& history,
                                         const std::function<void()>& make_room,
                                         bool* recycled) {
-  const Region& region = key.region;
-  ensure(!region.empty(), "formation plan: empty region");
-  ensure(key.block_w > 0 && key.block_h > 0,
-         "formation plan: ASR block must be positive");
-  ensure(history.num_pulses() > 0, "formation plan: no pulses");
-
-  auto plan = std::make_shared<FormationPlan>();
-  plan->key = key;
+  auto plan = plan_layout(key, history);
   plan->geometry = pulse_geometry(history);
-  plan->blocks = asr::plan_blocks(region.x0, region.y0, region.width,
-                                  region.height, key.block_w, key.block_h);
-
-  const Index pulses = history.num_pulses();
-  plan->pulse_order.resize(static_cast<std::size_t>(pulses));
-  std::size_t x_inner_pulses = 0;
-  for (Index p = 0; p < pulses; ++p) {
-    const geometry::LoopOrder order =
-        geometry::choose_loop_order(history.meta(p).position, key.centre);
-    plan->pulse_order[static_cast<std::size_t>(p)] = order;
-    if (order == geometry::LoopOrder::kXInner) ++x_inner_pulses;
-  }
+  const auto x_inner_pulses = static_cast<std::size_t>(
+      std::count(plan->pulse_order.begin(), plan->pulse_order.end(),
+                 geometry::LoopOrder::kXInner));
   const std::size_t y_inner_pulses =
-      static_cast<std::size_t>(pulses) - x_inner_pulses;
+      plan->pulse_order.size() - x_inner_pulses;
   std::size_t table_floats = 0;
   for (const auto& block : plan->blocks) {
     table_floats +=
@@ -99,8 +110,7 @@ std::shared_ptr<FormationPlan> skeleton(const PlanKey& key,
   plan->bytes = table_floats * sizeof(float);
 
   // The arena: the views, then every table, block-major in pulse order.
-  const std::size_t views =
-      plan->blocks.size() * static_cast<std::size_t>(pulses);
+  const std::size_t views = plan->blocks.size() * plan->pulse_order.size();
   const std::size_t views_bytes =
       round_up(views * sizeof(asr::BlockTables), kSimdAlign);
   const std::size_t size =
@@ -142,8 +152,8 @@ std::shared_ptr<FormationPlan> make_plan_skeleton(
 
 void build_plan_block(FormationPlan& plan, std::size_t block,
                       const sim::PhaseHistory& history) {
-  const geometry::ImageGrid grid(plan.key.grid_w, plan.key.grid_h,
-                                 plan.key.spacing, plan.key.centre);
+  ensure(plan.has_tables(), "build_plan_block: the plan is table-less");
+  const geometry::ImageGrid grid = plan_grid(plan.key);
   const auto pulses = static_cast<std::size_t>(plan.num_pulses());
   std::vector<bp::TableSlot> slots(pulses);
   for (std::size_t p = 0; p < pulses; ++p) {
@@ -167,16 +177,23 @@ std::shared_ptr<const FormationPlan> build_formation_plan(
 namespace {
 
 /// Sweeps pulses [pulse_begin, pulse_end) of plan block `block` into
-/// `tile` with `kernel`; returns the backprojections it performed.
+/// `tile` with `kernel`, from the plan's tables or, on a table-less plan,
+/// with tables built on the fly (each pulse's loop order by the rule
+/// pulse_order records); returns the backprojections it performed.
 double sweep_plan_block(const FormationPlan& plan, std::size_t block,
                         const sim::PhaseHistory& history, Index pulse_begin,
                         Index pulse_end, const bp::AsrKernel& kernel,
                         bp::SoaTile& tile) {
   const asr::BlockSpec& spec = plan.blocks[block];
-  bp::sweep_asr_block(spec, plan.key.region.x0, plan.key.region.y0,
-                      plan.block_tables(block),
-                      bp::PulseRange{&history, pulse_begin, pulse_end}, kernel,
-                      tile);
+  const bp::PulseRange pulses{&history, pulse_begin, pulse_end};
+  const Region& region = plan.key.region;
+  if (plan.has_tables()) {
+    bp::sweep_asr_block(spec, region.x0, region.y0, plan.block_tables(block),
+                        pulses, kernel, tile);
+  } else {
+    bp::sweep_asr_block(spec, region.x0, region.y0, plan_grid(plan.key),
+                        {&pulses, 1}, std::nullopt, kernel, tile);
+  }
   return static_cast<double>(spec.width) * static_cast<double>(spec.height) *
          static_cast<double>(pulse_end - pulse_begin);
 }
@@ -185,6 +202,7 @@ double sweep_plan_block(const FormationPlan& plan, std::size_t block,
 
 bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
                   bp::SoaTile& tile, const std::function<bool()>& checkpoint) {
+  ensure(plan.has_tables(), "execute_plan: the plan is table-less");
   ensure(history.num_pulses() == plan.num_pulses(),
          "execute_plan: history pulse count does not match the plan");
   ensure(tile.width() == plan.key.region.width &&
@@ -228,7 +246,10 @@ exec::GroupPtr make_plan_replay_group(
                             pulse_begin, pulse_end, kernel, *tile);
   };
   spec.workers = parallelism;
-  spec.task_cap = tile_tasks;
+  spec.task_cap =
+      tile_tasks > 0 ? tile_tasks
+                     : std::min(spec.items,
+                                static_cast<Index>(exec::kDequeCapacity));
   spec.backends = std::move(backends);
   // Without backends: the widest vector rows, execute_plan's bytes.
   spec.kernel = bp::AsrKernel{bp::SimdIsa::kAuto};
@@ -236,6 +257,8 @@ exec::GroupPtr make_plan_replay_group(
   spec.on_complete = std::move(on_complete);
   spec.label = "plan_replay";
   if (insert_into != nullptr) {
+    ensure(plan->has_tables(),
+           "make_plan_replay_group: a table-less plan cannot be inserted");
     // A miss skeleton has not been published yet: the group's tasks are
     // its only users until the continuation inserts it, so each block's
     // tables (disjoint per block) are built just before the block's
@@ -260,9 +283,22 @@ PlanCache::PlanCache(std::size_t capacity, obs::Registry* metrics)
     : ReuseCache(capacity, "service.plan_cache", metrics) {
   if constexpr (obs::kEnabled) {
     auto& reg = metrics != nullptr ? *metrics : obs::registry();
+    unkept_ = &reg.counter("service.plan_cache.unkept");
     recycled_ = &reg.counter("service.plan_cache.recycled");
     mapped_bytes_ = &reg.gauge("service.plan_cache.mapped_bytes");
   }
+}
+
+bool PlanCache::recurs(const PlanKey& key) {
+  if (capacity() == 0) return false;
+  const std::size_t hash = PlanKeyHash{}(key);
+  MutexLock lock(record_mutex_);
+  if (std::find(record_.begin(), record_.end(), hash) != record_.end()) {
+    return true;
+  }
+  record_.push_front(hash);
+  if (record_.size() > capacity()) record_.pop_back();
+  return false;
 }
 
 PlanLookup lookup_plan(PlanCache& cache, const geometry::ImageGrid& grid,
@@ -270,6 +306,10 @@ PlanLookup lookup_plan(PlanCache& cache, const geometry::ImageGrid& grid,
                        const sim::PhaseHistory& history) {
   const PlanKey key = make_plan_key(grid, region, block_w, block_h, history);
   if (auto plan = cache.find(key, history)) return {std::move(plan), nullptr};
+  if (!cache.recurs(key)) {
+    if (cache.unkept_ != nullptr) cache.unkept_->add();
+    return {plan_layout(key, history), nullptr};
+  }
   // This miss takes a slot until its plan is inserted or released; the
   // other misses still building hold theirs, so making room counts them.
   // order: relaxed — a slot count; the cache lock orders the evictions.

@@ -166,6 +166,8 @@ class ReuseCache {
     evict_down_to(taken < capacity_ ? capacity_ - taken : 0, evicted);
   }
 
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+
   [[nodiscard]] std::size_t size() const {
     MutexLock lock(mutex_);
     return lru_.size();

@@ -191,8 +191,9 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
       return request.custom(cctx);
     }
 
-    // A hit is the whole setup; a miss yields a skeleton whose tables the
-    // replay tasks build, so that cost lands in compute.
+    // A hit is the whole setup; a kept miss yields a skeleton whose tables
+    // the replay tasks build, and an unkept miss a table-less plan whose
+    // tables they build on the fly, so that cost lands in compute.
     const Region region = request.effective_region();
     Timer setup_timer;
     PlanLookup lookup =
@@ -201,14 +202,15 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
     stamps.setup_seconds = setup_timer.seconds();
     if (setup_s_) setup_s_->record(stamps.setup_seconds);
     stamps.plan_cache_hit = lookup.hit();
+    stamps.plan_unkept = lookup.unkept();
 
     const Timer compute;
     auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
     // Runs on whichever worker retires the job's last task: publish the
     // image (or the failure) and resolve the handle. The claiming worker
-    // has long since moved on to the next claim. A miss group has inserted
-    // its finished plan by then, so a repeat submitted after this resolves
-    // hits.
+    // has long since moved on to the next claim. A kept miss's group has
+    // inserted its finished plan by then, so a repeat submitted after this
+    // resolves hits.
     auto done = [this, resolve, verdict, tile, region, stamps,
                  compute](exec::TaskGroup& group) {
       JobStamps run = stamps;

@@ -86,8 +86,9 @@ struct ServiceConfig {
   /// Disables stealing when false: each job runs entirely on the worker
   /// that claimed it (the pre-executor serial behaviour; bench baseline).
   bool steal = true;
-  /// Task fan-out per job; 0 = auto (~2 tasks per worker, capped at the
-  /// plan's block count).
+  /// Task fan-out per job; 0 = auto: a plan replay cuts one task per plan
+  /// block (at most exec::kDequeCapacity), a custom job's
+  /// make_formation_group ~2 tasks per worker.
   Index tile_tasks = 0;
   /// Admission bound: maximum jobs queued (not yet claimed) across all
   /// priority classes.
@@ -95,8 +96,11 @@ struct ServiceConfig {
   /// How long submit() may wait for pending space before rejecting with
   /// kQueueFull. Zero = reject immediately (pure admission control).
   std::chrono::milliseconds admission_grace{0};
-  /// Formation-plan LRU capacity in entries; 0 disables caching (every
-  /// request rebuilds its plan — the bench's baseline mode).
+  /// Formation-plan LRU capacity in entries, and the window of its miss
+  /// record: a geometry's plan is built and kept only when it recurs
+  /// within this many unkept misses; the others sweep their tables on the
+  /// fly (plan_cache.h). 0 keeps and builds no plan (the bench's baseline
+  /// mode).
   std::size_t plan_cache_capacity = 8;
   /// Test/ops hook: when true the workers hold at a gate until resume(),
   /// so a batch of requests can be staged and released atomically.

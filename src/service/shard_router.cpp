@@ -262,6 +262,7 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
                            request.asr_block_w, request.asr_block_h,
                            *request.pulses);
       header.cache_hit = lookup.hit() ? 1 : 0;
+      header.unkept = lookup.unkept() ? 1 : 0;
     }
 
     auto verdict =
@@ -350,6 +351,7 @@ void ShardRouter::finish_job(const ShardJobCtx& ctx) {
       stamps.compute_seconds =
           std::max(stamps.compute_seconds, header.compute_seconds);
       stamps.plan_cache_hit = stamps.plan_cache_hit || header.cache_hit != 0;
+      stamps.plan_unkept = stamps.plan_unkept || header.unkept != 0;
       const std::byte* payload = bytes.data() + sizeof(header);
       const std::size_t payload_size = bytes.size() - sizeof(header);
       if (header.status != JobState::kDone) {

@@ -126,7 +126,7 @@ class ShardRouter {
     std::int32_t part = 0;
     JobState status = JobState::kFailed;  ///< the part's outcome
     std::int32_t cache_hit = 0;
-    std::int32_t pad = 0;
+    std::int32_t unkept = 0;  ///< the part's lookup was an unkept miss
     double compute_seconds = 0.0;
   };
 

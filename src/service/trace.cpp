@@ -297,6 +297,7 @@ ReplayStats replay_trace(const Trace& trace, ImageFormationService& service,
         } else {
           miss_latencies.push_back(result.latency_seconds -
                                    result.queue_seconds);
+          if (result.plan_unkept) ++stats.plan_unkept_misses;
         }
         break;
       case JobState::kFailed: ++stats.failed; break;

@@ -114,6 +114,9 @@ struct ReplayStats {
   double miss_latency_p50_s = 0.0;
   std::size_t plan_hits = 0;
   std::size_t plan_misses = 0;
+  /// Of plan_misses, the unkept ones (swept on the fly, no plan built);
+  /// the rest were kept misses that built and inserted their plan.
+  std::size_t plan_unkept_misses = 0;
   // Streaming entries (zero when the trace has none).
   std::size_t streams = 0;            ///< sessions opened
   std::size_t stream_pushes = 0;      ///< pushes delivered

@@ -68,6 +68,9 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
   ~Impl() { close(); }
 
   bool push(const sim::PhaseHistory& pulses) SARBP_EXCLUDES(mutex_) {
+    // A NaN or Inf sample would reach every image whose window holds its
+    // chunk; the batch is refused whole, before any pulse is buffered.
+    if (!pulses.samples_finite()) return false;
     MutexLock lock(mutex_);
     if (closed_) return false;
     if (pulses.num_pulses() <= 0 || pulses.samples_per_pulse() <= 0) {

@@ -114,8 +114,9 @@ class StreamSession {
 
   /// Ingests a batch of pulses (any size; chunking is internal). The batch
   /// must match the session's sampling geometry (samples per pulse, bin
-  /// spacing, wavenumber — fixed by the first push). Returns false when
-  /// the session is closed or the batch is inconsistent/empty.
+  /// spacing, wavenumber — fixed by the first push). Returns false, and
+  /// buffers none of its pulses, when the session is closed or the batch
+  /// is inconsistent, empty or holds a NaN or infinite sample.
   bool push(const sim::PhaseHistory& pulses);
 
   /// Stops ingestion; queued and in-flight updates still run to

@@ -184,6 +184,9 @@ ImageFormationRequest request_for(const PlanFixture& f) {
   return req;
 }
 
+/// The image a fresh service forms for `f`, twice: an unkept miss, whose
+/// tasks build each block's tables on the fly, then a kept miss, whose
+/// tasks build the plan's tables. Both must give the same bytes.
 Grid2D<CFloat> form_via_service(const PlanFixture& f,
                                 std::vector<exec::BackendSpec> backends,
                                 int workers = 2, bool steal = true) {
@@ -194,11 +197,18 @@ Grid2D<CFloat> form_via_service(const PlanFixture& f,
   sc.metrics = &reg;
   sc.backends = std::move(backends);
   ImageFormationService service(sc);
-  auto outcome = service.submit(request_for(f));
-  EXPECT_TRUE(outcome.admitted());
-  const JobResult& result = outcome.handle->wait();
-  EXPECT_EQ(result.state, JobState::kDone) << result.error;
-  return result.image;
+  std::vector<Grid2D<CFloat>> images;
+  for (const bool unkept : {true, false}) {
+    auto outcome = service.submit(request_for(f));
+    EXPECT_TRUE(outcome.admitted());
+    const JobResult& result = outcome.handle->wait();
+    EXPECT_EQ(result.state, JobState::kDone) << result.error;
+    EXPECT_FALSE(result.plan_cache_hit);
+    EXPECT_EQ(result.plan_unkept, unkept);
+    images.push_back(result.image);
+  }
+  EXPECT_TRUE(images[0] == images[1]);
+  return images[1];
 }
 
 bool images_equal(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
@@ -241,9 +251,11 @@ TEST(ServiceBackends, SimdBackendMatchesLegacyBytes) {
 }
 
 TEST(ServiceBackends, MissJobsMatchPrebuiltPlanReplay) {
-  // Every job of a fresh service misses, so its tasks build each block's
-  // tables just before sweeping it. Those tables are the prebuilt plan's
-  // bytes: the scalar path equals execute_plan of build_formation_plan,
+  // A fresh service's first job is an unkept miss, whose tasks build each
+  // block's tables on the fly, and its second a kept miss, whose tasks
+  // build each block's plan tables just before sweeping it. Either way the
+  // tables are the prebuilt plan's bytes: the scalar path equals
+  // execute_plan of build_formation_plan,
   // and a SIMD set equals a one-worker SIMD replay of that plan, for any
   // worker count and steal setting. 41 px leaves 9 px edge blocks, whose
   // odd table lengths sit in padded buffer slots.

@@ -111,10 +111,12 @@ TEST(ClusterService, GridSplitIsBitIdenticalToLocal) {
 }
 
 TEST(ClusterService, GridSplitMissMatchesExecutePlan) {
-  // Each rank misses on its band and builds the band's tables inside its
-  // replay tasks; the gathered image equals execute_plan of the prebuilt
-  // full-region plan byte for byte, whatever the rank's worker count or
-  // steal setting. 41 px puts 9 px edge blocks in the last band.
+  // Each rank misses on its band twice: first an unkept miss, whose tasks
+  // build the band's tables on the fly, then a kept miss, whose tasks
+  // build the band plan's tables. Both gathered images equal execute_plan
+  // of the prebuilt full-region plan byte for byte, whatever the rank's
+  // worker count or steal setting. 41 px puts 9 px edge blocks in the
+  // last band.
   for (const Index image : {48, 41}) {
     const Fixture f = make_fixture(image, 12);
     const Region all{0, 0, image, image};
@@ -134,10 +136,20 @@ TEST(ClusterService, GridSplitMissMatchesExecutePlan) {
         sharded.steal = steal;
         sharded.shard_small_pixels = 16;
         sharded.metrics = &reg;
-        EXPECT_TRUE(form_once(sharded, f) == reference)
-            << image << " px, " << workers << " workers, steal " << steal;
+        ImageFormationService service(std::move(sharded));
+        for (const bool unkept : {true, false}) {
+          auto outcome = service.submit(make_request(f, 16));
+          ASSERT_TRUE(outcome.admitted());
+          const JobResult& result = outcome.handle->wait();
+          ASSERT_EQ(result.state, JobState::kDone) << result.error;
+          EXPECT_EQ(result.plan_unkept, unkept);
+          EXPECT_TRUE(result.image == reference)
+              << image << " px, " << workers << " workers, steal " << steal
+              << (unkept ? ", unkept" : ", kept");
+        }
         if (obs::kEnabled) {
-          EXPECT_EQ(reg.counter("shard.jobs.grid_split").value(), 1u);
+          EXPECT_EQ(reg.counter("shard.jobs.grid_split").value(), 2u);
+          EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 2u);
         }
       }
     }

@@ -29,8 +29,10 @@
 
 #include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
+#include "backprojection/partition.h"
 #include "exec/executor.h"
 #include "exec/task_group.h"
+#include "exec/tile_backend.h"
 #include "common/check.h"
 #include "common/snr.h"
 #include "geometry/wavefront.h"
@@ -287,13 +289,22 @@ std::shared_ptr<const sim::PhaseHistory> shifted(const sim::PhaseHistory& base,
   return h;
 }
 
-/// One miss through lookup_plan, built and inserted as a replay group that
-/// ran every task does.
+/// Looks `h` up once, an unkept miss that the cache records, so that the
+/// next lookup of `h` is a kept miss.
+void record_once(PlanCache& cache, const SmallScenario& s,
+                 const Region& region, const sim::PhaseHistory& h) {
+  EXPECT_TRUE(lookup_plan(cache, s.grid, region, 8, 8, h).unkept());
+}
+
+/// One kept miss through lookup_plan (after one earlier lookup of `h`),
+/// built and inserted as a replay group that ran every task does.
 std::shared_ptr<const FormationPlan> miss_and_insert(
     PlanCache& cache, const SmallScenario& s, const Region& region,
     const sim::PhaseHistory& h) {
+  record_once(cache, s, region, h);
   const PlanLookup lookup = lookup_plan(cache, s.grid, region, 8, 8, h);
   EXPECT_FALSE(lookup.hit());
+  EXPECT_FALSE(lookup.unkept());
   build_all_blocks(*std::const_pointer_cast<FormationPlan>(lookup.plan), h);
   lookup.insert_into->insert(lookup.plan);
   return lookup.plan;
@@ -390,8 +401,10 @@ TEST(PlanCache, ConcurrentMissesEachTakeAnArena) {
         out;
     for (int part = 0; part < 3; ++part) {
       auto h = shifted(*pulses, shift += 0.25);
+      record_once(cache, s, region, *h);
       out.emplace_back(lookup_plan(cache, s.grid, region, 8, 8, *h), h);
       EXPECT_FALSE(out.back().first.hit());
+      EXPECT_FALSE(out.back().first.unkept());
     }
     return out;
   };
@@ -443,8 +456,11 @@ TEST(PlanCache, AbortedMissLeavesItsVictimEvicted) {
   const PlanKey kept_key = miss_and_insert(cache, s, all, *kept)->key;
   ASSERT_EQ(cache.size(), 2u);
 
+  record_once(cache, s, all, *pulses);
+  ASSERT_EQ(cache.size(), 2u);
   const PlanLookup lookup = lookup_plan(cache, s.grid, all, 8, 8, *pulses);
   ASSERT_FALSE(lookup.hit());
+  ASSERT_FALSE(lookup.unkept());
   EXPECT_EQ(cache.size(), 1u);
   exec::ExecOptions options;
   options.workers = 1;
@@ -458,6 +474,272 @@ TEST(PlanCache, AbortedMissLeavesItsVictimEvicted) {
   EXPECT_EQ(cache.find(victim_key, *victim), nullptr);
   EXPECT_NE(cache.find(kept_key, *kept), nullptr);
   EXPECT_EQ(cache.find(lookup.plan->key, *pulses), nullptr);
+}
+
+TEST(PlanCache, OnlyARecurringGeometryBuildsAPlan) {
+  // A 2-plan cache remembers the keys of its last two unkept misses. A
+  // geometry looked up once is an unkept miss: a table-less plan, no arena,
+  // nothing cached. Looked up again inside that window it is a kept miss,
+  // whose plan is built and inserted, and it hits from then on.
+  const auto [s, pulses] = make_tiny();
+  const Region region{2, 1, 25, 27};
+  obs::Registry reg;
+  PlanCache cache(2, &reg);
+  const auto lookup = [&](const sim::PhaseHistory& h) {
+    return lookup_plan(cache, s.grid, region, 8, 8, h);
+  };
+  std::vector<std::shared_ptr<const sim::PhaseHistory>> once;
+  for (int i = 0; i < 6; ++i) {
+    once.push_back(shifted(*pulses, 0.25 * (i + 1)));
+    const PlanLookup miss = lookup(*once.back());
+    EXPECT_TRUE(miss.unkept());
+    EXPECT_FALSE(miss.hit());
+    EXPECT_EQ(miss.insert_into, nullptr);
+    EXPECT_FALSE(miss.plan->has_tables());
+    EXPECT_EQ(miss.plan->arena.size(), 0u);
+    EXPECT_EQ(miss.plan->bytes, 0u);
+    EXPECT_TRUE(miss.plan->geometry.empty());
+    EXPECT_EQ(miss.plan->blocks.size(), 16u);
+    EXPECT_EQ(miss.plan->num_pulses(), pulses->num_pulses());
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 6u);
+    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 6u);
+    EXPECT_EQ(reg.counter("service.plan_cache.inserts").value(), 0u);
+    EXPECT_EQ(reg.counter("service.plan_cache.recycled").value(), 0u);
+    EXPECT_EQ(reg.gauge("service.plan_cache.mapped_bytes").value(), 0);
+  }
+
+  // Twice in a row: kept on the second lookup, hit on the third.
+  const auto twice = shifted(*pulses, 5.0);
+  EXPECT_TRUE(lookup(*twice).unkept());
+  const PlanLookup kept = lookup(*twice);
+  EXPECT_FALSE(kept.unkept());
+  EXPECT_FALSE(kept.hit());
+  ASSERT_EQ(kept.insert_into, &cache);
+  ASSERT_TRUE(kept.plan->has_tables());
+  build_all_blocks(*std::const_pointer_cast<FormationPlan>(kept.plan), *twice);
+  cache.insert(kept.plan);
+  const PlanLookup hit = lookup(*twice);
+  EXPECT_TRUE(hit.hit());
+  EXPECT_EQ(hit.plan, kept.plan);
+
+  // A repeat after one other unkept miss is kept; after two it has left
+  // the window and is unkept again.
+  const auto a = shifted(*pulses, 6.0);
+  const auto b = shifted(*pulses, 7.0);
+  const auto c = shifted(*pulses, 8.0);
+  const auto d = shifted(*pulses, 9.0);
+  EXPECT_TRUE(lookup(*a).unkept());
+  EXPECT_TRUE(lookup(*b).unkept());
+  EXPECT_FALSE(lookup(*a).unkept());  // b came since
+  EXPECT_TRUE(lookup(*c).unkept());
+  EXPECT_TRUE(lookup(*d).unkept());
+  EXPECT_TRUE(lookup(*b).unkept());  // c and d came since
+  EXPECT_EQ(cache.size(), 1u);
+
+  // Capacity 0 never builds a plan.
+  obs::Registry off_reg;
+  PlanCache off(0, &off_reg);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(lookup_plan(off, s.grid, region, 8, 8, *twice).unkept());
+  }
+  EXPECT_EQ(off.size(), 0u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(off_reg.counter("service.plan_cache.unkept").value(), 3u);
+  }
+}
+
+TEST(FormationPlan, TableLessPlanRefusesBuildAndExecute) {
+  const auto [s, pulses] = make_tiny();
+  const Region all{0, 0, s.grid.width(), s.grid.height()};
+  PlanCache cache(2);
+  const PlanLookup lookup = lookup_plan(cache, s.grid, all, 16, 16, *pulses);
+  ASSERT_TRUE(lookup.unkept());
+  auto plan = std::const_pointer_cast<FormationPlan>(lookup.plan);
+  EXPECT_THROW(build_plan_block(*plan, 0, *pulses), PreconditionError);
+  bp::SoaTile tile(all.width, all.height);
+  EXPECT_THROW((void)execute_plan(*plan, *pulses, tile, nullptr),
+               PreconditionError);
+}
+
+TEST(FormationPlan, TableLessReplayMatchesTheBuiltPlan) {
+  // An unkept miss's replay builds each block's tables on the fly. Over
+  // edge blocks 7, 17 and 33 pixels wide and loop orders that alternate
+  // every 8 pulses, it gives the built plan's bytes: execute_plan's over
+  // the full pulse range and the ranks' sub-ranges, without a backend and
+  // with a SIMD backend, and the built plan's own replay on a kGatherNoFma
+  // backend.
+  ScenarioConfig cfg;
+  cfg.image = 96;
+  cfg.pulses = 24;
+  const SmallScenario s = make_scenario(cfg);
+  const auto h = std::make_shared<const sim::PhaseHistory>(
+      testing::alternate_loop_orders(s.history, s.grid.centre()));
+  obs::Registry reg;
+  exec::ExecOptions options;
+  options.workers = 2;
+  options.metrics = &reg;
+  exec::TileExecutor executor(std::move(options));
+  const auto backend = [&reg](bp::KernelVariant variant) {
+    exec::BackendSpec spec;
+    spec.kind = exec::BackendSpec::Kind::kHostSimd;
+    spec.variant = variant;
+    return std::make_shared<exec::BackendSet>(
+        std::vector<exec::BackendSpec>{spec}, 0.5, &reg);
+  };
+  const auto replay = [&](std::shared_ptr<const FormationPlan> plan,
+                          Index begin, Index end,
+                          std::shared_ptr<exec::BackendSet> backends) {
+    const Region& region = plan->key.region;
+    auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
+    auto group = make_plan_replay_group(std::move(plan), h, 2, 0, tile,
+                                        nullptr, nullptr, begin, end,
+                                        std::move(backends));
+    executor.run(group);
+    EXPECT_FALSE(group->aborted());
+    return tile_bits(*tile);
+  };
+  struct Case {
+    Region region;
+    Index block_w;
+    Index block_h;
+  };
+  const Case cases[] = {{{0, 0, 39, 49}, 32, 32},     // edges 7 x 17
+                        {{10, 20, 81, 57}, 48, 40},   // edges 33 x 17
+                        {{0, 0, 90, 71}, 57, 32}};    // edges 33 x 7
+  const bool simd = bp::asr_simd_available();
+  for (const auto& [region, bw, bh] : cases) {
+    SCOPED_TRACE(std::to_string(region.width) + "x" +
+                 std::to_string(region.height) + " in " + std::to_string(bw) +
+                 "x" + std::to_string(bh) + " blocks");
+    const auto built = build_formation_plan(s.grid, region, bw, bh, *h);
+    PlanCache cache(2);
+    const PlanLookup lookup = lookup_plan(cache, s.grid, region, bw, bh, *h);
+    ASSERT_TRUE(lookup.unkept());
+    EXPECT_EQ(lookup.plan->blocks.size(), built->blocks.size());
+    EXPECT_EQ(lookup.plan->pulse_order, built->pulse_order);
+
+    bp::SoaTile reference(region.width, region.height);
+    ASSERT_TRUE(execute_plan(*built, *h, reference, nullptr));
+    const std::vector<std::uint32_t> expected = tile_bits(reference);
+    EXPECT_EQ(replay(lookup.plan, 0, -1, nullptr), expected);
+    if (simd) {
+      EXPECT_EQ(replay(lookup.plan, 0, -1, backend(bp::KernelVariant::kAuto)),
+                expected);
+    }
+    const Index pulses = h->num_pulses();
+    for (Index part = 0; part < 3; ++part) {
+      const Index begin = bp::split_begin(pulses, 3, part);
+      const Index end = bp::split_begin(pulses, 3, part + 1);
+      SCOPED_TRACE("pulses [" + std::to_string(begin) + ", " +
+                   std::to_string(end) + ")");
+      EXPECT_EQ(replay(lookup.plan, begin, end, nullptr),
+                replay(built, begin, end, nullptr));
+      if (simd) {
+        EXPECT_EQ(
+            replay(lookup.plan, begin, end, backend(bp::KernelVariant::kAuto)),
+            replay(built, begin, end, nullptr));
+      }
+    }
+    if (simd) {
+      EXPECT_EQ(
+          replay(lookup.plan, 0, -1, backend(bp::KernelVariant::kGatherNoFma)),
+          replay(built, 0, -1, backend(bp::KernelVariant::kGatherNoFma)));
+    }
+  }
+}
+
+TEST(PlanReplay, OneTaskPerBlockUpToTheDequeCapacity) {
+  // tile_tasks 0 cuts a replay into one task per block, but never more
+  // tasks than the executor's deque holds, so an injection runs none of
+  // them inline. 33 x 33 one-pixel blocks are 1,089, past 1,024.
+  const auto [s, pulses] = make_tiny();
+  const Region few{0, 0, 32, 32};
+  const Region many{0, 0, 33, 33};
+  obs::Registry reg;
+  exec::ExecOptions options;
+  options.workers = 2;
+  options.metrics = &reg;
+  exec::TileExecutor executor(std::move(options));
+  const auto tasks_and_bits = [&](const Region& region, Index block) {
+    const auto plan =
+        build_formation_plan(s.grid, region, block, block, *pulses);
+    auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
+    auto group = make_plan_replay_group(plan, pulses, 2, 0, tile, nullptr,
+                                        nullptr);
+    const std::size_t tasks = group->units().size();
+    executor.run(group);
+    EXPECT_FALSE(group->aborted());
+    bp::SoaTile reference(region.width, region.height);
+    EXPECT_TRUE(execute_plan(*plan, *pulses, reference, nullptr));
+    EXPECT_EQ(tile_bits(*tile), tile_bits(reference));
+    return std::make_pair(plan->blocks.size(), tasks);
+  };
+  const auto [few_blocks, few_tasks] = tasks_and_bits(few, 16);
+  EXPECT_EQ(few_blocks, 4u);
+  EXPECT_EQ(few_tasks, 4u);
+  const auto [many_blocks, many_tasks] = tasks_and_bits(many, 1);
+  EXPECT_EQ(many_blocks, 1089u);
+  EXPECT_EQ(many_tasks, exec::kDequeCapacity);
+  EXPECT_EQ(exec::ExecOptions{}.deque_capacity, exec::kDequeCapacity);
+}
+
+TEST(PlanCache, RacingLookupsOfRecurringGeometries) {
+  // Four threads look up three geometries on a 2-plan cache, building and
+  // inserting their kept misses' plans as replay groups do. Every lookup
+  // ends as exactly one of hit, kept miss or unkept miss; a hit replays
+  // its own geometry; the cache never holds more than two plans.
+  const auto [s, pulses] = make_tiny();
+  const Region region{1, 1, 30, 30};
+  obs::Registry reg;
+  PlanCache cache(2, &reg);
+  std::vector<std::shared_ptr<const sim::PhaseHistory>> geometries;
+  for (int g = 0; g < 3; ++g) {
+    geometries.push_back(shifted(*pulses, 0.5 * (g + 1)));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 24;
+  std::atomic<int> hits{0};
+  std::atomic<int> kept{0};
+  std::atomic<int> unkept{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kLookups; ++i) {
+        const sim::PhaseHistory& h =
+            *geometries[static_cast<std::size_t>((i + t) % 3)];
+        const PlanLookup lookup = lookup_plan(cache, s.grid, region, 8, 8, h);
+        if (lookup.hit()) {
+          ++hits;
+          if (!same_pulse_geometry(lookup.plan->geometry, h)) ++wrong;
+        } else if (lookup.unkept()) {
+          ++unkept;
+        } else {
+          ++kept;
+          build_all_blocks(*std::const_pointer_cast<FormationPlan>(lookup.plan),
+                           h);
+          lookup.insert_into->insert(lookup.plan);
+        }
+        if (cache.size() > 2) ++wrong;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(hits + kept + unkept, kThreads * kLookups);
+  EXPECT_GE(unkept.load(), 1);
+  EXPECT_LE(cache.size(), 2u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("service.plan_cache.hits").value(),
+              static_cast<std::uint64_t>(hits.load()));
+    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(),
+              static_cast<std::uint64_t>(unkept.load()));
+    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(),
+              static_cast<std::uint64_t>(kept.load() + unkept.load()));
+  }
 }
 
 // --- service lifecycle ---------------------------------------------------
@@ -922,31 +1204,44 @@ TEST(Service, PlanCacheHitOnRepeatedGeometry) {
   sc.metrics = &reg;
   ImageFormationService service(sc);
 
+  // The first request is an unkept miss; the second, a repeat inside the
+  // miss record's window, a kept miss that builds and inserts the plan;
+  // the third hits it.
   auto first = service.submit(tiny_request(s, pulses));
   ASSERT_TRUE(first.admitted());
   ASSERT_EQ(first.handle->wait().state, JobState::kDone);
   EXPECT_FALSE(first.handle->result().plan_cache_hit);
+  EXPECT_TRUE(first.handle->result().plan_unkept);
+  EXPECT_EQ(service.plan_cache().size(), 0u);
 
   auto second = service.submit(tiny_request(s, pulses));
   ASSERT_TRUE(second.admitted());
   ASSERT_EQ(second.handle->wait().state, JobState::kDone);
-  EXPECT_TRUE(second.handle->result().plan_cache_hit);
+  EXPECT_FALSE(second.handle->result().plan_cache_hit);
+  EXPECT_FALSE(second.handle->result().plan_unkept);
+
+  auto third = service.submit(tiny_request(s, pulses));
+  ASSERT_TRUE(third.admitted());
+  ASSERT_EQ(third.handle->wait().state, JobState::kDone);
+  EXPECT_TRUE(third.handle->result().plan_cache_hit);
+  EXPECT_TRUE(first.handle->result().image == third.handle->result().image);
 
   EXPECT_EQ(service.plan_cache().size(), 1u);
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 1u);
-    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 1u);
+    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 2u);
+    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 1u);
     EXPECT_GT(reg.gauge("service.plan_cache.bytes").value(), 0);
   }
 
   // Same collection, different region: a distinct plan key, so a miss.
   auto sub = tiny_request(s, pulses);
   sub.region = Region{0, 0, 16, 16};
-  auto third = service.submit(std::move(sub));
-  ASSERT_TRUE(third.admitted());
-  ASSERT_EQ(third.handle->wait().state, JobState::kDone);
-  EXPECT_FALSE(third.handle->result().plan_cache_hit);
-  EXPECT_EQ(third.handle->result().image.width(), 16);
+  auto fourth = service.submit(std::move(sub));
+  ASSERT_TRUE(fourth.admitted());
+  ASSERT_EQ(fourth.handle->wait().state, JobState::kDone);
+  EXPECT_FALSE(fourth.handle->result().plan_cache_hit);
+  EXPECT_EQ(fourth.handle->result().image.width(), 16);
 }
 
 TEST(Service, PlanCacheCapacityZeroDisablesRetention) {
@@ -963,11 +1258,13 @@ TEST(Service, PlanCacheCapacityZeroDisablesRetention) {
     ASSERT_TRUE(outcome.admitted());
     ASSERT_EQ(outcome.handle->wait().state, JobState::kDone);
     EXPECT_FALSE(outcome.handle->result().plan_cache_hit);
+    EXPECT_TRUE(outcome.handle->result().plan_unkept);
   }
   EXPECT_EQ(service.plan_cache().size(), 0u);
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 0u);
     EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 2u);
+    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 2u);
   }
 }
 
@@ -982,6 +1279,8 @@ TEST(PlanCache, SignatureCollisionIsAMiss) {
   const Region region{0, 0, s.grid.width(), s.grid.height()};
   obs::Registry reg;
   PlanCache cache(4, &reg);
+  // One earlier lookup of b makes the one under test a kept miss.
+  EXPECT_TRUE(lookup_plan(cache, s.grid, region, 16, 16, b).unkept());
   auto forged = std::const_pointer_cast<FormationPlan>(
       build_formation_plan(s.grid, region, 16, 16, a));
   forged->key.pulse_signature = pulse_geometry_signature(b);
@@ -989,12 +1288,13 @@ TEST(PlanCache, SignatureCollisionIsAMiss) {
 
   const PlanLookup lookup = lookup_plan(cache, s.grid, region, 16, 16, b);
   EXPECT_FALSE(lookup.hit());
+  EXPECT_FALSE(lookup.unkept());
   EXPECT_NE(lookup.plan, forged);
   EXPECT_TRUE(same_pulse_geometry(lookup.plan->geometry, b));
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("service.plan_cache.collisions").value(), 1u);
     EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 0u);
-    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 1u);
+    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 2u);
   }
 }
 
@@ -1011,14 +1311,53 @@ Grid2D<CFloat> prebuilt_replay(const SmallScenario& s,
   return image;
 }
 
+TEST(Service, OneOffScenesMapNoArena) {
+  // Three scenes in turn through a 2-plan service: no scene recurs within
+  // two unkept misses, so no job builds a plan or maps an arena, and every
+  // image is execute_plan's of the built plan.
+  const auto [s, pulses] = make_tiny();
+  const Region all{0, 0, s.grid.width(), s.grid.height()};
+  obs::Registry reg;
+  ServiceConfig sc;
+  sc.workers = 2;
+  sc.plan_cache_capacity = 2;
+  sc.metrics = &reg;
+  ImageFormationService service(sc);
+  std::vector<std::shared_ptr<const sim::PhaseHistory>> scenes;
+  std::vector<Grid2D<CFloat>> expected;
+  for (int i = 0; i < 3; ++i) {
+    scenes.push_back(shifted(*pulses, 0.25 * (i + 1)));
+    expected.push_back(prebuilt_replay(s, *scenes.back(), all, 16));
+  }
+  for (int job = 0; job < 9; ++job) {
+    const auto scene = static_cast<std::size_t>(job % 3);
+    auto outcome = service.submit(tiny_request(s, scenes[scene]));
+    ASSERT_TRUE(outcome.admitted());
+    const JobResult& result = outcome.handle->wait();
+    ASSERT_EQ(result.state, JobState::kDone) << result.error;
+    EXPECT_FALSE(result.plan_cache_hit);
+    EXPECT_TRUE(result.plan_unkept);
+    EXPECT_TRUE(result.image == expected[scene]) << "job " << job;
+  }
+  EXPECT_EQ(service.plan_cache().size(), 0u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 9u);
+    EXPECT_EQ(reg.counter("service.plan_cache.inserts").value(), 0u);
+    EXPECT_EQ(reg.counter("service.plan_cache.recycled").value(), 0u);
+    EXPECT_EQ(reg.gauge("service.plan_cache.mapped_bytes").value(), 0);
+  }
+}
+
 /// How the cache-miss job under test aborts.
 enum class MissAbort { kCancel, kDeadline, kThrow };
 
-/// A miss builds its plan inside the replay tasks and inserts it only when
-/// every task ran. Abort one after a block's tables are built: the cache
-/// must keep its size, and the next identical request must miss again and
-/// still deliver the prebuilt-plan image.
-void expect_aborted_miss_inserts_nothing(MissAbort how) {
+/// A kept miss builds its plan inside the replay tasks and inserts it only
+/// when every task ran; an unkept one builds no plan. Abort either after a
+/// block's tables are built: the cache must keep its size and bytes, and
+/// the next identical request must miss again (a kept miss: the aborted
+/// request recorded the key either way) and still deliver the
+/// prebuilt-plan image.
+void expect_aborted_miss_inserts_nothing(MissAbort how, bool kept = true) {
   const auto [s, pulses] = make_tiny();
   const Region all{0, 0, s.grid.width(), s.grid.height()};
 
@@ -1059,15 +1398,25 @@ void expect_aborted_miss_inserts_nothing(MissAbort how) {
   };
   ImageFormationService service(sc);
 
-  // Another key already cached: the aborted miss must neither add an entry
-  // nor evict one.
-  auto corner = tiny_request(s, pulses);
-  corner.region = Region{0, 0, 16, 16};
-  auto warm = service.submit(std::move(corner));
-  ASSERT_TRUE(warm.admitted());
-  ASSERT_EQ(warm.handle->wait().state, JobState::kDone);
+  // Another key already cached (its second request is a kept miss): the
+  // aborted miss must neither add an entry nor evict one.
+  for (int i = 0; i < 2; ++i) {
+    auto corner = tiny_request(s, pulses);
+    corner.region = Region{0, 0, 16, 16};
+    auto warm = service.submit(std::move(corner));
+    ASSERT_TRUE(warm.admitted());
+    ASSERT_EQ(warm.handle->wait().state, JobState::kDone);
+  }
   ASSERT_EQ(service.plan_cache().size(), 1u);
   const std::size_t bytes_before = service.plan_cache().bytes();
+  if (kept) {
+    // One earlier request of the geometry makes the one under test a kept
+    // miss.
+    auto earlier = service.submit(tiny_request(s, pulses));
+    ASSERT_TRUE(earlier.admitted());
+    ASSERT_EQ(earlier.handle->wait().state, JobState::kDone);
+    ASSERT_TRUE(earlier.handle->result().plan_unkept);
+  }
 
   auto req = tiny_request(s, pulses);
   deadline = std::chrono::steady_clock::now() + 500ms;
@@ -1104,6 +1453,7 @@ void expect_aborted_miss_inserts_nothing(MissAbort how) {
   }
   EXPECT_GE(armed_calls.load(), 3);
   EXPECT_FALSE(aborted.plan_cache_hit);
+  EXPECT_EQ(aborted.plan_unkept, !kept);
   EXPECT_EQ(service.plan_cache().size(), 1u);
   EXPECT_EQ(service.plan_cache().bytes(), bytes_before);
 
@@ -1113,6 +1463,7 @@ void expect_aborted_miss_inserts_nothing(MissAbort how) {
   const JobResult& result = again.handle->wait();
   ASSERT_EQ(result.state, JobState::kDone) << result.error;
   EXPECT_FALSE(result.plan_cache_hit);
+  EXPECT_FALSE(result.plan_unkept);
   const Grid2D<CFloat> expected = prebuilt_replay(s, *pulses, all, 16);
   EXPECT_TRUE(result.image == expected);
   EXPECT_EQ(service.plan_cache().size(), 2u);
@@ -1125,7 +1476,11 @@ void expect_aborted_miss_inserts_nothing(MissAbort how) {
   EXPECT_TRUE(replayed.plan_cache_hit);
   EXPECT_TRUE(replayed.image == expected);
   if (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 3u);
+    // The corner's two, the earlier request's (kept only), the aborted
+    // one's and the repeat's.
+    EXPECT_EQ(reg.counter("service.plan_cache.misses").value(),
+              kept ? 5u : 4u);
+    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 2u);
     EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 1u);
   }
 }
@@ -1140,6 +1495,18 @@ TEST(Service, ExpiredMissInsertsNoPlan) {
 
 TEST(Service, ThrowingMissTaskInsertsNoPlan) {
   expect_aborted_miss_inserts_nothing(MissAbort::kThrow);
+}
+
+TEST(Service, CancelledUnkeptMissLeavesCacheUntouched) {
+  expect_aborted_miss_inserts_nothing(MissAbort::kCancel, /*kept=*/false);
+}
+
+TEST(Service, ExpiredUnkeptMissLeavesCacheUntouched) {
+  expect_aborted_miss_inserts_nothing(MissAbort::kDeadline, /*kept=*/false);
+}
+
+TEST(Service, ThrowingUnkeptMissLeavesCacheUntouched) {
+  expect_aborted_miss_inserts_nothing(MissAbort::kThrow, /*kept=*/false);
 }
 
 TEST(Service, DrainWithJobsInFlightRunsBacklogToCompletion) {
@@ -1296,13 +1663,16 @@ TEST(Trace, ReplayRepeatedScenesHitsPlanCache) {
   sc.metrics = &reg;
   ImageFormationService service(sc);
 
-  const Trace trace = make_repeated_scene_trace(2, 2, 48, 12, 16);
+  // Each scene's first request is an unkept miss, its first repeat a kept
+  // miss that builds the plan, and its second repeat a hit.
+  const Trace trace = make_repeated_scene_trace(2, 3, 48, 12, 16);
   const ReplayStats stats = replay_trace(trace, service);
-  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(stats.submitted, 6u);
   EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.done, 4u);
-  EXPECT_EQ(stats.plan_misses, 2u);  // one per distinct scene
-  EXPECT_EQ(stats.plan_hits, 2u);   // one per repeat
+  EXPECT_EQ(stats.done, 6u);
+  EXPECT_EQ(stats.plan_misses, 4u);         // two per distinct scene
+  EXPECT_EQ(stats.plan_unkept_misses, 2u);  // of which one unkept
+  EXPECT_EQ(stats.plan_hits, 2u);           // one per second repeat
   EXPECT_GT(stats.throughput_jobs_per_s, 0.0);
   EXPECT_GE(stats.latency_p99_s, stats.latency_p50_s);
 }

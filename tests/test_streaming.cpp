@@ -12,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -726,6 +728,63 @@ TEST(StreamingLifecycle, InconsistentSamplingRejected) {
                                 s.history.wavenumber());
   EXPECT_FALSE(session.push(wrong));
   EXPECT_FALSE(session.push(sim::PhaseHistory{}));
+}
+
+TEST(StreamingLifecycle, NonFiniteBatchRejectedWhole) {
+  // A batch holding a NaN or Inf sample is refused before any of its
+  // pulses enter the fill buffer: the session's images stay, byte for
+  // byte, those of a session that never saw it. The bad batches are
+  // shorter than a chunk, so a buffered pulse would shift every later
+  // chunk.
+  ScenarioConfig cfg;
+  cfg.image = 32;
+  cfg.pulses = 24;
+  const SmallScenario s = make_scenario(cfg);
+
+  service::ServiceConfig sc;
+  sc.workers = 1;
+  service::ImageFormationService srv(sc);
+
+  StreamConfig config;
+  config.grid = s.grid;
+  config.asr_block_w = config.asr_block_h = 16;
+  config.chunk_pulses = 6;
+  config.window_chunks = 2;
+  StreamSession clean = open_stream(srv, config);
+  StreamSession dirty = open_stream(srv, config);
+
+  const auto poisoned = [&](Index p0, float value) {
+    sim::PhaseHistory bad = slice(s.history, p0, p0 + 4);
+    bad.pulse(3)[5] = CFloat(0.0f, value);
+    return bad;
+  };
+  const Index chunks = cfg.pulses / config.chunk_pulses;
+  for (Index c = 0; c < chunks; ++c) {
+    const Index p0 = c * config.chunk_pulses;
+    if (c == 0) {
+      EXPECT_FALSE(dirty.push(poisoned(p0, std::nanf(""))));
+    }
+    if (c == 2) {
+      EXPECT_FALSE(
+          dirty.push(poisoned(p0, std::numeric_limits<float>::infinity())));
+    }
+    const sim::PhaseHistory chunk = slice(s.history, p0, p0 + 6);
+    ASSERT_TRUE(clean.push(chunk));
+    ASSERT_TRUE(dirty.push(chunk));
+    const auto seq = static_cast<std::uint64_t>(c) + 1;
+    ASSERT_TRUE(clean.wait_for_update(seq, kWait));
+    ASSERT_TRUE(dirty.wait_for_update(seq, kWait));
+    ASSERT_TRUE(clean.wait_idle(kWait));
+    ASSERT_TRUE(dirty.wait_idle(kWait));
+    const auto want = clean.latest();
+    const auto got = dirty.latest();
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->seq, want->seq);
+    expect_bit_identical(got->image, want->image);
+  }
+  EXPECT_EQ(dirty.stats().updates_completed,
+            static_cast<std::uint64_t>(chunks));
 }
 
 // --- streaming trace extension -------------------------------------------

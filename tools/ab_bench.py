@@ -98,14 +98,16 @@ def worse_by(parent_median, change_median, better):
 
 
 def verdict(parent, change, better, bound=None):
-    """The change against the parent. With a bound (an end-to-end metric):
-    "worse than bound" when the change's median is worse than the parent's
-    by more than the bound, relative to the parent's median; otherwise
-    "unresolved" when the parent's spread (q3 - q1) / median is wider than
-    the bound, so a move of the bound's size could hide in it, unless every
-    change run reads better than every parent run. Then, and for a metric
-    without a bound: "better"/"worse" when the medians differ by more than
-    the parent's interquartile range, "inside IQR" otherwise."""
+    """The change against the parent, over paired runs. With a bound (an
+    end-to-end metric): "worse than bound" when the change's median is
+    worse than the parent's by more than the bound, relative to the
+    parent's median; otherwise "unresolved" when the parent's spread
+    (q3 - q1) / median is wider than the bound, so a move of the bound's
+    size could hide in it, unless every change run reads better than every
+    parent run. Then, and for a metric without a bound: "inside IQR" when
+    the medians differ by at most the parent's interquartile range, else
+    "worse", or "better" when the change also wins at least 9 of every 10
+    pairs (ties count for neither), else "too few wins"."""
     q1, p_med, q3 = quartiles(parent)
     c_med = quartiles(change)[1]
     if bound is not None:
@@ -117,7 +119,10 @@ def verdict(parent, change, better, bound=None):
             return "unresolved"
     if abs(c_med - p_med) <= q3 - q1:
         return "inside IQR"
-    return "better" if (c_med > p_med) == (better == "higher") else "worse"
+    if (c_med > p_med) != (better == "higher"):
+        return "worse"
+    change_wins, _ = wins(parent, change, better)
+    return "better" if 10 * change_wins >= 9 * len(parent) else "too few wins"
 
 
 def summarize(runs, workload, rules):
@@ -322,6 +327,21 @@ def selftest():
                                 0.25), "unresolved")
     check("every change run better resolves",
           verdict(wide, [1.0, 2.0, 3.0, 3.5, 4.0], "lower", 0.25), "better")
+    # Medians 8.5 vs 12 clear the IQR of 3, but the change wins 4 of 5.
+    one_loss = [7.0, 8.0, 8.5, 9.0, 15.0]
+    check("clears the IQR with too few wins",
+          verdict(parent, one_loss, "lower"), "too few wins")
+    check("too few wins inside a bound",
+          verdict(parent, one_loss, "lower", 0.3), "too few wins")
+    check("too few wins is still worse the other way",
+          verdict(parent, one_loss, "higher"), "worse")
+    # Ten pairs: 9 wins and a tie read better, 8 wins do not.
+    parent10 = [float(v) for v in range(10, 20)]
+    nine = [v - 8.0 for v in parent10[:9]] + [parent10[9]]
+    check("9 of 10 wins, one tie", wins(parent10, nine, "lower"), (9, 0))
+    check("9 of 10 wins", verdict(parent10, nine, "lower"), "better")
+    eight = [v - 8.0 for v in parent10[:8]] + [parent10[8], parent10[9] + 1]
+    check("8 of 10 wins", verdict(parent10, eight, "lower"), "too few wins")
     check("worse than bound beats unresolved",
           verdict(wide, [14.0, 15.0, 16.0, 17.0, 18.0], "lower", 0.25),
           "worse than bound")

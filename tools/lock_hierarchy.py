@@ -53,6 +53,9 @@ LEVELS: list[str] = [
     "service.plan_spare",   # service/plan_cache.cpp spare plan arena (a
                             # leaf: a plan may drop its last reference
                             # under any lock, and nothing nests inside)
+    "service.plan_record",  # service/plan_cache.h PlanCache miss record (a
+                            # leaf: lookup_plan reads and records a key
+                            # hash under it, and nothing nests inside)
 ]
 
 # Known acquires-after edges (from is held while to is blocking-acquired),

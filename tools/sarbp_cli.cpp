@@ -367,9 +367,10 @@ int cmd_serve_trace(const Cli& cli) {
               stats.throughput_jobs_per_s);
   std::printf("  latency p50/p90/p99 = %.3f / %.3f / %.3f s\n",
               stats.latency_p50_s, stats.latency_p90_s, stats.latency_p99_s);
-  std::printf("  plan cache: %zu hits, %zu misses; latency p50 %.4f s (hit) "
-              "vs %.4f s (miss), miss/hit %.2fx\n",
-              stats.plan_hits, stats.plan_misses, stats.hit_latency_p50_s,
+  std::printf("  plan cache: %zu hits, %zu misses (%zu unkept); latency p50 "
+              "%.4f s (hit) vs %.4f s (miss), miss/hit %.2fx\n",
+              stats.plan_hits, stats.plan_misses, stats.plan_unkept_misses,
+              stats.hit_latency_p50_s,
               stats.miss_latency_p50_s,
               stats.hit_latency_p50_s > 0.0
                   ? stats.miss_latency_p50_s / stats.hit_latency_p50_s
