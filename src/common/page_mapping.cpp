@@ -9,14 +9,10 @@
 
 namespace sarbp {
 
-std::size_t PageMapping::rounded_size(std::size_t bytes) {
-  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  return (bytes + page - 1) / page * page;
-}
-
 PageMapping::PageMapping(std::size_t bytes) {
   ensure(bytes > 0, "PageMapping: a mapping must be non-empty");
-  const std::size_t size = rounded_size(bytes);
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t size = (bytes + page - 1) / page * page;
   void* data = mmap(nullptr, size, PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (data == MAP_FAILED) throw std::bad_alloc();

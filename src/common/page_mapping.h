@@ -38,9 +38,6 @@ class PageMapping {
   /// The mapped length: a whole number of pages, 0 when empty.
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// The length a mapping of `bytes` gets.
-  [[nodiscard]] static std::size_t rounded_size(std::size_t bytes);
-
  private:
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/thread_annotations.h"
@@ -14,44 +16,6 @@
 namespace sarbp::service {
 
 namespace {
-
-/// Plan arenas mapped in the process, live and spare.
-std::atomic<std::size_t> g_mapped_plan_bytes{0};
-
-/// The one spare plan arena: the last released plan's mapping, waiting for
-/// the next skeleton of its size. A newer release replaces it, and the
-/// replaced mapping is unmapped outside the lock. A plan can drop its last
-/// reference under another lock, so this lock is a leaf: nothing is
-/// acquired under it.
-class SpareArena {
- public:
-  void put(PageMapping arena) {
-    {
-      MutexLock lock(mutex_);
-      std::swap(spare_, arena);
-    }
-    // order: relaxed — a statistic; nothing is published through it.
-    g_mapped_plan_bytes.fetch_sub(arena.size(), std::memory_order_relaxed);
-  }
-
-  /// The spare when it is `size` bytes long, else an empty mapping.
-  [[nodiscard]] PageMapping take(std::size_t size) {
-    MutexLock lock(mutex_);
-    if (spare_.size() != size) return {};
-    return std::move(spare_);
-  }
-
- private:
-  Mutex mutex_{SARBP_LOCK_LEVEL("service.plan_spare")};
-  PageMapping spare_ SARBP_GUARDED_BY(mutex_);
-};
-
-SpareArena& spare_arena() {
-  // Never destroyed, so a plan released during static destruction still
-  // finds it.
-  static auto* const spare = new SpareArena;
-  return *spare;
-}
 
 std::size_t round_up(std::size_t bytes, std::size_t unit) {
   return (bytes + unit - 1) / unit * unit;
@@ -83,15 +47,11 @@ std::shared_ptr<FormationPlan> plan_layout(const PlanKey& key,
   return plan;
 }
 
-/// make_plan_skeleton, with `make_room` (may be empty) run between the
-/// arena's two sources: the spare is taken first if it fits, so that a
-/// victim `make_room` releases waits in the spare for the next miss; a
-/// skeleton that found no spare takes the victim's, else maps a fresh
-/// arena.
+/// A plan without tables: the key, `history`'s pulse geometry, the blocks,
+/// the pulse order, `bytes`, and a fresh arena with one table view per
+/// (block, pulse). The tables' entries are zero until built.
 std::shared_ptr<FormationPlan> skeleton(const PlanKey& key,
-                                        const sim::PhaseHistory& history,
-                                        const std::function<void()>& make_room,
-                                        bool* recycled) {
+                                        const sim::PhaseHistory& history) {
   auto plan = plan_layout(key, history);
   plan->geometry = pulse_geometry(history);
   const auto x_inner_pulses = static_cast<std::size_t>(
@@ -113,17 +73,7 @@ std::shared_ptr<FormationPlan> skeleton(const PlanKey& key,
   const std::size_t views = plan->blocks.size() * plan->pulse_order.size();
   const std::size_t views_bytes =
       round_up(views * sizeof(asr::BlockTables), kSimdAlign);
-  const std::size_t size =
-      PageMapping::rounded_size(views_bytes + plan->bytes);
-  plan->arena = spare_arena().take(size);
-  if (make_room) make_room();
-  if (plan->arena.size() == 0) plan->arena = spare_arena().take(size);
-  if (recycled != nullptr) *recycled = plan->arena.size() != 0;
-  if (plan->arena.size() == 0) {
-    plan->arena = PageMapping(size);
-    // order: relaxed — a statistic; nothing is published through it.
-    g_mapped_plan_bytes.fetch_add(size, std::memory_order_relaxed);
-  }
+  plan->arena = PageMapping(views_bytes + plan->bytes);
   auto* view = reinterpret_cast<asr::BlockTables*>(plan->arena.data());
   plan->tables = {view, views};
   auto* storage = reinterpret_cast<float*>(plan->arena.data() + views_bytes);
@@ -141,15 +91,6 @@ std::shared_ptr<FormationPlan> skeleton(const PlanKey& key,
 
 }  // namespace
 
-FormationPlan::~FormationPlan() {
-  if (arena.size() != 0) spare_arena().put(std::move(arena));
-}
-
-std::shared_ptr<FormationPlan> make_plan_skeleton(
-    const PlanKey& key, const sim::PhaseHistory& history, bool* recycled) {
-  return skeleton(key, history, nullptr, recycled);
-}
-
 void build_plan_block(FormationPlan& plan, std::size_t block,
                       const sim::PhaseHistory& history) {
   ensure(plan.has_tables(), "build_plan_block: the plan is table-less");
@@ -166,8 +107,8 @@ void build_plan_block(FormationPlan& plan, std::size_t block,
 std::shared_ptr<const FormationPlan> build_formation_plan(
     const geometry::ImageGrid& grid, const Region& region, Index block_w,
     Index block_h, const sim::PhaseHistory& history) {
-  auto plan = make_plan_skeleton(
-      make_plan_key(grid, region, block_w, block_h, history), history);
+  auto plan = skeleton(make_plan_key(grid, region, block_w, block_h, history),
+                       history);
   for (std::size_t b = 0; b < plan->blocks.size(); ++b) {
     build_plan_block(*plan, b, history);
   }
@@ -264,71 +205,103 @@ exec::GroupPtr make_plan_replay_group(
     // tables (disjoint per block) are built just before the block's
     // sweep, outside the backend timer. Insert-on-success: an aborted
     // group leaves tables unbuilt, so only a group that ran every task
-    // publishes its plan — before the caller's continuation runs.
-    auto skeleton = std::const_pointer_cast<FormationPlan>(plan);
-    spec.prepare = [skeleton, history](Index b) {
-      build_plan_block(*skeleton, static_cast<std::size_t>(b), *history);
+    // publishes its plan. Either way the key's build mark clears before
+    // the caller's continuation runs, so a repeat submitted after the job
+    // resolves hits, or is kept again.
+    auto built = std::const_pointer_cast<FormationPlan>(plan);
+    spec.prepare = [built, history](Index b) {
+      build_plan_block(*built, static_cast<std::size_t>(b), *history);
     };
     spec.on_complete = [plan, insert_into,
                         on_complete = std::move(spec.on_complete)](
                            exec::TaskGroup& group) {
-      if (!group.aborted()) insert_into->insert(plan);
+      if (group.aborted()) {
+        plan->building.reset();
+      } else {
+        insert_into->insert(plan);
+      }
       if (on_complete) on_complete(group);
     };
   }
   return exec::make_formation_group(std::move(spec));
 }
 
+struct PlanCache::Record {
+  /// A leaf: nothing is acquired under it and no plan is released under
+  /// it, while a build mark may clear under any lock, since it takes this
+  /// one.
+  Mutex mutex{SARBP_LOCK_LEVEL("service.plan_record")};
+  /// PlanKeyHash of the last unkept misses' keys, newest first.
+  std::deque<std::size_t> recent SARBP_GUARDED_BY(mutex);
+  /// PlanKeyHash of the keys that kept misses are building: their marks.
+  std::vector<std::size_t> building SARBP_GUARDED_BY(mutex);
+  /// Plans inserted so far. A lookup reads it before its find; insert adds
+  /// to it after the cache lock and before the record lock, which order it.
+  std::atomic<std::uint64_t> inserts{0};
+
+  /// On a miss of `hash`: marks it as building and returns true when it
+  /// recurs (it is in `recent`), no kept miss is building it and no plan
+  /// was inserted since the lookup read `inserts_seen` (that plan may be
+  /// this key's, its mark already cleared). Else records it unless it is
+  /// being built or recurs, and returns false.
+  bool mark(std::size_t hash, std::size_t capacity,
+            std::uint64_t inserts_seen) {
+    MutexLock lock(mutex);
+    if (std::find(building.begin(), building.end(), hash) != building.end()) {
+      return false;
+    }
+    if (std::find(recent.begin(), recent.end(), hash) == recent.end()) {
+      recent.push_front(hash);
+      if (recent.size() > capacity) recent.pop_back();
+      return false;
+    }
+    // order: relaxed — see `inserts`.
+    if (inserts.load(std::memory_order_relaxed) != inserts_seen) return false;
+    building.push_back(hash);
+    return true;
+  }
+
+  void unmark(std::size_t hash) {
+    MutexLock lock(mutex);
+    building.erase(std::find(building.begin(), building.end(), hash));
+  }
+};
+
 PlanCache::PlanCache(std::size_t capacity, obs::Registry* metrics)
-    : ReuseCache(capacity, "service.plan_cache", metrics) {
+    : ReuseCache(capacity, "service.plan_cache", metrics),
+      record_(std::make_shared<Record>()) {
   if constexpr (obs::kEnabled) {
     auto& reg = metrics != nullptr ? *metrics : obs::registry();
     unkept_ = &reg.counter("service.plan_cache.unkept");
-    recycled_ = &reg.counter("service.plan_cache.recycled");
-    mapped_bytes_ = &reg.gauge("service.plan_cache.mapped_bytes");
   }
 }
 
-bool PlanCache::recurs(const PlanKey& key) {
-  if (capacity() == 0) return false;
-  const std::size_t hash = PlanKeyHash{}(key);
-  MutexLock lock(record_mutex_);
-  if (std::find(record_.begin(), record_.end(), hash) != record_.end()) {
-    return true;
-  }
-  record_.push_front(hash);
-  if (record_.size() > capacity()) record_.pop_back();
-  return false;
+void PlanCache::insert(const Value& plan) {
+  ReuseCache::insert(plan->key, plan, plan->bytes);
+  // order: relaxed — see Record::inserts.
+  record_->inserts.fetch_add(1, std::memory_order_relaxed);
+  plan->building.reset();
 }
 
 PlanLookup lookup_plan(PlanCache& cache, const geometry::ImageGrid& grid,
                        const Region& region, Index block_w, Index block_h,
                        const sim::PhaseHistory& history) {
   const PlanKey key = make_plan_key(grid, region, block_w, block_h, history);
+  const std::shared_ptr<PlanCache::Record>& record = cache.record_;
+  // order: relaxed — see Record::inserts.
+  const std::uint64_t inserts = record->inserts.load(std::memory_order_relaxed);
   if (auto plan = cache.find(key, history)) return {std::move(plan), nullptr};
-  if (!cache.recurs(key)) {
+  const std::size_t hash = PlanKeyHash{}(key);
+  if (cache.capacity() == 0 || !record->mark(hash, cache.capacity(), inserts)) {
     if (cache.unkept_ != nullptr) cache.unkept_->add();
     return {plan_layout(key, history), nullptr};
   }
-  // This miss takes a slot until its plan is inserted or released; the
-  // other misses still building hold theirs, so making room counts them.
-  // order: relaxed — a slot count; the cache lock orders the evictions.
-  const std::size_t others =
-      cache.building_->fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<void> slot(nullptr, [building = cache.building_](void*) {
-    // order: relaxed — as above.
-    building->fetch_sub(1, std::memory_order_relaxed);
-  });
-  bool recycled = false;
-  auto plan = skeleton(
-      key, history, [&cache, others] { cache.make_room(others); }, &recycled);
-  plan->building = std::move(slot);
-  if (recycled && cache.recycled_ != nullptr) cache.recycled_->add();
-  if (cache.mapped_bytes_ != nullptr) {
-    // order: relaxed — a statistic; nothing is published through it.
-    cache.mapped_bytes_->set(static_cast<std::int64_t>(
-        g_mapped_plan_bytes.load(std::memory_order_relaxed)));
-  }
+  // The mark clears when the skeleton's token is released; should the
+  // token's allocation throw, its deleter runs at once.
+  std::shared_ptr<void> mark(nullptr,
+                             [record, hash](void*) { record->unmark(hash); });
+  auto plan = skeleton(key, history);
+  plan->building = std::move(mark);
   return {std::move(plan), &cache};
 }
 

@@ -24,25 +24,27 @@
 // hit from its second, and capacity 0 never builds one.
 //
 // A kept miss builds the tables where the paper does, inside the parallel
-// block loop: it hands make_plan_replay_group a skeleton
-// (make_plan_skeleton — key, blocks, pulse order, table views), each task
-// builds its block's tables (build_plan_block) just before sweeping them,
-// and the finished plan enters the cache only when the whole group ran
-// without an abort. lookup_plan is the one miss path, shared by the local
-// service and the shard ranks.
+// block loop: it hands make_plan_replay_group a skeleton (key, blocks,
+// pulse order, table views), each task builds its block's tables
+// (build_plan_block) just before sweeping them, and the finished plan
+// enters the cache only when the whole group ran without an abort.
+// lookup_plan is the one miss path, shared by the local service, the shard
+// ranks and the pulse-scatter front end, which builds a kept miss's whole
+// plan before it dispatches.
+//
+// One build per key: a kept miss marks its key as building in the miss
+// record until its plan is in the cache, its group aborts or its skeleton
+// is released, and a lookup of a marked key is an unkept miss that leaves
+// the record alone. Concurrent lookups of one recurring geometry thus
+// build one plan; the others sweep on the fly, with the same bytes.
 //
 // Memory: a plan with tables is one allocation, an anonymous page mapping
 // (its arena) holding its table views and then every table, block-major
-// and in pulse order, so a block's replay streams its tables in sequence.
-// A released plan's arena waits in one process-wide spare slot for the
-// next skeleton of its size. A kept miss takes the spare if it fits, then
-// makes room in the cache, evicting least recently used plans until one
-// slot is free beside the misses still building, and a skeleton that found
-// no spare takes the arena its victim released: misses build into
-// already-resident pages. Live plans are thus bounded by the cache
-// capacity, the kept misses in flight beyond it, the plans that running
-// replays still hold, and the one spare; an unkept miss maps nothing. A
-// miss that aborts inserts nothing and leaves its victims evicted.
+// and in pulse order, so a block's replay streams its tables in sequence;
+// it is unmapped with the plan's last user. Live plans are thus bounded by
+// the cache capacity, the kept misses in flight and the plans that running
+// replays still hold; an unkept miss maps nothing. A miss that aborts
+// leaves the cache as it found it.
 //
 // Cache keying: the shared reuse cache's PlanKey (service/reuse_cache.h)
 // — grid geometry, region, ASR block size, pulse-geometry signature. The
@@ -54,12 +56,10 @@
 // with tables keeps the pulse geometry they came from, and a hit needs the
 // request's to match it bit for bit. The miss record holds key hashes: a
 // collision there only turns an unkept miss into a kept one, which builds
-// its own geometry.
+// its own geometry, or a kept miss into an unkept one.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -71,7 +71,6 @@
 #include "backprojection/soa_tile.h"
 #include "common/page_mapping.h"
 #include "common/region.h"
-#include "common/thread_annotations.h"
 #include "exec/task_group.h"
 #include "exec/tile_backend.h"
 #include "common/types.h"
@@ -84,10 +83,9 @@
 namespace sarbp::service {
 
 /// Precomputed setup for one (grid, region, block size, pulse geometry),
-/// laid out by make_plan_skeleton or lookup_plan's miss; its arena goes to
-/// the spare slot when the last user releases it. An unkept miss's plan is
-/// table-less: key, blocks and pulse order only, no geometry, tables,
-/// arena or slot.
+/// laid out by a kept miss (lookup_plan) or by build_formation_plan. An
+/// unkept miss's plan is table-less: key, blocks and pulse order only, no
+/// geometry, tables, arena or build mark.
 struct FormationPlan {
   PlanKey key;
   /// The pulse geometry the tables are built from; a cache hit matches it.
@@ -101,17 +99,13 @@ struct FormationPlan {
   /// Size of the tables, padding included, fixed by the skeleton: what the
   /// plan cache counts. The arena adds the views and page rounding.
   std::size_t bytes = 0;
-  /// The plan's one allocation.
+  /// The plan's one allocation, unmapped with its last user.
   PageMapping arena;
-  /// On a miss skeleton (lookup_plan), its slot in the plan cache until the
-  /// plan is inserted or released: making room counts misses still
-  /// building.
+  /// On a kept miss's skeleton (lookup_plan), its key's build mark in the
+  /// cache's miss record. Resetting it clears the mark: the insert does
+  /// once the plan is in the cache, an aborted group does, and so does
+  /// releasing a skeleton that never ran.
   mutable std::shared_ptr<void> building;
-
-  FormationPlan() = default;
-  FormationPlan(const FormationPlan&) = delete;
-  FormationPlan& operator=(const FormationPlan&) = delete;
-  ~FormationPlan();
 
   [[nodiscard]] Index num_pulses() const {
     return static_cast<Index>(pulse_order.size());
@@ -128,15 +122,6 @@ struct FormationPlan {
   }
 };
 
-/// A plan without tables: the key, `history`'s pulse geometry, the blocks,
-/// the pulse order, `bytes`, and the arena with one table view per (block,
-/// pulse). The arena is the spare slot's when that is the size needed
-/// (`*recycled` then reads true), else a fresh mapping; the tables' entries
-/// are unspecified until built.
-[[nodiscard]] std::shared_ptr<FormationPlan> make_plan_skeleton(
-    const PlanKey& key, const sim::PhaseHistory& history,
-    bool* recycled = nullptr);
-
 /// Builds block `block`'s tables for every pulse of `plan` with one
 /// bp::build_asr_tables call (its pulses in lane groups, in pulse order).
 /// build_formation_plan runs it over every block; a kept miss's replay
@@ -145,9 +130,9 @@ struct FormationPlan {
 void build_plan_block(FormationPlan& plan, std::size_t block,
                       const sim::PhaseHistory& history);
 
-/// Builds a whole plan up front: the skeleton plus build_plan_block over
-/// every block. For callers that need the tables before any replay (the
-/// pulse-scatter front end, benches, tests).
+/// Builds a whole plan up front, outside any cache: a skeleton plus
+/// build_plan_block over every block. For benches and tests that need a
+/// plan's tables before any replay.
 [[nodiscard]] std::shared_ptr<const FormationPlan> build_formation_plan(
     const geometry::ImageGrid& grid, const Region& region, Index block_w,
     Index block_h, const sim::PhaseHistory& history);
@@ -205,9 +190,11 @@ class PlanCache;
 /// build_plan_block just before the block's sweep (outside the backend
 /// timer, so the §5.3 split remains a sweep rate), and when the last task
 /// retires without an abort the finished plan is inserted into
-/// `insert_into`, before `on_complete` runs. The group is the skeleton's
-/// only writer until then. Null replays the plan's tables as they are — a
-/// cache hit, or a plan from build_formation_plan.
+/// `insert_into`, before `on_complete` runs; an aborted group clears the
+/// skeleton's build mark there instead. The group is the skeleton's only
+/// writer until then. Null replays the plan's tables as they are — a cache
+/// hit, a plan the pulse-scatter front end built, or one from
+/// build_formation_plan.
 [[nodiscard]] exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
     std::shared_ptr<const sim::PhaseHistory> history, int parallelism,
@@ -235,14 +222,9 @@ struct PlanLookup {
 
 /// The service's plan cache: the shared reuse cache over formation plans,
 /// each filed under its own key and table bytes, with the
-/// service.plan_cache.* metrics, plus the miss record and three metrics of
-/// the miss path (lookup_plan): the .unkept counter (misses swept on the
-/// fly), the .recycled counter (skeletons built into the spare arena) and
-/// the .mapped_bytes gauge (the process's plan arenas, live and spare, as
-/// of the last kept miss). A capacity of 0 keeps and builds no plan: the
-/// bench's cache-off baseline. Plans are inserted only once built, so
-/// concurrent kept misses on one key may build twice; the first insert
-/// wins.
+/// service.plan_cache.* metrics, plus the miss path's record (lookup_plan)
+/// and its .unkept counter (misses swept on the fly). A capacity of 0 keeps
+/// and builds no plan: the bench's cache-off baseline.
 class PlanCache : public ReuseCache<FormationPlan> {
  public:
   explicit PlanCache(std::size_t capacity, obs::Registry* metrics = nullptr);
@@ -257,12 +239,11 @@ class PlanCache : public ReuseCache<FormationPlan> {
     });
   }
 
-  void insert(Value plan) {
-    plan->building.reset();
-    const PlanKey key = plan->key;
-    const std::size_t bytes = plan->bytes;
-    ReuseCache::insert(key, std::move(plan), bytes);
-  }
+  /// Files `plan` (a kept miss's, once built), counts the insert, then
+  /// clears the plan's build mark. A lookup after the clear finds the
+  /// plan, and one that missed the cache before the insert finds the mark
+  /// or the count changed, and is unkept: no second build.
+  void insert(const Value& plan);
 
  private:
   friend PlanLookup lookup_plan(PlanCache& cache,
@@ -271,30 +252,20 @@ class PlanCache : public ReuseCache<FormationPlan> {
                                 Index block_h,
                                 const sim::PhaseHistory& history);
 
-  /// True when `key` recurs: its hash is among the last `capacity` unkept
-  /// misses' keys. Else records it, forgetting the oldest beyond capacity.
-  [[nodiscard]] bool recurs(const PlanKey& key);
+  /// The miss record, shared with the build marks it hands out.
+  struct Record;
 
-  /// A leaf: nothing is acquired under it.
-  Mutex record_mutex_{SARBP_LOCK_LEVEL("service.plan_record")};
-  /// PlanKeyHash of the last unkept misses' keys, newest first.
-  std::deque<std::size_t> record_ SARBP_GUARDED_BY(record_mutex_);
-  /// Kept-miss skeletons handed out and neither inserted nor released.
-  std::shared_ptr<std::atomic<std::size_t>> building_ =
-      std::make_shared<std::atomic<std::size_t>>(0);
+  std::shared_ptr<Record> record_;
   obs::Counter* unkept_ = nullptr;
-  obs::Counter* recycled_ = nullptr;
-  obs::Gauge* mapped_bytes_ = nullptr;
 };
 
-/// The one cache-miss path of the local service and the shard ranks: the
-/// cached plan on a hit; on a miss whose key the record holds (a kept
-/// miss), a skeleton for the replay group to build and insert, whose arena
-/// is the spare if it fits, else the one its victim releases when the
-/// cache makes room (ReuseCache::make_room, counting the misses still
-/// building) and no replay still holds the victim, else a fresh mapping;
-/// on any other miss (unkept), counted in .unkept, a table-less plan, and
-/// the key enters the record.
+/// The one cache-miss path of the local service, the shard ranks and the
+/// pulse-scatter front end: the cached plan on a hit; on a miss whose key
+/// the record holds, that no other kept miss is building and that no
+/// insert overtook (a kept miss), a skeleton in a fresh arena, carrying
+/// the key's build mark, for the caller to build and insert; on any other
+/// miss (unkept), counted in .unkept, a table-less plan, and the key
+/// enters the record unless it is being built.
 [[nodiscard]] PlanLookup lookup_plan(PlanCache& cache,
                                      const geometry::ImageGrid& grid,
                                      const Region& region, Index block_w,

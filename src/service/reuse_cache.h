@@ -12,11 +12,6 @@
 // the plan cache compares the pulse geometry, the partial cache the
 // geometry and the samples. The `reuse-cache` lint rule keeps any other LRU
 // out of src/.
-//
-// Eviction has two moments. insert() evicts whatever lies beyond capacity,
-// which is all the partial cache ever does. The plan cache's miss path also
-// evicts before it builds (make_room), so that a released victim's pages
-// can hold the new plan's tables (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -82,10 +77,9 @@ struct PlanKeyHash {
 /// A capacity of 0 keeps nothing: every lookup misses and insert drops
 /// the value. The first insert under a key wins; a later value for the
 /// same key is released with its last user. insert() evicts beyond
-/// capacity; make_room() evicts ahead of a build, so that the build can
-/// take the victim's memory. Evicted values are released after the lock
-/// drops, so freeing a plan's tables or a partial's tile never stalls
-/// another lookup.
+/// capacity, and evicted values are released after the lock drops, so
+/// freeing a plan's tables or a partial's tile never stalls another
+/// lookup.
 ///
 /// Metrics, named `metric_prefix` + suffix in `metrics` (null selects the
 /// process-global registry): .{hits,misses,collisions,inserts,evictions}
@@ -150,20 +144,16 @@ class ReuseCache {
     index_.emplace(key, lru_.begin());
     bytes_ += bytes;
     if (inserts_) inserts_->add();
-    evict_down_to(capacity_, evicted);
-  }
-
-  /// Evicts the least recently used entries until one more value fits
-  /// beside `building` values already being built for this cache, so that
-  /// the value built next can reuse a victim's memory. Only the plan
-  /// cache's miss path calls it, before it builds (service/plan_cache.h);
-  /// a build that then aborts leaves its victims evicted.
-  void make_room(std::size_t building) {
-    if (capacity_ == 0) return;
-    std::list<Entry> evicted;  // destroyed after the lock drops
-    MutexLock lock(mutex_);
-    const std::size_t taken = building + 1;
-    evict_down_to(taken < capacity_ ? capacity_ - taken : 0, evicted);
+    while (lru_.size() > capacity_) {
+      evicted.splice(evicted.end(), lru_, std::prev(lru_.end()));
+      bytes_ -= evicted.back().bytes;
+      index_.erase(evicted.back().key);
+      if (evictions_) evictions_->add();
+    }
+    if (entries_gauge_) {
+      entries_gauge_->set(static_cast<std::int64_t>(lru_.size()));
+    }
+    if (bytes_gauge_) bytes_gauge_->set(static_cast<std::int64_t>(bytes_));
   }
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -184,22 +174,6 @@ class ReuseCache {
     Value value;
     std::size_t bytes = 0;
   };
-
-  /// Moves least recently used entries into `evicted` until at most
-  /// `entries` remain, then updates the gauges.
-  void evict_down_to(std::size_t entries, std::list<Entry>& evicted)
-      SARBP_REQUIRES(mutex_) {
-    while (lru_.size() > entries) {
-      evicted.splice(evicted.end(), lru_, std::prev(lru_.end()));
-      bytes_ -= evicted.back().bytes;
-      index_.erase(evicted.back().key);
-      if (evictions_) evictions_->add();
-    }
-    if (entries_gauge_) {
-      entries_gauge_->set(static_cast<std::int64_t>(lru_.size()));
-    }
-    if (bytes_gauge_) bytes_gauge_->set(static_cast<std::int64_t>(bytes_));
-  }
 
   const std::size_t capacity_;
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("service.reuse_cache")};

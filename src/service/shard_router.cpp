@@ -132,23 +132,26 @@ void ShardRouter::split_job(ShardJobCtx& ctx) {
     return true;
   };
 
-  // The front end builds (or cache-hits) the one shared full-region plan;
-  // each shard replays a disjoint pulse range of it.
+  // The front end looks up the one shared full-region plan; each shard
+  // sweeps a disjoint pulse range of it, from its tables on a hit and with
+  // tables built on the fly on an unkept miss.
   const auto try_pulse_scatter = [&]() -> bool {
     if (pulses < 2) return false;
     Timer setup_timer;
-    ctx.plan = config_.plan_cache->find(
-        make_plan_key(request.grid, region, request.asr_block_w,
-                      request.asr_block_h, *request.pulses),
-        *request.pulses);
-    ctx.stamps.plan_cache_hit = ctx.plan != nullptr;
-    if (!ctx.stamps.plan_cache_hit) {
-      // Every shard replays a pulse range of this one plan, so its tables
-      // must all exist before the first dispatch.
-      ctx.plan = build_formation_plan(request.grid, region,
-                                      request.asr_block_w,
-                                      request.asr_block_h, *request.pulses);
-      config_.plan_cache->insert(ctx.plan);
+    const PlanLookup lookup =
+        lookup_plan(*config_.plan_cache, request.grid, region,
+                    request.asr_block_w, request.asr_block_h, *request.pulses);
+    ctx.plan = lookup.plan;
+    ctx.stamps.plan_cache_hit = lookup.hit();
+    ctx.stamps.plan_unkept = lookup.unkept();
+    if (lookup.insert_into != nullptr) {
+      // A kept miss: every shard replays a pulse range of this one plan,
+      // so its tables must all exist before the first dispatch.
+      auto built = std::const_pointer_cast<FormationPlan>(lookup.plan);
+      for (std::size_t b = 0; b < built->blocks.size(); ++b) {
+        build_plan_block(*built, b, *request.pulses);
+      }
+      lookup.insert_into->insert(lookup.plan);
     }
     ctx.stamps.setup_seconds = setup_timer.seconds();
     if (setup_s_) setup_s_->record(ctx.stamps.setup_seconds);
@@ -255,9 +258,8 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
     const auto& request = ctx.job->request();
     PlanLookup lookup{ctx.plan, nullptr};
     if (lookup.plan == nullptr) {
-      // Single-shard and grid-split routes plan their own (sub-)region —
-      // through the shared cache, so repeated scenes still hit, and on a
-      // miss through the same fused build as the local service.
+      // Single-shard and grid-split routes plan their own (sub-)region
+      // through the shared cache and the local service's miss path.
       lookup = lookup_plan(*config_.plan_cache, request.grid, part.region,
                            request.asr_block_w, request.asr_block_h,
                            *request.pulses);

@@ -15,11 +15,11 @@
 //     cut lands on a block_h (block_w) multiple, each band's plan blocks
 //     coincide with the full-region plan's blocks and the assembled image
 //     is bit-identical to the single-node result. Otherwise a job with
-//     >= 2 pulses is pulse-scattered: every shard replays one shared
-//     full-region plan over a disjoint pulse range, and the gather sums
-//     the partial tiles in shard-index order — the one documented
-//     deviation from single-node float reduction order. Anything else
-//     goes to a single shard.
+//     >= 2 pulses is pulse-scattered: every shard sweeps one shared
+//     full-region plan, which the front end looks up, over a disjoint
+//     pulse range, and the gather sums the partial tiles in shard-index
+//     order — the one documented deviation from single-node float
+//     reduction order. Anything else goes to a single shard.
 //
 // Job lifecycle (job.h): dispatch() dequeues the job and resolves it
 // kFailed if the split throws; each rank settles its part with a
@@ -143,9 +143,11 @@ class ShardRouter {
     std::uint64_t seq = 0;
     JobPtr job;
     Region region;
-    /// Shared full-region plan of the pulse-scatter route, whole before
-    /// dispatch; null for the single-shard and grid-split routes, whose
-    /// ranks look up (or build, in the replay) the plan of their region.
+    /// Shared full-region plan of the pulse-scatter route, looked up
+    /// before dispatch: built whole on a hit or a kept miss, table-less on
+    /// an unkept miss (each rank then builds its pulse range's tables on
+    /// the fly). Null for the single-shard and grid-split routes, whose
+    /// ranks look up the plan of their region.
     std::shared_ptr<const FormationPlan> plan;
     std::vector<ShardPart> parts;
     /// Queue wait, plus the pulse-scatter front end's setup and cache hit.
@@ -160,8 +162,8 @@ class ShardRouter {
   void gather_loop();
   void finish_job(const ShardJobCtx& ctx);
 
-  /// Splits the job into parts by its shape; may build the shared plan
-  /// (throws propagate to dispatch(), which fails the job).
+  /// Splits the job into parts by its shape; may look up and build the
+  /// shared plan (throws propagate to dispatch(), which fails the job).
   void split_job(ShardJobCtx& ctx);
   [[nodiscard]] int pick_home_shard(const JobPtr& job,
                                     std::uint64_t seq) const;

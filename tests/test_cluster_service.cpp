@@ -1,6 +1,7 @@
 // Sharded formation-service tests: routing parity against the single-node
 // path (byte-identical for single-shard and grid-split jobs, a grid-split
 // miss also to execute_plan, SNR-bounded for the pulse-scatter reduction),
+// the pulse-scatter front end's plan lookup (unkept, kept, hit: one image),
 // rank-fault injection resolving jobs as kFailed instead of hanging, and a
 // multi-tenant sharded replay smoke.
 #include <gtest/gtest.h>
@@ -178,6 +179,42 @@ TEST(ClusterService, PulseScatterMatchesLocalWithinReductionTolerance) {
   EXPECT_GT(snr_db(image, reference), 70.0);
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("shard.jobs.pulse_scatter").value(), 1u);
+  }
+}
+
+TEST(ClusterService, PulseScatterLooksUpTheSharedPlan) {
+  // The pulse-scatter front end looks the full-region plan up like every
+  // miss path: the first job is an unkept miss whose ranks sweep their
+  // pulse ranges with tables built on the fly, leaving the cache empty; its
+  // repeat is a kept miss whose plan the front end builds and inserts; the
+  // third hits. Both table sources give the same bytes, and so do the
+  // three images.
+  const Fixture f = make_fixture(48, 12);
+  obs::Registry reg;
+  ServiceConfig sharded;
+  sharded.shards = 2;
+  sharded.shard_small_pixels = 16;
+  sharded.metrics = &reg;
+  ImageFormationService service(std::move(sharded));
+  std::vector<Grid2D<CFloat>> images;
+  for (int job = 0; job < 3; ++job) {
+    SCOPED_TRACE("job " + std::to_string(job));
+    auto outcome = service.submit(make_request(f, 48));
+    ASSERT_TRUE(outcome.admitted());
+    const JobResult& result = outcome.handle->wait();
+    ASSERT_EQ(result.state, JobState::kDone) << result.error;
+    EXPECT_EQ(result.plan_unkept, job == 0);
+    EXPECT_EQ(result.plan_cache_hit, job == 2);
+    EXPECT_EQ(service.plan_cache().size(), job == 0 ? 0u : 1u);
+    images.push_back(result.image);
+  }
+  EXPECT_TRUE(images[1] == images[0]);
+  EXPECT_TRUE(images[2] == images[0]);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("shard.jobs.pulse_scatter").value(), 3u);
+    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 1u);
+    EXPECT_EQ(reg.counter("service.plan_cache.inserts").value(), 1u);
+    EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 1u);
   }
 }
 

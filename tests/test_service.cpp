@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -211,15 +212,15 @@ void build_all_blocks(FormationPlan& plan, const sim::PhaseHistory& h) {
   }
 }
 
-TEST(FormationPlan, ArenaTablesMatchTheScalarBuildFreshOrRecycled) {
+TEST(FormationPlan, ArenaTablesMatchTheScalarBuildOverStalePadding) {
   // Plans over regions whose edge blocks are 7, 17 and 33 pixels wide, on
-  // pulses whose loop order alternates every 8 pulses, built into a fresh
-  // arena and into a recycled one first filled with NaN. Every table's live
+  // pulses whose loop order alternates every 8 pulses. Every table's live
   // entries match the scalar build, and both the vector replay and
-  // execute_plan give execute_plan's image on the fresh plan, byte for
-  // byte: no kernel reads a table's padding (a row's tail is a masked load)
-  // and no build writes it (store_first writes live entries only), so the
-  // stale NaN there changes nothing.
+  // execute_plan give execute_plan's image, byte for byte; so they do
+  // again once every float of the tables' storage is NaN and each block is
+  // rebuilt in place: no kernel reads a table's padding (a row's tail is a
+  // masked load) and no build writes it (store_first writes live entries
+  // only), so the stale NaN there changes nothing.
   ScenarioConfig cfg;
   cfg.image = 96;
   cfg.pulses = 24;
@@ -238,44 +239,37 @@ TEST(FormationPlan, ArenaTablesMatchTheScalarBuildFreshOrRecycled) {
     SCOPED_TRACE(std::to_string(region.width) + "x" +
                  std::to_string(region.height) + " in " + std::to_string(bw) +
                  "x" + std::to_string(bh) + " blocks");
-    const PlanKey key = make_plan_key(s.grid, region, bw, bh, h);
-    // Of two skeletons alive together, the second cannot take the spare.
-    auto first = make_plan_skeleton(key, h);
-    bool recycled = true;
-    auto fresh = make_plan_skeleton(key, h, &recycled);
-    EXPECT_FALSE(recycled);
+    auto plan = std::const_pointer_cast<FormationPlan>(
+        build_formation_plan(s.grid, region, bw, bh, h));
     for (const auto order :
          {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
-      EXPECT_NE(std::count(fresh->pulse_order.begin(),
-                           fresh->pulse_order.end(), order),
-                0);
+      EXPECT_NE(
+          std::count(plan->pulse_order.begin(), plan->pulse_order.end(), order),
+          0);
     }
-    build_all_blocks(*fresh, h);
-    expect_scalar_table_bytes(*fresh, s.grid, h);
+    expect_scalar_table_bytes(*plan, s.grid, h);
     bp::SoaTile reference(region.width, region.height);
-    ASSERT_TRUE(execute_plan(*fresh, h, reference, nullptr));
+    ASSERT_TRUE(execute_plan(*plan, h, reference, nullptr));
     const std::vector<std::uint32_t> expected = tile_bits(reference);
-    EXPECT_EQ(tile_bits(vector_replay(*fresh, h)), expected);
+    EXPECT_EQ(tile_bits(vector_replay(*plan, h)), expected);
 
-    // Every float of the arena NaN, views included, then released: the
-    // arena waits in the spare slot for the next skeleton of its size.
-    const std::byte* arena = fresh->arena.data();
-    std::memset(fresh->arena.data(), 0xFF, fresh->arena.size());
-    first.reset();
-    fresh.reset();
-    auto reused = make_plan_skeleton(key, h, &recycled);
-    EXPECT_TRUE(recycled);
-    EXPECT_EQ(reused->arena.data(), arena);
-    build_all_blocks(*reused, h);
+    // Each table's storage NaN, padding included and the views intact,
+    // then every block rebuilt in place. A table's storage starts at bin_a.
+    for (const asr::BlockTables& t : plan->tables) {
+      std::fill_n(t.bin_a.data(),
+                  asr::BlockTables::footprint_floats(t.width, t.height),
+                  std::numeric_limits<float>::quiet_NaN());
+    }
+    build_all_blocks(*plan, h);
     // The edge tables' padding still holds the NaN.
-    const asr::BlockTables& edge = reused->tables.back();
+    const asr::BlockTables& edge = plan->tables.back();
     ASSERT_NE(edge.width % 16, 0);
     EXPECT_TRUE(std::isnan(edge.bin_a.data()[edge.width]));
-    expect_scalar_table_bytes(*reused, s.grid, h);
+    expect_scalar_table_bytes(*plan, s.grid, h);
     bp::SoaTile again(region.width, region.height);
-    ASSERT_TRUE(execute_plan(*reused, h, again, nullptr));
+    ASSERT_TRUE(execute_plan(*plan, h, again, nullptr));
     EXPECT_EQ(tile_bits(again), expected);
-    EXPECT_EQ(tile_bits(vector_replay(*reused, h)), expected);
+    EXPECT_EQ(tile_bits(vector_replay(*plan, h)), expected);
   }
 }
 
@@ -310,21 +304,17 @@ std::shared_ptr<const FormationPlan> miss_and_insert(
   return lookup.plan;
 }
 
-TEST(PlanCache, MissesBuildIntoTheirVictimsArenas) {
-  // A 2-plan cache through lookup_plan, every miss a new pulse geometry:
-  // each miss evicts the least recently used plan before it builds, and
-  // from the third miss on builds into that victim's arena. No more than
-  // two plans are ever alive, and the plan arenas mapped in the process
-  // are exactly the two live plans'.
+TEST(PlanCache, EvictedPlanKeepsItsTablesWhilePinned) {
+  // A 2-plan cache through lookup_plan, every kept miss a new pulse
+  // geometry: the cache never holds more than two plans, and an evicted
+  // plan is released with its last user, so no more than two are alive.
+  // A plan that a running replay holds (here the test) keeps its table
+  // bytes while misses evict it.
   const auto [s, pulses] = make_tiny();
-  // A region no other test plans, so no earlier test left a spare of this
-  // size.
   const Region region{3, 5, 27, 21};
-  obs::Registry reg;
-  PlanCache cache(2, &reg);
+  PlanCache cache(2);
   std::vector<std::shared_ptr<const sim::PhaseHistory>> histories;
   std::vector<std::weak_ptr<const FormationPlan>> plans;
-  std::vector<const std::byte*> arenas;
   const auto live = [&plans] {
     return std::count_if(plans.begin(), plans.end(),
                          [](const auto& w) { return !w.expired(); });
@@ -333,135 +323,97 @@ TEST(PlanCache, MissesBuildIntoTheirVictimsArenas) {
     histories.push_back(
         shifted(*pulses, 0.25 * static_cast<double>(histories.size() + 1)));
     const auto plan = miss_and_insert(cache, s, region, *histories.back());
-    arenas.push_back(plan->arena.data());
     plans.push_back(plan);
     return plan;
   };
-  const auto recycled = [&reg] {
-    return reg.counter("service.plan_cache.recycled").value();
-  };
   for (std::size_t i = 0; i < 6; ++i) {
     SCOPED_TRACE("miss " + std::to_string(i));
-    const auto plan = miss();
+    (void)miss();
+    EXPECT_LE(cache.size(), 2u);
     EXPECT_LE(live(), 2);
-    if (i >= 2) {
-      EXPECT_EQ(arenas[i], arenas[i - 2]);
-      if (obs::kEnabled) {
-        EXPECT_EQ(reg.gauge("service.plan_cache.mapped_bytes").value(),
-                  static_cast<std::int64_t>(2 * plan->arena.size()));
-      }
-    }
-    if (obs::kEnabled) {
-      EXPECT_EQ(recycled(), i < 2 ? 0u : i - 1);
-    }
   }
   EXPECT_EQ(live(), 2);
   EXPECT_EQ(cache.size(), 2u);
 
-  // A plan a running replay holds (here the test) keeps its tables while
-  // misses evict it, and its arena is handed out only once it is released:
-  // the miss that evicts it maps a fresh arena.
   std::shared_ptr<const FormationPlan> pinned = plans.back().lock();
   ASSERT_NE(pinned, nullptr);
   const std::uint64_t pinned_hash = table_hash(*pinned);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_NE(miss()->arena.data(), pinned->arena.data());
+    (void)miss();
+    EXPECT_LE(cache.size(), 2u);
     EXPECT_LE(live(), 3);
-  }
-  if (obs::kEnabled) {
-    EXPECT_EQ(recycled(), 6u);
   }
   EXPECT_EQ(table_hash(*pinned), pinned_hash);
   EXPECT_EQ(cache.find(pinned->key, *histories[5]), nullptr);
-  const std::byte* pinned_arena = pinned->arena.data();
   pinned.reset();
   EXPECT_EQ(live(), 2);
-  const auto h = shifted(*pulses, 10.0);
-  bool reused = false;
-  const auto next = make_plan_skeleton(
-      make_plan_key(s.grid, region, 8, 8, *h), *h, &reused);
-  EXPECT_TRUE(reused);
-  EXPECT_EQ(next->arena.data(), pinned_arena);
 }
 
 TEST(PlanCache, ConcurrentMissesEachTakeAnArena) {
-  // A job split in three parts misses a 2-plan cache three times at once,
-  // as the shard ranks do. After the first job the cache holds two of its
-  // plans and the spare the third, so the next job's misses can all build
-  // into those arenas: the first takes the spare and then evicts a plan
-  // into it; the second, counting the first as a slot taken, evicts the
-  // other one.
+  // A job split in three parts (a grid-split job's bands) misses a 2-plan
+  // cache three times at once, as the shard ranks do, on three distinct
+  // keys: each kept miss maps its own arena, builds and inserts, and the
+  // cache keeps the last two. A second such job does the same over the
+  // first one's plans.
   const auto [s, pulses] = make_tiny();
   const Region region{1, 2, 29, 23};
   obs::Registry reg;
   PlanCache cache(2, &reg);
   double shift = 0.0;
-  const auto lookups = [&] {
+  for (int job = 0; job < 2; ++job) {
+    SCOPED_TRACE("job " + std::to_string(job));
     std::vector<std::pair<PlanLookup, std::shared_ptr<const sim::PhaseHistory>>>
-        out;
+        misses;
     for (int part = 0; part < 3; ++part) {
       auto h = shifted(*pulses, shift += 0.25);
       record_once(cache, s, region, *h);
-      out.emplace_back(lookup_plan(cache, s.grid, region, 8, 8, *h), h);
-      EXPECT_FALSE(out.back().first.hit());
-      EXPECT_FALSE(out.back().first.unkept());
+      misses.emplace_back(lookup_plan(cache, s.grid, region, 8, 8, *h), h);
+      EXPECT_FALSE(misses.back().first.hit());
+      EXPECT_FALSE(misses.back().first.unkept());
     }
-    return out;
-  };
-  const auto build_and_insert = [&](const auto& misses) {
+    std::set<const std::byte*> arenas;
+    for (const auto& [lookup, h] : misses) {
+      arenas.insert(lookup.plan->arena.data());
+    }
+    EXPECT_EQ(arenas.size(), 3u);
+    EXPECT_EQ(arenas.count(nullptr), 0u);
     for (const auto& [lookup, h] : misses) {
       build_all_blocks(*std::const_pointer_cast<FormationPlan>(lookup.plan),
                        *h);
       lookup.insert_into->insert(lookup.plan);
     }
-  };
-  std::set<const std::byte*> first_arenas;
-  {
-    const auto misses = lookups();
-    for (const auto& miss : misses) {
-      first_arenas.insert(miss.first.plan->arena.data());
+    EXPECT_EQ(cache.size(), 2u);
+    for (std::size_t part = 1; part < 3; ++part) {
+      const auto& [lookup, h] = misses[part];
+      EXPECT_EQ(cache.find(lookup.plan->key, *h), lookup.plan);
     }
-    build_and_insert(misses);
+    if (obs::kEnabled) {
+      EXPECT_EQ(reg.counter("service.plan_cache.inserts").value(),
+                3u * static_cast<std::uint64_t>(job + 1));
+    }
   }
-  ASSERT_EQ(first_arenas.size(), 3u);
-  EXPECT_EQ(cache.size(), 2u);
-  const std::uint64_t recycled_before =
-      reg.counter("service.plan_cache.recycled").value();
-  const auto misses = lookups();
-  std::set<const std::byte*> second_arenas;
-  for (const auto& miss : misses) {
-    second_arenas.insert(miss.first.plan->arena.data());
-  }
-  EXPECT_EQ(second_arenas, first_arenas);
-  EXPECT_EQ(cache.size(), 0u);
-  if (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("service.plan_cache.recycled").value() -
-                  recycled_before,
-              3u);
-  }
-  build_and_insert(misses);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(PlanCache, AbortedMissLeavesItsVictimEvicted) {
-  // With a full cache a miss evicts before it builds; when its replay group
-  // aborts it inserts nothing, so the cache is one plan short and the
-  // victim misses.
+TEST(PlanCache, AbortedMissLeavesTheCacheUntouched) {
+  // With a full cache, a kept miss whose replay group aborts inserts
+  // nothing and evicts nothing: both cached plans still hit. The group
+  // cleared the key's build mark and the record still holds the key, so
+  // the next lookup of it is kept again, while the aborted skeleton is
+  // still held.
   const auto [s, pulses] = make_tiny();
   const Region all{0, 0, s.grid.width(), s.grid.height()};
   PlanCache cache(2);
-  const auto victim = shifted(*pulses, 0.25);
-  const auto kept = shifted(*pulses, 0.5);
-  const PlanKey victim_key = miss_and_insert(cache, s, all, *victim)->key;
-  const PlanKey kept_key = miss_and_insert(cache, s, all, *kept)->key;
+  const auto first = shifted(*pulses, 0.25);
+  const auto second = shifted(*pulses, 0.5);
+  const PlanKey first_key = miss_and_insert(cache, s, all, *first)->key;
+  const PlanKey second_key = miss_and_insert(cache, s, all, *second)->key;
   ASSERT_EQ(cache.size(), 2u);
 
   record_once(cache, s, all, *pulses);
-  ASSERT_EQ(cache.size(), 2u);
   const PlanLookup lookup = lookup_plan(cache, s.grid, all, 8, 8, *pulses);
   ASSERT_FALSE(lookup.hit());
   ASSERT_FALSE(lookup.unkept());
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.size(), 2u);
   exec::ExecOptions options;
   options.workers = 1;
   exec::TileExecutor executor(std::move(options));
@@ -470,10 +422,131 @@ TEST(PlanCache, AbortedMissLeavesItsVictimEvicted) {
       [] { return false; }, nullptr, 0, -1, nullptr, lookup.insert_into);
   executor.run(group);
   EXPECT_TRUE(group->aborted());
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(victim_key, *victim), nullptr);
-  EXPECT_NE(cache.find(kept_key, *kept), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_NE(cache.find(first_key, *first), nullptr);
+  EXPECT_NE(cache.find(second_key, *second), nullptr);
   EXPECT_EQ(cache.find(lookup.plan->key, *pulses), nullptr);
+  const PlanLookup again = lookup_plan(cache, s.grid, all, 8, 8, *pulses);
+  EXPECT_FALSE(again.hit());
+  EXPECT_FALSE(again.unkept());
+}
+
+TEST(PlanCache, OneBuildPerKey) {
+  // A kept miss marks its key as building until its plan is in the cache.
+  // While one kept skeleton is held unbuilt, every lookup of its key from
+  // four threads is an unkept miss that leaves the miss record alone, so
+  // the record still holds the key before it; once the plan is built and
+  // inserted, every lookup hits it. One plan is built.
+  const auto [s, pulses] = make_tiny();
+  const Region region{2, 3, 26, 22};
+  obs::Registry reg;
+  PlanCache cache(2, &reg);
+  const auto other = shifted(*pulses, 0.25);
+  record_once(cache, s, region, *other);
+  record_once(cache, s, region, *pulses);
+  const PlanLookup kept = lookup_plan(cache, s.grid, region, 8, 8, *pulses);
+  ASSERT_FALSE(kept.hit());
+  ASSERT_FALSE(kept.unkept());
+
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 8;
+  const auto race = [&](auto&& each) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kLookups; ++i) {
+          each(lookup_plan(cache, s.grid, region, 8, 8, *pulses));
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  };
+  std::atomic<int> unkept{0};
+  race([&](const PlanLookup& lookup) {
+    if (lookup.unkept()) ++unkept;
+  });
+  EXPECT_EQ(unkept.load(), kThreads * kLookups);
+  // Had those lookups recorded the key, `other` would have left the
+  // two-key record; it is still there, so its lookup is kept.
+  EXPECT_FALSE(lookup_plan(cache, s.grid, region, 8, 8, *other).unkept());
+
+  build_all_blocks(*std::const_pointer_cast<FormationPlan>(kept.plan),
+                   *pulses);
+  cache.insert(kept.plan);
+  std::atomic<int> hits{0};
+  race([&](const PlanLookup& lookup) {
+    if (lookup.hit() && lookup.plan == kept.plan) ++hits;
+  });
+  EXPECT_EQ(hits.load(), kThreads * kLookups);
+  EXPECT_EQ(cache.size(), 1u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("service.plan_cache.inserts").value(), 1u);
+    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(),
+              2u + kThreads * kLookups);
+  }
+}
+
+TEST(PlanCache, RacingLookupsOfOneKeyBuildOnce) {
+  // Round after round, a fresh geometry is looked up once, then four
+  // threads look it up four times each at once, building and inserting
+  // their kept misses' plans as replay groups do. Exactly one lookup per
+  // round is kept: the others find the build mark, the plan, or an insert
+  // that overtook their find. Without that last check, a lookup that
+  // missed the cache just before the insert and read the record just after
+  // the mark cleared built a second plan in about 0.3-0.9% of such rounds.
+  const auto [s, pulses] = make_tiny();
+  const Region region{0, 0, 8, 8};
+  PlanCache cache(4);
+  constexpr int kRounds = 400;
+  constexpr int kThreads = 4;
+  int rounds_not_built_once = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto h = shifted(*pulses, 0.001 * (round + 1));
+    record_once(cache, s, region, *h);
+    std::atomic<int> kept{0};
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        for (int i = 0; i < 4; ++i) {
+          const PlanLookup lookup =
+              lookup_plan(cache, s.grid, region, 8, 8, *h);
+          if (lookup.hit() || lookup.unkept()) continue;
+          ++kept;
+          build_all_blocks(
+              *std::const_pointer_cast<FormationPlan>(lookup.plan), *h);
+          lookup.insert_into->insert(lookup.plan);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    if (kept.load() != 1) ++rounds_not_built_once;
+  }
+  EXPECT_EQ(rounds_not_built_once, 0);
+}
+
+TEST(PlanCache, DroppedSkeletonClearsItsMark) {
+  // A kept skeleton released unbuilt, as when the job's tile allocation
+  // throws after the lookup, clears its key's build mark: lookups of the
+  // key are unkept while it is held, and the next one after it drops is
+  // kept.
+  const auto [s, pulses] = make_tiny();
+  const Region region{4, 2, 23, 27};
+  PlanCache cache(2);
+  record_once(cache, s, region, *pulses);
+  std::optional<PlanLookup> kept =
+      lookup_plan(cache, s.grid, region, 8, 8, *pulses);
+  ASSERT_FALSE(kept->hit());
+  ASSERT_FALSE(kept->unkept());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(lookup_plan(cache, s.grid, region, 8, 8, *pulses).unkept());
+  }
+  kept.reset();
+  const PlanLookup again = lookup_plan(cache, s.grid, region, 8, 8, *pulses);
+  EXPECT_FALSE(again.hit());
+  EXPECT_FALSE(again.unkept());
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(PlanCache, OnlyARecurringGeometryBuildsAPlan) {
@@ -507,8 +580,6 @@ TEST(PlanCache, OnlyARecurringGeometryBuildsAPlan) {
     EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 6u);
     EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 6u);
     EXPECT_EQ(reg.counter("service.plan_cache.inserts").value(), 0u);
-    EXPECT_EQ(reg.counter("service.plan_cache.recycled").value(), 0u);
-    EXPECT_EQ(reg.gauge("service.plan_cache.mapped_bytes").value(), 0);
   }
 
   // Twice in a row: kept on the second lookup, hit on the third.
@@ -1343,8 +1414,6 @@ TEST(Service, OneOffScenesMapNoArena) {
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 9u);
     EXPECT_EQ(reg.counter("service.plan_cache.inserts").value(), 0u);
-    EXPECT_EQ(reg.counter("service.plan_cache.recycled").value(), 0u);
-    EXPECT_EQ(reg.gauge("service.plan_cache.mapped_bytes").value(), 0);
   }
 }
 

@@ -50,12 +50,11 @@ LEVELS: list[str] = [
     "signal.chebyshev",     # signal/chebyshev.cpp plan table
     "obs.registry",         # obs/metrics.h Registry (metric lookups
                             # happen under module locks everywhere)
-    "service.plan_spare",   # service/plan_cache.cpp spare plan arena (a
-                            # leaf: a plan may drop its last reference
-                            # under any lock, and nothing nests inside)
-    "service.plan_record",  # service/plan_cache.h PlanCache miss record (a
-                            # leaf: lookup_plan reads and records a key
-                            # hash under it, and nothing nests inside)
+    "service.plan_record",  # service/plan_cache.cpp PlanCache miss record
+                            # (a leaf: lookup_plan reads, records and marks
+                            # a key hash under it, and nothing nests
+                            # inside; a build mark may clear under any
+                            # lock)
 ]
 
 # Known acquires-after edges (from is held while to is blocking-acquired),
