@@ -5,24 +5,34 @@
 //
 // Rows, in backprojections/s:
 //   baseline                 pre-ASR production kernel (Fig. 3(a))
-//   asr-scalar               portable ASR sweep (Fig. 3(b))
-//   asr-simd/<isa>           streaming SIMD kernel, one row per usable ISA
+//   asr-scalar               portable ASR sweep (Fig. 3(b)), x_inner
+//   asr-simd/<isa>           streaming SIMD kernel, x_inner, one row per
+//                            usable ISA
+//   fly/scalar               portable sweep, tables built on the fly, each
+//                            pulse in its wavefront order (§4.3)
+//   fly/<isa>/auto           the same with each usable ISA's kAuto rows:
+//                            the path of the service's one-off jobs, the
+//                            shard ranks' unkept misses and streaming
 //   plan/scalar              plan-replay scalar sweep (prebuilt tables)
 //   plan/<isa>/<variant>     fused plan-replay SIMD sweep per ISA x
 //                            {auto, gather, shuffle, gather-nofma}; auto
-//                            (window loads, gathers as fallback) is what
-//                            the service, the shard ranks and the asr-simd
-//                            rows run; all but gather-nofma give
-//                            plan/scalar's bytes
+//                            (one-bin broadcasts, then window loads, then
+//                            gathers) is what the service, the shard ranks
+//                            and the asr-simd and fly rows run; all but
+//                            gather-nofma give plan/scalar's bytes
 //
-// The plan rows run through the exec::TileBackend interface — the same
-// code path the service routes jobs over — so the numbers here are the
-// per-backend rates the §5.3 split adapts to.
+// The asr-* rows fix x_inner, whose lanes rarely share a range bin; the
+// fly and plan rows take each pulse's wavefront order, as the service
+// does. The plan rows run through the exec::TileBackend interface — the
+// same code path the service routes jobs over — so the numbers here are
+// the per-backend rates the §5.3 split adapts to.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "asr/block_plan.h"
 #include "backprojection/asr_sweep.h"
 #include "backprojection/kernel.h"
 #include "bench_util.h"
@@ -99,6 +109,36 @@ int main(int argc, char** argv) {
                                       geometry::LoopOrder::kXInner, tile, isa);
              return timer.seconds();
            });
+  }
+
+  // On-the-fly rows: every block builds its tables a few pulses at a time
+  // and sweeps each pulse in its wavefront order (sweep_plan_block on a
+  // table-less plan).
+  const auto blocks = asr::plan_blocks(all.x0, all.y0, all.width, all.height,
+                                       block, block);
+  const auto report_fly = [&](const std::string& name,
+                              std::vector<std::pair<std::string, std::string>>
+                                  params,
+                              const bp::AsrKernel& kernel) {
+    const bp::PulseRange range[] = {{&scenario.history, 0, pulses}};
+    report(name, std::move(params), [&] {
+      bp::SoaTile tile(all.width, all.height);
+      Timer timer;
+      for (const asr::BlockSpec& b : blocks) {
+        bp::sweep_asr_block(b, all.x0, all.y0, scenario.grid, range,
+                            std::nullopt, kernel, tile);
+      }
+      return timer.seconds();
+    });
+  };
+  report_fly("fly/scalar", {{"kernel", "fly"}, {"isa", "scalar"}},
+             bp::AsrKernel{});
+  for (const bp::SimdIsa isa : isas) {
+    if (!bp::asr_isa_available(isa)) continue;
+    const std::string isa_name = bp::simd_isa_name(isa);
+    report_fly("fly/" + isa_name + "/auto",
+               {{"kernel", "fly"}, {"isa", isa_name}, {"variant", "auto"}},
+               bp::AsrKernel{isa, bp::KernelVariant::kAuto});
   }
 
   // Plan-replay rows: prebuilt tables swept with each backend's kernel

@@ -87,14 +87,9 @@ std::size_t padded(Index n) {
 
 BlockTables::BlockTables(float* storage, Index w, Index h)
     : width(w), height(h) {
-  // Thrown directly: ensure() would build its message on every call, and a
-  // plan constructs a view per table.
-  if (w <= 0 || h <= 0) {
-    throw PreconditionError("BlockTables: block must be non-empty");
-  }
-  if (reinterpret_cast<std::uintptr_t>(storage) % kSimdAlign != 0) {
-    throw PreconditionError("BlockTables: storage must be 64-byte aligned");
-  }
+  ensure(w > 0 && h > 0, "BlockTables: block must be non-empty");
+  ensure(reinterpret_cast<std::uintptr_t>(storage) % kSimdAlign == 0,
+         "BlockTables: storage must be 64-byte aligned");
   float* next = storage;
   const auto take = [&next](Index n) {
     const std::span<float> array(next, static_cast<std::size_t>(n));
@@ -119,10 +114,8 @@ std::size_t BlockTables::footprint_floats(Index w, Index h) {
 void build_block_tables(const Quadratic2D& q, double start_range,
                         double bin_spacing, double two_pi_k, Index width,
                         Index height, BlockTables& tables) {
-  if (tables.width != width || tables.height != height) {
-    throw PreconditionError(
-        "build_block_tables: tables must view width x height");
-  }
+  ensure(tables.width == width && tables.height == height,
+         "build_block_tables: tables must view width x height");
   const double inv_dr = 1.0 / bin_spacing;
   // Centred offset of index 0 along each axis (expansion is about the
   // block centre; paper footnote 4).
@@ -190,10 +183,8 @@ TableSeeds table_seeds(const Quadratic2D& q, double start_range,
 }
 
 void expand_table_seeds(const TableSeeds& s, BlockTables& tables) {
-  if (tables.width != s.width || tables.height != s.height) {
-    throw PreconditionError(
-        "expand_table_seeds: tables must view the seeds' extents");
-  }
+  ensure(tables.width == s.width && tables.height == s.height,
+         "expand_table_seeds: tables must view the seeds' extents");
   ramp_table(s.bin_a, s.width, tables.bin_a.data());
   phase_table(s.phi, s.width, tables.phi_re.data(), tables.phi_im.data());
   ramp_table(s.bin_b, s.height, tables.bin_b.data());

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include "asr/quadratic.h"
@@ -223,11 +225,14 @@ class BlockSweep {
   }
 
  private:
-  /// The resolved kernel's rows: the portable sweep or the ISA's.
+  /// The resolved kernel's rows: the portable sweep or the ISA's. The
+  /// ISA rows hold bins in i32 lanes, so a pulse of more samples than an
+  /// i32 holds takes the portable sweep, whose bins are Index.
   void rows(const asr::BlockTables& tables, const CFloat* in, Index samples,
             float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
             Index len_m) const {
-    if (ops_ == nullptr) {
+    if (ops_ == nullptr ||
+        samples > std::numeric_limits<std::int32_t>::max()) {
       sweep_rows_scalar(tables, in, samples, acc_re, acc_im, acc_pitch, len_l,
                         len_m);
     } else {
@@ -342,10 +347,8 @@ void build_asr_tables(const geometry::ImageGrid& grid,
         2.0 * std::numbers::pi * history.wavenumber(),
         x_inner ? block.width : block.height,
         x_inner ? block.height : block.width);
-    if (slot.out->width != seeds.width || slot.out->height != seeds.height) {
-      throw PreconditionError(
-          "build_asr_tables: a slot's tables must view its extents");
-    }
+    ensure(slot.out->width == seeds.width && slot.out->height == seeds.height,
+           "build_asr_tables: a slot's tables must view its extents");
     return seeds;
   };
   if (ops == nullptr) {

@@ -55,15 +55,11 @@ struct Avx2 {
   }
   static I truncate(F v) { return _mm256_cvttps_epi32(v); }
   static F to_float(I v) { return _mm256_cvtepi32_ps(v); }
-  static M bin_ok(F bin, I ibin, Index samples) {
-    const __m256i below = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(static_cast<int>(samples) - 1), ibin);
-    // Guard against cvttps saturation (INT_MIN) for out-of-range bins.
-    const __m256i nonneg = _mm256_cmpgt_epi32(ibin, _mm256_set1_epi32(-1));
+  static M bin_ok(F bin, Index samples) {
     return _mm256_and_ps(
-        _mm256_and_ps(_mm256_cmp_ps(bin, _mm256_setzero_ps(), _CMP_GE_OQ),
-                      _mm256_castsi256_ps(below)),
-        _mm256_castsi256_ps(nonneg));
+        _mm256_cmp_ps(bin, _mm256_setzero_ps(), _CMP_GE_OQ),
+        _mm256_cmp_ps(bin, _mm256_set1_ps(static_cast<float>(samples - 1)),
+                      _CMP_LT_OQ));
   }
   static M both(M a, M b) { return _mm256_and_ps(a, b); }
   static F seed_column(const float* p) {
@@ -105,19 +101,32 @@ struct GatherSamples {
   }
 };
 
-/// kAuto: one 8-float window load plus four in-register permutes when the
-/// vector's bins fit the window, the gathers otherwise. A vector fits when
-/// every lane is in range and every bin lies in [lo, lo + 2], lo the
-/// smaller of the first and last lanes' bins (an unsigned compare of the
-/// offsets, whatever the bins' order): In[lo .. lo + 4) then holds every
-/// lane's re0, im0, re1, im1. `lo + 4 <= samples` keeps the load in
-/// bounds. Same values as the gathers: bit-identical to GatherSamples.
+/// kAuto, cheapest first, as on AVX-512 (kernel_asr_avx512.cpp):
+///  - one bin: every lane is in range on lane 0's bin, so re0, im0, re1
+///    and im1 are four broadcasts of In[bin] and In[bin + 1] from memory;
+///  - the window: every lane is in range and every bin lies in [lo, lo +
+///    2], lo the smaller of the first and last lanes' bins (an unsigned
+///    compare of the offsets, whatever the bins' order), and lo + 4 <=
+///    samples: one 8-float load of In[lo .. lo + 4) and four permutes;
+///  - the gathers otherwise.
+/// Same values as the gathers: bit-identical to GatherSamples.
 struct WindowSamples {
   static void load(const float* base, __m256i ibin, __m256 ok, Index samples,
                    __m256& re0, __m256& im0, __m256& re1, __m256& im1) {
+    const __m256i bin0 = _mm256_broadcastd_epi32(_mm256_castsi256_si128(ibin));
+    const __m256 same = _mm256_castsi256_ps(_mm256_cmpeq_epi32(ibin, bin0));
+    if (_mm256_movemask_ps(_mm256_and_ps(ok, same)) == 0xFF) {
+      const float* at =
+          base + 2 * static_cast<std::size_t>(
+                         _mm_cvtsi128_si32(_mm256_castsi256_si128(ibin)));
+      re0 = _mm256_set1_ps(at[0]);
+      im0 = _mm256_set1_ps(at[1]);
+      re1 = _mm256_set1_ps(at[2]);
+      im1 = _mm256_set1_ps(at[3]);
+      return;
+    }
     const __m256i lo = _mm256_min_epi32(
-        _mm256_broadcastd_epi32(_mm256_castsi256_si128(ibin)),
-        _mm256_permutevar8x32_epi32(ibin, _mm256_set1_epi32(7)));
+        bin0, _mm256_permutevar8x32_epi32(ibin, _mm256_set1_epi32(7)));
     const __m256i off = _mm256_sub_epi32(ibin, lo);
     // off <= 2 as unsigned: min(off, 2) == off.
     const __m256i span_ok =

@@ -64,14 +64,10 @@ struct Avx512 {
   }
   static I truncate(F v) { return _mm512_cvttps_epi32(v); }
   static F to_float(I v) { return _mm512_cvtepi32_ps(v); }
-  static M bin_ok(F bin, I ibin, Index samples) {
-    // cvttps saturates float bins beyond INT_MAX to INT_MIN; the explicit
-    // ibin >= 0 check keeps such lanes out of the sample loads.
-    return static_cast<M>(
-        _mm512_cmp_ps_mask(bin, _mm512_setzero_ps(), _CMP_GE_OQ) &
-        _mm512_cmplt_epi32_mask(
-            ibin, _mm512_set1_epi32(static_cast<int>(samples) - 1)) &
-        _mm512_cmpgt_epi32_mask(ibin, _mm512_set1_epi32(-1)));
+  static M bin_ok(F bin, Index samples) {
+    return _mm512_mask_cmp_ps_mask(
+        _mm512_cmp_ps_mask(bin, _mm512_setzero_ps(), _CMP_GE_OQ), bin,
+        _mm512_set1_ps(static_cast<float>(samples - 1)), _CMP_LT_OQ);
   }
   static M both(M a, M b) { return static_cast<M>(a & b); }
   static F seed_column(const float* p) {
@@ -137,23 +133,38 @@ struct GatherSamples {
   }
 };
 
-/// Sample-load policy (kAuto): one 16-float window load plus four
-/// in-register permutes when the vector's bins fit the window, the
-/// gathers otherwise. The wavefront loop order (§4.3) keeps neighbouring
-/// pixels on the same or adjacent bins, so most vectors fit. A vector
-/// fits when every lane is in range and every bin lies in [lo, lo + 6],
-/// lo the smaller of the first and last lanes' bins (one unsigned compare
-/// of the offsets, whatever the bins' order): In[lo .. lo + 8) then holds
-/// every lane's re0, im0, re1, im1. `lo + 8 <= samples` keeps the load in
-/// bounds. The lanes get the gathers' values, so the image is
-/// bit-identical to GatherSamples.
+/// Sample-load policy (kAuto), cheapest first. The wavefront loop order
+/// (§4.3) keeps neighbouring pixels on the same or adjacent bins, so most
+/// vectors take one of the first two:
+///  - one bin: every lane is in range on lane 0's bin, so re0, im0, re1
+///    and im1 are four broadcasts of In[bin] and In[bin + 1] from memory,
+///    on the load ports; `ok` keeps bin <= samples - 2, so they stay in
+///    the pulse;
+///  - the window: every lane is in range and every bin lies in [lo,
+///    lo + 6], lo the smaller of the first and last lanes' bins (one
+///    unsigned compare of the offsets, whatever the bins' order), and lo +
+///    8 <= samples: one 16-float load of In[lo .. lo + 8) and four
+///    in-register permutes;
+///  - the gathers otherwise.
+/// Every lane gets the gathers' values, so the image is bit-identical to
+/// GatherSamples.
 struct WindowSamples {
   static void load(const float* base, __m512i ibin, __mmask16 ok,
                    Index samples, __m512& re0, __m512& im0, __m512& re1,
                    __m512& im1) {
+    const __m512i bin0 = _mm512_broadcastd_epi32(_mm512_castsi512_si128(ibin));
+    if (_mm512_mask_cmpeq_epi32_mask(ok, ibin, bin0) == 0xFFFF) {
+      const float* at =
+          base + 2 * static_cast<std::size_t>(
+                         _mm_cvtsi128_si32(_mm512_castsi512_si128(ibin)));
+      re0 = _mm512_set1_ps(at[0]);
+      im0 = _mm512_set1_ps(at[1]);
+      re1 = _mm512_set1_ps(at[2]);
+      im1 = _mm512_set1_ps(at[3]);
+      return;
+    }
     const __m512i lo = _mm512_min_epi32(
-        _mm512_broadcastd_epi32(_mm512_castsi512_si128(ibin)),
-        _mm512_permutexvar_epi32(_mm512_set1_epi32(15), ibin));
+        bin0, _mm512_permutexvar_epi32(_mm512_set1_epi32(15), ibin));
     const __m512i off = _mm512_sub_epi32(ibin, lo);
     const __mmask16 fits =
         _mm512_mask_cmple_epu32_mask(ok, off, _mm512_set1_epi32(6));

@@ -15,8 +15,8 @@
 //  - first_lanes(n): the mask of lanes [0, n), 1 <= n <= kWidth;
 //  - load(p), load(p, live), store(p, v), store(p, v, live): unaligned f32
 //    loads and stores, masked lanes untouched (a masked load reads 0);
-//  - truncate, to_float, and bin_ok(bin, ibin, samples): the lanes whose
-//    bin is in [0, samples - 1), checked as a float and as an integer;
+//  - truncate, to_float, and bin_ok(bin, samples): the lanes whose bin is
+//    in [0, samples - 1), two float compares, the portable sweep's check;
 //    both(a, b): the lanes live in both masks;
 //  - seed_column(p): p[0], p[kWidth], ..., one seed column of GammaSeeds;
 //  - D, kTableLanes: the f64 vector and its lanes; load(const double*),
@@ -164,9 +164,9 @@ void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
         const F lvec = V::add(V::iota(), V::set1(static_cast<float>(l)));
         const F bin =
             madd<V, kFma>(lvec, bin_c, V::add(load(&t.bin_a[i_l]), bin_b));
-        const auto ibin = V::truncate(bin);
-        M ok = V::bin_ok(bin, ibin, samples);
+        M ok = V::bin_ok(bin, samples);
         if constexpr (decltype(masked)::value) ok = V::both(ok, live);
+        const auto ibin = V::truncate(bin);
         const F frac = V::sub(bin, V::to_float(ibin));
         F re0;
         F im0;

@@ -3,10 +3,10 @@
 // backend sweep, so differences can only come from the inner loop.
 //
 // Parity contract (kernel.h):
-//  - kAuto (window loads), kGather and kShuffleTranspose on every ISA, and
-//    the portable scalar sweep: bit-identical (16 gamma chains per row, the
-//    same pinned arithmetic in the same order; only the load mechanism and
-//    the lane count differ).
+//  - kAuto (one-bin broadcasts, window loads), kGather and
+//    kShuffleTranspose on every ISA, and the portable scalar sweep:
+//    bit-identical (16 gamma chains per row, the same pinned arithmetic in
+//    the same order; only the load mechanism and the lane count differ).
 //  - kGatherNoFma: different rounding, so parity is at SNR level (> 70 dB).
 //  - forcing an unavailable ISA fails with PreconditionError, never SIGILL.
 //  - the vector table build (one table per f64 lane) writes the scalar
@@ -20,6 +20,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <numbers>
 #include <optional>
 #include <span>
@@ -698,6 +700,165 @@ TEST_F(KernelVariantTest, VectorIsasMatchScalarBytes) {
                          order),
               0);
   }
+}
+
+TEST_F(KernelVariantTest, WindowSampleBranchesMatchScalarBytes) {
+  // kAuto's sample load (WindowSamples in both kernel TUs) broadcasts one
+  // bin, loads a window or gathers. Hand-set tables put a row's lanes in
+  // each case, per usable ISA of W lanes, and kAuto and kGather must give
+  // the portable sweep's bytes there. Each pixel's bin is A[l] (B = C =
+  // 0). The pulse holds exactly `kSamples` samples, so a read past it shows
+  // under ASan. Every tile starts at -0, and the portable sweep must add to
+  // exactly the pixels whose bin is in [0, samples - 1).
+  constexpr Index kSamples = 40;
+  constexpr float kLastBin = kSamples - 2;  // the last interpolable bin
+  sim::PhaseHistory pulse(1, kSamples, 1.0, 1.0);
+  Rng rng(32);
+  for (CFloat& v : pulse.pulse(0)) {
+    v = CFloat{static_cast<float>(rng.normal()),
+               static_cast<float>(rng.normal())};
+  }
+  const auto unit = [&] {
+    const double a = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    return std::pair{static_cast<float>(std::cos(a)),
+                     static_cast<float>(std::sin(a))};
+  };
+  // A case: a row of `len` pixels, pixel l at bin(l, l mod W).
+  struct Case {
+    std::string name;
+    Index len;
+    std::function<float(Index l, Index lane)> bin;
+  };
+  // Lane i's fraction within its bin, so lanes on one bin interpolate
+  // differently.
+  const auto frac = [](Index lane) {
+    return 0.05f + 0.06f * static_cast<float>(lane);
+  };
+  const auto cases = [&](Index w) {
+    // The window's widest span (offsets 0 .. span) and the bin whose
+    // window ends at the pulse's last sample.
+    const Index span = w == 16 ? 6 : 2;
+    const auto window_lo = static_cast<float>(kSamples - span - 2);
+    std::vector<Case> c;
+    c.push_back({"one bin", 2 * w,
+                 [=](Index, Index i) { return 11.0f + frac(i); }});
+    c.push_back({"last interpolable bin", 2 * w,
+                 [=](Index, Index i) { return kLastBin + frac(i); }});
+    const std::pair<const char*, float> bad[] = {
+        {"-0.5", -0.5f},
+        {"samples - 1", static_cast<float>(kSamples - 1)},
+        {"NaN", std::numeric_limits<float>::quiet_NaN()},
+        {"+inf", std::numeric_limits<float>::infinity()},
+        {"2^31", 2147483648.0f},
+        {"3e9", 3.0e9f}};
+    for (const auto& [what, value] : bad) {
+      for (const Index at : {Index{0}, w / 2, w - 1}) {
+        c.push_back({std::string("one bin, lane ") + std::to_string(at) +
+                         " at " + what,
+                     2 * w, [=, v = value](Index l, Index i) {
+                       return l == at ? v : 11.0f + frac(i);
+                     }});
+      }
+    }
+    // Every lane out of range on one truncated bin: In[bin + 1] is past
+    // the pulse, so no load may take it.
+    c.push_back({"every lane on bin samples - 1", 2 * w, [=](Index, Index i) {
+                   return static_cast<float>(kSamples - 1) + frac(i);
+                 }});
+    c.push_back({"every lane NaN", 2 * w, [=](Index, Index) {
+                   return std::numeric_limits<float>::quiet_NaN();
+                 }});
+    c.push_back({"two adjacent bins", 2 * w, [=](Index, Index i) {
+                   return (i < w / 2 ? 11.0f : 12.0f) + frac(i);
+                 }});
+    c.push_back({"two adjacent bins, alternating", 2 * w, [=](Index, Index i) {
+                   return (i % 2 == 0 ? 12.0f : 11.0f) + frac(i);
+                 }});
+    c.push_back({"two adjacent bins at the pulse's end", 2 * w,
+                 [=](Index, Index i) {
+                   return (i % 2 == 0 ? kLastBin - 1 : kLastBin) + frac(i);
+                 }});
+    // Lane 0 on lo, lane W - 1 on lo + span, the window In[lo .. lo + span
+    // + 2) ending at the pulse's last sample; then the same span
+    // descending; then spans that must gather: a window that would end one
+    // sample past the pulse, and one offset wider than the window.
+    const auto spread = [=](Index i, Index width) {
+      return static_cast<float>(i * width / (w - 1));
+    };
+    c.push_back({"widest window at the pulse's end", 2 * w,
+                 [=](Index, Index i) {
+                   return window_lo + spread(i, span) + frac(i);
+                 }});
+    c.push_back({"widest window, descending", 2 * w, [=](Index, Index i) {
+                   return window_lo + spread(w - 1 - i, span) + frac(i);
+                 }});
+    c.push_back({"window one sample past the pulse's end", 2 * w,
+                 [=](Index, Index i) {
+                   return window_lo + 1.0f + spread(i, span - 1) + frac(i);
+                 }});
+    c.push_back({"one bin past the window", 2 * w, [=](Index, Index i) {
+                   return window_lo - 1.0f + spread(i, span + 1) + frac(i);
+                 }});
+    c.push_back({"wide span", 2 * w, [=](Index, Index i) {
+                   return 2.0f + 2.0f * static_cast<float>(i) + frac(i);
+                 }});
+    c.push_back({"masked tail on one bin", w + 5,
+                 [=](Index, Index i) { return 11.0f + frac(i); }});
+    c.push_back({"masked tail on the last interpolable bin", w + 5,
+                 [=](Index, Index i) { return kLastBin + frac(i); }});
+    return c;
+  };
+  bool checked = false;
+  for (const auto& [isa, w] : {std::pair{bp::SimdIsa::kAvx2, Index{8}},
+                               std::pair{bp::SimdIsa::kAvx512, Index{16}}}) {
+    if (!bp::asr_isa_available(isa)) continue;
+    checked = true;
+    for (const Case& c : cases(w)) {
+      SCOPED_TRACE(std::string(bp::simd_isa_name(isa)) + ", " + c.name);
+      constexpr Index kRows = 2;
+      testing::OwnedTables owned(c.len, kRows);
+      asr::BlockTables& tables = owned.view;
+      for (Index l = 0; l < c.len; ++l) {
+        const auto i = static_cast<std::size_t>(l);
+        tables.bin_a[i] = c.bin(l, l % w);
+        std::tie(tables.phi_re[i], tables.phi_im[i]) = unit();
+      }
+      for (Index m = 0; m < kRows; ++m) {
+        const auto i = static_cast<std::size_t>(m);
+        tables.bin_b[i] = 0.0f;
+        tables.bin_c[i] = 0.0f;
+        std::tie(tables.psi_re[i], tables.psi_im[i]) = unit();
+        std::tie(tables.gam_re[i], tables.gam_im[i]) = unit();
+      }
+      const auto order = geometry::LoopOrder::kXInner;
+      const auto sweep = [&](const bp::AsrKernel& kernel) {
+        bp::SoaTile tile(c.len, kRows);
+        for (Index y = 0; y < kRows; ++y) {
+          std::fill_n(tile.row_re(y), c.len, -0.0f);
+          std::fill_n(tile.row_im(y), c.len, -0.0f);
+        }
+        bp::sweep_asr_block(asr::BlockSpec{0, 0, c.len, kRows}, 0, 0,
+                            bp::PlanTables{&tables, &order},
+                            bp::PulseRange{&pulse, 0, 1}, kernel, tile);
+        return tile;
+      };
+      const bp::SoaTile scalar = sweep(bp::AsrKernel{});
+      for (Index l = 0; l < c.len; ++l) {
+        const float bin = tables.bin_a[static_cast<std::size_t>(l)];
+        const bool in_range = bin >= 0.0f && bin < kSamples - 1;
+        EXPECT_EQ(std::signbit(scalar.row_re(0)[l]) &&
+                      scalar.row_re(0)[l] == 0.0f,
+                  !in_range)
+            << "pixel " << l << ", bin " << bin;
+      }
+      for (const bp::KernelVariant variant :
+           {bp::KernelVariant::kAuto, bp::KernelVariant::kGather}) {
+        EXPECT_TRUE(bit_identical(sweep({isa, variant}), scalar))
+            << bp::kernel_variant_name(variant);
+      }
+    }
+  }
+  if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
 }
 
 /// Every array of two table sets, byte for byte.

@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""A/B runner: alternating parent/change pairs of perfbench/run.py.
+"""A/B runner: alternating parent/change pairs of perfbench/run.py or of one
+sarbp.bench.v1 bench binary.
 
     tools/ab_bench.py PARENT CHANGE --workload survey [--workload stream ...]
                       --pairs 10 --seed 1 --out ab.json
+    tools/ab_bench.py PARENT CHANGE --bench ablation_vectorization
+                      --bench-args "--ix 384 --pulses 256" [--cpu 1]
+                      --pairs 10 --out ab.json
     tools/ab_bench.py --selftest
 
 PARENT and CHANGE are git revisions of this repository. Both are checked
@@ -25,11 +29,20 @@ change's wins out of the pairs (ties count for neither side), and a verdict
 counts and how many runs passed their image checks. Each metric's direction,
 and an end-to-end metric's bound, come from BENCHMARK.json. Every run, with
 its host line, goes to the --out JSON file.
+
+With --bench NAME the runner builds only bench target NAME in each worktree
+(a Release CMake build under the worktree) and runs its binary with
+--bench-args plus --json=FILE, pinned with `taskset -c N` when --cpu N is
+given, in the same alternating pairs. Each row of the sarbp.bench.v1
+document (its name and params) is a metric whose value is the row's
+median; its direction comes from its unit, a rate ("/s") being
+higher-is-better and anything else lower-is-better, and it has no bound.
 """
 import argparse
 import atexit
 import json
 import os
+import shlex
 import shutil
 import signal
 import statistics
@@ -156,16 +169,36 @@ def summarize(runs, workload, rules):
                       for p in complete] for s in SIDES}
         if any(v is None for s in SIDES for v in series[s]):
             continue
-        parent, change = series["parent"], series["change"]
-        change_wins, parent_wins = wins(parent, change, better)
-        metrics.append({
-            "name": name, "better": better, "bound": bound,
-            "pairs": len(complete),
-            "parent": quartiles(parent), "change": quartiles(change),
-            "change_wins": change_wins, "parent_wins": parent_wins,
-            "verdict": verdict(parent, change, better, bound),
-        })
+        metrics.append(metric_row(name, series["parent"], series["change"],
+                                  better, bound))
     return {"workload": workload, "counts": counts, "metrics": metrics}
+
+
+def metric_row(name, parent, change, better, bound=None):
+    """One metric's summary over paired values."""
+    change_wins, parent_wins = wins(parent, change, better)
+    return {
+        "name": name, "better": better, "bound": bound,
+        "pairs": len(parent),
+        "parent": quartiles(parent), "change": quartiles(change),
+        "change_wins": change_wins, "parent_wins": parent_wins,
+        "verdict": verdict(parent, change, better, bound),
+    }
+
+
+def format_metrics(metrics):
+    lines = ["  %-28s %-33s %-33s %-7s %s" % (
+        "metric", "parent median [q1, q3]", "change median [q1, q3]",
+        "wins", "verdict")]
+    for m in metrics:
+        cell = lambda q: "%.6g [%.6g, %.6g]" % (q[1], q[0], q[2])
+        rule = "%s is better" % m["better"]
+        if m["bound"] is not None:
+            rule += ", bound %g" % m["bound"]
+        lines.append("  %-28s %-33s %-33s %2d/%-4d %s (%s)" % (
+            m["name"], cell(m["parent"]), cell(m["change"]),
+            m["change_wins"], m["pairs"], m["verdict"], rule))
+    return lines
 
 
 def format_summary(summary):
@@ -175,18 +208,67 @@ def format_summary(summary):
         lines.append("  %-6s runs %d, attempted %d, failed %d, correct %d/%d"
                      % (side, c["runs"], c["attempted"], c["failed"],
                         c["correct"], c["runs"]))
-    lines.append("  %-28s %-33s %-33s %-7s %s" % (
-        "metric", "parent median [q1, q3]", "change median [q1, q3]",
-        "wins", "verdict"))
-    for m in summary["metrics"]:
-        cell = lambda q: "%.6g [%.6g, %.6g]" % (q[1], q[0], q[2])
-        rule = "%s is better" % m["better"]
-        if m["bound"] is not None:
-            rule += ", bound %g" % m["bound"]
-        lines.append("  %-28s %-33s %-33s %2d/%-4d %s (%s)" % (
-            m["name"], cell(m["parent"]), cell(m["change"]),
-            m["change_wins"], m["pairs"], m["verdict"], rule))
-    return "\n".join(lines)
+    return "\n".join(lines + format_metrics(summary["metrics"]))
+
+
+def bench_direction(unit):
+    """A bench row's better direction from its unit: a rate is higher."""
+    return "higher" if unit.endswith("/s") else "lower"
+
+
+def bench_rows(document):
+    """{row key: (unit, median)} of one sarbp.bench.v1 document; a row's
+    key is its name, plus its params where another row shares the name."""
+    if document.get("schema") != "sarbp.bench.v1":
+        raise ValueError("not a sarbp.bench.v1 document")
+    results = document["results"]
+    names = [r["name"] for r in results]
+    rows = {}
+    for r in results:
+        key = r["name"]
+        if names.count(key) > 1:
+            key += " " + ",".join("%s=%s" % kv
+                                  for kv in sorted(r["params"].items()))
+        rows[key] = (r["unit"], r["median"])
+    return rows
+
+
+def summarize_bench(runs):
+    """One row per bench row present in every complete pair, in the
+    parent's row order, plus each side's run and failure counts."""
+    by_pair = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
+    pairs = [p for p in sorted(by_pair) if len(by_pair[p]) == 2]
+    counts = {side: {"runs": len(pairs),
+                     "failed": sum(1 for p in pairs
+                                   if by_pair[p][side]["result"] is None)}
+              for side in SIDES}
+    complete = [p for p in pairs
+                if all(by_pair[p][s]["result"] for s in SIDES)]
+    metrics = []
+    if complete:
+        rows = {p: {s: bench_rows(by_pair[p][s]["result"]) for s in SIDES}
+                for p in complete}
+        first = rows[complete[0]]["parent"]
+        for key, (unit, _) in first.items():
+            if not all(key in rows[p][s] for p in complete for s in SIDES):
+                continue
+            series = {s: [rows[p][s][key][1] for p in complete]
+                      for s in SIDES}
+            metrics.append(metric_row(key, series["parent"],
+                                      series["change"],
+                                      bench_direction(unit)))
+    return {"counts": counts, "metrics": metrics}
+
+
+def format_bench_summary(bench, summary):
+    lines = ["== %s ==" % bench]
+    for side in SIDES:
+        c = summary["counts"][side]
+        lines.append("  %-6s runs %d, failed %d" % (side, c["runs"],
+                                                     c["failed"]))
+    return "\n".join(lines + format_metrics(summary["metrics"]))
 
 
 class Worktrees:
@@ -229,6 +311,83 @@ def run_once(tree, workload, seed, seconds, trace):
     if not isinstance(result, dict) or "metrics" not in result:
         result = None
     return host, result, proc.returncode
+
+
+def build_bench(tree, name):
+    """Configures a Release build under `tree` and builds bench `name`;
+    returns the binary's path."""
+    build = os.path.join(tree, "build-ab")
+    jobs = str(min(4, os.cpu_count() or 1))
+    for cmd in (["cmake", "-S", tree, "-B", build,
+                 "-DCMAKE_BUILD_TYPE=Release"],
+                ["cmake", "--build", build, "--target", name, "-j", jobs]):
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        if proc.returncode != 0:
+            print(proc.stdout, file=sys.stderr)
+            raise SystemExit("ab_bench: %s failed (exit %d)"
+                             % (" ".join(cmd), proc.returncode))
+    return os.path.join(build, "bench", name)
+
+
+def run_bench_once(binary, bench_args, cpu, json_path):
+    """One bench run: (sarbp.bench.v1 document, or None when the run
+    failed or wrote none, exit code)."""
+    cmd = [binary, *bench_args, "--json=" + json_path]
+    if cpu is not None:
+        cmd = ["taskset", "-c", str(cpu), *cmd]
+    if os.path.exists(json_path):
+        os.remove(json_path)
+    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
+    if proc.returncode != 0:
+        return None, proc.returncode
+    try:
+        with open(json_path) as f:
+            document = json.load(f)
+        bench_rows(document)
+    except (OSError, ValueError, KeyError, TypeError):
+        document = None
+    return document, proc.returncode
+
+
+def run_bench_pairs(args):
+    revisions = [git("rev-parse", "--verify", rev + "^{commit}")
+                 for rev in (args.parent, args.change)]
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    worktrees = Worktrees(revisions)
+    bench_args = shlex.split(args.bench_args)
+    record = {"parent": revisions[0], "change": revisions[1],
+              "bench": args.bench, "bench_args": bench_args,
+              "cpu": args.cpu, "pairs": args.pairs, "runs": []}
+
+    def save():
+        with open(args.out, "w") as f:
+            json.dump(record, f, indent=1)
+
+    binaries = []
+    for side, tree in zip(SIDES, worktrees.paths):
+        print("build: %s %s" % (side, args.bench), flush=True)
+        binaries.append(build_bench(tree, args.bench))
+    json_path = os.path.join(worktrees.tmpdir, "run.json")
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            document, code = run_bench_once(binaries[SIDES.index(side)],
+                                            bench_args, args.cpu, json_path)
+            record["runs"].append({"pair": pair, "side": side, "exit": code,
+                                   "result": document})
+            print("pair %d %-6s exit %d" % (pair, side, code), flush=True)
+            save()
+    record["summary"] = summarize_bench(record["runs"])
+    save()
+    hosts = sorted({r["result"]["host"] for r in record["runs"]
+                    if r["result"]})
+    print("host: %s" % " | ".join(hosts))
+    print("parent %s, change %s, %s %s, cpu %s, %d pairs"
+          % (revisions[0][:12], revisions[1][:12], args.bench,
+             " ".join(bench_args), args.cpu, args.pairs))
+    print(format_bench_summary(args.bench, record["summary"]))
+    print("record: %s" % args.out)
 
 
 def run_pairs(args, bench):
@@ -370,6 +529,56 @@ def selftest():
     check("summary verdict", row["verdict"], "better")
     check("format", "5/5" in format_summary(summary), True)
     check("format bound", "bound 0.3" in format_summary(summary), True)
+    check("a rate is higher-is-better", bench_direction("backprojections/s"),
+          "higher")
+    check("a time is lower-is-better", bench_direction("s"), "lower")
+    document = json.loads("""{
+      "schema": "sarbp.bench.v1", "bench": "b", "host": "h",
+      "warmup": 1, "repeat": 5,
+      "results": [
+        {"name": "fly", "params": {"isa": "x"}, "unit": "backprojections/s",
+         "median": 10.0, "q1": 9.0, "q3": 11.0, "iqr": 2.0},
+        {"name": "time", "params": {}, "unit": "s",
+         "median": 2.0, "q1": 1.0, "q3": 3.0, "iqr": 2.0},
+        {"name": "dup", "params": {"n": "1"}, "unit": "s",
+         "median": 1.0, "q1": 1.0, "q3": 1.0, "iqr": 0.0},
+        {"name": "dup", "params": {"n": "2"}, "unit": "s",
+         "median": 2.0, "q1": 2.0, "q3": 2.0, "iqr": 0.0}]}""")
+    check("bench rows", bench_rows(document),
+          {"fly": ("backprojections/s", 10.0), "time": ("s", 2.0),
+           "dup n=1": ("s", 1.0), "dup n=2": ("s", 2.0)})
+    try:
+        bench_rows({"schema": "other", "results": []})
+        check("a foreign schema is refused", False, True)
+    except ValueError:
+        pass
+    bench_runs = []
+    for pair in range(10):
+        for side, scale in (("parent", 1.0), ("change", 1.5)):
+            doc = json.loads(json.dumps(document))
+            rows = doc["results"]
+            # The change's rate is 1.5x and its time 1.5x: one better, one
+            # worse; "dup" rows tie in every pair.
+            rows[0]["median"] = scale * (10.0 + pair)
+            rows[1]["median"] = scale * (2.0 + 0.1 * pair)
+            bench_runs.append({"pair": pair, "side": side, "exit": 0,
+                               "result": doc})
+    bench_runs.append({"pair": 10, "side": "parent", "exit": 0,
+                       "result": document})
+    bench_runs.append({"pair": 10, "side": "change", "exit": 1,
+                       "result": None})
+    bench_summary = summarize_bench(bench_runs)
+    check("bench failures counted",
+          (bench_summary["counts"]["change"]["failed"],
+           bench_summary["counts"]["parent"]["runs"]), (1, 11))
+    verdicts = {m["name"]: (m["better"], m["change_wins"], m["verdict"])
+                for m in bench_summary["metrics"]}
+    check("bench verdicts", verdicts,
+          {"fly": ("higher", 10, "better"), "time": ("lower", 0, "worse"),
+           "dup n=1": ("lower", 0, "inside IQR"),
+           "dup n=2": ("lower", 0, "inside IQR")})
+    check("bench format",
+          "10/10" in format_bench_summary("b", bench_summary), True)
     for failure in failures:
         print("ab_bench selftest: %s" % failure, file=sys.stderr)
     print("ab_bench selftest: %d checks failed" % len(failures))
@@ -383,6 +592,11 @@ def main():
     parser.add_argument("change", nargs="?")
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--bench", help="a sarbp.bench.v1 bench target")
+    parser.add_argument("--bench-args", default="",
+                        help="the bench's arguments, one shell-quoted string")
+    parser.add_argument("--cpu", type=int,
+                        help="pin each bench run to this CPU (taskset -c)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -391,11 +605,16 @@ def main():
     args = parser.parse_args()
     if args.selftest:
         return selftest()
-    if not (args.parent and args.change and args.workload and args.out):
-        parser.error("PARENT, CHANGE, --workload and --out are required")
+    if not (args.parent and args.change and args.out):
+        parser.error("PARENT, CHANGE and --out are required")
+    if bool(args.workload) == bool(args.bench):
+        parser.error("give --workload or --bench, not both")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    run_pairs(args, bench)
+    if args.bench:
+        run_bench_pairs(args)
+    else:
+        run_pairs(args, bench)
     return 0
 
 
