@@ -103,25 +103,26 @@ int main(int argc, char** argv) {
   }
 
   // The ASR comparison point: per inner-loop iteration, the phase costs
-  // two complex multiplies (8 mul + 4 add) plus the gamma update — no
+  // one complex multiply by the table entry (arg = chi * Psi[m]) plus the
+  // column chain's step (chi *= Omega[l]), 8 mul + 4 add in all — no
   // reduction, no polynomial, single precision throughout.
   {
     const std::size_t n = args.size();
-    std::vector<float> phi_r(1024), phi_i(1024);
+    std::vector<float> psi_r(1024), psi_i(1024);
     for (std::size_t i = 0; i < 1024; ++i) {
-      phi_r[i] = std::cos(static_cast<float>(i) * 0.01f);
-      phi_i[i] = std::sin(static_cast<float>(i) * 0.01f);
+      psi_r[i] = std::cos(static_cast<float>(i) * 0.01f);
+      psi_i[i] = std::sin(static_cast<float>(i) * 0.01f);
     }
-    float g_r = 1.0f, g_i = 0.0f, acc = 0.0f;
-    const float gam_r = 0.99998f, gam_i = 0.0063f;
+    float chi_r = 1.0f, chi_i = 0.0f, acc = 0.0f;
+    const float omega_r = 0.99998f, omega_i = 0.0063f;
     Timer timer;
     for (std::size_t i = 0; i < n; ++i) {
-      const float pr = phi_r[i & 1023], pi_ = phi_i[i & 1023];
-      const float tr = pr * g_r - pi_ * g_i;
-      const float ti = pr * g_i + pi_ * g_r;
-      const float ng = g_r * gam_r - g_i * gam_i;
-      g_i = g_r * gam_i + g_i * gam_r;
-      g_r = ng;
+      const float pr = psi_r[i & 1023], pi_ = psi_i[i & 1023];
+      const float tr = pr * chi_r - pi_ * chi_i;
+      const float ti = pr * chi_i + pi_ * chi_r;
+      const float next_r = chi_r * omega_r - chi_i * omega_i;
+      chi_i = chi_r * omega_i + chi_i * omega_r;
+      chi_r = next_r;
       acc += tr - ti;
     }
     const double secs = timer.seconds();

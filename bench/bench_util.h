@@ -176,8 +176,10 @@ inline SampleStats run_repeated(const RepeatSpec& spec,
 ///   {"schema": "sarbp.bench.v1", "bench": ..., "host": ...,
 ///    "warmup": N, "repeat": N,
 ///    "results": [{"name": ..., "params": {...}, "unit": ...,
-///                 "median": ..., "q1": ..., "q3": ..., "iqr": ...}, ...]}
-/// No-op when the spec carries no --json path.
+///                 "median": ..., "q1": ..., "q3": ..., "iqr": ...,
+///                 "counts": {"hits": [6, 7, 6], ...}}, ...]}
+/// where "counts", present when a row has tallies, holds one value per
+/// measured run of each. No-op when the spec carries no --json path.
 class JsonReporter {
  public:
   JsonReporter(std::string bench_name, RepeatSpec spec)
@@ -188,10 +190,16 @@ class JsonReporter {
   JsonReporter(const JsonReporter&) = delete;
   JsonReporter& operator=(const JsonReporter&) = delete;
 
+  /// Per-run tallies of a row: a name and one value per measured run.
+  using Counts =
+      std::vector<std::pair<std::string, std::vector<std::size_t>>>;
+
   void add(const std::string& name,
            std::vector<std::pair<std::string, std::string>> params,
-           const std::string& unit, const SampleStats& stats) {
-    rows_.push_back(Row{name, std::move(params), unit, stats});
+           const std::string& unit, const SampleStats& stats,
+           Counts counts = {}) {
+    rows_.push_back(
+        Row{name, std::move(params), unit, stats, std::move(counts)});
   }
 
   /// Writes the document (idempotent; implied by the destructor).
@@ -228,6 +236,21 @@ class JsonReporter {
         out += "\": ";
         append_json_number(out, v);
       }
+      if (!row.counts.empty()) {
+        out += ", \"counts\": {";
+        for (std::size_t j = 0; j < row.counts.size(); ++j) {
+          if (j > 0) out += ", ";
+          append_json_string(out, row.counts[j].first);
+          out += ": [";
+          const auto& values = row.counts[j].second;
+          for (std::size_t k = 0; k < values.size(); ++k) {
+            if (k > 0) out += ", ";
+            out += std::to_string(values[k]);
+          }
+          out += "]";
+        }
+        out += "}";
+      }
       out += "}";
     }
     out += "\n  ]\n}\n";
@@ -248,6 +271,7 @@ class JsonReporter {
     std::vector<std::pair<std::string, std::string>> params;
     std::string unit;
     SampleStats stats;
+    Counts counts;
   };
 
   std::string bench_name_;

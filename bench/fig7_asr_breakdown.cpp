@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(block), static_cast<long long>(block),
               asr.total_s, backprojections / asr.total_s / 1e6);
   bench::print_rule();
-  std::printf("  %-28s %8.3f s  %5.1f %%\n", "table precompute (A..Gamma)",
+  std::printf("  %-28s %8.3f s  %5.1f %%\n", "table precompute (A..Psi)",
               asr.precompute_s, 100.0 * asr.precompute_s / asr.total_s);
   std::printf("  %-28s %8.3f s  %5.1f %%\n", "strength-reduced inner loop",
               asr.inner_s, 100.0 * asr.inner_s / asr.total_s);
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
                 bp::asr_simd_width(), simd_s,
                 backprojections / simd_s / 1e6);
     bench::print_rule();
-    std::printf("  %-28s %8.3f s  %5.1f %%\n", "table precompute (A..Gamma)",
+    std::printf("  %-28s %8.3f s  %5.1f %%\n", "table precompute (A..Psi)",
                 simd.precompute_s, 100.0 * simd.precompute_s / simd_s);
     std::printf("  %-28s %8.3f s  %5.1f %%\n", "strength-reduced inner loop",
                 simd.inner_s, 100.0 * simd.inner_s / simd_s);

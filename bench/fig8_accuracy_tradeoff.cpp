@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
           scenario.history.wavenumber(), block, block);
       std::snprintf(predicted, sizeof(predicted), ">%.0f", floor_db);
     }
-    std::printf("%-30s %10.1f %12.4f %13.2fx %12s\n", row.label.c_str(),
+    std::printf("%-30s %10.2f %12.4f %13.2fx %12s\n", row.label.c_str(),
                 row.snr_db, row.seconds, base_time / row.seconds, predicted);
   }
   std::printf(

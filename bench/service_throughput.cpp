@@ -11,9 +11,10 @@
 //                       --warmup 1 --repeat 3 --json out.json
 //                       --metrics-out m.json]
 //
-// --warmup/--repeat rerun each (workers, cache) replay and report the
+// --warmup/--repeat rerun each (workers, cache) replay and print the
 // median-throughput run; --json emits a sarbp.bench.v1 record per
-// configuration (median + IQR of jobs/s over the repeats).
+// configuration: median + IQR of jobs/s, and the plan-cache hits, kept
+// misses and unkept misses of every measured run.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -94,13 +95,22 @@ int main(int argc, char** argv) {
         return run.throughput_jobs_per_s;
       };
       const bench::SampleStats sampled = bench::run_repeated(spec, sample);
+      bench::JsonReporter::Counts counts = {{"hits", {}}, {"kept", {}},
+                                            {"unkept", {}}};
+      for (std::size_t i = static_cast<std::size_t>(spec.warmup);
+           i < runs.size(); ++i) {
+        counts[0].second.push_back(runs[i].plan_hits);
+        counts[1].second.push_back(runs[i].plan_misses -
+                                   runs[i].plan_unkept_misses);
+        counts[2].second.push_back(runs[i].plan_unkept_misses);
+      }
       json.add("replay",
                {{"workers", std::to_string(workers)},
                 {"cache", cache_on ? "on" : "off"},
                 {"steal", steal ? "on" : "off"},
                 {"scenes", std::to_string(scenes)},
                 {"repeats", std::to_string(repeats)}},
-               "jobs_per_s", sampled);
+               "jobs_per_s", sampled, std::move(counts));
       // The run whose throughput is closest to the median of the measured
       // samples (warmup runs were also pushed; skip them).
       const service::ReplayStats* best = &runs.back();

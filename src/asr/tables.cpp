@@ -16,14 +16,17 @@ std::complex<double> unit_phase(double phase) {
   return {std::cos(reduced), std::sin(reduced)};
 }
 
-/// Seeds of exp(i*(c0 + c1*j + c2*j^2)). W = exp(2i*c2) is exactly 1 when
-/// c2 is zero (Gamma's linear phase), so no sincos is spent on it.
+/// Seeds of exp(i*(c0 + c1*j + c2*j^2)). U = exp(i*c0) and W = exp(2i*c2)
+/// are exactly 1 when c0 and c2 are zero (Omega, a linear phase from 0), so
+/// no sincos is spent on them.
 PhaseSeeds phase_seeds(double c0, double c1, double c2) {
   PhaseSeeds s;
-  const std::complex<double> u = unit_phase(c0);
+  if (c0 != 0.0) {
+    const std::complex<double> u = unit_phase(c0);
+    s.u_re = u.real();
+    s.u_im = u.imag();
+  }
   const std::complex<double> v = unit_phase(c1 + c2);  // phase(1) - phase(0)
-  s.u_re = u.real();
-  s.u_im = u.imag();
   s.v_re = v.real();
   s.v_im = v.imag();
   if (c2 != 0.0) {
@@ -99,16 +102,16 @@ BlockTables::BlockTables(float* storage, Index w, Index h)
   bin_a = take(w);
   phi_re = take(w);
   phi_im = take(w);
+  omega_re = take(w);
+  omega_im = take(w);
   bin_b = take(h);
   bin_c = take(h);
   psi_re = take(h);
   psi_im = take(h);
-  gam_re = take(h);
-  gam_im = take(h);
 }
 
 std::size_t BlockTables::footprint_floats(Index w, Index h) {
-  return 3 * padded(w) + 6 * padded(h);
+  return 5 * padded(w) + 4 * padded(h);
 }
 
 void build_block_tables(const Quadratic2D& q, double start_range,
@@ -123,16 +126,22 @@ void build_block_tables(const Quadratic2D& q, double start_range,
   const double m0 = -0.5 * static_cast<double>(height - 1);
 
   for (Index l = 0; l < width; ++l) {
+    const auto i = static_cast<std::size_t>(l);
     const double lc = static_cast<double>(l) + l0;
     const double range_l = q.f0 + q.ax * lc + q.bx * lc * lc;
-    tables.bin_a[static_cast<std::size_t>(l)] =
-        static_cast<float>((range_l - start_range) * inv_dr);
-    // Phi[l] carries the enormous constant phase 2*pi*k*f0; reduce in
+    tables.bin_a[i] = static_cast<float>((range_l - start_range) * inv_dr);
+    // Phi'[l] carries the enormous constant phase 2*pi*k*f0; reduce in
     // double *before* the trig evaluation — this is the step the baseline
     // pays for on every pixel and ASR pays for only once per block column.
-    const double phase = signal::reduce_to_pi(two_pi_k * range_l);
-    tables.phi_re[static_cast<std::size_t>(l)] = static_cast<float>(std::cos(phase));
-    tables.phi_im[static_cast<std::size_t>(l)] = static_cast<float>(std::sin(phase));
+    // It also carries the cross term's row-0 part, c_xy*m0*l.
+    const double cross = q.cxy * static_cast<double>(l);
+    const double phase =
+        signal::reduce_to_pi(two_pi_k * (range_l + cross * m0));
+    tables.phi_re[i] = static_cast<float>(std::cos(phase));
+    tables.phi_im[i] = static_cast<float>(std::sin(phase));
+    const double omega_phase = signal::reduce_to_pi(two_pi_k * cross);
+    tables.omega_re[i] = static_cast<float>(std::cos(omega_phase));
+    tables.omega_im[i] = static_cast<float>(std::sin(omega_phase));
   }
 
   for (Index m = 0; m < height; ++m) {
@@ -145,9 +154,6 @@ void build_block_tables(const Quadratic2D& q, double start_range,
     const double psi_phase = signal::reduce_to_pi(two_pi_k * range_m);
     tables.psi_re[static_cast<std::size_t>(m)] = static_cast<float>(std::cos(psi_phase));
     tables.psi_im[static_cast<std::size_t>(m)] = static_cast<float>(std::sin(psi_phase));
-    const double gam_phase = signal::reduce_to_pi(two_pi_k * cross);
-    tables.gam_re[static_cast<std::size_t>(m)] = static_cast<float>(std::cos(gam_phase));
-    tables.gam_im[static_cast<std::size_t>(m)] = static_cast<float>(std::sin(gam_phase));
   }
 }
 
@@ -163,22 +169,24 @@ TableSeeds table_seeds(const Quadratic2D& q, double start_range,
 
   // --- l axis: range_l(j) = f0 + ax*(j+l0) + bx*(j+l0)^2, j = 0..width-1.
   // bin_a is the second-order additive recurrence of the §3.2
-  // pre-computation.
+  // pre-computation. Phi' adds the cross term's row-0 part cxy*m0*j to
+  // Phi's linear phase; Omega is the cross term's column step cxy*j.
   const double l_const = q.f0 + q.ax * l0 + q.bx * l0 * l0;
   const double l_lin = q.ax + 2.0 * q.bx * l0;
   s.bin_a = {(l_const - start_range) * inv_dr, (l_lin + q.bx) * inv_dr,
              2.0 * q.bx * inv_dr};
-  s.phi = phase_seeds(two_pi_k * l_const, two_pi_k * l_lin, two_pi_k * q.bx);
+  s.phi = phase_seeds(two_pi_k * l_const, two_pi_k * (l_lin + q.cxy * m0),
+                      two_pi_k * q.bx);
+  s.omega = phase_seeds(0.0, two_pi_k * q.cxy, 0.0);
 
   // --- m axis: range_m(j) = a'*(j+m0) + by*(j+m0)^2 with the cross term's
-  // l-offset folded in (a' = ay + cxy*l0), plus the linear Gamma phase.
+  // l-offset folded in (a' = ay + cxy*l0).
   const double a_eff = q.ay + q.cxy * l0;
   const double m_const = a_eff * m0 + q.by * m0 * m0;
   const double m_lin = a_eff + 2.0 * q.by * m0;
   s.bin_b = {m_const * inv_dr, (m_lin + q.by) * inv_dr, 2.0 * q.by * inv_dr};
   s.bin_c = {q.cxy * m0 * inv_dr, q.cxy * inv_dr, 0.0};
   s.psi = phase_seeds(two_pi_k * m_const, two_pi_k * m_lin, two_pi_k * q.by);
-  s.gam = phase_seeds(two_pi_k * q.cxy * m0, two_pi_k * q.cxy, 0.0);
   return s;
 }
 
@@ -187,10 +195,11 @@ void expand_table_seeds(const TableSeeds& s, BlockTables& tables) {
          "expand_table_seeds: tables must view the seeds' extents");
   ramp_table(s.bin_a, s.width, tables.bin_a.data());
   phase_table(s.phi, s.width, tables.phi_re.data(), tables.phi_im.data());
+  phase_table(s.omega, s.width, tables.omega_re.data(),
+              tables.omega_im.data());
   ramp_table(s.bin_b, s.height, tables.bin_b.data());
   ramp_table(s.bin_c, s.height, tables.bin_c.data());
   phase_table(s.psi, s.height, tables.psi_re.data(), tables.psi_im.data());
-  phase_table(s.gam, s.height, tables.gam_re.data(), tables.gam_im.data());
 }
 
 void build_block_tables_fast(const Quadratic2D& q, double start_range,

@@ -5,12 +5,17 @@
 // math functions collapse to table reads plus a recurrence:
 //
 //   bin(l, m) = A[l] + B[m] + l * C[m]                       (pure FMA)
-//   arg(l, m) = Phi[l] * Psi[m] * gamma,   gamma *= Gamma[m] (complex muls)
+//   arg(l, m) = chi(l, m) * Psi[m],  chi(l, 0) = Phi'[l],
+//               chi(l, m + 1) = chi(l, m) * Omega[l]        (complex muls)
 //
-// with l, m the 0-based indices inside the block. The centred-expansion
+// with l, m the 0-based indices inside the block. The paper's row chain
+// gamma *= Gamma[m] carries the cross term c_xy*l*m along l; since
+// Gamma[m]^l = Gamma[0]^l * Omega[l]^m with Omega[l] = exp(i*2*pi*k*c_xy*l),
+// Phi' = Phi * Gamma[0]^l absorbs the first factor and each pixel's column
+// chain steps by Omega[l] from row to row. The centred-expansion
 // bookkeeping (paper footnote 4) is folded into the tables themselves:
-// A/Phi absorb the block-centre offset along l, B/Psi absorb it along m and
-// the cross-term's l-offset contribution.
+// A/Phi' absorb the block-centre offset along l, B/Psi absorb it along m
+// and the cross-term's l-offset contribution.
 //
 // The tables are *computed in double* — including the mod-2*pi reduction of
 // the huge 2*pi*k*f0 constant phase — and *stored in float*, which is what
@@ -47,9 +52,9 @@ struct BlockTables {
   std::span<float> bin_b;  ///< [M]
   std::span<float> bin_c;  ///< [M]
 
-  std::span<float> phi_re, phi_im;  ///< [L]
-  std::span<float> psi_re, psi_im;  ///< [M]
-  std::span<float> gam_re, gam_im;  ///< [M] step factor Gamma[m]
+  std::span<float> phi_re, phi_im;      ///< [L] Phi'[l], chi's row-0 value
+  std::span<float> omega_re, omega_im;  ///< [L] chi's step factor Omega[l]
+  std::span<float> psi_re, psi_im;      ///< [M]
 
   BlockTables() = default;
   /// Views the w x h tables at `storage`: footprint_floats(w, h) floats,
@@ -77,8 +82,8 @@ struct RampSeeds {
   double curve = 0.0;
 };
 
-/// Seeds of one phase table U = exp(i*(c0 + c1*j + c2*j^2)) (Phi, Psi,
-/// Gamma), a two-level complex recurrence:
+/// Seeds of one phase table U = exp(i*(c0 + c1*j + c2*j^2)) (Phi', Omega,
+/// Psi), a two-level complex recurrence:
 ///   U[0] = u,  U[j+1] = U[j]*V[j],  V[0] = v,  V[j+1] = V[j]*w,
 /// with u = exp(i*c0), v = exp(i*(c1 + c2)), w = exp(2i*c2).
 struct PhaseSeeds {
@@ -96,7 +101,7 @@ struct TableSeeds {
   Index width = 0;   ///< L
   Index height = 0;  ///< M
   RampSeeds bin_a, bin_b, bin_c;
-  PhaseSeeds phi, psi, gam;
+  PhaseSeeds phi, omega, psi;
 };
 
 /// A phase table renormalizes U and V after entry j when
@@ -122,14 +127,15 @@ inline constexpr Index kRenormMask = 63;
 void expand_table_seeds(const TableSeeds& seeds, BlockTables& tables);
 
 /// Fast table construction (paper §4.4: "it is important to also vectorize
-/// the pre-computation step"): the phases of Phi/Psi/Gamma are quadratic
+/// the pre-computation step"): the phases of Phi'/Omega/Psi are quadratic
 /// (or linear) in the index, so each table follows a two-level complex
 /// recurrence — U[l+1] = U[l]*V[l], V[l+1] = V[l]*W — seeded by at most
-/// three exact complex exponentials per axis (Gamma's W is exactly 1). All
-/// per-entry sin/cos calls disappear; the double-precision recurrence
-/// (renormalized every 64 steps) holds the error at the float-storage floor
-/// for any practical block size. table_seeds + expand_table_seeds; produces
-/// tables interchangeable with build_block_tables.
+/// three exact complex exponentials per table (Omega's U and W are exactly
+/// 1). All per-entry sin/cos calls disappear; the double-precision
+/// recurrence (renormalized every 64 steps) holds the error at the
+/// float-storage floor for any practical block size. table_seeds +
+/// expand_table_seeds; produces tables interchangeable with
+/// build_block_tables.
 void build_block_tables_fast(const Quadratic2D& q, double start_range,
                              double bin_spacing, double two_pi_k, Index width,
                              Index height, BlockTables& tables);

@@ -75,13 +75,13 @@ asr::Quadratic2D block_range_quadratic(const geometry::Vec3& centre,
 }
 
 /// One (block, pulse) pass of the portable row sweep: the vector rows'
-/// operations (kernel_asr_rows.h, rows_impl) one pixel at a time, C =
-/// detail::kGammaChains.
+/// operations (kernel_asr_rows.h, strip_impl) one pixel at a time, each
+/// column down every row.
 ///
-///   for each m: chain[k] = Gamma[m]^k, k < C
-///     for each l:
+///   for each l: chi = Phi'[l]
+///     for each m:
 ///       bin = A[l] + B[m] + l*C[m]
-///       arg = Phi[l] * Psi[m] * chain[l mod C];  chain[l mod C] *= Gamma[m]^C
+///       arg = chi * Psi[m];  chi *= Omega[l]
 ///       Out[l, m] += arg * interp(in, bin)
 ///
 /// Row m of the accumulator starts at `acc + m * acc_pitch`, l contiguous,
@@ -97,47 +97,27 @@ asr::Quadratic2D block_range_quadratic(const geometry::Vec3& centre,
 void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
                        Index samples, float* acc_re, float* acc_im,
                        Index acc_pitch, Index len_l, Index len_m) {
-  constexpr std::size_t kChains = detail::kGammaChains;
   const auto last_bin = static_cast<float>(samples - 1);
-  for (Index m = 0; m < len_m; ++m) {
-    const auto i_m = static_cast<std::size_t>(m);
-    const float bin_b = tables.bin_b[i_m];
-    const float bin_c = tables.bin_c[i_m];
-    const float psi_r = tables.psi_re[i_m];
-    const float psi_i = tables.psi_im[i_m];
-    const float gam_r = tables.gam_re[i_m];
-    const float gam_i = tables.gam_im[i_m];
-    // Chain k starts at Gamma^k; the loop ends with the step, Gamma^C.
-    float g_r[kChains];
-    float g_i[kChains];
-    float step_r = 1.0f;
-    float step_i = 0.0f;
-    for (std::size_t k = 0; k < kChains; ++k) {
-      g_r[k] = step_r;
-      g_i[k] = step_i;
-      const float re = std::fma(step_r, gam_r, -(step_i * gam_i));
-      step_i = std::fma(step_r, gam_i, step_i * gam_r);
-      step_r = re;
-    }
-    float* row_re = acc_re + m * acc_pitch;
-    float* row_im = acc_im + m * acc_pitch;
-    for (Index l = 0; l < len_l; ++l) {
-      const auto i_l = static_cast<std::size_t>(l);
-      const float bin =
-          std::fma(static_cast<float>(l), bin_c, tables.bin_a[i_l] + bin_b);
-      // arg = Phi[l] * Psi[m] * gamma
-      float& gr = g_r[i_l % kChains];
-      float& gi = g_i[i_l % kChains];
-      const float phi_r = tables.phi_re[i_l];
-      const float phi_i = tables.phi_im[i_l];
-      const float t_r = std::fma(phi_r, gr, -(phi_i * gi));
-      const float t_i = std::fma(phi_r, gi, phi_i * gr);
-      const float a_r = std::fma(t_r, psi_r, -(t_i * psi_i));
-      const float a_i = std::fma(t_r, psi_i, t_i * psi_r);
-      // gamma *= Gamma^C
-      const float ng_r = std::fma(gr, step_r, -(gi * step_i));
-      gi = std::fma(gr, step_i, gi * step_r);
-      gr = ng_r;
+  for (Index l = 0; l < len_l; ++l) {
+    const auto i_l = static_cast<std::size_t>(l);
+    const float bin_a = tables.bin_a[i_l];
+    const float omega_r = tables.omega_re[i_l];
+    const float omega_i = tables.omega_im[i_l];
+    float chi_r = tables.phi_re[i_l];
+    float chi_i = tables.phi_im[i_l];
+    for (Index m = 0; m < len_m; ++m) {
+      const auto i_m = static_cast<std::size_t>(m);
+      const float bin = std::fma(static_cast<float>(l), tables.bin_c[i_m],
+                                 bin_a + tables.bin_b[i_m]);
+      // arg = chi * Psi[m]
+      const float psi_r = tables.psi_re[i_m];
+      const float psi_i = tables.psi_im[i_m];
+      const float a_r = std::fma(chi_r, psi_r, -(chi_i * psi_i));
+      const float a_i = std::fma(chi_r, psi_i, chi_i * psi_r);
+      // chi *= Omega[l]
+      const float next_r = std::fma(chi_r, omega_r, -(chi_i * omega_i));
+      chi_i = std::fma(chi_r, omega_i, chi_i * omega_r);
+      chi_r = next_r;
       if (bin >= 0.0f && bin < last_bin) {
         const auto ibin = static_cast<Index>(bin);
         const float frac = bin - static_cast<float>(ibin);
@@ -145,8 +125,8 @@ void sweep_rows_scalar(const asr::BlockTables& tables, const CFloat* in,
         const CFloat v1 = in[ibin + 1];
         const float s_r = std::fma(frac, v1.real() - v0.real(), v0.real());
         const float s_i = std::fma(frac, v1.imag() - v0.imag(), v0.imag());
-        row_re[l] += std::fma(a_r, s_r, -(a_i * s_i));
-        row_im[l] += std::fma(a_r, s_i, a_i * s_r);
+        acc_re[m * acc_pitch + l] += std::fma(a_r, s_r, -(a_i * s_i));
+        acc_im[m * acc_pitch + l] += std::fma(a_r, s_i, a_i * s_r);
       }
     }
   }

@@ -1,5 +1,5 @@
-// The one ASR block sweep (paper Fig. 3(b)): build a block's A, B, C, Phi,
-// Psi, Gamma tables for a pulse, then sweep the block. Every ASR image in
+// The one ASR block sweep (paper Fig. 3(b)): build a block's A, B, C,
+// Phi', Omega, Psi tables for a pulse, then sweep the block. Every ASR image in
 // sarbp goes through here — the backproject_asr_{scalar,simd} kernels, the
 // service's plan replay (execute_plan, make_plan_replay_group, every
 // exec::TileBackend) and the streaming sessions — and every table comes

@@ -37,7 +37,7 @@ BaselineBreakdown measure_baseline_breakdown(const sim::PhaseHistory& history,
                                              Index pulse_end);
 
 struct AsrBreakdown {
-  double precompute_s = 0.0;  ///< per-block table construction (A..Gamma)
+  double precompute_s = 0.0;  ///< per-block table construction (A..Psi)
   double inner_s = 0.0;       ///< strength-reduced inner loop
   double total_s = 0.0;       ///< full ASR kernel wall time
 };

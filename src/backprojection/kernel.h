@@ -17,11 +17,12 @@
 //                  accuracy collapse quoted in §5.2.1 / Fig. 8.
 //  - asr_scalar:   approximate strength reduction (Fig. 3(b)), portable.
 //  - asr_simd:     ASR vectorized with AVX2/AVX-512 over the interleaved
-//                  (AoS) pulse data, 16 gamma chains per row stepped by
-//                  Gamma^16 (§4.4); samples by window loads where the
-//                  wavefront order keeps a vector's bins together, by
-//                  gathers elsewhere (KernelVariant). Its fused variants
-//                  give asr_scalar's bytes on every ISA.
+//                  (AoS) pulse data (§4.4), each pixel's phase chain
+//                  stepped down its column by Omega[l], a strip of columns
+//                  in registers; samples by one-bin broadcasts or window
+//                  loads where the wavefront order keeps a vector's bins
+//                  together, by gathers elsewhere (KernelVariant). Its
+//                  fused variants give asr_scalar's bytes on every ISA.
 //
 // Both ASR kernels are block loops over the one ASR block sweep
 // (asr_sweep.h). Float kernels write into a SoaTile covering exactly
@@ -96,8 +97,8 @@ const char* simd_isa_name(SimdIsa isa);
 /// kGather and kShuffleTranspose run the same FMA arithmetic in the same
 /// order and differ only in how they load In[bin], In[bin+1], so they
 /// agree byte for byte, on every ISA and with the portable sweep
-/// (AsrKernel{}): every ISA runs 16 gamma chains per row in one set of
-/// pinned forms (DESIGN.md §12, "Gamma seeds").
+/// (AsrKernel{}): every ISA steps each pixel's column chain in one set of
+/// pinned forms (DESIGN.md §12, "Column chains").
 ///  - kAuto: window loads. The default: every SIMD service backend,
 ///    streaming session, shard rank and backproject_asr_simd call runs it.
 ///    When every lane of a vector is in range and all lanes' bins lie in
@@ -117,8 +118,8 @@ const char* simd_isa_name(SimdIsa isa);
 ///  - kGatherNoFma: gathers with separate mul+add in place of fused
 ///    multiply-add, none fused by the compiler (the kernel TUs build with
 ///    -ffp-contract=off). Different rounding, so parity with kGather is at
-///    SNR level (>70 dB), not bitwise. The rows' gamma seeds are fused in
-///    every variant (DESIGN.md §12, "Gamma seeds").
+///    SNR level (>70 dB), not bitwise: its column chains step unfused
+///    too (DESIGN.md §12, "Column chains").
 enum class KernelVariant {
   kAuto,
   kGather,

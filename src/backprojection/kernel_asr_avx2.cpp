@@ -28,6 +28,9 @@ struct Avx2 {
   using D = __m256d;
   using H = __m128;
   static constexpr int kWidth = 8;
+  /// One vector per strip: its chi and Omega stay in registers down every
+  /// row; strips of 2 and 3 read no faster (EXPERIMENTS.md).
+  static constexpr int kStrip = 1;
   static constexpr int kTableLanes = 4;
 
   static F set1(float v) { return _mm256_set1_ps(v); }
@@ -62,10 +65,6 @@ struct Avx2 {
                       _CMP_LT_OQ));
   }
   static M both(M a, M b) { return _mm256_and_ps(a, b); }
-  static F seed_column(const float* p) {
-    return _mm256_i32gather_ps(
-        p, _mm256_setr_epi32(0, 8, 16, 24, 32, 40, 48, 56), 4);
-  }
 
   static D load(const double* p) { return _mm256_loadu_pd(p); }
   static D add(D a, D b) { return _mm256_add_pd(a, b); }

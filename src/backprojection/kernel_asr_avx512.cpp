@@ -40,6 +40,10 @@ struct Avx512 {
   using D = __m512d;
   using H = __m256;
   static constexpr int kWidth = 16;
+  /// Vectors per strip (kernel_asr_rows.h, strip_impl): their chi and
+  /// Omega stay in 16 of the 32 zmm registers down every row; strips of
+  /// 2, 3 and 5 read slower (EXPERIMENTS.md).
+  static constexpr int kStrip = 4;
   static constexpr int kTableLanes = 8;
 
   static F set1(float v) { return _mm512_set1_ps(v); }
@@ -70,12 +74,6 @@ struct Avx512 {
         _mm512_set1_ps(static_cast<float>(samples - 1)), _CMP_LT_OQ);
   }
   static M both(M a, M b) { return static_cast<M>(a & b); }
-  static F seed_column(const float* p) {
-    return _mm512_i32gather_ps(
-        _mm512_set_epi32(240, 224, 208, 192, 176, 160, 144, 128, 112, 96, 80,
-                         64, 48, 32, 16, 0),
-        p, 4);
-  }
 
   static D load(const double* p) { return _mm512_loadu_pd(p); }
   static D add(D a, D b) { return _mm512_add_pd(a, b); }

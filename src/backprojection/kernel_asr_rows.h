@@ -4,12 +4,13 @@
 // (8 f32 / 4 f64 lanes) and kernel_asr_avx512.cpp (16 / 8) each supply a V,
 // their sample loads and their AsrIsaOps table, and instantiate what is
 // here: the row sweep (rows_impl, lanes along l) and the table build. The
-// row sweep runs kGammaChains gamma chains per row at either width, so
-// both ISAs give the portable sweep's bytes (asr_sweep.cpp).
+// row sweep steps each pixel's column chain in the portable sweep's pinned
+// forms at either width, so both ISAs give its bytes (asr_sweep.cpp).
 //
 // A V, declared in its TU's anonymous namespace, provides:
-//  - F, I, M: the f32 vector, its i32 lanes and its lane mask; kWidth lanes,
-//    a divisor of kGammaChains;
+//  - F, I, M: the f32 vector, its i32 lanes and its lane mask; kWidth
+//    lanes, and kStrip, the vectors along l whose chains a strip keeps in
+//    registers down a block's rows;
 //  - set1, iota, add, sub, mul, fmadd, fmsub on F, and add(a, b, ok): a + b
 //    in the lanes of `ok`, a elsewhere;
 //  - first_lanes(n): the mask of lanes [0, n), 1 <= n <= kWidth;
@@ -18,7 +19,6 @@
 //  - truncate, to_float, and bin_ok(bin, samples): the lanes whose bin is
 //    in [0, samples - 1), two float compares, the portable sweep's check;
 //    both(a, b): the lanes live in both masks;
-//  - seed_column(p): p[0], p[kWidth], ..., one seed column of GammaSeeds;
 //  - D, kTableLanes: the f64 vector and its lanes; load(const double*),
 //    add, mul, fmadd, fmsub, div, sqrt on D; H, the f32 vector to_half(D)
 //    converts to;
@@ -65,160 +65,133 @@ F msub(F a, F b, F c) {
   }
 }
 
-/// f(std::integral_constant<int, h>{}) for h = 0, ..., N - 1, in order, so
-/// an array indexed by h keeps constant indices.
+/// f(std::integral_constant<int, k>{}) for k = 0, ..., N - 1, in order, so
+/// an array indexed by k keeps constant indices and stays in registers.
 template <int N, class Fn>
 void unrolled(Fn&& f) {
-  [&]<int... H>(std::integer_sequence<int, H...>) {
-    (f(std::integral_constant<int, H>{}), ...);
+  [&]<int... K>(std::integer_sequence<int, K...>) {
+    (f(std::integral_constant<int, K>{}), ...);
   }(std::make_integer_sequence<int, N>{});
 }
 
-/// Gamma seeds of one W-row group (paper §4.4), W = V::kWidth: chain k of
-/// row j starts at Gamma[m + j]^k and steps by Gamma[m + j]^C, C =
-/// kGammaChains. seed_re/seed_im hold power k of the group's rows at
-/// [W * k, W * k + W), so row j's chains [W * h, W * h + W) are the
-/// stride-W column at W * W * h + j, which one gather hands it.
-template <class V>
-struct GammaSeeds {
-  static constexpr int W = V::kWidth;
-  static constexpr int C = kGammaChains;
-  alignas(sizeof(typename V::F)) float seed_re[C * W];
-  alignas(sizeof(typename V::F)) float seed_im[C * W];
-  alignas(sizeof(typename V::F)) float step_re[W];
-  alignas(sizeof(typename V::F)) float step_im[W];
-
-  /// Seeds rows [m, m + W) of `t`: C steps from 1, one row per lane. Lanes
-  /// past len_m step by 0 and feed no row. Every step is re = fmsub(a.re,
-  /// b.re, a.im * b.im), im = fmadd(a.re, b.im, a.im * b.re), in every
-  /// variant: the images' bytes depend on this rounding
-  /// (KernelVariantTest.GammaSeedsKeepTheirRounding).
-  GammaSeeds(const asr::BlockTables& t, Index m, Index len_m) {
-    using F = typename V::F;
-    const auto live = V::first_lanes(std::min<Index>(len_m - m, W));
-    const F b_re = V::load(&t.gam_re[static_cast<std::size_t>(m)], live);
-    const F b_im = V::load(&t.gam_im[static_cast<std::size_t>(m)], live);
-    F a_re = V::set1(1.0f);
-    F a_im = V::set1(0.0f);
-    for (int k = 0; k < C; ++k) {
-      V::store(seed_re + W * k, a_re);
-      V::store(seed_im + W * k, a_im);
-      const F re = V::fmsub(a_re, b_re, V::mul(a_im, b_im));
-      a_im = V::fmadd(a_re, b_im, V::mul(a_im, b_re));
-      a_re = re;
+/// One strip of the row sweep: pixels [l0, l0 + N * W) of every row, W =
+/// V::kWidth, their column chains in registers (DESIGN.md §12, "Column
+/// chains"). Vector k holds chi = Phi'[l] * Omega[l]^m of its lanes' l at
+/// row m, Omega[l], its l and A[l], loaded once; a row then costs it three
+/// complex products: a = chi * Psi[m], Out += a * sample and chi *=
+/// Omega[l], each re = msub(x.re, y.re, x.im * y.im), im = madd(x.re,
+/// y.im, x.im * y.re). When kMasked, the last vector keeps the lanes of
+/// `live`: its masked lanes load no table entry, no sample and no
+/// accumulator element, and store nothing. A lane whose bin fails bin_ok
+/// adds nothing, so its pixel keeps its bits.
+template <class V, class SampleLoad, bool kFma, int N, bool kMasked>
+void strip_impl(const asr::BlockTables& t, const float* base, Index samples,
+                float* acc_re, float* acc_im, Index acc_pitch, Index l0,
+                Index len_m, typename V::M live) {
+  using F = typename V::F;
+  using M = typename V::M;
+  constexpr int W = V::kWidth;
+  // Vector k is the partial one: the last, when kMasked.
+  const auto partial = [](auto k) {
+    return kMasked && decltype(k)::value + 1 == N;
+  };
+  const auto load = [&](const float* p, auto k) {
+    if constexpr (partial(k)) {
+      return V::load(p, live);
+    } else {
+      return V::load(p);
     }
-    V::store(step_re, a_re);
-    V::store(step_im, a_im);
+  };
+  F chi_r[N];
+  F chi_i[N];
+  F omega_r[N];
+  F omega_i[N];
+  F lvec[N];
+  F bin_a[N];
+  unrolled<N>([&](auto k) {
+    const Index l = l0 + W * k;
+    const auto i = static_cast<std::size_t>(l);
+    chi_r[k] = load(&t.phi_re[i], k);
+    chi_i[k] = load(&t.phi_im[i], k);
+    omega_r[k] = load(&t.omega_re[i], k);
+    omega_i[k] = load(&t.omega_im[i], k);
+    lvec[k] = V::add(V::iota(), V::set1(static_cast<float>(l)));
+    bin_a[k] = load(&t.bin_a[i], k);
+  });
+  for (Index m = 0; m < len_m; ++m) {
+    const auto i_m = static_cast<std::size_t>(m);
+    const F psi_r = V::set1(t.psi_re[i_m]);
+    const F psi_i = V::set1(t.psi_im[i_m]);
+    const F bin_b = V::set1(t.bin_b[i_m]);
+    const F bin_c = V::set1(t.bin_c[i_m]);
+    float* row_re = acc_re + m * acc_pitch + l0;
+    float* row_im = acc_im + m * acc_pitch + l0;
+    unrolled<N>([&](auto k) {
+      const F bin = madd<V, kFma>(lvec[k], bin_c, V::add(bin_a[k], bin_b));
+      M ok = V::bin_ok(bin, samples);
+      if constexpr (partial(k)) ok = V::both(ok, live);
+      const auto ibin = V::truncate(bin);
+      const F frac = V::sub(bin, V::to_float(ibin));
+      F re0;
+      F im0;
+      F re1;
+      F im1;
+      SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
+      const F s_r = madd<V, kFma>(frac, V::sub(re1, re0), re0);
+      const F s_i = madd<V, kFma>(frac, V::sub(im1, im0), im0);
+      // a = chi * Psi[m]
+      const F a_r = msub<V, kFma>(chi_r[k], psi_r, V::mul(chi_i[k], psi_i));
+      const F a_i = madd<V, kFma>(chi_r[k], psi_i, V::mul(chi_i[k], psi_r));
+      // chi *= Omega[l]
+      const F next_r =
+          msub<V, kFma>(chi_r[k], omega_r[k], V::mul(chi_i[k], omega_i[k]));
+      chi_i[k] =
+          madd<V, kFma>(chi_r[k], omega_i[k], V::mul(chi_i[k], omega_r[k]));
+      chi_r[k] = next_r;
+      // Out += a * sample, in the lanes whose bin interpolates
+      const F c_r = msub<V, kFma>(a_r, s_r, V::mul(a_i, s_i));
+      const F c_i = madd<V, kFma>(a_r, s_i, V::mul(a_i, s_r));
+      float* at_re = row_re + W * k;
+      float* at_im = row_im + W * k;
+      const F out_r = V::add(load(at_re, k), c_r, ok);
+      const F out_i = V::add(load(at_im, k), c_i, ok);
+      if constexpr (partial(k)) {
+        V::store(at_re, out_r, live);
+        V::store(at_im, out_i, live);
+      } else {
+        V::store(at_re, out_r);
+        V::store(at_im, out_i);
+      }
+    });
   }
-};
+}
 
-/// The row sweep over prebuilt tables reading AoS samples. SampleLoad
-/// supplies the interpolation operands; kFma selects fused vs split
-/// multiply-add throughout the vector body (bin recurrence, interpolation,
-/// complex products). A row runs in steps of kGammaChains pixels, each
-/// kGammaChains / W vectors ("halves") wide, half h on its own gamma
-/// vector. Full vectors run unmasked; the row's tail steps the halves in
-/// order, its last partial vector under a lane mask: masked lanes load no
-/// table entry, no sample and no accumulator element, and store nothing. A
-/// lane whose bin fails bin_ok adds nothing, so its pixel keeps its bits.
+/// The row sweep over prebuilt tables reading AoS samples: strips of
+/// V::kStrip full vectors along l, then the rest one vector per strip, the
+/// last partial one masked. SampleLoad supplies the interpolation
+/// operands; kFma selects fused vs split multiply-add throughout the
+/// vector body (bin, interpolation, complex products).
 template <class V, class SampleLoad, bool kFma>
 void rows_impl(const asr::BlockTables& t, const float* base, Index samples,
                float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
                Index len_m) {
-  using F = typename V::F;
-  using M = typename V::M;
   constexpr int W = V::kWidth;
-  constexpr int kHalves = kGammaChains / W;
-  static_assert(kHalves * W == kGammaChains);
-  for (Index group = 0; group < len_m; group += W) {
-    const GammaSeeds<V> seeds(t, group, len_m);
-    const Index rows = std::min<Index>(len_m - group, W);
-    for (Index j = 0; j < rows; ++j) {
-      const Index m = group + j;
-      const auto i_m = static_cast<std::size_t>(m);
-      F g_r[kHalves];
-      F g_i[kHalves];
-      unrolled<kHalves>([&](auto h) {
-        g_r[h] = V::seed_column(seeds.seed_re + W * W * h + j);
-        g_i[h] = V::seed_column(seeds.seed_im + W * W * h + j);
-      });
-      const F step_r = V::set1(seeds.step_re[j]);
-      const F step_i = V::set1(seeds.step_im[j]);
-      const F psi_r = V::set1(t.psi_re[i_m]);
-      const F psi_i = V::set1(t.psi_im[i_m]);
-      const F bin_b = V::set1(t.bin_b[i_m]);
-      const F bin_c = V::set1(t.bin_c[i_m]);
-      float* row_re = acc_re + m * acc_pitch;
-      float* row_im = acc_im + m * acc_pitch;
-      // Pixels [l, l + W) of the row on half h's chains; a `masked` step
-      // keeps the lanes of `live`, the ones below len_l.
-      const auto step = [&](Index l, auto h, auto masked, M live) {
-        const auto load = [&](const float* p) {
-          if constexpr (decltype(masked)::value) {
-            return V::load(p, live);
-          } else {
-            return V::load(p);
-          }
-        };
-        const auto i_l = static_cast<std::size_t>(l);
-        const F lvec = V::add(V::iota(), V::set1(static_cast<float>(l)));
-        const F bin =
-            madd<V, kFma>(lvec, bin_c, V::add(load(&t.bin_a[i_l]), bin_b));
-        M ok = V::bin_ok(bin, samples);
-        if constexpr (decltype(masked)::value) ok = V::both(ok, live);
-        const auto ibin = V::truncate(bin);
-        const F frac = V::sub(bin, V::to_float(ibin));
-        F re0;
-        F im0;
-        F re1;
-        F im1;
-        SampleLoad::load(base, ibin, ok, samples, re0, im0, re1, im1);
-        const F s_r = madd<V, kFma>(frac, V::sub(re1, re0), re0);
-        const F s_i = madd<V, kFma>(frac, V::sub(im1, im0), im0);
-        const F phi_r = load(&t.phi_re[i_l]);
-        const F phi_i = load(&t.phi_im[i_l]);
-        // arg = Phi * Psi * gamma (two complex multiplies)
-        const F t_r = msub<V, kFma>(phi_r, g_r[h], V::mul(phi_i, g_i[h]));
-        const F t_i = madd<V, kFma>(phi_r, g_i[h], V::mul(phi_i, g_r[h]));
-        const F a_r = msub<V, kFma>(t_r, psi_r, V::mul(t_i, psi_i));
-        const F a_i = madd<V, kFma>(t_r, psi_i, V::mul(t_i, psi_r));
-        // gamma *= Gamma^kGammaChains
-        const F ng_r = msub<V, kFma>(g_r[h], step_r, V::mul(g_i[h], step_i));
-        g_i[h] = madd<V, kFma>(g_r[h], step_i, V::mul(g_i[h], step_r));
-        g_r[h] = ng_r;
-        // Out += arg * sample, in the lanes whose bin interpolates
-        const F c_r = msub<V, kFma>(a_r, s_r, V::mul(a_i, s_i));
-        const F c_i = madd<V, kFma>(a_r, s_i, V::mul(a_i, s_r));
-        const F out_r = V::add(load(row_re + l), c_r, ok);
-        const F out_i = V::add(load(row_im + l), c_i, ok);
-        if constexpr (decltype(masked)::value) {
-          V::store(row_re + l, out_r, live);
-          V::store(row_im + l, out_i, live);
-        } else {
-          V::store(row_re + l, out_r);
-          V::store(row_im + l, out_i);
-        }
-      };
-      Index l = 0;
-      for (; l + kGammaChains <= len_l; l += kGammaChains) {
-        unrolled<kHalves>(
-            [&](auto h) { step(l + W * h, h, std::false_type{}, M{}); });
-      }
-      // The tail, under kGammaChains pixels: the halves in order while
-      // pixels remain. Only the last of them is partial: one masked step.
-      unrolled<kHalves>([&](auto h) {
-        const Index at = l + W * h;
-        if (at >= len_l) return;
-        if constexpr (decltype(h)::value + 1 < kHalves) {
-          if (at + W <= len_l) {
-            step(at, h, std::false_type{}, M{});
-            return;
-          }
-        }
-        step(at, h, std::true_type{}, V::first_lanes(len_l - at));
-      });
-    }
+  constexpr int K = V::kStrip;
+  const auto strip = [&](Index l, auto n, auto masked, typename V::M live) {
+    strip_impl<V, SampleLoad, kFma, decltype(n)::value,
+               decltype(masked)::value>(t, base, samples, acc_re, acc_im,
+                                        acc_pitch, l, len_m, live);
+  };
+  using One = std::integral_constant<int, 1>;
+  Index l = 0;
+  for (; l + K * W <= len_l; l += K * W) {
+    strip(l, std::integral_constant<int, K>{}, std::false_type{},
+          typename V::M{});
   }
+  for (; l + W <= len_l; l += W) {
+    strip(l, One{}, std::false_type{}, typename V::M{});
+  }
+  if (l < len_l) strip(l, One{}, std::true_type{}, V::first_lanes(len_l - l));
 }
 
 /// AsrIsaOps::rows_aos: each KernelVariant's sample load over the one row
@@ -375,12 +348,12 @@ void build_tables(const Seeds* seeds, Tables* const* out, int count) {
   ramp_lanes(lanes, &Seeds::bin_a, &Seeds::width, &Tables::bin_a);
   phase_lanes(lanes, &Seeds::phi, &Seeds::width, &Tables::phi_re,
               &Tables::phi_im);
+  phase_lanes(lanes, &Seeds::omega, &Seeds::width, &Tables::omega_re,
+              &Tables::omega_im);
   ramp_lanes(lanes, &Seeds::bin_b, &Seeds::height, &Tables::bin_b);
   ramp_lanes(lanes, &Seeds::bin_c, &Seeds::height, &Tables::bin_c);
   phase_lanes(lanes, &Seeds::psi, &Seeds::height, &Tables::psi_re,
               &Tables::psi_im);
-  phase_lanes(lanes, &Seeds::gam, &Seeds::height, &Tables::gam_re,
-              &Tables::gam_im);
 }
 
 }  // namespace sarbp::bp::detail

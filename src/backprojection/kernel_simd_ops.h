@@ -21,14 +21,6 @@ namespace sarbp::bp::detail {
 /// lanes).
 inline constexpr int kMaxTableLanes = 8;
 
-/// Gamma chains per row in every ASR row kernel, whatever its lane count:
-/// pixel l of a row takes chain l mod kGammaChains, which starts at
-/// Gamma^k and steps by Gamma^kGammaChains (paper §4.4 at AVX-512's
-/// width). AVX-512 runs the chains in one vector, AVX2 in two 8-lane
-/// halves and the portable sweep one pixel at a time, so all three give
-/// one image's bytes (DESIGN.md §12, "Gamma seeds").
-inline constexpr int kGammaChains = 16;
-
 /// One ISA's row kernels and table build. `acc_re`/`acc_im` are planar
 /// accumulation buffers whose row m starts at `acc + m * acc_pitch`
 /// (pitch = len_l for the y_inner run workspace, = tile width for in-place

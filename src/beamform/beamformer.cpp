@@ -129,13 +129,21 @@ Grid2D<CFloat> beamform_asr(const Transducer& transducer,
       asr::build_block_tables_fast(q, /*start_range=*/0.0, dr, two_pi_k,
                               spec.width, spec.height, tables);
 
+      // The paper's row chain: pixel l of row m carries Phi'[l] *
+      // Omega[l]^m = Phi'[l] * gamma^l with gamma = Omega[1]^m, so each row
+      // steps g by gamma along l from 1, and gamma steps by Omega[1] from
+      // row to row. A scalar loop along rows keeps this state in
+      // registers, where column chains would keep one per column in memory.
+      const bool wide = spec.width > 1;
+      const float omega_r = wide ? tables.omega_re[1] : 1.0f;
+      const float omega_i = wide ? tables.omega_im[1] : 0.0f;
+      float gam_r = 1.0f;
+      float gam_i = 0.0f;
       for (Index m = 0; m < spec.height; ++m) {
         const float bin_b = tables.bin_b[static_cast<std::size_t>(m)];
         const float bin_c = tables.bin_c[static_cast<std::size_t>(m)];
         const float psi_r = tables.psi_re[static_cast<std::size_t>(m)];
         const float psi_i = tables.psi_im[static_cast<std::size_t>(m)];
-        const float gam_r = tables.gam_re[static_cast<std::size_t>(m)];
-        const float gam_i = tables.gam_im[static_cast<std::size_t>(m)];
         float g_r = 1.0f;
         float g_i = 0.0f;
         auto row = out.row(spec.y0 + m);
@@ -162,6 +170,9 @@ Grid2D<CFloat> beamform_asr(const Transducer& transducer,
             pixel += CFloat(a_r * s_r - a_i * s_i, a_r * s_i + a_i * s_r);
           }
         }
+        const float next_r = gam_r * omega_r - gam_i * omega_i;
+        gam_i = gam_r * omega_i + gam_i * omega_r;
+        gam_r = next_r;
       }
     }
   }

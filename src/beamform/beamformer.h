@@ -2,7 +2,7 @@
 // approximate-strength-reduction form, which reuses the SAR ASR machinery
 // unchanged — the path function z + sqrt((x - x_e)^2 + z^2) is the SAR
 // range function plus a linear term, so the per-block quadratic tables
-// (A, B, C, Phi, Psi, Gamma) apply verbatim. Paper §7 reports 5x from this
+// (A, B, C, Phi', Omega, Psi) apply verbatim. Paper §7 reports 5x from this
 // transformation on their beamformer.
 #pragma once
 

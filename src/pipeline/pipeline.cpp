@@ -1,5 +1,7 @@
 #include "pipeline/pipeline.h"
 
+#include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -59,16 +61,25 @@ std::optional<FrameResult> SurveillancePipeline::pop_result() {
 void SurveillancePipeline::close_input() { pulse_queue_.close(); }
 
 SectionTimes SurveillancePipeline::cumulative_stage_times() const {
+  static_assert(std::size(kStageNames) == kStages);
   SectionTimes totals;
-  for (const char* name : kStageNames) {
-    const double secs =
-        metrics_->histogram(std::string("pipeline.stage.") + name).sum();
-    if (secs > 0.0) totals.add(name, secs);
+  for (std::size_t i = 0; i < kStages; ++i) {
+    // order: relaxed — a read after the drain is ordered after every add
+    // by the queues' locks; a read before it may see any partial sum.
+    const double secs = stage_sums_[i].load(std::memory_order_relaxed);
+    if (secs > 0.0) totals.add(kStageNames[i], secs);
   }
   return totals;
 }
 
 void SurveillancePipeline::record_stage(const char* name, double seconds) {
+  for (std::size_t i = 0; i < kStages; ++i) {
+    if (std::strcmp(kStageNames[i], name) == 0) {
+      // order: relaxed — a sum with one writer, its stage's thread; no
+      // other state is published through it.
+      stage_sums_[i].fetch_add(seconds, std::memory_order_relaxed);
+    }
+  }
   metrics_->histogram(std::string("pipeline.stage.") + name).record(seconds);
 }
 

@@ -10,7 +10,10 @@
 // frame is registered against it before change detection.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <optional>
@@ -77,10 +80,10 @@ class SurveillancePipeline {
   /// Signals end of the pulse stream.
   void close_input();
 
-  /// Wall-clock totals per stage, accumulated across all frames — read
-  /// back from the "pipeline.stage.*" histograms of the configured metrics
-  /// registry (so a shared/global registry accumulates across pipeline
-  /// instances). Safe to read after the pipeline has drained.
+  /// Wall-clock totals per stage, accumulated across all frames of this
+  /// pipeline. Kept here, not read back from the "pipeline.stage.*"
+  /// histograms, so they hold under -DSARBP_OBS=OFF too. Safe to read
+  /// after the pipeline has drained.
   [[nodiscard]] SectionTimes cumulative_stage_times() const;
 
   /// The registry this pipeline records into.
@@ -99,6 +102,11 @@ class SurveillancePipeline {
   void backprojection_stage();
   void post_processing_stage();
   void record_stage(const char* name, double seconds);
+
+  /// Stages of kStageNames (pipeline.cpp), whose totals stage_sums_ keeps;
+  /// each stage's total is added to by its stage thread only.
+  static constexpr std::size_t kStages = 5;
+  std::array<std::atomic<double>, kStages> stage_sums_{};
 
   geometry::ImageGrid grid_;
   PipelineConfig config_;

@@ -190,7 +190,7 @@ TEST(Tables, BinTableMatchesQuadraticDirectly) {
 }
 
 TEST(Tables, TrigTablesReconstructPhase) {
-  // Phi[l] * Psi[m] * Gamma[m]^l must equal exp(i*2*pi*k*q(lc, mc)).
+  // Phi'[l] * Omega[l]^m * Psi[m] must equal exp(i*2*pi*k*q(lc, mc)).
   const geometry::Vec3 radar{12000, -2000, 7000};
   const geometry::Vec3 centre{-80, 120, 0};
   const Quadratic2D q = range_quadratic(centre, radar, 1.0, 1.0);
@@ -201,24 +201,22 @@ TEST(Tables, TrigTablesReconstructPhase) {
   build_block_tables(q, q.f0 - 100.0, 0.5, two_pi_k, L, M, t);
   const double l0 = -0.5 * static_cast<double>(L - 1);
   const double m0 = -0.5 * static_cast<double>(M - 1);
-  for (Index m = 0; m < M; ++m) {
-    // gamma recurrence along l.
-    double g_r = 1.0, g_i = 0.0;
-    for (Index l = 0; l < L; ++l) {
-      const auto li = static_cast<std::size_t>(l);
+  for (Index l = 0; l < L; ++l) {
+    // chi recurrence along m.
+    const auto li = static_cast<std::size_t>(l);
+    double chi_r = t.phi_re[li], chi_i = t.phi_im[li];
+    for (Index m = 0; m < M; ++m) {
       const auto mi = static_cast<std::size_t>(m);
-      const double t_r = t.phi_re[li] * g_r - t.phi_im[li] * g_i;
-      const double t_i = t.phi_re[li] * g_i + t.phi_im[li] * g_r;
-      const double a_r = t_r * t.psi_re[mi] - t_i * t.psi_im[mi];
-      const double a_i = t_r * t.psi_im[mi] + t_i * t.psi_re[mi];
+      const double a_r = chi_r * t.psi_re[mi] - chi_i * t.psi_im[mi];
+      const double a_i = chi_r * t.psi_im[mi] + chi_i * t.psi_re[mi];
       const double phase =
           two_pi_k * q.eval(static_cast<double>(l) + l0,
                             static_cast<double>(m) + m0);
       EXPECT_NEAR(a_r, std::cos(phase), 5e-5) << l << "," << m;
       EXPECT_NEAR(a_i, std::sin(phase), 5e-5) << l << "," << m;
-      const double ng_r = g_r * t.gam_re[mi] - g_i * t.gam_im[mi];
-      g_i = g_r * t.gam_im[mi] + g_i * t.gam_re[mi];
-      g_r = ng_r;
+      const double next_r = chi_r * t.omega_re[li] - chi_i * t.omega_im[li];
+      chi_i = chi_r * t.omega_im[li] + chi_i * t.omega_re[li];
+      chi_r = next_r;
     }
   }
 }
@@ -250,6 +248,8 @@ TEST(Tables, FastBuilderMatchesReference) {
       ASSERT_NEAR(fast.bin_a[li], ref.bin_a[li], 2e-3) << trial << " l=" << l;
       ASSERT_NEAR(fast.phi_re[li], ref.phi_re[li], 1e-5) << trial << " l=" << l;
       ASSERT_NEAR(fast.phi_im[li], ref.phi_im[li], 1e-5) << trial << " l=" << l;
+      ASSERT_NEAR(fast.omega_re[li], ref.omega_re[li], 1e-5) << trial;
+      ASSERT_NEAR(fast.omega_im[li], ref.omega_im[li], 1e-5) << trial;
     }
     for (Index m = 0; m < M; ++m) {
       const auto mi = static_cast<std::size_t>(m);
@@ -257,8 +257,6 @@ TEST(Tables, FastBuilderMatchesReference) {
       ASSERT_NEAR(fast.bin_c[mi], ref.bin_c[mi], 1e-5) << trial << " m=" << m;
       ASSERT_NEAR(fast.psi_re[mi], ref.psi_re[mi], 1e-5) << trial;
       ASSERT_NEAR(fast.psi_im[mi], ref.psi_im[mi], 1e-5) << trial;
-      ASSERT_NEAR(fast.gam_re[mi], ref.gam_re[mi], 1e-5) << trial;
-      ASSERT_NEAR(fast.gam_im[mi], ref.gam_im[mi], 1e-5) << trial;
     }
   }
 }
@@ -280,6 +278,8 @@ TEST(Tables, FastBuilderStableOverLongBlocks) {
     const auto li = static_cast<std::size_t>(l);
     worst = std::max(worst, std::abs(fast.phi_re[li] - ref.phi_re[li]));
     worst = std::max(worst, std::abs(fast.phi_im[li] - ref.phi_im[li]));
+    worst = std::max(worst, std::abs(fast.omega_re[li] - ref.omega_re[li]));
+    worst = std::max(worst, std::abs(fast.omega_im[li] - ref.omega_im[li]));
   }
   EXPECT_LT(worst, 2e-5f);
   // Magnitudes stay on the unit circle.
@@ -300,9 +300,9 @@ void expect_layout(const BlockTables& t, Index w, Index h) {
   EXPECT_EQ(t.width, w);
   EXPECT_EQ(t.height, h);
   const std::pair<std::span<float>, std::size_t> arrays[] = {
-      {t.bin_a, lw},  {t.phi_re, lw}, {t.phi_im, lw},
-      {t.bin_b, lh},  {t.bin_c, lh},  {t.psi_re, lh},
-      {t.psi_im, lh}, {t.gam_re, lh}, {t.gam_im, lh}};
+      {t.bin_a, lw},    {t.phi_re, lw},   {t.phi_im, lw},
+      {t.omega_re, lw}, {t.omega_im, lw}, {t.bin_b, lh},
+      {t.bin_c, lh},    {t.psi_re, lh},   {t.psi_im, lh}};
   for (const auto& [array, length] : arrays) {
     EXPECT_EQ(array.size(), length) << w << "x" << h;
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(array.data()) % kSimdAlign, 0u)
@@ -331,10 +331,10 @@ TEST(Tables, ViewsPadEveryArrayToWholeLines) {
     next += BlockTables::footprint_floats(w, h);
   }
   for (std::size_t i = 0; i + 1 < views.size(); ++i) {
-    EXPECT_LE(views[i].gam_im.data() + views[i].gam_im.size(),
+    EXPECT_LE(views[i].psi_im.data() + views[i].psi_im.size(),
               views[i + 1].bin_a.data());
   }
-  EXPECT_LE(views.back().gam_im.data() + views.back().gam_im.size(),
+  EXPECT_LE(views.back().psi_im.data() + views.back().psi_im.size(),
             storage.data() + storage.size());
 
   // A copy views the same floats; a build through it is seen by both.
@@ -349,8 +349,10 @@ TEST(Tables, ViewsPadEveryArrayToWholeLines) {
   EXPECT_EQ(copy.phi_re.data(), views[1].phi_re.data());
   EXPECT_TRUE(std::equal(copy.phi_re.begin(), copy.phi_re.end(),
                          owned.view.phi_re.begin()));
-  EXPECT_TRUE(std::equal(copy.gam_im.begin(), copy.gam_im.end(),
-                         owned.view.gam_im.begin()));
+  EXPECT_TRUE(std::equal(copy.omega_im.begin(), copy.omega_im.end(),
+                         owned.view.omega_im.begin()));
+  EXPECT_TRUE(std::equal(copy.psi_im.begin(), copy.psi_im.end(),
+                         owned.view.psi_im.begin()));
 
   // A build into a view of other extents is refused.
   EXPECT_THROW(build_block_tables_fast(q, q.f0 - 100.0, 0.42, kTwoPi * 64.0,

@@ -5,16 +5,17 @@
 // Parity contract (kernel.h):
 //  - kAuto (one-bin broadcasts, window loads), kGather and
 //    kShuffleTranspose on every ISA, and the portable scalar sweep:
-//    bit-identical (16 gamma chains per row, the same pinned arithmetic in
-//    the same order; only the load mechanism and the lane count differ).
+//    bit-identical (one column chain per pixel, the same pinned arithmetic
+//    in the same order; only the load mechanism, the lane count and the
+//    strip width differ).
 //  - kGatherNoFma: different rounding, so parity is at SNR level (> 70 dB).
 //  - forcing an unavailable ISA fails with PreconditionError, never SIGILL.
 //  - the vector table build (one table per f64 lane) writes the scalar
 //    build's bytes on every ISA.
-//  - the rows' gamma seeds, in every ISA and variant and in the scalar
-//    sweep, match a reference written here byte for byte; so do the later
-//    gamma steps, fused in the fused variants and the scalar sweep, mul then
-//    sub/add in kGatherNoFma.
+//  - every pixel's column chain, in every ISA and variant and in the
+//    scalar sweep, matches a reference written here byte for byte: fused in
+//    the fused variants and the scalar sweep, mul then sub/add in
+//    kGatherNoFma.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -404,8 +405,8 @@ TEST_F(KernelVariantTest, NoFmaMatchesGatherAtSnrLevel) {
 
 TEST_F(KernelVariantTest, ForcedAvx2OnWiderHostMatchesAuto) {
   // The narrow-TU-on-wide-host case: an AVX-512 machine forced down to the
-  // 8-lane AVX2 kernel runs the same 16 gamma chains per row in two halves,
-  // so it gives the 16-lane kernel's bytes.
+  // 8-lane AVX2 kernel steps the same column chains in the same forms, so
+  // it gives the 16-lane kernel's bytes.
   if (bp::asr_resolve_isa(bp::SimdIsa::kAuto) != bp::SimdIsa::kAvx512) {
     GTEST_SKIP() << "host is not AVX-512";
   }
@@ -459,22 +460,21 @@ CFloat unfused_step(CFloat a, CFloat b) {
           product(a.real(), b.imag()) + product(a.imag(), b.real())};
 }
 
-TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
-  // Tables under which every output pixel is the kernel's gamma: bin 0.5 on
-  // samples of 1 + 0i (an interpolated 1), Phi = Psi = 1, and a random unit
-  // Gamma[m]. Every kernel runs 16 gamma chains per row, whatever its lane
-  // count: in row m, pixel l takes chain l mod 16, which starts k pinned
-  // steps from 1 in every kernel and steps by Gamma^16, the 16th of those
-  // steps, after each pixel it serves: pinned in the fused variants and the
-  // scalar sweep, mul then sub/add in kGatherNoFma (its TU is compiled with
-  // -ffp-contract=off). The reference is written here, so a seed or a step
-  // off by one ulp fails, which the gather/shuffle comparison cannot see.
-  // Row lengths 8, 9, 24 and 25 end in AVX2's first or second half.
-  constexpr Index kChains = 16;
+TEST_F(KernelVariantTest, ColumnChainsKeepTheirRounding) {
+  // Tables under which every output pixel is the kernel's arg = chi(l, m) *
+  // Psi[m]: bin 0.5 on samples of 1 + 0i (an interpolated 1), and random
+  // unit Phi'[l], Omega[l] and Psi[m]. Every kernel starts pixel l's chain
+  // at Phi'[l] and steps it by Omega[l] from row to row, whatever its lane
+  // count and strip width: pinned in the fused variants and the scalar
+  // sweep, mul then sub/add in kGatherNoFma (its TU is compiled with
+  // -ffp-contract=off). The reference is written here, so a step off by
+  // one ulp fails, which the cross-kernel byte tests cannot see. Columns
+  // run past 64 rows, so the chains are long; row lengths end inside,
+  // at and past a vector (8 or 16 lanes) and a strip (16 or 64 pixels).
   sim::PhaseHistory ones(1, 16, 1.0, 1.0);
   for (CFloat& v : ones.pulse(0)) v = CFloat{1.0f, 0.0f};
-  const Index lens_m[] = {1, 7, 8, 9, 15, 16, 17, 33, 64};
-  const Index lens_l[] = {1, 5, 8, 9, 16, 17, 24, 25, 64};
+  const Index lens_m[] = {1, 2, 17, 65, 130};
+  const Index lens_l[] = {1, 5, 8, 9, 16, 17, 24, 33, 63, 64, 65, 80, 129};
   std::vector<bp::AsrKernel> kernels = {bp::AsrKernel{}};
   for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
     if (!bp::asr_isa_available(isa)) continue;
@@ -486,13 +486,18 @@ TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
     }
   }
   Rng rng(2012);
+  const auto unit = [&] {
+    const double a = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    return std::pair{static_cast<float>(std::cos(a)),
+                     static_cast<float>(std::sin(a))};
+  };
   for (const bp::AsrKernel& kernel : kernels) {
     const bool scalar = kernel.isa == bp::SimdIsa::kScalar;
     const std::string name =
         scalar ? std::string("scalar")
                : std::string(bp::simd_isa_name(kernel.isa)) + "/" +
                      bp::kernel_variant_name(kernel.variant);
-    const auto later_step =
+    const auto step =
         !scalar && kernel.variant == bp::KernelVariant::kGatherNoFma
             ? unfused_step
             : pinned_step;
@@ -508,37 +513,29 @@ TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
           for (Index l = 0; l < len_l; ++l) {
             const auto i = static_cast<std::size_t>(l);
             tables.bin_a[i] = 0.5f;
-            tables.phi_re[i] = 1.0f;
-            tables.phi_im[i] = 0.0f;
+            std::tie(tables.phi_re[i], tables.phi_im[i]) = unit();
+            std::tie(tables.omega_re[i], tables.omega_im[i]) = unit();
           }
           for (Index m = 0; m < len_m; ++m) {
             const auto i = static_cast<std::size_t>(m);
-            const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
             tables.bin_b[i] = 0.0f;
             tables.bin_c[i] = 0.0f;
-            tables.psi_re[i] = 1.0f;
-            tables.psi_im[i] = 0.0f;
-            tables.gam_re[i] = static_cast<float>(std::cos(angle));
-            tables.gam_im[i] = static_cast<float>(std::sin(angle));
+            std::tie(tables.psi_re[i], tables.psi_im[i]) = unit();
           }
           const asr::BlockSpec block{0, 0, x_inner ? len_l : len_m,
                                      x_inner ? len_m : len_l};
           bp::SoaTile tile(block.width, block.height);
           bp::sweep_asr_block(block, 0, 0, bp::PlanTables{&tables, &order},
                               bp::PulseRange{&ones, 0, 1}, kernel, tile);
-          for (Index m = 0; m < len_m; ++m) {
-            const auto i = static_cast<std::size_t>(m);
-            const CFloat gamma{tables.gam_re[i], tables.gam_im[i]};
-            std::vector<CFloat> seed{CFloat{1.0f, 0.0f}};
-            for (Index k = 0; k < kChains; ++k) {
-              seed.push_back(pinned_step(seed.back(), gamma));
-            }
-            const CFloat step = seed.back();
-            for (Index l = 0; l < len_l; ++l) {
-              CFloat want = seed[static_cast<std::size_t>(l % kChains)];
-              for (Index v = 0; v < l / kChains; ++v) {
-                want = later_step(want, step);
-              }
+          for (Index l = 0; l < len_l; ++l) {
+            const auto i_l = static_cast<std::size_t>(l);
+            const CFloat omega{tables.omega_re[i_l], tables.omega_im[i_l]};
+            CFloat chi{tables.phi_re[i_l], tables.phi_im[i_l]};
+            for (Index m = 0; m < len_m; ++m) {
+              const auto i_m = static_cast<std::size_t>(m);
+              const CFloat want =
+                  step(chi, CFloat{tables.psi_re[i_m], tables.psi_im[i_m]});
+              chi = step(chi, omega);
               const Index x = x_inner ? l : m;
               const Index y = x_inner ? m : l;
               const float got[] = {tile.row_re(y)[x], tile.row_im(y)[x]};
@@ -556,13 +553,13 @@ TEST_F(KernelVariantTest, GammaSeedsKeepTheirRounding) {
 }
 
 TEST_F(KernelVariantTest, VectorIsasMatchScalarBytes) {
-  // Every ISA runs the scalar sweep's 16 gamma chains per row in its pinned
-  // forms, accumulates y_inner runs through the same workspace, and adds
+  // Every ISA steps the scalar sweep's column chains in its pinned forms,
+  // accumulates y_inner runs through the same workspace, and adds
   // nothing where a bin fails the range check, so kAuto, kGather and
   // kShuffleTranspose must give AsrKernel{}'s bytes on every ISA. On-the-fly
   // cases: the scenario under fixed x_inner, fixed y_inner and each pulse's
   // wavefront order; a copy whose order alternates every 8 pulses; and
-  // load_path_history's full circle (strong cross terms, so Gamma and the
+  // load_path_history's full circle (strong cross terms, so Omega and the
   // bin's l * C term round) and swath edges (lanes out of range, pixels
   // never reached). Each case's reference is the scalar sweep building its
   // own tables; the vector kernels replay the case's tables, built once
@@ -572,7 +569,8 @@ TEST_F(KernelVariantTest, VectorIsasMatchScalarBytes) {
   // tile starts at -0, so a lane that adds +0 where the scalar sweep adds
   // nothing shows. The blocks include thin ones, partial edge blocks and
   // rows W - 1, W and W + 1 wide for both lane counts; the row lengths
-  // reach the tails of both AVX2 halves.
+  // reach past a strip on AVX2 (16 pixels) and a 64-pixel block fills an
+  // AVX-512 one.
   const sim::PhaseHistory alternating = testing::alternate_loop_orders(
       scenario_->history, scenario_->grid.centre());
   const sim::PhaseHistory circle = load_path_history(400, -40.0);
@@ -822,13 +820,13 @@ TEST_F(KernelVariantTest, WindowSampleBranchesMatchScalarBytes) {
         const auto i = static_cast<std::size_t>(l);
         tables.bin_a[i] = c.bin(l, l % w);
         std::tie(tables.phi_re[i], tables.phi_im[i]) = unit();
+        std::tie(tables.omega_re[i], tables.omega_im[i]) = unit();
       }
       for (Index m = 0; m < kRows; ++m) {
         const auto i = static_cast<std::size_t>(m);
         tables.bin_b[i] = 0.0f;
         tables.bin_c[i] = 0.0f;
         std::tie(tables.psi_re[i], tables.psi_im[i]) = unit();
-        std::tie(tables.gam_re[i], tables.gam_im[i]) = unit();
       }
       const auto order = geometry::LoopOrder::kXInner;
       const auto sweep = [&](const bp::AsrKernel& kernel) {
@@ -865,9 +863,11 @@ TEST_F(KernelVariantTest, WindowSampleBranchesMatchScalarBytes) {
 bool same_table_bytes(const asr::BlockTables& a, const asr::BlockTables& b) {
   if (a.width != b.width || a.height != b.height) return false;
   const std::pair<std::span<float>, std::span<float>> arrays[] = {
-      {a.bin_a, b.bin_a},   {a.phi_re, b.phi_re}, {a.phi_im, b.phi_im},
-      {a.bin_b, b.bin_b},   {a.bin_c, b.bin_c},   {a.psi_re, b.psi_re},
-      {a.psi_im, b.psi_im}, {a.gam_re, b.gam_re}, {a.gam_im, b.gam_im}};
+      {a.bin_a, b.bin_a},       {a.phi_re, b.phi_re},
+      {a.phi_im, b.phi_im},     {a.omega_re, b.omega_re},
+      {a.omega_im, b.omega_im}, {a.bin_b, b.bin_b},
+      {a.bin_c, b.bin_c},       {a.psi_re, b.psi_re},
+      {a.psi_im, b.psi_im}};
   for (const auto& [x, y] : arrays) {
     if (x.size() != y.size() ||
         std::memcmp(x.data(), y.data(), x.size_bytes()) != 0) {

@@ -146,8 +146,8 @@ std::vector<std::uint32_t> tile_bits(const bp::SoaTile& tile) {
 
 /// The nine arrays of a table set, live entries only.
 std::vector<std::span<const float>> live_arrays(const asr::BlockTables& t) {
-  return {t.bin_a,  t.phi_re, t.phi_im, t.bin_b, t.bin_c,
-          t.psi_re, t.psi_im, t.gam_re, t.gam_im};
+  return {t.bin_a, t.phi_re, t.phi_im, t.omega_re, t.omega_im,
+          t.bin_b, t.bin_c,  t.psi_re, t.psi_im};
 }
 
 /// FNV-1a over every table's live entries, in table order.
