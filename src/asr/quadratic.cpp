@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace sarbp::asr {
 namespace {
 
@@ -30,22 +28,9 @@ ThirdPartials third_partials(double x, double y, double a2) {
 
 }  // namespace
 
-Quadratic2D range_quadratic(const geometry::Vec3& centre,
-                            const geometry::Vec3& radar, double dx,
-                            double dy) {
-  const geometry::Vec3 u = centre - radar;
-  const double f0 = u.norm();
-  ensure(f0 > 0.0, "range_quadratic: radar coincides with block centre");
-  const double f03 = f0 * f0 * f0;
-  Quadratic2D q;
-  q.f0 = f0;
-  q.ax = dx * u.x / f0;
-  q.ay = dy * u.y / f0;
-  q.bx = dx * dx / (2.0 * f0) - dx * dx * u.x * u.x / (2.0 * f03);
-  q.by = dy * dy / (2.0 * f0) - dy * dy * u.y * u.y / (2.0 * f03);
-  q.cxy = -dx * dy * u.x * u.y / f03;
-  return q;
-}
+// range_quadratic is defined in tables.cpp, beside the table seeds: both
+// instantiate asr/seed_lanes.h with the one scalar lane type, so its
+// rounding is the vector table build's.
 
 double exact_range(const geometry::Vec3& centre, const geometry::Vec3& radar,
                    double dx, double dy, double l, double m) {

@@ -38,6 +38,9 @@ struct Quadratic2D {
 ///   bx = dx^2/(2 f0) - dx^2 ux^2/(2 f0^3),   (paper §3.3)
 ///   by = dy^2/(2 f0) - dy^2 uy^2/(2 f0^3),
 ///   cxy = -dx*dy*ux*uy/f0^3.
+/// The operations and their rounding are pinned, nothing fused
+/// (asr/seed_lanes.h), so the vector table build repeats them lane for
+/// lane. Throws PreconditionError when the radar sits on the centre.
 Quadratic2D range_quadratic(const geometry::Vec3& centre,
                             const geometry::Vec3& radar, double dx, double dy);
 

@@ -4,37 +4,43 @@
 #include <complex>
 #include <cstdint>
 
+#include "asr/seed_lanes.h"
 #include "common/check.h"
 #include "signal/trig.h"
 
 namespace sarbp::asr {
 namespace {
 
-/// Unit complex number for a (large) phase, reduced in double.
-std::complex<double> unit_phase(double phase) {
-  const double reduced = signal::reduce_to_pi(phase);
-  return {std::cos(reduced), std::sin(reduced)};
+/// asr/seed_lanes.h's L in one double: the reference every vector lane
+/// repeats. This TU is compiled with -ffp-contract=off, so each operation
+/// rounds where it is written.
+struct Scalar {
+  using D = double;
+  using M = bool;
+  static D set1(double x) { return x; }
+  static D add(D a, D b) { return a + b; }
+  static D sub(D a, D b) { return a - b; }
+  static D mul(D a, D b) { return a * b; }
+  static D div(D a, D b) { return a / b; }
+  static D sqrt(D a) { return std::sqrt(a); }
+  static D neg(D a) { return -a; }
+  static D fmadd(D a, D b, D c) { return std::fma(a, b, c); }
+  static D fnmadd(D a, D b, D c) { return std::fma(-a, b, c); }
+  static D round(D a) { return std::nearbyint(a); }
+  static M gt(D a, D b) { return a > b; }
+  static M ge(D a, D b) { return a >= b; }
+  static M le(D a, D b) { return a <= b; }
+  static M eq(D a, D b) { return a == b; }
+  static M either(M a, M b) { return a || b; }
+  static D select(M m, D a, D b) { return m ? a : b; }
+};
+
+RampSeeds ramp_seeds(const lanes::Ramp<Scalar>& s) {
+  return {s.value, s.step, s.curve};
 }
 
-/// Seeds of exp(i*(c0 + c1*j + c2*j^2)). U = exp(i*c0) and W = exp(2i*c2)
-/// are exactly 1 when c0 and c2 are zero (Omega, a linear phase from 0), so
-/// no sincos is spent on them.
-PhaseSeeds phase_seeds(double c0, double c1, double c2) {
-  PhaseSeeds s;
-  if (c0 != 0.0) {
-    const std::complex<double> u = unit_phase(c0);
-    s.u_re = u.real();
-    s.u_im = u.imag();
-  }
-  const std::complex<double> v = unit_phase(c1 + c2);  // phase(1) - phase(0)
-  s.v_re = v.real();
-  s.v_im = v.imag();
-  if (c2 != 0.0) {
-    const std::complex<double> w = unit_phase(2.0 * c2);
-    s.w_re = w.real();
-    s.w_im = w.imag();
-  }
-  return s;
+PhaseSeeds phase_seeds(const lanes::Phase<Scalar>& s) {
+  return {s.u_re, s.u_im, s.v_re, s.v_im, s.w_re, s.w_im};
 }
 
 /// a *= b with the rounding pinned (expand_table_seeds).
@@ -157,37 +163,40 @@ void build_block_tables(const Quadratic2D& q, double start_range,
   }
 }
 
+Quadratic2D range_quadratic(const geometry::Vec3& centre,
+                            const geometry::Vec3& radar, double dx,
+                            double dy) {
+  const geometry::Vec3 u = centre - radar;
+  const lanes::Quadratic<Scalar> q =
+      lanes::range_quadratic<Scalar>(u.x, u.y, u.z, dx, dy);
+  ensure(q.f0 > 0.0, "range_quadratic: radar coincides with block centre");
+  return {q.f0, q.ax, q.ay, q.bx, q.by, q.cxy};
+}
+
+std::complex<double> unit_phase(double phase) {
+  double re = 0.0;
+  double im = 0.0;
+  lanes::unit_phase<Scalar>(phase, re, im);
+  return {re, im};
+}
+
 TableSeeds table_seeds(const Quadratic2D& q, double start_range,
                        double bin_spacing, double two_pi_k, Index width,
                        Index height) {
-  TableSeeds s;
-  s.width = width;
-  s.height = height;
-  const double inv_dr = 1.0 / bin_spacing;
-  const double l0 = -0.5 * static_cast<double>(width - 1);
-  const double m0 = -0.5 * static_cast<double>(height - 1);
-
-  // --- l axis: range_l(j) = f0 + ax*(j+l0) + bx*(j+l0)^2, j = 0..width-1.
-  // bin_a is the second-order additive recurrence of the §3.2
-  // pre-computation. Phi' adds the cross term's row-0 part cxy*m0*j to
-  // Phi's linear phase; Omega is the cross term's column step cxy*j.
-  const double l_const = q.f0 + q.ax * l0 + q.bx * l0 * l0;
-  const double l_lin = q.ax + 2.0 * q.bx * l0;
-  s.bin_a = {(l_const - start_range) * inv_dr, (l_lin + q.bx) * inv_dr,
-             2.0 * q.bx * inv_dr};
-  s.phi = phase_seeds(two_pi_k * l_const, two_pi_k * (l_lin + q.cxy * m0),
-                      two_pi_k * q.bx);
-  s.omega = phase_seeds(0.0, two_pi_k * q.cxy, 0.0);
-
-  // --- m axis: range_m(j) = a'*(j+m0) + by*(j+m0)^2 with the cross term's
-  // l-offset folded in (a' = ay + cxy*l0).
-  const double a_eff = q.ay + q.cxy * l0;
-  const double m_const = a_eff * m0 + q.by * m0 * m0;
-  const double m_lin = a_eff + 2.0 * q.by * m0;
-  s.bin_b = {m_const * inv_dr, (m_lin + q.by) * inv_dr, 2.0 * q.by * inv_dr};
-  s.bin_c = {q.cxy * m0 * inv_dr, q.cxy * inv_dr, 0.0};
-  s.psi = phase_seeds(two_pi_k * m_const, two_pi_k * m_lin, two_pi_k * q.by);
-  return s;
+  const lanes::Seeds<Scalar> s = lanes::table_seeds<Scalar>(
+      {q.f0, q.ax, q.ay, q.bx, q.by, q.cxy}, start_range, bin_spacing,
+      two_pi_k, -0.5 * static_cast<double>(width - 1),
+      -0.5 * static_cast<double>(height - 1));
+  TableSeeds seeds;
+  seeds.width = width;
+  seeds.height = height;
+  seeds.bin_a = ramp_seeds(s.bin_a);
+  seeds.bin_b = ramp_seeds(s.bin_b);
+  seeds.bin_c = ramp_seeds(s.bin_c);
+  seeds.phi = phase_seeds(s.phi);
+  seeds.omega = phase_seeds(s.omega);
+  seeds.psi = phase_seeds(s.psi);
+  return seeds;
 }
 
 void expand_table_seeds(const TableSeeds& s, BlockTables& tables) {

@@ -29,6 +29,7 @@
 // callers keep one buffer of footprint_floats per table.
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <span>
 
@@ -93,10 +94,10 @@ struct PhaseSeeds {
 };
 
 /// Every input of one table's recurrences: the extents and the seeds of
-/// its nine arrays. The seeds are the per-table scalar part of the build
-/// (the range quadratic's constants and the reduced-phase sincos); the
-/// recurrences that expand them are the part a vector build runs one table
-/// per lane.
+/// its nine arrays. The seeds are the per-table part of the build (the
+/// range quadratic's constants and seven pinned sincos, unit_phase); the
+/// recurrences expand them. A vector build runs both one table per lane
+/// (asr/seed_lanes.h, backprojection/kernel_asr_rows.h).
 struct TableSeeds {
   Index width = 0;   ///< L
   Index height = 0;  ///< M
@@ -108,7 +109,17 @@ struct TableSeeds {
 /// (j & kRenormMask) == kRenormMask and a later entry follows.
 inline constexpr Index kRenormMask = 63;
 
-/// The seeds of build_block_tables_fast (arguments as build_block_tables).
+/// exp(i*phase) by the table build's pinned sincos (asr/seed_lanes.h): a
+/// reduction mod 2*pi in one fma, two Cody–Waite fmas to [-pi/4, pi/4],
+/// degree-13/14 minimax kernels in explicit fma and the quadrant chosen by
+/// compares. Within 1 ulp of std::cos/std::sin of the reduced phase; every
+/// vector ISA's lanes give its bits, which glibc's vector sincos do not.
+[[nodiscard]] std::complex<double> unit_phase(double phase);
+
+/// The seeds of build_block_tables_fast (arguments as build_block_tables),
+/// in the operations asr/seed_lanes.h pins (lanes::table_seeds). The
+/// vector table build computes them in its lanes with the same template,
+/// so every ISA's tables are this function's bits.
 [[nodiscard]] TableSeeds table_seeds(const Quadratic2D& q,
                                      double start_range, double bin_spacing,
                                      double two_pi_k, Index width,

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <limits>
 #include <numbers>
@@ -315,39 +316,74 @@ void build_asr_tables(const geometry::ImageGrid& grid,
           0.5 * static_cast<double>(block.width - 1),
       static_cast<double>(block.y0) +
           0.5 * static_cast<double>(block.height - 1));
-  const auto seeds_of = [&](const TableSlot& slot) {
-    // Table extents under the slot's order: l is the inner image axis.
+  // Table extents under the slot's order: l is the inner image axis.
+  for (const TableSlot& slot : slots) {
     const bool x_inner = slot.order == geometry::LoopOrder::kXInner;
-    const sim::PhaseHistory& history = *slot.history;
-    const auto& meta = history.meta(slot.pulse);
-    const asr::TableSeeds seeds = asr::table_seeds(
-        block_range_quadratic(centre, meta.position, grid.spacing(),
-                              slot.order),
-        meta.start_range_m, history.bin_spacing(),
-        2.0 * std::numbers::pi * history.wavenumber(),
-        x_inner ? block.width : block.height,
-        x_inner ? block.height : block.width);
-    ensure(slot.out->width == seeds.width && slot.out->height == seeds.height,
+    ensure(slot.out->width == (x_inner ? block.width : block.height) &&
+               slot.out->height == (x_inner ? block.height : block.width),
            "build_asr_tables: a slot's tables must view its extents");
-    return seeds;
+  }
+  const auto two_pi_k = [](const sim::PhaseHistory& history) {
+    return 2.0 * std::numbers::pi * history.wavenumber();
   };
   if (ops == nullptr) {
     for (const TableSlot& slot : slots) {
-      asr::expand_table_seeds(seeds_of(slot), *slot.out);
+      const sim::PhaseHistory& history = *slot.history;
+      const auto& meta = history.meta(slot.pulse);
+      asr::expand_table_seeds(
+          asr::table_seeds(block_range_quadratic(centre, meta.position,
+                                                 grid.spacing(), slot.order),
+                           meta.start_range_m, history.bin_spacing(),
+                           two_pi_k(history), slot.out->width,
+                           slot.out->height),
+          *slot.out);
     }
     return;
   }
+  detail::TableGroup group{};
+  group.centre_x = centre.x;
+  group.centre_y = centre.y;
+  group.centre_z = centre.z;
+  group.spacing = grid.spacing();
+  group.width = block.width;
+  group.height = block.height;
   const auto lanes = static_cast<std::size_t>(ops->table_lanes);
-  asr::TableSeeds seeds[detail::kMaxTableLanes];
-  asr::BlockTables* out[detail::kMaxTableLanes];
   for (std::size_t first = 0; first < slots.size(); first += lanes) {
     const std::size_t count = std::min(lanes, slots.size() - first);
-    for (std::size_t i = 0; i < count; ++i) {
-      const TableSlot& slot = slots[first + i];
-      seeds[i] = seeds_of(slot);
-      out[i] = slot.out;
+    group.count = static_cast<int>(count);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      const TableSlot& slot = slots[first + (i < count ? i : 0)];
+      const sim::PhaseHistory& history = *slot.history;
+      const auto& meta = history.meta(slot.pulse);
+      group.radar_x[i] = meta.position.x;
+      group.radar_y[i] = meta.position.y;
+      group.radar_z[i] = meta.position.z;
+      group.start_range[i] = meta.start_range_m;
+      group.bin_spacing[i] = history.bin_spacing();
+      group.two_pi_k[i] = two_pi_k(history);
+      group.x_inner[i] = slot.order == geometry::LoopOrder::kXInner ? 1.0 : 0.0;
+      group.out[i] = slot.out;
     }
-    ops->build_tables(seeds, out, static_cast<int>(count));
+    // The lanes refuse a radar on the block centre; the error is thrown
+    // here, outside the per-ISA TUs.
+    ensure(ops->build_tables(group) < 0,
+           "range_quadratic: radar coincides with block centre");
+  }
+}
+
+void unit_phases(std::span<const double> phase, std::span<double> re,
+                 std::span<double> im, SimdIsa isa) {
+  ensure(re.size() == phase.size() && im.size() == phase.size(),
+         "unit_phases: outputs must match the phases");
+  if (const detail::AsrIsaOps* ops = ops_for(asr_resolve_isa(isa))) {
+    ops->unit_phases(phase.data(), re.data(), im.data(),
+                     static_cast<Index>(phase.size()));
+    return;
+  }
+  for (std::size_t i = 0; i < phase.size(); ++i) {
+    const std::complex<double> u = asr::unit_phase(phase[i]);
+    re[i] = u.real();
+    im[i] = u.imag();
   }
 }
 

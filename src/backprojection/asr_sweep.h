@@ -3,7 +3,8 @@
 // sarbp goes through here — the backproject_asr_{scalar,simd} kernels, the
 // service's plan replay (execute_plan, make_plan_replay_group, every
 // exec::TileBackend) and the streaming sessions — and every table comes
-// from build_asr_tables.
+// from build_asr_tables, whose vector lanes compute each table's seeds and
+// expand them (kernel_asr_rows.h, asr/seed_lanes.h).
 //
 // sweep_asr_block sweeps one block over a sequence of pulses into a
 // SoaTile. Its inputs:
@@ -75,17 +76,27 @@ struct TableSlot {
 
 /// The one table build (paper Fig. 3(b) line 02, vectorized as §4.4 asks):
 /// for every slot, the range quadratic of `block` about its centre for the
-/// slot's pulse under its order, expanded into *slot.out. The seeds
-/// (asr::table_seeds) are scalar; the expansion runs `isa`'s f64 lanes,
-/// one table per lane, in lane groups of consecutive slots (kAuto: the
-/// widest usable ISA; kScalar: asr::expand_table_seeds one table at a
-/// time). Every ISA writes the scalar build's bytes, so the build's ISA
-/// never depends on the sweep kernel's. Slots may mix loop orders and
-/// histories.
+/// slot's pulse under its order, its seeds and their expansion into
+/// *slot.out. A vector ISA runs all three in its f64 lanes, one table set
+/// per lane, in lane groups of consecutive slots: the quadratic, the seeds
+/// and their sincos with the template asr::table_seeds is built from
+/// (asr/seed_lanes.h), the expansion in asr::expand_table_seeds's pinned
+/// forms (kAuto: the widest usable ISA; kScalar: asr::table_seeds and
+/// asr::expand_table_seeds one table at a time). Every ISA writes the
+/// scalar build's bytes, so the build's ISA never depends on the sweep
+/// kernel's. Slots may mix loop orders and histories. Throws
+/// PreconditionError, as asr::range_quadratic does, when a slot's radar
+/// sits on the block centre.
 void build_asr_tables(const geometry::ImageGrid& grid,
                       const asr::BlockSpec& block,
                       std::span<const TableSlot> slots,
                       SimdIsa isa = SimdIsa::kAuto);
+
+/// asr::unit_phase of each phase in `isa`'s f64 lanes, the table build's
+/// sincos, into re and im (each phase's size; kScalar: asr::unit_phase
+/// itself). Every ISA gives asr::unit_phase's bits; for the byte tests.
+void unit_phases(std::span<const double> phase, std::span<double> re,
+                 std::span<double> im, SimdIsa isa = SimdIsa::kAuto);
 
 /// Sweeps `block` over `pulses` with a plan's prebuilt tables. (tile_x0,
 /// tile_y0): image coordinates of the tile's (0, 0) pixel.

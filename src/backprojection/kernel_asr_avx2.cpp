@@ -1,6 +1,7 @@
 // AVX2 ASR row kernels and table build (paper §4.4, the Xeon-style 8-lane
-// path; the build expands 4 tables at once, one per f64 lane): the traits
-// and sample loads that instantiate kernel_asr_rows.h at this width. This
+// path; the build seeds and expands 4 table sets at once, one per f64
+// lane): the traits and sample loads that instantiate kernel_asr_rows.h and
+// asr/seed_lanes.h at this width. This
 // TU is compiled with -march=x86-64-v3 regardless of the build's baseline
 // -march — on an AVX-512 build host it still emits genuine 8-lane AVX2
 // code, which is what lets the parity tests force AVX2-on-an-AVX-512-host
@@ -25,13 +26,10 @@ struct Avx2 {
   using F = __m256;
   using I = __m256i;
   using M = __m256;
-  using D = __m256d;
-  using H = __m128;
   static constexpr int kWidth = 8;
   /// One vector per strip: its chi and Omega stay in registers down every
   /// row; strips of 2 and 3 read no faster (EXPERIMENTS.md).
   static constexpr int kStrip = 1;
-  static constexpr int kTableLanes = 4;
 
   static F set1(float v) { return _mm256_set1_ps(v); }
   static F iota() { return _mm256_set_ps(7, 6, 5, 4, 3, 2, 1, 0); }
@@ -65,18 +63,46 @@ struct Avx2 {
                       _CMP_LT_OQ));
   }
   static M both(M a, M b) { return _mm256_and_ps(a, b); }
+};
 
+/// kernel_asr_rows.h's T (and asr/seed_lanes.h's L) at 4 f64 lanes. A
+/// mask lane is live when all its bits are set.
+struct Avx2Table {
+  using D = __m256d;
+  using M = __m256d;
+  using H = __m128;
+  static constexpr int kLanes = 4;
+
+  static D set1(double x) { return _mm256_set1_pd(x); }
   static D load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, D v) { _mm256_storeu_pd(p, v); }
   static D add(D a, D b) { return _mm256_add_pd(a, b); }
+  static D sub(D a, D b) { return _mm256_sub_pd(a, b); }
   static D mul(D a, D b) { return _mm256_mul_pd(a, b); }
-  static D fmadd(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
-  static D fmsub(D a, D b, D c) { return _mm256_fmsub_pd(a, b, c); }
   static D div(D a, D b) { return _mm256_div_pd(a, b); }
   static D sqrt(D a) { return _mm256_sqrt_pd(a); }
+  static D neg(D a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
+  static D fmadd(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
+  static D fmsub(D a, D b, D c) { return _mm256_fmsub_pd(a, b, c); }
+  static D fnmadd(D a, D b, D c) { return _mm256_fnmadd_pd(a, b, c); }
+  static D round(D a) {
+    return _mm256_round_pd(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static M gt(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
+  static M ge(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
+  static M le(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+  static M eq(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
+  static M either(M a, M b) { return _mm256_or_pd(a, b); }
+  static D select(M m, D a, D b) { return _mm256_blendv_pd(b, a, m); }
+  static unsigned bits(M m) {
+    return static_cast<unsigned>(_mm256_movemask_pd(m));
+  }
+
   static H to_half(D v) { return _mm256_cvtpd_ps(v); }
   static void transpose(H (&rows)[4]) {
     _MM_TRANSPOSE4_PS(rows[0], rows[1], rows[2], rows[3]);
   }
+  static void store(float* p, H v) { _mm_storeu_ps(p, v); }
   static void store_first(float* p, H v, Index n) {
     const __m128i live =
         _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(n >= 4 ? 4 : n)),
@@ -196,9 +222,9 @@ struct ShuffleSamples {
 
 const AsrIsaOps& asr_isa_ops_avx2() {
   static constexpr AsrIsaOps ops{
-      Avx2::kTableLanes,
+      Avx2Table::kLanes,
       &rows_aos<Avx2, WindowSamples, GatherSamples, ShuffleSamples>,
-      &build_tables<Avx2>};
+      &build_tables<Avx2Table>, &unit_phases<Avx2Table>};
   return ops;
 }
 

@@ -1,6 +1,7 @@
 // AVX-512 ASR row kernels and table build (paper §4.4, the Phi-style
-// 16-lane path; the build expands 8 tables at once, one per f64 lane): the
-// traits and sample loads that instantiate kernel_asr_rows.h at this width.
+// 16-lane path; the build seeds and expands 8 table sets at once, one per
+// f64 lane): the traits and sample loads that instantiate
+// kernel_asr_rows.h and asr/seed_lanes.h at this width.
 // This TU is compiled with -march=x86-64-v4 regardless of the build's
 // baseline -march and is only ever entered through the dispatcher after a
 // runtime cpuid check (kernel_simd_ops.h). Everything lives in an
@@ -37,14 +38,11 @@ struct Avx512 {
   using F = __m512;
   using I = __m512i;
   using M = __mmask16;
-  using D = __m512d;
-  using H = __m256;
   static constexpr int kWidth = 16;
   /// Vectors per strip (kernel_asr_rows.h, strip_impl): their chi and
   /// Omega stay in 16 of the 32 zmm registers down every row; strips of
   /// 2, 3 and 5 read slower (EXPERIMENTS.md).
   static constexpr int kStrip = 4;
-  static constexpr int kTableLanes = 8;
 
   static F set1(float v) { return _mm512_set1_ps(v); }
   static F iota() {
@@ -74,14 +72,39 @@ struct Avx512 {
         _mm512_set1_ps(static_cast<float>(samples - 1)), _CMP_LT_OQ);
   }
   static M both(M a, M b) { return static_cast<M>(a & b); }
+};
 
+/// kernel_asr_rows.h's T (and asr/seed_lanes.h's L) at 8 f64 lanes.
+struct Avx512Table {
+  using D = __m512d;
+  using M = __mmask8;
+  using H = __m256;
+  static constexpr int kLanes = 8;
+
+  static D set1(double x) { return _mm512_set1_pd(x); }
   static D load(const double* p) { return _mm512_loadu_pd(p); }
+  static void store(double* p, D v) { _mm512_storeu_pd(p, v); }
   static D add(D a, D b) { return _mm512_add_pd(a, b); }
+  static D sub(D a, D b) { return _mm512_sub_pd(a, b); }
   static D mul(D a, D b) { return _mm512_mul_pd(a, b); }
-  static D fmadd(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
-  static D fmsub(D a, D b, D c) { return _mm512_fmsub_pd(a, b, c); }
   static D div(D a, D b) { return _mm512_div_pd(a, b); }
   static D sqrt(D a) { return _mm512_sqrt_pd(a); }
+  static D neg(D a) { return _mm512_xor_pd(a, _mm512_set1_pd(-0.0)); }
+  static D fmadd(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
+  static D fmsub(D a, D b, D c) { return _mm512_fmsub_pd(a, b, c); }
+  static D fnmadd(D a, D b, D c) { return _mm512_fnmadd_pd(a, b, c); }
+  static D round(D a) {
+    return _mm512_roundscale_pd(a, _MM_FROUND_TO_NEAREST_INT |
+                                       _MM_FROUND_NO_EXC);
+  }
+  static M gt(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ); }
+  static M ge(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ); }
+  static M le(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+  static M eq(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
+  static M either(M a, M b) { return static_cast<M>(a | b); }
+  static D select(M m, D a, D b) { return _mm512_mask_blend_pd(m, b, a); }
+  static unsigned bits(M m) { return m; }
+
   static H to_half(D v) { return _mm512_cvtpd_ps(v); }
   static void transpose(H (&rows)[8]) {
     const H t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
@@ -109,6 +132,7 @@ struct Avx512 {
     rows[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
     rows[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
   }
+  static void store(float* p, H v) { _mm256_storeu_ps(p, v); }
   static void store_first(float* p, H v, Index n) {
     const auto live = static_cast<__mmask8>(n >= 8 ? 0xFF : (1U << n) - 1U);
     _mm256_mask_storeu_ps(p, live, v);
@@ -236,9 +260,9 @@ struct ShuffleSamples {
 
 const AsrIsaOps& asr_isa_ops_avx512() {
   static constexpr AsrIsaOps ops{
-      Avx512::kTableLanes,
+      Avx512Table::kLanes,
       &rows_aos<Avx512, WindowSamples, GatherSamples, ShuffleSamples>,
-      &build_tables<Avx512>};
+      &build_tables<Avx512Table>, &unit_phases<Avx512Table>};
   return ops;
 }
 

@@ -1,11 +1,15 @@
 // The ASR row kernels and the lane-per-table build of both vector ISAs
-// (paper §4.4), written once as templates over a vector-traits type V. The
-// paper runs one vectorized inner loop at two widths; kernel_asr_avx2.cpp
-// (8 f32 / 4 f64 lanes) and kernel_asr_avx512.cpp (16 / 8) each supply a V,
-// their sample loads and their AsrIsaOps table, and instantiate what is
-// here: the row sweep (rows_impl, lanes along l) and the table build. The
-// row sweep steps each pixel's column chain in the portable sweep's pinned
-// forms at either width, so both ISAs give its bytes (asr_sweep.cpp).
+// (paper §4.4), written once as templates over traits types. The paper
+// runs one vectorized inner loop at two widths; kernel_asr_avx2.cpp (8 f32
+// / 4 f64 lanes) and kernel_asr_avx512.cpp (16 / 8) each supply a V (the
+// f32 row lanes), a T (the f64 table lanes), their sample loads and their
+// AsrIsaOps table, and instantiate what is here: the row sweep (rows_impl,
+// lanes along l) and the table build (build_tables, seeds and expansion
+// one table set per lane). The row sweep steps each pixel's column chain
+// in the portable sweep's pinned forms at either width, so both ISAs give
+// its bytes (asr_sweep.cpp); the table build computes asr::table_seeds's
+// seeds with its template (asr/seed_lanes.h) and expands them in
+// asr::expand_table_seeds's pinned forms, so both give its tables.
 //
 // A V, declared in its TU's anonymous namespace, provides:
 //  - F, I, M: the f32 vector, its i32 lanes and its lane mask; kWidth
@@ -18,26 +22,24 @@
 //    loads and stores, masked lanes untouched (a masked load reads 0);
 //  - truncate, to_float, and bin_ok(bin, samples): the lanes whose bin is
 //    in [0, samples - 1), two float compares, the portable sweep's check;
-//    both(a, b): the lanes live in both masks;
-//  - D, kTableLanes: the f64 vector and its lanes; load(const double*),
-//    add, mul, fmadd, fmsub, div, sqrt on D; H, the f32 vector to_half(D)
-//    converts to;
-//  - transpose(H (&rows)[kTableLanes]) and store_first(p, v, n), which
-//    stores lanes [0, min(n, kTableLanes)) of v, n >= 1.
+//    both(a, b): the lanes live in both masks.
+// A T is described with the table build below.
 //
-// Every V has internal linkage, so every instantiation does too: no code
-// compiled for one -march can be COMDAT-merged into the other TU (DESIGN.md
-// §12, "Per-ISA TUs and ODR"). So this header holds templates only, and no
-// intrinsic or vector type (the `isa-intrinsics` lint rule);
+// Every V and T has internal linkage, so every instantiation does too: no
+// code compiled for one -march can be COMDAT-merged into the other TU
+// (DESIGN.md §12, "Per-ISA TUs and ODR"). So this header holds templates
+// only, and no intrinsic or vector type (the `isa-intrinsics` lint rule);
 // tools/check_isa_linkage.py checks the objects' symbols.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <span>
 #include <type_traits>
 #include <utility>
 
+#include "asr/seed_lanes.h"
 #include "asr/tables.h"
 #include "backprojection/kernel.h"
 #include "backprojection/kernel_simd_ops.h"
@@ -221,139 +223,191 @@ void rows_aos(const asr::BlockTables& t, const CFloat* in, Index samples,
   }
 }
 
-// --- Table build: one table per f64 lane (paper §4.4's vectorized
-// pre-computation). Each lane runs asr::expand_table_seeds's recurrences
-// with the same operations in the same order, so its bytes equal the
-// scalar build's; the lanes' tables may differ in length.
+// --- Table build: one table set per f64 lane (paper §4.4's vectorized
+// pre-computation). Each lane computes its seeds with asr/seed_lanes.h's
+// templates, as asr::table_seeds does in one double, then runs
+// asr::expand_table_seeds's recurrences with the same operations in the
+// same order, so its bytes equal the scalar build's; the lanes' tables may
+// differ in length.
+//
+// A T, the TU's f64 lanes, is seed_lanes.h's L (D and its mask M) plus:
+// kLanes; fmsub(a, b, c) = a*b - c, rounded once; load(const double*) and
+// store(double*, D); bits(M), bit i set for lane i; H, the f32 vector
+// to_half(D) converts to; transpose(H (&rows)[kLanes]); store(float*, H),
+// a whole line of kLanes floats; and store_first(p, v, n), lanes [0,
+// min(n, kLanes)) of v, n >= 1.
 
-using Seeds = asr::TableSeeds;
 using Tables = asr::BlockTables;
-/// An array's length in every lane: &Seeds::width (L) or &Seeds::height.
-using Extent = Index Seeds::*;
+/// An array's length in every lane: &Tables::width (L) or &Tables::height.
+using Extent = Index Tables::*;
 using Array = std::span<float> Tables::*;
 
-/// One lane group: seeds[i] expands into *out[i], i < count.
-template <class V>
+/// One lane group's tables: *out[i] for lane i < count.
+template <class T>
 struct TableLanes {
-  const Seeds* seeds;
   Tables* const* out;
   int count;
 
-  /// Lane i's seeds[i].*field.*part; idle lanes repeat lane 0.
-  template <class Part>
-  [[nodiscard]] typename V::D load(Part Seeds::*field,
-                                   double Part::*part) const {
-    double v[V::kTableLanes];
-    for (int i = 0; i < V::kTableLanes; ++i) {
-      v[i] = seeds[i < count ? i : 0].*field.*part;
-    }
-    return V::load(v);
-  }
-
+  /// Entries the recurrences run: the longest lane's.
   [[nodiscard]] Index longest(Extent extent) const {
     Index n = 0;
-    for (int i = 0; i < count; ++i) {
-      if (seeds[i].*extent > n) n = seeds[i].*extent;
-    }
+    for (int i = 0; i < count; ++i) n = std::max(n, out[i]->*extent);
+    return n;
+  }
+
+  /// Entries below which every lane's line is whole: the shortest lane's
+  /// when every lane is live, else 0.
+  [[nodiscard]] Index whole(Extent extent) const {
+    if (count < T::kLanes) return 0;
+    Index n = out[0]->*extent;
+    for (int i = 1; i < count; ++i) n = std::min(n, out[i]->*extent);
     return n;
   }
 };
 
-/// Stores entries [j, j + N) of `array` in every lane, N = V::kTableLanes:
+/// Stores entries [j, j + N) of `array` in every lane, N = T::kLanes:
 /// rows[k] holds entry j + k of every lane and becomes lane k's N entries
-/// (an N x N transpose); a lane writes only its entries below its extent.
-template <class V>
-void store_lanes(typename V::H (&rows)[V::kTableLanes],
-                 const TableLanes<V>& lanes, Extent extent, Array array,
-                 Index j) {
-  V::transpose(rows);
+/// (an N x N transpose). Below `whole` (TableLanes::whole) each lane
+/// stores its line whole; past it a lane writes only its entries below
+/// its extent.
+template <class T>
+void store_lanes(typename T::H (&rows)[T::kLanes], const TableLanes<T>& lanes,
+                 Extent extent, Index whole, Array array, Index j) {
+  T::transpose(rows);
+  if (j + T::kLanes <= whole) {
+    for (int i = 0; i < T::kLanes; ++i) {
+      T::store((lanes.out[i]->*array).data() + j, rows[i]);
+    }
+    return;
+  }
   for (int i = 0; i < lanes.count; ++i) {
-    const Index left = lanes.seeds[i].*extent - j;
+    const Index left = lanes.out[i]->*extent - j;
     if (left <= 0) continue;
-    V::store_first((lanes.out[i]->*array).data() + j, rows[i], left);
+    T::store_first((lanes.out[i]->*array).data() + j, rows[i], left);
   }
 }
 
 /// One ramp array (asr::RampSeeds) in every lane.
-template <class V>
-void ramp_lanes(const TableLanes<V>& lanes, asr::RampSeeds Seeds::*field,
+template <class T>
+void ramp_lanes(const TableLanes<T>& lanes, const asr::lanes::Ramp<T>& seeds,
                 Extent extent, Array array) {
-  auto value = lanes.load(field, &asr::RampSeeds::value);
-  auto step = lanes.load(field, &asr::RampSeeds::step);
-  const auto curve = lanes.load(field, &asr::RampSeeds::curve);
+  auto value = seeds.value;
+  auto step = seeds.step;
   const Index n = lanes.longest(extent);
-  for (Index j = 0; j < n; j += V::kTableLanes) {
-    typename V::H rows[V::kTableLanes];
+  const Index whole = lanes.whole(extent);
+  for (Index j = 0; j < n; j += T::kLanes) {
+    typename T::H rows[T::kLanes];
     for (auto& row : rows) {
-      row = V::to_half(value);
-      value = V::add(value, step);
-      step = V::add(step, curve);
+      row = T::to_half(value);
+      value = T::add(value, step);
+      step = T::add(step, seeds.curve);
     }
-    store_lanes<V>(rows, lanes, extent, array, j);
+    store_lanes<T>(rows, lanes, extent, whole, array, j);
   }
 }
 
 /// a *= b as asr::expand_table_seeds pins it.
-template <class V, class D>
+template <class T, class D>
 void complex_step(D& a_re, D& a_im, D b_re, D b_im) {
-  const D re = V::fmsub(a_re, b_re, V::mul(a_im, b_im));
-  a_im = V::fmadd(a_re, b_im, V::mul(a_im, b_re));
+  const D re = T::fmsub(a_re, b_re, T::mul(a_im, b_im));
+  a_im = T::fmadd(a_re, b_im, T::mul(a_im, b_re));
   a_re = re;
 }
 
-template <class V, class D>
+template <class T, class D>
 void renormalize(D& re, D& im) {
-  const D norm = V::sqrt(V::fmadd(re, re, V::mul(im, im)));
-  re = V::div(re, norm);
-  im = V::div(im, norm);
+  const D norm = T::sqrt(T::fmadd(re, re, T::mul(im, im)));
+  re = T::div(re, norm);
+  im = T::div(im, norm);
 }
 
 /// One phase array pair (asr::PhaseSeeds) in every lane. A lane steps past
 /// its own last entry only while a longer lane still needs entries; those
 /// steps feed no stored entry.
-template <class V>
-void phase_lanes(const TableLanes<V>& lanes, asr::PhaseSeeds Seeds::*field,
+template <class T>
+void phase_lanes(const TableLanes<T>& lanes, const asr::lanes::Phase<T>& seeds,
                  Extent extent, Array array_re, Array array_im) {
-  auto u_re = lanes.load(field, &asr::PhaseSeeds::u_re);
-  auto u_im = lanes.load(field, &asr::PhaseSeeds::u_im);
-  auto v_re = lanes.load(field, &asr::PhaseSeeds::v_re);
-  auto v_im = lanes.load(field, &asr::PhaseSeeds::v_im);
-  const auto w_re = lanes.load(field, &asr::PhaseSeeds::w_re);
-  const auto w_im = lanes.load(field, &asr::PhaseSeeds::w_im);
+  auto u_re = seeds.u_re;
+  auto u_im = seeds.u_im;
+  auto v_re = seeds.v_re;
+  auto v_im = seeds.v_im;
   const Index n = lanes.longest(extent);
-  for (Index j = 0; j < n; j += V::kTableLanes) {
-    typename V::H rows_re[V::kTableLanes];
-    typename V::H rows_im[V::kTableLanes];
-    for (int k = 0; k < V::kTableLanes; ++k) {
-      rows_re[k] = V::to_half(u_re);
-      rows_im[k] = V::to_half(u_im);
+  const Index whole = lanes.whole(extent);
+  for (Index j = 0; j < n; j += T::kLanes) {
+    typename T::H rows_re[T::kLanes];
+    typename T::H rows_im[T::kLanes];
+    for (int k = 0; k < T::kLanes; ++k) {
+      rows_re[k] = T::to_half(u_re);
+      rows_im[k] = T::to_half(u_im);
       const Index e = j + k;
       if (e + 1 >= n) continue;
-      complex_step<V>(u_re, u_im, v_re, v_im);
-      complex_step<V>(v_re, v_im, w_re, w_im);
+      complex_step<T>(u_re, u_im, v_re, v_im);
+      complex_step<T>(v_re, v_im, seeds.w_re, seeds.w_im);
       if ((e & asr::kRenormMask) == asr::kRenormMask) {
-        renormalize<V>(u_re, u_im);
-        renormalize<V>(v_re, v_im);
+        renormalize<T>(u_re, u_im);
+        renormalize<T>(v_re, v_im);
       }
     }
-    store_lanes<V>(rows_re, lanes, extent, array_re, j);
-    store_lanes<V>(rows_im, lanes, extent, array_im, j);
+    store_lanes<T>(rows_re, lanes, extent, whole, array_re, j);
+    store_lanes<T>(rows_im, lanes, extent, whole, array_im, j);
   }
 }
 
-/// AsrIsaOps::build_tables: count <= V::kTableLanes tables, one per lane.
-template <class V>
-void build_tables(const Seeds* seeds, Tables* const* out, int count) {
-  const TableLanes<V> lanes{seeds, out, count};
-  ramp_lanes(lanes, &Seeds::bin_a, &Seeds::width, &Tables::bin_a);
-  phase_lanes(lanes, &Seeds::phi, &Seeds::width, &Tables::phi_re,
+/// AsrIsaOps::build_tables: group.count <= T::kLanes table sets, one per
+/// lane. Under y_inner a lane's l and m axes are the image's y and x, so
+/// its u = centre - radar and its centred offsets swap, as
+/// asr_sweep.cpp's block_range_quadratic swaps them for the scalar build.
+template <class T>
+int build_tables(const TableGroup& group) {
+  using D = typename T::D;
+  const auto x_inner = T::gt(T::load(group.x_inner), T::set1(0.0));
+  const D ux = T::sub(T::set1(group.centre_x), T::load(group.radar_x));
+  const D uy = T::sub(T::set1(group.centre_y), T::load(group.radar_y));
+  const D uz = T::sub(T::set1(group.centre_z), T::load(group.radar_z));
+  const D spacing = T::set1(group.spacing);
+  const asr::lanes::Quadratic<T> q = asr::lanes::range_quadratic<T>(
+      T::select(x_inner, ux, uy), T::select(x_inner, uy, ux), uz, spacing,
+      spacing);
+  const unsigned live = (1U << group.count) - 1U;
+  const unsigned refused = ~T::bits(T::gt(q.f0, T::set1(0.0))) & live;
+  if (refused != 0) return std::countr_zero(refused);
+  const D w0 = T::set1(-0.5 * static_cast<double>(group.width - 1));
+  const D h0 = T::set1(-0.5 * static_cast<double>(group.height - 1));
+  const asr::lanes::Seeds<T> seeds = asr::lanes::table_seeds<T>(
+      q, T::load(group.start_range), T::load(group.bin_spacing),
+      T::load(group.two_pi_k), T::select(x_inner, w0, h0),
+      T::select(x_inner, h0, w0));
+  const TableLanes<T> lanes{group.out, group.count};
+  ramp_lanes(lanes, seeds.bin_a, &Tables::width, &Tables::bin_a);
+  phase_lanes(lanes, seeds.phi, &Tables::width, &Tables::phi_re,
               &Tables::phi_im);
-  phase_lanes(lanes, &Seeds::omega, &Seeds::width, &Tables::omega_re,
+  phase_lanes(lanes, seeds.omega, &Tables::width, &Tables::omega_re,
               &Tables::omega_im);
-  ramp_lanes(lanes, &Seeds::bin_b, &Seeds::height, &Tables::bin_b);
-  ramp_lanes(lanes, &Seeds::bin_c, &Seeds::height, &Tables::bin_c);
-  phase_lanes(lanes, &Seeds::psi, &Seeds::height, &Tables::psi_re,
+  ramp_lanes(lanes, seeds.bin_b, &Tables::height, &Tables::bin_b);
+  ramp_lanes(lanes, seeds.bin_c, &Tables::height, &Tables::bin_c);
+  phase_lanes(lanes, seeds.psi, &Tables::height, &Tables::psi_re,
               &Tables::psi_im);
+  return -1;
+}
+
+/// AsrIsaOps::unit_phases: T::kLanes phases at a time, the last group
+/// padded with zeros.
+template <class T>
+void unit_phases(const double* phase, double* re, double* im, Index n) {
+  for (Index i = 0; i < n; i += T::kLanes) {
+    const Index count = std::min<Index>(T::kLanes, n - i);
+    double in[T::kLanes] = {};
+    double out_re[T::kLanes];
+    double out_im[T::kLanes];
+    std::copy_n(phase + i, count, in);
+    typename T::D lane_re;
+    typename T::D lane_im;
+    asr::lanes::unit_phase<T>(T::load(in), lane_re, lane_im);
+    T::store(out_re, lane_re);
+    T::store(out_im, lane_im);
+    std::copy_n(out_re, count, re + i);
+    std::copy_n(out_im, count, im + i);
+  }
 }
 
 }  // namespace sarbp::bp::detail

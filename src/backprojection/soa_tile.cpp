@@ -22,6 +22,25 @@ void SoaTile::accumulate_into(Grid2D<CFloat>& out, const Region& region) const {
   }
 }
 
+void SoaTile::accumulate_into(SoaTile& out, const Region& region) const {
+  ensure(region.width == width_ && region.height == height_,
+         "SoaTile::accumulate_into: region shape mismatch");
+  ensure(region.x0 >= 0 && region.y0 >= 0 &&
+             region.x0 + region.width <= out.width() &&
+             region.y0 + region.height <= out.height(),
+         "SoaTile::accumulate_into: region outside tile");
+  for (Index y = 0; y < height_; ++y) {
+    float* dst_re = out.row_re(region.y0 + y) + region.x0;
+    float* dst_im = out.row_im(region.y0 + y) + region.x0;
+    const float* src_re = row_re(y);
+    const float* src_im = row_im(y);
+    for (Index x = 0; x < width_; ++x) {
+      dst_re[x] += src_re[x];
+      dst_im[x] += src_im[x];
+    }
+  }
+}
+
 void SoaTile::accumulate_tile(const SoaTile& other) {
   ensure(other.width_ == width_ && other.height_ == height_,
          "SoaTile::accumulate_tile: shape mismatch");

@@ -46,6 +46,9 @@ class SoaTile {
   /// (region.x0, region.y0) — the end-of-loop copy/reduction of §4.3.
   void accumulate_into(Grid2D<CFloat>& out, const Region& region) const;
 
+  /// The same into another tile: `out`'s pixels in `region` += this tile.
+  void accumulate_into(SoaTile& out, const Region& region) const;
+
   /// Elementwise `this += other` over same-shape tiles: one step of the
   /// executor's deterministic per-job tree reduction over pulse slices.
   void accumulate_tile(const SoaTile& other);

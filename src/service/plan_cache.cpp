@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/check.h"
@@ -118,25 +119,32 @@ std::shared_ptr<const FormationPlan> build_formation_plan(
 namespace {
 
 /// Sweeps pulses [pulse_begin, pulse_end) of plan block `block` into
-/// `tile` with `kernel`, from the plan's tables or, on a table-less plan,
-/// with tables built on the fly (each pulse's loop order by the rule
-/// pulse_order records); returns the backprojections it performed.
+/// `tile`, whose (0, 0) pixel is image pixel (tile_x0, tile_y0), with
+/// `kernel`, from the plan's tables or, on a table-less plan, with tables
+/// built on the fly (each pulse's loop order by the rule pulse_order
+/// records); returns the backprojections it performed.
 double sweep_plan_block(const FormationPlan& plan, std::size_t block,
                         const sim::PhaseHistory& history, Index pulse_begin,
                         Index pulse_end, const bp::AsrKernel& kernel,
-                        bp::SoaTile& tile) {
+                        bp::SoaTile& tile, Index tile_x0, Index tile_y0) {
   const asr::BlockSpec& spec = plan.blocks[block];
   const bp::PulseRange pulses{&history, pulse_begin, pulse_end};
-  const Region& region = plan.key.region;
   if (plan.has_tables()) {
-    bp::sweep_asr_block(spec, region.x0, region.y0, plan.block_tables(block),
+    bp::sweep_asr_block(spec, tile_x0, tile_y0, plan.block_tables(block),
                         pulses, kernel, tile);
   } else {
-    bp::sweep_asr_block(spec, region.x0, region.y0, plan_grid(plan.key),
+    bp::sweep_asr_block(spec, tile_x0, tile_y0, plan_grid(plan.key),
                         {&pulses, 1}, std::nullopt, kernel, tile);
   }
   return static_cast<double>(spec.width) * static_cast<double>(spec.height) *
          static_cast<double>(pulse_end - pulse_begin);
+}
+
+/// The replay's per-thread block tile, reused from block to block.
+bp::SoaTile& block_tile(const asr::BlockSpec& block) {
+  static thread_local bp::SoaTile tile;
+  tile.reset(block.width, block.height);
+  return tile;
 }
 
 }  // namespace
@@ -154,7 +162,7 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
   for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
     if (checkpoint && !checkpoint()) return false;
     sweep_plan_block(plan, b, history, 0, plan.num_pulses(), bp::AsrKernel{},
-                     tile);
+                     tile, plan.key.region.x0, plan.key.region.y0);
   }
   return true;
 }
@@ -162,18 +170,25 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
 exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
     std::shared_ptr<const sim::PhaseHistory> history, int parallelism,
-    Index tile_tasks, std::shared_ptr<bp::SoaTile> tile,
+    Index tile_tasks, ReplayOutput out,
     std::function<bool()> checkpoint,
     std::function<void(exec::TaskGroup&)> on_complete,
     Index pulse_begin, Index pulse_end,
     std::shared_ptr<exec::BackendSet> backends, PlanCache* insert_into) {
-  ensure(plan != nullptr && history != nullptr && tile != nullptr,
-         "make_plan_replay_group: null plan/history/tile");
+  const bool has_out =
+      std::visit([](const auto& o) { return o != nullptr; }, out);
+  ensure(plan != nullptr && history != nullptr && has_out,
+         "make_plan_replay_group: null plan/history/output");
   ensure(history->num_pulses() == plan->num_pulses(),
          "make_plan_replay_group: history pulse count does not match the plan");
-  ensure(tile->width() == plan->key.region.width &&
-             tile->height() == plan->key.region.height,
-         "make_plan_replay_group: tile/region shape mismatch");
+  const Region& region = plan->key.region;
+  ensure(std::visit(
+             [&region](const auto& o) {
+               return o->width() == region.width &&
+                      o->height() == region.height;
+             },
+             out),
+         "make_plan_replay_group: output/region shape mismatch");
   if (pulse_end < 0) pulse_end = plan->num_pulses();
   ensure(pulse_begin >= 0 && pulse_begin <= pulse_end &&
              pulse_end <= plan->num_pulses(),
@@ -181,10 +196,18 @@ exec::GroupPtr make_plan_replay_group(
 
   exec::FormationSpec spec;
   spec.items = static_cast<Index>(plan->blocks.size());
-  spec.sweep = [plan, history, tile, pulse_begin, pulse_end](
-                   Index b, const bp::AsrKernel& kernel) {
-    return sweep_plan_block(*plan, static_cast<std::size_t>(b), *history,
-                            pulse_begin, pulse_end, kernel, *tile);
+  spec.sweep = [plan, history, out = std::move(out), origin = region,
+                pulse_begin, pulse_end](Index b, const bp::AsrKernel& kernel) {
+    const asr::BlockSpec& block = plan->blocks[static_cast<std::size_t>(b)];
+    bp::SoaTile& tile = block_tile(block);
+    const double backprojections =
+        sweep_plan_block(*plan, static_cast<std::size_t>(b), *history,
+                         pulse_begin, pulse_end, kernel, tile, block.x0,
+                         block.y0);
+    const Region at{block.x0 - origin.x0, block.y0 - origin.y0, block.width,
+                    block.height};
+    std::visit([&](const auto& o) { tile.accumulate_into(*o, at); }, out);
+    return backprojections;
   };
   spec.workers = parallelism;
   spec.task_cap =

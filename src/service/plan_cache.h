@@ -10,7 +10,10 @@
 // plan skips the table build entirely. The replay sweeps through the one
 // ASR block sweep (backprojection/asr_sweep.h) with the prebuilt tables,
 // and the tables come from its one table build, so a replay is
-// bit-identical to the same kernel building its tables on the fly.
+// bit-identical to the same kernel building its tables on the fly. Each
+// replay task sweeps its block into a per-thread block tile and adds the
+// finished block straight into the job's image (make_plan_replay_group),
+// so a job ends with no image-wide reduction on the last worker.
 //
 // A plan is built only for a geometry that recurs. The cache remembers the
 // keys of its last `capacity` unkept misses, and lookup_plan has three
@@ -63,12 +66,14 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "asr/block_plan.h"
 #include "asr/tables.h"
 #include "backprojection/asr_sweep.h"
 #include "backprojection/soa_tile.h"
+#include "common/grid2d.h"
 #include "common/page_mapping.h"
 #include "common/region.h"
 #include "exec/task_group.h"
@@ -149,13 +154,22 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
 
 class PlanCache;
 
+/// Where a plan replay adds its image: a region-sized image (the local
+/// service, the shard ranks) or a region-sized SoaTile.
+using ReplayOutput = std::variant<std::shared_ptr<Grid2D<CFloat>>,
+                                  std::shared_ptr<bp::SoaTile>>;
+
 /// Decomposes one plan replay into a TaskGroup for the tile executor: the
-/// plan's blocks are the items of exec::make_formation_group, all swept
-/// into the shared region-sized `tile`. Blocks cover disjoint pixel
-/// rectangles, so concurrent tasks never write the same element and the
-/// result is byte-identical to a serial execute_plan() no matter how tasks
-/// are scheduled or stolen — the accumulation order per pixel is always
-/// the plan's pulse order within that pixel's block.
+/// plan's blocks are the items of exec::make_formation_group. Each task
+/// sweeps a block into its thread's block tile (one per thread, reused
+/// from block to block) and, when the block is finished, adds the tile
+/// into `out` at the block's place (paper §4.3's per-thread tiles; no
+/// job-wide tile is reduced after the last task). Blocks cover disjoint
+/// pixel rectangles, so concurrent tasks never write the same element, and
+/// each pixel gets its block's additions in the plan's pulse order,
+/// starting from +0, so a zeroed `out` receives execute_plan()'s bytes no
+/// matter how tasks are scheduled or stolen (a sum started at +0 is never
+/// -0, and +0 + x is x).
 ///
 /// `checkpoint` keeps execute_plan's granularity: it is polled before
 /// every block sweep (inside tasks) and again before each task starts
@@ -164,12 +178,12 @@ class PlanCache;
 /// most exec::kDequeCapacity of them, so that a job's tasks all fit the
 /// injecting worker's deque and idle workers steal single blocks.
 /// `on_complete` runs on the worker that retires the last task — aborted
-/// groups must discard the partially-swept tile there.
+/// groups must discard the partially-formed `out` there.
 ///
 /// `[pulse_begin, pulse_end)` restricts the replay to a pulse range of the
 /// plan (pulse_end == -1 means all pulses) — the pulse-scatter unit of the
 /// sharded service: each shard replays its range of the same full-region
-/// plan and the gather sums the partial tiles (shard-index order, the
+/// plan and the gather sums the partial images (shard-index order, the
 /// documented reduction-order deviation from the single-node path).
 ///
 /// `backends` (nullable) routes the blocks by the set's §5.3 dynamic
@@ -198,7 +212,7 @@ class PlanCache;
 [[nodiscard]] exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
     std::shared_ptr<const sim::PhaseHistory> history, int parallelism,
-    Index tile_tasks, std::shared_ptr<bp::SoaTile> tile,
+    Index tile_tasks, ReplayOutput out,
     std::function<bool()> checkpoint,
     std::function<void(exec::TaskGroup&)> on_complete,
     Index pulse_begin = 0, Index pulse_end = -1,

@@ -205,34 +205,31 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
     stamps.plan_unkept = lookup.unkept();
 
     const Timer compute;
-    auto tile = std::make_shared<bp::SoaTile>(region.width, region.height);
+    // The replay's tasks add each finished block straight into the image.
+    auto image = std::make_shared<Grid2D<CFloat>>(region.width, region.height);
     // Runs on whichever worker retires the job's last task: publish the
     // image (or the failure) and resolve the handle. The claiming worker
     // has long since moved on to the next claim. A kept miss's group has
     // inserted its finished plan by then, so a repeat submitted after this
     // resolves hits.
-    auto done = [this, resolve, verdict, tile, region, stamps,
+    auto done = [this, resolve, verdict, image, stamps,
                  compute](exec::TaskGroup& group) {
       JobStamps run = stamps;
       run.compute_seconds = compute.seconds();
       if (compute_s_) compute_s_->record(run.compute_seconds);
       const JobState outcome =
           verdict->settle(group, "job aborted", &run.error);
-      if (outcome == JobState::kDone) {
-        run.image = Grid2D<CFloat>(region.width, region.height);
-        tile->accumulate_into(run.image,
-                              Region{0, 0, region.width, region.height});
-      }
+      if (outcome == JobState::kDone) run.image = std::move(*image);
       resolve(outcome, std::move(run));
     };
     return make_plan_replay_group(std::move(lookup.plan), request.pulses,
                                   config_.workers, config_.tile_tasks,
-                                  std::move(tile), std::move(checkpoint),
+                                  image, std::move(checkpoint),
                                   std::move(done), /*pulse_begin=*/0,
                                   /*pulse_end=*/-1, backend_set_,
                                   lookup.insert_into);
   } catch (const std::exception& e) {
-    // Nothing was handed off: the plan lookup, the tile, the group build
+    // Nothing was handed off: the plan lookup, the image, the group build
     // or a custom factory threw.
     stamps.error = e.what();
     resolve(JobState::kFailed, std::move(stamps));

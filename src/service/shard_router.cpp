@@ -252,7 +252,7 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
   header.seq = msg.seq;
   header.part = msg.part;
   std::string error;
-  Grid2D<CFloat> image(0, 0);
+  std::shared_ptr<Grid2D<CFloat>> image;
   Timer compute_timer;
   try {
     const auto& request = ctx.job->request();
@@ -269,21 +269,18 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
 
     auto verdict =
         std::make_shared<RunVerdict>(ctx.job, config_.inter_block_hook);
-    auto tile =
-        std::make_shared<bp::SoaTile>(part.region.width, part.region.height);
+    // The replay's tasks add each finished block straight into the part's
+    // image, the reply's payload.
+    image = std::make_shared<Grid2D<CFloat>>(part.region.width,
+                                             part.region.height);
     auto group = make_plan_replay_group(
         std::move(lookup.plan), request.pulses, config_.shard_workers,
-        config_.tile_tasks, tile, [verdict] { return verdict->poll(); },
+        config_.tile_tasks, image, [verdict] { return verdict->poll(); },
         nullptr, part.pulse_begin, part.pulse_end, nullptr,
         lookup.insert_into);
     exec.run(group);
     header.compute_seconds = compute_timer.seconds();
     header.status = verdict->settle(*group, "part aborted", &error);
-    if (header.status == JobState::kDone) {
-      image = Grid2D<CFloat>(part.region.width, part.region.height);
-      tile->accumulate_into(image,
-                            Region{0, 0, part.region.width, part.region.height});
-    }
   } catch (const cluster::ClusterAborted&) {
     throw;  // the cluster is poisoned; no reply will be read
   } catch (const std::exception& e) {
@@ -294,12 +291,12 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
 
   const bool done = header.status == JobState::kDone;
   const std::size_t payload_size =
-      done ? static_cast<std::size_t>(image.size()) * sizeof(CFloat)
+      done ? static_cast<std::size_t>(image->size()) * sizeof(CFloat)
            : error.size();
   std::vector<std::byte> reply(sizeof(ReplyHeader) + payload_size);
   std::memcpy(reply.data(), &header, sizeof(header));
   if (payload_size > 0) {
-    const void* payload = done ? static_cast<const void*>(image.data())
+    const void* payload = done ? static_cast<const void*>(image->data())
                                : static_cast<const void*>(error.data());
     std::memcpy(reply.data() + sizeof(header), payload, payload_size);
   }

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <complex>
 #include <cstdint>
+#include <limits>
 #include <numbers>
+#include <optional>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -288,6 +293,162 @@ TEST(Tables, FastBuilderStableOverLongBlocks) {
     EXPECT_NEAR(fast.phi_re[li] * fast.phi_re[li] +
                     fast.phi_im[li] * fast.phi_im[li],
                 1.0f, 1e-4f);
+  }
+}
+
+/// The bits of x, so that equality tells -0 from +0.
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// How many doubles apart a and b are: 0 when equal, 1 for neighbours.
+std::int64_t ulps_apart(double a, double b) {
+  const auto ordered = [](double x) {
+    const auto i = std::bit_cast<std::int64_t>(x);
+    return i < 0 ? -(i & std::numeric_limits<std::int64_t>::max()) : i;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+void expect_ramp(const RampSeeds& got, double value, double step,
+                 double curve, const char* what) {
+  EXPECT_EQ(bits_of(got.value), bits_of(value)) << what;
+  EXPECT_EQ(bits_of(got.step), bits_of(step)) << what;
+  EXPECT_EQ(bits_of(got.curve), bits_of(curve)) << what;
+}
+
+/// u = exp(i*u_phase), v = exp(i*v_phase), w = exp(i*w_phase), each by
+/// unit_phase, or exactly 1 where the phase is absent.
+void expect_phase(const PhaseSeeds& got, std::optional<double> u_phase,
+                  double v_phase, std::optional<double> w_phase,
+                  const char* what) {
+  const std::complex<double> one(1.0, 0.0);
+  const std::complex<double> u = u_phase ? unit_phase(*u_phase) : one;
+  const std::complex<double> v = unit_phase(v_phase);
+  const std::complex<double> w = w_phase ? unit_phase(*w_phase) : one;
+  EXPECT_EQ(bits_of(got.u_re), bits_of(u.real())) << what;
+  EXPECT_EQ(bits_of(got.u_im), bits_of(u.imag())) << what;
+  EXPECT_EQ(bits_of(got.v_re), bits_of(v.real())) << what;
+  EXPECT_EQ(bits_of(got.v_im), bits_of(v.imag())) << what;
+  EXPECT_EQ(bits_of(got.w_re), bits_of(w.real())) << what;
+  EXPECT_EQ(bits_of(got.w_im), bits_of(w.imag())) << what;
+}
+
+TEST(Tables, SeedsKeepTheirRounding) {
+  // range_quadratic and table_seeds round where their contract
+  // (asr/seed_lanes.h) says: each operation below rounds as it is written,
+  // std::fma only where the contract fuses. This file is compiled with
+  // -ffp-contract=off (tests/CMakeLists.txt), so the compiler fuses none of
+  // its products, and a build of the seeds that fuses more fails here on
+  // any -march. The phase seeds are unit_phase of phases computed here.
+  // Geometries: both loop orders (under y_inner the sweep expands about
+  // the swapped x and y), square and non-square blocks, pixel spacings
+  // that differ along x and y, phases up to about 2^23 * 2*pi.
+  Rng rng(4711);
+  double largest_phase = 0.0;
+  for (int trial = 0; trial < 48; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    geometry::Vec3 radar{rng.uniform(-45000, 45000),
+                         rng.uniform(-45000, 45000), rng.uniform(2000, 9000)};
+    geometry::Vec3 centre{rng.uniform(-900, 900), rng.uniform(-900, 900),
+                          rng.uniform(-5, 5)};
+    if (trial % 2 == 1) {  // y_inner: the l axis is the image's y
+      std::swap(radar.x, radar.y);
+      std::swap(centre.x, centre.y);
+    }
+    const double dx = rng.uniform(0.2, 1.5);
+    const double dy = trial % 3 == 0 ? dx : rng.uniform(0.2, 1.5);
+    const Index width = 1 + (trial * 37) % 130;
+    const Index height = trial % 4 == 0 ? width : 1 + (trial * 53) % 97;
+    const double two_pi_k = kTwoPi * rng.uniform(10.0, 130.0);
+    const double dr = rng.uniform(0.1, 1.0);
+
+    // range_quadratic: nothing fused.
+    const double ux = centre.x - radar.x;
+    const double uy = centre.y - radar.y;
+    const double uz = centre.z - radar.z;
+    const double f0 = std::sqrt(ux * ux + uy * uy + uz * uz);
+    const double f03 = f0 * f0 * f0;
+    const Quadratic2D q = range_quadratic(centre, radar, dx, dy);
+    EXPECT_EQ(bits_of(q.f0), bits_of(f0));
+    EXPECT_EQ(bits_of(q.ax), bits_of(dx * ux / f0));
+    EXPECT_EQ(bits_of(q.ay), bits_of(dy * uy / f0));
+    EXPECT_EQ(bits_of(q.bx), bits_of(dx * dx / (2.0 * f0) -
+                                     dx * dx * ux * ux / (2.0 * f03)));
+    EXPECT_EQ(bits_of(q.by), bits_of(dy * dy / (2.0 * f0) -
+                                     dy * dy * uy * uy / (2.0 * f03)));
+    EXPECT_EQ(bits_of(q.cxy), bits_of(-dx * dy * ux * uy / f03));
+
+    // table_seeds: the fused steps of the contract, the rest as written.
+    const double r0 = q.f0 - rng.uniform(0.0, 500.0);
+    const TableSeeds s = table_seeds(q, r0, dr, two_pi_k, width, height);
+    EXPECT_EQ(s.width, width);
+    EXPECT_EQ(s.height, height);
+    const double inv = 1.0 / dr;
+    const double l0 = -0.5 * static_cast<double>(width - 1);
+    const double m0 = -0.5 * static_cast<double>(height - 1);
+    const double l_const = std::fma(q.bx * l0, l0, std::fma(q.ax, l0, q.f0));
+    const double l_lin = std::fma(2.0 * q.bx, l0, q.ax);
+    expect_ramp(s.bin_a, (l_const - r0) * inv, (l_lin + q.bx) * inv,
+                2.0 * q.bx * inv, "bin_a");
+    const double phi0 = two_pi_k * l_const;
+    const double phi1 = two_pi_k * std::fma(q.cxy, m0, l_lin);
+    const double phi2 = two_pi_k * q.bx;
+    expect_phase(s.phi, phi0, phi1 + phi2, 2.0 * phi2, "phi");
+    expect_phase(s.omega, std::nullopt, two_pi_k * q.cxy, std::nullopt,
+                 "omega");
+    const double a_eff = std::fma(q.cxy, l0, q.ay);
+    const double m_const = std::fma(a_eff, m0, q.by * m0 * m0);
+    const double m_lin = std::fma(2.0 * q.by, m0, a_eff);
+    expect_ramp(s.bin_b, m_const * inv, (m_lin + q.by) * inv,
+                2.0 * q.by * inv, "bin_b");
+    expect_ramp(s.bin_c, q.cxy * m0 * inv, q.cxy * inv, 0.0, "bin_c");
+    const double psi0 = two_pi_k * m_const;
+    const double psi1 = two_pi_k * m_lin;
+    const double psi2 = two_pi_k * q.by;
+    expect_phase(s.psi, psi0, psi1 + psi2, 2.0 * psi2, "psi");
+    largest_phase = std::max(largest_phase, std::abs(phi0));
+  }
+  // The spread reaches phases of 2^22 turns and more.
+  EXPECT_GT(largest_phase, 4194304.0 * kTwoPi);
+}
+
+TEST(Tables, UnitPhaseWithinOneUlpOfLibm) {
+  // The pinned sincos is within 1 ulp of std::cos / std::sin of the phase
+  // after its reduction mod 2*pi, r = phase - n*fl(2*pi) in one fma as the
+  // contract writes it: at the quadrant points 0, +-pi/4, ..., +-pi and
+  // their neighbours, where the reduction to [-pi/4, pi/4] and the
+  // quadrant choice change (r is the phase itself there, except past +-pi,
+  // where it wraps to the other side), and for phases up to 2^23 * 2*pi.
+  // The reduction's own error, n * (2*pi - fl(2*pi)) absolute, is the
+  // double-precision reduction the tables have always had (paper §3.5).
+  // exp(i*0) is exactly (1, +0).
+  const std::complex<double> at_zero = unit_phase(0.0);
+  EXPECT_EQ(bits_of(at_zero.real()), bits_of(1.0));
+  EXPECT_EQ(bits_of(at_zero.imag()), bits_of(0.0));
+  const double inv_two_pi = 0.5 * std::numbers::inv_pi;
+  const auto expect_near_libm = [inv_two_pi](double phase) {
+    const double reduced =
+        std::fma(-std::nearbyint(phase * inv_two_pi), kTwoPi, phase);
+    const std::complex<double> u = unit_phase(phase);
+    EXPECT_LE(ulps_apart(u.real(), std::cos(reduced)), 1)
+        << "phase " << phase << " cos " << u.real() << " vs "
+        << std::cos(reduced);
+    EXPECT_LE(ulps_apart(u.imag(), std::sin(reduced)), 1)
+        << "phase " << phase << " sin " << u.imag() << " vs "
+        << std::sin(reduced);
+  };
+  for (int eighth = -4; eighth <= 4; ++eighth) {
+    double x = eighth * std::numbers::pi / 4.0;
+    for (int step = 0; step < 4; ++step) x = std::nextafter(x, -10.0);
+    for (int step = 0; step < 9; ++step) {
+      expect_near_libm(x);
+      x = std::nextafter(x, 10.0);
+    }
+  }
+  Rng rng(2306);
+  for (int i = 0; i < 20000; ++i) {
+    const double turns = i % 2 == 0 ? 8388608.0 : 64.0;
+    expect_near_libm(rng.uniform(-turns, turns) * kTwoPi);
   }
 }
 

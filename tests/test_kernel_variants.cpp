@@ -947,5 +947,89 @@ TEST_F(KernelVariantTest, TableBuildLaneGroupsMatchScalarBytes) {
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
 }
 
+TEST_F(KernelVariantTest, TableBuildRefusesARadarOnTheBlockCentre) {
+  // A pulse whose radar sits on a block's centre has no range quadratic
+  // (asr::range_quadratic refuses it). The vector lanes refuse it too, in
+  // any lane and under either order, and the build throws its
+  // PreconditionError on every ISA.
+  const asr::BlockSpec block{8, 16, 32, 17};
+  const geometry::Vec3 centre = scenario_->grid.position_f(
+      static_cast<double>(block.x0) +
+          0.5 * static_cast<double>(block.width - 1),
+      static_cast<double>(block.y0) +
+          0.5 * static_cast<double>(block.height - 1));
+  for (const Index bad : {0, 5}) {
+    sim::PhaseHistory h = scenario_->history;
+    h.meta(bad).position = centre;
+    for (const bp::SimdIsa isa : {bp::SimdIsa::kScalar, bp::SimdIsa::kAvx2,
+                                  bp::SimdIsa::kAvx512}) {
+      if (!bp::asr_isa_available(isa)) continue;
+      for (const auto order :
+           {geometry::LoopOrder::kXInner, geometry::LoopOrder::kYInner}) {
+        SCOPED_TRACE(std::string(bp::simd_isa_name(isa)) + ", pulse " +
+                     std::to_string(bad));
+        const bool x_inner = order == geometry::LoopOrder::kXInner;
+        const Index w = x_inner ? block.width : block.height;
+        const Index h_ = x_inner ? block.height : block.width;
+        AlignedVector<float> storage(
+            7 * asr::BlockTables::footprint_floats(w, h_));
+        std::vector<asr::BlockTables> tables;
+        std::vector<bp::TableSlot> slots;
+        tables.reserve(7);
+        for (Index p = 0; p < 7; ++p) {
+          tables.emplace_back(
+              storage.data() +
+                  p * static_cast<Index>(
+                          asr::BlockTables::footprint_floats(w, h_)),
+              w, h_);
+          slots.push_back({&h, p, order, &tables.back()});
+        }
+        EXPECT_THROW(bp::build_asr_tables(scenario_->grid, block, slots, isa),
+                     PreconditionError);
+      }
+    }
+  }
+}
+
+TEST(TableLanes, UnitPhaseMatchesScalarBits) {
+  // The vector lanes' sincos is the scalar asr::unit_phase's template at
+  // their width (asr/seed_lanes.h), so every usable ISA gives its bits:
+  // at the quadrant points and their neighbours, and for phases up to
+  // 2^23 * 2*pi; 1001 phases, so the last lane group is partial.
+  std::vector<double> phases;
+  for (int eighth = -8; eighth <= 8; ++eighth) {
+    double x = eighth * std::numbers::pi / 4.0;
+    for (int step = 0; step < 3; ++step) x = std::nextafter(x, -100.0);
+    for (int step = 0; step < 7; ++step) {
+      phases.push_back(x);
+      x = std::nextafter(x, 100.0);
+    }
+  }
+  Rng rng(23);
+  while (phases.size() < 1001) {
+    phases.push_back(rng.uniform(-8388608.0, 8388608.0) * 2.0 *
+                     std::numbers::pi);
+  }
+  std::vector<double> scalar_re(phases.size());
+  std::vector<double> scalar_im(phases.size());
+  bp::unit_phases(phases, scalar_re, scalar_im, bp::SimdIsa::kScalar);
+  bool checked = false;
+  for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
+    if (!bp::asr_isa_available(isa)) continue;
+    SCOPED_TRACE(bp::simd_isa_name(isa));
+    std::vector<double> re(phases.size());
+    std::vector<double> im(phases.size());
+    bp::unit_phases(phases, re, im, isa);
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&re[i], &scalar_re[i], sizeof(double)), 0)
+          << "phase " << phases[i] << ": " << re[i] << " vs " << scalar_re[i];
+      EXPECT_EQ(std::memcmp(&im[i], &scalar_im[i], sizeof(double)), 0)
+          << "phase " << phases[i] << ": " << im[i] << " vs " << scalar_im[i];
+    }
+    checked = true;
+  }
+  if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
+}
+
 }  // namespace
 }  // namespace sarbp
