@@ -50,7 +50,7 @@ int main() {
   const sim::PhaseHistory history =
       sim::collect(collector, grid, scene, poses, rng);
 
-  // 4. Backproject (ASR + SIMD + OpenMP by default).
+  // 4. Backproject (ASR + SIMD on the tile executor by default).
   const exec::Backprojector backprojector(grid, {});
   const Grid2D<CFloat> image = backprojector.form_image(history);
 

@@ -66,9 +66,7 @@ Grid2D<CFloat> ffbp_form_image_upsampled(const sim::PhaseHistory& upsampled,
   const auto tiles = asr::plan_blocks(0, 0, grid.width(), grid.height(),
                                       options.tile, options.tile);
 
-  // Tiles are disjoint image regions with private decimated histories —
-  // embarrassingly parallel.
-#pragma omp parallel for schedule(dynamic)
+  // Tiles are disjoint image regions with private decimated histories.
   for (std::size_t tile_index = 0; tile_index < tiles.size(); ++tile_index) {
     const auto& tile = tiles[tile_index];
     const geometry::Vec3 centre = grid.position_f(

@@ -48,8 +48,9 @@ struct FfbpOptions {
   int sinc_taps = 6;
 };
 
-/// Forms the full image by two-level factorized backprojection
-/// (internally range-upsamples the history by options.oversample first).
+/// Forms the full image by two-level factorized backprojection on the
+/// calling thread (internally range-upsamples the history by
+/// options.oversample first).
 Grid2D<CFloat> ffbp_form_image(const sim::PhaseHistory& history,
                                const geometry::ImageGrid& grid,
                                const FfbpOptions& options);

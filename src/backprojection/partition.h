@@ -1,6 +1,7 @@
 // Hierarchical 3D partitioning of the backprojection iteration cube
 // (paper Fig. 5(b)): the (pulse x y x x) space is cut into cuboids at the
-// MPI level, the OpenMP level, and the cache-blocking level.
+// MPI level, the thread level (the tile executor's tasks), and the
+// cache-blocking level.
 //
 // Partitioning policy (§4.2): split output-image dimensions first — pulse
 // splits force privatized output buffers plus a reduction — and split the

@@ -1,7 +1,5 @@
 #include "common/cpu.h"
 
-#include <omp.h>
-
 #include <sstream>
 #include <thread>
 
@@ -58,7 +56,6 @@ CpuInfo cpu_info() {
   info.hardware_threads =
       static_cast<int>(std::thread::hardware_concurrency());
   if (info.hardware_threads <= 0) info.hardware_threads = 1;
-  info.openmp_max_threads = omp_get_max_threads();
   // lint: allow(isa-ifdef) -- compiled-baseline reporting is this file's job
 #if defined(__AVX512F__)
   info.compiled_avx512f = true;
@@ -88,7 +85,6 @@ std::string cpu_summary() {
   };
   std::ostringstream os;
   os << "threads=" << info.hardware_threads
-     << " omp_max=" << info.openmp_max_threads
      << " simd=" << isa_name(info.avx512f, info.avx2) << " ("
      << info.simd_width_floats << "-wide f32)"
      << " compiled=" << isa_name(info.compiled_avx512f, info.compiled_avx2)

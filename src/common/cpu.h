@@ -18,7 +18,6 @@ namespace sarbp {
 
 struct CpuInfo {
   int hardware_threads = 1;   ///< std::thread::hardware_concurrency
-  int openmp_max_threads = 1; ///< omp_get_max_threads at startup
   // Baseline ISA of the build (-march applied to every translation unit).
   bool compiled_avx2 = false;
   bool compiled_avx512f = false;

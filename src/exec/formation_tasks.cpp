@@ -83,6 +83,24 @@ GroupPtr make_formation_group(FormationSpec spec) {
                                      std::move(on_complete), std::move(label));
 }
 
+void parallel_for(TileExecutor& pool, Index items, Index task_cap,
+                  const std::function<void(Index item)>& body) {
+  FormationSpec spec;
+  spec.items = items;
+  spec.sweep = [&body](Index i, const bp::AsrKernel&) {
+    body(i);
+    return 0.0;
+  };
+  spec.workers = pool.workers();
+  spec.task_cap = task_cap;
+  spec.label = "parallel_for";
+  const GroupPtr group = make_formation_group(std::move(spec));
+  pool.run(group);
+  if (group->aborted()) {
+    throw PreconditionError("parallel_for: " + group->error());
+  }
+}
+
 GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
                                    const geometry::ImageGrid& grid,
                                    const bp::BackprojectOptions& options,

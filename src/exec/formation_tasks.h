@@ -67,6 +67,15 @@ struct FormationSpec {
 /// checkpoint, abort and completion semantics stay uniform.
 GroupPtr make_formation_group(FormationSpec spec);
 
+/// A loop outside image formation (the pipeline's registration): runs
+/// body(item) for every item in [0, items) as one make_formation_group on
+/// `pool`, the caller sweeping beside its workers, in `task_cap` tasks when
+/// positive, else ~2 per worker. Items write disjoint outputs, so the
+/// bytes never depend on the schedule. Throws PreconditionError when a
+/// body throws.
+void parallel_for(TileExecutor& pool, Index items, Index task_cap,
+                  const std::function<void(Index item)>& body);
+
 /// Builds a group that accumulates every pulse of `history` into `out`
 /// (+=; callers zero for a fresh image), decomposed for `parallelism`
 /// concurrent workers. `history`, `grid`, `options`, and `out` must
@@ -104,6 +113,9 @@ class Backprojector {
     bp::add_pulses_region(history, grid_, options_, region, pulse_begin,
                           pulse_end, out);
   }
+
+  /// The pool add_pulses runs on; the pipeline's registration shares it.
+  [[nodiscard]] TileExecutor& pool() const { return *pool_; }
 
   /// Convenience: zeroed image + add_pulses.
   [[nodiscard]] Grid2D<CFloat> form_image(

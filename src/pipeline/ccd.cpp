@@ -1,7 +1,5 @@
 #include "pipeline/ccd.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -35,7 +33,6 @@ Grid2D<float> ccd_direct(const Grid2D<CFloat>& current,
   const Index h = current.height();
   const Index half = params.window / 2;
   Grid2D<float> out(w, h);
-#pragma omp parallel for schedule(static)
   for (Index y = 0; y < h; ++y) {
     for (Index x = 0; x < w; ++x) {
       double fg_re = 0.0, fg_im = 0.0, ff = 0.0, gg = 0.0;

@@ -24,7 +24,7 @@ struct CcdParams {
   Index window = 25;
 };
 
-/// Direct evaluation: Theta(Ncor^2) work per pixel.
+/// Direct evaluation: Theta(Ncor^2) work per pixel, on the calling thread.
 Grid2D<float> ccd_direct(const Grid2D<CFloat>& current,
                          const Grid2D<CFloat>& reference,
                          const CcdParams& params);

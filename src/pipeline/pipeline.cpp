@@ -125,8 +125,8 @@ void SurveillancePipeline::post_processing_stage() {
       result.image = std::move(formed->image);
     } else {
       Timer reg_timer;
-      result.image =
-          registrar_.register_image(formed->image, *reference, &result.alignment);
+      result.image = registrar_.register_image(
+          formed->image, *reference, backprojector_.pool(), &result.alignment);
       result.stage_seconds["registration"] = reg_timer.seconds();
 
       Timer ccd_timer;

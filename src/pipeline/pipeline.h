@@ -7,7 +7,9 @@
 // joined by bounded concurrent queues (§4.1), so pulse ingest for image
 // t+1 overlaps with image formation for image t and post-processing for
 // image t-1. The first completed image becomes the reference; every later
-// frame is registered against it before change detection.
+// frame is registered against it before change detection. Backprojection
+// and registration share one pool, the Backprojector's; CCD and CFAR run
+// on the post-processing thread.
 #pragma once
 
 #include <array>

@@ -1,12 +1,11 @@
 #include "pipeline/registration.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <complex>
 
 #include "common/check.h"
+#include "exec/formation_tasks.h"
 #include "signal/fft2d.h"
 #include "signal/interp.h"
 
@@ -55,9 +54,9 @@ Registrar::Registrar(RegistrationParams params) : params_(params) {
 }
 
 std::vector<ControlPointMatch> Registrar::match_control_points(
-    const Grid2D<CFloat>& current, const Grid2D<CFloat>& reference) const {
-  ensure(current.same_shape(reference),
-         "Registrar: image shapes must match");
+    const Grid2D<CFloat>& current, const Grid2D<CFloat>& reference,
+    exec::TileExecutor& pool) const {
+  ensure(current.same_shape(reference), "Registrar: image shapes must match");
   const Index sc = params_.patch;
   ensure(current.width() > 2 * sc && current.height() > 2 * sc,
          "Registrar: image too small for the patch size");
@@ -68,78 +67,75 @@ std::vector<ControlPointMatch> Registrar::match_control_points(
 
   const Index ncx = params_.control_points_x;
   const Index ncy = params_.control_points_y;
-  std::vector<ControlPointMatch> matches(
-      static_cast<std::size_t>(ncx * ncy));
+  std::vector<ControlPointMatch> matches(static_cast<std::size_t>(ncx * ncy));
 
   const signal::Fft2D<double> fft(pad, pad);
-#pragma omp parallel for collapse(2) schedule(dynamic)
-  for (Index gy = 0; gy < ncy; ++gy) {
-    for (Index gx = 0; gx < ncx; ++gx) {
-      // Control points spread over the interior (a patch-wide margin).
-      const Index cx =
-          sc + (current.width() - 2 * sc) * (2 * gx + 1) / (2 * ncx);
-      const Index cy =
-          sc + (current.height() - 2 * sc) * (2 * gy + 1) / (2 * ncy);
+  exec::parallel_for(pool, ncx * ncy, ncx * ncy, [&](Index point) {
+    const Index gx = point % ncx;
+    const Index gy = point / ncx;
+    // Control points spread over the interior (a patch-wide margin).
+    const Index cx = sc + (current.width() - 2 * sc) * (2 * gx + 1) / (2 * ncx);
+    const Index cy =
+        sc + (current.height() - 2 * sc) * (2 * gy + 1) / (2 * ncy);
 
-      Grid2D<CDouble> cur_patch(pad, pad);
-      Grid2D<CDouble> ref_patch(pad, pad);
-      extract_patch(current, cx, cy, sc, cur_patch);
-      extract_patch(reference, cx, cy, sc, ref_patch);
+    Grid2D<CDouble> cur_patch(pad, pad);
+    Grid2D<CDouble> ref_patch(pad, pad);
+    extract_patch(current, cx, cy, sc, cur_patch);
+    extract_patch(reference, cx, cy, sc, ref_patch);
 
-      double cur_energy = 0.0;
-      double ref_energy = 0.0;
-      for (Index i = 0; i < cur_patch.size(); ++i) {
-        cur_energy += std::norm(cur_patch.flat()[static_cast<std::size_t>(i)]);
-        ref_energy += std::norm(ref_patch.flat()[static_cast<std::size_t>(i)]);
-      }
+    double cur_energy = 0.0;
+    double ref_energy = 0.0;
+    for (Index i = 0; i < cur_patch.size(); ++i) {
+      cur_energy += std::norm(cur_patch.flat()[static_cast<std::size_t>(i)]);
+      ref_energy += std::norm(ref_patch.flat()[static_cast<std::size_t>(i)]);
+    }
 
-      fft.forward(cur_patch);
-      fft.forward(ref_patch);
-      for (Index i = 0; i < cur_patch.size(); ++i) {
-        cur_patch.flat()[static_cast<std::size_t>(i)] *=
-            std::conj(ref_patch.flat()[static_cast<std::size_t>(i)]);
-      }
-      fft.inverse(cur_patch);
+    fft.forward(cur_patch);
+    fft.forward(ref_patch);
+    for (Index i = 0; i < cur_patch.size(); ++i) {
+      cur_patch.flat()[static_cast<std::size_t>(i)] *=
+          std::conj(ref_patch.flat()[static_cast<std::size_t>(i)]);
+    }
+    fft.inverse(cur_patch);
 
-      // Peak search over the correlation surface (real part; the inputs
-      // are real magnitudes).
-      Index px = 0, py = 0;
-      double peak = -1e300;
-      for (Index y = 0; y < pad; ++y) {
-        for (Index x = 0; x < pad; ++x) {
-          const double v = cur_patch.at(x, y).real();
-          if (v > peak) {
-            peak = v;
-            px = x;
-            py = y;
-          }
+    // Peak search over the correlation surface (real part; the inputs
+    // are real magnitudes).
+    Index px = 0, py = 0;
+    double peak = -1e300;
+    for (Index y = 0; y < pad; ++y) {
+      for (Index x = 0; x < pad; ++x) {
+        const double v = cur_patch.at(x, y).real();
+        if (v > peak) {
+          peak = v;
+          px = x;
+          py = y;
         }
       }
-      auto wrap = [&](Index v) {
-        return v >= pad / 2 ? static_cast<double>(v - pad)
-                            : static_cast<double>(v);
-      };
-      auto at_wrapped = [&](Index x, Index y) {
-        return cur_patch.at((x % pad + pad) % pad, (y % pad + pad) % pad).real();
-      };
-      const double sub_x =
-          parabolic_offset(at_wrapped(px - 1, py), peak, at_wrapped(px + 1, py));
-      const double sub_y =
-          parabolic_offset(at_wrapped(px, py - 1), peak, at_wrapped(px, py + 1));
-
-      ControlPointMatch m;
-      m.x = static_cast<double>(cx);
-      m.y = static_cast<double>(cy);
-      // Correlation peak at shift s means current(x) ~ reference(x - s):
-      // the current image content sits at +s; sampling current at x + s
-      // aligns it with the reference.
-      m.dx = wrap(px) + sub_x;
-      m.dy = wrap(py) + sub_y;
-      const double denom = std::sqrt(cur_energy * ref_energy);
-      m.confidence = denom > 0.0 ? std::clamp(peak / denom, 0.0, 1.0) : 0.0;
-      matches[static_cast<std::size_t>(gy * ncx + gx)] = m;
     }
-  }
+    auto wrap = [&](Index v) {
+      return v >= pad / 2 ? static_cast<double>(v - pad)
+                          : static_cast<double>(v);
+    };
+    auto at_wrapped = [&](Index x, Index y) {
+      return cur_patch.at((x % pad + pad) % pad, (y % pad + pad) % pad).real();
+    };
+    const double sub_x =
+        parabolic_offset(at_wrapped(px - 1, py), peak, at_wrapped(px + 1, py));
+    const double sub_y =
+        parabolic_offset(at_wrapped(px, py - 1), peak, at_wrapped(px, py + 1));
+
+    ControlPointMatch m;
+    m.x = static_cast<double>(cx);
+    m.y = static_cast<double>(cy);
+    // Correlation peak at shift s means current(x) ~ reference(x - s):
+    // the current image content sits at +s; sampling current at x + s
+    // aligns it with the reference.
+    m.dx = wrap(px) + sub_x;
+    m.dy = wrap(py) + sub_y;
+    const double denom = std::sqrt(cur_energy * ref_energy);
+    m.confidence = denom > 0.0 ? std::clamp(peak / denom, 0.0, 1.0) : 0.0;
+    matches[static_cast<std::size_t>(point)] = m;
+  });
   return matches;
 }
 
@@ -156,26 +152,27 @@ AffineTransform Registrar::estimate(
 }
 
 Grid2D<CFloat> Registrar::resample(const Grid2D<CFloat>& current,
-                                   const AffineTransform& transform) const {
+                                   const AffineTransform& transform,
+                                   exec::TileExecutor& pool) const {
   Grid2D<CFloat> out(current.width(), current.height());
-#pragma omp parallel for schedule(static)
-  for (Index y = 0; y < out.height(); ++y) {
+  exec::parallel_for(pool, out.height(), 0, [&](Index y) {
     for (Index x = 0; x < out.width(); ++x) {
       double sx = 0.0, sy = 0.0;
       transform.apply(static_cast<double>(x), static_cast<double>(y), sx, sy);
       out.at(x, y) = signal::bilinear(current, sx, sy);
     }
-  }
+  });
   return out;
 }
 
 Grid2D<CFloat> Registrar::register_image(const Grid2D<CFloat>& current,
                                          const Grid2D<CFloat>& reference,
+                                         exec::TileExecutor& pool,
                                          AffineTransform* fitted) const {
-  const auto matches = match_control_points(current, reference);
+  const auto matches = match_control_points(current, reference, pool);
   const AffineTransform t = estimate(matches);
   if (fitted != nullptr) *fitted = t;
-  return resample(current, t);
+  return resample(current, t, pool);
 }
 
 }  // namespace sarbp::pipeline

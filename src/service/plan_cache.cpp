@@ -262,26 +262,31 @@ struct PlanCache::Record {
   /// to it after the cache lock and before the record lock, which order it.
   std::atomic<std::uint64_t> inserts{0};
 
-  /// On a miss of `hash`: marks it as building and returns true when it
-  /// recurs (it is in `recent`), no kept miss is building it and no plan
-  /// was inserted since the lookup read `inserts_seen` (that plan may be
-  /// this key's, its mark already cleared). Else records it unless it is
-  /// being built or recurs, and returns false.
-  bool mark(std::size_t hash, std::size_t capacity,
+  enum class Mark { kKept, kUnkept, kOvertaken };
+
+  /// On a miss of `hash`: when it recurs (it is in `recent`) and no kept
+  /// miss is building it, marks it as building and returns kKept, unless a
+  /// plan was inserted since the lookup read `inserts_seen` (kOvertaken,
+  /// nothing marked: that plan may be this key's, its mark already
+  /// cleared). Else records it unless it is being built or recurs, and
+  /// returns kUnkept.
+  Mark mark(std::size_t hash, std::size_t capacity,
             std::uint64_t inserts_seen) {
     MutexLock lock(mutex);
     if (std::find(building.begin(), building.end(), hash) != building.end()) {
-      return false;
+      return Mark::kUnkept;
     }
     if (std::find(recent.begin(), recent.end(), hash) == recent.end()) {
       recent.push_front(hash);
       if (recent.size() > capacity) recent.pop_back();
-      return false;
+      return Mark::kUnkept;
     }
     // order: relaxed — see `inserts`.
-    if (inserts.load(std::memory_order_relaxed) != inserts_seen) return false;
+    if (inserts.load(std::memory_order_relaxed) != inserts_seen) {
+      return Mark::kOvertaken;
+    }
     building.push_back(hash);
-    return true;
+    return Mark::kKept;
   }
 
   void unmark(std::size_t hash) {
@@ -309,13 +314,26 @@ void PlanCache::insert(const Value& plan) {
 PlanLookup lookup_plan(PlanCache& cache, const geometry::ImageGrid& grid,
                        const Region& region, Index block_w, Index block_h,
                        const sim::PhaseHistory& history) {
+  using Mark = PlanCache::Record::Mark;
   const PlanKey key = make_plan_key(grid, region, block_w, block_h, history);
   const std::shared_ptr<PlanCache::Record>& record = cache.record_;
   // order: relaxed — see Record::inserts.
-  const std::uint64_t inserts = record->inserts.load(std::memory_order_relaxed);
+  std::uint64_t inserts = record->inserts.load(std::memory_order_relaxed);
   if (auto plan = cache.find(key, history)) return {std::move(plan), nullptr};
   const std::size_t hash = PlanKeyHash{}(key);
-  if (cache.capacity() == 0 || !record->mark(hash, cache.capacity(), inserts)) {
+  Mark outcome = cache.capacity() == 0
+                     ? Mark::kUnkept
+                     : record->mark(hash, cache.capacity(), inserts);
+  while (outcome == Mark::kOvertaken) {
+    // This key's plan filed since the find leaves the miss unkept; another
+    // key's changes nothing.
+    // order: relaxed — see Record::inserts.
+    inserts = record->inserts.load(std::memory_order_relaxed);
+    outcome = cache.contains(key)
+                  ? Mark::kUnkept
+                  : record->mark(hash, cache.capacity(), inserts);
+  }
+  if (outcome == Mark::kUnkept) {
     if (cache.unkept_ != nullptr) cache.unkept_->add();
     return {plan_layout(key, history), nullptr};
   }

@@ -255,8 +255,9 @@ class PlanCache : public ReuseCache<FormationPlan> {
 
   /// Files `plan` (a kept miss's, once built), counts the insert, then
   /// clears the plan's build mark. A lookup after the clear finds the
-  /// plan, and one that missed the cache before the insert finds the mark
-  /// or the count changed, and is unkept: no second build.
+  /// plan, and one that missed the cache before the insert finds the mark,
+  /// or the count changed and the plan filed, and is unkept: no second
+  /// build.
   void insert(const Value& plan);
 
  private:
@@ -275,11 +276,13 @@ class PlanCache : public ReuseCache<FormationPlan> {
 
 /// The one cache-miss path of the local service, the shard ranks and the
 /// pulse-scatter front end: the cached plan on a hit; on a miss whose key
-/// the record holds, that no other kept miss is building and that no
-/// insert overtook (a kept miss), a skeleton in a fresh arena, carrying
-/// the key's build mark, for the caller to build and insert; on any other
-/// miss (unkept), counted in .unkept, a table-less plan, and the key
-/// enters the record unless it is being built.
+/// the record holds, that no other kept miss is building and whose plan
+/// no insert filed since the find (a kept miss), a skeleton in a fresh
+/// arena, carrying the key's build mark, for the caller to build and
+/// insert; on any other miss (unkept), counted in .unkept, a table-less
+/// plan, and the key enters the record unless it is being built. Other
+/// keys' inserts never make a miss unkept. A lookup counts one hit or
+/// miss.
 [[nodiscard]] PlanLookup lookup_plan(PlanCache& cache,
                                      const geometry::ImageGrid& grid,
                                      const Region& region, Index block_w,

@@ -156,6 +156,12 @@ class ReuseCache {
     if (bytes_gauge_) bytes_gauge_->set(static_cast<std::int64_t>(bytes_));
   }
 
+  /// Whether a value is filed under `key`; counts and promotes nothing.
+  [[nodiscard]] bool contains(const PlanKey& key) const {
+    MutexLock lock(mutex_);
+    return index_.count(key) != 0;
+  }
+
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   [[nodiscard]] std::size_t size() const {

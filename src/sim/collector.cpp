@@ -166,8 +166,6 @@ PhaseHistory collect(const CollectorParams& params,
       break;
     }
     case CollectionFidelity::kIdealResponse: {
-      // Pulses are independent and draw nothing from the RNG: parallel.
-#pragma omp parallel for schedule(static)
       for (Index p = 0; p < history.num_pulses(); ++p) {
         const auto& pose = poses[static_cast<std::size_t>(p)];
         for (const auto& reflector : scene.reflectors()) {
@@ -180,7 +178,6 @@ PhaseHistory collect(const CollectorParams& params,
     case CollectionFidelity::kFullWaveform: {
       const signal::RangeCompressor compressor(
           params.chirp, static_cast<std::size_t>(samples));
-#pragma omp parallel for schedule(dynamic)
       for (Index p = 0; p < history.num_pulses(); ++p) {
         const auto& pose = poses[static_cast<std::size_t>(p)];
         synthesize_full_waveform(history, p,

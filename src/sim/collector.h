@@ -32,9 +32,10 @@ struct CollectorParams {
   double noise_sigma = 0.0;
 };
 
-/// Collects one pulse batch. The phase history's per-pulse metadata carries
-/// the *recorded* positions (what image formation may legitimately use);
-/// echo delays are computed from the *true* positions.
+/// Collects one pulse batch on the calling thread. The phase history's
+/// per-pulse metadata carries the *recorded* positions (what image
+/// formation may legitimately use); echo delays are computed from the
+/// *true* positions.
 PhaseHistory collect(const CollectorParams& params,
                      const geometry::ImageGrid& grid,
                      const ReflectorScene& scene,

@@ -5,11 +5,13 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <thread>
 
 #include "common/rng.h"
 #include "common/snr.h"
+#include "exec/executor.h"
 #include "obs/metrics.h"
 #include "pipeline/affine.h"
 #include "pipeline/ccd.h"
@@ -134,15 +136,23 @@ Grid2D<CFloat> shifted(const Grid2D<CFloat>& src, Index sx, Index sy) {
   return out;
 }
 
+/// A pool of `workers` workers for the registration tests.
+exec::TileExecutor make_pool(int workers) {
+  exec::ExecOptions options;
+  options.workers = workers;
+  return exec::TileExecutor(std::move(options));
+}
+
 TEST(Registration, RecoversKnownShift) {
   const Grid2D<CFloat> reference = speckle_image(160, 160, 11);
   const Grid2D<CFloat> current = shifted(reference, 3, -2);
   RegistrationParams params;
   params.patch = 31;
   const Registrar registrar(params);
+  exec::TileExecutor pool = make_pool(2);
   AffineTransform t;
   const Grid2D<CFloat> registered =
-      registrar.register_image(current, reference, &t);
+      registrar.register_image(current, reference, pool, &t);
   EXPECT_NEAR(t.tx, 3.0, 0.3);
   EXPECT_NEAR(t.ty, -2.0, 0.3);
   EXPECT_NEAR(t.axx, 1.0, 0.01);
@@ -163,8 +173,9 @@ TEST(Registration, RecoversKnownShift) {
 TEST(Registration, IdenticalImagesGiveIdentityTransform) {
   const Grid2D<CFloat> img = speckle_image(128, 128, 13);
   const Registrar registrar({});
+  exec::TileExecutor pool = make_pool(2);
   AffineTransform t;
-  (void)registrar.register_image(img, img, &t);
+  (void)registrar.register_image(img, img, pool, &t);
   EXPECT_NEAR(t.tx, 0.0, 0.1);
   EXPECT_NEAR(t.ty, 0.0, 0.1);
 }
@@ -172,7 +183,8 @@ TEST(Registration, IdenticalImagesGiveIdentityTransform) {
 TEST(Registration, MatchesCarryConfidence) {
   const Grid2D<CFloat> img = speckle_image(128, 128, 17);
   const Registrar registrar({});
-  const auto matches = registrar.match_control_points(img, img);
+  exec::TileExecutor pool = make_pool(2);
+  const auto matches = registrar.match_control_points(img, img, pool);
   EXPECT_EQ(matches.size(), 16u);
   for (const auto& m : matches) {
     EXPECT_GT(m.confidence, 0.5);  // self-correlation is strong
@@ -184,8 +196,41 @@ TEST(Registration, MatchesCarryConfidence) {
 TEST(Registration, ImageTooSmallThrows) {
   const Grid2D<CFloat> img = speckle_image(40, 40, 19);
   const Registrar registrar({});
-  EXPECT_THROW((void)registrar.match_control_points(img, img),
+  exec::TileExecutor pool = make_pool(2);
+  EXPECT_THROW((void)registrar.match_control_points(img, img, pool),
                PreconditionError);
+}
+
+TEST(Registration, SameBytesOnOneAndFourWorkers) {
+  // Each control point and each resampled row is an item that writes its
+  // own outputs, so the matches, the fitted transform and the registered
+  // image are the same bytes whatever the pool's width and schedule.
+  const Grid2D<CFloat> reference = speckle_image(160, 160, 11);
+  const Grid2D<CFloat> current = shifted(reference, 3, -2);
+  RegistrationParams params;
+  params.control_points_x = 5;
+  params.control_points_y = 3;
+  const Registrar registrar(params);
+  const auto same_bytes = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  exec::TileExecutor one = make_pool(1);
+  const auto matches = registrar.match_control_points(current, reference, one);
+  AffineTransform fitted;
+  const Grid2D<CFloat> image =
+      registrar.register_image(current, reference, one, &fitted);
+  exec::TileExecutor four = make_pool(4);
+  for (int run = 0; run < 5; ++run) {
+    SCOPED_TRACE(run);
+    EXPECT_TRUE(same_bytes(
+        registrar.match_control_points(current, reference, four), matches));
+    AffineTransform again;
+    const Grid2D<CFloat> registered =
+        registrar.register_image(current, reference, four, &again);
+    EXPECT_EQ(std::memcmp(&again, &fitted, sizeof fitted), 0);
+    EXPECT_TRUE(same_bytes(registered.flat(), image.flat()));
+  }
 }
 
 TEST(Ccd, IdenticalImagesAreFullyCoherent) {
@@ -484,7 +529,8 @@ TEST(Pipeline, DestructionWithUncollectedResultsDoesNotDeadlock) {
 TEST(Pipeline, RecordsStageSpansAndQueueGauges) {
   // The observability contract the BENCH trajectories rely on: after a
   // pipeline run, its registry holds per-stage spans, frame latency, and
-  // named queue metrics.
+  // named queue metrics (read only when telemetry is compiled in; the
+  // stage totals hold either way).
   obs::Registry metrics;
   ScenarioConfig cfg;
   cfg.image = 64;
@@ -513,6 +559,7 @@ TEST(Pipeline, RecordsStageSpansAndQueueGauges) {
     EXPECT_GT(times.get("backprojection"), 0.0);
     EXPECT_GT(times.get("registration"), 0.0);
   }
+  if (!obs::kEnabled) return;
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.histograms.at("pipeline.stage.backprojection").count, 3u);
   EXPECT_EQ(snap.histograms.at("pipeline.stage.registration").count, 2u);

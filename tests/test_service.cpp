@@ -526,6 +526,45 @@ TEST(PlanCache, RacingLookupsOfOneKeyBuildOnce) {
   EXPECT_EQ(rounds_not_built_once, 0);
 }
 
+TEST(PlanCache, OtherKeysInsertsLeaveARecurringMissKept) {
+  // One thread files prebuilt plans of two other keys again and again
+  // (each insert counts, though the keys are already filed) while this one
+  // looks a recurring key up and drops each kept skeleton unbuilt, which
+  // clears its mark. An insert of another key between a lookup's find and
+  // its mark only makes the lookup mark again, so every lookup is a kept
+  // miss; an unkept one would build no plan for a geometry that recurs.
+  const auto [s, pulses] = make_tiny();
+  const Region region{0, 0, 8, 8};
+  PlanCache cache(4);
+  std::vector<std::shared_ptr<const FormationPlan>> others;
+  for (const double shift : {0.25, 0.5}) {
+    others.push_back(build_formation_plan(s.grid, region, 8, 8,
+                                          *shifted(*pulses, shift)));
+    cache.insert(others.back());
+  }
+  record_once(cache, s, region, *pulses);
+  constexpr int kInserts = 100000;
+  std::atomic<bool> inserting{true};
+  std::latch start(2);
+  std::thread inserter([&] {
+    start.arrive_and_wait();
+    for (int i = 0; i < kInserts; ++i) cache.insert(others[i % 2]);
+    inserting.store(false);
+  });
+  start.arrive_and_wait();
+  int lookups = 0;
+  int not_kept = 0;
+  while (inserting.load()) {
+    const PlanLookup lookup = lookup_plan(cache, s.grid, region, 8, 8, *pulses);
+    ++lookups;
+    if (lookup.hit() || lookup.unkept()) ++not_kept;
+  }
+  inserter.join();
+  EXPECT_GT(lookups, 0);
+  EXPECT_EQ(not_kept, 0) << "of " << lookups << " lookups";
+  EXPECT_EQ(cache.size(), 2u);
+}
+
 TEST(PlanCache, DroppedSkeletonClearsItsMark) {
   // A kept skeleton released unbuilt, as when the job's tile allocation
   // throws after the lookup, clears its key's build mark: lookups of the

@@ -7,14 +7,10 @@
 #
 #   build-asan  -DSARBP_SANITIZE=address;undefined — full ctest suite.
 #   build-tsan  -DSARBP_SANITIZE=thread           — the concurrency-heavy
-#               test binaries (queue, pipeline shutdown, observability),
-#               run directly with OMP_NUM_THREADS=1. libgomp is not built
-#               with TSan instrumentation, so OpenMP parallel regions
-#               produce false positives. Image formation runs on the tile
-#               executor (std::thread, fully visible to TSan); the pin
-#               only matters for the loops that stay on OpenMP, which
-#               these binaries reach through registration, CCD and
-#               collection.
+#               test binaries (queue, pipeline shutdown, observability,
+#               the executor, which also runs the pipeline's
+#               registration), run directly. Every parallel loop in the
+#               library runs on std::threads, so TSan sees all of them.
 #
 # The TSan configuration also turns on SARBP_DEADLOCK_CHECK, so every run
 # doubles as a lock-order audit: the runtime cycle detector (DESIGN.md
@@ -54,7 +50,7 @@ run_tsan() {
     if [ "$t" = "test_deadlock" ]; then
       tsan_opts="$tsan_opts:detect_deadlocks=0"
     fi
-    OMP_NUM_THREADS=1 TSAN_OPTIONS="$tsan_opts" "build-tsan/tests/$t"
+    TSAN_OPTIONS="$tsan_opts" "build-tsan/tests/$t"
   done
 }
 

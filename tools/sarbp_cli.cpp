@@ -6,8 +6,8 @@
 //   sarbp info --in collection.sarbp
 //       Describe a saved phase history.
 //   sarbp image --in collection.sarbp --out image.npy [--pgm image.pgm]
-//       Backproject a saved collection (ASR + SIMD + OpenMP); optional
-//       kernel/block/ffbp switches.
+//       Backproject a saved collection (ASR + SIMD on the tile
+//       executor); optional kernel/block/ffbp switches.
 //   sarbp pipeline --frames N [--ix N --pulses N] [--out-prefix frames_]
 //       Run the streaming surveillance pipeline on simulated repeat-pass
 //       data and report CFAR detections per frame.

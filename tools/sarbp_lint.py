@@ -81,15 +81,14 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   drift apart again, nor build their tables on different
                   lanes.
 
-  omp-formation   One parallel runtime forms images: exec::TileExecutor.
-                  In src/, `#pragma omp`, `<omp.h>` and omp_* calls may
-                  appear only in the loops that stay on OpenMP
-                  (src/pipeline/registration.cpp, src/pipeline/ccd.cpp,
-                  src/sim/collector.cpp, src/backprojection/ffbp.cpp) and
-                  in the host report of src/common/cpu.cpp. An OpenMP
-                  team next to the executor would split the runtime
-                  again, and its critical-section reductions sum in
-                  thread-completion order.
+  omp-formation   One parallel runtime: exec::TileExecutor. In src/,
+                  `#pragma omp`, `<omp.h>` and omp_* calls never appear,
+                  and the build links no OpenMP runtime. A loop that wants
+                  threads runs on a pool (exec::parallel_for); the rest
+                  run inline. An OpenMP team next to the executor would
+                  split the runtime again, oversubscribe its cores, and
+                  sum its critical-section reductions in thread-completion
+                  order.
 
   task-graph      One function cuts formations into tasks:
                   exec::make_formation_group. In src/, a TaskGroup is
@@ -221,15 +220,6 @@ ASR_CORE_DIR = "src/asr/"
 
 # An OpenMP construct: a pragma, the runtime header, or a runtime call.
 OMP_RE = re.compile(r"#\s*pragma\s+omp\b|<omp\.h>|\bomp_[a-z_]+\s*\(")
-
-# The loops that stay on OpenMP, and the host capability report.
-OMP_ALLOWLIST = (
-    "src/pipeline/registration.cpp",
-    "src/pipeline/ccd.cpp",
-    "src/sim/collector.cpp",
-    "src/backprojection/ffbp.cpp",
-    "src/common/cpu.cpp",
-)
 
 # A TaskGroup construction: make_shared/make_unique or a raw new.
 TASK_GROUP_RE = re.compile(
@@ -503,13 +493,12 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     "sweep through bp::sweep_asr_block and build tables "
                     "with bp::build_asr_tables (backprojection/asr_sweep.h)"))
 
-        if (in_src and path.as_posix() not in OMP_ALLOWLIST
-                and OMP_RE.search(code)):
+        if in_src and OMP_RE.search(code):
             if "omp-formation" not in allowed:
                 findings.append(Finding(
                     rel, i + 1, "omp-formation",
-                    "OpenMP outside the loops that stay on it; form images "
-                    "on exec::TileExecutor (exec/formation_tasks.h)"))
+                    "OpenMP in src/; run the loop on exec::TileExecutor "
+                    "(exec::parallel_for, exec/formation_tasks.h) or inline"))
 
         if (in_src and path.as_posix() != TASK_GRAPH_HOME
                 and TASK_GROUP_RE.search(code)):
@@ -739,7 +728,7 @@ SELFTEST_CASES = [
      "expand_table_seeds(table_seeds(q, r0, dr, k, w, h), tables);\n", []),
     ("src/service/p.cpp",
      "const auto seeds = make_table_seeds(q);  // not the core's\n", []),
-    # omp-formation: OpenMP only in the loops that stay on it.
+    # omp-formation: no OpenMP anywhere in src/.
     ("src/backprojection/backprojector.cpp",
      "#include <omp.h>\n#pragma omp parallel num_threads(workers)\n"
      "const int n = omp_get_max_threads();\n",
@@ -747,9 +736,9 @@ SELFTEST_CASES = [
     ("src/exec/e.cpp", "#  pragma omp critical(reduce)\n", ["omp-formation"]),
     ("src/pipeline/ccd.cpp",
      "#include <omp.h>\n#pragma omp parallel for schedule(static)\n",
-     []),
+     ["omp-formation", "omp-formation"]),
     ("src/common/cpu.cpp", "info.openmp_max_threads = omp_get_max_threads();\n",
-     []),
+     ["omp-formation"]),
     ("src/exec/e.cpp",
      "// lint: allow(omp-formation) -- fixture\n#pragma omp parallel for\n",
      []),
