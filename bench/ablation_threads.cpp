@@ -1,17 +1,23 @@
 // Ablation (§5.2.2): thread scaling of the batch backprojection driver
 // (exec::Backprojector: its tile-executor pool of `threads` workers plus
-// the calling thread). Paper: near-linear 15.9x on 16 Xeon cores,
-// super-linear 63x on 60 Phi cores (working set per core shrinks into
-// cache), SMT 1.2x/2.2x.
+// the calling thread, one task per ASR block). Paper: near-linear 15.9x on
+// 16 Xeon cores, super-linear 63x on 60 Phi cores (working set per core
+// shrinks into cache), SMT 1.2x/2.2x.
 //
 // Speedups saturate at the host's hardware thread count (printed first);
-// rows beyond it still exercise the partitioning/reduction machinery and
-// report the partition chosen.
+// rows beyond it still run the driver's pool and report its task count.
+// A row is the median (IQR) of the timed form_image calls.
+//
+//   ablation_threads [--ix 256 --pulses 48 --warmup 1 --repeat 5
+//                     --json out.json]
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
-#include "backprojection/partition.h"
+#include "asr/block_plan.h"
 #include "bench_util.h"
 #include "common/timer.h"
+#include "exec/executor.h"
 #include "exec/formation_tasks.h"
 
 int main(int argc, char** argv) {
@@ -19,15 +25,24 @@ int main(int argc, char** argv) {
   const bench::Args args(argc, argv);
   const Index image = args.get("ix", 256);
   const Index pulses = args.get("pulses", 48);
+  const bench::RepeatSpec spec = bench::repeat_spec(args);
+  bench::JsonReporter json("ablation_threads", spec);
 
   auto scenario = bench::make_bench_scenario(image, pulses);
+  const bp::BackprojectOptions defaults;
+  // make_backprojection_group's fan-out: one task per block.
+  const std::size_t tasks = std::min(
+      asr::plan_blocks(0, 0, image, image, defaults.asr_block_w,
+                       defaults.asr_block_h)
+          .size(),
+      exec::kDequeCapacity);
 
   bench::print_header("Ablation - batch driver thread scaling");
   std::printf("hardware threads available: %d (paper: 16 Xeon cores / 60 Phi "
-              "cores)\n\n",
-              cpu_info().hardware_threads);
-  std::printf("%8s %10s %10s %9s %24s\n", "threads", "time (s)", "Gbp/s",
-              "speedup", "partition (x*y*pulse)");
+              "cores); warmup %d, repeat %d\n\n",
+              cpu_info().hardware_threads, spec.warmup, spec.repeat);
+  std::printf("%8s %11s %11s %10s %9s %8s\n", "threads", "median s",
+              "iqr s", "Gbp/s", "speedup", "tasks");
   bench::print_rule();
 
   const double work = static_cast<double>(image) * static_cast<double>(image) *
@@ -37,20 +52,21 @@ int main(int argc, char** argv) {
     bp::BackprojectOptions options;
     options.threads = threads;
     const exec::Backprojector driver(scenario.grid, options);
-    // Warm-up + timed run.
-    (void)driver.form_image(scenario.history);
-    Timer timer;
-    (void)driver.form_image(scenario.history);
-    const double secs = timer.seconds();
-    if (threads == 1) base = secs;
-    const bp::CubeShape shape{pulses, image, image};
-    const auto choice = bp::choose_partition(shape, threads,
-                                             options.min_region_edge);
-    std::printf("%8d %10.3f %10.3f %8.2fx %15lldx%lldx%lld\n", threads, secs,
-                work / secs / 1e9, base / secs,
-                static_cast<long long>(choice.parts_x),
-                static_cast<long long>(choice.parts_y),
-                static_cast<long long>(choice.parts_pulse));
+    const bench::SampleStats stats = bench::run_repeated(spec, [&] {
+      const Timer timer;
+      (void)driver.form_image(scenario.history);
+      return timer.seconds();
+    });
+    if (threads == 1) base = stats.median;
+    std::printf("%8d %11.5f %11.5f %10.3f %8.2fx %8zu\n", threads,
+                stats.median, stats.iqr(), work / stats.median / 1e9,
+                base / stats.median, tasks);
+    json.add("form_image",
+             {{"image", std::to_string(image)},
+              {"pulses", std::to_string(pulses)},
+              {"threads", std::to_string(threads)},
+              {"tasks", std::to_string(tasks)}},
+             "seconds", stats);
   }
   return 0;
 }

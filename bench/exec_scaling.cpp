@@ -1,18 +1,18 @@
-// Tile-executor scaling bench: one backprojection job decomposed into
-// (region-tile x pulse-chunk) tasks by the §4.2 partitioner, run through
-// the work-stealing TileExecutor while sweeping worker count, job size,
-// and steal on/off.
+// Tile-executor scaling bench: one backprojection job decomposed into one
+// task per ASR block (exec::make_backprojection_group), run through the
+// work-stealing TileExecutor while sweeping worker count, job size, and
+// steal on/off.
 //
 // steal=off is the serial baseline: the whole group runs on the worker
 // that injected it (exactly the pre-executor service behaviour, one job
 // per core). steal=on lets every idle worker, and the thread calling
 // run(), converge on the job, so the steal-on/steal-off ratio at each
 // worker count is the intra-job speedup the executor buys. Parity with
-// Backprojector::add_pulses is asserted bit-exactly in tests/test_exec.cpp;
+// one serial kernel call is asserted bit-exactly in tests/test_exec.cpp;
 // this bench only measures time.
 //
 //   exec_scaling [--ix 96,160 --pulses 48 --block 32 --workers 1,2,4
-//                 --min-edge 32 --warmup 1 --repeat 3 --json out.json]
+//                 --warmup 1 --repeat 3 --json out.json]
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -52,16 +52,14 @@ int main(int argc, char** argv) {
       parse_index_list(args.gets("workers"), {1, 2, 4});
   const Index pulses = args.get("pulses", 48);
   const Index block = args.get("block", 32);
-  const Index min_edge = args.get("min-edge", 32);
   const bench::RepeatSpec spec = bench::repeat_spec(args);
   bench::JsonReporter json("exec_scaling", spec);
 
   bench::print_header(
       "tile-executor scaling: workers x job size x steal on/off");
-  std::printf("pulses %lld, ASR block %lld, min region edge %lld, "
-              "warmup %d, repeat %d\n",
+  std::printf("pulses %lld, ASR block %lld, warmup %d, repeat %d\n",
               static_cast<long long>(pulses), static_cast<long long>(block),
-              static_cast<long long>(min_edge), spec.warmup, spec.repeat);
+              spec.warmup, spec.repeat);
   bench::print_rule();
   std::printf("%6s %8s %6s %11s %11s %8s %8s\n", "image", "workers", "steal",
               "median s", "iqr s", "tasks", "speedup");
@@ -74,7 +72,6 @@ int main(int argc, char** argv) {
     options.kernel = bp::KernelKind::kAsrScalar;
     options.asr_block_w = block;
     options.asr_block_h = block;
-    options.min_region_edge = min_edge;
 
     for (const Index workers : workers_list) {
       double serial_median = 0.0;
@@ -89,8 +86,7 @@ int main(int argc, char** argv) {
           exec_options.metrics = &registry;
           exec::TileExecutor executor(std::move(exec_options));
           auto group = exec::make_backprojection_group(
-              scenario.history, scenario.grid, options,
-              static_cast<int>(workers), out);
+              scenario.history, scenario.grid, options, out);
           Timer timer;
           executor.run(group);
           const double seconds = timer.seconds();

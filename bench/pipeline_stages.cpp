@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   bench::print_rule();
   for (const auto& [name, h] : snap.histograms) {
     if (name.rfind("pipeline.stage.", 0) == 0 ||
-        name == "pipeline.frame.latency_s" || name == "bp.add_pulses_s") {
+        name == "pipeline.frame.latency_s" || name == "bp.form_image_s") {
       std::printf("%-32s %8llu %10.4f %10.4f %10.4f\n", name.c_str(),
                   static_cast<unsigned long long>(h.count), h.p50, h.p99,
                   h.sum);

@@ -1,6 +1,5 @@
 #include "backprojection/backprojector.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/check.h"
@@ -14,7 +13,6 @@ void BackprojectOptions::validate() const {
          "backproject_ref instead");
   ensure(asr_block_w > 0 && asr_block_h > 0,
          "BackprojectOptions: ASR block must be positive");
-  ensure(pulse_chunk > 0, "BackprojectOptions: pulse chunk must be positive");
 }
 
 void run_cube_part(const sim::PhaseHistory& history,
@@ -26,33 +24,27 @@ void run_cube_part(const sim::PhaseHistory& history,
   const std::optional<geometry::LoopOrder> order =
       options.dynamic_reorder ? std::nullopt
                               : std::optional(geometry::LoopOrder::kXInner);
-  // Cache blocking along the pulse dimension: each chunk sweeps the part's
-  // pixel blocks while its slice of In is hot.
-  for (Index chunk = part.pulse_begin; chunk < part.pulse_end;
-       chunk += options.pulse_chunk) {
-    const Index chunk_end =
-        std::min(chunk + options.pulse_chunk, part.pulse_end);
-    switch (kernel) {
-      case KernelKind::kBaseline:
-      case KernelKind::kBaselineAllFloat:
-        backproject_baseline(history, grid, part.region, chunk, chunk_end,
-                             kernel == KernelKind::kBaselineAllFloat, order,
-                             tile);
-        break;
-      case KernelKind::kAsrScalar:
-        backproject_asr_scalar(history, grid, part.region, chunk, chunk_end,
-                               options.asr_block_w, options.asr_block_h,
-                               order, tile);
-        break;
-      case KernelKind::kAsrSimd:
-        backproject_asr_simd(history, grid, part.region, chunk, chunk_end,
-                             options.asr_block_w, options.asr_block_h, order,
-                             tile);
-        break;
-      case KernelKind::kRefDouble:
-        ensure(false,
-               "run_cube_part: use backproject_ref for the double reference");
-    }
+  switch (kernel) {
+    case KernelKind::kBaseline:
+    case KernelKind::kBaselineAllFloat:
+      backproject_baseline(history, grid, part.region, part.pulse_begin,
+                           part.pulse_end,
+                           kernel == KernelKind::kBaselineAllFloat, order,
+                           tile);
+      break;
+    case KernelKind::kAsrScalar:
+      backproject_asr_scalar(history, grid, part.region, part.pulse_begin,
+                             part.pulse_end, options.asr_block_w,
+                             options.asr_block_h, order, tile);
+      break;
+    case KernelKind::kAsrSimd:
+      backproject_asr_simd(history, grid, part.region, part.pulse_begin,
+                           part.pulse_end, options.asr_block_w,
+                           options.asr_block_h, order, tile);
+      break;
+    case KernelKind::kRefDouble:
+      ensure(false,
+             "run_cube_part: use backproject_ref for the double reference");
   }
 }
 

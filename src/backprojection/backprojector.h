@@ -1,8 +1,8 @@
-// Backprojection options and the single-threaded part body: composes the
-// optimizations of §4 for one cuboid of the (pulse x y x x) space — cache
-// blocking along the pulse dimension, per-pulse x/y loop reordering
-// (wavefront.h), and the kernel selection. The batch driver that splits an
-// image across threads is exec::Backprojector (exec/formation_tasks.h).
+// Backprojection options and the single-threaded part body: one kernel
+// call over one cuboid of the (pulse x y x x) space, with per-pulse x/y
+// loop reordering (wavefront.h) and the kernel selection. The batch driver
+// that spreads an image's ASR blocks across threads is exec::Backprojector
+// (exec/formation_tasks.h).
 #pragma once
 
 #include "backprojection/kernel.h"
@@ -24,10 +24,9 @@ struct BackprojectOptions {
   bool dynamic_reorder = true;
   /// Batch-driver pool workers; 0 = all hardware threads.
   int threads = 0;
-  /// Cache-blocking chunk along the pulse dimension (cube C of Fig. 5(b)).
-  Index pulse_chunk = 64;
-  /// Minimum image-tile edge before the partitioner switches to splitting
-  /// pulses (§4.2); defaults to the ASR block size.
+  /// Minimum image-tile edge before the rank-level partitioner
+  /// (cluster::distributed_backprojection) switches to splitting pulses
+  /// (§4.2); defaults to the ASR block size.
   Index min_region_edge = 64;
 
   /// Throws PreconditionError on invalid options, kRefDouble included
@@ -37,9 +36,10 @@ struct BackprojectOptions {
 
 /// Executes one cuboid of the iteration space — pulses
 /// [part.pulse_begin, part.pulse_end) over part.region — into a tile that
-/// must already cover exactly part.region. Single-threaded; this is the
-/// one task body of the batch driver (exec::make_backprojection_group) and
-/// of add_pulses_region below. Each pulse chunk is one kernel call.
+/// must already cover exactly part.region, as one call of the options'
+/// kernel. Single-threaded; this is the body of the batch driver's block
+/// tasks (exec::make_backprojection_group: one ASR block, every pulse) and
+/// of add_pulses_region below.
 void run_cube_part(const sim::PhaseHistory& history,
                    const geometry::ImageGrid& grid,
                    const BackprojectOptions& options, const CubePart& part,

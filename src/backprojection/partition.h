@@ -1,7 +1,10 @@
-// Hierarchical 3D partitioning of the backprojection iteration cube
-// (paper Fig. 5(b)): the (pulse x y x x) space is cut into cuboids at the
-// MPI level, the thread level (the tile executor's tasks), and the
-// cache-blocking level.
+// The rank level of the paper's hierarchical 3D partitioning (Fig. 5(b)):
+// cluster::distributed_backprojection cuts the (pulse x y x x) cube into
+// one cuboid per rank. The levels below it are not cuboids of this cube:
+// on a node each task sweeps one ASR block over every pulse
+// (exec::make_backprojection_group, the service's plan replay, the
+// streaming updates), and the cache-blocking level is that block sweep,
+// whose tile stays resident while the pulses stream.
 //
 // Partitioning policy (§4.2): split output-image dimensions first — pulse
 // splits force privatized output buffers plus a reduction — and split the
@@ -40,7 +43,7 @@ struct PartitionChoice {
   [[nodiscard]] Index total() const { return parts_x * parts_y * parts_pulse; }
 };
 
-/// Picks (parts_x, parts_y, parts_pulse) for `workers` workers. Prefers the
+/// Picks (parts_x, parts_y, parts_pulse) for `workers` ranks. Prefers the
 /// smallest possible pulse-dimension split, then the most square image
 /// tiles, subject to tiles not dropping below min_edge on either axis
 /// (when the image is large enough to allow it).

@@ -57,4 +57,10 @@ void SoaTile::subtract_tile(const SoaTile& other) {
   for (std::size_t i = 0; i < n; ++i) im_[i] -= other.im_[i];
 }
 
+SoaTile& block_tile(Index width, Index height) {
+  static thread_local SoaTile tile;
+  tile.reset(width, height);
+  return tile;
+}
+
 }  // namespace sarbp::bp

@@ -49,8 +49,8 @@ class SoaTile {
   /// The same into another tile: `out`'s pixels in `region` += this tile.
   void accumulate_into(SoaTile& out, const Region& region) const;
 
-  /// Elementwise `this += other` over same-shape tiles: one step of the
-  /// executor's deterministic per-job tree reduction over pulse slices.
+  /// Elementwise `this += other` over same-shape tiles: a streaming
+  /// session adding a chunk's partial image to its live window.
   void accumulate_tile(const SoaTile& other);
 
   /// Elementwise `this -= other`: retiring an expired sub-aperture's
@@ -66,5 +66,11 @@ class SoaTile {
   AlignedVector<float> re_;
   AlignedVector<float> im_;
 };
+
+/// The calling thread's block tile, reset to width x height zeros: a block
+/// task sweeps one ASR block into it and adds the finished block to its
+/// output (paper §4.3's per-thread tiles). The plan replay and the batch
+/// driver share it; it is reused from block to block and call to call.
+SoaTile& block_tile(Index width, Index height);
 
 }  // namespace sarbp::bp

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "backprojection/partition.h"
+#include "asr/block_plan.h"
 #include "backprojection/soa_tile.h"
 #include "common/check.h"
 #include "common/timer.h"
@@ -104,51 +104,27 @@ void parallel_for(TileExecutor& pool, Index items, Index task_cap,
 GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
                                    const geometry::ImageGrid& grid,
                                    const bp::BackprojectOptions& options,
-                                   int parallelism, Grid2D<CFloat>& out,
-                                   std::function<bool()> checkpoint) {
-  ensure(parallelism >= 1, "make_backprojection_group: parallelism >= 1");
+                                   Grid2D<CFloat>& out) {
   ensure(out.width() == grid.width() && out.height() == grid.height(),
          "make_backprojection_group: image shape mismatch");
-
-  const bp::CubeShape shape{history.num_pulses(), grid.width(), grid.height()};
-  const bp::PartitionChoice choice =
-      bp::choose_partition(shape, parallelism, options.min_region_edge);
-  auto parts = std::make_shared<std::vector<bp::CubePart>>(
-      bp::partition_cube(shape, choice));
-  // One private tile per part (§4.3); index pp*XY + r, pulse-slice major.
-  auto tiles = std::make_shared<std::vector<bp::SoaTile>>(parts->size());
+  auto blocks = std::make_shared<const std::vector<asr::BlockSpec>>(
+      asr::plan_blocks(0, 0, grid.width(), grid.height(), options.asr_block_w,
+                       options.asr_block_h));
 
   FormationSpec spec;
-  spec.items = static_cast<Index>(parts->size());
-  spec.sweep = [&history, &grid, &options, parts, tiles](
+  spec.items = static_cast<Index>(blocks->size());
+  spec.sweep = [&history, &grid, &options, &out, blocks](
                    Index i, const bp::AsrKernel&) {
-    const bp::CubePart& part = (*parts)[static_cast<std::size_t>(i)];
-    bp::SoaTile& tile = (*tiles)[static_cast<std::size_t>(i)];
-    tile.reset(part.region.width, part.region.height);
+    const asr::BlockSpec& block = (*blocks)[static_cast<std::size_t>(i)];
+    bp::CubePart part;
+    part.pulse_end = history.num_pulses();
+    part.region = Region{block.x0, block.y0, block.width, block.height};
+    bp::SoaTile& tile = bp::block_tile(block.width, block.height);
     bp::run_cube_part(history, grid, options, part, tile);
+    tile.accumulate_into(out, part.region);
     return 0.0;
   };
-  spec.workers = parallelism;
-  spec.task_cap = spec.items;  // one part per task
-  spec.checkpoint = std::move(checkpoint);
-
-  const std::size_t slices = static_cast<std::size_t>(choice.parts_pulse);
-  const std::size_t regions =
-      static_cast<std::size_t>(choice.parts_x * choice.parts_y);
-  spec.on_complete = [parts, tiles, slices, regions, &out](TaskGroup& group) {
-    if (group.aborted()) return;
-    // Deterministic stride-doubling tree over the pulse slices of each
-    // region, then one accumulate into the shared image per region.
-    for (std::size_t r = 0; r < regions; ++r) {
-      for (std::size_t stride = 1; stride < slices; stride *= 2) {
-        for (std::size_t s = 0; s + stride < slices; s += 2 * stride) {
-          (*tiles)[s * regions + r].accumulate_tile(
-              (*tiles)[(s + stride) * regions + r]);
-        }
-      }
-      (*tiles)[r].accumulate_into(out, (*parts)[r].region);
-    }
-  };
+  spec.task_cap = std::min(spec.items, static_cast<Index>(kDequeCapacity));
   spec.label = "backprojection";
   return make_formation_group(std::move(spec));
 }
@@ -163,27 +139,17 @@ Backprojector::Backprojector(const geometry::ImageGrid& grid,
   pool_ = std::make_unique<TileExecutor>(std::move(exec_options));
 }
 
-void Backprojector::add_pulses(const sim::PhaseHistory& history,
-                               Grid2D<CFloat>& out) const {
-  ensure(out.width() == grid_.width() && out.height() == grid_.height(),
-         "Backprojector::add_pulses: image shape mismatch");
-  if (history.num_pulses() == 0) return;
-
-  Timer batch_timer;
-  const GroupPtr group = make_backprojection_group(
-      history, grid_, options_, pool_->workers(), out);
-  pool_->run(group);
-  if (group->aborted()) {
-    throw PreconditionError("Backprojector::add_pulses: " + group->error());
-  }
-
-  obs::registry().histogram("bp.add_pulses_s").record(batch_timer.seconds());
-}
-
 Grid2D<CFloat> Backprojector::form_image(
     const sim::PhaseHistory& history) const {
+  const Timer timer;
   Grid2D<CFloat> out(grid_.width(), grid_.height());
-  add_pulses(history, out);
+  const GroupPtr group =
+      make_backprojection_group(history, grid_, options_, out);
+  pool_->run(group);
+  if (group->aborted()) {
+    throw PreconditionError("Backprojector::form_image: " + group->error());
+  }
+  obs::registry().histogram("bp.form_image_s").record(timer.seconds());
   return out;
 }
 

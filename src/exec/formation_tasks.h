@@ -1,21 +1,19 @@
 // Image formation on the tile executor (paper §4.2-§4.3). How a formation
 // is cut into tasks is decided here, once: make_formation_group turns N
-// independent items (plan blocks, a streaming update's blocks, the
-// Backprojector's cube parts) and a sweep body into contiguous item-range
-// tasks, optionally routed across a BackendSet by its §5.3 split. The
-// service's plan replay and the streaming updates build their groups
-// through it: a plan replay asks for one task per block (at most
+// independent items (the blocks of a plan, of a streaming update or of the
+// batch driver's grid) and a sweep body into contiguous item-range tasks,
+// optionally routed across a BackendSet by its §5.3 split. The service's
+// plan replay and the batch driver ask for one task per block (at most
 // kDequeCapacity, so an injection runs none inline), so that idle workers
-// steal single blocks and a job ends without a one-task tail; a streaming
-// update keeps the ~2 tasks per worker default.
+// steal single blocks and a formation ends without a one-task tail; a
+// streaming update keeps the ~2 tasks per worker default.
 //
-// make_backprojection_group is the batch body: the §4.2 partitioner cuts
-// the (pulse x y x x) cube into (region-tile x pulse-chunk) parts, one per
-// task, each swept by bp::run_cube_part into a private SoaTile. The
-// completion continuation reduces each region's pulse slices in a fixed
-// stride-doubling tree over slice index, so the bytes never depend on
-// which threads ran which tasks. Backprojector runs one such group per
-// add_pulses call on the pool it owns, the caller sweeping beside it.
+// make_backprojection_group is the batch body: each task sweeps one ASR
+// block of the grid over every pulse with bp::run_cube_part's kernel into
+// its thread's block tile, then adds the finished block straight into the
+// image. Blocks are disjoint, so the bytes never depend on which threads
+// ran which tasks. Backprojector runs one such group per form_image call
+// on the pool it owns, the caller sweeping beside it.
 #pragma once
 
 #include <functional>
@@ -36,7 +34,7 @@ namespace sarbp::exec {
 
 /// One formation as independent items, and how to cut it into tasks.
 /// Items never write the same output element (disjoint block rectangles,
-/// or private tiles), so any schedule gives the same bytes.
+/// or a loop's per-item outputs), so any schedule gives the same bytes.
 struct FormationSpec {
   Index items = 0;
   /// Untimed setup of one item (a plan miss builds the block's tables),
@@ -76,16 +74,19 @@ GroupPtr make_formation_group(FormationSpec spec);
 void parallel_for(TileExecutor& pool, Index items, Index task_cap,
                   const std::function<void(Index item)>& body);
 
-/// Builds a group that accumulates every pulse of `history` into `out`
-/// (+=; callers zero for a fresh image), decomposed for `parallelism`
-/// concurrent workers. `history`, `grid`, `options`, and `out` must
-/// outlive the group. `checkpoint` (nullable) is polled before each part;
-/// false aborts the job and leaves `out` untouched.
+/// Builds a group that adds every pulse of `history` into `out` (+=; a
+/// fresh image is zeroed): one item and one task per ASR block of the grid
+/// (asr::plan_blocks with the options' block size; at most kDequeCapacity
+/// tasks). An item sweeps its block over every pulse with bp::run_cube_part
+/// into its thread's bp::block_tile and adds the finished block into
+/// `out`, so a zeroed `out` receives one serial kernel call's bytes over
+/// the whole grid on any schedule. `history`, `grid`, `options` and `out`
+/// must outlive the group. A group aborted by a throwing sweep may leave
+/// finished blocks in `out`.
 GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
                                    const geometry::ImageGrid& grid,
                                    const bp::BackprojectOptions& options,
-                                   int parallelism, Grid2D<CFloat>& out,
-                                   std::function<bool()> checkpoint = nullptr);
+                                   Grid2D<CFloat>& out);
 
 class Backprojector {
  public:
@@ -100,33 +101,15 @@ class Backprojector {
     return options_;
   }
 
-  /// Accumulates every pulse of `history` into the full image `out`
-  /// (+=; callers zero the image for a fresh batch): one
-  /// make_backprojection_group run on the pool.
-  void add_pulses(const sim::PhaseHistory& history, Grid2D<CFloat>& out) const;
-
-  /// bp::add_pulses_region with this driver's grid and options: pulses
-  /// [pulse_begin, pulse_end) over `region` only, on the calling thread.
-  void add_pulses_region(const sim::PhaseHistory& history,
-                         const Region& region, Index pulse_begin,
-                         Index pulse_end, Grid2D<CFloat>& out) const {
-    bp::add_pulses_region(history, grid_, options_, region, pulse_begin,
-                          pulse_end, out);
-  }
-
-  /// The pool add_pulses runs on; the pipeline's registration shares it.
+  /// The pool form_image runs on; the pipeline's registration shares it.
   [[nodiscard]] TileExecutor& pool() const { return *pool_; }
 
-  /// Convenience: zeroed image + add_pulses.
+  /// The image of every pulse of `history`: one make_backprojection_group
+  /// on the pool, the caller sweeping beside it. Throws PreconditionError
+  /// when a block's sweep throws (a radar on a block centre); the partly
+  /// formed image is dropped.
   [[nodiscard]] Grid2D<CFloat> form_image(
       const sim::PhaseHistory& history) const;
-
-  /// Backprojections (pixel-pulse pairs) a full-image pass performs.
-  [[nodiscard]] double backprojections(const sim::PhaseHistory& history) const {
-    return static_cast<double>(grid_.width()) *
-           static_cast<double>(grid_.height()) *
-           static_cast<double>(history.num_pulses());
-  }
 
  private:
   geometry::ImageGrid grid_;

@@ -92,8 +92,7 @@ void SurveillancePipeline::backprojection_stage() {
     formed.frame = frame++;
     formed.ingested = std::chrono::steady_clock::now();
     Timer bp_timer;
-    Grid2D<CFloat> batch_image(grid_.width(), grid_.height());
-    backprojector_.add_pulses(*batch, batch_image);
+    Grid2D<CFloat> batch_image = backprojector_.form_image(*batch);
     formed.stage_seconds["backprojection"] = bp_timer.seconds();
     Timer acc_timer;
     accumulator.push(std::move(batch_image));

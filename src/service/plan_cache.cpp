@@ -140,13 +140,6 @@ double sweep_plan_block(const FormationPlan& plan, std::size_t block,
          static_cast<double>(pulse_end - pulse_begin);
 }
 
-/// The replay's per-thread block tile, reused from block to block.
-bp::SoaTile& block_tile(const asr::BlockSpec& block) {
-  static thread_local bp::SoaTile tile;
-  tile.reset(block.width, block.height);
-  return tile;
-}
-
 }  // namespace
 
 bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
@@ -199,7 +192,7 @@ exec::GroupPtr make_plan_replay_group(
   spec.sweep = [plan, history, out = std::move(out), origin = region,
                 pulse_begin, pulse_end](Index b, const bp::AsrKernel& kernel) {
     const asr::BlockSpec& block = plan->blocks[static_cast<std::size_t>(b)];
-    bp::SoaTile& tile = block_tile(block);
+    bp::SoaTile& tile = bp::block_tile(block.width, block.height);
     const double backprojections =
         sweep_plan_block(*plan, static_cast<std::size_t>(b), *history,
                          pulse_begin, pulse_end, kernel, tile, block.x0,

@@ -1,8 +1,8 @@
 // Work-stealing tile executor tests: Chase-Lev deque semantics under
 // contention, group lifecycle (completion continuation, abort, errors),
 // steal behaviour, and the acceptance parity check — executor-formed
-// images bit-identical to Backprojector::add_pulses for every kernel with
-// stealing on and off.
+// images bit-identical to one serial kernel call over the grid for every
+// kernel with stealing on and off.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,10 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "asr/block_plan.h"
 #include "backprojection/backprojector.h"
 #include "backprojection/kernel.h"
-#include "backprojection/partition.h"
-#include "backprojection/soa_tile.h"
+#include "common/check.h"
 #include "common/grid2d.h"
 #include "exec/executor.h"
 #include "exec/formation_tasks.h"
@@ -425,27 +425,6 @@ TEST(TileExecutor, SubmitAfterDrainIsRejected) {
 
 // --------------------------------------------------------------- parity ---
 
-// The computation Backprojector::add_pulses performs — same partition,
-// same per-part kernel — with the parts summed in order on one thread.
-// With parts_pulse <= 2 that equals the driver's tree reduction, which the
-// parity test below asserts.
-Grid2D<CFloat> serial_add_pulses(const sim::PhaseHistory& history,
-                                 const geometry::ImageGrid& grid,
-                                 const bp::BackprojectOptions& options,
-                                 int workers) {
-  Grid2D<CFloat> out(grid.width(), grid.height());
-  const bp::CubeShape shape{history.num_pulses(), grid.width(), grid.height()};
-  const auto choice =
-      bp::choose_partition(shape, workers, options.min_region_edge);
-  bp::SoaTile tile;
-  for (const auto& part : bp::partition_cube(shape, choice)) {
-    tile.reset(part.region.width, part.region.height);
-    bp::run_cube_part(history, grid, options, part, tile);
-    tile.accumulate_into(out, part.region);
-  }
-  return out;
-}
-
 bool images_bit_identical(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
   if (a.width() != b.width() || a.height() != b.height()) return false;
   for (Index y = 0; y < a.height(); ++y) {
@@ -457,68 +436,47 @@ bool images_bit_identical(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
   return true;
 }
 
-struct ParityShape {
-  Index image;
-  Index min_region_edge;
-  int parallelism;
-  const char* label;
-};
-
-// Acceptance criterion: the executor-produced image is bit-identical to
-// Backprojector::add_pulses for the same request, for every kernel, with
-// stealing on and off. Shapes are chosen so the partitioner yields
-// parts_pulse <= 2 — with at most two addends per output pixel, float
-// summation is order-free (commutativity suffices), so add_pulses itself
-// is deterministic and the comparison is exact.
+// Acceptance criterion: a backprojection group run on its own executor
+// adds the pulses into the image with the bytes of one serial kernel call
+// over the grid, for every kernel, with stealing on and off, with each
+// pulse in its wavefront order or with the order switching every 8
+// pulses. Each task sweeps one block over every pulse and blocks are
+// disjoint, so no schedule changes a byte.
 TEST(ExecutorParity, BitIdenticalToAddPulsesAllKernelsStealOnOff) {
   using bp::KernelKind;
-  const ParityShape shapes[] = {
-      {96, 32, 4, "image-split x4"},     // parts_pulse = 1
-      {64, 64, 2, "pulse-split x2"},     // parts_pulse = 2
-  };
-  for (const auto& shape : shapes) {
+  for (const Index image : {96, 200}) {
     testing::ScenarioConfig cfg;
-    cfg.image = shape.image;
+    cfg.image = image;
     cfg.pulses = 48;
     const auto scenario = testing::make_scenario(cfg);
-
-    for (KernelKind kind :
-         {KernelKind::kBaseline, KernelKind::kBaselineAllFloat,
-          KernelKind::kAsrScalar, KernelKind::kAsrSimd}) {
-      if (kind == KernelKind::kAsrSimd && !bp::asr_simd_available()) continue;
-      bp::BackprojectOptions options;
-      options.kernel = kind;
-      options.asr_block_w = 32;
-      options.asr_block_h = 32;
-      options.min_region_edge = shape.min_region_edge;
-      options.threads = shape.parallelism;
-
-      Grid2D<CFloat> reference = serial_add_pulses(
-          scenario.history, scenario.grid, options, shape.parallelism);
-      {
-        const Backprojector driver(scenario.grid, options);
-        Grid2D<CFloat> via_driver(scenario.grid.width(),
-                                  scenario.grid.height());
-        driver.add_pulses(scenario.history, via_driver);
-        ASSERT_TRUE(images_bit_identical(reference, via_driver))
-            << shape.label << ", kernel " << bp::kernel_name(kind)
-            << ": serial replication diverged from add_pulses";
-      }
-
-      for (const bool steal : {false, true}) {
-        Grid2D<CFloat> image(scenario.grid.width(), scenario.grid.height());
-        ExecOptions exec_options;
-        exec_options.workers = shape.parallelism;
-        exec_options.steal = steal;
-        obs::Registry registry;
-        exec_options.metrics = &registry;
-        TileExecutor executor(std::move(exec_options));
-        executor.run(make_backprojection_group(scenario.history, scenario.grid,
-                                               options, shape.parallelism,
-                                               image));
-        EXPECT_TRUE(images_bit_identical(reference, image))
-            << shape.label << ", kernel " << bp::kernel_name(kind)
-            << ", steal " << (steal ? "on" : "off");
+    const sim::PhaseHistory alternating = testing::alternate_loop_orders(
+        scenario.history, scenario.grid.centre());
+    for (const sim::PhaseHistory* history : {&scenario.history, &alternating}) {
+      for (KernelKind kind :
+           {KernelKind::kBaseline, KernelKind::kBaselineAllFloat,
+            KernelKind::kAsrScalar, KernelKind::kAsrSimd}) {
+        if (kind == KernelKind::kAsrSimd && !bp::asr_simd_available()) {
+          continue;
+        }
+        bp::BackprojectOptions options;
+        options.kernel = kind;
+        const Grid2D<CFloat> reference =
+            testing::serial_kernel_image(*history, scenario.grid, options);
+        for (const bool steal : {false, true}) {
+          Grid2D<CFloat> formed(scenario.grid.width(), scenario.grid.height());
+          ExecOptions exec_options;
+          exec_options.workers = 4;
+          exec_options.steal = steal;
+          obs::Registry registry;
+          exec_options.metrics = &registry;
+          TileExecutor executor(std::move(exec_options));
+          executor.run(make_backprojection_group(*history, scenario.grid,
+                                                 options, formed));
+          EXPECT_TRUE(images_bit_identical(reference, formed))
+              << image << "^2, kernel " << bp::kernel_name(kind)
+              << (history == &alternating ? ", alternating orders" : "")
+              << ", steal " << (steal ? "on" : "off");
+        }
       }
     }
   }
@@ -535,7 +493,6 @@ TEST(ExecutorParity, DeterministicAcrossWorkerCounts) {
   options.kernel = bp::KernelKind::kAsrScalar;
   options.asr_block_w = 32;
   options.asr_block_h = 32;
-  options.min_region_edge = 32;
 
   Grid2D<CFloat> first(0, 0);
   for (const int workers : {1, 2, 4}) {
@@ -546,7 +503,7 @@ TEST(ExecutorParity, DeterministicAcrossWorkerCounts) {
     exec_options.metrics = &registry;
     TileExecutor executor(std::move(exec_options));
     executor.run(make_backprojection_group(scenario.history, scenario.grid,
-                                           options, 4, image));
+                                           options, image));
     if (first.width() == 0) {
       first = std::move(image);
     } else {
@@ -555,76 +512,32 @@ TEST(ExecutorParity, DeterministicAcrossWorkerCounts) {
   }
 }
 
-// Batch formation is deterministic when the partitioner splits pulses:
-// eight pulse slices reduce in a fixed tree, so repeated calls on the
-// driver's pool return the bytes a one-worker executor forms.
-TEST(FormationGroup, PulseSplitBatchIsDeterministic) {
-  using bp::KernelKind;
+// A pulse whose radar sits on a block centre makes that block's table
+// build throw: form_image throws and no caller sees the partly formed
+// image. The driver's next image, on the same pool and thread-local block
+// tiles, is a fresh driver's.
+TEST(FormationGroup, RefusedTableBuildThrowsAndDriverRecovers) {
   testing::ScenarioConfig cfg;
-  cfg.image = 64;
-  cfg.pulses = 32;
-  const auto scenario = testing::make_scenario(cfg);
-  const bp::CubeShape shape{cfg.pulses, cfg.image, cfg.image};
-  const bp::PartitionChoice choice = bp::choose_partition(shape, 8, 64);
-  ASSERT_EQ(choice.parts_x, 1);
-  ASSERT_EQ(choice.parts_y, 1);
-  ASSERT_EQ(choice.parts_pulse, 8);
-
-  for (KernelKind kind : {KernelKind::kAsrScalar, KernelKind::kAsrSimd,
-                          KernelKind::kBaseline}) {
-    if (kind == KernelKind::kAsrSimd && !bp::asr_simd_available()) continue;
-    bp::BackprojectOptions options;
-    options.kernel = kind;
-    options.threads = 8;
-    options.min_region_edge = 64;
-
-    Grid2D<CFloat> reference(scenario.grid.width(), scenario.grid.height());
-    {
-      ExecOptions exec_options;
-      exec_options.workers = 1;
-      obs::Registry registry;
-      exec_options.metrics = &registry;
-      TileExecutor executor(std::move(exec_options));
-      executor.run(make_backprojection_group(scenario.history, scenario.grid,
-                                             options, 8, reference));
-    }
-    const Backprojector driver(scenario.grid, options);
-    for (int call = 0; call < 20; ++call) {
-      EXPECT_TRUE(images_bit_identical(reference,
-                                       driver.form_image(scenario.history)))
-          << bp::kernel_name(kind) << ", call " << call;
-    }
-  }
-}
-
-TEST(FormationGroup, CheckpointAbortLeavesImageUntouched) {
-  testing::ScenarioConfig cfg;
-  cfg.image = 64;
+  cfg.image = 96;
   cfg.pulses = 16;
   const auto scenario = testing::make_scenario(cfg);
+  sim::PhaseHistory refused = scenario.history;
+  const asr::BlockSpec block =
+      asr::plan_blocks(0, 0, cfg.image, cfg.image, 64, 64).back();
+  refused.meta(5).position = scenario.grid.position_f(
+      static_cast<double>(block.x0) +
+          0.5 * static_cast<double>(block.width - 1),
+      static_cast<double>(block.y0) +
+          0.5 * static_cast<double>(block.height - 1));
+
   bp::BackprojectOptions options;
-  options.kernel = bp::KernelKind::kAsrScalar;
-  options.min_region_edge = 16;
-
-  Grid2D<CFloat> image(scenario.grid.width(), scenario.grid.height());
-  auto group = make_backprojection_group(scenario.history, scenario.grid,
-                                         options, 4, image,
-                                         [] { return false; });
-  ExecOptions exec_options;
-  exec_options.workers = 2;
-  obs::Registry registry;
-  exec_options.metrics = &registry;
-  TileExecutor executor(std::move(exec_options));
-  executor.run(group);
-
-  EXPECT_TRUE(group->aborted());
-  for (Index y = 0; y < image.height(); ++y) {
-    for (Index x = 0; x < image.width(); ++x) {
-      EXPECT_EQ(image.at(x, y), CFloat(0.0f, 0.0f));
-    }
-  }
+  options.threads = 4;
+  const Backprojector driver(scenario.grid, options);
+  EXPECT_THROW((void)driver.form_image(refused), PreconditionError);
+  EXPECT_TRUE(images_bit_identical(
+      driver.form_image(scenario.history),
+      Backprojector(scenario.grid, options).form_image(scenario.history)));
 }
-
 
 // ---------------------------------------------- make_formation_group ---
 

@@ -9,7 +9,9 @@
 #include <thread>
 
 #include "asr/tables.h"
+#include "backprojection/backprojector.h"
 #include "common/aligned.h"
+#include "common/grid2d.h"
 #include "common/rng.h"
 #include "geometry/grid.h"
 #include "geometry/trajectory.h"
@@ -87,6 +89,22 @@ inline sim::PhaseHistory alternate_loop_orders(const sim::PhaseHistory& h,
     }
   }
   return out;
+}
+
+/// One serial call of `options`' kernel over the whole grid and every
+/// pulse, added into a zeroed image: the bytes the batch driver forms at
+/// any thread count.
+inline Grid2D<CFloat> serial_kernel_image(
+    const sim::PhaseHistory& history, const geometry::ImageGrid& grid,
+    const bp::BackprojectOptions& options) {
+  bp::CubePart whole;
+  whole.pulse_end = history.num_pulses();
+  whole.region = Region{0, 0, grid.width(), grid.height()};
+  bp::SoaTile tile(grid.width(), grid.height());
+  bp::run_cube_part(history, grid, options, whole, tile);
+  Grid2D<CFloat> image(grid.width(), grid.height());
+  tile.accumulate_into(image, whole.region);
+  return image;
 }
 
 /// A w x h table set over a buffer of its own.

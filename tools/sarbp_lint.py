@@ -95,9 +95,9 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   constructed (make_shared/make_unique/new) only in
                   src/exec/formation_tasks.cpp. The plan replay, the
                   streaming updates and the Backprojector hand it their
-                  items and sweep bodies, so the fan-out, the §5.3 backend
-                  shares and the per-item checkpoint cannot drift apart
-                  again.
+                  ASR blocks as items, with their sweep bodies, so the
+                  fan-out, the §5.3 backend shares and the per-item
+                  checkpoint cannot drift apart again.
 
   job-resolve     One file decides how a request ends:
                   src/service/job.{h,cpp}. In src/, JobHandle's state
