@@ -2,7 +2,9 @@
 // (exec::Backprojector: its tile-executor pool of `threads` workers plus
 // the calling thread, one task per ASR block). Paper: near-linear 15.9x on
 // 16 Xeon cores, super-linear 63x on 60 Phi cores (working set per core
-// shrinks into cache), SMT 1.2x/2.2x.
+// shrinks into cache), SMT 1.2x/2.2x. The `sweeping` column is the threads
+// that sweep: the pool's workers plus the calling thread, at most one per
+// task; the speedup is against the `threads = 1` row, which sweeps on two.
 //
 // Speedups saturate at the host's hardware thread count (printed first);
 // rows beyond it still run the driver's pool and report its task count.
@@ -41,8 +43,8 @@ int main(int argc, char** argv) {
   std::printf("hardware threads available: %d (paper: 16 Xeon cores / 60 Phi "
               "cores); warmup %d, repeat %d\n\n",
               cpu_info().hardware_threads, spec.warmup, spec.repeat);
-  std::printf("%8s %11s %11s %10s %9s %8s\n", "threads", "median s",
-              "iqr s", "Gbp/s", "speedup", "tasks");
+  std::printf("%8s %9s %11s %11s %10s %9s %8s\n", "threads", "sweeping",
+              "median s", "iqr s", "Gbp/s", "speedup", "tasks");
   bench::print_rule();
 
   const double work = static_cast<double>(image) * static_cast<double>(image) *
@@ -58,13 +60,16 @@ int main(int argc, char** argv) {
       return timer.seconds();
     });
     if (threads == 1) base = stats.median;
-    std::printf("%8d %11.5f %11.5f %10.3f %8.2fx %8zu\n", threads,
-                stats.median, stats.iqr(), work / stats.median / 1e9,
+    const std::size_t sweeping =
+        std::min(static_cast<std::size_t>(threads) + 1, tasks);
+    std::printf("%8d %9zu %11.5f %11.5f %10.3f %8.2fx %8zu\n", threads,
+                sweeping, stats.median, stats.iqr(), work / stats.median / 1e9,
                 base / stats.median, tasks);
     json.add("form_image",
              {{"image", std::to_string(image)},
               {"pulses", std::to_string(pulses)},
               {"threads", std::to_string(threads)},
+              {"sweeping_threads", std::to_string(sweeping)},
               {"tasks", std::to_string(tasks)}},
              "seconds", stats);
   }

@@ -22,7 +22,9 @@ struct BackprojectOptions {
   Index asr_block_h = 64;
   /// Per-pulse x/y loop-order selection from the wavefront orientation.
   bool dynamic_reorder = true;
-  /// Batch-driver pool workers; 0 = all hardware threads.
+  /// Batch-driver pool workers; 0 = all hardware threads. The calling
+  /// thread sweeps beside them, so an image of more than one task sweeps
+  /// on up to threads + 1 threads (one per task at most).
   int threads = 0;
   /// Minimum image-tile edge before the rank-level partitioner
   /// (cluster::distributed_backprojection) switches to splitting pulses

@@ -41,22 +41,6 @@ void SoaTile::accumulate_into(SoaTile& out, const Region& region) const {
   }
 }
 
-void SoaTile::accumulate_tile(const SoaTile& other) {
-  ensure(other.width_ == width_ && other.height_ == height_,
-         "SoaTile::accumulate_tile: shape mismatch");
-  const std::size_t n = re_.size();
-  for (std::size_t i = 0; i < n; ++i) re_[i] += other.re_[i];
-  for (std::size_t i = 0; i < n; ++i) im_[i] += other.im_[i];
-}
-
-void SoaTile::subtract_tile(const SoaTile& other) {
-  ensure(other.width_ == width_ && other.height_ == height_,
-         "SoaTile::subtract_tile: shape mismatch");
-  const std::size_t n = re_.size();
-  for (std::size_t i = 0; i < n; ++i) re_[i] -= other.re_[i];
-  for (std::size_t i = 0; i < n; ++i) im_[i] -= other.im_[i];
-}
-
 SoaTile& block_tile(Index width, Index height) {
   static thread_local SoaTile tile;
   tile.reset(width, height);

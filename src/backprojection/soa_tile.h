@@ -49,17 +49,6 @@ class SoaTile {
   /// The same into another tile: `out`'s pixels in `region` += this tile.
   void accumulate_into(SoaTile& out, const Region& region) const;
 
-  /// Elementwise `this += other` over same-shape tiles: a streaming
-  /// session adding a chunk's partial image to its live window.
-  void accumulate_tile(const SoaTile& other);
-
-  /// Elementwise `this -= other`: retiring an expired sub-aperture's
-  /// partial image from a sliding-window accumulation. Floating-point
-  /// add/subtract is not associative, so subtracting the exact tile that
-  /// was added does not restore the pre-add bits — the bounded drift the
-  /// streaming layer re-anchors away (DESIGN.md §13).
-  void subtract_tile(const SoaTile& other);
-
  private:
   Index width_ = 0;
   Index height_ = 0;
@@ -69,8 +58,9 @@ class SoaTile {
 
 /// The calling thread's block tile, reset to width x height zeros: a block
 /// task sweeps one ASR block into it and adds the finished block to its
-/// output (paper §4.3's per-thread tiles). The plan replay and the batch
-/// driver share it; it is reused from block to block and call to call.
+/// output (paper §4.3's per-thread tiles). The plan replay, the batch
+/// driver and the streaming updates share it; it is reused from block to
+/// block and call to call.
 SoaTile& block_tile(Index width, Index height);
 
 }  // namespace sarbp::bp

@@ -40,9 +40,9 @@ void SubApertureCache::insert(const service::PlanKey& key,
                               Partial partial) {
   ensure(chunk != nullptr && partial != nullptr,
          "SubApertureCache::insert: null chunk or partial");
-  const auto pixels = static_cast<std::size_t>(partial->width()) *
-                      static_cast<std::size_t>(partial->height());
-  const std::size_t bytes = pixels * 2 * sizeof(float) + chunk->payload_bytes();
+  const std::size_t bytes =
+      bp::SlidingWindow::batch_bytes(partial->width(), partial->height()) +
+      chunk->payload_bytes();
   auto entry = std::make_shared<const Entry>(
       Entry{std::move(chunk), std::move(partial)});
   cache_.insert(key, std::move(entry), bytes);

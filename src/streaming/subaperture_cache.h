@@ -24,7 +24,7 @@
 #include <functional>
 #include <memory>
 
-#include "backprojection/soa_tile.h"
+#include "backprojection/sliding_window.h"
 #include "common/region.h"
 #include "common/types.h"
 #include "geometry/grid.h"
@@ -51,10 +51,11 @@ struct SubApertureCacheConfig {
 /// Metrics (under the configured registry):
 ///   streaming.cache.{hits,misses,evictions,collisions,inserts} counters,
 ///   streaming.cache.{entries,bytes} gauges; an entry's bytes are its
-///   partial's tile plus its chunk's samples.
+///   partial image plus its chunk's samples.
 class SubApertureCache {
  public:
-  using Partial = std::shared_ptr<const bp::SoaTile>;
+  /// A chunk's partial image, as a session's sliding window holds it.
+  using Partial = bp::SlidingWindow::Partial;
 
   explicit SubApertureCache(SubApertureCacheConfig config = {});
 

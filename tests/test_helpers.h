@@ -75,6 +75,19 @@ inline SmallScenario make_scenario(const ScenarioConfig& cfg = {}) {
                        std::move(history)};
 }
 
+/// Copies pulses [p0, p1) of `h` into a standalone history.
+inline sim::PhaseHistory slice(const sim::PhaseHistory& h, Index p0,
+                               Index p1) {
+  sim::PhaseHistory out(p1 - p0, h.samples_per_pulse(), h.bin_spacing(),
+                        h.wavenumber());
+  for (Index p = p0; p < p1; ++p) {
+    const auto src = h.pulse(p);
+    std::copy(src.begin(), src.end(), out.pulse(p - p0).begin());
+    out.meta(p - p0) = h.meta(p);
+  }
+  return out;
+}
+
 /// `h` with alternate 8-pulse stretches of recorded positions rotated by
 /// 90 degrees about `centre`, so the wavefront loop order switches every 8
 /// pulses.
