@@ -1,7 +1,5 @@
 #include "asr/block_plan.h"
 
-#include <algorithm>
-
 namespace sarbp::asr {
 
 std::vector<BlockSpec> plan_blocks(Index x0, Index y0, Index width,
@@ -9,17 +7,15 @@ std::vector<BlockSpec> plan_blocks(Index x0, Index y0, Index width,
                                    Index block_h) {
   ensure(width >= 0 && height >= 0, "plan_blocks: negative region");
   ensure(block_w > 0 && block_h > 0, "plan_blocks: block size must be positive");
+  block_w = block_edge(width, block_w);
+  block_h = block_edge(height, block_h);
   std::vector<BlockSpec> blocks;
-  blocks.reserve(static_cast<std::size_t>(((width + block_w - 1) / block_w) *
-                                          ((height + block_h - 1) / block_h)));
-  for (Index by = y0; by < y0 + height; by += block_h) {
-    for (Index bx = x0; bx < x0 + width; bx += block_w) {
-      BlockSpec spec;
-      spec.x0 = bx;
-      spec.y0 = by;
-      spec.width = std::min(block_w, x0 + width - bx);
-      spec.height = std::min(block_h, y0 + height - by);
-      blocks.push_back(spec);
+  blocks.reserve(static_cast<std::size_t>(block_count(width, block_w) *
+                                          block_count(height, block_h)));
+  for (Index dy = 0; dy < height; dy += block_h) {
+    for (Index dx = 0; dx < width; dx += block_w) {
+      blocks.push_back({x0 + dx, y0 + dy, std::min(block_w, width - dx),
+                        std::min(block_h, height - dy)});
     }
   }
   return blocks;

@@ -3,6 +3,7 @@
 // applying ASR to each block").
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
@@ -19,6 +20,19 @@ struct BlockSpec {
 
   friend bool operator==(const BlockSpec&, const BlockSpec&) = default;
 };
+
+/// A block edge (> 0) clamped to the `extent` pixels it tiles, before any
+/// arithmetic: no block outgrows its region, so no edge a request or trace
+/// names, however large, overflows Index in plan_blocks or in a band count.
+[[nodiscard]] constexpr Index block_edge(Index extent, Index edge) {
+  return std::min(edge, std::max<Index>(extent, 1));
+}
+
+/// How many blocks of edge `edge` (> 0) tile `extent` (>= 0) pixels.
+[[nodiscard]] constexpr Index block_count(Index extent, Index edge) {
+  edge = block_edge(extent, edge);
+  return extent / edge + (extent % edge != 0 ? 1 : 0);
+}
 
 /// Tiles the region [x0, x0+width) x [y0, y0+height) with blocks of at most
 /// block_w x block_h pixels (edge blocks may be smaller). Row-major order.

@@ -20,10 +20,8 @@ void run_cube_part(const sim::PhaseHistory& history,
                    const BackprojectOptions& options, const CubePart& part,
                    SoaTile& tile) {
   const KernelKind kernel = resolve_kernel(options.kernel);
-  // nullopt: each pulse takes its wavefront order about the grid centre.
-  const std::optional<geometry::LoopOrder> order =
-      options.dynamic_reorder ? std::nullopt
-                              : std::optional(geometry::LoopOrder::kXInner);
+  // Each pulse takes its wavefront order about the grid centre.
+  constexpr std::optional<geometry::LoopOrder> order = std::nullopt;
   switch (kernel) {
     case KernelKind::kBaseline:
     case KernelKind::kBaselineAllFloat:

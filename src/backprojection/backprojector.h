@@ -1,8 +1,8 @@
 // Backprojection options and the single-threaded part body: one kernel
-// call over one cuboid of the (pulse x y x x) space, with per-pulse x/y
-// loop reordering (wavefront.h) and the kernel selection. The batch driver
-// that spreads an image's ASR blocks across threads is exec::Backprojector
-// (exec/formation_tasks.h).
+// call over one cuboid of the (pulse x y x x) space, each pulse in its
+// wavefront loop order (wavefront.h), and the kernel selection. The batch
+// driver that spreads an image's ASR blocks across threads is
+// exec::Backprojector (exec/formation_tasks.h).
 #pragma once
 
 #include "backprojection/kernel.h"
@@ -20,8 +20,6 @@ struct BackprojectOptions {
   /// ASR approximation block (accuracy knob; 64 matches the baseline SNR).
   Index asr_block_w = 64;
   Index asr_block_h = 64;
-  /// Per-pulse x/y loop-order selection from the wavefront orientation.
-  bool dynamic_reorder = true;
   /// Batch-driver pool workers; 0 = all hardware threads. The calling
   /// thread sweeps beside them, so an image of more than one task sweeps
   /// on up to threads + 1 threads (one per task at most).

@@ -30,7 +30,6 @@ TileExecutor::TileExecutor(ExecOptions options)
              // c_str of a full-expression temporary: the queue ctor only
              // reads the name, it does not retain it.
              (options_.metric_prefix + "exec.inbox").c_str(), metrics_) {
-  ensure(options_.deque_capacity >= 2, "TileExecutor: deque_capacity too small");
   if constexpr (obs::kEnabled) {
     const std::string& pre = options_.metric_prefix;
     tasks_run_ = &metrics_->counter(pre + "exec.tasks.run");
@@ -49,7 +48,7 @@ TileExecutor::TileExecutor(ExecOptions options)
   }
   states_.reserve(static_cast<std::size_t>(num_workers_) + 1);
   for (int w = 0; w <= num_workers_; ++w) {
-    auto state = std::make_unique<WorkerState>(options_.deque_capacity);
+    auto state = std::make_unique<WorkerState>();
     if (obs::kEnabled && w < num_workers_) {
       state->depth_gauge = &metrics_->gauge(
           options_.metric_prefix + "exec.deque.depth." + std::to_string(w));

@@ -58,8 +58,9 @@
 
 namespace sarbp::exec {
 
-/// ExecOptions::deque_capacity's default: the most tasks one injection
-/// pushes without running any inline (make_plan_replay_group's cap).
+/// Per-worker deque capacity: the most tasks one injection pushes without
+/// running any inline (make_plan_replay_group's cap). A full deque
+/// degrades gracefully: injection runs the overflow task inline.
 inline constexpr std::size_t kDequeCapacity = 1024;
 
 struct ExecOptions {
@@ -68,9 +69,6 @@ struct ExecOptions {
   /// When false, tasks run only on the worker that injected their group —
   /// the serial-run_job baseline the exec_scaling bench compares against.
   bool steal = true;
-  /// Per-worker deque capacity (rounded up to a power of two). A full
-  /// deque degrades gracefully: injection runs the overflow task inline.
-  std::size_t deque_capacity = kDequeCapacity;
   /// Metrics sink; null selects the process-global obs::registry(). Must
   /// outlive the executor.
   obs::Registry* metrics = nullptr;
@@ -126,7 +124,7 @@ class TileExecutor {
 
  private:
   struct WorkerState {
-    explicit WorkerState(std::size_t deque_capacity) : deque(deque_capacity) {}
+    WorkerState() : deque(kDequeCapacity) {}
     StealDeque deque;
     obs::Gauge* depth_gauge = nullptr;
   };

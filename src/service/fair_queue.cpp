@@ -45,8 +45,7 @@ const TenantPolicy& FairScheduler::policy_for(
   return it != config_.tenants.end() ? it->second : config_.default_policy;
 }
 
-AdmitResult FairScheduler::submit(const JobPtr& job,
-                                  std::chrono::milliseconds grace) {
+AdmitResult FairScheduler::submit(const JobPtr& job) {
   ensure(job != nullptr, "FairScheduler::submit: null job");
   const std::string& tenant = job->tenant();
   const TenantPolicy& policy = policy_for(tenant);
@@ -61,21 +60,7 @@ AdmitResult FairScheduler::submit(const JobPtr& job,
     }
     return AdmitResult::kQuotaExceeded;
   }
-  const auto deadline = std::chrono::steady_clock::now() + grace;
-  while (pending_ >= config_.max_pending && !closed_) {
-    if (grace.count() <= 0 ||
-        std::chrono::steady_clock::now() >= deadline) {
-      return AdmitResult::kQueueFull;
-    }
-    // timeout: the service's admission_grace.
-    space_cv_.wait_until(lock, deadline);
-  }
-  if (closed_) return AdmitResult::kClosed;
-  // Re-check the quota: another submitter of the same tenant may have been
-  // admitted while this one waited for pending space.
-  if (policy.quota > 0 && tenant_queued_[tenant] >= policy.quota) {
-    return AdmitResult::kQuotaExceeded;
-  }
+  if (pending_ >= config_.max_pending) return AdmitResult::kQueueFull;
 
   ClassState& cls = classes_[static_cast<std::size_t>(job->priority())];
   TenantQueue& queue = cls.tenants[tenant];
@@ -103,7 +88,6 @@ FairScheduler::JobPtr FairScheduler::claim(bool wait, bool* end) {
   for (;;) {
     if (JobPtr job = paused_ ? nullptr : pop_best_locked()) {
       update_gauge_locked();
-      space_cv_.notify_one();
       return job;
     }
     if (closed_ && pending_ == 0) {
@@ -160,9 +144,8 @@ void FairScheduler::close() {
     closed_ = true;
   }
   // Waking everyone is a shutdown-path cost only. Claimers drain the
-  // backlog then see end-of-stream; blocked submitters give up.
+  // backlog then see end-of-stream.
   claim_cv_.notify_all();
-  space_cv_.notify_all();
 }
 
 std::size_t FairScheduler::pending() const {

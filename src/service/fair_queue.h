@@ -16,10 +16,8 @@
 // equal-cost jobs, degenerates to plain FIFO — the pre-sharding behaviour.
 //
 // Quotas bound a tenant's share of the pending set: a submit that would
-// push the tenant above its quota is rejected kQuotaExceeded immediately
-// (no grace — the backlog is the tenant's own, waiting cannot help
-// against itself). The global max_pending bound keeps its grace-then-
-// kQueueFull semantics.
+// push the tenant above its quota is rejected kQuotaExceeded, and one
+// against a full pending set (max_pending) kQueueFull, both at once.
 //
 // This single structure replaces the previous ready-queues + token-queue
 // pair: admission, claim, and close/drain share one mutex, so the
@@ -29,7 +27,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -67,10 +64,9 @@ class FairScheduler {
 
   explicit FairScheduler(FairSchedulerConfig config);
 
-  /// Admission. Quota violations reject immediately; a full pending set
-  /// waits up to `grace` for space before rejecting kQueueFull. kClosed
-  /// after close().
-  AdmitResult submit(const JobPtr& job, std::chrono::milliseconds grace);
+  /// Admission, never waiting: kQuotaExceeded past the tenant's quota,
+  /// kQueueFull on a full pending set, kClosed after close().
+  AdmitResult submit(const JobPtr& job);
 
   /// Claims the next job by (priority, weighted-fair, FIFO) order. Null
   /// with *end set once closed and drained. Otherwise a non-waiting claim
@@ -113,8 +109,7 @@ class FairScheduler {
   obs::Registry* metrics_;
 
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("service.fair")};
-  CondVar claim_cv_;   ///< waiting claims; signalled on admit, unpause, close
-  CondVar space_cv_;   ///< signalled on claim (pending space freed)
+  CondVar claim_cv_;  ///< waiting claims; signalled on admit, unpause, close
   std::array<ClassState, kNumPriorities> classes_ SARBP_GUARDED_BY(mutex_);
   /// Queued-job count per tenant, across classes (the quota basis).
   std::map<std::string, std::size_t> tenant_queued_ SARBP_GUARDED_BY(mutex_);

@@ -93,10 +93,8 @@ enum class JobState {
 struct CustomJobContext {
   std::function<bool()> checkpoint;
   std::function<JobState(JobState, const std::string&)> finish;
-  /// Executor sizing for make_formation_group's workers and task cap, so
-  /// a factory's group fans out like the plan replay's.
+  /// Executor width for make_formation_group's ~2 tasks per worker.
   int workers = 1;
-  Index tile_tasks = 0;
 };
 
 /// Builds the task group of a custom (long-running-type) job when a worker
@@ -159,8 +157,8 @@ struct JobResult {
   /// built its tables on the fly (service/plan_cache.h).
   bool plan_unkept = false;
   double queue_seconds = 0.0;    ///< admission -> dequeue
-  /// Plan lookup; on a kept miss also the plan skeleton (the pulse-scatter
-  /// front end builds its whole plan here instead).
+  /// Plan lookup; on a kept miss also the plan skeleton. Zero on a
+  /// sharded job, whose ranks look up their bands' plans.
   double setup_seconds = 0.0;
   /// Block sweeps; on a miss also the table builds, which run inside the
   /// sweep tasks.

@@ -31,9 +31,8 @@
 // pulse order, table views), each task builds its block's tables
 // (build_plan_block) just before sweeping them, and the finished plan
 // enters the cache only when the whole group ran without an abort.
-// lookup_plan is the one miss path, shared by the local service, the shard
-// ranks and the pulse-scatter front end, which builds a kept miss's whole
-// plan before it dispatches.
+// lookup_plan is the one miss path, shared by the local service and the
+// shard ranks.
 //
 // One build per key: a kept miss marks its key as building in the miss
 // record until its plan is in the cache, its group aborts or its skeleton
@@ -174,17 +173,16 @@ using ReplayOutput = std::variant<std::shared_ptr<Grid2D<CFloat>>,
 /// `checkpoint` keeps execute_plan's granularity: it is polled before
 /// every block sweep (inside tasks) and again before each task starts
 /// (by the executor); the first false aborts the whole group.
-/// `tile_tasks` > 0 sets the task count; 0 cuts one task per block, at
-/// most exec::kDequeCapacity of them, so that a job's tasks all fit the
-/// injecting worker's deque and idle workers steal single blocks.
+/// `tile_tasks` > 0 sets the task count; 0, what every caller passes,
+/// cuts one task per block, at most exec::kDequeCapacity of them, so that
+/// a job's tasks all fit the injecting worker's deque and idle workers
+/// steal single blocks.
 /// `on_complete` runs on the worker that retires the last task — aborted
 /// groups must discard the partially-formed `out` there.
 ///
 /// `[pulse_begin, pulse_end)` restricts the replay to a pulse range of the
-/// plan (pulse_end == -1 means all pulses) — the pulse-scatter unit of the
-/// sharded service: each shard replays its range of the same full-region
-/// plan and the gather sums the partial images (shard-index order, the
-/// documented reduction-order deviation from the single-node path).
+/// plan (pulse_end == -1 means all pulses); the service and the shard
+/// ranks replay all of them.
 ///
 /// `backends` (nullable) routes the blocks by the set's §5.3 dynamic
 /// split, each backend sweeping its share with its kernel and feeding its
@@ -207,8 +205,7 @@ using ReplayOutput = std::variant<std::shared_ptr<Grid2D<CFloat>>,
 /// `insert_into`, before `on_complete` runs; an aborted group clears the
 /// skeleton's build mark there instead. The group is the skeleton's only
 /// writer until then. Null replays the plan's tables as they are — a cache
-/// hit, a plan the pulse-scatter front end built, or one from
-/// build_formation_plan.
+/// hit or a plan from build_formation_plan.
 [[nodiscard]] exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
     std::shared_ptr<const sim::PhaseHistory> history, int parallelism,
@@ -274,15 +271,14 @@ class PlanCache : public ReuseCache<FormationPlan> {
   obs::Counter* unkept_ = nullptr;
 };
 
-/// The one cache-miss path of the local service, the shard ranks and the
-/// pulse-scatter front end: the cached plan on a hit; on a miss whose key
-/// the record holds, that no other kept miss is building and whose plan
-/// no insert filed since the find (a kept miss), a skeleton in a fresh
-/// arena, carrying the key's build mark, for the caller to build and
-/// insert; on any other miss (unkept), counted in .unkept, a table-less
-/// plan, and the key enters the record unless it is being built. Other
-/// keys' inserts never make a miss unkept. A lookup counts one hit or
-/// miss.
+/// The one cache-miss path of the local service and the shard ranks: the
+/// cached plan on a hit; on a miss whose key the record holds, that no
+/// other kept miss is building and whose plan no insert filed since the
+/// find (a kept miss), a skeleton in a fresh arena, carrying the key's
+/// build mark, for the caller to build and insert; on any other miss
+/// (unkept), counted in .unkept, a table-less plan, and the key enters the
+/// record unless it is being built. Other keys' inserts never make a miss
+/// unkept. A lookup counts one hit or miss.
 [[nodiscard]] PlanLookup lookup_plan(PlanCache& cache,
                                      const geometry::ImageGrid& grid,
                                      const Region& region, Index block_w,

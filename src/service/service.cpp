@@ -38,7 +38,6 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
     router_config.shards = config_.shards;
     router_config.shard_workers = config_.shard_workers;
     router_config.steal = config_.steal;
-    router_config.tile_tasks = config_.tile_tasks;
     router_config.small_job_pixels = config_.shard_small_pixels;
     router_config.gather_capacity = config_.max_pending;
     router_config.inter_block_hook = config_.inter_block_hook;
@@ -101,7 +100,7 @@ SubmitOutcome ImageFormationService::submit(ImageFormationRequest request) {
   auto job =
       JobPtr(new JobHandle(std::move(request), metrics_, &completion_seq_));
 
-  switch (sched_->submit(job, config_.admission_grace)) {
+  switch (sched_->submit(job)) {
     case AdmitResult::kAdmitted:
       if (submitted_) submitted_->add();
       if (exec_) exec_->wake();  // parked workers claim it
@@ -179,7 +178,6 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
       CustomJobContext cctx;
       cctx.checkpoint = std::move(checkpoint);
       cctx.workers = config_.workers;
-      cctx.tile_tasks = config_.tile_tasks;
       cctx.finish = [this, resolve, verdict, stamps, compute = Timer()](
                         JobState proposed, const std::string& message) {
         JobStamps run = stamps;
@@ -223,7 +221,7 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
       resolve(outcome, std::move(run));
     };
     return make_plan_replay_group(std::move(lookup.plan), request.pulses,
-                                  config_.workers, config_.tile_tasks,
+                                  config_.workers, /*tile_tasks=*/0,
                                   image, std::move(checkpoint),
                                   std::move(done), /*pulse_begin=*/0,
                                   /*pulse_end=*/-1, backend_set_,

@@ -16,10 +16,9 @@
 // (shard_router.h) and gathers the partial tiles asynchronously.
 //
 // Overload semantics: admission is bounded by `max_pending` jobs across
-// all classes. A submit against a full pending set waits up to
-// `admission_grace` for space, then is rejected with kQueueFull; a submit
-// that would push a tenant past its quota is rejected kQuotaExceeded
-// immediately (the backlog is the tenant's own — waiting cannot help).
+// all classes. A submit against a full pending set is rejected kQueueFull
+// at once, and one that would push a tenant past its quota
+// kQuotaExceeded: neither waits.
 //
 // Shutdown: drain() stops admission, lets the workers (or the router)
 // finish every queued job, and joins them. The destructor drains, so
@@ -29,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -50,7 +48,7 @@ namespace sarbp::service {
 /// Why a submit was turned away.
 enum class RejectReason {
   kNone,
-  kQueueFull,      ///< pending set at max_pending for longer than the grace
+  kQueueFull,      ///< pending set already at max_pending
   kShuttingDown,   ///< drain()/destructor already started
   kInvalidRequest, ///< no pulses, a non-finite sample, empty grid, or a
                    ///< bad block size
@@ -86,16 +84,9 @@ struct ServiceConfig {
   /// Disables stealing when false: each job runs entirely on the worker
   /// that claimed it (the pre-executor serial behaviour; bench baseline).
   bool steal = true;
-  /// Task fan-out per job; 0 = auto: a plan replay cuts one task per plan
-  /// block (at most exec::kDequeCapacity), a custom job's
-  /// make_formation_group ~2 tasks per worker.
-  Index tile_tasks = 0;
   /// Admission bound: maximum jobs queued (not yet claimed) across all
   /// priority classes.
   std::size_t max_pending = 64;
-  /// How long submit() may wait for pending space before rejecting with
-  /// kQueueFull. Zero = reject immediately (pure admission control).
-  std::chrono::milliseconds admission_grace{0};
   /// Formation-plan LRU capacity in entries, and the window of its miss
   /// record: a geometry's plan is built and kept only when it recurs
   /// within this many unkept misses; the others sweep their tables on the
@@ -136,10 +127,10 @@ struct ServiceConfig {
   int shards = 1;
   /// Tile-executor width inside each shard rank.
   int shard_workers = 1;
-  /// Jobs at most this many region pixels route whole to one shard
-  /// (byte-identical to the single-node path). Larger jobs grid-split when
-  /// the region has >= 2 ASR block bands, else pulse-scatter when they
-  /// have >= 2 pulses (shard_router.h).
+  /// Jobs at most this many region pixels route whole to one shard;
+  /// larger jobs are cut into block-aligned bands when the region has
+  /// >= 2 ASR block bands (shard_router.h). Either way the image is the
+  /// single-node path's bytes.
   Index shard_small_pixels = 64 * 64;
   /// Fault-injection seam: runs on a shard rank before each dispatch;
   /// throwing kills the rank and aborts the cluster (tests).
@@ -150,10 +141,10 @@ struct ServiceConfig {
 ///   counters   service.jobs.submitted, service.jobs.{done,failed,
 ///              cancelled,expired}, service.rejected.<reject_reason_name>,
 ///              tenant.<t>.{submitted,rejected.quota,jobs.<state>},
-///              shard.jobs.{single,pulse_scatter,grid_split},
+///              shard.jobs.{single,grid_split},
 ///              shard.parts.dispatched
 ///   gauges     service.pending, service.workers.busy, shard.jobs.inflight
-///   histograms service.job.queue_s, service.job.setup_s,
+///   histograms service.job.queue_s, service.job.setup_s (local mode),
 ///              service.job.compute_s, service.job.latency_s.<priority>,
 ///              tenant.<t>.latency_s, shard.job.gather_s
 ///   queues     queue.service.gather.* (sharded mode)

@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "asr/block_plan.h"
 #include "backprojection/partition.h"
 #include "common/check.h"
 #include "common/grid2d.h"
@@ -61,11 +62,9 @@ ShardRouter::ShardRouter(ShardRouterConfig config)
   ensure(config_.plan_cache != nullptr, "ShardRouter: plan cache required");
   if constexpr (obs::kEnabled) {
     jobs_single_ = &metrics_->counter("shard.jobs.single");
-    jobs_pulse_scatter_ = &metrics_->counter("shard.jobs.pulse_scatter");
     jobs_grid_split_ = &metrics_->counter("shard.jobs.grid_split");
     parts_dispatched_ = &metrics_->counter("shard.parts.dispatched");
     inflight_gauge_ = &metrics_->gauge("shard.jobs.inflight");
-    setup_s_ = &metrics_->histogram("service.job.setup_s");
     compute_s_ = &metrics_->histogram("service.job.compute_s");
     gather_s_ = &metrics_->histogram("shard.job.gather_s");
   }
@@ -97,79 +96,31 @@ int ShardRouter::pick_home_shard(const JobPtr& job, std::uint64_t seq) const {
 void ShardRouter::split_job(ShardJobCtx& ctx) {
   const auto& request = ctx.job->request();
   const Region region = ctx.region;
-  const Index pulses = request.pulses->num_pulses();
-  const Index shards = config_.shards;
-
-  const auto single = [&] {
+  // Cuts land on ASR block multiples from the region origin, so each band's
+  // plan blocks are the full-region plan's and the gathered bands are the
+  // local service's bytes.
+  const bool by_rows =
+      asr::block_count(region.height, request.asr_block_h) >= 2;
+  const Index extent = by_rows ? region.height : region.width;
+  const Index edge = asr::block_edge(
+      extent, by_rows ? request.asr_block_h : request.asr_block_w);
+  const Index bands = region.pixels() > config_.small_job_pixels
+                          ? asr::block_count(extent, edge)
+                          : 1;
+  const Index k = std::min<Index>(config_.shards, bands);
+  const Index home = pick_home_shard(ctx.job, ctx.seq);
+  for (Index i = 0; i < k; ++i) {
+    const Index c0 = bp::split_begin(bands, k, i) * edge;
+    const Index c1 =
+        i + 1 < k ? bp::split_begin(bands, k, i + 1) * edge : extent;
+    const Region band =
+        by_rows ? Region{region.x0, region.y0 + c0, region.width, c1 - c0}
+                : Region{region.x0 + c0, region.y0, c1 - c0, region.height};
     ctx.parts.push_back(
-        ShardPart{pick_home_shard(ctx.job, ctx.seq), region, 0, pulses});
-    if (jobs_single_) jobs_single_->add();
-  };
-
-  // Band cuts land on ASR block boundaries relative to the region origin,
-  // so each band's plan blocks coincide with the full-region plan's blocks
-  // and the assembled image is bit-identical to the single-node result.
-  const auto try_grid_split = [&]() -> bool {
-    const Index blocks_y =
-        (region.height + request.asr_block_h - 1) / request.asr_block_h;
-    const Index blocks_x =
-        (region.width + request.asr_block_w - 1) / request.asr_block_w;
-    const bool by_rows = blocks_y >= 2;
-    if (!by_rows && blocks_x < 2) return false;
-    const Index bands = by_rows ? blocks_y : blocks_x;
-    const Index edge = by_rows ? request.asr_block_h : request.asr_block_w;
-    const Index extent = by_rows ? region.height : region.width;
-    const Index k = std::min<Index>(shards, bands);
-    for (Index i = 0; i < k; ++i) {
-      const Index c0 = bp::split_begin(bands, k, i) * edge;
-      const Index c1 = std::min(bp::split_begin(bands, k, i + 1) * edge, extent);
-      const Region band =
-          by_rows ? Region{region.x0, region.y0 + c0, region.width, c1 - c0}
-                  : Region{region.x0 + c0, region.y0, c1 - c0, region.height};
-      ctx.parts.push_back(ShardPart{static_cast<int>(i), band, 0, pulses});
-    }
-    if (jobs_grid_split_) jobs_grid_split_->add();
-    return true;
-  };
-
-  // The front end looks up the one shared full-region plan; each shard
-  // sweeps a disjoint pulse range of it, from its tables on a hit and with
-  // tables built on the fly on an unkept miss.
-  const auto try_pulse_scatter = [&]() -> bool {
-    if (pulses < 2) return false;
-    Timer setup_timer;
-    const PlanLookup lookup =
-        lookup_plan(*config_.plan_cache, request.grid, region,
-                    request.asr_block_w, request.asr_block_h, *request.pulses);
-    ctx.plan = lookup.plan;
-    ctx.stamps.plan_cache_hit = lookup.hit();
-    ctx.stamps.plan_unkept = lookup.unkept();
-    if (lookup.insert_into != nullptr) {
-      // A kept miss: every shard replays a pulse range of this one plan,
-      // so its tables must all exist before the first dispatch.
-      auto built = std::const_pointer_cast<FormationPlan>(lookup.plan);
-      for (std::size_t b = 0; b < built->blocks.size(); ++b) {
-        build_plan_block(*built, b, *request.pulses);
-      }
-      lookup.insert_into->insert(lookup.plan);
-    }
-    ctx.stamps.setup_seconds = setup_timer.seconds();
-    if (setup_s_) setup_s_->record(ctx.stamps.setup_seconds);
-    const Index k = std::min<Index>(shards, pulses);
-    for (Index i = 0; i < k; ++i) {
-      ctx.parts.push_back(ShardPart{static_cast<int>(i), region,
-                                    bp::split_begin(pulses, k, i),
-                                    bp::split_begin(pulses, k, i + 1)});
-    }
-    if (jobs_pulse_scatter_) jobs_pulse_scatter_->add();
-    return true;
-  };
-
-  if (shards > 1 && region.pixels() > config_.small_job_pixels &&
-      (try_grid_split() || try_pulse_scatter())) {
-    return;
+        ShardPart{static_cast<int>((home + i) % config_.shards), band});
   }
-  single();
+  obs::Counter* route = k == 1 ? jobs_single_ : jobs_grid_split_;
+  if (route) route->add();
 }
 
 void ShardRouter::dispatch(const JobPtr& job) {
@@ -255,17 +206,14 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
   std::shared_ptr<Grid2D<CFloat>> image;
   Timer compute_timer;
   try {
+    // Each rank plans its band through the shared cache and the local
+    // service's miss path.
     const auto& request = ctx.job->request();
-    PlanLookup lookup{ctx.plan, nullptr};
-    if (lookup.plan == nullptr) {
-      // Single-shard and grid-split routes plan their own (sub-)region
-      // through the shared cache and the local service's miss path.
-      lookup = lookup_plan(*config_.plan_cache, request.grid, part.region,
-                           request.asr_block_w, request.asr_block_h,
-                           *request.pulses);
-      header.cache_hit = lookup.hit() ? 1 : 0;
-      header.unkept = lookup.unkept() ? 1 : 0;
-    }
+    PlanLookup lookup =
+        lookup_plan(*config_.plan_cache, request.grid, part.region,
+                    request.asr_block_w, request.asr_block_h, *request.pulses);
+    header.cache_hit = lookup.hit() ? 1 : 0;
+    header.unkept = lookup.unkept() ? 1 : 0;
 
     auto verdict =
         std::make_shared<RunVerdict>(ctx.job, config_.inter_block_hook);
@@ -275,8 +223,8 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
                                              part.region.height);
     auto group = make_plan_replay_group(
         std::move(lookup.plan), request.pulses, config_.shard_workers,
-        config_.tile_tasks, image, [verdict] { return verdict->poll(); },
-        nullptr, part.pulse_begin, part.pulse_end, nullptr,
+        /*tile_tasks=*/0, image, [verdict] { return verdict->poll(); },
+        nullptr, /*pulse_begin=*/0, /*pulse_end=*/-1, nullptr,
         lookup.insert_into);
     exec.run(group);
     header.compute_seconds = compute_timer.seconds();
@@ -329,11 +277,6 @@ void ShardRouter::finish_job(const ShardJobCtx& ctx) {
       stamps.error = std::move(error);
     }
   };
-  // Pulse-scatter parts cover the whole region and sum; the disjoint
-  // routes (single shard, grid split) copy their band verbatim, keeping
-  // the assembled bytes exactly the part bytes.
-  const bool sum_parts = ctx.plan != nullptr;
-
   // Every part's reply is read, whatever became of the parts before it:
   // a reply left in a shard's mailbox would be taken for the next job's.
   for (std::size_t i = 0; i < ctx.parts.size(); ++i) {
@@ -367,21 +310,16 @@ void ShardRouter::finish_job(const ShardJobCtx& ctx) {
       if (stamps.image.empty()) {
         stamps.image = Grid2D<CFloat>(region.width, region.height);
       }
+      // Bands are disjoint: each is copied verbatim, so the assembled
+      // bytes are exactly the part bytes.
       const auto* tile = reinterpret_cast<const CFloat*>(payload);
-      if (sum_parts) {
-        // Shard-index order — the documented reduction order of the
-        // pulse-scatter route.
-        auto flat = stamps.image.flat();
-        for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += tile[j];
-      } else {
-        const Index dx = part.region.x0 - region.x0;
-        const Index dy = part.region.y0 - region.y0;
-        for (Index y = 0; y < part.region.height; ++y) {
-          std::memcpy(stamps.image.row(dy + y).data() + dx,
-                      tile + y * part.region.width,
-                      static_cast<std::size_t>(part.region.width) *
-                          sizeof(CFloat));
-        }
+      const Index dx = part.region.x0 - region.x0;
+      const Index dy = part.region.y0 - region.y0;
+      for (Index y = 0; y < part.region.height; ++y) {
+        std::memcpy(stamps.image.row(dy + y).data() + dx,
+                    tile + y * part.region.width,
+                    static_cast<std::size_t>(part.region.width) *
+                        sizeof(CFloat));
       }
     } catch (const cluster::ClusterAborted&) {
       // A rank died. Every un-replied part of this job (and of every job

@@ -4,22 +4,16 @@
 // mailbox layer, and gathers the partial tiles back into one image on a
 // dedicated gather thread.
 //
-// Routing policy:
-//   - Small jobs (region pixels <= small_job_pixels) go whole to a single
-//     shard chosen by hashing the tenant (or round-robin by sequence for
-//     the empty tenant): the same plan replay as the single-node path, so
-//     the result is byte-identical to an unsharded service.
-//   - Larger jobs split by their shape. A region with >= 2 ASR block
-//     bands grid-splits into block-aligned row (or column) bands, one per
-//     shard; because plan_blocks anchors at the region origin and every
-//     cut lands on a block_h (block_w) multiple, each band's plan blocks
-//     coincide with the full-region plan's blocks and the assembled image
-//     is bit-identical to the single-node result. Otherwise a job with
-//     >= 2 pulses is pulse-scattered: every shard sweeps one shared
-//     full-region plan, which the front end looks up, over a disjoint
-//     pulse range, and the gather sums the partial tiles in shard-index
-//     order — the one documented deviation from single-node float
-//     reduction order. Anything else goes to a single shard.
+// Routing, one rule from the job's shape alone: a job over
+// small_job_pixels whose region has b >= 2 ASR block bands (rows, else
+// columns) is cut on block multiples from the region origin into
+// k = min(shards, b) bands; any other job is one band. Band i goes to
+// shard (home + i) mod shards, home hashing the tenant (round-robin by
+// sequence for the empty tenant). plan_blocks anchors at the region
+// origin and every cut lands on a block_h (block_w) multiple, so each
+// band's plan blocks are the full-region plan's blocks; each rank replays
+// its band as the local service would, and the gather copies the disjoint
+// bands: every delivered image is the local service's bytes.
 //
 // Job lifecycle (job.h): dispatch() dequeues the job and resolves it
 // kFailed if the split throws; each rank settles its part with a
@@ -68,7 +62,6 @@ struct ShardRouterConfig {
   /// Tile-executor width inside each shard rank.
   int shard_workers = 1;
   bool steal = true;
-  Index tile_tasks = 0;
   /// Jobs at most this many region pixels route whole to one shard.
   Index small_job_pixels = 64 * 64;
   /// Backlog bound of the gather queue (dispatched, not yet gathered).
@@ -132,9 +125,7 @@ class ShardRouter {
 
   struct ShardPart {
     int shard = 0;
-    Region region;  ///< sub-region (grid split) or the full region
-    Index pulse_begin = 0;
-    Index pulse_end = 0;
+    Region region;  ///< one band of the job's region, or all of it
   };
 
   /// Everything the shard workers and the gather thread need for one
@@ -143,15 +134,8 @@ class ShardRouter {
     std::uint64_t seq = 0;
     JobPtr job;
     Region region;
-    /// Shared full-region plan of the pulse-scatter route, looked up
-    /// before dispatch: built whole on a hit or a kept miss, table-less on
-    /// an unkept miss (each rank then builds its pulse range's tables on
-    /// the fly). Null for the single-shard and grid-split routes, whose
-    /// ranks look up the plan of their region.
-    std::shared_ptr<const FormationPlan> plan;
     std::vector<ShardPart> parts;
-    /// Queue wait, plus the pulse-scatter front end's setup and cache hit.
-    JobStamps stamps;
+    JobStamps stamps;  ///< the queue wait
   };
   using CtxPtr = std::shared_ptr<ShardJobCtx>;
 
@@ -162,8 +146,7 @@ class ShardRouter {
   void gather_loop();
   void finish_job(const ShardJobCtx& ctx);
 
-  /// Splits the job into parts by its shape; may look up and build the
-  /// shared plan (throws propagate to dispatch(), which fails the job).
+  /// Cuts the job into its bands (the routing rule above).
   void split_job(ShardJobCtx& ctx);
   [[nodiscard]] int pick_home_shard(const JobPtr& job,
                                     std::uint64_t seq) const;
@@ -182,11 +165,9 @@ class ShardRouter {
   std::atomic<bool> shut_down_{false};
 
   obs::Counter* jobs_single_ = nullptr;
-  obs::Counter* jobs_pulse_scatter_ = nullptr;
   obs::Counter* jobs_grid_split_ = nullptr;
   obs::Counter* parts_dispatched_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
-  obs::Histogram* setup_s_ = nullptr;
   obs::Histogram* compute_s_ = nullptr;
   obs::Histogram* gather_s_ = nullptr;
 

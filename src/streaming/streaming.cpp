@@ -335,7 +335,6 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       return self->sweep_update_block(*u, b, kernel);
     };
     spec.workers = cctx.workers;
-    spec.task_cap = cctx.tile_tasks;
     spec.kernel = kernel_;
     spec.checkpoint = cctx.checkpoint;
     spec.on_complete = [self, u, cctx](exec::TaskGroup& group) {

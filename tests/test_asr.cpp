@@ -556,6 +556,22 @@ TEST(BlockPlan, ExactTilingHasUniformBlocks) {
   }
 }
 
+TEST(BlockPlan, EdgeLargerThanTheRegionIsOneBlock) {
+  // An edge past the region clamps to it before any arithmetic: Index's
+  // largest edge tiles a 40 x 30 region with the one block, at any origin,
+  // and counts one band.
+  constexpr Index kHuge = std::numeric_limits<Index>::max();
+  for (const auto& [x0, y0] :
+       {std::pair<Index, Index>{0, 0}, std::pair<Index, Index>{5, 7}}) {
+    const auto blocks = plan_blocks(x0, y0, 40, 30, kHuge, kHuge);
+    ASSERT_EQ(blocks.size(), 1u) << x0 << "," << y0;
+    EXPECT_EQ(blocks[0], (BlockSpec{x0, y0, 40, 30}));
+  }
+  EXPECT_EQ(block_count(30, kHuge), 1);
+  EXPECT_EQ(block_count(30, 16), 2);
+  EXPECT_EQ(block_count(0, 16), 0);
+}
+
 TEST(BlockPlan, EmptyRegionYieldsNoBlocks) {
   EXPECT_TRUE(plan_blocks(0, 0, 0, 10, 8, 8).empty());
 }

@@ -1,20 +1,19 @@
 // Sharded formation-service tests: routing parity against the single-node
-// path (byte-identical for single-shard and grid-split jobs, a grid-split
-// miss also to execute_plan, SNR-bounded for the pulse-scatter reduction),
-// the pulse-scatter front end's plan lookup (unkept, kept, hit: one image),
-// rank-fault injection resolving jobs as kFailed instead of hanging, and a
-// multi-tenant sharded replay smoke.
+// path (byte-identical for single-shard, grid-split and degenerate-region
+// jobs, a grid-split miss also to execute_plan), band placement from each
+// job's home shard, rank-fault injection resolving jobs as kFailed instead
+// of hanging, and a multi-tenant sharded replay smoke.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/snr.h"
 #include "exec/tile_backend.h"
 #include "service/plan_cache.h"
 #include "service/service.h"
@@ -52,11 +51,10 @@ ImageFormationRequest make_request(const Fixture& f, Index block = 16) {
   return req;
 }
 
-/// Forms one image through a service built from `sc` and returns it.
-Grid2D<CFloat> form_once(ServiceConfig sc, const Fixture& f,
-                         Index block = 16) {
+/// Forms `req` through a service built from `sc` and returns its image.
+Grid2D<CFloat> form_once(ServiceConfig sc, ImageFormationRequest req) {
   ImageFormationService service(std::move(sc));
-  auto outcome = service.submit(make_request(f, block));
+  auto outcome = service.submit(std::move(req));
   EXPECT_TRUE(outcome.admitted());
   const JobResult& result = outcome.handle->wait();
   EXPECT_EQ(result.state, JobState::kDone) << result.error;
@@ -71,11 +69,11 @@ TEST(ClusterService, SingleShardJobsAreByteIdenticalToLocal) {
 
   ServiceConfig local;
   local.workers = 1;
-  const Grid2D<CFloat> reference = form_once(local, f);
+  const Grid2D<CFloat> reference = form_once(local, make_request(f));
 
   ServiceConfig sharded;
   sharded.shards = 2;  // 32*32 = 1024 <= shard_small_pixels: single-shard
-  const Grid2D<CFloat> image = form_once(sharded, f);
+  const Grid2D<CFloat> image = form_once(sharded, make_request(f));
 
   EXPECT_TRUE(image == reference);
 }
@@ -91,18 +89,18 @@ TEST(ClusterService, GridSplitIsBitIdenticalToLocal) {
 
   ServiceConfig local;
   local.workers = 1;
-  const Grid2D<CFloat> reference = form_once(local, f);
+  const Grid2D<CFloat> reference = form_once(local, make_request(f));
   ServiceConfig simd_local = local;
   simd_local.backends.resize(1);
   simd_local.backends[0].kind = exec::BackendSpec::Kind::kHostSimd;
-  const Grid2D<CFloat> simd_reference = form_once(simd_local, f);
+  const Grid2D<CFloat> simd_reference = form_once(simd_local, make_request(f));
 
   obs::Registry reg;
   ServiceConfig sharded;
   sharded.shards = 2;
   sharded.shard_small_pixels = 16;  // force the splitter for this job
   sharded.metrics = &reg;
-  const Grid2D<CFloat> image = form_once(sharded, f);
+  const Grid2D<CFloat> image = form_once(sharded, make_request(f));
 
   EXPECT_TRUE(image == reference);
   EXPECT_TRUE(image == simd_reference);
@@ -157,76 +155,20 @@ TEST(ClusterService, GridSplitMissMatchesExecutePlan) {
   }
 }
 
-TEST(ClusterService, PulseScatterMatchesLocalWithinReductionTolerance) {
-  // Pulse scatter sums partial tiles in shard-index order — a different
-  // float reduction order than the single-node pulse loop, so the images
-  // agree to reduction precision (documented in DESIGN.md), not bytes.
-  // One 48-px block leaves one band each way, so the 2,304-px job is
-  // pulse-scattered.
-  const Fixture f = make_fixture(48, 12);
-
-  ServiceConfig local;
-  local.workers = 1;
-  const Grid2D<CFloat> reference = form_once(local, f, 48);
-
-  obs::Registry reg;
-  ServiceConfig sharded;
-  sharded.shards = 2;
-  sharded.shard_small_pixels = 16;
-  sharded.metrics = &reg;
-  const Grid2D<CFloat> image = form_once(sharded, f, 48);
-
-  EXPECT_GT(snr_db(image, reference), 70.0);
-  if (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("shard.jobs.pulse_scatter").value(), 1u);
-  }
-}
-
-TEST(ClusterService, PulseScatterLooksUpTheSharedPlan) {
-  // The pulse-scatter front end looks the full-region plan up like every
-  // miss path: the first job is an unkept miss whose ranks sweep their
-  // pulse ranges with tables built on the fly, leaving the cache empty; its
-  // repeat is a kept miss whose plan the front end builds and inserts; the
-  // third hits. Both table sources give the same bytes, and so do the
-  // three images.
-  const Fixture f = make_fixture(48, 12);
-  obs::Registry reg;
-  ServiceConfig sharded;
-  sharded.shards = 2;
-  sharded.shard_small_pixels = 16;
-  sharded.metrics = &reg;
-  ImageFormationService service(std::move(sharded));
-  std::vector<Grid2D<CFloat>> images;
-  for (int job = 0; job < 3; ++job) {
-    SCOPED_TRACE("job " + std::to_string(job));
-    auto outcome = service.submit(make_request(f, 48));
-    ASSERT_TRUE(outcome.admitted());
-    const JobResult& result = outcome.handle->wait();
-    ASSERT_EQ(result.state, JobState::kDone) << result.error;
-    EXPECT_EQ(result.plan_unkept, job == 0);
-    EXPECT_EQ(result.plan_cache_hit, job == 2);
-    EXPECT_EQ(service.plan_cache().size(), job == 0 ? 0u : 1u);
-    images.push_back(result.image);
-  }
-  EXPECT_TRUE(images[1] == images[0]);
-  EXPECT_TRUE(images[2] == images[0]);
-  if (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("shard.jobs.pulse_scatter").value(), 3u);
-    EXPECT_EQ(reg.counter("service.plan_cache.unkept").value(), 1u);
-    EXPECT_EQ(reg.counter("service.plan_cache.inserts").value(), 1u);
-    EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 1u);
-  }
-}
-
 TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {
-  // 1xN and Nx1 grids cannot be band-split into two block-aligned pieces,
-  // so the router must fall back (pulse scatter or single) and still
-  // produce a faithful image rather than rejecting or crashing.
-  for (const auto& shape :
-       {std::pair<Index, Index>{1, 48}, std::pair<Index, Index>{48, 1}}) {
+  // 1 x 48 and 48 x 1 regions band-split along their one long side; one
+  // 48-px block leaves one band each way, so that job goes whole to one
+  // shard. Every route delivers the local service's bytes.
+  struct Shape {
+    Region region;
+    Index block;
+  };
+  for (const Shape& shape : {Shape{{0, 0, 1, 48}, 16},
+                             Shape{{0, 0, 48, 1}, 16},
+                             Shape{{0, 0, 48, 48}, 48}}) {
     const Fixture f = make_fixture(48, 12);
-    ImageFormationRequest base = make_request(f);
-    base.region = Region{0, 0, shape.first, shape.second};
+    ImageFormationRequest base = make_request(f, shape.block);
+    base.region = shape.region;
 
     ServiceConfig local;
     local.workers = 1;
@@ -238,14 +180,74 @@ TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {
 
     ServiceConfig sharded;
     sharded.shards = 2;
-    sharded.shard_small_pixels = 4;
+    sharded.shard_small_pixels = 16;
     ImageFormationService service(sharded);
     auto outcome = service.submit(std::move(base));
     ASSERT_TRUE(outcome.admitted());
     const JobResult& result = outcome.handle->wait();
     ASSERT_EQ(result.state, JobState::kDone) << result.error;
-    EXPECT_GT(snr_db(result.image, reference.image), 70.0)
-        << shape.first << "x" << shape.second;
+    EXPECT_TRUE(result.image == reference.image)
+        << shape.region.width << "x" << shape.region.height << ", block "
+        << shape.block;
+  }
+}
+
+TEST(ClusterService, BlockEdgeLargerThanTheRegionIsTheRegionsEdge) {
+  // A request's ASR block edge clamps to its region's before any
+  // arithmetic: Index's largest edge over region {5, 7, 40, 30} forms the
+  // bytes of a 40 x 30 block, locally and through the shards.
+  const Fixture f = make_fixture(48, 12);
+  ImageFormationRequest fitted = make_request(f);
+  fitted.region = Region{5, 7, 40, 30};
+  fitted.asr_block_w = 40;
+  fitted.asr_block_h = 30;
+  ImageFormationRequest huge = fitted;
+  huge.asr_block_w = huge.asr_block_h = std::numeric_limits<Index>::max();
+
+  ServiceConfig local;
+  local.workers = 1;
+  ServiceConfig sharded;
+  sharded.shards = 2;
+  sharded.shard_small_pixels = 16;
+  const Grid2D<CFloat> reference = form_once(local, fitted);
+  EXPECT_TRUE(form_once(local, huge) == reference);
+  EXPECT_TRUE(form_once(sharded, huge) == reference);
+}
+
+TEST(ClusterService, BandsStartAtTheJobsHomeShard) {
+  // Band i of a job goes to shard (home + i) mod shards. The empty
+  // tenant's home is its sequence number mod 4, so the first 2-band job
+  // lands on shards 1 and 2 and the second on shards 2 and 3.
+  const Fixture f = make_fixture(48, 12);
+  obs::Registry reg;
+  ServiceConfig sc;
+  sc.shards = 4;
+  sc.shard_small_pixels = 16;
+  sc.metrics = &reg;
+  ImageFormationService service(sc);
+  const auto groups = [&reg] {
+    std::vector<std::uint64_t> per_shard;
+    for (int k = 0; k < 4; ++k) {
+      per_shard.push_back(
+          reg.counter("shard." + std::to_string(k) + ".exec.groups.submitted")
+              .value());
+    }
+    return per_shard;
+  };
+  for (const auto& expected : {std::vector<std::uint64_t>{0, 1, 1, 0},
+                               std::vector<std::uint64_t>{0, 1, 2, 1}}) {
+    ImageFormationRequest req = make_request(f);
+    req.region = Region{0, 0, 48, 32};  // two 16-px block bands
+    auto outcome = service.submit(std::move(req));
+    ASSERT_TRUE(outcome.admitted());
+    ASSERT_EQ(outcome.handle->wait().state, JobState::kDone);
+    if (obs::kEnabled) {
+      EXPECT_EQ(groups(), expected);
+    }
+  }
+  if (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("shard.jobs.grid_split").value(), 2u);
+    EXPECT_EQ(reg.counter("shard.parts.dispatched").value(), 4u);
   }
 }
 

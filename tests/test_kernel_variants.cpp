@@ -565,7 +565,7 @@ TEST_F(KernelVariantTest, VectorIsasMatchScalarBytes) {
   // own tables; the vector kernels replay the case's tables, built once
   // (both table sources give the same bytes:
   // AsrSweepCore.TableSourceAndChunkingKeepBits). A plan's tables: replayed
-  // from pulse 0 and from mid-plan, as a pulse-scatter part replays. Every
+  // from pulse 0 and from mid-plan, as a replay of a pulse range does. Every
   // tile starts at -0, so a lane that adds +0 where the scalar sweep adds
   // nothing shows. The blocks include thin ones, partial edge blocks and
   // rows W - 1, W and W + 1 wide for both lane counts; the row lengths

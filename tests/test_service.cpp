@@ -793,7 +793,6 @@ TEST(PlanReplay, OneTaskPerBlockUpToTheDequeCapacity) {
   const auto [many_blocks, many_tasks] = tasks_and_bits(many, 1);
   EXPECT_EQ(many_blocks, 1089u);
   EXPECT_EQ(many_tasks, exec::kDequeCapacity);
-  EXPECT_EQ(exec::ExecOptions{}.deque_capacity, exec::kDequeCapacity);
 }
 
 TEST(PlanCache, RacingLookupsOfRecurringGeometries) {
@@ -1479,16 +1478,16 @@ void expect_aborted_miss_inserts_nothing(MissAbort how, bool kept = true) {
 
   obs::Registry reg;
   ServiceConfig sc;
-  sc.workers = 1;
-  sc.tile_tasks = 1;  // one task: the hook's calls come in a fixed order
+  sc.workers = 1;  // one task per block on one worker: a fixed hook order
   sc.plan_cache_capacity = 4;
   sc.metrics = &reg;
   sc.inter_block_hook = [&] {
     if (!armed.load()) return;
-    // Call 0 is the executor's poll before the task starts; calls 1 and 2
-    // are the task's polls before blocks 0 and 1, so call 2 lands after
-    // block 0's tables were built and swept.
-    if (armed_calls.fetch_add(1) != 2) return;
+    // Each block is a task: calls 0 and 2 are the executor's polls before
+    // the first two tasks start, calls 1 and 3 the tasks' polls before
+    // their blocks, so call 3 lands inside a task after the first block's
+    // tables were built and swept.
+    if (armed_calls.fetch_add(1) != 3) return;
     switch (how) {
       case MissAbort::kCancel: {
         std::unique_lock lock(m);

@@ -5,7 +5,9 @@
 #
 # Two configurations, mirroring the SARBP_SANITIZE CMake presets:
 #
-#   build-asan  -DSARBP_SANITIZE=address;undefined — full ctest suite.
+#   build-asan  -DSARBP_SANITIZE=address;undefined — full ctest suite,
+#               UBSan halting on its first report (by default it prints
+#               the report and recovers, and the test passes).
 #   build-tsan  -DSARBP_SANITIZE=thread           — the concurrency-heavy
 #               test binaries (queue, pipeline shutdown, observability,
 #               the executor, which also runs the pipeline's
@@ -28,7 +30,8 @@ run_asan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSARBP_SANITIZE="address;undefined" >/dev/null
   cmake --build build-asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs"
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j "$jobs"
 }
 
 run_tsan() {
