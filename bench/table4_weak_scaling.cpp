@@ -1,30 +1,19 @@
 // Reproduces paper Table 4: multi-node weak scaling under the real-time
 // constraint (1-16 nodes; image grows with the cluster; throughput in
-// backprojections/s; MPI parallelization efficiency 1.00 -> 0.93).
-//
-// Two complementary reproductions:
-//  1. the analytic node model sized exactly like the paper (same method as
-//     its own Table 5 projection) — reproduces the (image, k, S,
-//     throughput) columns;
-//  2. a *measured* weak-scaling run on the in-process cluster substrate:
-//     ranks x a scaled tile, reporting parallel efficiency from the
-//     slowest rank's compute time (wall-clock parallelism is unobservable
-//     on one core, so efficiency is computed from critical-path work).
+// backprojections/s; MPI parallelization efficiency 1.00 -> 0.93) with the
+// analytic node model sized exactly like the paper (same method as its own
+// Table 5 projection): the (image, k, S, throughput, efficiency) columns.
+// The measured Table 4 runs through the ranks the sharded formation
+// service uses: bench/table4_service_scaling.
 #include <cstdio>
 
 #include "bench_util.h"
-#include "cluster/distributed.h"
 #include "perfmodel/projection.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace sarbp;
-  const bench::Args args(argc, argv);
-  const Index tile = args.get("tile", 192);   // per-rank image tile edge
-  const Index pulses = args.get("pulses", 48);
-
   bench::print_header("Table 4 - multi-node weak scaling (real-time sizing)");
 
-  // --- Analytic reproduction of the published rows.
   perfmodel::NodeModel model;
   const Index counts[] = {1, 2, 4, 8, 16};
   const auto points = perfmodel::weak_scaling_projection(model, counts);
@@ -56,39 +45,5 @@ int main(int argc, char** argv) {
         p.throughput_bp_per_s / 1e9, p.parallel_efficiency);
   }
   std::printf("(left: paper Table 4; right: model)\n");
-
-  // --- Measured run on the in-process cluster substrate (weak scaling:
-  // the image edge grows ~ sqrt(ranks) so per-rank work stays constant).
-  std::printf("\nmeasured in-process cluster substrate (tile %lld px/rank):\n",
-              static_cast<long long>(tile));
-  std::printf("%5s %8s %14s %16s %10s\n", "ranks", "image",
-              "crit.path (s)", "Gbp/s (modeled)", "efficiency");
-  bench::print_rule();
-  double base_rate = 0.0;
-  for (Index ranks : {1, 2, 4}) {
-    const auto side = static_cast<Index>(
-        tile * (ranks == 1 ? 1 : (ranks == 2 ? 1.414 : 2.0)));
-    auto scenario = bench::make_bench_scenario(side, pulses);
-    bp::BackprojectOptions options;
-    options.threads = 1;
-    options.min_region_edge = 32;
-    cluster::DistributedReport report;
-    (void)cluster::distributed_backprojection(static_cast<int>(ranks),
-                                              scenario.history, scenario.grid,
-                                              options, &report);
-    const double work = static_cast<double>(side) * static_cast<double>(side) *
-                        static_cast<double>(pulses);
-    // Modeled cluster throughput: every rank works in parallel, so the
-    // frame takes the slowest rank's time.
-    const double gbps = work / report.max_rank_compute_s / 1e9;
-    const double per_rank_rate = gbps / static_cast<double>(ranks);
-    if (ranks == 1) base_rate = per_rank_rate;
-    std::printf("%5lld %8lld %14.3f %16.3f %10.2f\n",
-                static_cast<long long>(ranks), static_cast<long long>(side),
-                report.max_rank_compute_s, gbps,
-                per_rank_rate / base_rate);
-  }
-  std::printf("(ranks execute serially on this 1-core host; throughput and\n"
-              " efficiency are computed from the critical-path rank time)\n");
   return 0;
 }

@@ -20,14 +20,12 @@ struct BackprojectOptions {
   /// ASR approximation block (accuracy knob; 64 matches the baseline SNR).
   Index asr_block_w = 64;
   Index asr_block_h = 64;
-  /// Batch-driver pool workers; 0 = all hardware threads. The calling
-  /// thread sweeps beside them, so an image of more than one task sweeps
-  /// on up to threads + 1 threads (one per task at most).
+  /// Pool workers of the batch driver (exec::Backprojector), its only
+  /// reader; 0 = all hardware threads. The calling thread sweeps beside
+  /// them, so an image of more than one task sweeps on up to threads + 1
+  /// threads (one per task at most). run_cube_part and add_pulses_region
+  /// sweep on the calling thread whatever it says.
   int threads = 0;
-  /// Minimum image-tile edge before the rank-level partitioner
-  /// (cluster::distributed_backprojection) switches to splitting pulses
-  /// (§4.2); defaults to the ASR block size.
-  Index min_region_edge = 64;
 
   /// Throws PreconditionError on invalid options, kRefDouble included
   /// (its image is double precision: call backproject_ref).
@@ -47,7 +45,8 @@ void run_cube_part(const sim::PhaseHistory& history,
 
 /// Accumulates pulses [pulse_begin, pulse_end) over `region` of `out` (+=)
 /// on the calling thread, for callers that own the parallelism at their
-/// level: the cluster ranks, the offload slices, autofocus.
+/// level or need none: the offload slices, autofocus, and the
+/// ablation_incremental bench's monolithic and per-batch baselines.
 void add_pulses_region(const sim::PhaseHistory& history,
                        const geometry::ImageGrid& grid,
                        const BackprojectOptions& options,

@@ -3,10 +3,11 @@
 // A "cluster" is a set of ranks executed as threads in one process; each
 // rank holds a Communicator with MPI-like point-to-point (send/recv with
 // source + tag matching), a barrier, and typed convenience wrappers. The
-// partitioning, pulse-scatter, and halo-exchange code paths of the paper's
-// multi-node pipeline run unchanged on top of this; wire time is modeled
-// separately (torus_model.h) exactly as the paper's own Table 5 projection
-// does.
+// paper's rank level runs on top of this: the sharded formation service
+// dispatches image bands to long-lived ranks and gathers their tiles
+// (ShardCluster, shard.h; service/shard_router.h), and the halo exchange
+// (halo.h) trades boundary strips. Wire time is modeled separately
+// (torus_model.h) exactly as the paper's own Table 5 projection does.
 //
 // Failure model: a rank that throws aborts the whole cluster. The abort
 // flag wakes every peer blocked in recv() or barrier() with a

@@ -7,7 +7,7 @@
 // program and adds one extra mailbox endpoint (id == ranks()) for the
 // front end, so a router thread can send job descriptors into rank
 // mailboxes and a gather thread can receive result tiles back through the
-// same source+tag-matched mailbox layer the distributed path uses.
+// source+tag-matched mailbox layer of comm.h.
 //
 // Failure model: an uncaught exception in any rank records the root cause
 // and aborts the underlying Cluster — every peer (and the front end's

@@ -16,6 +16,15 @@ struct Region {
   [[nodiscard]] bool contains(Index x, Index y) const {
     return x >= x0 && x < x0 + width && y >= y0 && y < y0 + height;
   }
+  /// True when the region is non-empty and lies inside a grid_width x
+  /// grid_height grid. The origin is checked first, then each extent
+  /// against the room left past it, so no end coordinate is formed and no
+  /// sum or difference can overflow, whatever the grid's extents.
+  [[nodiscard]] bool inside(Index grid_width, Index grid_height) const {
+    return !empty() && x0 >= 0 && y0 >= 0 && x0 <= grid_width &&
+           y0 <= grid_height && width <= grid_width - x0 &&
+           height <= grid_height - y0;
+  }
 
   friend bool operator==(const Region&, const Region&) = default;
 };

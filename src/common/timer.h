@@ -1,8 +1,9 @@
-// Wall-clock timing utilities used by benchmarks and the pipeline's
-// dynamic load balancer.
+// Wall-clock timing: the monotonic `Timer` behind the service's and
+// shard ranks' job stamps, the §5.3 backend split's rates, Fig. 7's
+// breakdown and the benches, and `SectionTimes` for the pipeline's
+// per-stage totals. Every reading is wall time, so threads that share
+// cores count each other's slices.
 #pragma once
-
-#include <ctime>
 
 #include <chrono>
 #include <cstddef>
@@ -28,29 +29,8 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Per-thread CPU-time stopwatch: unaffected by time-slicing against other
-/// threads, so simulated cluster ranks sharing cores still report their
-/// true compute cost (the in-process MPI substitute relies on this).
-class ThreadCpuTimer {
- public:
-  ThreadCpuTimer() : start_(now()) {}
-
-  void reset() { start_ = now(); }
-
-  [[nodiscard]] double seconds() const { return now() - start_; }
-
- private:
-  static double now() {
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           1e-9 * static_cast<double>(ts.tv_nsec);
-  }
-  double start_;
-};
-
-/// Accumulates named time sections; used to produce the Fig. 7-style
-/// execution-time breakdowns (sqrt / sin+cos / interpolation / other).
+/// Accumulates named time sections; the pipeline's per-stage totals
+/// (Fig. 4) are one.
 class SectionTimes {
  public:
   void add(const std::string& name, double seconds) { times_[name] += seconds; }

@@ -90,10 +90,9 @@ SubmitOutcome ImageFormationService::submit(ImageFormationRequest request) {
                         request.pulses->num_pulses() <= 0 ||
                         !request.pulses->samples_finite())) ||
       (request.pulses != nullptr && request.pulses->num_pulses() <= 0) ||
-      (request.custom && sharded()) || region.empty() ||
-      request.asr_block_w <= 0 || request.asr_block_h <= 0 || region.x0 < 0 ||
-      region.y0 < 0 || region.x0 + region.width > request.grid.width() ||
-      region.y0 + region.height > request.grid.height()) {
+      (request.custom && sharded()) ||
+      !region.inside(request.grid.width(), request.grid.height()) ||
+      request.asr_block_w <= 0 || request.asr_block_h <= 0) {
     return reject(RejectReason::kInvalidRequest);
   }
 

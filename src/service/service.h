@@ -50,8 +50,8 @@ enum class RejectReason {
   kNone,
   kQueueFull,      ///< pending set already at max_pending
   kShuttingDown,   ///< drain()/destructor already started
-  kInvalidRequest, ///< no pulses, a non-finite sample, empty grid, or a
-                   ///< bad block size
+  kInvalidRequest, ///< no pulses, a non-finite sample, a region not
+                   ///< inside the grid, or a bad block size
   kQuotaExceeded,  ///< the tenant's queued-job quota is exhausted
 };
 inline constexpr int kNumRejectReasons = 5;

@@ -575,9 +575,7 @@ StreamSession open_stream(service::ImageFormationService& service,
   const Region region = effective_region(config);
   ensure(config.grid.width() > 0 && config.grid.height() > 0,
          "open_stream: empty grid");
-  ensure(!region.empty() && region.x0 >= 0 && region.y0 >= 0 &&
-             region.x0 + region.width <= config.grid.width() &&
-             region.y0 + region.height <= config.grid.height(),
+  ensure(region.inside(config.grid.width(), config.grid.height()),
          "open_stream: region outside grid");
   ensure(config.asr_block_w > 0 && config.asr_block_h > 0,
          "open_stream: ASR block must be positive");

@@ -1,7 +1,7 @@
 // Cluster-substrate tests: point-to-point messaging, barrier semantics,
-// collectives against serial references (parameterized over rank counts),
-// halo exchange on rank grids, the torus model, and distributed
-// backprojection equivalence to single-rank runs.
+// abort propagation, the shard pool's front end, halo exchange on rank
+// grids and the torus model. The sharded service's images are checked
+// against the local service in test_cluster_service.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,15 +9,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "cluster/collectives.h"
 #include "cluster/comm.h"
-#include "cluster/distributed.h"
 #include "cluster/halo.h"
 #include "cluster/shard.h"
 #include "cluster/torus_model.h"
-#include "common/snr.h"
-#include "exec/formation_tasks.h"
-#include "test_helpers.h"
 
 namespace sarbp::cluster {
 namespace {
@@ -166,60 +161,6 @@ TEST(ShardCluster, FrontendRoundTripAndAbortReporting) {
   }
 }
 
-class CollectiveSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(CollectiveSweep, BroadcastReachesEveryRank) {
-  const int ranks = GetParam();
-  run_cluster(ranks, [&](Communicator& comm) {
-    std::vector<int> values;
-    if (comm.rank() == 0) values = {1, 2, 3, 4, 5};
-    broadcast(comm, values, 0);
-    ASSERT_EQ(values.size(), 5u);
-    EXPECT_EQ(values[4], 5);
-  });
-}
-
-TEST_P(CollectiveSweep, GatherConcatenatesInRankOrder) {
-  const int ranks = GetParam();
-  run_cluster(ranks, [&](Communicator& comm) {
-    const int mine[2] = {comm.rank() * 10, comm.rank() * 10 + 1};
-    const auto all = gather<int>(comm, std::span<const int>(mine, 2), 0);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(all.size(), static_cast<std::size_t>(2 * ranks));
-      for (int r = 0; r < ranks; ++r) {
-        EXPECT_EQ(all[static_cast<std::size_t>(2 * r)], r * 10);
-        EXPECT_EQ(all[static_cast<std::size_t>(2 * r + 1)], r * 10 + 1);
-      }
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
-TEST_P(CollectiveSweep, AllReduceSumMatchesSerial) {
-  const int ranks = GetParam();
-  run_cluster(ranks, [&](Communicator& comm) {
-    const double mine = static_cast<double>(comm.rank() + 1);
-    const double total = allreduce_sum(comm, mine);
-    EXPECT_DOUBLE_EQ(total, ranks * (ranks + 1) / 2.0);
-  });
-}
-
-TEST_P(CollectiveSweep, VectorAllReduce) {
-  const int ranks = GetParam();
-  run_cluster(ranks, [&](Communicator& comm) {
-    const float mine[3] = {1.0f, static_cast<float>(comm.rank()), -1.0f};
-    const auto sum = allreduce_sum<float>(comm, std::span<const float>(mine, 3));
-    ASSERT_EQ(sum.size(), 3u);
-    EXPECT_FLOAT_EQ(sum[0], static_cast<float>(ranks));
-    EXPECT_FLOAT_EQ(sum[1], static_cast<float>(ranks * (ranks - 1) / 2));
-    EXPECT_FLOAT_EQ(sum[2], -static_cast<float>(ranks));
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveSweep,
-                         ::testing::Values(1, 2, 3, 4, 8));
-
 TEST(Halo, ExchangeFillsMarginsFromNeighbours) {
   // 2x2 rank grid, interior 6x6, halo 2. Each rank fills its interior with
   // its rank id; after exchange every margin must carry the neighbour's id.
@@ -363,91 +304,6 @@ TEST(Torus, PulseDistributionMatchesPaperQuote) {
   InterconnectModel model;
   const auto v = communication_volumes(16, 13000, 2809, 19000, 31, 25, 25);
   EXPECT_NEAR(1e3 * model.mpi_seconds(v.pulse_scatter_bytes), 9.0, 6.0);
-}
-
-TEST(Distributed, MatchesSingleRankImage) {
-  sarbp::testing::ScenarioConfig cfg;
-  cfg.image = 96;
-  cfg.pulses = 16;
-  const auto s = sarbp::testing::make_scenario(cfg);
-  bp::BackprojectOptions options;
-  options.threads = 1;
-  options.min_region_edge = 32;
-
-  const Grid2D<CFloat> single =
-      distributed_backprojection(1, s.history, s.grid, options);
-  for (int ranks : {2, 4}) {
-    DistributedReport report;
-    const Grid2D<CFloat> multi = distributed_backprojection(
-        ranks, s.history, s.grid, options, &report);
-    EXPECT_GT(snr_db(multi, single), 70.0) << ranks << " ranks";
-    EXPECT_GT(report.gather_bytes, 0.0);
-    EXPECT_GT(report.broadcast_bytes, 0.0);
-    EXPECT_GT(report.max_rank_compute_s, 0.0);
-  }
-}
-
-TEST(Distributed, ParityAcrossRankCountsOnAwkwardGrids) {
-  // Non-square, prime-ish, and degenerate 1xN / Nx1 grids stress the
-  // partitioner's remainder handling; every rank count must agree with the
-  // single-rank image.
-  struct Shape {
-    Index w, h;
-  };
-  for (const Shape shape : {Shape{51, 37}, Shape{1, 48}, Shape{48, 1}}) {
-    sarbp::testing::ScenarioConfig cfg;
-    cfg.image = 64;
-    cfg.pulses = 12;
-    const auto s = sarbp::testing::make_scenario(cfg);
-    const geometry::ImageGrid grid(shape.w, shape.h, 0.5);
-    bp::BackprojectOptions options;
-    options.threads = 1;
-    options.min_region_edge = 8;
-    const Grid2D<CFloat> single =
-        distributed_backprojection(1, s.history, grid, options);
-    for (int ranks : {2, 4, 7}) {
-      const Grid2D<CFloat> multi =
-          distributed_backprojection(ranks, s.history, grid, options);
-      EXPECT_GT(snr_db(multi, single), 70.0)
-          << shape.w << "x" << shape.h << " on " << ranks << " ranks";
-    }
-  }
-}
-
-TEST(Distributed, ZeroPulseBatchFormsZeroImageWithoutHanging) {
-  // A zero-pulse collection used to trip the pulse partitioner's
-  // parts-vs-ranks check on multi-rank runs; now every rank count returns
-  // an all-zero image.
-  const sim::PhaseHistory empty(0, 64, 0.5, 400.0);
-  const geometry::ImageGrid grid(32, 32, 0.5);
-  bp::BackprojectOptions options;
-  options.threads = 1;
-  options.min_region_edge = 8;
-  for (int ranks : {1, 2, 4, 7}) {
-    const Grid2D<CFloat> image =
-        distributed_backprojection(ranks, empty, grid, options);
-    for (Index y = 0; y < image.height(); ++y) {
-      for (Index x = 0; x < image.width(); ++x) {
-        ASSERT_EQ(image.at(x, y), CFloat(0.0F, 0.0F))
-            << "ranks=" << ranks << " at (" << x << "," << y << ")";
-      }
-    }
-  }
-}
-
-TEST(Distributed, MatchesPlainBackprojector) {
-  sarbp::testing::ScenarioConfig cfg;
-  cfg.image = 64;
-  cfg.pulses = 8;
-  const auto s = sarbp::testing::make_scenario(cfg);
-  bp::BackprojectOptions options;
-  options.threads = 1;
-  options.min_region_edge = 16;
-  const Grid2D<CFloat> distributed =
-      distributed_backprojection(4, s.history, s.grid, options);
-  const Grid2D<CFloat> plain =
-      exec::Backprojector(s.grid, options).form_image(s.history);
-  EXPECT_GT(snr_db(distributed, plain), 70.0);
 }
 
 }  // namespace

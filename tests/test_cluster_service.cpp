@@ -158,15 +158,21 @@ TEST(ClusterService, GridSplitMissMatchesExecutePlan) {
 TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {
   // 1 x 48 and 48 x 1 regions band-split along their one long side; one
   // 48-px block leaves one band each way, so that job goes whole to one
-  // shard. Every route delivers the local service's bytes.
+  // shard; a 51 x 37 region of a 64^2 grid at block 8 has 5 block rows,
+  // the last one 5 px tall, so 7 shards get 5 bands and two get none.
+  // Every route delivers the local service's bytes.
   struct Shape {
+    Index image;
     Region region;
     Index block;
+    int shards;
+    std::uint64_t bands;
   };
-  for (const Shape& shape : {Shape{{0, 0, 1, 48}, 16},
-                             Shape{{0, 0, 48, 1}, 16},
-                             Shape{{0, 0, 48, 48}, 48}}) {
-    const Fixture f = make_fixture(48, 12);
+  for (const Shape& shape : {Shape{48, {0, 0, 1, 48}, 16, 2, 2},
+                             Shape{48, {0, 0, 48, 1}, 16, 2, 2},
+                             Shape{48, {0, 0, 48, 48}, 48, 2, 1},
+                             Shape{64, {5, 11, 51, 37}, 8, 7, 5}}) {
+    const Fixture f = make_fixture(shape.image, 12);
     ImageFormationRequest base = make_request(f, shape.block);
     base.region = shape.region;
 
@@ -178,9 +184,11 @@ TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {
     const JobResult& reference = ref_outcome.handle->wait();
     ASSERT_EQ(reference.state, JobState::kDone) << reference.error;
 
+    obs::Registry reg;
     ServiceConfig sharded;
-    sharded.shards = 2;
+    sharded.shards = shape.shards;
     sharded.shard_small_pixels = 16;
+    sharded.metrics = &reg;
     ImageFormationService service(sharded);
     auto outcome = service.submit(std::move(base));
     ASSERT_TRUE(outcome.admitted());
@@ -188,7 +196,11 @@ TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {
     ASSERT_EQ(result.state, JobState::kDone) << result.error;
     EXPECT_TRUE(result.image == reference.image)
         << shape.region.width << "x" << shape.region.height << ", block "
-        << shape.block;
+        << shape.block << ", " << shape.shards << " shards";
+    if (obs::kEnabled) {
+      EXPECT_EQ(reg.counter("shard.parts.dispatched").value(), shape.bands)
+          << shape.region.width << "x" << shape.region.height;
+    }
   }
 }
 

@@ -1,222 +1,13 @@
-// Partitioner tests: coverage/disjointness of the 3D cube decomposition,
-// the image-first / pulses-last policy of §4.2, and balance — swept over
-// worker counts and cube shapes.
+// Partition helpers: the even split behind the shard router's bands and
+// the formation tasks' item ranges, and the Region predicates.
 #include <gtest/gtest.h>
 
-#include <set>
-#include <tuple>
+#include <limits>
 
 #include "backprojection/partition.h"
 
 namespace sarbp::bp {
 namespace {
-
-TEST(ChoosePartition, SingleWorkerIsWholeCube) {
-  const CubeShape shape{100, 512, 512};
-  const auto c = choose_partition(shape, 1, 64);
-  EXPECT_EQ(c.parts_x, 1);
-  EXPECT_EQ(c.parts_y, 1);
-  EXPECT_EQ(c.parts_pulse, 1);
-}
-
-TEST(ChoosePartition, PrefersImageSplitsOverPulseSplits) {
-  // A big image: all workers should land in the image dimensions.
-  const CubeShape shape{1000, 2048, 2048};
-  for (Index workers : {2, 4, 8, 16}) {
-    const auto c = choose_partition(shape, workers, 64);
-    EXPECT_EQ(c.parts_pulse, 1) << workers;
-    EXPECT_EQ(c.total(), workers);
-  }
-}
-
-TEST(ChoosePartition, SplitsPulsesWhenTilesWouldBeTooSmall) {
-  // §4.2: "We resort to partitioning input pulses only when the partition
-  // size of output image pixels becomes smaller than the ASR block size."
-  const CubeShape shape{1000, 64, 64};
-  const auto c = choose_partition(shape, 16, 64);
-  EXPECT_GT(c.parts_pulse, 1);
-  EXPECT_EQ(c.total(), 16);
-}
-
-TEST(ChoosePartition, PrefersSquareTiles) {
-  const CubeShape shape{100, 1024, 1024};
-  const auto c = choose_partition(shape, 16, 64);
-  EXPECT_EQ(c.parts_x, 4);
-  EXPECT_EQ(c.parts_y, 4);
-}
-
-TEST(ChoosePartition, HandlesMoreWorkersThanPulses) {
-  const CubeShape shape{2, 32, 32};
-  const auto c = choose_partition(shape, 8, 64);
-  EXPECT_LE(c.parts_pulse, 2);
-  EXPECT_GE(c.total(), 1);
-}
-
-// Asserts the parts tile the cube exactly: total volume matches and no two
-// parts overlap in (pulse, x, y).
-void expect_exact_tiling(const CubeShape& shape,
-                         const std::vector<CubePart>& parts) {
-  Index volume = 0;
-  for (const auto& part : parts) {
-    EXPECT_GE(part.pulse_begin, 0);
-    EXPECT_LE(part.pulse_end, shape.pulses);
-    EXPECT_GE(part.region.x0, 0);
-    EXPECT_GE(part.region.y0, 0);
-    EXPECT_LE(part.region.x0 + part.region.width, shape.width);
-    EXPECT_LE(part.region.y0 + part.region.height, shape.height);
-    volume += (part.pulse_end - part.pulse_begin) * part.region.pixels();
-  }
-  EXPECT_EQ(volume, shape.pulses * shape.width * shape.height);
-
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    for (std::size_t j = i + 1; j < parts.size(); ++j) {
-      const auto& a = parts[i];
-      const auto& b = parts[j];
-      const bool pulse_overlap =
-          a.pulse_begin < b.pulse_end && b.pulse_begin < a.pulse_end;
-      const bool x_overlap = a.region.x0 < b.region.x0 + b.region.width &&
-                             b.region.x0 < a.region.x0 + a.region.width;
-      const bool y_overlap = a.region.y0 < b.region.y0 + b.region.height &&
-                             b.region.y0 < a.region.y0 + a.region.height;
-      EXPECT_FALSE(pulse_overlap && x_overlap && y_overlap)
-          << "parts " << i << " and " << j << " overlap";
-    }
-  }
-}
-
-// ----------------------------------------------------------- edge cases ---
-
-TEST(PartitionEdgeCases, RegionSmallerThanMinEdgeStillTilesExactly) {
-  // A 24x24 image with min_edge 64: no image split can keep tiles at the
-  // minimum edge, so the edge constraint is relaxed — the parts must still
-  // tile the cube exactly with every tile non-empty.
-  const CubeShape shape{40, 24, 24};
-  for (Index workers : {1, 2, 4, 8}) {
-    const auto choice = choose_partition(shape, workers, 64);
-    const auto parts = partition_cube(shape, choice);
-    for (const auto& part : parts) {
-      EXPECT_FALSE(part.region.empty()) << workers;
-    }
-    expect_exact_tiling(shape, parts);
-  }
-}
-
-TEST(PartitionEdgeCases, ZeroPulsesYieldsSingleEmptyPart) {
-  const CubeShape shape{0, 128, 128};
-  const auto choice = choose_partition(shape, 8, 32);
-  EXPECT_EQ(choice.parts_x, 1);
-  EXPECT_EQ(choice.parts_y, 1);
-  EXPECT_EQ(choice.parts_pulse, 1);
-  const auto parts = partition_cube(shape, choice);
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0].pulse_begin, parts[0].pulse_end);
-  expect_exact_tiling(shape, parts);
-}
-
-TEST(PartitionEdgeCases, PulseCountNotDivisibleByChunk) {
-  // Pulse counts that don't divide evenly across the pulse split: spans
-  // must still cover [0, pulses) exactly, off by at most one pulse.
-  for (Index pulses : {7, 13, 97, 101}) {
-    const CubeShape shape{pulses, 32, 32};
-    for (Index workers : {3, 4, 5}) {
-      const auto choice = choose_partition(shape, workers, 64);
-      const auto parts = partition_cube(shape, choice);
-      expect_exact_tiling(shape, parts);
-      Index lo = shape.pulses;
-      Index hi = 0;
-      for (const auto& part : parts) {
-        lo = std::min(lo, part.pulse_end - part.pulse_begin);
-        hi = std::max(hi, part.pulse_end - part.pulse_begin);
-      }
-      EXPECT_LE(hi - lo, 1) << pulses << " pulses, " << workers << " workers";
-    }
-  }
-}
-
-TEST(PartitionEdgeCases, DegenerateOneByNGrids) {
-  // 1-pixel-tall and 1-pixel-wide images: the partitioner must not emit
-  // zero-area tiles or split below the single row/column.
-  for (const CubeShape shape : {CubeShape{16, 1, 256}, CubeShape{16, 256, 1},
-                                CubeShape{3, 1, 1}}) {
-    for (Index workers : {1, 2, 8}) {
-      const auto choice = choose_partition(shape, workers, 16);
-      const auto parts = partition_cube(shape, choice);
-      for (const auto& part : parts) {
-        EXPECT_GT(part.region.width, 0);
-        EXPECT_GT(part.region.height, 0);
-      }
-      expect_exact_tiling(shape, parts);
-    }
-  }
-}
-
-class PartitionSweep
-    : public ::testing::TestWithParam<std::tuple<Index, Index, Index, Index>> {
-};
-
-TEST_P(PartitionSweep, CoversCubeExactlyOnce) {
-  const auto [pulses, w, h, workers] = GetParam();
-  const CubeShape shape{pulses, w, h};
-  const auto choice = choose_partition(shape, workers, 16);
-  const auto parts = partition_cube(shape, choice);
-  EXPECT_EQ(static_cast<Index>(parts.size()), choice.total());
-
-  // Each (pulse, x, y) cell covered exactly once: verify by volume plus
-  // pairwise disjointness.
-  Index volume = 0;
-  for (const auto& part : parts) {
-    EXPECT_GE(part.pulse_begin, 0);
-    EXPECT_LE(part.pulse_end, pulses);
-    EXPECT_GE(part.region.x0, 0);
-    EXPECT_LE(part.region.x0 + part.region.width, w);
-    EXPECT_LE(part.region.y0 + part.region.height, h);
-    volume += (part.pulse_end - part.pulse_begin) * part.region.pixels();
-  }
-  EXPECT_EQ(volume, pulses * w * h);
-
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    for (std::size_t j = i + 1; j < parts.size(); ++j) {
-      const auto& a = parts[i];
-      const auto& b = parts[j];
-      const bool pulse_overlap =
-          a.pulse_begin < b.pulse_end && b.pulse_begin < a.pulse_end;
-      const bool x_overlap =
-          a.region.x0 < b.region.x0 + b.region.width &&
-          b.region.x0 < a.region.x0 + a.region.width;
-      const bool y_overlap =
-          a.region.y0 < b.region.y0 + b.region.height &&
-          b.region.y0 < a.region.y0 + a.region.height;
-      EXPECT_FALSE(pulse_overlap && x_overlap && y_overlap)
-          << "parts " << i << " and " << j << " overlap";
-    }
-  }
-}
-
-TEST_P(PartitionSweep, WorkIsBalanced) {
-  const auto [pulses, w, h, workers] = GetParam();
-  const CubeShape shape{pulses, w, h};
-  const auto choice = choose_partition(shape, workers, 16);
-  const auto parts = partition_cube(shape, choice);
-  Index lo = parts[0].region.pixels() * (parts[0].pulse_end - parts[0].pulse_begin);
-  Index hi = lo;
-  for (const auto& part : parts) {
-    const Index work =
-        part.region.pixels() * (part.pulse_end - part.pulse_begin);
-    lo = std::min(lo, work);
-    hi = std::max(hi, work);
-  }
-  // Split remainders cost at most one row/column/pulse slab per dimension.
-  EXPECT_LT(static_cast<double>(hi - lo), 0.35 * static_cast<double>(hi) + 64);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, PartitionSweep,
-    ::testing::Values(std::make_tuple(Index{100}, Index{256}, Index{256}, Index{4}),
-                      std::make_tuple(Index{17}, Index{130}, Index{94}, Index{6}),
-                      std::make_tuple(Index{1}, Index{512}, Index{512}, Index{8}),
-                      std::make_tuple(Index{64}, Index{64}, Index{64}, Index{16}),
-                      std::make_tuple(Index{1000}, Index{33}, Index{65}, Index{12}),
-                      std::make_tuple(Index{5}, Index{1024}, Index{16}, Index{3})));
 
 TEST(SplitBegin, EvenSplitBoundaries) {
   EXPECT_EQ(split_begin(100, 4, 0), 0);
@@ -237,6 +28,17 @@ TEST(Region, BasicPredicates) {
   EXPECT_FALSE(r.contains(15, 23));
   EXPECT_FALSE(r.contains(9, 20));
   EXPECT_TRUE((Region{0, 0, 0, 5}).empty());
+  // inside() compares each extent with the room past its origin, so a
+  // region whose end coordinate would overflow Index is outside.
+  constexpr Index kMax = std::numeric_limits<Index>::max();
+  EXPECT_TRUE(r.inside(15, 24));
+  EXPECT_FALSE(r.inside(14, 24));
+  EXPECT_FALSE(r.inside(15, 23));
+  EXPECT_FALSE((Region{-1, 0, 2, 2}).inside(32, 32));
+  EXPECT_FALSE((Region{0, 0, 0, 5}).inside(32, 32));
+  EXPECT_FALSE((Region{0, kMax - 1, 3, 2}).inside(32, 32));
+  EXPECT_FALSE((Region{kMax - 1, 0, 2, 3}).inside(32, 32));
+  EXPECT_FALSE((Region{kMax - 1, 0, 2, 3}).inside(-5, 32));
 }
 
 }  // namespace

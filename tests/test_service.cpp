@@ -1094,29 +1094,40 @@ TEST(Service, WeightedFairSchedulingInterleavesByWeight) {
 }
 
 TEST(Service, InvalidRequestsRejectedWithReason) {
+  // Each bad input is refused at submit, locally and through the shards:
+  // a null history, a non-null history of zero pulses, a region starting
+  // off the grid, one running past its edge, and two whose end coordinate
+  // overflows Index: summed, {0, INT64_MAX - 1, 3, 2}'s end wraps negative,
+  // so an "end <= grid" check would admit it.
   const auto [s, pulses] = make_tiny();
-  obs::Registry reg;
-  ServiceConfig sc;
-  sc.workers = 1;
-  sc.metrics = &reg;
-  ImageFormationService service(sc);
+  const auto no_pulses = std::make_shared<const sim::PhaseHistory>(
+      0, pulses->samples_per_pulse(), pulses->bin_spacing(),
+      pulses->wavenumber());
+  constexpr Index kMax = std::numeric_limits<Index>::max();
+  for (const int shards : {1, 2}) {
+    obs::Registry reg;
+    ServiceConfig sc;
+    sc.workers = 1;
+    sc.shards = shards;
+    sc.metrics = &reg;
+    ImageFormationService service(sc);
 
-  ImageFormationRequest no_pulses = tiny_request(s, pulses);
-  no_pulses.pulses = nullptr;
-  EXPECT_EQ(service.submit(std::move(no_pulses)).reject,
-            RejectReason::kInvalidRequest);
-
-  ImageFormationRequest bad_region = tiny_request(s, pulses);
-  bad_region.region = Region{-4, 0, 8, 8};
-  EXPECT_EQ(service.submit(std::move(bad_region)).reject,
-            RejectReason::kInvalidRequest);
-
-  ImageFormationRequest oversize = tiny_request(s, pulses);
-  oversize.region = Region{0, 0, s.grid.width() + 1, 4};
-  EXPECT_EQ(service.submit(std::move(oversize)).reject,
-            RejectReason::kInvalidRequest);
-  if (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("service.rejected.invalid_request").value(), 3u);
+    std::vector<ImageFormationRequest> bad(6, tiny_request(s, pulses));
+    bad[0].pulses = nullptr;
+    bad[1].pulses = no_pulses;
+    bad[2].region = Region{-4, 0, 8, 8};
+    bad[3].region = Region{0, 0, s.grid.width() + 1, 4};
+    bad[4].region = Region{0, kMax - 1, 3, 2};
+    bad[5].region = Region{kMax - 1, 0, 2, 3};
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_EQ(service.submit(std::move(bad[i])).reject,
+                RejectReason::kInvalidRequest)
+          << "input " << i << ", " << shards << " shard(s)";
+    }
+    if (obs::kEnabled) {
+      EXPECT_EQ(reg.counter("service.rejected.invalid_request").value(),
+                bad.size());
+    }
   }
 }
 

@@ -5,9 +5,10 @@
 // bound, re-anchor cadence, sub-aperture cache hit/eviction/collision
 // behaviour and byte accounting, a closed session releasing its partials
 // to the cache, cancel and deadline expiry mid-update, the queued-cancel
-// abandonment path, refused batches buffering nothing, the streaming trace
-// round trip + replay, and the ASR core's invariant that neither the table
-// source nor the chunking of the pulses changes bits.
+// abandonment path, refused batches buffering nothing, a region past
+// Index's range refused at open, the streaming trace round trip + replay,
+// and the ASR core's invariant that neither the table source nor the
+// chunking of the pulses changes bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1048,6 +1049,35 @@ TEST(StreamingLifecycle, NonFiniteBatchRejectedWhole) {
   }
   EXPECT_EQ(dirty.stats().updates_completed,
             static_cast<std::uint64_t>(chunks));
+}
+
+TEST(StreamingLifecycle, RegionPastIndexRangeRefusedAtOpen) {
+  // A region whose end coordinate would overflow Index is outside any
+  // grid: open_stream refuses it instead of opening a session over the
+  // wrapped sum, as it refuses a region that merely runs off the grid.
+  ScenarioConfig cfg;
+  cfg.image = 32;
+  cfg.pulses = 6;
+  const SmallScenario s = make_scenario(cfg);
+
+  service::ServiceConfig sc;
+  sc.workers = 1;
+  service::ImageFormationService srv(sc);
+
+  constexpr Index kMax = std::numeric_limits<Index>::max();
+  for (const Region region :
+       {Region{0, kMax - 1, 3, 2}, Region{kMax - 1, 0, 2, 3},
+        Region{0, 0, 33, 4}}) {
+    StreamConfig config;
+    config.grid = s.grid;
+    config.region = region;
+    config.asr_block_w = config.asr_block_h = 16;
+    config.chunk_pulses = 6;
+    config.window_chunks = 2;
+    EXPECT_THROW((void)open_stream(srv, config), PreconditionError)
+        << region.x0 << "," << region.y0 << " " << region.width << "x"
+        << region.height;
+  }
 }
 
 // --- streaming trace extension -------------------------------------------
