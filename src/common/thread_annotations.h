@@ -7,9 +7,10 @@
 // std::unique_lock and std::condition_variable. Every mutex-protected
 // invariant in the concurrency core (BoundedQueue, TaskGroup,
 // TileExecutor, the job service, the plan cache, the obs registry, the
-// cluster mailboxes) is declared with these macros, so a lock-discipline
-// violation is a compile error under `-DSARBP_THREAD_SAFETY=ON` with
-// Clang instead of a lucky TSan catch at runtime.
+// shard router's abort cause) is declared with these macros, so a
+// lock-discipline violation is a compile error under
+// `-DSARBP_THREAD_SAFETY=ON` with Clang instead of a lucky TSan catch at
+// runtime.
 //
 // Project rule (enforced by tools/sarbp_lint.py): `std::mutex` and
 // `std::condition_variable` are spelled ONLY in this header (and in the

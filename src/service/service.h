@@ -1,9 +1,9 @@
 // Multi-tenant image-formation job service: a weighted-fair scheduler with
 // admission control and per-tenant quotas in front of either a local
-// work-stealing tile executor (shards <= 1) or a sharded cluster of rank
-// executors behind a front-end router (shards >= 2), plus an LRU
-// formation-plan cache, cooperative cancellation/deadline checks between
-// ASR blocks, and a graceful drain (DESIGN.md §8, §9, §11).
+// work-stealing tile executor (shards <= 1) or `shards` rank threads,
+// each with its own executor, behind a front-end router (shards >= 2),
+// plus an LRU formation-plan cache, cooperative cancellation/deadline
+// checks between ASR blocks, and a graceful drain (DESIGN.md §8, §9, §11).
 //
 // Scheduling structure: admitted jobs enter a FairScheduler — strict
 // priority across classes, start-time fair queueing across tenants within
@@ -12,8 +12,9 @@
 // each into block-range tasks on their own deque; other workers claim
 // further jobs first and steal tasks only when no whole job is ready. In
 // sharded mode a route thread claims jobs and hands them to the
-// ShardRouter, which partitions each across the cluster ranks
-// (shard_router.h) and gathers the partial tiles asynchronously.
+// ShardRouter, which cuts each into bands, hands each band to its rank over
+// a bounded inbox (shard_router.h) and gathers the band images from the
+// ranks' reply queues asynchronously.
 //
 // Overload semantics: admission is bounded by `max_pending` jobs across
 // all classes. A submit against a full pending set is rejected kQueueFull
@@ -23,8 +24,9 @@
 // Shutdown: drain() stops admission, lets the workers (or the router)
 // finish every queued job, and joins them. The destructor drains, so
 // every JobHandle is resolved before the service dies and wait() can
-// never block on a dead service — including when a shard rank died: the
-// cluster abort fails the affected jobs instead of wedging them.
+// never block on a dead service — including when a shard rank died: it
+// closes every rank's inbox, and the gather fails the affected jobs with
+// its cause instead of wedging them.
 #pragma once
 
 #include <atomic>
@@ -122,7 +124,7 @@ struct ServiceConfig {
   /// Per-tenant weight/quota overrides.
   std::map<std::string, TenantPolicy> tenant_policies;
 
-  // --- sharding (>= 2 activates the cluster-backed router) ---------------
+  // --- sharding (>= 2 activates the shard router and its ranks) ----------
   /// Cluster width. <= 1 keeps the single-node executor path.
   int shards = 1;
   /// Tile-executor width inside each shard rank.
@@ -132,8 +134,8 @@ struct ServiceConfig {
   /// >= 2 ASR block bands (shard_router.h). Either way the image is the
   /// single-node path's bytes.
   Index shard_small_pixels = 64 * 64;
-  /// Fault-injection seam: runs on a shard rank before each dispatch;
-  /// throwing kills the rank and aborts the cluster (tests).
+  /// Fault-injection seam: runs on a shard rank before each part it sweeps;
+  /// throwing kills the rank and closes every rank's inbox (tests).
   std::function<void(int shard, std::uint64_t seq)> shard_fault_hook;
 };
 

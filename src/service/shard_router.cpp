@@ -1,7 +1,6 @@
 #include "service/shard_router.h"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -14,13 +13,6 @@
 
 namespace sarbp::service {
 namespace {
-
-/// Mailbox tags of the dispatch/gather protocol. One tag per direction is
-/// enough: mailboxes match on (source, tag) and deliver FIFO within a key,
-/// and both the dispatch stream per shard and the gather stream per shard
-/// are processed strictly in order.
-constexpr int kTagShardJob = 120;
-constexpr int kTagShardReply = 121;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -49,13 +41,7 @@ ShardRouter::ShardRouter(ShardRouterConfig config)
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : &obs::registry()),
       gather_(config_.gather_capacity > 0 ? config_.gather_capacity : 1,
-              "service.gather", metrics_),
-      // The rank pool starts inside this initializer: everything
-      // worker_loop touches (config_, metrics_, the ctx table) is
-      // initialized above it, and the first dispatch cannot arrive before
-      // the constructor returns.
-      cluster_(config_.shards,
-               [this](cluster::Communicator& comm) { worker_loop(comm); }) {
+              "service.gather", metrics_) {
   ensure(config_.shards >= 1, "ShardRouter: shards must be positive");
   ensure(config_.shard_workers >= 1,
          "ShardRouter: shard_workers must be positive");
@@ -68,7 +54,24 @@ ShardRouter::ShardRouter(ShardRouterConfig config)
     compute_s_ = &metrics_->histogram("service.job.compute_s");
     gather_s_ = &metrics_->histogram("shard.job.gather_s");
   }
-  gather_thread_ = std::thread([this] { gather_loop(); });
+  // No push to a rank channel ever blocks. The gather queue holds at most
+  // gather_capacity jobs, so at most gather_capacity + 2 jobs are
+  // dispatched and not yet gathered: those, the one the gather thread is
+  // finishing and the one dispatch() is pushing. Each sends any one rank
+  // at most one part, and a part is in its rank's inbox, in its sweep or
+  // in its reply queue until the gather takes the reply.
+  const std::size_t capacity = gather_.capacity() + 2;
+  for (int s = 0; s < config_.shards; ++s) ranks_.emplace_back(capacity);
+  try {
+    for (int s = 0; s < config_.shards; ++s) {
+      ranks_[static_cast<std::size_t>(s)].thread =
+          std::thread([this, s] { rank_loop(s); });
+    }
+    gather_thread_ = std::thread([this] { gather_loop(); });
+  } catch (...) {
+    shutdown();  // joins the threads that did start
+    throw;
+  }
 }
 
 ShardRouter::~ShardRouter() { shutdown(); }
@@ -76,15 +79,13 @@ ShardRouter::~ShardRouter() { shutdown(); }
 void ShardRouter::shutdown() {
   bool expected = false;
   if (!shut_down_.compare_exchange_strong(expected, true)) return;
-  // Sentinels queue FIFO behind every already-dispatched job message, so
-  // each rank finishes its backlog first. Aborted ranks are already gone;
-  // the sentinel just sits in a mailbox nobody reads.
-  for (int s = 0; s < config_.shards; ++s) {
-    cluster_.frontend().send_value(s, kTagShardJob, DispatchMsg{});
-  }
+  // Each rank sweeps what its inbox holds, then ends its loop.
+  for (Rank& rank : ranks_) rank.inbox.close();
   gather_.close();  // gather drains the dispatched backlog, then exits
   if (gather_thread_.joinable()) gather_thread_.join();
-  cluster_.join();
+  for (Rank& rank : ranks_) {
+    if (rank.thread.joinable()) rank.thread.join();
+  }
 }
 
 int ShardRouter::pick_home_shard(const JobPtr& job, std::uint64_t seq) const {
@@ -141,69 +142,56 @@ void ShardRouter::dispatch(const JobPtr& job) {
   }
 
   if (inflight_gauge_) inflight_gauge_->add(1);
-  {
-    // Published before any dispatch message: a shard's lookup must win.
-    MutexLock lock(table_mutex_);
-    inflight_.emplace(ctx->seq, ctx);
-  }
+  // A closed inbox (a rank died) refuses the part: its rank's loop then
+  // ends without replying to it, and the gather fails the job.
+  std::size_t handed = 0;
   for (std::size_t i = 0; i < ctx->parts.size(); ++i) {
-    DispatchMsg msg;
-    msg.seq = ctx->seq;
-    msg.part = static_cast<std::int32_t>(i);
-    cluster_.frontend().send_value(ctx->parts[i].shard, kTagShardJob, msg);
+    Rank& rank = ranks_[static_cast<std::size_t>(ctx->parts[i].shard)];
+    handed += rank.inbox.push(PartTask{ctx, i}) ? 1 : 0;
   }
-  if (parts_dispatched_) parts_dispatched_->add(ctx->parts.size());
+  if (parts_dispatched_) parts_dispatched_->add(handed);
   if (!gather_.push(ctx)) {
     // Defensive: shutdown() closed the gather queue under us (callers stop
     // dispatching first). Resolve the handle rather than leak a waiter.
     JobStamps stamps = ctx->stamps;
     stamps.error = "service shutting down";
     job->resolve(JobState::kFailed, std::move(stamps));
-    MutexLock lock(table_mutex_);
-    inflight_.erase(ctx->seq);
     if (inflight_gauge_) inflight_gauge_->add(-1);
   }
 }
 
-ShardRouter::CtxPtr ShardRouter::find_ctx(std::uint64_t seq) const {
-  MutexLock lock(table_mutex_);
-  const auto it = inflight_.find(seq);
-  return it != inflight_.end() ? it->second : nullptr;
-}
-
-void ShardRouter::worker_loop(cluster::Communicator& comm) {
-  const int shard = comm.rank();
-  const int frontend = comm.size() - 1;
-  exec::ExecOptions exec_options;
-  exec_options.workers = config_.shard_workers;
-  exec_options.steal = config_.steal;
-  exec_options.metrics = metrics_;
-  exec_options.metric_prefix = "shard." + std::to_string(shard) + ".";
-  exec::TileExecutor exec(exec_options);
-
-  for (;;) {
-    const auto msg = comm.recv_value<DispatchMsg>(frontend, kTagShardJob);
-    if (msg.seq == 0) break;  // shutdown sentinel
-    if (config_.shard_fault_hook) config_.shard_fault_hook(shard, msg.seq);
-    const CtxPtr ctx = find_ctx(msg.seq);
-    ensure(ctx != nullptr, "ShardRouter: dispatch for unknown job");
-    comm.send(frontend, kTagShardReply, run_part(exec, *ctx, msg));
+void ShardRouter::rank_loop(int shard) {
+  Rank& rank = ranks_[static_cast<std::size_t>(shard)];
+  try {
+    exec::ExecOptions exec_options;
+    exec_options.workers = config_.shard_workers;
+    exec_options.steal = config_.steal;
+    exec_options.metrics = metrics_;
+    exec_options.metric_prefix = "shard." + std::to_string(shard) + ".";
+    exec::TileExecutor exec(exec_options);
+    while (std::optional<PartTask> task = rank.inbox.pop()) {
+      if (config_.shard_fault_hook) {
+        config_.shard_fault_hook(shard, task->ctx->seq);
+      }
+      // Never blocks (see the constructor), and only this loop's end
+      // closes the reply queue.
+      ensure(rank.replies.push(run_part(exec, *task->ctx, task->part)),
+             "ShardRouter: reply queue closed under its rank");
+    }
+  } catch (const std::exception& e) {
+    abort("shard rank " + std::to_string(shard) + " failed: " + e.what());
+  } catch (...) {
+    abort("shard rank " + std::to_string(shard) + " failed");
   }
+  rank.replies.close();
 }
 
-std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
+ShardRouter::PartReply ShardRouter::run_part(exec::TileExecutor& exec,
                                              const ShardJobCtx& ctx,
-                                             const DispatchMsg& msg) {
-  ensure(msg.part >= 0 &&
-             static_cast<std::size_t>(msg.part) < ctx.parts.size(),
-         "ShardRouter: part index out of range");
-  const ShardPart& part = ctx.parts[static_cast<std::size_t>(msg.part)];
-
-  ReplyHeader header;
-  header.seq = msg.seq;
-  header.part = msg.part;
-  std::string error;
-  std::shared_ptr<Grid2D<CFloat>> image;
+                                             std::size_t part_index) {
+  const ShardPart& part = ctx.parts[part_index];
+  PartReply reply;
+  reply.part = part_index;
   Timer compute_timer;
   try {
     // Each rank plans its band through the shared cache and the local
@@ -212,43 +200,38 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
     PlanLookup lookup =
         lookup_plan(*config_.plan_cache, request.grid, part.region,
                     request.asr_block_w, request.asr_block_h, *request.pulses);
-    header.cache_hit = lookup.hit() ? 1 : 0;
-    header.unkept = lookup.unkept() ? 1 : 0;
+    reply.cache_hit = lookup.hit();
+    reply.unkept = lookup.unkept();
 
     auto verdict =
         std::make_shared<RunVerdict>(ctx.job, config_.inter_block_hook);
-    // The replay's tasks add each finished block straight into the part's
-    // image, the reply's payload.
-    image = std::make_shared<Grid2D<CFloat>>(part.region.width,
-                                             part.region.height);
+    // The replay's tasks add each finished block straight into the band's
+    // image, which then moves into the reply.
+    auto image = std::make_shared<Grid2D<CFloat>>(part.region.width,
+                                                  part.region.height);
     auto group = make_plan_replay_group(
         std::move(lookup.plan), request.pulses, config_.shard_workers,
         /*tile_tasks=*/0, image, [verdict] { return verdict->poll(); },
         nullptr, /*pulse_begin=*/0, /*pulse_end=*/-1, nullptr,
         lookup.insert_into);
     exec.run(group);
-    header.compute_seconds = compute_timer.seconds();
-    header.status = verdict->settle(*group, "part aborted", &error);
-  } catch (const cluster::ClusterAborted&) {
-    throw;  // the cluster is poisoned; no reply will be read
+    reply.compute_seconds = compute_timer.seconds();
+    reply.status = verdict->settle(*group, "part aborted", &reply.error);
+    if (reply.status == JobState::kDone) reply.image = std::move(*image);
   } catch (const std::exception& e) {
-    header.status = JobState::kFailed;
-    header.compute_seconds = compute_timer.seconds();
-    error = e.what();
-  }
-
-  const bool done = header.status == JobState::kDone;
-  const std::size_t payload_size =
-      done ? static_cast<std::size_t>(image->size()) * sizeof(CFloat)
-           : error.size();
-  std::vector<std::byte> reply(sizeof(ReplyHeader) + payload_size);
-  std::memcpy(reply.data(), &header, sizeof(header));
-  if (payload_size > 0) {
-    const void* payload = done ? static_cast<const void*>(image->data())
-                               : static_cast<const void*>(error.data());
-    std::memcpy(reply.data() + sizeof(header), payload, payload_size);
+    reply.status = JobState::kFailed;
+    reply.compute_seconds = compute_timer.seconds();
+    reply.error = e.what();
   }
   return reply;
+}
+
+void ShardRouter::abort(const std::string& cause) {
+  {
+    MutexLock lock(abort_mutex_);
+    if (abort_cause_.empty()) abort_cause_ = cause;
+  }
+  for (Rank& rank : ranks_) rank.inbox.close();
 }
 
 void ShardRouter::gather_loop() {
@@ -259,10 +242,6 @@ void ShardRouter::gather_loop() {
     Timer gather_timer;
     finish_job(*ctx);
     if (gather_s_) gather_s_->record(gather_timer.seconds());
-    {
-      MutexLock lock(table_mutex_);
-      inflight_.erase(ctx->seq);
-    }
     if (inflight_gauge_) inflight_gauge_->add(-1);
   }
 }
@@ -278,33 +257,40 @@ void ShardRouter::finish_job(const ShardJobCtx& ctx) {
     }
   };
   // Every part's reply is read, whatever became of the parts before it:
-  // a reply left in a shard's mailbox would be taken for the next job's.
+  // a reply left in a rank's queue would be taken for the next job's.
   for (std::size_t i = 0; i < ctx.parts.size(); ++i) {
     const ShardPart& part = ctx.parts[i];
+    std::optional<PartReply> reply =
+        ranks_[static_cast<std::size_t>(part.shard)].replies.pop();
+    if (!reply) {
+      // The rank's loop ended short of this part: a rank died. This part
+      // (and every later one on that rank) fails at once with the first
+      // cause, instead of wedging the job's wait().
+      outcome = JobState::kFailed;
+      std::string cause;
+      {
+        MutexLock lock(abort_mutex_);
+        cause = abort_cause_;
+      }
+      stamps.error = cause.empty() ? std::string("shard cluster aborted")
+                                   : "shard cluster aborted: " + cause;
+      continue;
+    }
     try {
-      const std::vector<std::byte> bytes =
-          cluster_.frontend().recv(part.shard, kTagShardReply);
-      ensure(bytes.size() >= sizeof(ReplyHeader), "ShardRouter: short reply");
-      ReplyHeader header;
-      std::memcpy(&header, bytes.data(), sizeof(header));
-      ensure(header.seq == ctx.seq &&
-                 header.part == static_cast<std::int32_t>(i),
-             "ShardRouter: reply out of order");
+      ensure(reply->part == i, "ShardRouter: reply out of order");
       stamps.compute_seconds =
-          std::max(stamps.compute_seconds, header.compute_seconds);
-      stamps.plan_cache_hit = stamps.plan_cache_hit || header.cache_hit != 0;
-      stamps.plan_unkept = stamps.plan_unkept || header.unkept != 0;
-      const std::byte* payload = bytes.data() + sizeof(header);
-      const std::size_t payload_size = bytes.size() - sizeof(header);
-      if (header.status != JobState::kDone) {
-        merge(header.status, std::string(reinterpret_cast<const char*>(payload),
-                                         payload_size));
+          std::max(stamps.compute_seconds, reply->compute_seconds);
+      stamps.plan_cache_hit = stamps.plan_cache_hit || reply->cache_hit;
+      stamps.plan_unkept = stamps.plan_unkept || reply->unkept;
+      if (reply->status != JobState::kDone) {
+        merge(reply->status, std::move(reply->error));
         continue;
       }
       if (outcome != JobState::kDone) continue;  // no image to assemble
-      ensure(payload_size == static_cast<std::size_t>(part.region.pixels()) *
-                                 sizeof(CFloat),
-             "ShardRouter: tile size mismatch");
+      if (part.region == region) {
+        stamps.image = std::move(reply->image);  // one band: the image
+        continue;
+      }
       // Allocated at the first done part, inside this guard: a region too
       // large to hold fails the job instead of ending the process.
       if (stamps.image.empty()) {
@@ -312,24 +298,13 @@ void ShardRouter::finish_job(const ShardJobCtx& ctx) {
       }
       // Bands are disjoint: each is copied verbatim, so the assembled
       // bytes are exactly the part bytes.
-      const auto* tile = reinterpret_cast<const CFloat*>(payload);
       const Index dx = part.region.x0 - region.x0;
       const Index dy = part.region.y0 - region.y0;
       for (Index y = 0; y < part.region.height; ++y) {
-        std::memcpy(stamps.image.row(dy + y).data() + dx,
-                    tile + y * part.region.width,
-                    static_cast<std::size_t>(part.region.width) *
-                        sizeof(CFloat));
+        const auto band_row = reply->image.row(y);
+        std::copy(band_row.begin(), band_row.end(),
+                  stamps.image.row(dy + y).begin() + dx);
       }
-    } catch (const cluster::ClusterAborted&) {
-      // A rank died. Every un-replied part of this job (and of every job
-      // behind it) resolves the same way, immediately — the fix for the
-      // rank-failure hang, surfaced as a FAILED job instead of a stuck
-      // wait().
-      outcome = JobState::kFailed;
-      const std::string reason = cluster_.abort_reason();
-      stamps.error = reason.empty() ? std::string("shard cluster aborted")
-                                    : "shard cluster aborted: " + reason;
     } catch (const std::exception& e) {
       merge(JobState::kFailed, e.what());
     }

@@ -1,8 +1,8 @@
 // Shard router: the front end of the sharded image-formation service
-// (DESIGN.md §11). Partitions each claimed job across the ranks of an
-// in-process ShardCluster, dispatches job descriptors through the cluster
-// mailbox layer, and gathers the partial tiles back into one image on a
-// dedicated gather thread.
+// (DESIGN.md §11). Partitions each claimed job across `shards` long-lived
+// rank threads, hands each rank its parts through a bounded inbox, and
+// gathers the partial tiles back into one image on a dedicated gather
+// thread.
 //
 // Routing, one rule from the job's shape alone: a job over
 // small_job_pixels whose region has b >= 2 ASR block bands (rows, else
@@ -20,31 +20,30 @@
 // RunVerdict and replies the part's JobState; the gather merges the parts
 // by severity and resolves the job.
 //
-// Gather protocol: for each part the router sends DispatchMsg{seq, part}
-// to the owning shard (tag kTagShardJob; seq 0 is the shutdown sentinel)
-// and enqueues the job on the gather queue. Shards process dispatches in
-// FIFO order and reply on (shard -> front end, kTagShardReply) with a
-// ReplyHeader + payload (tile bytes on kDone, error string otherwise);
-// per-(source, tag) mailbox FIFO plus the gather thread draining jobs in
-// dispatch order means the head reply from a shard always belongs to the
-// oldest ungathered part on that shard, so the gather reads every part's
-// reply even once the job has failed. Every dispatched part gets exactly
-// one reply — a worker catches per-part exceptions and replies kFailed;
-// an uncaught error kills the rank, aborts the cluster, and every blocked
-// gather recv unwinds with ClusterAborted, failing the affected jobs
-// instead of wedging their wait().
+// Rank channels (common/queue.h, the paper's §4.1 bounded queues): each
+// rank has an inbox of {job, part} and a queue of typed replies, the
+// band image moved in. A rank serves its inbox in order, and the gather
+// thread resolves jobs in dispatch order, so the head of a rank's reply
+// queue always belongs to the oldest ungathered part on that rank; the
+// gather reads every part's reply even once the job has failed. A part
+// that throws inside formation replies kFailed. An uncaught rank error
+// records the first cause and closes every inbox: the ranks sweep what
+// their inboxes still hold, then each closes its reply queue, and the
+// gather reads a closed, empty reply queue as "shard cluster aborted:
+// <cause>", failing the affected jobs instead of wedging their wait().
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cluster/shard.h"
+#include "common/grid2d.h"
 #include "common/queue.h"
 #include "common/region.h"
 #include "common/thread_annotations.h"
@@ -57,7 +56,7 @@
 namespace sarbp::service {
 
 struct ShardRouterConfig {
-  /// Cluster width (>= 1). The service only builds a router for >= 2.
+  /// Rank count (>= 1). The service only builds a router for >= 2.
   int shards = 2;
   /// Tile-executor width inside each shard rank.
   int shard_workers = 1;
@@ -69,9 +68,9 @@ struct ShardRouterConfig {
   /// Test hook shared with the single-node path: polled at every
   /// inter-block checkpoint on every shard.
   std::function<void()> inter_block_hook;
-  /// Fault-injection hook: runs on the shard rank before it executes a
-  /// dispatch. Throwing here is an *uncaught* rank error — the rank dies
-  /// and the cluster aborts (the failure-model test seam).
+  /// Fault-injection hook: runs on the shard rank before it sweeps a part.
+  /// Throwing here is an *uncaught* rank error — the rank dies and every
+  /// inbox closes (the failure-model test seam).
   std::function<void(int shard, std::uint64_t seq)> shard_fault_hook;
   obs::Registry* metrics = nullptr;
   /// Shared formation-plan cache (the service's); must outlive the router.
@@ -88,48 +87,26 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  [[nodiscard]] int shards() const { return config_.shards; }
-
-  /// Claim-side of one job: dequeue, split, dispatch to the shards, and
-  /// hand-off to the gather thread. Jobs that resolve without compute
-  /// (cancelled while queued, deadline already passed, a split that
-  /// throws) are resolved here. Single-threaded caller (the route loop).
+  /// Claim-side of one job: dequeue, split, hand each part to its rank,
+  /// and hand the job to the gather thread. Jobs that resolve without
+  /// compute (cancelled while queued, deadline already passed, a split
+  /// that throws) are resolved here. Single-threaded caller (the route
+  /// loop).
   void dispatch(const JobPtr& job);
 
-  /// Sends the shutdown sentinel to every shard, drains the gather
-  /// backlog, and joins the gather thread and the rank pool. Idempotent;
-  /// implied by the destructor. Callers must have stopped dispatching.
+  /// Closes every inbox, drains the gather backlog, and joins the gather
+  /// thread and the ranks. Idempotent; implied by the destructor. Callers
+  /// must have stopped dispatching.
   void shutdown();
 
-  [[nodiscard]] bool aborted() const { return cluster_.aborted(); }
-  [[nodiscard]] std::string abort_reason() const {
-    return cluster_.abort_reason();
-  }
-
  private:
-  /// Wire messages. Trivially copyable; moved through the cluster
-  /// mailboxes with the typed send/recv wrappers.
-  struct DispatchMsg {
-    std::uint64_t seq = 0;  ///< 0 = shutdown sentinel
-    std::int32_t part = 0;
-    std::int32_t pad = 0;
-  };
-  struct ReplyHeader {
-    std::uint64_t seq = 0;
-    std::int32_t part = 0;
-    JobState status = JobState::kFailed;  ///< the part's outcome
-    std::int32_t cache_hit = 0;
-    std::int32_t unkept = 0;  ///< the part's lookup was an unkept miss
-    double compute_seconds = 0.0;
-  };
-
   struct ShardPart {
     int shard = 0;
     Region region;  ///< one band of the job's region, or all of it
   };
 
-  /// Everything the shard workers and the gather thread need for one
-  /// dispatched job. Immutable after dispatch() publishes it.
+  /// Everything the ranks and the gather thread need for one dispatched
+  /// job. Immutable after dispatch() hands it out.
   struct ShardJobCtx {
     std::uint64_t seq = 0;
     JobPtr job;
@@ -139,10 +116,36 @@ class ShardRouter {
   };
   using CtxPtr = std::shared_ptr<ShardJobCtx>;
 
-  void worker_loop(cluster::Communicator& comm);
-  [[nodiscard]] std::vector<std::byte> run_part(exec::TileExecutor& exec,
-                                                const ShardJobCtx& ctx,
-                                                const DispatchMsg& msg);
+  /// One part of a dispatched job, in its rank's inbox.
+  struct PartTask {
+    CtxPtr ctx;
+    std::size_t part = 0;
+  };
+
+  /// A rank's outcome for one part, in its reply queue.
+  struct PartReply {
+    std::size_t part = 0;
+    JobState status = JobState::kFailed;  ///< settled by the part's RunVerdict
+    double compute_seconds = 0.0;
+    bool cache_hit = false;
+    bool unkept = false;  ///< the part's lookup was an unkept miss
+    Grid2D<CFloat> image{0, 0};  ///< the band, when status is kDone
+    std::string error;           ///< why not, otherwise
+  };
+
+  /// One rank: its thread and its two channels to the router.
+  struct Rank {
+    explicit Rank(std::size_t capacity) : inbox(capacity), replies(capacity) {}
+    BoundedQueue<PartTask> inbox;     ///< closed by shutdown() or abort()
+    BoundedQueue<PartReply> replies;  ///< closed when the rank's loop ends
+    std::thread thread;
+  };
+
+  void rank_loop(int shard);
+  [[nodiscard]] PartReply run_part(exec::TileExecutor& exec,
+                                   const ShardJobCtx& ctx, std::size_t part);
+  /// Records the first rank failure's cause and closes every inbox.
+  void abort(const std::string& cause);
   void gather_loop();
   void finish_job(const ShardJobCtx& ctx);
 
@@ -151,18 +154,16 @@ class ShardRouter {
   [[nodiscard]] int pick_home_shard(const JobPtr& job,
                                     std::uint64_t seq) const;
 
-  [[nodiscard]] CtxPtr find_ctx(std::uint64_t seq) const;
-
   ShardRouterConfig config_;
   obs::Registry* metrics_;
 
-  mutable Mutex table_mutex_{SARBP_LOCK_LEVEL("service.shard_table")};
-  std::map<std::uint64_t, CtxPtr> inflight_ SARBP_GUARDED_BY(table_mutex_);
-
   /// Dispatched jobs in dispatch order — what the gather thread drains.
   BoundedQueue<CtxPtr> gather_;
-  std::uint64_t next_seq_ = 1;  ///< route-thread-only; 0 is the sentinel
+  std::uint64_t next_seq_ = 1;  ///< route-thread-only
   std::atomic<bool> shut_down_{false};
+
+  Mutex abort_mutex_{SARBP_LOCK_LEVEL("service.shard_abort")};
+  std::string abort_cause_ SARBP_GUARDED_BY(abort_mutex_);
 
   obs::Counter* jobs_single_ = nullptr;
   obs::Counter* jobs_grid_split_ = nullptr;
@@ -171,8 +172,9 @@ class ShardRouter {
   obs::Histogram* compute_s_ = nullptr;
   obs::Histogram* gather_s_ = nullptr;
 
-  /// Rank pool + gather thread last: their loops touch everything above.
-  cluster::ShardCluster cluster_;
+  /// A deque, since a BoundedQueue cannot move. The constructor starts
+  /// the threads once every member is built.
+  std::deque<Rank> ranks_;
   std::thread gather_thread_;
 };
 

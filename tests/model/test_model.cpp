@@ -10,8 +10,9 @@
 //
 // The suite also checks the checker: intentionally buggy variants — an
 // owner pop without the last-item CAS, a notify-after-unlock completion
-// path, a classify-after-publish streaming tail, an abort-blind mailbox
-// wait, and an idle worker that samples the wake epoch after its scan —
+// path, a classify-after-publish streaming tail, a queue close() that
+// stores its flag outside the mutex, and an idle worker that samples the
+// wake epoch after its scan —
 // MUST produce a violation (or a detected deadlock) in some explored
 // schedule, while the shipped fixed variants must stay clean across the
 // same exploration.
@@ -506,88 +507,88 @@ TEST(ModelStreamIdle, ClassifyUnderPublishLockIsAlwaysCounted) {
 }
 
 // ---------------------------------------------------------------------------
-// 7. The PR 6 mailbox abort protocol, distilled from comm.cpp: take()
-// must check the abort flag inside its wait loop — but only when the box
-// is empty, so messages delivered before the abort still drain (the
-// gather path relies on that) — and abort() must lock/unlock the mailbox
-// mutex before notifying, closing the check-then-wait lost-wakeup window.
-// The buggy variant waits with no abort awareness: a receiver waiting for
-// a message nobody will ever send parks forever, which the scheduler
-// reports as a deadlock — the rank-failure hang PR 6 fixed, rediscovered
-// here by exhaustive interleaving.
+// 7. BoundedQueue::close, distilled from common/queue.h: the end-of-stream
+// the shard router's rank channels rely on. shutdown() and a dying rank
+// close each rank's inbox, and a rank closes its reply queue when its loop
+// ends; the gather reads a closed, empty reply queue as the abort. close()
+// must set the closed flag under the queue mutex: a consumer tests the
+// flag and parks in one critical section, so the store lands either
+// before the test (seen) or after the park (woken by the notify). Items
+// pushed before close() still drain, and the next pop returns
+// end-of-stream. The buggy variant stores the flag outside the mutex, and
+// its notify can then fall between a consumer's test and its park: the
+// lost wakeup parks the consumer forever, which the scheduler reports as a
+// deadlock.
 
-constexpr int kMailboxAborted = -1;
+constexpr int kEndOfStream = -1;
 
-template <bool kAbortAware>
-struct ModelMailbox {
+template <bool kCloseUnderMutex>
+struct ModelQueue {
   ModelMutex mu;
-  ModelCondVar cv;
-  std::vector<int> messages;    // guarded by mu
-  ModelAtomic<int> aborted{0};  // real code: std::atomic<bool>, acq/rel
+  ModelCondVar not_empty;
+  std::vector<int> items;  // guarded by mu
+  bool closed = false;     // guarded by mu in the shipped variant
 
-  void deliver(int payload) {
+  /// push(): the item lands under the mutex, the notify follows it.
+  void push(int item) {
     mu.lock();
-    messages.push_back(payload);
+    items.push_back(item);
     mu.unlock();
-    cv.notify_all();  // faithful to deliver(): notify outside the lock
+    not_empty.notify_one();
   }
 
-  /// Cluster::take(), returning kMailboxAborted where the real code
-  /// throws aborted_error() (model threads must not leak exceptions).
-  int take() {
+  /// pop(), returning kEndOfStream where the real code returns nullopt.
+  int pop() {
     ModelMutexLock lock(mu);
-    while (messages.empty()) {
-      if constexpr (kAbortAware) {
-        // Checked only when the box has nothing for us: pre-abort
-        // deliveries drain normally, only a wait that could never be
-        // satisfied turns into an abort.
-        if (aborted.load() != 0) return kMailboxAborted;
-      }
-      cv.wait(mu);
+    while (items.empty() && !closed) {
+      // A real thread can be preempted between its test and its park,
+      // still holding the mutex; this scheduling point is that window.
+      VirtualScheduler::yield();
+      not_empty.wait(mu);
     }
-    const int payload = messages.front();
-    messages.erase(messages.begin());
-    return payload;
+    if (items.empty()) return kEndOfStream;
+    const int item = items.front();
+    items.erase(items.begin());
+    return item;
   }
 
-  void abort() {
-    aborted.store(1);
-    if constexpr (kAbortAware) {
-      // Lock/unlock before notifying (Cluster::abort does this per box):
-      // a receiver is then either before its flag check under the mutex
-      // (and will see the flag) or already parked in wait (and gets the
-      // notify). Without the handshake the notify can land in between —
-      // the classic lost wakeup.
+  void close() {
+    if constexpr (kCloseUnderMutex) {
       mu.lock();
+      closed = true;
       mu.unlock();
+    } else {
+      closed = true;  // BUG: a consumer between its test and its park
     }
-    cv.notify_all();
+    not_empty.notify_all();
   }
 };
 
-template <bool kAbortAware>
-std::pair<Exploration, int> explore_mailbox() {
+template <bool kCloseUnderMutex>
+std::pair<Exploration, int> explore_queue_close() {
   int drain_violations = 0;
   auto round = [&](const std::vector<int>& forced, std::uint64_t seed) {
-    ModelMailbox<kAbortAware> box;
-    int first = 0;
-    int second = 0;
+    ModelQueue<kCloseUnderMutex> queue;
+    std::vector<int> popped;
     VirtualScheduler sched(forced, seed);
     const Result result = sched.run({
-        [&] {  // sender rank: one payload, then the rank dies -> abort
-          box.deliver(42);
-          box.abort();
+        [&] {  // a rank's last replies, then the end of its loop
+          queue.push(1);
+          queue.push(2);
+          queue.close();
         },
-        [&] {  // receiver rank: drains the payload, then waits on a
-               // message nobody will ever send
-          first = box.take();
-          second = box.take();
+        [&] {  // the gather: pops until end-of-stream
+          for (;;) {
+            const int item = queue.pop();
+            popped.push_back(item);
+            if (item == kEndOfStream) break;
+          }
         },
     });
-    // Drain-after-abort: in every completed run the pre-abort delivery is
-    // received and only the unsatisfiable wait aborts.
+    // Drain-then-end: in every completed run both items arrive in order,
+    // and the next pop is end-of-stream.
     if (!result.deadlock && !result.truncated &&
-        (first != 42 || second != kMailboxAborted)) {
+        popped != std::vector<int>{1, 2, kEndOfStream}) {
       ++drain_violations;
     }
     return result;
@@ -596,28 +597,31 @@ std::pair<Exploration, int> explore_mailbox() {
   return {out, drain_violations};
 }
 
-TEST(ModelMailbox, AbortBlindWaitHangsTheReceiver) {
-  const auto [out, drain_violations] = explore_mailbox</*kAbortAware=*/false>();
-  (void)drain_violations;  // deadlocked runs never reach the drain check
+TEST(ModelQueueClose, ClosedFlagOutsideTheMutexParksTheConsumer) {
+  const auto [out, drain_violations] =
+      explore_queue_close</*kCloseUnderMutex=*/false>();
   EXPECT_GT(out.deadlocks, 0)
-      << "the pre-fix abort-blind wait should park the receiver forever in "
-         "some schedule ("
+      << "a closed flag stored outside the mutex should lose the wakeup "
+         "in some schedule ("
       << out.executions << " explored)";
-  // The hang is unconditional — the second take() can never be satisfied —
-  // which is exactly the rank-failure symptom.
-  EXPECT_EQ(out.deadlocks, out.executions);
+  EXPECT_LT(out.deadlocks, out.executions)
+      << "and end the stream in others";
+  EXPECT_EQ(drain_violations, 0)
+      << "completed runs still drain both items, then end the stream";
   EXPECT_EQ(out.violations, 0);
 }
 
-TEST(ModelMailbox, AbortAwareTakeDrainsThenUnwinds) {
-  const auto [out, drain_violations] = explore_mailbox</*kAbortAware=*/true>();
+TEST(ModelQueueClose, CloseUnderTheMutexDrainsThenEndsTheStream) {
+  const auto [out, drain_violations] =
+      explore_queue_close</*kCloseUnderMutex=*/true>();
   EXPECT_EQ(out.deadlocks, 0)
-      << "the abort-aware protocol must never hang, in any schedule";
+      << "close() under the mutex must never park a consumer, in any "
+         "schedule";
   EXPECT_EQ(out.truncated, 0);
   EXPECT_EQ(out.violations, 0);
   EXPECT_EQ(drain_violations, 0)
-      << "messages delivered before the abort must still drain, and the "
-         "unsatisfiable wait must unwind as aborted";
+      << "items pushed before close() must still drain, and the next pop "
+         "must return end-of-stream";
 }
 
 // ---------------------------------------------------------------------------

@@ -289,6 +289,48 @@ TEST(ClusterService, ThrowingShardFailsJobInsteadOfHanging) {
   service.drain();  // must return despite the dead cluster
 }
 
+TEST(ClusterService, JobsAfterARankDiesFailPromptly) {
+  // A dead rank fails every later job too, at once and with the first
+  // cause: no part of theirs can reach a rank, and the gather must not wait
+  // on a reply that cannot come. Each grid-split job has three 16-px block
+  // bands; job 1's home is shard 1, so shard 0 holds one of its bands at 2
+  // and at 3 shards.
+  const Fixture f = make_fixture(48, 12);
+  const auto expect_aborted = [](const std::shared_ptr<JobHandle>& handle) {
+    ASSERT_TRUE(handle->wait_for(10s)) << "job never resolved";
+    const JobResult& result = handle->result();
+    EXPECT_EQ(result.state, JobState::kFailed);
+    EXPECT_NE(result.error.find("shard cluster aborted"), std::string::npos)
+        << result.error;
+    EXPECT_NE(result.error.find("injected shard fault"), std::string::npos)
+        << result.error;
+  };
+  for (const int shards : {2, 3}) {
+    SCOPED_TRACE(shards);
+    ServiceConfig sc;
+    sc.shards = shards;
+    sc.shard_small_pixels = 16;
+    sc.shard_fault_hook = [](int shard, std::uint64_t seq) {
+      if (shard == 0 && seq == 1) {
+        throw std::runtime_error("injected shard fault");
+      }
+    };
+    ImageFormationService service(sc);
+
+    auto first = service.submit(make_request(f));
+    ASSERT_TRUE(first.admitted());
+    expect_aborted(first.handle);
+    std::vector<std::shared_ptr<JobHandle>> later;
+    for (int j = 0; j < 3; ++j) {
+      auto outcome = service.submit(make_request(f));
+      ASSERT_TRUE(outcome.admitted());
+      later.push_back(std::move(outcome.handle));
+    }
+    for (const auto& handle : later) expect_aborted(handle);
+    service.drain();
+  }
+}
+
 TEST(ClusterService, ShardedMultiTenantReplaySmoke) {
   // End-to-end: the repeated-scene multi-tenant trace through a sharded
   // service, with the threshold forcing every job through the splitter.

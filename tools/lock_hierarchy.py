@@ -34,7 +34,6 @@ import sys
 LEVELS: list[str] = [
     "streaming.session",    # streaming/streaming.cpp StreamSession::Impl
     "service.fair",         # service/fair_queue.h FairScheduler
-    "service.shard_table",  # service/shard_router.h in-flight job table
     "service.job",          # service/job.h JobHandle lifecycle
     "service.reuse_cache",  # service/reuse_cache.h ReuseCache LRU (plans,
                             # sub-aperture partials)
@@ -42,10 +41,8 @@ LEVELS: list[str] = [
     "exec.group",           # exec/task_group.h TaskGroup completion
     "exec.idle",            # exec/executor.h idle wait
     "exec.backend",         # exec/tile_backend.h BackendSet rates
-    "cluster.barrier",      # cluster/comm.h generation barrier
-    "cluster.mailbox",      # cluster/comm.h per-rank Mailbox
-    "cluster.reason",       # cluster/comm.h abort reason
-    "cluster.shard_error",  # cluster/shard.h first-error slot
+    "service.shard_abort",  # service/shard_router.h first rank-failure
+                            # cause (a leaf: nothing nests inside)
     "common.queue",         # common/queue.h BoundedQueue
     "signal.chebyshev",     # signal/chebyshev.cpp plan table
     "obs.registry",         # obs/metrics.h Registry (metric lookups
@@ -75,10 +72,6 @@ EDGES: list[tuple[str, str, str]] = [
      "FairScheduler::submit tenant counters are by-name lookups under the scheduler lock"),
     ("service.job", "obs.registry",
      "JobHandle::finish_locked stamps job metrics by name under the handle lock"),
-    ("cluster.barrier", "cluster.reason",
-     "wait_barrier() throws aborted_error(), which reads the reason, under the barrier lock"),
-    ("cluster.mailbox", "cluster.reason",
-     "take() throws aborted_error(), which reads the reason, under the box lock"),
 ]
 
 

@@ -11,7 +11,8 @@
 #   build-tsan  -DSARBP_SANITIZE=thread           — the concurrency-heavy
 #               test binaries (queue, pipeline shutdown, observability,
 #               the executor, which also runs the pipeline's
-#               registration), run directly. Every parallel loop in the
+#               registration, the service and the sharded service's rank
+#               channels), run directly. Every parallel loop in the
 #               library runs on std::threads, so TSan sees all of them.
 #
 # The TSan configuration also turns on SARBP_DEADLOCK_CHECK, so every run
@@ -40,10 +41,9 @@ run_tsan() {
     -DSARBP_SANITIZE="thread" -DSARBP_DEADLOCK_CHECK=ON >/dev/null
   cmake --build build-tsan -j "$jobs" --target \
     test_common test_deadlock test_obs test_exec test_backends test_pipeline \
-    test_service test_streaming test_cluster test_cluster_service
+    test_service test_streaming test_cluster_service
   for t in test_common test_deadlock test_obs test_exec test_backends \
-           test_pipeline test_service test_streaming test_cluster \
-           test_cluster_service; do
+           test_pipeline test_service test_streaming test_cluster_service; do
     echo "--- tsan: $t ---"
     tsan_opts="halt_on_error=1"
     # test_deadlock seeds deliberate lock-order inversions to exercise the

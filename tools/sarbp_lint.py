@@ -44,15 +44,15 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   its intrinsics through a traits type.
 
   queue-result    In src/service, src/cluster, and src/streaming,
-                  BoundedQueue push/pop family results and Communicator
-                  recv-family results must not be discarded — neither as a
-                  bare expression statement nor via a (void) cast.
-                  Admission control, the close/drain protocol, and the
-                  shard gather protocol live entirely in those return
-                  values: a dropped recv is a reply (or abort notification)
-                  silently thrown away. Streaming rides the same serving
-                  queues (stream updates are custom service jobs), so a
-                  dropped result there is a silently lost update.
+                  BoundedQueue push/pop family results must not be
+                  discarded — neither as a bare expression statement nor
+                  via a (void) cast. Admission control, the close/drain
+                  protocol, and the shard router's rank channels live
+                  entirely in those return values: a dropped pop is a reply
+                  (or the end-of-stream that reports a dead rank) silently
+                  thrown away. Streaming rides the same serving queues
+                  (stream updates are custom service jobs), so a dropped
+                  result there is a silently lost update.
 
   lock-level      Every `sarbp::Mutex` declaration in src/ must declare its
                   rank in the repo-wide lock hierarchy with
@@ -170,17 +170,12 @@ RAW_MUTEX_RE = re.compile(
 SLEEP_RE = re.compile(r"\bsleep_for\s*\(")
 
 # A queue op whose value is dropped: either a bare expression statement
-# (`q.push(x);` / `tokens_->try_push(...)`) or an explicit (void) cast.
+# (`q.push(x);` / `tokens_->try_push(...)` / `ranks_[s].inbox.push(t);`)
+# or an explicit (void) cast.
 QUEUE_DISCARD_RE = re.compile(
-    r"(?:^\s*|\(\s*void\s*\)\s*)[A-Za-z_][\w]*(?:\.|->)"
+    r"(?:^\s*|\(\s*void\s*\)\s*)[A-Za-z_][\w]*"
+    r"(?:\[[^\]]*\]|(?:\.|->)[A-Za-z_][\w]*)*(?:\.|->)"
     r"(?:push|try_push|try_push_for|pop|try_pop|try_pop_for)\s*\("
-)
-
-# A gather-mailbox receive whose payload is dropped. recv/recv_vec/
-# recv_value may carry template arguments (`recv_value<int>(...)`).
-MAILBOX_DISCARD_RE = re.compile(
-    r"(?:^\s*|\(\s*void\s*\)\s*)[A-Za-z_][\w]*(?:\.|->)"
-    r"(?:recv_value|recv_vec|recv)\s*(?:<[^;(]*>)?\s*\("
 )
 
 # A compile-time vector-ISA conditional: `__AVX2__` / `__AVX512F__` etc.
@@ -313,17 +308,17 @@ def comment_near(lines: list[str], idx: int, note: re.Pattern) -> bool:
     )
 
 
-def statement_start(lines: list[str], idx: int) -> bool:
-    """True when line idx begins a statement (not a continuation).
+def continues_expression(lines: list[str], idx: int) -> bool:
+    """True when line idx carries on the previous line's expression.
 
-    A bare `comm.recv_vec<T>(...)` on a continuation line is the tail of an
-    assignment like `const auto payload =` — the value IS consumed, so the
-    discard rules must not fire on it.
+    A `ranks_[s].replies.pop()` after `std::optional<PartReply> reply =` is
+    that assignment's value, which IS consumed, so the discard rule must
+    not fire on it. A statement after `if (...)` or `else` still starts one.
     """
     if idx == 0:
-        return True
-    prev = code_part(lines[idx - 1]).strip()
-    return not prev or prev[-1] in ";{}"
+        return False
+    prev = code_part(lines[idx - 1]).rstrip()
+    return prev.endswith(("=", "(", ","))
 
 
 def suppressions_for(lines: list[str], idx: int) -> tuple[set[str], list[Finding] | None]:
@@ -542,20 +537,13 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     "sleep_for in src/: wait on a condition variable "
                     "instead of polling (suppress only for pure pacing)"))
 
-        if in_queue_scope and QUEUE_DISCARD_RE.search(code):
+        if (in_queue_scope and QUEUE_DISCARD_RE.search(code)
+                and not continues_expression(lines, i)):
             if "queue-result" not in allowed:
                 findings.append(Finding(
                     rel, i + 1, "queue-result",
                     "BoundedQueue result discarded; the admission/close "
                     "protocol lives in that return value"))
-
-        if (in_queue_scope and MAILBOX_DISCARD_RE.search(code)
-                and statement_start(lines, i)):
-            if "queue-result" not in allowed:
-                findings.append(Finding(
-                    rel, i + 1, "queue-result",
-                    "mailbox recv result discarded; a dropped reply breaks "
-                    "the shard gather protocol (consume or bind it)"))
 
     return findings
 
@@ -665,15 +653,18 @@ SELFTEST_CASES = [
     ("src/service/s.cpp", "const bool ok = q.try_push_for(x, grace);\n", []),
     ("src/other/s.cpp", "queue_.push(std::move(x));\n", []),
     ("src/cluster/c.cpp", "queue_.push(std::move(x));\n", ["queue-result"]),
-    ("src/cluster/c.cpp", "comm.recv(0, 7);\n", ["queue-result"]),
-    ("src/cluster/c.cpp", "(void)comm.recv_value<int>(0, 7);\n",
+    # The shard router's rank channels sit behind a member or an index.
+    ("src/service/r.cpp", "rank.inbox.push(PartTask{ctx, i});\n",
      ["queue-result"]),
-    ("src/cluster/c.cpp",
-     "const auto payload =\n    comm.recv_vec<T>(src, tag);\n",
+    ("src/service/r.cpp", "(void)ranks_[s].replies.pop();\n",
+     ["queue-result"]),
+    ("src/service/r.cpp", "auto reply = ranks_[s].replies.pop();\n", []),
+    ("src/service/r.cpp",
+     "std::optional<PartReply> reply =\n    ranks_[s].replies.pop();\n",
      []),  # continuation of an assignment: the value IS consumed
-    ("src/service/s.cpp", "fe->recv_vec<float>(s, kTag);\n",
-     ["queue-result"]),
-    ("src/other/s.cpp", "comm.recv(0, 7);\n", []),  # out of scope
+    ("src/service/s.cpp", "if (done)\n  queue_.push(x);\n",
+     ["queue-result"]),  # a statement under an unbraced if is no continuation
+    ("src/service/r.cpp", "if (!rank.inbox.push(task)) return;\n", []),
     # src/streaming is in scope for the src-wide rules AND queue-result.
     ("src/streaming/s.cpp", "std::mutex m;\n", ["raw-mutex"]),
     ("src/streaming/s.cpp", "x.store(1, std::memory_order_release);\n",
@@ -806,10 +797,10 @@ SELFTEST_CASES = [
     # Declarations may spread attributes/initializer over lines; edges are
     # validated against the registry's topological order.
     ("src/e.h",
-     "Mutex barrier_mutex_ SARBP_ACQUIRED_BEFORE(reason_mutex_){\n"
-     '    SARBP_LOCK_LEVEL("cluster.barrier")};\n'
-     "mutable Mutex reason_mutex_ SARBP_ACQUIRED_AFTER(barrier_mutex_){\n"
-     '    SARBP_LOCK_LEVEL("cluster.reason")};\n',
+     "Mutex job_mutex_ SARBP_ACQUIRED_BEFORE(registry_mutex_){\n"
+     '    SARBP_LOCK_LEVEL("service.job")};\n'
+     "mutable Mutex registry_mutex_ SARBP_ACQUIRED_AFTER(job_mutex_){\n"
+     '    SARBP_LOCK_LEVEL("obs.registry")};\n',
      []),
     ("src/e.h",
      'Mutex a_ SARBP_ACQUIRED_BEFORE(b_){SARBP_LOCK_LEVEL("obs.registry")};\n'
