@@ -37,14 +37,6 @@ Region effective_region(const StreamConfig& config) {
              : config.region;
 }
 
-/// A session's spare partial image, parked by a swept partial's last owner
-/// (on any thread) for the next sweep: a freed image leaves a hole that
-/// glibc's 64-byte-aligned allocation of the next one skips.
-struct SparePartial {
-  std::atomic<Grid2D<CFloat>*> image{nullptr};
-  ~SparePartial() { delete image.load(); }
-};
-
 }  // namespace
 
 class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
@@ -312,16 +304,8 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     // subtraction; a cache hit supplies it, anything else sweeps it. An
     // anchor additionally re-sweeps the whole window into a fresh image.
     if (!u->cache_hit) {
-      std::unique_ptr<Grid2D<CFloat>> image(spare_->image.exchange(nullptr));
-      if (image == nullptr) {
-        image = std::make_unique<Grid2D<CFloat>>(region_.width, region_.height);
-      } else {
-        image->fill(CFloat{});
-      }
-      u->swept.reset(image.release(), [spare = spare_](Grid2D<CFloat>* p) {
-        Grid2D<CFloat>* empty = nullptr;
-        if (!spare->image.compare_exchange_strong(empty, p)) delete p;
-      });
+      u->swept =
+          std::make_shared<Grid2D<CFloat>>(region_.width, region_.height);
       u->partial = u->swept;
     }
     if (u->anchor) u->fresh = Grid2D<CFloat>(region_.width, region_.height);
@@ -492,7 +476,6 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
   const Region region_;
   const std::vector<asr::BlockSpec> blocks_;
   const bp::AsrKernel kernel_;
-  const std::shared_ptr<SparePartial> spare_ = std::make_shared<SparePartial>();
 
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("streaming.session")};
   CondVar cv_;

@@ -2,10 +2,12 @@
 // bounded queue semantics under concurrency, Grid2D, SNR metric, aligned
 // allocation, and precondition checking.
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <new>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -537,6 +539,53 @@ TEST(Aligned, VectorDataIs64ByteAligned) {
     AlignedVector<float> v(n);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
   }
+  // 384² CFloat is a survey image: 1.125 MiB, past glibc's mmap threshold.
+  for (std::size_t n : {1u, 3u, 17u, 384u * 384u}) {
+    AlignedVector<CFloat> v(n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u) << n;
+  }
+}
+
+TEST(Aligned, OverflowingRequestThrows) {
+  // The guard leaves room for the alignment padding, so no request wraps
+  // the block size round to a small allocation.
+  AlignedAllocator<float> alloc;
+  EXPECT_THROW((void)alloc.allocate(SIZE_MAX / sizeof(float)),
+               std::bad_array_new_length);
+  EXPECT_THROW((void)alloc.allocate((SIZE_MAX - 64) / sizeof(float) + 1),
+               std::bad_array_new_length);
+}
+
+TEST(Aligned, SameSizeRequestRefillsAFreedBlock) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "checks glibc's heap, which a sanitizer replaces";
+#else
+  // A freed image's hole between two live ones takes the next image of its
+  // size, so a service or stream that frees and forms same-sized images
+  // does not grow its heap.
+  constexpr std::size_t kFloats = 64 * 1024 / sizeof(float);
+  AlignedVector<float> a(kFloats), b(kFloats), c(kFloats);
+  const auto hole = reinterpret_cast<std::uintptr_t>(b.data());
+  b = AlignedVector<float>();
+  AlignedVector<float> d(kFloats);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.data()), hole);
+#endif
+}
+
+TEST(Aligned, SlackAroundABlockIsPoisonedUnderAsan) {
+#ifndef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  // The alignment slack sits inside the allocator's malloc block; poisoned,
+  // an access one element past either end is reported.
+  for (std::size_t n = 1; n <= 130; ++n) {
+    AlignedVector<float> v(n);
+    EXPECT_TRUE(__asan_address_is_poisoned(v.data() - 1)) << n;
+    EXPECT_TRUE(__asan_address_is_poisoned(v.data() + v.size())) << n;
+    EXPECT_FALSE(__asan_address_is_poisoned(v.data())) << n;
+  }
+#endif
 }
 
 TEST(Check, EnsureThrowsWithLocation) {

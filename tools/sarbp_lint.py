@@ -127,6 +127,16 @@ Rules (names are what `// lint: allow(<rule>)` suppressions refer to):
                   eviction, byte count, metrics and hit rule cannot drift
                   apart again.
 
+  aligned-alloc   One aligned-allocation path: sarbp::AlignedAllocator
+                  (src/common/aligned.h). In src/, `std::align_val_t`,
+                  aligned_alloc(, posix_memalign(, memalign( and
+                  _mm_malloc( may appear only in that header. glibc serves
+                  aligned `operator new` and memalign with room for the
+                  alignment and a minimum chunk, so a freed hole never
+                  takes the next block of its size and the heap grows; the
+                  allocator's plain malloc block is refilled, and its ASan
+                  poisoning keeps every buffer's bounds.
+
 Suppression syntax (same line, or alone on the line directly above):
 
     // lint: allow(<rule>) -- <rationale>
@@ -239,6 +249,15 @@ REUSE_CACHE_RE = re.compile(r"\bstd::list\s*<|(?:\.|->)\s*splice\s*\(")
 # The one home of an LRU in src/ (service::ReuseCache).
 REUSE_CACHE_HOME = "src/service/reuse_cache.h"
 
+# An aligned allocation outside the allocator: the aligned operator new's
+# tag type, or a C, POSIX or intrinsic aligned allocation call.
+ALIGNED_ALLOC_RE = re.compile(
+    r"\bstd::align_val_t\b|"
+    r"\b(?:aligned_alloc|posix_memalign|memalign|_mm_malloc)\s*\(")
+
+# The one home of aligned allocation in src/ (sarbp::AlignedAllocator).
+ALIGNED_ALLOC_HOME = "src/common/aligned.h"
+
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)\s*(--\s*\S.*)?")
 
 # A value-type sarbp::Mutex declaration: `Mutex name`, optionally mutable/
@@ -253,7 +272,8 @@ MUTEX_DECL_JOIN_CAP = 8  # max lines a single declaration may span
 
 RULES = ("order-comment", "raw-mutex", "sleep-poll", "isa-ifdef",
          "isa-intrinsics", "queue-result", "lock-level", "asr-core", "omp-formation",
-         "task-graph", "job-resolve", "timed-wait", "reuse-cache")
+         "task-graph", "job-resolve", "timed-wait", "reuse-cache",
+         "aligned-alloc")
 
 
 @dataclass
@@ -529,6 +549,14 @@ def scan_file(path: pathlib.Path, text: str) -> list[Finding]:
                     rel, i + 1, "reuse-cache",
                     "LRU building block outside service/reuse_cache.h; "
                     "keep reused values in a service::ReuseCache"))
+
+        if (in_src and path.as_posix() != ALIGNED_ALLOC_HOME
+                and ALIGNED_ALLOC_RE.search(code)):
+            if "aligned-alloc" not in allowed:
+                findings.append(Finding(
+                    rel, i + 1, "aligned-alloc",
+                    "aligned allocation outside common/aligned.h; allocate "
+                    "through sarbp::AlignedVector / AlignedAllocator"))
 
         if in_src and SLEEP_RE.search(code):
             if "sleep-poll" not in allowed:
@@ -851,6 +879,31 @@ SELFTEST_CASES = [
      []),
     ("src/service/p.cpp", "const auto parts = splice_parts(a, b);\n", []),
     ("tests/t.cpp", "std::list<int> order;\n", []),  # out of scope
+    # aligned-alloc: one aligned-allocation path, sarbp::AlignedAllocator.
+    ("src/service/a.cpp",
+     "void* p = ::operator new(n, std::align_val_t{64});\n",
+     ["aligned-alloc"]),
+    ("src/backprojection/a.cpp",
+     "float* t = static_cast<float*>(std::aligned_alloc(64, bytes));\n"
+     "if (posix_memalign(&q, 64, bytes) != 0) return;\n"
+     "r = memalign(64, bytes);\n",
+     ["aligned-alloc", "aligned-alloc", "aligned-alloc"]),
+    ("src/backprojection/kernel_asr_avx512.cpp",
+     "float* t = static_cast<float*>(_mm_malloc(bytes, 64));\n",
+     ["aligned-alloc"]),  # the per-ISA TUs allow intrinsics, not this
+    ("src/common/aligned.h",
+     "return ::operator new(n, std::align_val_t{Alignment});\n"
+     "void* block = std::malloc(bytes + kAlign);\n",
+     []),
+    ("src/streaming/a.cpp",
+     "// lint: allow(aligned-alloc) -- fixture\n"
+     "q = std::aligned_alloc(64, n);\n",
+     []),
+    ("src/streaming/a.cpp",
+     "// aligned `operator new` and std::align_val_t in a comment\n"
+     "p = std::malloc(n);\nmy_memalign_stats(n);\n",
+     []),
+    ("tests/t.cpp", "p = std::aligned_alloc(64, 128);\n", []),  # out of scope
 ]
 
 
