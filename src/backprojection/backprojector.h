@@ -44,9 +44,9 @@ void run_cube_part(const sim::PhaseHistory& history,
                    SoaTile& tile);
 
 /// Accumulates pulses [pulse_begin, pulse_end) over `region` of `out` (+=)
-/// on the calling thread, for callers that own the parallelism at their
-/// level or need none: the offload slices, autofocus, and the
-/// ablation_incremental bench's monolithic and per-batch baselines.
+/// on the calling thread, for callers that need no parallelism: autofocus
+/// and the ablation_incremental bench's monolithic and per-batch
+/// baselines.
 void add_pulses_region(const sim::PhaseHistory& history,
                        const geometry::ImageGrid& grid,
                        const BackprojectOptions& options,

@@ -16,14 +16,13 @@
 // queue mutex and every wait is an explicit while-loop over that guarded
 // state, so Clang's -Wthread-safety verifies the locking at compile time
 // (DESIGN.md §10). Push results are [[nodiscard]]: a dropped item on
-// close/timeout is a branch every caller must handle.
+// close is a branch every caller must handle.
 //
 // Constructing with a name registers depth/watermark gauges and
 // pushed/popped/blocked/close counters under "queue.<name>.*" in the
 // global obs registry; unnamed queues carry no instrumentation cost.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <optional>
@@ -76,47 +75,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Deadline-aware push: waits up to `timeout` for space. Returns false on
-  /// timeout (item dropped, queue still full) or once the queue is closed —
-  /// whichever comes first. A close() during the wait wins over the
-  /// deadline: the call returns false immediately, like push().
-  template <class Rep, class Period>
-  [[nodiscard]] bool try_push_for(T item,
-                                  std::chrono::duration<Rep, Period> timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    MutexLock lock(mutex_);
-    if (items_.size() >= capacity_ && !closed_) {
-      if (blocked_push_) blocked_push_->add();
-      while (items_.size() >= capacity_ && !closed_) {
-        // timeout: the caller's try_push_for budget.
-        if (not_full_.wait_until(lock, deadline) == std::cv_status::timeout &&
-            items_.size() >= capacity_ && !closed_) {
-          return false;  // deadline passed, still full
-        }
-      }
-    }
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    if (depth_) depth_->set(static_cast<std::int64_t>(items_.size()));
-    if (pushed_) pushed_->add();
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push. Returns false when full or closed.
-  [[nodiscard]] bool try_push(T item) {
-    {
-      MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-      if (depth_) depth_->set(static_cast<std::int64_t>(items_.size()));
-      if (pushed_) pushed_->add();
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks while empty. Returns nullopt once the queue is closed *and*
   /// drained — the end-of-stream signal for consumers.
   std::optional<T> pop() {
@@ -124,34 +82,6 @@ class BoundedQueue {
     if (items_.empty() && !closed_) {
       if (blocked_pop_) blocked_pop_->add();
       while (items_.empty() && !closed_) not_empty_.wait(lock);
-    }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    if (depth_) depth_->set(static_cast<std::int64_t>(items_.size()));
-    if (popped_) popped_->add();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Deadline-aware pop: waits up to `timeout` for an item. Returns nullopt
-  /// on timeout *or* end-of-stream (closed and drained); callers that need
-  /// to tell the two apart check closed() && size() == 0. Backlog items are
-  /// still delivered after close(), exactly like pop().
-  template <class Rep, class Period>
-  std::optional<T> try_pop_for(std::chrono::duration<Rep, Period> timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    MutexLock lock(mutex_);
-    if (items_.empty() && !closed_) {
-      if (blocked_pop_) blocked_pop_->add();
-      while (items_.empty() && !closed_) {
-        // timeout: the caller's try_pop_for budget.
-        if (not_empty_.wait_until(lock, deadline) == std::cv_status::timeout &&
-            items_.empty() && !closed_) {
-          return std::nullopt;  // deadline passed, still empty
-        }
-      }
     }
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());

@@ -104,7 +104,8 @@ void parallel_for(TileExecutor& pool, Index items, Index task_cap,
 GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
                                    const geometry::ImageGrid& grid,
                                    const bp::BackprojectOptions& options,
-                                   Grid2D<CFloat>& out) {
+                                   Grid2D<CFloat>& out,
+                                   std::shared_ptr<BackendSet> backends) {
   ensure(out.width() == grid.width() && out.height() == grid.height(),
          "make_backprojection_group: image shape mismatch");
   auto blocks = std::make_shared<const std::vector<asr::BlockSpec>>(
@@ -122,9 +123,11 @@ GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
     bp::SoaTile& tile = bp::block_tile(block.width, block.height);
     bp::run_cube_part(history, grid, options, part, tile);
     tile.accumulate_into(out, part.region);
-    return 0.0;
+    return static_cast<double>(part.region.pixels()) *
+           static_cast<double>(part.pulse_end);
   };
   spec.task_cap = std::min(spec.items, static_cast<Index>(kDequeCapacity));
+  spec.backends = std::move(backends);
   spec.label = "backprojection";
   return make_formation_group(std::move(spec));
 }

@@ -13,7 +13,9 @@
 // its thread's block tile, then adds the finished block straight into the
 // image. Blocks are disjoint, so the bytes never depend on which threads
 // ran which tasks. Backprojector runs one such group per form_image call
-// on the pool it owns, the caller sweeping beside it.
+// on the pool it owns, the caller sweeping beside it; OffloadRuntime
+// (Table 3) runs one per frame with its BackendSet, so each executor's
+// share is whole blocks.
 #pragma once
 
 #include <functional>
@@ -80,13 +82,16 @@ void parallel_for(TileExecutor& pool, Index items, Index task_cap,
 /// tasks). An item sweeps its block over every pulse with bp::run_cube_part
 /// into its thread's bp::block_tile and adds the finished block into
 /// `out`, so a zeroed `out` receives one serial kernel call's bytes over
-/// the whole grid on any schedule. `history`, `grid`, `options` and `out`
-/// must outlive the group. A group aborted by a throwing sweep may leave
-/// finished blocks in `out`.
-GroupPtr make_backprojection_group(const sim::PhaseHistory& history,
-                                   const geometry::ImageGrid& grid,
-                                   const bp::BackprojectOptions& options,
-                                   Grid2D<CFloat>& out);
+/// the whole grid on any schedule, with or without `backends`. Given
+/// `backends`, each one's share is whole blocks by the §5.3 split
+/// (FormationSpec::backends), and its tasks record their blocks'
+/// backprojections. `history`, `grid`, `options` and `out` must outlive
+/// the group. A group aborted by a throwing sweep may leave finished
+/// blocks in `out`.
+GroupPtr make_backprojection_group(
+    const sim::PhaseHistory& history, const geometry::ImageGrid& grid,
+    const bp::BackprojectOptions& options, Grid2D<CFloat>& out,
+    std::shared_ptr<BackendSet> backends = nullptr);
 
 class Backprojector {
  public:

@@ -40,11 +40,10 @@ std::vector<exec::BackendSpec> backend_specs(const OffloadConfig& config) {
 OffloadRuntime::OffloadRuntime(const geometry::ImageGrid& grid,
                                bp::BackprojectOptions bp_options,
                                OffloadConfig config)
-    : grid_(grid),
-      bp_options_(bp_options),
-      config_(std::move(config)),
-      backends_(backend_specs(config_), config_.rate_smoothing, nullptr) {
-  bp_options_.validate();
+    : config_(std::move(config)),
+      bp_(grid, bp_options),
+      backends_(std::make_shared<exec::BackendSet>(
+          backend_specs(config_), exec::kRateSmoothing, nullptr)) {
   if (!config_.coprocessors.empty()) {
     staging_engine_ = std::make_unique<AsyncTransferEngine>(
         config_.coprocessors.front().pcie_gbps);
@@ -53,21 +52,25 @@ OffloadRuntime::OffloadRuntime(const geometry::ImageGrid& grid,
 
 OffloadReport OffloadRuntime::form_image(const sim::PhaseHistory& history,
                                          Grid2D<CFloat>& out) {
-  ensure(out.width() == grid_.width() && out.height() == grid_.height(),
-         "OffloadRuntime::form_image: image shape mismatch");
-  const auto executors = static_cast<std::size_t>(backends_.size());
+  const geometry::ImageGrid& grid = bp_.grid();
+  const auto executors = static_cast<std::size_t>(backends_->size());
   OffloadReport report;
-  report.split = backends_.split();
-  report.executor_seconds.resize(executors, 0.0);
-  report.backprojections = static_cast<double>(grid_.width()) *
-                           static_cast<double>(grid_.height()) *
+  report.split = backends_->split();
+  report.backprojections = static_cast<double>(grid.width()) *
+                           static_cast<double>(grid.height()) *
                            static_cast<double>(history.num_pulses());
-  // Image rows by the current split.
-  const std::vector<Index> rows = backends_.partition(grid_.height());
+  // Each executor's share of the frame is what its tasks' record calls add
+  // to its totals; the group cuts the shares by the split reported above.
+  std::vector<exec::TileBackend::Totals> shares(executors);
+  for (std::size_t i = 0; i < executors; ++i) {
+    shares[i] = backends_->backend(static_cast<int>(i)).totals();
+  }
+  const exec::GroupPtr group = exec::make_backprojection_group(
+      history, grid, bp_.options(), out, backends_);
 
   // Kick off the real asynchronous staging copy of the pulse batch (the
   // #pragma offload_transfer analogue): the I/O thread memcpys while the
-  // executors below compute; we wait (and time the wait) at the end.
+  // pool computes; we wait (and time the wait) at the end.
   TransferHandle staging;
   if (staging_engine_ != nullptr) {
     staging_buffer_.resize(history.payload_bytes());
@@ -78,36 +81,33 @@ OffloadReport OffloadRuntime::form_image(const sim::PhaseHistory& history,
         staging_buffer_);
   }
 
-  for (std::size_t i = 0; i < executors; ++i) {
-    const Region region{0, rows[i], grid_.width(), rows[i + 1] - rows[i]};
-    if (region.empty()) continue;
-    exec::TileBackend& backend = backends_.backend(static_cast<int>(i));
-    Timer timer;
-    bp::add_pulses_region(history, grid_, bp_options_, region, 0,
-                          history.num_pulses(), out);
-    const double measured = timer.seconds();
-    report.executor_seconds[i] = backend.simulated_seconds(measured);
-    backend.record(static_cast<double>(region.pixels()) *
-                       static_cast<double>(history.num_pulses()),
-                   measured);
-  }
+  bp_.pool().run(group);
 
   if (staging.valid()) {
     Timer wait_timer;
     (void)staging.wait();
     report.staging_wait_seconds = wait_timer.seconds();
   }
+  if (group->aborted()) {
+    throw PreconditionError("OffloadRuntime::form_image: " + group->error());
+  }
+  for (std::size_t i = 0; i < executors; ++i) {
+    const exec::TileBackend::Totals after =
+        backends_->backend(static_cast<int>(i)).totals();
+    shares[i] = {after.backprojections - shares[i].backprojections,
+                 after.simulated_seconds - shares[i].simulated_seconds};
+    report.executor_seconds.push_back(shares[i].simulated_seconds);
+  }
 
   // PCIe model: each coprocessor receives the full pulse batch and returns
-  // its image slice (§5.3's ~150 MB / 6 GB/s -> 0.03 s for the 3K case).
+  // its blocks' pixels (§5.3's ~150 MB / 6 GB/s -> 0.03 s for the 3K case).
   const std::size_t first_coproc = config_.use_host_compute ? 1 : 0;
   double worst_transfer = 0.0;
   for (std::size_t k = 0; k < config_.coprocessors.size(); ++k) {
     const std::size_t i = first_coproc + k;
     const double in_bytes = static_cast<double>(history.payload_bytes());
-    const double out_bytes = static_cast<double>(grid_.width()) *
-                             static_cast<double>(rows[i + 1] - rows[i]) *
-                             sizeof(CFloat);
+    const double out_bytes = shares[i].backprojections * sizeof(CFloat) /
+                             std::max<double>(1.0, history.num_pulses());
     worst_transfer = std::max(
         worst_transfer, modeled_transfer_seconds(config_.coprocessors[k],
                                                  in_bytes + out_bytes));
@@ -121,7 +121,7 @@ OffloadReport OffloadRuntime::form_image(const sim::PhaseHistory& history,
                             : compute_wall + worst_transfer;
 
   // Transfer/overlap telemetry: how much of the PCIe time the double
-  // buffering actually hid, and how long the compute thread stalled on the
+  // buffering actually hid, and how long the calling thread stalled on the
   // asynchronous staging copy.
   auto& reg = obs::registry();
   reg.counter("offload.frames").add();

@@ -29,11 +29,13 @@ TileBackend::TileBackend(std::string name, double rate_prior,
 
 void TileBackend::record(double backprojections, double measured_seconds) {
   const double simulated = simulated_seconds(measured_seconds);
-  if (simulated <= 0.0 || backprojections <= 0.0) return;
-  const double observed = backprojections / simulated;
   double smoothed;
   {
     MutexLock lock(mutex_);
+    totals_.backprojections += backprojections;
+    totals_.simulated_seconds += simulated;
+    if (simulated <= 0.0 || backprojections <= 0.0) return;
+    const double observed = backprojections / simulated;
     rate_ = rate_ <= 0.0 ? observed
                          : rate_smoothing_ * observed +
                                (1.0 - rate_smoothing_) * rate_;
@@ -47,6 +49,11 @@ void TileBackend::record(double backprojections, double measured_seconds) {
 double TileBackend::observed_rate() const {
   MutexLock lock(mutex_);
   return rate_;
+}
+
+TileBackend::Totals TileBackend::totals() const {
+  MutexLock lock(mutex_);
+  return totals_;
 }
 
 void TileBackend::set_split_gauge(double fraction) {

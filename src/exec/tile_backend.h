@@ -39,6 +39,10 @@
 
 namespace sarbp::exec {
 
+/// EMA weight of every backend's observed-rate tracker (§5.3): the service's
+/// and OffloadRuntime's BackendSets both pass it.
+inline constexpr double kRateSmoothing = 0.5;
+
 /// One compute executor. Its tasks' sweeps run concurrently on several
 /// workers; the rate tracker is internally synchronized.
 class TileBackend {
@@ -63,14 +67,23 @@ class TileBackend {
     return measured_seconds;
   }
 
-  /// Folds one task's sweep into the observed-rate EMA (§5.3).
-  /// `measured_seconds` is host wall time; the backend applies its own
-  /// simulated-time scaling before computing the rate.
+  /// Folds one task's sweep into the observed-rate EMA (§5.3) and the
+  /// totals below. `measured_seconds` is host wall time; the backend
+  /// applies its own simulated-time scaling before computing the rate.
   void record(double backprojections, double measured_seconds);
 
   /// Observed backprojections per simulated second; 0 until the first
   /// record().
   [[nodiscard]] double observed_rate() const;
+
+  /// Sums over every record() so far. A caller that reads them before and
+  /// after a formation gets this backend's share of it (OffloadRuntime's
+  /// per-executor frame time and PCIe out-bytes).
+  struct Totals {
+    double backprojections = 0.0;
+    double simulated_seconds = 0.0;
+  };
+  [[nodiscard]] Totals totals() const;
 
   /// Capability prior in relative rate units (host scalar = 1); seeds the
   /// split until every backend in the set has been observed.
@@ -85,6 +98,7 @@ class TileBackend {
   const double rate_smoothing_;
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("exec.backend")};
   double rate_ SARBP_GUARDED_BY(mutex_) = 0.0;
+  Totals totals_ SARBP_GUARDED_BY(mutex_);
 
   obs::Counter* sweeps_ = nullptr;
   obs::Gauge* rate_gauge_ = nullptr;

@@ -49,7 +49,7 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
   } else {
     if (!config_.backends.empty()) {
       backend_set_ = std::make_shared<exec::BackendSet>(
-          config_.backends, config_.backend_rate_smoothing, metrics_);
+          config_.backends, exec::kRateSmoothing, metrics_);
     }
     exec::ExecOptions exec_options;
     exec_options.workers = config_.workers;

@@ -115,8 +115,6 @@ struct ServiceConfig {
   /// Ignored in sharded mode (shards >= 2), where the ranks replay plans
   /// themselves.
   std::vector<exec::BackendSpec> backends;
-  /// EMA weight for each backend's observed-rate tracker.
-  double backend_rate_smoothing = 0.5;
 
   // --- weighted-fair scheduling ------------------------------------------
   /// Policy for tenants without an explicit entry (and the empty tenant).

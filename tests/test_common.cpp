@@ -5,6 +5,7 @@
 #include <sanitizer/asan_interface.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <new>
@@ -128,14 +129,6 @@ TEST(BoundedQueue, FifoOrder) {
   }
 }
 
-TEST(BoundedQueue, TryPushFailsWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.size(), 2u);
-}
-
 TEST(BoundedQueue, TryPopEmptyReturnsNullopt) {
   BoundedQueue<int> q(2);
   EXPECT_FALSE(q.try_pop().has_value());
@@ -210,74 +203,6 @@ TEST(BoundedQueue, BlockingPushWaitsForSpace) {
   EXPECT_EQ(q.pop(), std::optional<int>(2));
 }
 
-TEST(BoundedQueue, TryPushForTimesOutWhenFull) {
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.try_push_for(1, std::chrono::milliseconds(1)));
-  EXPECT_FALSE(q.try_push_for(2, std::chrono::milliseconds(10)));
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(BoundedQueue, TryPushForSucceedsWhenSpaceFrees) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    (void)q.pop();
-  });
-  EXPECT_TRUE(q.try_push_for(2, std::chrono::seconds(5)));
-  consumer.join();
-  EXPECT_EQ(q.pop(), std::optional<int>(2));
-}
-
-TEST(BoundedQueue, TryPushForReturnsFalsePromptlyWhenClosedDuringWait) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    q.close();
-  });
-  // The wait is far longer than the close delay: a close() during the wait
-  // must win over the deadline and fail the push immediately.
-  Timer t;
-  EXPECT_FALSE(q.try_push_for(2, std::chrono::seconds(30)));
-  EXPECT_LT(t.seconds(), 10.0);
-  closer.join();
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(BoundedQueue, TryPushForRacingCloseFromThirdThread) {
-  // Three-way race: a producer blocked in try_push_for on a full queue, a
-  // consumer that frees a slot, and a third thread that closes the queue —
-  // all at once. Whatever interleaving wins, the producer must return (no
-  // hang), and a true return means the item is actually delivered exactly
-  // once (it can be popped or was popped by the consumer), never accepted
-  // into a void.
-  constexpr int kRounds = 200;
-  for (int round = 0; round < kRounds; ++round) {
-    BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.push(1));
-    std::atomic<int> consumed_42{0};
-    std::thread consumer([&] {
-      while (auto v = q.pop()) {
-        if (*v == 42) consumed_42++;
-      }
-    });
-    std::thread closer([&] { q.close(); });
-    const bool accepted = q.try_push_for(42, std::chrono::seconds(10));
-    closer.join();
-    consumer.join();
-    if (accepted) {
-      // Accepted before the close won: drain semantics guarantee delivery.
-      EXPECT_EQ(consumed_42.load(), 1) << "accepted item lost (round "
-                                       << round << ")";
-    } else {
-      EXPECT_EQ(consumed_42.load(), 0) << "rejected item delivered (round "
-                                       << round << ")";
-    }
-    EXPECT_TRUE(q.closed());
-  }
-}
-
 TEST(BoundedQueue, PopWakeupOrderDeliversEveryItemToSomeWaiter) {
   // Wakeup-ordering contract on the pop side: with several consumers parked
   // in pop(), each push must wake enough waiters that every item is taken
@@ -303,105 +228,6 @@ TEST(BoundedQueue, PopWakeupOrderDeliversEveryItemToSomeWaiter) {
   for (auto& t : consumers) t.join();
   EXPECT_EQ(popped.load(), kItems);
   EXPECT_EQ(end_signals.load(), kConsumers);
-}
-
-TEST(BoundedQueue, TryPopForTimesOutWhenEmpty) {
-  BoundedQueue<int> q(2);
-  EXPECT_FALSE(q.try_pop_for(std::chrono::milliseconds(10)).has_value());
-  EXPECT_FALSE(q.closed());
-}
-
-TEST(BoundedQueue, TryPopForReceivesLatePush) {
-  BoundedQueue<int> q(2);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_TRUE(q.push(42));
-  });
-  const auto v = q.try_pop_for(std::chrono::seconds(5));
-  producer.join();
-  EXPECT_EQ(v, std::optional<int>(42));
-}
-
-TEST(BoundedQueue, TryPopForDrainsBacklogAfterClose) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(1));
-  q.close();
-  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(1)), std::optional<int>(1));
-  EXPECT_FALSE(q.try_pop_for(std::chrono::milliseconds(1)).has_value());
-}
-
-TEST(BoundedQueue, TryPopForWokenByCloseNotDeadline) {
-  BoundedQueue<int> q(2);
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    q.close();
-  });
-  Timer t;
-  EXPECT_FALSE(q.try_pop_for(std::chrono::seconds(30)).has_value());
-  EXPECT_LT(t.seconds(), 10.0);
-  closer.join();
-  // nullopt here means end-of-stream, distinguishable from a timeout.
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueue, TimedOpsStressWithMidStreamClose) {
-  // timeout-vs-close race: timed producers and consumers hammer a tiny
-  // queue while it is closed mid-stream. Every accepted item must be
-  // delivered exactly once whether the waiters lose to the deadline or to
-  // the close.
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 2000;
-  BoundedQueue<int> q(2);
-  std::atomic<long long> pushed_sum{0};
-  std::atomic<long long> popped_sum{0};
-  std::atomic<int> pushed_count{0};
-  std::atomic<int> popped_count{0};
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int item = p * kPerProducer + i;
-        bool accepted = false;
-        while (!q.closed()) {
-          if (q.try_push_for(item, std::chrono::microseconds(50))) {
-            accepted = true;
-            break;
-          }
-        }
-        if (!accepted) return;  // closed: all later pushes fail too
-        pushed_sum += item;
-        pushed_count++;
-      }
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (true) {
-        if (auto v = q.try_pop_for(std::chrono::microseconds(50))) {
-          popped_sum += *v;
-          popped_count++;
-        } else if (q.closed()) {
-          // Timed out or ended; with the queue closed and a nullopt in
-          // hand the stream may still hold a backlog — drain it.
-          while (auto rest = q.try_pop()) {
-            popped_sum += *rest;
-            popped_count++;
-          }
-          return;
-        }
-      }
-    });
-  }
-  while (popped_count.load() < kPerProducer) std::this_thread::yield();
-  q.close();
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(popped_count.load(), pushed_count.load());
-  EXPECT_EQ(popped_sum.load(), pushed_sum.load());
 }
 
 TEST(BoundedQueue, MidStreamCloseWakesAllWaitersAndLosesNothing) {

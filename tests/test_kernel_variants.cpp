@@ -166,8 +166,9 @@ class KernelVariantTest : public ::testing::Test {
 
   /// The row lengths whose last vector is partial on either ISA (16 and 8
   /// lanes): one-pixel rows, rows shorter than a vector, and rows one
-  /// vector plus a tail long. OffloadRuntime's row bands cut blocks of
-  /// any height, 37 and 46 rows among them.
+  /// vector plus a tail long. A region whose extent is not a multiple of
+  /// the block edge ends in blocks of any shorter length, 37 and 46 among
+  /// them.
   static constexpr Index kRowLengths[] = {1, 5, 15, 17, 37, 46};
 
   /// The scenario's pulses swept under `order` over a region centred in
