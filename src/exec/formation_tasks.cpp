@@ -29,18 +29,28 @@ GroupPtr make_formation_group(FormationSpec spec) {
   // The tasks share one copy of the body; it also keeps the backends alive.
   const auto body = std::make_shared<const FormationSpec>(std::move(spec));
 
+  // A routed task's timed sweeps, in its own slot; the group's completion
+  // adds each backend's slots up and records them once.
+  struct Share {
+    TileBackend* backend = nullptr;
+    double backprojections = 0.0;
+    double seconds = 0.0;
+  };
+  const auto shares = std::make_shared<std::vector<Share>>();
+
   // Cuts items [begin, end) into `count` contiguous tasks on `backend`.
   std::vector<TaskGroup::Task> tasks;
-  const auto add_tasks = [&tasks, &body](TileBackend* backend, Index begin,
-                                         Index end, Index count) {
+  const auto add_tasks = [&tasks, &body, &shares](TileBackend* backend,
+                                                  Index begin, Index end,
+                                                  Index count) {
     for (Index t = 0; t < count; ++t) {
       const Index i0 = begin + bp::split_begin(end - begin, count, t);
       const Index i1 = begin + bp::split_begin(end - begin, count, t + 1);
-      tasks.push_back([body, backend, i0, i1](TaskGroup& group) {
+      const std::size_t slot = shares->size();
+      if (backend != nullptr) shares->push_back(Share{backend});
+      tasks.push_back([body, backend, shares, slot, i0, i1](TaskGroup& group) {
         const bp::AsrKernel& kernel =
             backend != nullptr ? backend->kernel() : body->kernel;
-        double seconds = 0.0;
-        double backprojections = 0.0;
         for (Index i = i0; i < i1; ++i) {
           if (body->checkpoint && !body->checkpoint()) {
             group.abort();
@@ -51,11 +61,11 @@ GroupPtr make_formation_group(FormationSpec spec) {
             body->sweep(i, kernel);
             continue;
           }
+          Share& share = (*shares)[slot];
           const Timer timer;
-          backprojections += body->sweep(i, kernel);
-          seconds += timer.seconds();
+          share.backprojections += body->sweep(i, kernel);
+          share.seconds += timer.seconds();
         }
-        if (backend != nullptr) backend->record(backprojections, seconds);
       });
     }
   };
@@ -79,6 +89,25 @@ GroupPtr make_formation_group(FormationSpec spec) {
     }
   }
   if (tasks.empty()) tasks.emplace_back([](TaskGroup&) {});  // zero items
+  if (!shares->empty()) {
+    // One record per backend per group, its tasks' sums, so the §5.3 rate
+    // follows whole formations, not single blocks; an aborted group's
+    // partial sums are dropped. The completion runs after every task.
+    on_complete = [shares, inner = std::move(on_complete)](TaskGroup& group) {
+      if (!group.aborted()) {
+        for (std::size_t k = 0; k < shares->size();) {
+          Share sum = (*shares)[k];
+          while (++k < shares->size() &&
+                 (*shares)[k].backend == sum.backend) {
+            sum.backprojections += (*shares)[k].backprojections;
+            sum.seconds += (*shares)[k].seconds;
+          }
+          sum.backend->record(sum.backprojections, sum.seconds);
+        }
+      }
+      if (inner) inner(group);
+    };
+  }
   return std::make_shared<TaskGroup>(std::move(tasks), std::move(checkpoint),
                                      std::move(on_complete), std::move(label));
 }

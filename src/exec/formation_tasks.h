@@ -3,10 +3,10 @@
 // independent items (the blocks of a plan, of a streaming update or of the
 // batch driver's grid) and a sweep body into contiguous item-range tasks,
 // optionally routed across a BackendSet by its §5.3 split. The service's
-// plan replay and the batch driver ask for one task per block (at most
-// kDequeCapacity, so an injection runs none inline), so that idle workers
-// steal single blocks and a formation ends without a one-task tail; a
-// streaming update keeps the ~2 tasks per worker default.
+// plan replay, streaming updates and the batch driver ask for one task per
+// block (at most kDequeCapacity, so an injection runs none inline), so
+// that idle workers steal single blocks and a formation ends without a
+// one-task tail; parallel_for callers pick their own count.
 //
 // make_backprojection_group is the batch body: each task sweeps one ASR
 // block of the grid over every pulse with bp::run_cube_part's kernel into
@@ -52,8 +52,9 @@ struct FormationSpec {
   int workers = 1;
   Index task_cap = 0;
   /// Nullable. Each backend gets a contiguous item range by the current
-  /// §5.3 split, cut into tasks in proportion to its share; a task times
-  /// its sweeps and records them once if it finishes unaborted.
+  /// §5.3 split, cut into tasks in proportion to its share; each task
+  /// times its sweeps, and the group's completion records each backend
+  /// once, its tasks' sums, unless the group aborted.
   std::shared_ptr<BackendSet> backends;
   bp::AsrKernel kernel;
   /// Polled by the executor before each task, then by the task before
@@ -84,10 +85,10 @@ void parallel_for(TileExecutor& pool, Index items, Index task_cap,
 /// `out`, so a zeroed `out` receives one serial kernel call's bytes over
 /// the whole grid on any schedule, with or without `backends`. Given
 /// `backends`, each one's share is whole blocks by the §5.3 split
-/// (FormationSpec::backends), and its tasks record their blocks'
-/// backprojections. `history`, `grid`, `options` and `out` must outlive
-/// the group. A group aborted by a throwing sweep may leave finished
-/// blocks in `out`.
+/// (FormationSpec::backends), recorded once with its blocks' summed
+/// backprojections and seconds. `history`, `grid`, `options` and `out`
+/// must outlive the group. A group aborted by a throwing sweep may leave
+/// finished blocks in `out`.
 GroupPtr make_backprojection_group(
     const sim::PhaseHistory& history, const geometry::ImageGrid& grid,
     const bp::BackprojectOptions& options, Grid2D<CFloat>& out,

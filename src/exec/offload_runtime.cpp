@@ -59,8 +59,9 @@ OffloadReport OffloadRuntime::form_image(const sim::PhaseHistory& history,
   report.backprojections = static_cast<double>(grid.width()) *
                            static_cast<double>(grid.height()) *
                            static_cast<double>(history.num_pulses());
-  // Each executor's share of the frame is what its tasks' record calls add
-  // to its totals; the group cuts the shares by the split reported above.
+  // Each executor's share of the frame is what the group's one record of
+  // it adds to its totals; the group cuts the shares by the split
+  // reported above.
   std::vector<exec::TileBackend::Totals> shares(executors);
   for (std::size_t i = 0; i < executors; ++i) {
     shares[i] = backends_->backend(static_cast<int>(i)).totals();

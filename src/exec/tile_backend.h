@@ -23,7 +23,8 @@
 // Instrumentation (per configured registry):
 //   counters   backend.<name>.sweeps
 //   gauges     backend.<name>.rate_bp_s, backend.<name>.split_permille
-//   histograms backend.<name>.sweep_s (simulated seconds per task sweep)
+//   histograms backend.<name>.sweep_s (simulated seconds of one record:
+//              a formation group's share)
 #pragma once
 
 #include <memory>
@@ -67,9 +68,11 @@ class TileBackend {
     return measured_seconds;
   }
 
-  /// Folds one task's sweep into the observed-rate EMA (§5.3) and the
-  /// totals below. `measured_seconds` is host wall time; the backend
-  /// applies its own simulated-time scaling before computing the rate.
+  /// Folds one formation's share (make_formation_group records each
+  /// backend once per group, its tasks' sums) into the observed-rate EMA
+  /// (§5.3) and the totals below. `measured_seconds` is host wall time;
+  /// the backend applies its own simulated-time scaling before computing
+  /// the rate.
   void record(double backprojections, double measured_seconds);
 
   /// Observed backprojections per simulated second; 0 until the first

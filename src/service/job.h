@@ -89,12 +89,11 @@ enum class JobState {
 /// call it with the outcome it proposes (kDone on success, kFailed on
 /// abort — a tripped verdict's kCancelled/kExpired overrides it) and
 /// receives back the state the job actually resolved to, so callers can
-/// classify outcomes without racing the handle.
+/// classify outcomes without racing the handle. The factory cuts its own
+/// tasks (a streaming update runs one per block, as plan replay does).
 struct CustomJobContext {
   std::function<bool()> checkpoint;
   std::function<JobState(JobState, const std::string&)> finish;
-  /// Executor width for make_formation_group's ~2 tasks per worker.
-  int workers = 1;
 };
 
 /// Builds the task group of a custom (long-running-type) job when a worker

@@ -176,7 +176,6 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
       // verdict overrides the factory's proposed outcome.
       CustomJobContext cctx;
       cctx.checkpoint = std::move(checkpoint);
-      cctx.workers = config_.workers;
       cctx.finish = [this, resolve, verdict, stamps, compute = Timer()](
                         JobState proposed, const std::string& message) {
         JobStamps run = stamps;

@@ -87,22 +87,25 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
                pulses.wavenumber() != wavenumber_) {
       return false;
     }
-    for (Index p = 0; p < pulses.num_pulses(); ++p) {
+    const Index n = pulses.num_pulses();
+    for (Index p = 0; p < n;) {
+      if (fill_meta_.empty() && n - p >= config_.chunk_pulses) {
+        // Nothing buffered: a whole chunk is copied once, straight from
+        // the batch into its history.
+        queue_chunk_locked(pulses.pulse(p).data(),
+                           [&](Index i) { return pulses.meta(p + i); });
+        p += config_.chunk_pulses;
+        continue;
+      }
       fill_meta_.push_back(pulses.meta(p));
-      const auto src = pulses.pulse(p);
+      const auto src = pulses.pulse(p++);
       fill_samples_.insert(fill_samples_.end(), src.begin(), src.end());
       if (static_cast<Index>(fill_meta_.size()) == config_.chunk_pulses) {
-        auto chunk = std::make_shared<sim::PhaseHistory>(
-            config_.chunk_pulses, samples_, bin_spacing_, wavenumber_);
-        for (Index i = 0; i < config_.chunk_pulses; ++i) {
-          const auto begin = fill_samples_.begin() + i * samples_;
-          std::copy(begin, begin + samples_, chunk->pulse(i).begin());
-          chunk->meta(i) = fill_meta_[static_cast<std::size_t>(i)];
-        }
+        queue_chunk_locked(fill_samples_.data(), [&](Index i) {
+          return fill_meta_[static_cast<std::size_t>(i)];
+        });
         fill_samples_.clear();
         fill_meta_.clear();
-        pending_.push_back(
-            Chunk{std::move(chunk), std::chrono::steady_clock::now()});
       }
     }
     pump_locked();
@@ -192,7 +195,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     std::chrono::steady_clock::time_point ready;
   };
 
-  /// State of one in-flight update, shared between the sweep tasks and
+  /// State of one in-flight update, shared between the block tasks and
   /// the completion continuation.
   struct Update {
     Chunk chunk;
@@ -208,12 +211,35 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     /// the block tasks write.
     SubApertureCache::Partial partial;
     std::shared_ptr<Grid2D<CFloat>> swept;
-    Grid2D<CFloat> fresh;  ///< anchor: the whole window, re-swept
+    /// The window's running image and the partial this update's push
+    /// evicts (null until the window is full), taken under the session
+    /// lock: the slide's inputs. Only this update's commit moves the
+    /// window, so neither changes while the tasks read them.
+    bp::SlidingWindow::Image prev;
+    bp::SlidingWindow::Partial evicted;
+    /// The update's image, which its commit publishes: the whole window
+    /// re-swept (anchor), else prev + partial - evicted, slid block by
+    /// block.
+    Grid2D<CFloat> image;
     /// The admitted job, for cancel(); session lock. Reset when the update
     /// resolves: the handle's request holds the factory, which holds this.
     std::shared_ptr<service::JobHandle> job;
     std::atomic<std::uint64_t> ops{0};
   };
+
+  /// Queues the next chunk: `chunk_pulses` pulses whose samples lie one
+  /// pulse after another from `samples`, pulse i's metadata meta(i).
+  template <class Meta>
+  void queue_chunk_locked(const CFloat* samples, const Meta& meta)
+      SARBP_REQUIRES(mutex_) {
+    auto chunk = std::make_shared<sim::PhaseHistory>(
+        config_.chunk_pulses, samples_, bin_spacing_, wavenumber_);
+    std::copy_n(samples, config_.chunk_pulses * samples_,
+                chunk->pulse(0).data());
+    for (Index i = 0; i < config_.chunk_pulses; ++i) chunk->meta(i) = meta(i);
+    pending_.push_back(
+        Chunk{std::move(chunk), std::chrono::steady_clock::now()});
+  }
 
   /// Submits pending chunks until one is in flight or the queue is empty.
   /// Holds mutex_ across submit(): the only callbacks that need this
@@ -277,9 +303,10 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
                                     const service::CustomJobContext& cctx)
       SARBP_EXCLUDES(mutex_) {
     {
-      // Decide the mode and snapshot the window. Only a committing update
-      // mutates the chunks and exactly one update is in flight, so the
-      // snapshot's chunks stay alive and valid for the group's whole run.
+      // Decide the mode and capture the window. Only a committing update
+      // mutates the chunks and the window, and exactly one update is in
+      // flight, so what is captured stays alive and valid for the group's
+      // whole run.
       MutexLock lock(mutex_);
       u->anchor = config_.reanchor_interval > 0 &&
                   window_.pushes_since_anchor() >= config_.reanchor_interval;
@@ -292,6 +319,11 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
         }
         u->window_pulses.push_back(all_pulses(*u->chunk.history));
       }
+      // An anchor does not slide, but holding the previous image to the
+      // commit's end frees the previous snapshot, if no reader holds it,
+      // outside this lock.
+      u->prev = window_.shared_image();
+      u->evicted = window_.evicting();
     }
     if (config_.cache != nullptr) {
       u->key = config_.cache->make_key(config_.grid, region_,
@@ -300,25 +332,26 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       u->partial = config_.cache->find(u->key, *u->chunk.history);
       u->cache_hit = u->partial != nullptr;
     }
-    // Every update needs the chunk's partial for the eventual expiry
-    // subtraction; a cache hit supplies it, anything else sweeps it. An
-    // anchor additionally re-sweeps the whole window into a fresh image.
+    // Every update needs the chunk's partial for its slide and the
+    // eventual expiry subtraction; a cache hit supplies it, anything else
+    // sweeps it.
     if (!u->cache_hit) {
       u->swept =
           std::make_shared<Grid2D<CFloat>>(region_.width, region_.height);
       u->partial = u->swept;
     }
-    if (u->anchor) u->fresh = Grid2D<CFloat>(region_.width, region_.height);
+    u->image = Grid2D<CFloat>(region_.width, region_.height);
 
     auto self = shared_from_this();
     exec::FormationSpec spec;
-    // A cache hit without an anchor has nothing to sweep: zero items.
-    spec.items =
-        !u->anchor && u->cache_hit ? 0 : static_cast<Index>(blocks_.size());
+    // One task per block, as plan replay and the batch driver run; a cache
+    // hit without an anchor only slides.
+    spec.items = static_cast<Index>(blocks_.size());
     spec.sweep = [self, u](Index b, const bp::AsrKernel& kernel) {
-      return self->sweep_update_block(*u, b, kernel);
+      return self->update_block(*u, b, kernel);
     };
-    spec.workers = cctx.workers;
+    spec.task_cap =
+        std::min(spec.items, static_cast<Index>(exec::kDequeCapacity));
     spec.kernel = kernel_;
     spec.checkpoint = cctx.checkpoint;
     spec.on_complete = [self, u, cctx](exec::TaskGroup& group) {
@@ -328,11 +361,12 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     return exec::make_formation_group(std::move(spec));
   }
 
-  /// Sweeps block `b` of an update into the thread's block tile and adds
-  /// it into its image at the block's place, as plan replay does: the
-  /// window into `fresh` (anchor), the chunk into `swept` (no cache hit).
-  double sweep_update_block(Update& u, Index b,
-                            const bp::AsrKernel& kernel) {
+  /// Block `b` of an update. Sweeps into the thread's block tile and adds
+  /// the block into its image at the block's place, as plan replay does:
+  /// the window into `image` (anchor), the chunk into `swept` (no cache
+  /// hit). Then, unless anchoring, slides the block's region of `image`
+  /// from the previous image, the partial and the evicted partial.
+  double update_block(Update& u, Index b, const bp::AsrKernel& kernel) {
     const asr::BlockSpec& block = blocks_[static_cast<std::size_t>(b)];
     const Region at{block.x0 - region_.x0, block.y0 - region_.y0, block.width,
                     block.height};
@@ -349,10 +383,14 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
         ops += area * static_cast<std::uint64_t>(r.end - r.begin);
       }
     };
-    if (u.anchor) sweep(u.window_pulses, u.fresh);
+    if (u.anchor) sweep(u.window_pulses, u.image);
     if (u.swept != nullptr) {
       const bp::PulseRange chunk[] = {all_pulses(*u.chunk.history)};
       sweep(chunk, *u.swept);
+    }
+    if (!u.anchor) {
+      bp::SlidingWindow::slide(*u.prev, *u.partial, u.evicted.get(), u.image,
+                               at);
     }
     // order: relaxed — statistics accumulator; the group's completion
     // machinery orders it before on_complete reads it.
@@ -392,27 +430,30 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       if (ops_counter_ && ops > 0) ops_counter_->add(ops);
       if (ok) {
         // Commit: slide the chunks and the window, publish. This is the
-        // only place image state mutates. The window holds each chunk's
-        // partial independently of cache eviction, so an expiry subtracts
-        // exactly what was added.
+        // only place session state mutates, and it moves no pixel: the
+        // update's image becomes the snapshot's, and the window adopts it
+        // as its running image. The window holds each chunk's partial
+        // independently of cache eviction, so an expiry subtracts exactly
+        // what was added.
         chunks_.push_back(u->chunk.history);
         while (chunks_.size() >
                static_cast<std::size_t>(config_.window_chunks)) {
           chunks_.pop_front();
         }
+        seq_ += 1;
+        auto snap = std::make_shared<Snapshot>();
+        snap->image = std::move(u->image);
         // lint: allow(queue-result) -- SlidingWindow::push returns nothing
-        window_.push(u->partial, std::move(u->fresh));  // empty unless anchor
+        window_.push(u->partial, bp::SlidingWindow::Image(snap, &snap->image),
+                     u->anchor);
         if (u->anchor) {
           stats_.reanchors += 1;
           if (reanchors_) reanchors_->add();
         }
         if (u->cache_hit) stats_.cache_hits += 1;
-        seq_ += 1;
-        auto snap = std::make_shared<Snapshot>();
         snap->seq = seq_;
         snap->reanchored = u->anchor;
         snap->window_pulses = window_pulses_locked();
-        snap->image = window_.image();
         snap->latency_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           u->chunk.ready)
@@ -427,6 +468,10 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       inflight_update_ = nullptr;
       cv_.notify_all();
     }
+    // The previous snapshot and the evicted partial, when this update held
+    // their last references, are freed here, outside the session lock.
+    u->prev.reset();
+    u->evicted.reset();
     pump();
   }
 

@@ -11,23 +11,28 @@
 // in flight; completed updates publish an immutable Snapshot.
 //
 // Update modes (backprojection is linear, paper §2); the chunk partials
-// and their running image are one bp::SlidingWindow:
+// and their running image are one bp::SlidingWindow, and a published
+// snapshot's image is the window's running image:
 //  - incremental: sweep only the new chunk into a partial image (or fetch
-//    it from the SubApertureCache) and push it: image += partial, then
-//    image -= the expired chunk's retained partial. O(delta).
+//    it from the SubApertureCache); each block task then slides its block
+//    of the update's new image, (previous image + partial) - the expired
+//    chunk's retained partial. O(delta).
 //  - re-anchor: after `reanchor_interval` consecutive incremental updates
 //    the whole window is re-swept from scratch, block-outer/pulse-inner —
 //    the same arithmetic in the same order as a one-shot reform — and the
 //    window's anchoring push takes it as the running image, so the
 //    published image is *bit-identical* to reform_window() over the
 //    session's window_history(). O(window).
+// The commit moves the update's image into the snapshot and the window
+// adopts it, so no image pass or copy runs under the session lock.
 //
 // Drift contract: float accumulation is not associative, so an
 // incremental image is not a from-scratch reform bit-for-bit: it is the
 // serial fold (+= newest, -= expired) of the chunks' own reforms since the
 // last anchor, within a bounded error of the reform (> 70 dB SNR in the
 // repo's tests; see EXPERIMENTS.md). A failed/cancelled/expired update
-// mutates nothing: all image state changes happen in the update's commit.
+// mutates nothing: its tasks write only its own new image, and all
+// session state changes happen in the update's commit.
 #pragma once
 
 #include <chrono>
@@ -84,6 +89,8 @@ struct Snapshot {
   std::uint64_t seq = 0;    ///< 1-based update sequence number
   bool reanchored = false;  ///< this update was a full window re-sweep
   Index window_pulses = 0;  ///< pulses in the applied window
+  /// The window's running image after this update (the window shares it
+  /// until the next one commits).
   Grid2D<CFloat> image{0, 0};
   double latency_seconds = 0.0;  ///< chunk completed -> snapshot published
 };

@@ -1,7 +1,8 @@
 // Driver-level tests: the batch Backprojector against single-threaded
 // kernel runs, every kernel option through the driver, the §2 incremental
-// accumulator (bp::SlidingWindow: its running sum, re-sum and anchoring
-// push, and incremental vs monolithic backprojection), the Fig. 7
+// accumulator (bp::SlidingWindow: its running sum, re-sum, anchoring
+// push, copy-on-write image and block-wise slide, and incremental vs
+// monolithic backprojection), the Fig. 7
 // breakdown instrumentation, and the empirical gather-locality counter.
 #include <gtest/gtest.h>
 
@@ -10,8 +11,12 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <random>
+#include <vector>
 
+#include "asr/block_plan.h"
 #include "backprojection/backprojector.h"
 #include "backprojection/breakdown.h"
 #include "backprojection/locality.h"
@@ -227,8 +232,8 @@ TEST(Accumulator, RunningSumAddsNewestThenSubtractsEvicted) {
   // The anchoring push stores and evicts as a push does, but its exact
   // image replaces the running one unslid: the slide would read
   // (0 + 2) - 1 = 1, and the stored partials sum to 3.
-  window.push(filled(3, 2, CFloat{2.0f, 2.0f}),
-              Grid2D<CFloat>(3, 2, CFloat{3.0f, 3.0f}));
+  window.push(filled(3, 2, CFloat{2.0f, 2.0f}), filled(3, 2, CFloat{3.0f, 3.0f}),
+              /*exact=*/true);
   EXPECT_EQ(window.stored(), 2);
   EXPECT_EQ(window.image(), window.resum());
   EXPECT_EQ(window.pushes_since_anchor(), 0);
@@ -297,11 +302,89 @@ TEST(Accumulator, ShapeMismatchThrows) {
   SlidingWindow window(4, 4, 1);
   EXPECT_THROW(window.push(filled(3, 4, CFloat{})), PreconditionError);
   EXPECT_THROW(window.push(nullptr), PreconditionError);
-  EXPECT_THROW(window.push(filled(4, 4, CFloat{}), Grid2D<CFloat>(4, 3)),
+  EXPECT_THROW(window.push(filled(4, 4, CFloat{}), filled(4, 3, CFloat{}), true),
                PreconditionError);
-  EXPECT_THROW(window.push(nullptr, Grid2D<CFloat>(4, 4)), PreconditionError);
+  EXPECT_THROW(window.push(nullptr, filled(4, 4, CFloat{}), true),
+               PreconditionError);
+  EXPECT_THROW(window.push(filled(4, 4, CFloat{}), nullptr, false),
+               PreconditionError);
   EXPECT_EQ(window.stored(), 0);  // a refused push stores nothing
   EXPECT_THROW(SlidingWindow(4, 4, 0), PreconditionError);
+  Grid2D<CFloat> out(4, 4);
+  EXPECT_THROW(SlidingWindow::slide(out, out, nullptr, out, {2, 0, 3, 4}),
+               PreconditionError);
+}
+
+// Copy-on-write: the running image is immutable once shared.
+
+TEST(Accumulator, HeldImageKeepsItsBytesAcrossPushes) {
+  SlidingWindow window(3, 2, 2);
+  window.push(filled(3, 2, CFloat{1.0f, 0.0f}));
+  const SlidingWindow::Image held = window.shared_image();
+  const Grid2D<CFloat> bytes = *held;
+  window.push(filled(3, 2, CFloat{2.0f, 0.0f}));
+  window.push(filled(3, 2, CFloat{4.0f, 0.0f}));  // evicts the {1, 0}
+  EXPECT_EQ(*held, bytes);
+  EXPECT_NE(window.shared_image(), held);
+  EXPECT_EQ(window.image().at(2, 1), CFloat(6.0f, 0.0f));
+}
+
+TEST(Accumulator, SoleHolderSlidesInPlace) {
+  SlidingWindow window(8, 4, 2);
+  const CFloat* data = window.image().data();
+  for (int p = 1; p <= 4; ++p) {  // two of them evict
+    window.push(filled(8, 4, CFloat{static_cast<float>(p), 0.0f}));
+    EXPECT_EQ(window.image().data(), data) << "push " << p;
+  }
+  EXPECT_EQ(window.image().at(7, 3), CFloat(7.0f, 0.0f));
+  {  // Held, the image is copied once; released, the copy slides in place.
+    const SlidingWindow::Image held = window.shared_image();
+    window.push(filled(8, 4, CFloat{5.0f, 0.0f}));
+  }
+  data = window.image().data();
+  window.push(filled(8, 4, CFloat{6.0f, 0.0f}));
+  EXPECT_EQ(window.image().data(), data);
+  EXPECT_EQ(window.image().at(0, 0), CFloat(11.0f, 0.0f));
+}
+
+TEST(Accumulator, BlockSlidesInAnyOrderGivePushBytes) {
+  // Values whose sums round, so the slide's order of operations shows.
+  const auto noise = [](Index width, Index height, std::uint64_t seed) {
+    auto image = std::make_shared<Grid2D<CFloat>>(width, height);
+    std::uint64_t state = seed;
+    for (CFloat& v : image->flat()) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const auto bits = static_cast<std::uint32_t>(state >> 33);
+      v = CFloat(static_cast<float>(bits % 2000003) * 1e3f - 1e9f,
+                 static_cast<float>(bits % 1009) * 0.37f);
+    }
+    return SlidingWindow::Partial(std::move(image));
+  };
+  constexpr Index kWidth = 37;
+  constexpr Index kHeight = 21;
+  const std::vector<asr::BlockSpec> blocks =
+      asr::plan_blocks(0, 0, kWidth, kHeight, 16, 16);
+  ASSERT_GT(blocks.size(), 4u);
+  SlidingWindow pushed(kWidth, kHeight, 2);
+  SlidingWindow slid(kWidth, kHeight, 2);
+  for (std::uint64_t p = 1; p <= 5; ++p) {
+    const SlidingWindow::Partial partial = noise(kWidth, kHeight, p);
+    Grid2D<CFloat> next(kWidth, kHeight);
+    std::vector<std::size_t> order(blocks.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::shuffle(order.begin(), order.end(), std::mt19937_64(p));
+    for (const std::size_t b : order) {
+      const asr::BlockSpec& block = blocks[b];
+      SlidingWindow::slide(slid.image(), *partial, slid.evicting().get(), next,
+                           {block.x0, block.y0, block.width, block.height});
+    }
+    pushed.push(partial);
+    slid.push(partial, std::make_shared<const Grid2D<CFloat>>(std::move(next)),
+              /*exact=*/false);
+    EXPECT_EQ(slid.image(), pushed.image()) << "push " << p;
+    EXPECT_EQ(slid.pushes_since_anchor(), pushed.pushes_since_anchor());
+  }
+  EXPECT_NE(pushed.image(), pushed.resum());  // the slide really rounded
 }
 
 TEST(Breakdown, BaselineSectionsRoughlySumToTotal) {

@@ -641,8 +641,9 @@ std::map<Index, int> count_events(const std::vector<BodyEvent>& events,
 // backend routing: every item runs once; prepare(i) runs on the sweeping
 // thread just before sweep(i), after one poll per item (plus the
 // executor's one per task); routed items sweep with their backend's
-// kernel; a zero-item group completes once; and a checkpoint that fails
-// at item j leaves the rest of j's task unswept and skips its record.
+// kernel; a routed backend records once per group, its share's sums; a
+// zero-item group completes once; and a checkpoint that fails at item j
+// leaves the rest of j's task unswept and records nothing.
 TEST(FormationGroup, MakeFormationGroupContract) {
   constexpr Index kItems = 13;
   std::vector<BackendSpec> three(3);
@@ -718,6 +719,22 @@ TEST(FormationGroup, MakeFormationGroupContract) {
               EXPECT_EQ(task[k], task[k - 1] + 1);  // contiguous, in order
             }
           }
+          for (int k = 0; routed && k < 3; ++k) {
+            // One record per backend with a share: its items' sums.
+            const TileBackend& backend = set->backend(k);
+            const Index share = bounds[static_cast<std::size_t>(k) + 1] -
+                                bounds[static_cast<std::size_t>(k)];
+            EXPECT_EQ(backend.totals().backprojections,
+                      static_cast<double>(share))
+                << backend.name();
+            if (obs::kEnabled) {
+              EXPECT_EQ(
+                  registry.counter("backend." + backend.name() + ".sweeps")
+                      .value(),
+                  share > 0 ? 1u : 0u)
+                  << backend.name();
+            }
+          }
         }
 
         {  // Zero items: one no-op task, one completion.
@@ -768,26 +785,63 @@ TEST(FormationGroup, MakeFormationGroupContract) {
           EXPECT_EQ(swept.count(i), i < j ? 1u : 0u) << "item " << i;
         }
         if (!routed) continue;
-        // A backend records once per task that swept all its items.
-        std::vector<std::uint64_t> records(3, 0);
-        for (const auto& task : clean_tasks) {
-          bool whole = true;
-          for (const Index i : task) whole = whole && swept.count(i) == 1;
-          if (whole) ++records[owner(task.front())];
-        }
+        // An aborted group records nothing, whatever its tasks swept.
         for (int k = 0; k < 3; ++k) {
           const TileBackend& backend = set->backend(k);
-          EXPECT_EQ(backend.observed_rate() > 0.0, records[k] > 0)
-              << backend.name();
+          EXPECT_EQ(backend.observed_rate(), 0.0) << backend.name();
+          EXPECT_EQ(backend.totals().backprojections, 0.0) << backend.name();
           if (obs::kEnabled) {
             EXPECT_EQ(failing_registry
                           .counter("backend." + backend.name() + ".sweeps")
                           .value(),
-                      records[k])
+                      0u)
                 << backend.name();
           }
         }
       }
+    }
+  }
+}
+
+// The §5.3 rate follows whole formations: a group of one-block tasks on
+// one backend records once, so one slow block cannot swing the split, and
+// the rate it leaves is its totals' ratio.
+TEST(FormationGroup, OneRecordPerBackendPerGroup) {
+  obs::Registry registry;
+  const auto set = std::make_shared<BackendSet>(
+      std::vector<BackendSpec>(1), kRateSmoothing, &registry);
+  const TileBackend& backend = set->backend(0);
+  ExecOptions options;
+  options.workers = 2;
+  options.metrics = &registry;
+  TileExecutor executor(std::move(options));
+  constexpr Index kBlocks = 9;
+  for (std::uint64_t group = 1; group <= 2; ++group) {
+    FormationSpec spec;
+    spec.items = kBlocks;
+    spec.task_cap = kBlocks;
+    spec.sweep = [](Index, const bp::AsrKernel&) {
+      const auto start = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - start < 20us) {
+      }
+      return 1000.0;
+    };
+    spec.backends = set;
+    const GroupPtr formation = make_formation_group(std::move(spec));
+    ASSERT_EQ(formation->size(), static_cast<std::size_t>(kBlocks));
+    executor.run(formation);
+    ASSERT_FALSE(formation->aborted());
+    const TileBackend::Totals totals = backend.totals();
+    EXPECT_EQ(totals.backprojections,
+              1000.0 * static_cast<double>(kBlocks) *
+                  static_cast<double>(group));
+    if (group == 1) {
+      // The first record sets the rate unsmoothed.
+      EXPECT_EQ(backend.observed_rate(),
+                totals.backprojections / totals.simulated_seconds);
+    }
+    if (obs::kEnabled) {
+      EXPECT_EQ(registry.counter("backend.scalar.sweeps").value(), group);
     }
   }
 }

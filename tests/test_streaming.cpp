@@ -1,14 +1,15 @@
 // Streaming sliding-aperture tests: incremental-vs-full parity (bit-exact
 // at re-anchors, > 70 dB drift bound between them, across scalar/SIMD and
-// steal on/off, and every incremental snapshot the serial fold of its
-// chunks' reforms), the O(delta) vs O(full) operation-count acceptance
-// bound, re-anchor cadence, sub-aperture cache hit/eviction/collision
-// behaviour and byte accounting, a closed session releasing its partials
-// to the cache, cancel and deadline expiry mid-update, the queued-cancel
-// abandonment path, refused batches buffering nothing, a region past
-// Index's range refused at open, the streaming trace round trip + replay,
-// and the ASR core's invariant that neither the table source nor the
-// chunking of the pulses changes bits.
+// steal on/off, every incremental snapshot the serial fold of its
+// chunks' reforms, and any batching of the pulses the bytes of
+// pulse-by-pulse pushes), the O(delta) vs O(full) operation-count bound,
+// re-anchor cadence, sub-aperture cache hit/eviction/collision behaviour
+// and byte accounting, a closed session releasing its partials to the
+// cache, cancel (before and after a block has slid) and deadline expiry
+// mid-update, the queued-cancel abandonment path, refused batches
+// buffering nothing, a region past Index's range refused at open, the
+// streaming trace round trip + replay, and the ASR core's invariant that
+// neither the table source nor the chunking of the pulses changes bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,6 +205,81 @@ TEST(StreamingParity, IncrementalSnapshotsFoldChunkReforms) {
     EXPECT_EQ(session.stats().reanchors, 2u);
     EXPECT_GE(incremental_after_eviction, 6);
     session.close();
+  }
+}
+
+void expect_same_history(const sim::PhaseHistory& a,
+                         const sim::PhaseHistory& b) {
+  ASSERT_EQ(a.num_pulses(), b.num_pulses());
+  ASSERT_EQ(a.samples_per_pulse(), b.samples_per_pulse());
+  for (Index p = 0; p < a.num_pulses(); ++p) {
+    const auto pa = a.meta(p).position;
+    const auto pb = b.meta(p).position;
+    EXPECT_TRUE(pa.x == pb.x && pa.y == pb.y && pa.z == pb.z &&
+                a.meta(p).start_range_m == b.meta(p).start_range_m &&
+                a.meta(p).time_s == b.meta(p).time_s)
+        << "pulse " << p;
+    EXPECT_TRUE(std::equal(a.pulse(p).begin(), a.pulse(p).end(),
+                           b.pulse(p).begin()))
+        << "pulse " << p;
+  }
+}
+
+/// A push copies the whole chunks it finds with nothing buffered straight
+/// into their histories, and buffers the rest pulse by pulse: batches of
+/// 2.5 chunks, of exactly 2, and of 0.5 then 1.5 give the window and the
+/// snapshot bytes of the same pulses pushed one at a time.
+TEST(StreamingParity, BatchSizesKeepChunksAndBytes) {
+  ScenarioConfig cfg;
+  cfg.image = 32;
+  cfg.pulses = 40;
+  cfg.seed = 17;
+  const SmallScenario s = make_scenario(cfg);
+
+  obs::Registry reg;
+  service::ServiceConfig sc;
+  sc.workers = 2;
+  sc.metrics = &reg;
+  service::ImageFormationService srv(sc);
+
+  StreamConfig config;
+  config.grid = s.grid;
+  config.asr_block_w = config.asr_block_h = 16;
+  config.chunk_pulses = 4;
+  config.window_chunks = 3;
+  config.reanchor_interval = 3;
+  // A session fed the first pulses of the scenario in batches of `sizes`.
+  const auto feed = [&](const std::vector<Index>& sizes) {
+    StreamSession session = open_stream(srv, config);
+    Index p = 0;
+    for (const Index n : sizes) {
+      EXPECT_TRUE(session.push(slice(s.history, p, p + n)));
+      p += n;
+    }
+    EXPECT_TRUE(session.wait_idle(kWait));
+    session.close();
+    return session;
+  };
+  for (const std::vector<Index>& sizes :
+       {std::vector<Index>{10, 10}, std::vector<Index>{8, 8},
+        std::vector<Index>{2, 6}}) {
+    Index total = 0;
+    for (const Index n : sizes) total += n;
+    SCOPED_TRACE(std::to_string(sizes[0]) + " then " +
+                 std::to_string(sizes[1]) + " pulses");
+    const StreamSession batched = feed(sizes);
+    const StreamSession single = feed(std::vector<Index>(
+        static_cast<std::size_t>(total), 1));
+    const auto chunks = static_cast<std::uint64_t>(total / 4);
+    EXPECT_EQ(batched.stats().updates_completed, chunks);
+    EXPECT_EQ(single.stats().updates_completed, chunks);
+    const Index window = std::min<Index>(total, 12);
+    expect_same_history(batched.window_history(),
+                        slice(s.history, total - window, total));
+    expect_same_history(batched.window_history(), single.window_history());
+    ASSERT_NE(batched.latest(), nullptr);
+    ASSERT_NE(single.latest(), nullptr);
+    expect_bit_identical(batched.latest()->image, single.latest()->image);
   }
 }
 
@@ -827,6 +903,94 @@ TEST(StreamingLifecycle, CancelMidUpdateMutatesNothing) {
   ASSERT_TRUE(session.push(slice(s.history, 8, 16)));
   ASSERT_TRUE(session.wait_for_update(1, kWait));
   EXPECT_EQ(session.stats().updates_completed, 1u);
+}
+
+/// The out-of-place slide's failure atomicity: an incremental update of a
+/// full window, cancelled after at least one of its block tasks has slid
+/// its region into the update's image, leaves the previous snapshot
+/// published, the same object with the same bytes, and the next update
+/// publishes the bytes of a session that never saw the cancelled chunk.
+TEST(StreamingLifecycle, CancelAfterASlideKeepsThePreviousSnapshot) {
+  ScenarioConfig cfg;
+  cfg.image = 32;
+  cfg.pulses = 32;
+  const SmallScenario s = make_scenario(cfg);
+
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool armed = false;
+  int polls = 0;
+  bool entered = false;
+  bool released = false;
+  service::ServiceConfig sc;
+  // One worker runs an update's one-block tasks one after another, polling
+  // before each task and again before its block, so the armed update's
+  // third poll comes after its first block has been swept and slid.
+  sc.workers = 1;
+  sc.inter_block_hook = [&] {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    if (!armed || ++polls < 3) return;
+    armed = false;
+    entered = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return released; });
+  };
+  service::ImageFormationService srv(sc);
+
+  StreamConfig config;
+  config.grid = s.grid;
+  config.asr_block_w = config.asr_block_h = 16;  // four blocks
+  config.chunk_pulses = 8;
+  config.window_chunks = 2;
+  config.reanchor_interval = 0;  // every update slides
+  StreamSession session = open_stream(srv, config);
+  StreamSession uninterrupted = open_stream(srv, config);
+  const auto chunk = [&](Index c) { return slice(s.history, c * 8, c * 8 + 8); };
+
+  for (Index c = 0; c < 2; ++c) {  // fill the window
+    ASSERT_TRUE(session.push(chunk(c)));
+    ASSERT_TRUE(uninterrupted.push(chunk(c)));
+  }
+  ASSERT_TRUE(session.wait_idle(kWait));
+  ASSERT_TRUE(uninterrupted.wait_idle(kWait));
+  const auto before = session.latest();
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(before->seq, 2u);
+  const Grid2D<CFloat> before_bytes = before->image;
+
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    armed = true;
+  }
+  ASSERT_TRUE(session.push(chunk(2)));  // evicts chunk 0 when it commits
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    ASSERT_TRUE(gate_cv.wait_for(lock, kWait, [&] { return entered; }));
+  }
+  session.cancel();
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    released = true;
+    gate_cv.notify_all();
+  }
+  ASSERT_TRUE(session.wait_idle(kWait));
+  EXPECT_EQ(session.stats().updates_cancelled, 1u);
+  EXPECT_EQ(session.latest(), before);
+  expect_bit_identical(before->image, before_bytes);
+  EXPECT_EQ(session.window_history().num_pulses(), 16);
+
+  ASSERT_TRUE(session.push(chunk(3)));
+  ASSERT_TRUE(uninterrupted.push(chunk(3)));
+  ASSERT_TRUE(session.wait_idle(kWait));
+  ASSERT_TRUE(uninterrupted.wait_idle(kWait));
+  const auto after = session.latest();
+  const auto reference = uninterrupted.latest();
+  ASSERT_NE(after, nullptr);
+  ASSERT_NE(reference, nullptr);
+  EXPECT_EQ(after->seq, 3u);
+  EXPECT_FALSE(after->reanchored);
+  expect_bit_identical(after->image, reference->image);
+  expect_bit_identical(before->image, before_bytes);
 }
 
 TEST(StreamingLifecycle, DeadlineExpiryDropsUpdate) {

@@ -21,8 +21,9 @@
 #   OffloadRuntimeTest.SplitConvergesTowardEffectiveRates and
 #   OffloadRuntimeTest.StagingCopyOverlapsWithCompute:
 # they assert on measured time, which TSan's slowdown distorts. The rest
-# still run offload frames on the pool, whose tasks call
-# TileBackend::record concurrently. Tier-1 runs all of them.
+# still run offload frames on the pool, whose tasks time their blocks
+# concurrently and whose completions call TileBackend::record. Tier-1
+# runs all of them.
 #
 # The TSan configuration also turns on SARBP_DEADLOCK_CHECK, so every run
 # doubles as a lock-order audit: the runtime cycle detector (DESIGN.md
